@@ -100,6 +100,8 @@ class InitBlock:
 @dataclass(frozen=True)
 class MultiparamBlock:
     trotter_steps: int = 64
+    # no longer read by runs (the probe is a closed-form product channel); kept
+    # so that existing configs load and config.json still echoes it
     probe_steps: int = 2000
 
 
@@ -235,8 +237,6 @@ def validate(cfg):
             raise ConfigError("vista_multiparam requires channel 'dephasing'")
         if cfg.normalization != NORM_PLAIN:
             raise ConfigError("vista_multiparam uses a pure ansatz; normalization must be plain")
-        if cfg.n > 10:
-            raise ConfigError(f"vista_multiparam dense path is limited to n <= 10, got {cfg.n}")
     if cfg.mode == MODE_CASCADE and not cfg.cascade.n_sequence:
         raise ConfigError("cascade mode requires cascade.n_sequence")
     if cfg.mode == MODE_CASCADE and cfg.normalization != NORM_PLAIN:

@@ -1,4 +1,4 @@
-"""GHZ probe dynamics: closed forms, the circuit ansatz family, and a dense RK4 oracle.
+"""GHZ probe dynamics: closed forms, the circuit ansatz family, a product-channel kernel, and dense oracles.
 
 The probe is an n-qubit GHZ state evolved for unit time under
 
@@ -17,6 +17,14 @@ The hardware-style ansatz (entangle, rotate by theta-hat, partially disentangle 
 angle phi) produces exactly the same families, with the decay rate set by phi; the
 matching conditions are cos(phi) = exp(-2 gamma') for dephasing and
 cos(phi) = exp(-gamma'/2) for amplitude damping.
+
+Every term of the master equation acts on one qubit, so the evolution is a
+product channel E^{(x) n}.  With the transverse term theta_x != 0 there is no
+closed form for the corner structure, but E is still one 4x4 superoperator:
+the probe is rho = 1/2 sum_ab E(|a><b|)^{(x) n}, the Trotter ansatz is
+u^{(x) n}|GHZ> for one 2x2 matrix u, and their overlap is a sum of 16 scalars
+raised to the n-th power.  The dense RK4 integrator and the dense Trotter
+product are kept as independent oracles for these kernels.
 """
 
 from dataclasses import dataclass
@@ -26,6 +34,10 @@ import numpy as np
 from .errors import DimensionError, DomainError, NumericsError, UnsupportedModelError
 from .qcore import (
     OPERATOR_QUBIT_GUARD,
+    PAULI_I,
+    PAULI_X,
+    PAULI_Z,
+    SIGMA_MINUS,
     bit_weights,
     check_qubit_count,
 )
@@ -215,8 +227,78 @@ def to_dense(state):
 
 
 # ---------------------------------------------------------------------------
-# dense numerical integration (oracle path; also the probe for the
-# non-commuting two-parameter Hamiltonian, where no closed form exists)
+# product-channel kernel: one qubit's channel and ansatz, any n
+
+
+def single_qubit_lindbladian(ham, channel):
+    """4x4 generator of one qubit's master equation, acting on row-major vec(rho).
+
+    Built from vec(A rho B) = (A kron B^T) vec(rho).  The jump operator is
+    sqrt(gamma) Z for dephasing and sqrt(gamma) |0><1| for amplitude damping.
+    """
+    h = ham.theta_z * PAULI_Z + ham.theta_x * PAULI_X
+    gen = -1j * (np.kron(h, PAULI_I) - np.kron(PAULI_I, h.T))
+    jump = {CHANNEL_DEPHASING: PAULI_Z, CHANNEL_AMPDAMP: SIGMA_MINUS}.get(channel.kind)
+    if jump is not None:
+        j = np.sqrt(channel.gamma) * jump
+        jj = j.conj().T @ j
+        gen += np.kron(j, j.conj()) - 0.5 * (np.kron(jj, PAULI_I) + np.kron(PAULI_I, jj.T))
+    return gen
+
+
+def expm_small(a):
+    """exp(a) of a small square matrix by scaling and squaring.
+
+    a is scaled by 2^-s so that its 1-norm is at most 1/2, where 16 Taylor
+    terms leave a remainder below 1e-19; the sum is then squared s times.
+    """
+    s = max(0, int(np.frexp(np.linalg.norm(a, 1))[1]) + 1)
+    x = np.asarray(a, dtype=complex) / 2.0**s
+    term = out = np.eye(x.shape[0], dtype=complex)
+    for k in range(1, 17):
+        term = term @ x / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def product_channel_blocks(ham, channel):
+    """Blocks M_ab = E(|a><b|) of the one-qubit channel E = exp(t L), indexed [a, b, i, j].
+
+    The GHZ probe evolved under ham and channel is 1/2 sum_ab M_ab^{(x) n}.
+    """
+    prop = expm_small(ham.t * single_qubit_lindbladian(ham, channel))
+    return prop.T.reshape(2, 2, 2, 2)
+
+
+def trotter_unitary(ham, d=64):
+    """One qubit's factor u of ``trotter_evolve``: trotter_evolve(GHZ) = u^{(x) n}|GHZ>.
+
+    u = (exp(-i theta_z tau Z) exp(-i theta_x tau X))^d with tau = t/d.
+    """
+    if d < 1:
+        raise DomainError(f"need d >= 1, got {d}")
+    tau = ham.t / d
+    c, s = np.cos(ham.theta_x * tau), np.sin(ham.theta_x * tau)
+    zphase = np.exp(-1j * ham.theta_z * tau * np.array([1.0, -1.0]))
+    step = zphase[:, None] * np.array([[c, -1j * s], [-1j * s, c]])
+    return np.linalg.matrix_power(step, d)
+
+
+def ghz_product_overlap(blocks, u, n):
+    """<psi|rho|psi> for rho = 1/2 sum_ab M_ab^{(x) n} and |psi> = u^{(x) n}|GHZ>.
+
+    Equals 1/4 Re sum_abce t_abce^n with t_ab = u^dag M_ab u; the cost does
+    not depend on n.
+    """
+    t = u.conj().T @ blocks @ u
+    return 0.25 * float(np.real(np.sum(t**n)))
+
+
+# ---------------------------------------------------------------------------
+# dense numerical integration (oracle path for the closed forms and the
+# product-channel kernel)
 
 
 def _flip_index(n, j):

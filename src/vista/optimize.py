@@ -29,6 +29,7 @@ THETA_GUARD = 2 * np.pi  # leaving this range means the run walked off every bas
 STATUS_CONVERGED = "converged"
 STATUS_MAX_EPOCHS = "max_epochs"
 STATUS_DIVERGED = "diverged"
+STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,8 @@ def run_optimization(
     None in exact mode.  Convergence requires the mean absolute parameter
     change, averaged over the trailing ``window`` epochs, to drop below
     ``tol_conv`` (0 disables the check).  Parameters beyond the phase guard
-    mark the run diverged rather than raising.
+    mark the run diverged rather than raising.  Running past ``budget_s``
+    seconds stops the run after the current epoch as ``budget_exhausted``.
     """
     p = params0.clamped()
     state = OptimizerState.fresh(p.values.shape[0])
@@ -245,7 +247,7 @@ def run_optimization(
             status = STATUS_CONVERGED
             break
         if time.monotonic() - t0 > budget_s:
-            status = STATUS_MAX_EPOCHS
+            status = STATUS_BUDGET_EXHAUSTED
             break
 
     return OptRun(

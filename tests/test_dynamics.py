@@ -1,8 +1,11 @@
 """Probe evolution: closed forms vs the dense integrator, the circuit ansatz
-matching conditions, and the Trotter path used for the non-commuting generator."""
+matching conditions, the Trotter path for the non-commuting generator, and the
+product-channel kernel against both."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from vista.errors import DimensionError, DomainError, NumericsError, UnsupportedModelError
@@ -21,10 +24,14 @@ from vista.dynamics import (
     circuit_ansatz_state,
     circuit_decay,
     evolve_closed_form,
+    expm_small,
     lindblad_rk4_oracle,
     matched_angle,
+    product_channel_blocks,
+    single_qubit_lindbladian,
     to_dense,
     trotter_evolve,
+    trotter_unitary,
 )
 from vista.qcore import collective_operator, ghz_density, ghz_vector, purity
 
@@ -279,3 +286,47 @@ class TestTrotter:
             trotter_evolve(ghz_vector(2), HamiltonianSpec(0.1), d=0)
         with pytest.raises(DimensionError):
             trotter_evolve(np.ones(3), HamiltonianSpec(0.1))
+
+
+def _dense_from_blocks(blocks, n):
+    rho = 0
+    for a in range(2):
+        for b in range(2):
+            term = np.ones((1, 1), dtype=complex)
+            for _ in range(n):
+                term = np.kron(term, blocks[a, b])
+            rho = rho + term
+    return 0.5 * rho
+
+
+class TestProductChannel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta_z=st.floats(min_value=-3.0, max_value=3.0),
+        theta_x=st.floats(min_value=-3.0, max_value=3.0),
+        gamma=st.floats(min_value=0.0, max_value=2.0),
+        kind=st.sampled_from([CHANNEL_DEPHASING, CHANNEL_AMPDAMP]),
+        t=st.floats(min_value=0.05, max_value=4.0),
+    )
+    # gamma = 0: L is normal with the eigenvalue 0 repeated
+    @example(theta_z=0.3, theta_x=0.2, gamma=0.0, kind=CHANNEL_DEPHASING, t=1.0)
+    @example(theta_z=0.0, theta_x=0.0, gamma=0.0, kind=CHANNEL_DEPHASING, t=1.0)
+    def test_exponential_matches_scipy(self, theta_z, theta_x, gamma, kind, t):
+        gen = t * single_qubit_lindbladian(HamiltonianSpec(theta_z, theta_x), ChannelSpec(kind, gamma))
+        np.testing.assert_allclose(expm_small(gen), expm(gen), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", [CHANNEL_NONE, CHANNEL_DEPHASING, CHANNEL_AMPDAMP])
+    def test_blocks_match_rk4_probe(self, kind):
+        ham = HamiltonianSpec(theta_z=0.3, theta_x=0.2)
+        channel = ChannelSpec(kind, 0.0 if kind == CHANNEL_NONE else 0.15)
+        dense = lindblad_rk4_oracle(ghz_density(3), ham, channel, steps=1000)
+        assert np.abs(_dense_from_blocks(product_channel_blocks(ham, channel), 3) - dense).max() < 1e-12
+
+    def test_trotter_factor_matches_dense_trotter(self):
+        ham = HamiltonianSpec(0.3, -0.2)
+        u = trotter_unitary(ham, d=5)
+        ghz_rho = _dense_from_blocks(np.einsum("ia,jb->abij", u, u.conj()), 3)
+        psi = trotter_evolve(ghz_vector(3), ham, d=5)
+        np.testing.assert_allclose(ghz_rho, np.outer(psi, psi.conj()), atol=1e-14)
+        with pytest.raises(DomainError):
+            trotter_unitary(ham, d=0)

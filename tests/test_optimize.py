@@ -10,6 +10,7 @@ from vista.optimize import (
     GRAD_CENTRAL,
     GRAD_PARAM_SHIFT,
     PHI_CLAMP,
+    STATUS_BUDGET_EXHAUSTED,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_MAX_EPOCHS,
@@ -289,7 +290,7 @@ class TestRunOptimization:
             budget_s=0.0,
         )
         assert len(run.epochs) == 1
-        assert run.status == STATUS_MAX_EPOCHS
+        assert run.status == STATUS_BUDGET_EXHAUSTED
 
     def test_trace_shape_and_contiguity(self):
         run = run_optimization(

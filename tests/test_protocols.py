@@ -1,13 +1,23 @@
 """End-to-end estimation drivers: single runs, the staged cascade, the FFT
-baseline, and the two-parameter dense-probe mode."""
+baseline, and the two-parameter product-channel mode."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vista.config import from_dict, with_overrides
-from vista.dynamics import circuit_decay
+from vista.dynamics import (
+    CHANNEL_DEPHASING,
+    ChannelSpec,
+    HamiltonianSpec,
+    circuit_decay,
+    lindblad_rk4_oracle,
+    trotter_evolve,
+)
 from vista.errors import ConfigError, NoPeakError
 from vista.measurement import ShotSampler
+from vista.optimize import STATUS_BUDGET_EXHAUSTED, STATUS_CONVERGED, STATUS_MAX_EPOCHS
 from vista.protocols import (
     STATUS_CASCADE_FAILED,
     STATUS_EARLY_STOPPED,
@@ -20,6 +30,7 @@ from vista.protocols import (
     run_multiparam,
     run_vista,
 )
+from vista.qcore import ghz_density, ghz_vector
 from vista.rng import STREAM_LOSS
 
 
@@ -95,6 +106,14 @@ class TestSingleRun:
         cfg = _cfg(mode="cascade", n=4, theta_true=0.1, seed=0, cascade={"n_sequence": [2, 4]})
         with pytest.raises(ConfigError):
             run_vista(cfg)
+
+    def test_time_budget_stop_has_its_own_status(self):
+        doc = dict(mode="vista_pure", n=4, theta_true=0.1, seed=3)
+        stopped = run_vista(_cfg(**doc, optimizer={"budget_s": 0.0}))
+        assert stopped.status == STATUS_BUDGET_EXHAUSTED
+        assert len(stopped.trace["epoch"]) == 1
+        normal = run_vista(_cfg(**doc))
+        assert normal.status in (STATUS_MAX_EPOCHS, STATUS_CONVERGED)
 
 
 class TestCascade:
@@ -283,6 +302,54 @@ class TestMultiparam:
         assert res.final["abs_error_theta"] < 1e-5
         assert res.final["abs_error_theta2"] < 1e-5
         assert res.param_names == ("theta_hat", "theta2_hat")
+
+    def test_exact_recovery_beyond_dense_sizes(self):
+        cfg = _cfg(
+            mode="vista_multiparam",
+            n=16,
+            theta_true=0.05,
+            theta2_true=0.04,
+            seed=2,
+            channel="dephasing",
+            gamma_true=0.0,
+            shots={"exact": True},
+            optimizer={"decay": 0.985, "max_epochs": 900, "tol_conv": 0.0},
+            init={"theta0": 0.03, "theta2_0": 0.02},
+        )
+        res = run_multiparam(cfg)
+        assert res.final["abs_error_theta"] < 1e-5
+        assert res.final["abs_error_theta2"] < 1e-5
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        theta=st.floats(min_value=-0.4, max_value=0.4),
+        theta2=st.floats(min_value=-0.4, max_value=0.4).filter(lambda v: abs(v) > 1e-3),
+        gamma=st.floats(min_value=0.0, max_value=0.3),
+        d=st.integers(min_value=1, max_value=32),
+        start=st.tuples(st.floats(min_value=-0.4, max_value=0.4), st.floats(min_value=-0.4, max_value=0.4)),
+    )
+    def test_exact_loss_matches_dense_oracles(self, n, theta, theta2, gamma, d, start):
+        # the first recorded loss is taken at the start point, before any step
+        cfg = _cfg(
+            mode="vista_multiparam",
+            n=n,
+            theta_true=theta,
+            theta2_true=theta2,
+            seed=0,
+            channel="dephasing",
+            gamma_true=gamma,
+            shots={"exact": True},
+            optimizer={"max_epochs": 1},
+            multiparam={"trotter_steps": d},
+            init={"theta0": start[0], "theta2_0": start[1]},
+        )
+        res = run_multiparam(cfg)
+        rho = lindblad_rk4_oracle(
+            ghz_density(n), HamiltonianSpec(theta, theta2), ChannelSpec(CHANNEL_DEPHASING, gamma), steps=1000
+        )
+        psi = trotter_evolve(ghz_vector(n), HamiltonianSpec(*start), d)
+        assert res.trace["loss"][0] == pytest.approx(1 - np.vdot(psi, rho @ psi).real, abs=1e-10)
 
     def test_mode_guard(self):
         cfg = _cfg(mode="vista_pure", n=4, theta_true=0.1, seed=0)
