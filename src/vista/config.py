@@ -237,6 +237,8 @@ def validate(cfg):
             raise ConfigError("vista_multiparam requires channel 'dephasing'")
         if cfg.normalization != NORM_PLAIN:
             raise ConfigError("vista_multiparam uses a pure ansatz; normalization must be plain")
+    if cfg.multiparam.trotter_steps < 1:
+        raise ConfigError(f"multiparam.trotter_steps must be >= 1, got {cfg.multiparam.trotter_steps}")
     if cfg.mode == MODE_CASCADE and not cfg.cascade.n_sequence:
         raise ConfigError("cascade mode requires cascade.n_sequence")
     if cfg.mode == MODE_CASCADE and cfg.normalization != NORM_PLAIN:

@@ -1,21 +1,46 @@
 """Seeded randomness with labeled stream splitting.
 
-All stochastic draws in the package flow through Philox generators keyed by
-(master seed, label tuple).  Philox is counter-based and its streams are
-stable across platforms for a fixed numpy version, so a (config, seed) pair
-pins every sampled number in a run.
+All stochastic draws in the package flow through Philox-4x64 generators
+named by (master seed, label tuple).  Philox is counter-based: its raw output
+is a fixed function of a 128-bit key and a 256-bit counter, the same on
+every platform.  So a (config, seed) pair pins every sampled number in a run
+for a fixed numpy version, whatever the worker count.
+
+Key and counter layout of ``stream(seed, *label)``:
+
+    key      SeedSequence(seed).generate_state(2, uint64), computed once per
+             seed and kept in a bounded cache
+    word 0   Philox's block counter; starts at 0 and advances as the stream
+             is drawn from, so streams overlap only after 2**64 blocks
+    words 1-3  the 192-bit integer  m + sum_i label[i] * 2**(4 + 40 i)
+             for a label of m <= 4 words, word 1 holding the low 64 bits
+
+The fields of the packed label do not overlap, so distinct labels, including
+labels of different lengths such as (1,) and (1, 0), give distinct counters.
+A label of more than ``LABEL_WORDS`` words, or with a word outside
+[0, 2**LABEL_WORD_BITS), raises ``DomainError``; no word is truncated.
 
 Label layout used by the drivers (all labels are small non-negative ints):
 
     (STREAM_INIT,)                      parameter initialization for a run
     (STREAM_LOSS, epoch)                recorded loss evaluation in an epoch
     (STREAM_GRAD, epoch, i, side)       gradient shift evaluations (side 0/1)
-    (STREAM_BASELINE, k)                parity shots at time step k
+    (k,)                                parity shots at time step k of a
+                                        baseline run, which draws no other
+                                        stream (STREAM_BASELINE is unused)
     (STREAM_REPLICA, r)                 derived per-replica seeds in sweeps
     (STREAM_STAGE, k)                   derived per-stage seeds in cascades
+
+``derive_seed`` still hashes (seed, label) through a SeedSequence; it runs
+once per replica or stage, not once per draw.
 """
 
+from functools import lru_cache
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+from .errors import DomainError
 
 STREAM_INIT = 0
 STREAM_LOSS = 1
@@ -24,11 +49,53 @@ STREAM_BASELINE = 3
 STREAM_REPLICA = 4
 STREAM_STAGE = 5
 
+LABEL_WORDS = 4
+LABEL_WORD_BITS = 40
+_LENGTH_BITS = 4
+_WORD_LIMIT = 1 << LABEL_WORD_BITS
+
+
+class _PhiloxKey(ISeedSequence):
+    """The 128-bit Philox key of one seed, handed to ``Philox`` as its seed.
+
+    ``Philox(key=...)`` would still build an unused SeedSequence from OS
+    entropy on every call; this object only returns the stored key.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed):
+        self.words = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        self.words.flags.writeable = False
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise DomainError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
+        return self.words
+
+
+@lru_cache(maxsize=128)
+def _philox_key(seed):
+    return _PhiloxKey(seed)
+
+
+def _label_counter(key):
+    """The Philox counter for a label, as 4 uint64 words (see the module docstring)."""
+    if len(key) > LABEL_WORDS:
+        raise DomainError(f"a stream label has at most {LABEL_WORDS} words, got {key}")
+    packed = len(key)
+    shift = _LENGTH_BITS
+    for word in map(int, key):
+        if not 0 <= word < _WORD_LIMIT:
+            raise DomainError(f"stream label words must lie in [0, 2**{LABEL_WORD_BITS}), got {key}")
+        packed |= word << shift
+        shift += LABEL_WORD_BITS
+    return np.frombuffer((packed << 64).to_bytes(32, "little"), "<u8")
+
 
 def stream(seed, *key):
     """Generator for the stream identified by (seed, key)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_philox_key(int(seed)), counter=_label_counter(key)))
 
 
 def derive_seed(seed, *key):

@@ -12,8 +12,9 @@ import pytest
 
 from vista import cli
 from vista import config as cfgmod
+from vista import rng as rngmod
 from vista.analysis import BOUND_KINDS
-from vista.errors import ConfigError
+from vista.errors import ConfigError, DomainError
 from vista.experiments import (
     calibrate_experiment,
     oracle_check,
@@ -22,9 +23,18 @@ from vista.experiments import (
     scaling_experiment,
     worker_cap,
 )
+from vista.measurement import ShotSampler
 from vista.protocols import run_from_config
 from vista.results import RunResult, persist, trace_header, write_summary
-from vista.rng import STREAM_REPLICA, derive_seed, stream
+from vista.rng import (
+    LABEL_WORD_BITS,
+    LABEL_WORDS,
+    STREAM_GRAD,
+    STREAM_LOSS,
+    STREAM_REPLICA,
+    derive_seed,
+    stream,
+)
 
 MINIMAL = {"mode": cfgmod.MODE_PURE, "n": 3, "theta_true": 0.1, "seed": 0}
 
@@ -140,6 +150,16 @@ class TestConfig:
             cfgmod.from_dict(
                 {"mode": cfgmod.MODE_MULTIPARAM, "n": 3, "theta_true": 0.1, "seed": 0}
             )
+
+    def test_multiparam_trotter_steps_validation(self, tmp_path, capsys):
+        doc = {"mode": cfgmod.MODE_MULTIPARAM, "n": 3, "theta_true": 0.1, "theta2_true": 0.05,
+               "seed": 0, "channel": "dephasing", "multiparam": {"trotter_steps": 0}}
+        with pytest.raises(ConfigError, match="trotter_steps"):
+            cfgmod.from_dict(doc)
+        path = tmp_path / "multi.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "trotter_steps" in capsys.readouterr().err
 
     def test_cascade_sequence_validation(self):
         base = {"mode": cfgmod.MODE_CASCADE, "n": 4, "theta_true": 0.1, "seed": 0}
@@ -377,6 +397,52 @@ class TestExperiments:
         assert not np.array_equal(a, stream(6, 1, 2).random(4))
         s = derive_seed(5, STREAM_REPLICA, 0)
         assert 0 <= s < 2**63
+        # labels of different lengths name different streams
+        labels = [(), (0,), (1,), (1, 0), (1, 0, 0), (1, 0, 0, 0), (0, 1), (2**LABEL_WORD_BITS - 1,)]
+        draws = {stream(5, *label).bit_generator.random_raw(2).tobytes() for label in labels}
+        assert len(draws) == len(labels)
+
+    @pytest.mark.parametrize(
+        "label",
+        [(-1,), (1, -1), (2**LABEL_WORD_BITS,), (0, 2**64 + 1), (0,) * (LABEL_WORDS + 1)],
+    )
+    def test_stream_label_outside_counter_layout_raises(self, label):
+        with pytest.raises(DomainError, match="label"):
+            stream(5, *label)
+        with pytest.raises(DomainError, match="label"):
+            ShotSampler(5, 10, key=label)
+
+    def test_stream_builds_one_seed_sequence_per_seed(self, monkeypatch):
+        built = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(args[0] if args else kwargs.get("entropy"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        rngmod._philox_key.cache_clear()
+        seeds = [10**9 + 7, 10**9 + 8, 10**9 + 9]
+        for seed in seeds:
+            for epoch in range(50):
+                stream(seed, STREAM_LOSS, epoch)
+                stream(seed, STREAM_GRAD, epoch, 0, 1)
+                ShotSampler(seed, 100, key=(STREAM_GRAD, epoch, 1, 0)).binomial_fraction(0.5)
+        assert sorted(built) == seeds
+        assert not isinstance(stream(seeds[0], 1).bit_generator.seed_seq, real)
+
+    def test_stream_raw_bits_are_pinned(self):
+        # Raw Philox words depend only on the seed's key and the label's
+        # counter, not on numpy's distribution code.  A change to these
+        # literals changes every seeded output of the package and must be
+        # reported in CHANGES.md.
+        assert stream(5, 1, 2).bit_generator.random_raw(3).tolist() == [
+            27316888594670530, 11269859136829732089, 13353263656809661434,
+        ]
+        sampler = ShotSampler(7, 100, key=(STREAM_GRAD, 3, 1, 0))
+        assert sampler._gen.bit_generator.random_raw(3).tolist() == [
+            9058021797130148876, 15808105609211896443, 17219924964056315599,
+        ]
 
 
 class TestCli:
