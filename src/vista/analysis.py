@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ampdamp_purity
+from .dynamics import CHANNEL_AMPDAMP, closed_form_overlap, qubit_channel
 from .errors import CalibrationError, DimensionError, DomainError, NumericsError
 
 EIG_CUTOFF = 1e-12
@@ -108,9 +108,15 @@ def q_hs_qn_dephasing(n, gamma):
     return 4 * n**2 * x / np.sqrt(2 * (1 + x))
 
 
+def _ampdamp_purity(n, gamma):
+    # closed-form purity, written for gamma arrays as well as scalars
+    qubit = qubit_channel(CHANNEL_AMPDAMP, gamma)
+    return closed_form_overlap(n, qubit, qubit, 0.0)
+
+
 def q_hs_qn_ampdamp(n, gamma):
     """Quasi-normalized amplitude-damping curvature at matched decay."""
-    return 2 * n**2 * np.exp(-n * gamma) / np.sqrt(ampdamp_purity(n, gamma))
+    return 2 * n**2 * np.exp(-n * gamma) / np.sqrt(_ampdamp_purity(n, gamma))
 
 
 def qfi_ratio_ampdamp(n, gamma):
@@ -118,7 +124,7 @@ def qfi_ratio_ampdamp(n, gamma):
 
     Small-gamma expansion: 1 - n(n+1) gamma^2 / 8 + O(gamma^3).
     """
-    return np.exp(-n * gamma / 2) / np.sqrt(ampdamp_purity(n, gamma))
+    return np.exp(-n * gamma / 2) / np.sqrt(_ampdamp_purity(n, gamma))
 
 
 def qfi_ratio_ampdamp_expansion(n, gamma):

@@ -18,6 +18,7 @@ from .config import (
     MODE_CASCADE,
     from_dict,
     load_config,
+    load_doc,
 )
 from .errors import ConfigError, VistaError
 from .experiments import calibrate_experiment, oracle_check, run_grid, scaling_experiment
@@ -61,16 +62,6 @@ def _parse_float_list(text):
     return [float(v) for v in text.split(",")]
 
 
-def _load_doc(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file {path} not found") from exc
-
-
 def _emit(result, out):
     if out:
         persist(result, out)
@@ -88,7 +79,7 @@ def _cmd_run(args):
 
 
 def _cmd_cascade(args):
-    doc = _load_doc(args.config)
+    doc = load_doc(args.config)
     if args.n_sequence:
         doc.setdefault("cascade", {})["n_sequence"] = [
             int(v) for v in args.n_sequence.split(",")
@@ -112,7 +103,7 @@ def _cmd_cascade(args):
 
 def _cmd_baseline(args):
     if args.config:
-        doc = _load_doc(args.config)
+        doc = load_doc(args.config)
     else:
         for flag, val in (("--n", args.n), ("--theta", args.theta), ("--seed", args.seed)):
             if val is None:

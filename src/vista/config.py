@@ -11,7 +11,8 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, CHANNELS
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .optimize import ShotSchedule
 
 MODE_PURE = "vista_pure"
 MODE_NOISY_DEPHASING = "vista_noisy_dephasing"
@@ -73,14 +74,6 @@ class OptimizerBlock:
 
 
 @dataclass(frozen=True)
-class ShotsBlock:
-    nu_start: int = 10_000
-    nu_end: int = 40_000
-    profile: str = "geometric"
-    exact: bool = False
-
-
-@dataclass(frozen=True)
 class GradientBlock:
     method: str = "central_difference"
     h_theta: float | None = None  # defaults to pi/(8 n)
@@ -130,7 +123,7 @@ class RunConfig:
     theta2_true: float | None = None
     output: str | None = None
     optimizer: OptimizerBlock = field(default_factory=OptimizerBlock)
-    shots: ShotsBlock = field(default_factory=ShotsBlock)
+    shots: ShotSchedule = field(default_factory=ShotSchedule)
     gradient: GradientBlock = field(default_factory=GradientBlock)
     init: InitBlock = field(default_factory=InitBlock)
     multiparam: MultiparamBlock = field(default_factory=MultiparamBlock)
@@ -174,7 +167,10 @@ def _block(cls, d, where):
     kwargs = dict(d)
     if cls is CascadeBlock and "n_sequence" in kwargs:
         kwargs["n_sequence"] = tuple(int(x) for x in kwargs["n_sequence"])
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except DomainError as exc:  # raised by blocks that check their own fields (ShotSchedule)
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def from_dict(doc):
@@ -201,7 +197,7 @@ def from_dict(doc):
         theta2_true=None if doc.get("theta2_true") is None else float(doc["theta2_true"]),
         output=doc.get("output"),
         optimizer=_block(OptimizerBlock, doc.get("optimizer"), "optimizer"),
-        shots=_block(ShotsBlock, doc.get("shots"), "shots"),
+        shots=_block(ShotSchedule, doc.get("shots"), "shots"),
         gradient=_block(GradientBlock, doc.get("gradient"), "gradient"),
         init=_block(InitBlock, doc.get("init"), "init"),
         multiparam=_block(MultiparamBlock, doc.get("multiparam"), "multiparam"),
@@ -254,12 +250,6 @@ def validate(cfg):
         raise ConfigError(f"init.phi0 must lie in [0, pi/2), got {cfg.init.phi0}")
     if cfg.gradient.method not in ("central_difference", "parameter_shift"):
         raise ConfigError(f"unknown gradient method {cfg.gradient.method!r}")
-    if not cfg.shots.exact and (cfg.shots.nu_start < 1 or cfg.shots.nu_end < 1):
-        raise ConfigError("shot counts must be >= 1 unless shots.exact")
-    if not cfg.shots.exact and cfg.shots.nu_end < cfg.shots.nu_start:
-        raise ConfigError("shots.nu_end must be >= shots.nu_start")
-    if cfg.shots.profile not in ("constant", "linear", "geometric"):
-        raise ConfigError(f"unknown shots profile {cfg.shots.profile!r}")
     if cfg.optimizer.max_epochs < 1:
         raise ConfigError("optimizer.max_epochs must be >= 1")
     if cfg.baseline.steps < 2:
@@ -277,15 +267,20 @@ def effective_dict(cfg):
     return doc
 
 
-def load_config(path, overrides=None):
-    """Parse a JSON config file, apply CLI overrides, validate."""
+def load_doc(path):
+    """Parse a JSON config file into a document, without building a config."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file {path} not found") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path, overrides=None):
+    """Parse a JSON config file, apply CLI overrides, validate."""
+    doc = load_doc(path)
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
     return from_dict(doc)

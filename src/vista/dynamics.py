@@ -5,29 +5,33 @@ The probe is an n-qubit GHZ state evolved for unit time under
     d rho/dt = -i theta [H, rho] + dissipator,   H = sum_j Z_j (+ theta_x sum_j X_j),
 
 with either collective dephasing (jump operators sqrt(gamma) Z_j) or per-qubit
-amplitude damping (jump operators sqrt(gamma) |0><1|_j).  Both channels leave the
-GHZ corner structure analytically solvable:
+amplitude damping (jump operators sqrt(gamma) |0><1|_j).  Every term acts on
+one qubit, so the evolution is a product channel E^{(x) n}.
 
-* dephasing keeps the diagonal and damps the corner coherence to
-  (1/2) exp(-2 n (i theta + gamma) t),
-* amplitude damping damps the coherence to (1/2) exp(-n gamma t / 2) e^{-2 i n theta t}
-  and redistributes the |1...1> population binomially over bitstrings.
+With the commuting generator alone, one qubit's channel is fixed by two
+numbers at decay g: the excited population p it keeps and the decay kappa of
+its coherence, e^{-kappa}.  ``qubit_channel`` holds them for every kind:
 
-The hardware-style ansatz (entangle, rotate by theta-hat, partially disentangle by
-angle phi) produces exactly the same families, with the decay rate set by phi; the
-matching conditions are cos(phi) = exp(-2 gamma') for dephasing and
-cos(phi) = exp(-gamma'/2) for amplitude damping.
+* none:              p = 1,        kappa = 0
+* dephasing:         p = 1,        kappa = 2 g
+* amplitude damping: p = e^{-g},   kappa = g / 2
 
-Every term of the master equation acts on one qubit, so the evolution is a
-product channel E^{(x) n}.  With the transverse term theta_x != 0 there is no
-closed form for the corner structure, but E is still one 4x4 superoperator:
-the probe is rho = 1/2 sum_ab E(|a><b|)^{(x) n}, the Trotter ansatz is
-u^{(x) n}|GHZ> for one 2x2 matrix u, and their overlap is a sum of 16 scalars
-raised to the n-th power.  The dense RK4 integrator and the dense Trotter
-product are kept as independent oracles for these kernels.
+Every closed form follows from (theta, p, kappa) alone: the corner coherence
+(1/2) e^{-n kappa} e^{-2 i n theta}, the binomial populations, the overlap of
+any two states, of any kinds, and the purity as a state's overlap with itself.
+
+The hardware-style ansatz (entangle, rotate by theta-hat, partially disentangle
+by angle phi) produces the same states, with cos(phi) = e^{-kappa}.
+
+With the transverse term theta_x != 0 there is no closed form for the corner
+structure, but E is still one 4x4 superoperator: the probe is
+rho = 1/2 sum_ab E(|a><b|)^{(x) n}, the Trotter ansatz is u^{(x) n}|GHZ> for
+one 2x2 matrix u, and their overlap is a sum of 16 scalars raised to the n-th
+power.  The dense RK4 integrator and the dense Trotter product are kept as
+independent oracles for these kernels.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,14 +49,36 @@ from .qcore import (
 CHANNEL_NONE = "none"
 CHANNEL_DEPHASING = "dephasing"
 CHANNEL_AMPDAMP = "amplitude_damping"
-CHANNELS = (CHANNEL_NONE, CHANNEL_DEPHASING, CHANNEL_AMPDAMP)
 
-FAMILY_PURE = "pure_ghz"
-FAMILY_DEPHASED = "dephased_ghz"
-FAMILY_AMPDAMP = "ampdamp_ghz"
+# One qubit's channel by kind: the excited population kept at decay g, and the
+# rate r of the coherence decay kappa = r g.  Each r is a power of two, so r g
+# is exact and matches 2 g and g / 2 to the last bit.
+_QUBIT_CHANNEL = {
+    CHANNEL_NONE: (lambda g: 1.0, 0.0),
+    CHANNEL_DEPHASING: (lambda g: 1.0, 2.0),
+    CHANNEL_AMPDAMP: (lambda g: np.exp(-g), 0.5),
+}
+CHANNELS = tuple(_QUBIT_CHANNEL)
 
-# keep phi strictly inside [0, pi/2) so cos(phi) > 0 and the decay maps stay invertible
-PHI_MAX = np.pi / 2 - 1e-6
+
+def qubit_channel(kind, decay):
+    """(p, kappa) of one qubit after the channel ``kind`` at ``decay`` (scalar or array)."""
+    population, rate = _QUBIT_CHANNEL[kind]
+    return population(decay), rate * decay
+
+
+def closed_form_overlap(n, a, b, dtheta):
+    """Tr(rho_a rho_b) of two n-qubit GHZ states whose qubits are a = (p_a, kappa_a) and b.
+
+    dtheta is the phase of a minus that of b.  The purity of a state is its
+    overlap with itself, closed_form_overlap(n, a, a, 0).
+    """
+    (pa, ka), (pb, kb) = a, b
+    qa, qb = 1 - pa, 1 - pb
+    diag = 0.25 * (1 + qa**n + qb**n + (pa * pb + qa * qb) ** n)
+    # numpy's exp and cos, not math's: the two round differently on some
+    # arguments, and seeded outputs depend on every bit of the overlap
+    return diag + 0.5 * np.exp(-n * (ka + kb)) * np.cos(2 * n * dtheta)
 
 
 @dataclass(frozen=True)
@@ -93,69 +119,48 @@ class CircuitAngle:
 
 @dataclass(frozen=True)
 class ClosedFormState:
-    """Analytic n-qubit GHZ-family state.
+    """Analytic n-qubit GHZ state after the channel ``kind`` acted on every qubit.
 
     ``theta`` is the accumulated phase parameter (theta * t in probe terms) and
     ``decay`` the accumulated decay exponent (gamma * t for probes, or the
-    gamma-equivalent of the circuit angle phi for ansatz states).
+    gamma-equivalent of the circuit angle phi for ansatz states).  ``qubit``
+    is (p, kappa) from ``qubit_channel``.
     """
 
     n: int
-    family: str
+    kind: str
     theta: float
     decay: float = 0.0
+    qubit: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_qubit_count(self.n, 64, "ClosedFormState")  # closed forms have no dense guard
-        if self.family not in (FAMILY_PURE, FAMILY_DEPHASED, FAMILY_AMPDAMP):
-            raise DomainError(f"unknown family {self.family!r}")
+        if self.kind not in CHANNELS:
+            raise DomainError(f"unknown channel kind {self.kind!r}")
         if self.decay < 0:
             raise DomainError(f"decay must be >= 0, got {self.decay}")
-        if self.family == FAMILY_PURE and self.decay != 0:
-            raise DomainError("pure family carries no decay")
+        if self.kind == CHANNEL_NONE and self.decay != 0:
+            raise DomainError("channel 'none' carries no decay")
+        object.__setattr__(self, "qubit", qubit_channel(self.kind, self.decay))
 
     def coherence(self):
         """The |0...0><1...1| matrix element."""
-        n, g = self.n, self.decay
-        if self.family == FAMILY_AMPDAMP:
-            mag = 0.5 * np.exp(-n * g / 2)
-        else:
-            mag = 0.5 * np.exp(-2 * n * g)
-        return mag * np.exp(-2j * n * self.theta)
+        mag = 0.5 * np.exp(-self.n * self.qubit[1])
+        return mag * np.exp(-2j * self.n * self.theta)
 
     def diagonal(self):
         """Populations over all 2^n basis states (closed form, no dense guard below 15 qubits)."""
         n = self.n
         if n > 14:
             raise DimensionError("diagonal materialization limited to 14 qubits")
-        diag = np.zeros(2**n)
-        if self.family == FAMILY_AMPDAMP:
-            e = np.exp(-self.decay)
-            w = bit_weights(n)
-            diag += 0.5 * e**w * (1 - e) ** (n - w)
-            diag[0] += 0.5
-        else:
-            diag[0] = diag[-1] = 0.5
+        p = self.qubit[0]
+        w = bit_weights(n)
+        diag = 0.5 * p**w * (1 - p) ** (n - w)
+        diag[0] += 0.5
         return diag
 
     def purity(self):
-        n, g = self.n, self.decay
-        if self.family == FAMILY_PURE:
-            return 1.0
-        if self.family == FAMILY_DEPHASED:
-            return 0.5 * (1 + np.exp(-4 * n * g))
-        return ampdamp_purity(n, g)
-
-
-def ampdamp_purity(n, gamma):
-    """Tr(rho^2) of the amplitude-damped GHZ closed form."""
-    e = np.exp(-gamma)
-    return (
-        0.25
-        + 0.5 * (1 - e) ** n
-        + 0.5 * e**n
-        + 0.25 * (e * e + (1 - e) ** 2) ** n
-    )
+        return closed_form_overlap(self.n, self.qubit, self.qubit, 0.0)
 
 
 def evolve_closed_form(n, ham, channel):
@@ -165,24 +170,16 @@ def evolve_closed_form(n, ham, channel):
         raise DimensionError(f"need n >= 1, got {n}")
     if ham.theta_x != 0:
         raise UnsupportedModelError("closed forms cover the commuting Z generator only")
-    theta = ham.theta_z * ham.t
-    g = channel.gamma * ham.t
-    if channel.kind == CHANNEL_NONE:
-        return ClosedFormState(n, FAMILY_PURE, theta)
-    if channel.kind == CHANNEL_DEPHASING:
-        return ClosedFormState(n, FAMILY_DEPHASED, theta, g)
-    return ClosedFormState(n, FAMILY_AMPDAMP, theta, g)
+    return ClosedFormState(n, channel.kind, ham.theta_z * ham.t, channel.gamma * ham.t)
 
 
 def matched_angle(channel):
-    """Circuit angle phi whose decay exactly reproduces the channel at its gamma."""
-    if channel.kind == CHANNEL_DEPHASING:
-        return CircuitAngle(float(np.arccos(np.exp(-2 * channel.gamma))))
-    if channel.kind == CHANNEL_AMPDAMP:
-        return CircuitAngle(float(np.arccos(np.exp(-channel.gamma / 2))))
-    if channel.kind == CHANNEL_NONE:
-        return CircuitAngle(0.0)
-    raise UnsupportedModelError(f"no matched angle for channel {channel.kind!r}")
+    """Circuit angle phi whose decay exactly reproduces the channel at its gamma.
+
+    The matching condition is cos(phi) = e^{-kappa}.
+    """
+    kappa = qubit_channel(channel.kind, channel.gamma)[1]
+    return CircuitAngle(float(np.arccos(np.exp(-kappa))))
 
 
 def circuit_decay(kind, phi):
@@ -190,30 +187,24 @@ def circuit_decay(kind, phi):
     c = np.cos(phi)
     if c <= 0:
         raise DomainError(f"cos(phi) must be positive for inversion, got phi={phi}")
-    if kind == CHANNEL_DEPHASING:
-        return float(-0.5 * np.log(c))
-    if kind == CHANNEL_AMPDAMP:
-        return float(-2.0 * np.log(c))
-    raise UnsupportedModelError(f"no decay inversion for channel {kind!r}")
+    rate = _QUBIT_CHANNEL[kind][1] if kind in _QUBIT_CHANNEL else 0.0
+    if rate == 0:
+        raise UnsupportedModelError(f"no decay inversion for channel {kind!r}")
+    return float(-np.log(c) / rate)
 
 
 def circuit_ansatz_state(n, theta_hat, phi, kind):
-    """State prepared by the ansatz circuit: GHZ family member with phi-controlled decay.
+    """State prepared by the ansatz circuit: a GHZ state with phi-controlled decay.
 
-    For dephasing the corner coherence is (1/2) cos(phi)^n e^{-2 i n theta_hat};
-    for amplitude damping the mixing weight is alpha = sin^2(phi) and the
-    coherence (1/2)(1-alpha)^{n/2} e^{-2 i n theta_hat}.  Both are exactly the
-    probe closed forms evaluated at the gamma-equivalent decay of phi.
+    Each qubit's coherence shrinks by cos(phi), and under amplitude damping
+    its mixing weight is alpha = sin^2(phi) = 1 - p.  That is the probe closed
+    form at the gamma-equivalent decay of phi.
     """
     angle = phi if isinstance(phi, CircuitAngle) else CircuitAngle(float(phi))
-    if kind == CHANNEL_NONE:
-        if angle.phi != 0:
-            raise DomainError("pure ansatz has no disentangling angle")
-        return ClosedFormState(int(n), FAMILY_PURE, float(theta_hat))
-    family = {CHANNEL_DEPHASING: FAMILY_DEPHASED, CHANNEL_AMPDAMP: FAMILY_AMPDAMP}.get(kind)
-    if family is None:
-        raise UnsupportedModelError(f"no ansatz family for channel {kind!r}")
-    return ClosedFormState(int(n), family, float(theta_hat), circuit_decay(kind, angle.phi))
+    if kind == CHANNEL_NONE and angle.phi != 0:
+        raise DomainError("pure ansatz has no disentangling angle")
+    decay = circuit_decay(kind, angle.phi) if angle.phi else 0.0
+    return ClosedFormState(int(n), kind, float(theta_hat), decay)
 
 
 def to_dense(state):

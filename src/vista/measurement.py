@@ -3,23 +3,17 @@
 The comparison primitive between probe and ansatz is Tr(rho sigma).  A swap test
 on nu shot pairs reports it through k ~ Binomial(nu, (1+Tr)/2) as
 T-hat = 2k/nu - 1, which is unbiased with variance 4p(1-p)/nu.  T-hat is never
-clipped; negative excursions are part of the statistics.  Quasi-normalization
-divides by the square root of the ansatz purity, which is always computed
-exactly from the closed form, never sampled.
+clipped; negative excursions are part of the statistics.  Any two closed-form
+states, of any channel kinds, have an exact overlap (``closed_form_overlap``).
+Quasi-normalization divides by the square root of the ansatz purity, which is
+always computed exactly from the closed form, never sampled.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    CHANNEL_AMPDAMP,
-    CHANNEL_DEPHASING,
-    FAMILY_AMPDAMP,
-    FAMILY_DEPHASED,
-    FAMILY_PURE,
-    ClosedFormState,
-)
+from .dynamics import ClosedFormState, closed_form_overlap
 from .errors import DimensionError, DomainError, UnsupportedModelError
 from .rng import stream
 
@@ -67,41 +61,13 @@ class OverlapValue:
             raise DomainError(f"circuit purity {self.circuit_purity} outside (0, 1]")
 
 
-def _dephasing_family_decay(state):
-    # pure states participate in both overlap families with zero decay
-    return 0.0 if state.family == FAMILY_PURE else state.decay
-
-
-def _ampdamp_pair_overlap(n, ga, gb, dtheta):
-    ea, eb = np.exp(-ga), np.exp(-gb)
-    diag = 0.25 * (1 + (1 - ea) ** n + (1 - eb) ** n + (ea * eb + (1 - ea) * (1 - eb)) ** n)
-    return diag + 0.5 * np.exp(-n * (ga + gb) / 2) * np.cos(2 * n * dtheta)
-
-
 def hs_overlap_closed(probe, ansatz):
-    """Tr(rho_probe rho_ansatz) for compatible closed-form families.
-
-    Pure/dephased pairs give (1/2)(1 + e^{-2n(ga+gb)} cos 2n(dtheta)); pairs
-    involving amplitude damping use the binomial diagonal product.  Mixing the
-    two decoherence families has no supported expression.
-    """
+    """Tr(rho_probe rho_ansatz) for two closed-form states, with the ansatz purity."""
     if not isinstance(probe, ClosedFormState) or not isinstance(ansatz, ClosedFormState):
         raise UnsupportedModelError("hs_overlap_closed needs two closed-form states")
     if probe.n != ansatz.n:
         raise DimensionError(f"qubit counts differ: {probe.n} vs {ansatz.n}")
-    n = probe.n
-    dtheta = probe.theta - ansatz.theta
-    fams = {probe.family, ansatz.family}
-    if FAMILY_DEPHASED in fams and FAMILY_AMPDAMP in fams:
-        raise UnsupportedModelError("dephased and amplitude-damped families do not mix")
-    if FAMILY_AMPDAMP in fams:
-        ga = probe.decay if probe.family == FAMILY_AMPDAMP else 0.0
-        gb = ansatz.decay if ansatz.family == FAMILY_AMPDAMP else 0.0
-        raw = _ampdamp_pair_overlap(n, ga, gb, dtheta)
-    else:
-        ga = _dephasing_family_decay(probe)
-        gb = _dephasing_family_decay(ansatz)
-        raw = 0.5 * (1 + np.exp(-2 * n * (ga + gb)) * np.cos(2 * n * dtheta))
+    raw = closed_form_overlap(probe.n, probe.qubit, ansatz.qubit, probe.theta - ansatz.theta)
     pur = ansatz.purity()
     return OverlapValue(float(raw), float(pur), float(raw / np.sqrt(pur)))
 

@@ -39,10 +39,8 @@ from .config import (
     with_overrides,
 )
 from .dynamics import (
-    CHANNEL_AMPDAMP,
     CHANNEL_DEPHASING,
     CHANNEL_NONE,
-    FAMILY_PURE,
     ChannelSpec,
     ClosedFormState,
     HamiltonianSpec,
@@ -61,7 +59,6 @@ from .optimize import (
     GradientConfig,
     OptimizerConfig,
     ParamVector,
-    ShotSchedule,
     run_optimization,
 )
 from .results import RunResult
@@ -79,33 +76,25 @@ def _probe_state(cfg):
     return evolve_closed_form(cfg.n, ham, ChannelSpec(cfg.channel, cfg.gamma_true))
 
 
-def _ansatz_channel(mode):
-    return {
-        MODE_PURE: CHANNEL_NONE,
-        MODE_NOISY_DEPHASING: CHANNEL_DEPHASING,
-        MODE_NOISY_AMPDAMP: CHANNEL_AMPDAMP,
-    }[mode]
-
-
 def _single_param_lossfn(cfg, mode):
     """Loss closure for the closed-form modes; returns (names, lossfn, frequencies)."""
     probe = _probe_state(cfg)
     n = cfg.n
-    kind = _ansatz_channel(mode)
     norm = measurement.LOSS_QN if cfg.normalization == NORM_QN else measurement.LOSS_PLAIN
 
-    if kind == CHANNEL_NONE:
+    if mode == MODE_PURE:
         names = ("theta",)
 
         def build(values):
-            return ClosedFormState(n, FAMILY_PURE, float(values[0]))
+            return ClosedFormState(n, CHANNEL_NONE, float(values[0]))
 
     else:
         names = ("theta", "phi")
 
         def build(values):
             phi = min(max(float(values[1]), 0.0), PHI_CLAMP)
-            return circuit_ansatz_state(n, float(values[0]), phi, kind)
+            # a noisy mode's ansatz decays through the probe's channel (config.validate pairs them)
+            return circuit_ansatz_state(n, float(values[0]), phi, cfg.channel)
 
     def lossfn(values, nu, label):
         overlap = measurement.hs_overlap_closed(probe, build(values))
@@ -222,9 +211,7 @@ def _run_named(cfg, names, lossfn, freqs):
             cfg.optimizer.beta2,
             cfg.optimizer.eps,
         ),
-        schedule=ShotSchedule(
-            cfg.shots.nu_start, cfg.shots.nu_end, cfg.shots.profile, cfg.shots.exact
-        ),
+        schedule=cfg.shots,
         gradient=_gradient_config(cfg, names, freqs),
         max_epochs=cfg.optimizer.max_epochs,
         tol_conv=cfg.optimizer.tol_conv,
@@ -378,20 +365,23 @@ def baseline_series(bc, sampler):
     return t, p, p_hat
 
 
+def _spectrum_peak(bc, p_hat):
+    """Top non-DC bin of the mean-subtracted magnitude spectrum, and its theta-hat."""
+    x = p_hat - p_hat.mean()
+    mags = np.abs(np.fft.rfft(x))
+    if mags[1:].size == 0 or np.max(mags[1:]) <= 1e-12:
+        raise NoPeakError("parity spectrum has no non-DC peak")
+    peak = 1 + int(np.argmax(mags[1:]))
+    return peak, math.pi * (peak / bc.total_time) / bc.n
+
+
 def run_baseline_fft(bc, sampler):
     """Frequency-domain estimate: mean-subtract, magnitude spectrum, top non-DC bin.
 
     The retained bin b maps to theta-hat = pi * (b / T) / n.  Ties go to the
     lower frequency; a flat spectrum (no oscillation information) raises.
     """
-    _, _, p_hat = baseline_series(bc, sampler)
-    x = p_hat - p_hat.mean()
-    mags = np.abs(np.fft.rfft(x))
-    if mags[1:].size == 0 or np.max(mags[1:]) <= 1e-12:
-        raise NoPeakError("parity spectrum has no non-DC peak")
-    peak = 1 + int(np.argmax(mags[1:]))
-    f_hat = peak / bc.total_time
-    return math.pi * f_hat / bc.n
+    return _spectrum_peak(bc, baseline_series(bc, sampler)[2])[1]
 
 
 def run_baseline(cfg):
@@ -410,12 +400,7 @@ def run_baseline(cfg):
     )
     sampler = ShotSampler(cfg.seed, bc.shots_per_step)
     t, p, p_hat = baseline_series(bc, sampler)
-    x = p_hat - p_hat.mean()
-    mags = np.abs(np.fft.rfft(x))
-    if mags[1:].size == 0 or np.max(mags[1:]) <= 1e-12:
-        raise NoPeakError("parity spectrum has no non-DC peak")
-    peak = 1 + int(np.argmax(mags[1:]))
-    theta_hat = math.pi * (peak / bc.total_time) / bc.n
+    peak, theta_hat = _spectrum_peak(bc, p_hat)
     return RunResult(
         config=effective_dict(cfg),
         seed=cfg.seed,

@@ -27,7 +27,7 @@ Label layout used by the drivers (all labels are small non-negative ints):
     (STREAM_GRAD, epoch, i, side)       gradient shift evaluations (side 0/1)
     (k,)                                parity shots at time step k of a
                                         baseline run, which draws no other
-                                        stream (STREAM_BASELINE is unused)
+                                        stream
     (STREAM_REPLICA, r)                 derived per-replica seeds in sweeps
     (STREAM_STAGE, k)                   derived per-stage seeds in cascades
 
@@ -45,7 +45,7 @@ from .errors import DomainError
 STREAM_INIT = 0
 STREAM_LOSS = 1
 STREAM_GRAD = 2
-STREAM_BASELINE = 3
+# 3 is free; the labels keep their values because derived seeds depend on them
 STREAM_REPLICA = 4
 STREAM_STAGE = 5
 

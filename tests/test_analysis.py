@@ -21,9 +21,9 @@ from vista.analysis import (
     qfi_uhlmann,
 )
 from vista.dynamics import (
-    FAMILY_AMPDAMP,
-    FAMILY_DEPHASED,
-    FAMILY_PURE,
+    CHANNEL_AMPDAMP,
+    CHANNEL_DEPHASING,
+    CHANNEL_NONE,
     ClosedFormState,
     to_dense,
 )
@@ -60,7 +60,7 @@ class TestQfiSpectral:
 
     def test_fully_dephased_probe_carries_no_information(self):
         def family(t):
-            return to_dense(ClosedFormState(3, FAMILY_DEPHASED, t, 10.0))
+            return to_dense(ClosedFormState(3, CHANNEL_DEPHASING, t, 10.0))
 
         drho = _numeric_tangent(family, 0.2)
         assert qfi_uhlmann(family(0.2), drho) == pytest.approx(0.0, abs=1e-8)
@@ -101,7 +101,7 @@ class TestOverlapCurvature:
         n, g = 3, 0.1
 
         def family(t):
-            return to_dense(ClosedFormState(n, FAMILY_DEPHASED, t, g))
+            return to_dense(ClosedFormState(n, CHANNEL_DEPHASING, t, g))
 
         assert q_hs(family, 0.05) == pytest.approx(q_hs_dephasing(n, g), rel=1e-6)
 
@@ -109,10 +109,10 @@ class TestOverlapCurvature:
         n, g = 4, 0.2
 
         def probe(t):
-            return to_dense(ClosedFormState(n, FAMILY_AMPDAMP, t, g))
+            return to_dense(ClosedFormState(n, CHANNEL_AMPDAMP, t, g))
 
         def ansatz(t):
-            return to_dense(ClosedFormState(n, FAMILY_PURE, t))
+            return to_dense(ClosedFormState(n, CHANNEL_NONE, t))
 
         got = q_hs(probe, 0.0, reference=ansatz)
         assert got == pytest.approx(q_hs_ampdamp_pure(n, g), rel=1e-6)
@@ -121,12 +121,12 @@ class TestOverlapCurvature:
         n, g = 3, 0.15
 
         def deph(t):
-            return to_dense(ClosedFormState(n, FAMILY_DEPHASED, t, g))
+            return to_dense(ClosedFormState(n, CHANNEL_DEPHASING, t, g))
 
         assert q_hs(deph, 0.0, normalize=True) == pytest.approx(q_hs_qn_dephasing(n, g), rel=1e-6)
 
         def amp(t):
-            return to_dense(ClosedFormState(n, FAMILY_AMPDAMP, t, g))
+            return to_dense(ClosedFormState(n, CHANNEL_AMPDAMP, t, g))
 
         assert q_hs(amp, 0.0, normalize=True) == pytest.approx(q_hs_qn_ampdamp(n, g), rel=1e-6)
 
@@ -135,7 +135,7 @@ class TestOverlapCurvature:
         u = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
 
         def family(t):
-            return u @ to_dense(ClosedFormState(n, FAMILY_DEPHASED, t, g)) @ u.conj().T
+            return u @ to_dense(ClosedFormState(n, CHANNEL_DEPHASING, t, g)) @ u.conj().T
 
         assert q_hs(family, 0.05) == pytest.approx(q_hs_dephasing(n, g), rel=1e-6)
 

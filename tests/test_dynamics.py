@@ -13,18 +13,16 @@ from vista.dynamics import (
     CHANNEL_AMPDAMP,
     CHANNEL_DEPHASING,
     CHANNEL_NONE,
-    FAMILY_AMPDAMP,
-    FAMILY_DEPHASED,
-    FAMILY_PURE,
+    CHANNELS,
     ChannelSpec,
     CircuitAngle,
     ClosedFormState,
     HamiltonianSpec,
-    ampdamp_purity,
     circuit_ansatz_state,
     circuit_decay,
     evolve_closed_form,
     expm_small,
+    ghz_product_overlap,
     lindblad_rk4_oracle,
     matched_angle,
     product_channel_blocks,
@@ -33,6 +31,7 @@ from vista.dynamics import (
     trotter_evolve,
     trotter_unitary,
 )
+from vista.measurement import hs_overlap_closed
 from vista.qcore import collective_operator, ghz_density, ghz_vector, purity
 
 
@@ -45,7 +44,7 @@ class TestClosedForm:
     def test_coherence_phase_winding(self):
         # the corner element rotates 2n times faster than the bare angle
         for n, theta in [(1, 0.3), (4, 0.11)]:
-            state = ClosedFormState(n, FAMILY_PURE, theta)
+            state = ClosedFormState(n, CHANNEL_NONE, theta)
             assert state.coherence() == pytest.approx(0.5 * np.exp(-2j * n * theta), abs=1e-12)
 
     def test_ampdamp_diagonal_half_life(self):
@@ -72,37 +71,38 @@ class TestClosedForm:
         with pytest.raises(UnsupportedModelError):
             evolve_closed_form(2, HamiltonianSpec(0.1, theta_x=0.2), ChannelSpec(CHANNEL_NONE))
 
-    @pytest.mark.parametrize("family", [FAMILY_DEPHASED, FAMILY_AMPDAMP])
-    def test_coherence_monotone_in_decay_and_size(self, family):
-        mags_g = [abs(ClosedFormState(3, family, 0.0, g).coherence()) for g in (0.0, 0.1, 0.3, 0.8)]
+    @pytest.mark.parametrize("kind", [CHANNEL_DEPHASING, CHANNEL_AMPDAMP])
+    def test_coherence_monotone_in_decay_and_size(self, kind):
+        mags_g = [abs(ClosedFormState(3, kind, 0.0, g).coherence()) for g in (0.0, 0.1, 0.3, 0.8)]
         assert all(a > b for a, b in zip(mags_g, mags_g[1:]))
-        mags_n = [abs(ClosedFormState(n, family, 0.0, 0.2).coherence()) for n in (1, 2, 4, 8)]
+        mags_n = [abs(ClosedFormState(n, kind, 0.0, 0.2).coherence()) for n in (1, 2, 4, 8)]
         assert all(a > b for a, b in zip(mags_n, mags_n[1:]))
 
     def test_purity_formulas_match_dense(self):
-        deph = ClosedFormState(4, FAMILY_DEPHASED, 0.21, 0.15)
+        deph = ClosedFormState(4, CHANNEL_DEPHASING, 0.21, 0.15)
         assert deph.purity() == pytest.approx(purity(to_dense(deph)), abs=1e-10)
-        amp = ClosedFormState(5, FAMILY_AMPDAMP, 0.07, 0.3)
+        amp = ClosedFormState(5, CHANNEL_AMPDAMP, 0.07, 0.3)
         assert amp.purity() == pytest.approx(purity(to_dense(amp)), abs=1e-10)
-        assert ampdamp_purity(5, 0.3) == amp.purity()
+        strong = ClosedFormState(9, CHANNEL_AMPDAMP, 0.07, 1.3)
+        assert strong.purity() == pytest.approx(purity(to_dense(strong)), rel=0, abs=1e-13)
 
     def test_pure_purity_is_one(self):
-        assert ClosedFormState(6, FAMILY_PURE, 0.4).purity() == 1.0
+        assert ClosedFormState(6, CHANNEL_NONE, 0.4).purity() == 1.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
             ClosedFormState(2, "squeezed", 0.1)
         with pytest.raises(DomainError):
-            ClosedFormState(2, FAMILY_DEPHASED, 0.1, -0.2)
+            ClosedFormState(2, CHANNEL_DEPHASING, 0.1, -0.2)
         with pytest.raises(DomainError):
-            ClosedFormState(2, FAMILY_PURE, 0.1, 0.2)
+            ClosedFormState(2, CHANNEL_NONE, 0.1, 0.2)
         with pytest.raises(DimensionError):
-            ClosedFormState(0, FAMILY_PURE, 0.1)
+            ClosedFormState(0, CHANNEL_NONE, 0.1)
         with pytest.raises(DimensionError):
-            ClosedFormState(65, FAMILY_PURE, 0.1)
+            ClosedFormState(65, CHANNEL_NONE, 0.1)
 
     def test_diagonal_materialization_guard(self):
-        state = ClosedFormState(15, FAMILY_DEPHASED, 0.0, 0.1)  # state itself is fine
+        state = ClosedFormState(15, CHANNEL_DEPHASING, 0.0, 0.1)  # state itself is fine
         with pytest.raises(DimensionError):
             state.diagonal()
 
@@ -147,7 +147,7 @@ class TestAnsatzMatching:
 
     def test_zero_angle_is_pure(self):
         state = circuit_ansatz_state(3, 0.2, 0.0, CHANNEL_NONE)
-        assert state.family == FAMILY_PURE
+        assert state.kind == CHANNEL_NONE
         assert state.decay == 0.0
 
     def test_pure_kind_rejects_nonzero_angle(self):
@@ -187,7 +187,7 @@ class TestDense:
 
     def test_guard(self):
         with pytest.raises(DimensionError):
-            to_dense(ClosedFormState(11, FAMILY_DEPHASED, 0.0, 0.1))
+            to_dense(ClosedFormState(11, CHANNEL_DEPHASING, 0.0, 0.1))
 
 
 class TestRk4Oracle:
@@ -330,3 +330,21 @@ class TestProductChannel:
         np.testing.assert_allclose(ghz_rho, np.outer(psi, psi.conj()), atol=1e-14)
         with pytest.raises(DomainError):
             trotter_unitary(ham, d=0)
+
+    @pytest.mark.parametrize("kind", CHANNELS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=64),
+        gamma=st.floats(min_value=0.0, max_value=2.0),
+        theta=st.floats(min_value=-1.5, max_value=1.5),
+        theta_hat=st.floats(min_value=-1.5, max_value=1.5),
+    )
+    @example(n=64, gamma=0.01, theta=0.3, theta_hat=0.31)
+    def test_closed_form_overlap_matches_kernel(self, kind, n, gamma, theta, theta_hat):
+        # the commuting edge of the product-channel kernel against a pure ansatz
+        channel = ChannelSpec(kind, 0.0 if kind == CHANNEL_NONE else gamma)
+        probe = evolve_closed_form(n, HamiltonianSpec(theta), channel)
+        ansatz = circuit_ansatz_state(n, theta_hat, 0.0, CHANNEL_NONE)
+        blocks = product_channel_blocks(HamiltonianSpec(theta), channel)
+        kernel = ghz_product_overlap(blocks, trotter_unitary(HamiltonianSpec(theta_hat), 1), n)
+        assert hs_overlap_closed(probe, ansatz).raw == pytest.approx(kernel, rel=0, abs=1e-12)

@@ -1,15 +1,18 @@
-"""Configuration, persistence, orchestration, and CLI behavior."""
+"""Configuration, persistence, orchestration, CLI behavior and packaging."""
 
+import ast
 import csv
 import hashlib
 import json
 import math
 import os
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vista
 from vista import cli
 from vista import config as cfgmod
 from vista import rng as rngmod
@@ -176,14 +179,20 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 _cfg(init={"phi0": bad})
 
-    def test_shot_count_validation(self):
+    def test_shot_count_validation(self, tmp_path, capsys):
         with pytest.raises(ConfigError):
             _cfg(shots={"nu_start": 100, "nu_end": 50})
         with pytest.raises(ConfigError):
             _cfg(shots={"nu_start": 0})
+        with pytest.raises(ConfigError, match="shots"):
+            _cfg(shots={"profile": "logarithmic"})
         # the exact flag bypasses count checks entirely
         cfg = _cfg(shots={"nu_start": 100, "nu_end": 50, "exact": True})
         assert cfg.shots.exact is True
+        path = tmp_path / "shots.json"
+        path.write_text(json.dumps({**MINIMAL, "shots": {"nu_start": 0}}))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "shots" in capsys.readouterr().err
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -588,3 +597,21 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "pure_dephasing" in proc.stdout
+
+
+class TestPackaging:
+    def test_no_module_imports_scipy(self):
+        # scipy is a test-only dependency: the package itself needs numpy alone
+        modules = sorted(Path(vista.__file__).parent.rglob("*.py"))
+        assert len(modules) >= 13
+        offenders = []
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+        assert offenders == []

@@ -10,9 +10,7 @@ from vista.dynamics import (
     CHANNEL_AMPDAMP,
     CHANNEL_DEPHASING,
     CHANNEL_NONE,
-    FAMILY_AMPDAMP,
-    FAMILY_DEPHASED,
-    FAMILY_PURE,
+    CHANNELS,
     ChannelSpec,
     ClosedFormState,
     HamiltonianSpec,
@@ -85,9 +83,12 @@ class TestOverlapClosedForm:
         a, b = _deph(3, 0.05, 0.2), _deph(3, 0.21, 0.07)
         assert hs_overlap_closed(a, b).raw == pytest.approx(hs_overlap_closed(b, a).raw, abs=1e-14)
 
-    def test_rejects_family_mix(self):
-        with pytest.raises(UnsupportedModelError):
-            hs_overlap_closed(_deph(2, 0.0, 0.1), _amp(2, 0.0, 0.1))
+    def test_dephased_and_damped_states_mix(self):
+        for n in (1, 2, 3, 4):
+            for (ta, ga), (tb, gb) in [((0.0, 0.1), (0.0, 0.1)), ((0.13, 0.4), (-0.2, 0.05))]:
+                for probe, ansatz in [(_deph(n, ta, ga), _amp(n, tb, gb)), (_amp(n, ta, ga), _deph(n, tb, gb))]:
+                    dense = trace_product(to_dense(probe), to_dense(ansatz))
+                    assert hs_overlap_closed(probe, ansatz).raw == pytest.approx(dense, abs=1e-14)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(DimensionError):
@@ -100,17 +101,16 @@ class TestOverlapClosedForm:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=8),
-        fam_a=st.sampled_from([FAMILY_PURE, FAMILY_DEPHASED, FAMILY_AMPDAMP]),
-        same=st.booleans(),
+        kind_a=st.sampled_from(CHANNELS),
+        kind_b=st.sampled_from(CHANNELS),
         ga=st.floats(min_value=0.0, max_value=1.0),
         gb=st.floats(min_value=0.0, max_value=1.0),
         ta=st.floats(min_value=-1.5, max_value=1.5),
         tb=st.floats(min_value=-1.5, max_value=1.5),
     )
-    def test_cauchy_schwarz_bound(self, n, fam_a, same, ga, gb, ta, tb):
-        fam_b = fam_a if same or fam_a == FAMILY_PURE else FAMILY_PURE
-        a = ClosedFormState(n, fam_a, ta, 0.0 if fam_a == FAMILY_PURE else ga)
-        b = ClosedFormState(n, fam_b, tb, 0.0 if fam_b == FAMILY_PURE else gb)
+    def test_cauchy_schwarz_bound(self, n, kind_a, kind_b, ga, gb, ta, tb):
+        a = ClosedFormState(n, kind_a, ta, 0.0 if kind_a == CHANNEL_NONE else ga)
+        b = ClosedFormState(n, kind_b, tb, 0.0 if kind_b == CHANNEL_NONE else gb)
         ov = hs_overlap_closed(a, b)
         cap = np.sqrt(a.purity() * b.purity())
         assert -1e-12 <= ov.raw <= cap + 1e-12
