@@ -17,7 +17,6 @@ from .dynamics import (
     circuit_ansatz_state,
     evolve_closed_form,
     lindblad_rk4_oracle,
-    trotter_evolve,
 )
 from .errors import (
     CalibrationError,
@@ -83,6 +82,5 @@ __all__ = [
     "run_multiparam",
     "run_vista",
     "swap_test_sample",
-    "trotter_evolve",
     "__version__",
 ]

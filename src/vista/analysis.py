@@ -1,15 +1,15 @@
 """Fisher-information bounds, scaling fits, and decay-estimate calibration.
 
-Two sensitivity quantities appear throughout:
+The sensitivity quantity is the overlap curvature
 
-* the quantum Fisher information from the spectral decomposition,
-      Q = 2 sum_{i != j} |<i| drho |j>|^2 / (p_i + p_j),
-* the overlap curvature  Q_HS = - d^2/dtheta'^2 Tr(rho_theta' sigma),
-  which for a single family equals Tr[(drho/dtheta)^2] and bounds Q from
-  below via Q >= 2 Q_HS (saturated by pure states).
+    Q_HS = - d^2/dtheta'^2 Tr(rho_theta' sigma),
 
-Closed-form curvatures for the GHZ families and the derived shot-noise bounds
-delta-theta >= 1/sqrt(2 nu Q_HS) are provided for the bound curves.
+which for a single family equals Tr[(drho/dtheta)^2] and bounds the quantum
+Fisher information from below via Q >= 2 Q_HS (saturated by pure states).
+Its closed forms for the GHZ families, plain and quasi-normalized, give the
+shot-noise bounds delta-theta >= 1/sqrt(2 nu Q_HS) of the bound curves, and
+``qfi_ratio_ampdamp`` is the information kept by quasi-normalization under
+amplitude damping.
 """
 
 from dataclasses import dataclass
@@ -17,75 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CHANNEL_AMPDAMP, closed_form_overlap, qubit_channel
-from .errors import CalibrationError, DimensionError, DomainError, NumericsError
-
-EIG_CUTOFF = 1e-12
-
-
-def qfi_uhlmann(rho, drho, cutoff=EIG_CUTOFF):
-    """Spectral-decomposition QFI for the family with tangent drho at rho.
-
-    Eigenvalue pairs with p_i + p_j below the cutoff are skipped; for unitary
-    encodings the matching numerators vanish identically, so the cutoff only
-    suppresses noise from the null space.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    drho = np.asarray(drho, dtype=complex)
-    if rho.shape != drho.shape:
-        raise DimensionError(f"shape mismatch {rho.shape} vs {drho.shape}")
-    if abs(np.trace(drho)) > 1e-8:
-        raise NumericsError(f"drho trace {np.trace(drho):.3e} not ~0; not a state derivative")
-    p, vecs = np.linalg.eigh(rho)
-    a = vecs.conj().T @ drho @ vecs  # <i| drho |j>
-    total = 0.0
-    dim = p.shape[0]
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            denom = p[i] + p[j]
-            if denom < cutoff:
-                continue
-            total += abs(a[i, j]) ** 2 / denom
-    return 2 * total
-
-
-def q_hs(family, theta, h=1e-4, reference=None, normalize=False, rtol=1e-4):
-    """Overlap curvature -d^2/dtheta'^2 [Tr(rho_a(theta') sigma) / norm] at theta' = theta.
-
-    ``family`` maps theta -> density matrix.  ``reference`` (default: the same
-    family) fixes sigma = reference(theta); with ``normalize`` the overlap is
-    divided by sqrt(Tr sigma^2), giving the quasi-normalized curvature.  The
-    second central difference is cross-checked against the product of first
-    differences Tr[(Delta rho_a / 2h)(Delta rho_b / 2h)] / norm, the same
-    limit through an independent stencil; disagreement beyond ``rtol``
-    relative raises.
-    """
-    if h <= 0:
-        raise DomainError(f"need h > 0, got {h}")
-    ref = family if reference is None else reference
-    sigma = np.asarray(ref(theta), dtype=complex)
-    norm = np.sqrt(np.einsum("ij,ji->", sigma, sigma).real) if normalize else 1.0
-
-    r_plus = np.asarray(family(theta + h), dtype=complex)
-    r_mid = np.asarray(family(theta), dtype=complex)
-    r_minus = np.asarray(family(theta - h), dtype=complex)
-
-    def overlap(m):
-        return np.einsum("ij,ji->", m, sigma).real / norm
-
-    second_diff = -(overlap(r_plus) - 2 * overlap(r_mid) + overlap(r_minus)) / h**2
-
-    db = (np.asarray(ref(theta + h), dtype=complex) - np.asarray(ref(theta - h), dtype=complex)) / (2 * h)
-    da = (r_plus - r_minus) / (2 * h)
-    cross = np.einsum("ij,ji->", da, db).real / norm
-
-    scale = max(abs(second_diff), abs(cross), 1e-30)
-    if abs(second_diff - cross) > rtol * scale:
-        raise NumericsError(
-            f"curvature stencils disagree: {second_diff:.6e} vs {cross:.6e} (rtol {rtol})"
-        )
-    return float(second_diff)
+from .errors import CalibrationError, DomainError
 
 
 # --- closed-form curvatures for the GHZ families -----------------------------

@@ -19,6 +19,7 @@ from .config import (
     from_dict,
     load_config,
     load_doc,
+    merge_overrides,
 )
 from .errors import ConfigError, VistaError
 from .experiments import calibrate_experiment, oracle_check, run_grid, scaling_experiment
@@ -78,19 +79,18 @@ def _cmd_run(args):
     return 0
 
 
+def _require_mode(cfg, mode, command):
+    if cfg.mode != mode:
+        raise ConfigError(f"{command} subcommand needs mode {mode!r}, got {cfg.mode!r}")
+
+
 def _cmd_cascade(args):
-    doc = load_doc(args.config)
-    if args.n_sequence:
-        doc.setdefault("cascade", {})["n_sequence"] = [
-            int(v) for v in args.n_sequence.split(",")
-        ]
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["output"] = args.out
-    cfg = from_dict(doc)
-    if cfg.mode != MODE_CASCADE:
-        raise ConfigError(f"cascade subcommand needs mode {MODE_CASCADE!r}, got {cfg.mode!r}")
+    n_sequence = [int(v) for v in args.n_sequence.split(",")] if args.n_sequence else None
+    cfg = load_config(
+        args.config,
+        {"cascade": {"n_sequence": n_sequence}, "seed": args.seed, "output": args.out},
+    )
+    _require_mode(cfg, MODE_CASCADE, "cascade")
     result = run_from_config(cfg)
     _emit(result, cfg.output)
     for stage in result.stages:
@@ -109,26 +109,16 @@ def _cmd_baseline(args):
             if val is None:
                 raise ConfigError(f"baseline without --config requires {flag}")
         doc = {"mode": MODE_BASELINE}
-    if args.n is not None:
-        doc["n"] = args.n
-    if args.theta is not None:
-        doc["theta_true"] = args.theta
-    if args.gamma is not None:
-        doc["gamma_true"] = args.gamma
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["output"] = args.out
-    block = doc.setdefault("baseline", {})
-    if args.steps is not None:
-        block["steps"] = args.steps
-    if args.shots is not None:
-        block["shots_per_step"] = args.shots
-    if args.total_time is not None:
-        block["total_time"] = args.total_time
-    cfg = from_dict(doc)
-    if cfg.mode != MODE_BASELINE:
-        raise ConfigError(f"baseline subcommand needs mode {MODE_BASELINE!r}, got {cfg.mode!r}")
+    overrides = {
+        "n": args.n,
+        "theta_true": args.theta,
+        "gamma_true": args.gamma,
+        "seed": args.seed,
+        "output": args.out,
+        "baseline": {"steps": args.steps, "shots_per_step": args.shots, "total_time": args.total_time},
+    }
+    cfg = from_dict(merge_overrides(doc, overrides))
+    _require_mode(cfg, MODE_BASELINE, "baseline")
     result = run_from_config(cfg)
     _emit(result, cfg.output)
     return 0

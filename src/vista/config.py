@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, CHANNELS
 from .errors import ConfigError, DomainError
-from .optimize import ShotSchedule
+from .optimize import GRAD_CENTRAL, OptimizerConfig, ShotSchedule, check_gradient_method
 
 MODE_PURE = "vista_pure"
 MODE_NOISY_DEPHASING = "vista_noisy_dephasing"
@@ -61,24 +61,14 @@ def _take(d, allowed, where):
 
 
 @dataclass(frozen=True)
-class OptimizerBlock:
-    lr0: float = 0.05
-    decay: float = 0.995
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    max_epochs: int = 400
-    tol_conv: float = 1e-5
-    window: int = 20
-    budget_s: float = 600.0
-
-
-@dataclass(frozen=True)
 class GradientBlock:
-    method: str = "central_difference"
+    method: str = GRAD_CENTRAL
     h_theta: float | None = None  # defaults to pi/(8 n)
     h_phi: float = 0.05
     crn: bool = False  # reuse one shot stream for both sides of each difference
+
+    def __post_init__(self):
+        check_gradient_method(self.method)
 
 
 @dataclass(frozen=True)
@@ -110,6 +100,14 @@ class BaselineBlock:
     steps: int = 200
     shots_per_step: int = 2500
 
+    def __post_init__(self):
+        if self.steps < 2:
+            raise DomainError(f"steps must be >= 2, got {self.steps}")
+        if self.total_time <= 0:
+            raise DomainError(f"total_time must be positive, got {self.total_time}")
+        if self.shots_per_step < 1:
+            raise DomainError(f"shots_per_step must be >= 1, got {self.shots_per_step}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -122,7 +120,7 @@ class RunConfig:
     gamma_true: float = 0.0
     theta2_true: float | None = None
     output: str | None = None
-    optimizer: OptimizerBlock = field(default_factory=OptimizerBlock)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     shots: ShotSchedule = field(default_factory=ShotSchedule)
     gradient: GradientBlock = field(default_factory=GradientBlock)
     init: InitBlock = field(default_factory=InitBlock)
@@ -169,7 +167,7 @@ def _block(cls, d, where):
         kwargs["n_sequence"] = tuple(int(x) for x in kwargs["n_sequence"])
     try:
         return cls(**kwargs)
-    except DomainError as exc:  # raised by blocks that check their own fields (ShotSchedule)
+    except DomainError as exc:  # raised by blocks that check their own fields
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -196,7 +194,7 @@ def from_dict(doc):
         gamma_true=float(doc.get("gamma_true", 0.0)),
         theta2_true=None if doc.get("theta2_true") is None else float(doc["theta2_true"]),
         output=doc.get("output"),
-        optimizer=_block(OptimizerBlock, doc.get("optimizer"), "optimizer"),
+        optimizer=_block(OptimizerConfig, doc.get("optimizer"), "optimizer"),
         shots=_block(ShotSchedule, doc.get("shots"), "shots"),
         gradient=_block(GradientBlock, doc.get("gradient"), "gradient"),
         init=_block(InitBlock, doc.get("init"), "init"),
@@ -229,8 +227,6 @@ def validate(cfg):
     if cfg.mode == MODE_MULTIPARAM:
         if cfg.theta2_true is None:
             raise ConfigError("vista_multiparam requires theta2_true")
-        if cfg.channel != CHANNEL_DEPHASING:
-            raise ConfigError("vista_multiparam requires channel 'dephasing'")
         if cfg.normalization != NORM_PLAIN:
             raise ConfigError("vista_multiparam uses a pure ansatz; normalization must be plain")
     if cfg.multiparam.trotter_steps < 1:
@@ -248,16 +244,6 @@ def validate(cfg):
 
     if not 0 <= cfg.init.phi0 < math.pi / 2:
         raise ConfigError(f"init.phi0 must lie in [0, pi/2), got {cfg.init.phi0}")
-    if cfg.gradient.method not in ("central_difference", "parameter_shift"):
-        raise ConfigError(f"unknown gradient method {cfg.gradient.method!r}")
-    if cfg.optimizer.max_epochs < 1:
-        raise ConfigError("optimizer.max_epochs must be >= 1")
-    if cfg.baseline.steps < 2:
-        raise ConfigError("baseline.steps must be >= 2")
-    if cfg.baseline.total_time <= 0:
-        raise ConfigError("baseline.total_time must be positive")
-    if cfg.baseline.shots_per_step < 1:
-        raise ConfigError("baseline.shots_per_step must be >= 1")
 
 
 def effective_dict(cfg):
@@ -278,12 +264,23 @@ def load_doc(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def merge_overrides(doc, overrides):
+    """Apply overrides to a config document in place; None values are skipped.
+
+    A dict-valued override updates the block of that name key by key.
+    """
+    for key, val in overrides.items():
+        if isinstance(val, dict):
+            val = {k: v for k, v in val.items() if v is not None}
+            val = {**(doc.get(key) or {}), **val} if val else None
+        if val is not None:
+            doc[key] = val
+    return doc
+
+
 def load_config(path, overrides=None):
     """Parse a JSON config file, apply CLI overrides, validate."""
-    doc = load_doc(path)
-    if overrides:
-        doc.update({k: v for k, v in overrides.items() if v is not None})
-    return from_dict(doc)
+    return from_dict(merge_overrides(load_doc(path), overrides or {}))
 
 
 def with_overrides(cfg, **kwargs):

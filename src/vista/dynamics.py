@@ -1,4 +1,4 @@
-"""GHZ probe dynamics: closed forms, the circuit ansatz family, a product-channel kernel, and dense oracles.
+"""GHZ probe dynamics: closed forms, the circuit ansatz family, a product-channel kernel, and a dense oracle.
 
 The probe is an n-qubit GHZ state evolved for unit time under
 
@@ -27,8 +27,8 @@ With the transverse term theta_x != 0 there is no closed form for the corner
 structure, but E is still one 4x4 superoperator: the probe is
 rho = 1/2 sum_ab E(|a><b|)^{(x) n}, the Trotter ansatz is u^{(x) n}|GHZ> for
 one 2x2 matrix u, and their overlap is a sum of 16 scalars raised to the n-th
-power.  The dense RK4 integrator and the dense Trotter product are kept as
-independent oracles for these kernels.
+power.  The dense RK4 integrator is kept as an independent oracle for these
+kernels (``vista oracle-check`` runs it).
 """
 
 from dataclasses import dataclass, field
@@ -109,15 +109,6 @@ class HamiltonianSpec:
 
 
 @dataclass(frozen=True)
-class CircuitAngle:
-    phi: float
-
-    def __post_init__(self):
-        if not 0 <= self.phi < np.pi / 2:
-            raise DomainError(f"phi must lie in [0, pi/2), got {self.phi}")
-
-
-@dataclass(frozen=True)
 class ClosedFormState:
     """Analytic n-qubit GHZ state after the channel ``kind`` acted on every qubit.
 
@@ -173,17 +164,8 @@ def evolve_closed_form(n, ham, channel):
     return ClosedFormState(n, channel.kind, ham.theta_z * ham.t, channel.gamma * ham.t)
 
 
-def matched_angle(channel):
-    """Circuit angle phi whose decay exactly reproduces the channel at its gamma.
-
-    The matching condition is cos(phi) = e^{-kappa}.
-    """
-    kappa = qubit_channel(channel.kind, channel.gamma)[1]
-    return CircuitAngle(float(np.arccos(np.exp(-kappa))))
-
-
 def circuit_decay(kind, phi):
-    """Gamma-equivalent of the circuit angle phi: inverse of the matching condition."""
+    """Gamma-equivalent of the circuit angle phi, from the matching condition cos(phi) = e^{-kappa}."""
     c = np.cos(phi)
     if c <= 0:
         raise DomainError(f"cos(phi) must be positive for inversion, got phi={phi}")
@@ -198,12 +180,14 @@ def circuit_ansatz_state(n, theta_hat, phi, kind):
 
     Each qubit's coherence shrinks by cos(phi), and under amplitude damping
     its mixing weight is alpha = sin^2(phi) = 1 - p.  That is the probe closed
-    form at the gamma-equivalent decay of phi.
+    form at the gamma-equivalent decay of phi.  phi must lie in [0, pi/2).
     """
-    angle = phi if isinstance(phi, CircuitAngle) else CircuitAngle(float(phi))
-    if kind == CHANNEL_NONE and angle.phi != 0:
+    phi = float(phi)
+    if not 0 <= phi < np.pi / 2:
+        raise DomainError(f"phi must lie in [0, pi/2), got {phi}")
+    if kind == CHANNEL_NONE and phi != 0:
         raise DomainError("pure ansatz has no disentangling angle")
-    decay = circuit_decay(kind, angle.phi) if angle.phi else 0.0
+    decay = circuit_decay(kind, phi) if phi else 0.0
     return ClosedFormState(int(n), kind, float(theta_hat), decay)
 
 
@@ -264,9 +248,10 @@ def product_channel_blocks(ham, channel):
 
 
 def trotter_unitary(ham, d=64):
-    """One qubit's factor u of ``trotter_evolve``: trotter_evolve(GHZ) = u^{(x) n}|GHZ>.
+    """One qubit's factor u of the first-order Trotter product on n qubits.
 
-    u = (exp(-i theta_z tau Z) exp(-i theta_x tau X))^d with tau = t/d.
+    d steps of exp(-i theta_z tau sum Z) exp(-i theta_x tau sum X), tau = t/d,
+    map |GHZ> to u^{(x) n}|GHZ> with u = (exp(-i theta_z tau Z) exp(-i theta_x tau X))^d.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
@@ -375,33 +360,3 @@ def lindblad_rk4_oracle(rho0, ham, channel, steps=2000):
             f"trace drifted by {drift:.3e} after {steps} steps; halve the step size"
         )
     return rho
-
-
-def trotter_evolve(vec, ham, d=64):
-    """First-order Trotter evolution of a dense state vector.
-
-    Applies d repetitions of exp(-i theta_z sum Z tau) . exp(-i theta_x sum X tau)
-    with tau = t/d (the X half acts first within each step).  With theta_x = 0 a
-    single step is already exact, so any d reproduces the closed-form phases.
-    """
-    psi = np.array(vec, dtype=complex)
-    dim = psi.shape[0]
-    n = int(np.log2(dim))
-    if 2**n != dim or psi.ndim != 1:
-        raise DimensionError(f"state dimension {psi.shape} is not a power-of-two vector")
-    if d < 1:
-        raise DomainError(f"need d >= 1, got {d}")
-
-    tau = ham.t / d
-    zphase = np.exp(-1j * ham.theta_z * tau * (n - 2 * bit_weights(n)))
-    c, s = np.cos(ham.theta_x * tau), np.sin(ham.theta_x * tau)
-    for _ in range(d):
-        if ham.theta_x != 0:
-            for j in range(n):
-                lead, rest = 2**j, 2 ** (n - 1 - j)
-                v = psi.reshape(lead, 2, rest)
-                a0, a1 = v[:, 0, :].copy(), v[:, 1, :].copy()
-                v[:, 0, :] = c * a0 - 1j * s * a1
-                v[:, 1, :] = c * a1 - 1j * s * a0
-        psi *= zphase
-    return psi

@@ -22,6 +22,7 @@ from .rng import STREAM_GRAD, STREAM_LOSS
 
 GRAD_CENTRAL = "central_difference"
 GRAD_PARAM_SHIFT = "parameter_shift"
+GRAD_METHODS = (GRAD_CENTRAL, GRAD_PARAM_SHIFT)
 
 PHI_CLAMP = np.pi / 2 - 1e-6
 THETA_GUARD = 2 * np.pi  # leaving this range means the run walked off every basin
@@ -50,13 +51,30 @@ class ParamVector:
         return ParamVector(self.names, v)
 
 
+def check_gradient_method(method):
+    if method not in GRAD_METHODS:
+        raise DomainError(f"method must be one of {GRAD_METHODS}, got {method!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """ADAM settings and the stop rules of ``run_optimization``."""
+
     lr0: float = 0.05
     decay: float = 0.995
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    max_epochs: int = 400
+    tol_conv: float = 1e-5
+    window: int = 20
+    budget_s: float = 600.0
+
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise DomainError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.window < 1:
+            raise DomainError(f"window must be >= 1, got {self.window}")
 
     def lr_at(self, epoch):
         return self.lr0 * self.decay**epoch
@@ -127,8 +145,7 @@ class GradientConfig:
     crn: bool = False
 
     def __post_init__(self):
-        if self.method not in (GRAD_CENTRAL, GRAD_PARAM_SHIFT):
-            raise DomainError(f"unknown gradient method {self.method!r}")
+        check_gradient_method(self.method)
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
 
 
@@ -185,29 +202,21 @@ class OptRun:
     status: str
 
 
-def run_optimization(
-    params0,
-    lossfn,
-    *,
-    optimizer=OptimizerConfig(),
-    schedule=ShotSchedule(),
-    gradient=GradientConfig(),
-    max_epochs=400,
-    tol_conv=1e-5,
-    window=20,
-    budget_s=600.0,
-):
+def run_optimization(params0, lossfn, *, optimizer, schedule, gradient):
     """Drive ADAM until convergence, divergence, or the epoch/time budget.
 
     ``lossfn(values, nu, label)`` evaluates the (possibly sampled) loss; nu is
-    None in exact mode.  Convergence requires the mean absolute parameter
-    change, averaged over the trailing ``window`` epochs, to drop below
-    ``tol_conv`` (0 disables the check).  Parameters beyond the phase guard
-    mark the run diverged rather than raising.  Running past ``budget_s``
-    seconds stops the run after the current epoch as ``budget_exhausted``.
+    None in exact mode.  The stop rules come from ``optimizer``: convergence
+    requires the mean absolute parameter change, averaged over the trailing
+    ``window`` epochs, to drop below ``tol_conv`` (0 disables the check).
+    Parameters beyond the phase guard mark the run diverged rather than
+    raising.  Running past ``budget_s`` seconds stops the run after the
+    current epoch as ``budget_exhausted``.
     """
+    max_epochs, tol_conv, window = optimizer.max_epochs, optimizer.tol_conv, optimizer.window
     p = params0.clamped()
-    state = OptimizerState.fresh(p.values.shape[0])
+    nparams = p.values.shape[0]
+    state = OptimizerState.fresh(nparams)
     deltas = deque(maxlen=window)
     rows = []
     status = STATUS_MAX_EPOCHS
@@ -236,17 +245,18 @@ def run_optimization(
                 optimizer.lr_at(epoch),
             )
         )
-        deltas.append(float(np.mean(np.abs(new_p.values - p.values))))
+        # a plain sum over a handful of floats; np.mean costs more than the epoch's ADAM step
+        deltas.append(float(np.abs(new_p.values - p.values).sum()) / nparams)
         p = new_p
 
         theta_like = [v for name, v in zip(p.names, p.values) if name != "phi"]
         if any(not np.isfinite(v) or abs(v) > THETA_GUARD for v in theta_like):
             status = STATUS_DIVERGED
             break
-        if tol_conv > 0 and len(deltas) == window and np.mean(deltas) < tol_conv:
+        if tol_conv > 0 and len(deltas) == window and sum(deltas) / window < tol_conv:
             status = STATUS_CONVERGED
             break
-        if time.monotonic() - t0 > budget_s:
+        if time.monotonic() - t0 > optimizer.budget_s:
             status = STATUS_BUDGET_EXHAUSTED
             break
 

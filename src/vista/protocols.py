@@ -5,8 +5,8 @@
 * vista_pure            pure ansatz, theta only (probe may still be noisy)
 * vista_noisy_dephasing ansatz with a disentangling angle phi; learns (theta, phi)
 * vista_noisy_ampdamp   same for amplitude damping
-* vista_multiparam      probe under theta1*sum(Z) + theta2*sum(X) with known
-                        dephasing; pure Trotter ansatz, learns (theta1, theta2)
+* vista_multiparam      probe under theta1*sum(Z) + theta2*sum(X) with the configured
+                        noise; pure Trotter ansatz, learns (theta1, theta2)
 * cascade               staged n ramp handing theta-hat forward
 * baseline_fft          stabilizer-parity time series + discrete spectrum peak
 
@@ -21,7 +21,6 @@ whole trajectory.
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .config import (
     with_overrides,
 )
 from .dynamics import (
-    CHANNEL_DEPHASING,
     CHANNEL_NONE,
     ChannelSpec,
     ClosedFormState,
@@ -54,10 +52,10 @@ from .dynamics import (
 from .errors import ConfigError, DomainError, NoPeakError
 from .measurement import ShotSampler, parity_probability
 from .optimize import (
+    GRAD_PARAM_SHIFT,
     PHI_CLAMP,
     STATUS_DIVERGED,
     GradientConfig,
-    OptimizerConfig,
     ParamVector,
     run_optimization,
 )
@@ -113,7 +111,7 @@ def _multiparam_lossfn(cfg):
     """
     n = cfg.n
     probe = product_channel_blocks(
-        HamiltonianSpec(cfg.theta_true, cfg.theta2_true), ChannelSpec(CHANNEL_DEPHASING, cfg.gamma_true)
+        HamiltonianSpec(cfg.theta_true, cfg.theta2_true), ChannelSpec(cfg.channel, cfg.gamma_true)
     )
     d = cfg.multiparam.trotter_steps
 
@@ -150,7 +148,7 @@ def _gradient_config(cfg, names, freqs):
     h = []
     for name in names:
         h.append(cfg.gradient.h_phi if name == "phi" else cfg.h_theta_effective())
-    frequencies = freqs if cfg.gradient.method == "parameter_shift" else None
+    frequencies = freqs if cfg.gradient.method == GRAD_PARAM_SHIFT else None
     return GradientConfig(cfg.gradient.method, np.array(h), frequencies, cfg.gradient.crn)
 
 
@@ -204,19 +202,9 @@ def _run_named(cfg, names, lossfn, freqs):
     opt = run_optimization(
         params0,
         lossfn,
-        optimizer=OptimizerConfig(
-            cfg.optimizer.lr0,
-            cfg.optimizer.decay,
-            cfg.optimizer.beta1,
-            cfg.optimizer.beta2,
-            cfg.optimizer.eps,
-        ),
+        optimizer=cfg.optimizer,
         schedule=cfg.shots,
         gradient=_gradient_config(cfg, names, freqs),
-        max_epochs=cfg.optimizer.max_epochs,
-        tol_conv=cfg.optimizer.tol_conv,
-        window=cfg.optimizer.window,
-        budget_s=cfg.optimizer.budget_s,
     )
     return _to_result(cfg, names, opt, time.monotonic() - t0)
 
@@ -345,43 +333,35 @@ def run_cascade(cfg):
 # --- stabilizer-parity FFT baseline ------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    n: int
-    theta: float
-    gamma: float
-    total_time: float = 1.0
-    steps: int = 200
-    shots_per_step: int = 2500
-
-
-def baseline_series(bc, sampler):
-    """Time grid, exact parity probabilities, and their sampled versions."""
-    t = np.arange(bc.steps) * (bc.total_time / bc.steps)
-    p = parity_probability(bc.n, bc.theta, bc.gamma, t)
+def baseline_series(cfg, sampler):
+    """Time grid, exact parity probabilities, and their sampled versions for cfg.baseline."""
+    steps, total_time = cfg.baseline.steps, cfg.baseline.total_time
+    t = np.arange(steps) * (total_time / steps)
+    p = parity_probability(cfg.n, cfg.theta_true, cfg.gamma_true, t)
     if sampler is None:
         return t, p, p.copy()
     p_hat = np.array([sampler.spawn(k).binomial_fraction(pk) for k, pk in enumerate(p)])
     return t, p, p_hat
 
 
-def _spectrum_peak(bc, p_hat):
+def _spectrum_peak(cfg, p_hat):
     """Top non-DC bin of the mean-subtracted magnitude spectrum, and its theta-hat."""
     x = p_hat - p_hat.mean()
     mags = np.abs(np.fft.rfft(x))
     if mags[1:].size == 0 or np.max(mags[1:]) <= 1e-12:
         raise NoPeakError("parity spectrum has no non-DC peak")
     peak = 1 + int(np.argmax(mags[1:]))
-    return peak, math.pi * (peak / bc.total_time) / bc.n
+    return peak, math.pi * (peak / cfg.baseline.total_time) / cfg.n
 
 
-def run_baseline_fft(bc, sampler):
+def run_baseline_fft(cfg, sampler):
     """Frequency-domain estimate: mean-subtract, magnitude spectrum, top non-DC bin.
 
-    The retained bin b maps to theta-hat = pi * (b / T) / n.  Ties go to the
-    lower frequency; a flat spectrum (no oscillation information) raises.
+    The series is ``baseline_series(cfg, sampler)``.  The retained bin b maps
+    to theta-hat = pi * (b / T) / n.  Ties go to the lower frequency; a flat
+    spectrum (no oscillation information) raises.
     """
-    return _spectrum_peak(bc, baseline_series(bc, sampler)[2])[1]
+    return _spectrum_peak(cfg, baseline_series(cfg, sampler)[2])[1]
 
 
 def run_baseline(cfg):
@@ -390,17 +370,9 @@ def run_baseline(cfg):
     if cfg.mode != MODE_BASELINE:
         raise ConfigError(f"run_baseline needs mode {MODE_BASELINE!r}")
     t0 = time.monotonic()
-    bc = BaselineConfig(
-        cfg.n,
-        cfg.theta_true,
-        cfg.gamma_true,
-        cfg.baseline.total_time,
-        cfg.baseline.steps,
-        cfg.baseline.shots_per_step,
-    )
-    sampler = ShotSampler(cfg.seed, bc.shots_per_step)
-    t, p, p_hat = baseline_series(bc, sampler)
-    peak, theta_hat = _spectrum_peak(bc, p_hat)
+    sampler = ShotSampler(cfg.seed, cfg.baseline.shots_per_step)
+    t, p, p_hat = baseline_series(cfg, sampler)
+    peak, theta_hat = _spectrum_peak(cfg, p_hat)
     return RunResult(
         config=effective_dict(cfg),
         seed=cfg.seed,
@@ -409,7 +381,7 @@ def run_baseline(cfg):
             "theta_hat": theta_hat,
             "abs_error_theta": abs(theta_hat - cfg.theta_true),
             "peak_bin": peak,
-            "f_hat": peak / bc.total_time,
+            "f_hat": peak / cfg.baseline.total_time,
         },
         series={"t": t, "p_exact": p, "p_hat": p_hat},
         wall_time_s=time.monotonic() - t0,

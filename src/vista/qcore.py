@@ -1,5 +1,6 @@
-"""Dense complex linear algebra for small qubit registers.
+"""Dense building blocks for small qubit registers: one-qubit Paulis, GHZ states, basis weights.
 
+The product-channel kernel and the dense RK4 oracle build on these.
 Conventions used everywhere in the package:
 
 * computational-basis index is read with qubit 0 as the most significant bit,
@@ -9,17 +10,12 @@ Conventions used everywhere in the package:
   closed-form representation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericsError
+from .errors import DimensionError
 
 VECTOR_QUBIT_GUARD = 14
 OPERATOR_QUBIT_GUARD = 10
-
-# default absolute tolerance for dense equality checks
-ATOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -31,34 +27,6 @@ def check_qubit_count(n, guard, what="object"):
     if not 1 <= int(n) <= guard:
         raise DimensionError(f"{what} supports 1..{guard} qubits, got n={n}")
     return int(n)
-
-
-@dataclass(frozen=True)
-class Bitstring:
-    """Computational-basis label; bit 0 is the most significant index bit."""
-
-    n: int
-    bits: tuple
-
-    def __post_init__(self):
-        if len(self.bits) != self.n or any(b not in (0, 1) for b in self.bits):
-            raise DimensionError(f"need {self.n} bits in {{0,1}}, got {self.bits}")
-
-    @classmethod
-    def from_index(cls, n, index):
-        bits = tuple((index >> (n - 1 - j)) & 1 for j in range(n))
-        return cls(n, bits)
-
-    @property
-    def index(self):
-        out = 0
-        for b in self.bits:
-            out = (out << 1) | b
-        return out
-
-    @property
-    def weight(self):
-        return sum(self.bits)
 
 
 def bit_weights(n):
@@ -83,86 +51,3 @@ def ghz_density(n):
     n = check_qubit_count(n, OPERATOR_QUBIT_GUARD, "ghz_density")
     v = ghz_vector(n)
     return np.outer(v, v.conj())
-
-
-def kron(a, b):
-    """Tensor product with the operator-size guard applied to the result."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    dim = a.shape[0] * b.shape[0]
-    if a.ndim == 2 and dim > 2**OPERATOR_QUBIT_GUARD:
-        raise DimensionError(f"kron result dimension {dim} exceeds 2^{OPERATOR_QUBIT_GUARD}")
-    return np.kron(a, b)
-
-
-def collective_operator(n, axis):
-    """Sum of single-qubit Paulis, e.g. Z_0 + ... + Z_{n-1} for axis 'Z'."""
-    n = check_qubit_count(n, OPERATOR_QUBIT_GUARD, "collective_operator")
-    axis = axis.upper()
-    if axis == "Z":
-        # diagonal: (#zeros - #ones) per basis state
-        return np.diag((n - 2 * bit_weights(n)).astype(complex))
-    if axis != "X":
-        raise DomainError(f"collective axis must be 'Z' or 'X', got {axis!r}")
-    dim = 2**n
-    op = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    for j in range(n):
-        mask = 1 << (n - 1 - j)
-        op[idx ^ mask, idx] += 1.0
-    return op
-
-
-def tensor_pauli(n, pauli):
-    """n-fold tensor power of a single-qubit Pauli (parity-type operator)."""
-    n = check_qubit_count(n, OPERATOR_QUBIT_GUARD, "tensor_pauli")
-    op = np.array([[1]], dtype=complex)
-    for _ in range(n):
-        op = np.kron(op, pauli)
-    return op
-
-
-def apply_all_x(vec):
-    """Apply X on every qubit to a dense state vector (bit-reversal free: index complement)."""
-    vec = np.asarray(vec)
-    return vec[::-1].copy()
-
-
-def is_hermitian(a, atol=ATOL):
-    a = np.asarray(a)
-    return bool(np.all(np.abs(a - a.conj().T) <= atol))
-
-
-def trace_product(a, b, herm_atol=1e-8):
-    """Tr(a b) for Hermitian a, b; complains if the imaginary residue is not negligible."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"trace_product needs equal square matrices, got {a.shape} and {b.shape}")
-    if not is_hermitian(a, herm_atol) or not is_hermitian(b, herm_atol):
-        raise NumericsError("trace_product inputs must be Hermitian")
-    val = np.einsum("ij,ji->", a, b)
-    if abs(val.imag) > 1e-8:
-        raise NumericsError(f"trace product imaginary residue {val.imag:.3e} exceeds 1e-8")
-    return float(val.real)
-
-
-def purity(rho):
-    """Tr(rho^2); in [1/dim, 1] for a valid density matrix."""
-    return trace_product(rho, rho)
-
-
-def assert_density_matrix(rho, atol=1e-8):
-    """Validate trace one, Hermiticity and near-positivity; returns rho unchanged."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionError(f"density matrix must be square, got {rho.shape}")
-    tr = np.trace(rho)
-    if abs(tr - 1) > atol:
-        raise NumericsError(f"trace {tr} not 1 within {atol}")
-    if not is_hermitian(rho, atol):
-        raise NumericsError("density matrix not Hermitian")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -1e-7:
-        raise NumericsError(f"negative eigenvalue {evals.min():.3e}")
-    return rho

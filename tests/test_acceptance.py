@@ -19,14 +19,13 @@ import math
 import numpy as np
 
 from conftest import random_density, random_hermitian, random_state
+from dense import matched_angle, q_hs, qfi_uhlmann, tensor_pauli
 from vista.analysis import (
-    q_hs,
     q_hs_ampdamp_pure,
     q_hs_dephasing,
     q_hs_qn_dephasing,
     qfi_ratio_ampdamp,
     qfi_ratio_ampdamp_expansion,
-    qfi_uhlmann,
 )
 from vista.config import from_dict
 from vista.dynamics import (
@@ -35,7 +34,6 @@ from vista.dynamics import (
     circuit_ansatz_state,
     evolve_closed_form,
     lindblad_rk4_oracle,
-    matched_angle,
     to_dense,
 )
 from vista.experiments import (
@@ -47,7 +45,7 @@ from vista.experiments import (
 from vista.measurement import OverlapValue, ShotSampler, hs_overlap_closed, loss, swap_test_sample
 from vista.optimize import GradientConfig, estimate_gradient
 from vista.protocols import run_from_config
-from vista.qcore import PAULI_X, PAULI_Z, ghz_density, tensor_pauli
+from vista.qcore import PAULI_X, PAULI_Z, ghz_density
 
 GAMMA_GRID = (0.0, 0.01, 0.05, 0.1, 0.2)
 THETA_GRID = (0.0, 0.05, 0.23)

@@ -11,14 +11,12 @@ from vista.analysis import (
     crb_curve,
     fit_scaling,
     gamma_calibration,
-    q_hs,
     q_hs_ampdamp_pure,
     q_hs_dephasing,
     q_hs_qn_ampdamp,
     q_hs_qn_dephasing,
     qfi_ratio_ampdamp,
     qfi_ratio_ampdamp_expansion,
-    qfi_uhlmann,
 )
 from vista.dynamics import (
     CHANNEL_AMPDAMP,
@@ -28,9 +26,10 @@ from vista.dynamics import (
     to_dense,
 )
 from vista.errors import CalibrationError, DimensionError, DomainError, NumericsError
-from vista.qcore import bit_weights, collective_operator, ghz_density, ghz_vector, trace_product
+from vista.qcore import bit_weights, ghz_density, ghz_vector
 
 from conftest import random_density, random_hermitian
+from dense import collective_operator, q_hs, qfi_uhlmann, trace_product
 
 
 def _rotated_ghz(n, theta):

@@ -16,7 +16,6 @@ from vista.dynamics import (
     HamiltonianSpec,
     circuit_ansatz_state,
     evolve_closed_form,
-    matched_angle,
     to_dense,
 )
 from vista.errors import DimensionError, DomainError, UnsupportedModelError
@@ -32,7 +31,8 @@ from vista.measurement import (
     quasi_normalize,
     swap_test_sample,
 )
-from vista.qcore import trace_product
+
+from dense import matched_angle, trace_product
 
 
 def _deph(n, theta, gamma):

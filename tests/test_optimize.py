@@ -224,11 +224,9 @@ class TestRunOptimization:
         run = run_optimization(
             ParamVector(("theta",), np.array([0.10])),
             _exact_loss,
-            optimizer=OptimizerConfig(decay=0.98),
+            optimizer=OptimizerConfig(decay=0.98, max_epochs=800, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([np.pi / (8 * N_PROBE)])),
-            max_epochs=800,
-            tol_conv=0.0,
         )
         assert run.status == STATUS_MAX_EPOCHS
         assert abs(run.params[-1, 0] - THETA_TRUE) < 1e-6
@@ -240,11 +238,9 @@ class TestRunOptimization:
         run = run_optimization(
             ParamVector(("theta",), np.array([0.10])),
             _exact_loss,
-            optimizer=OptimizerConfig(decay=0.98),
+            optimizer=OptimizerConfig(decay=0.98, max_epochs=800, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([np.pi / (8 * N_PROBE)])),
-            max_epochs=800,
-            tol_conv=0.0,
         )
         envelopes = [run.losses[a:b].max() for a, b in ((10, 100), (100, 200), (200, 400), (400, 800))]
         assert all(hi > lo for hi, lo in zip(envelopes, envelopes[1:]))
@@ -254,11 +250,9 @@ class TestRunOptimization:
         run = run_optimization(
             ParamVector(("theta",), np.array([0.14])),
             _exact_loss,
+            optimizer=OptimizerConfig(max_epochs=400, tol_conv=1e-4, window=10),
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([np.pi / 24])),
-            max_epochs=400,
-            tol_conv=1e-4,
-            window=10,
         )
         assert run.status == STATUS_CONVERGED
         assert len(run.epochs) < 400
@@ -269,11 +263,9 @@ class TestRunOptimization:
         run = run_optimization(
             ParamVector(("theta",), np.array([0.0])),
             lambda values, nu, label: -values[0],
-            optimizer=OptimizerConfig(lr0=0.5, decay=1.0),
+            optimizer=OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=100, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([0.1])),
-            max_epochs=100,
-            tol_conv=0.0,
         )
         assert run.status == STATUS_DIVERGED
         assert len(run.epochs) == 13
@@ -283,11 +275,9 @@ class TestRunOptimization:
         run = run_optimization(
             ParamVector(("theta",), np.array([0.1])),
             _exact_loss,
+            optimizer=OptimizerConfig(max_epochs=400, tol_conv=0.0, budget_s=0.0),
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([0.1])),
-            max_epochs=400,
-            tol_conv=0.0,
-            budget_s=0.0,
         )
         assert len(run.epochs) == 1
         assert run.status == STATUS_BUDGET_EXHAUSTED
@@ -296,10 +286,9 @@ class TestRunOptimization:
         run = run_optimization(
             ParamVector(("theta",), np.array([0.1])),
             _exact_loss,
+            optimizer=OptimizerConfig(max_epochs=25, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([0.1])),
-            max_epochs=25,
-            tol_conv=0.0,
         )
         assert run.epochs.tolist() == list(range(25))
         assert run.params.shape == (25, 1)
@@ -316,10 +305,9 @@ class TestRunOptimization:
             return f
 
         kw = dict(
+            optimizer=OptimizerConfig(max_epochs=30, tol_conv=0.0),
             schedule=ShotSchedule(2000, 4000, "geometric"),
             gradient=GradientConfig(h=np.array([np.pi / 24])),
-            max_epochs=30,
-            tol_conv=0.0,
         )
         a = run_optimization(ParamVector(("theta",), np.array([0.1])), make(5), **kw)
         b = run_optimization(ParamVector(("theta",), np.array([0.1])), make(5), **kw)
@@ -332,9 +320,9 @@ class TestRunOptimization:
             run_optimization(
                 ParamVector(("theta",), np.array([0.1])),
                 lambda values, nu, label: float("inf"),
+                optimizer=OptimizerConfig(max_epochs=10),
                 schedule=ShotSchedule(exact=True),
                 gradient=GradientConfig(h=np.array([0.1])),
-                max_epochs=10,
             )
 
     def test_phi_stays_clamped(self):
@@ -343,11 +331,9 @@ class TestRunOptimization:
         run = run_optimization(
             ParamVector(("theta", "phi"), np.array([0.0, 0.1])),
             lambda values, nu, label: -values[1],
-            optimizer=OptimizerConfig(lr0=0.3, decay=1.0),
+            optimizer=OptimizerConfig(lr0=0.3, decay=1.0, max_epochs=40, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([0.1, 0.05])),
-            max_epochs=40,
-            tol_conv=0.0,
         )
         assert np.all(run.params[:, 1] <= PHI_CLAMP + 1e-15)
         assert np.all(run.params[:, 1] >= 0.0)

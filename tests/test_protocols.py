@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from vista.config import from_dict, with_overrides
 from vista.dynamics import (
+    CHANNEL_AMPDAMP,
     CHANNEL_DEPHASING,
+    CHANNEL_NONE,
+    CHANNELS,
     ChannelSpec,
     HamiltonianSpec,
     circuit_decay,
     lindblad_rk4_oracle,
-    trotter_evolve,
 )
 from vista.errors import ConfigError, NoPeakError
 from vista.measurement import ShotSampler
@@ -21,7 +23,6 @@ from vista.optimize import STATUS_BUDGET_EXHAUSTED, STATUS_CONVERGED, STATUS_MAX
 from vista.protocols import (
     STATUS_CASCADE_FAILED,
     STATUS_EARLY_STOPPED,
-    BaselineConfig,
     baseline_series,
     run_baseline,
     run_baseline_fft,
@@ -33,9 +34,15 @@ from vista.protocols import (
 from vista.qcore import ghz_density, ghz_vector
 from vista.rng import STREAM_LOSS
 
+from dense import trotter_evolve
+
 
 def _cfg(**doc):
     return from_dict(doc)
+
+
+def _baseline_cfg(n, theta, gamma, **block):
+    return _cfg(mode="baseline_fft", n=n, theta_true=theta, gamma_true=gamma, seed=0, baseline=block)
 
 
 class TestSingleRun:
@@ -222,7 +229,7 @@ class TestBaseline:
     def test_exact_spectrum_recovers_integer_cycle_angle(self):
         # 3 full fringe cycles in the window: the peak bin maps back exactly
         theta = 3 * np.pi / 4
-        assert run_baseline_fft(BaselineConfig(4, theta, 0.0), None) == pytest.approx(theta, abs=1e-12)
+        assert run_baseline_fft(_baseline_cfg(4, theta, 0.0), None) == pytest.approx(theta, abs=1e-12)
 
     def test_sub_resolution_angle_aliases_to_first_bin(self):
         # at n=3, theta=0.23 the fringe completes well under one cycle, so the
@@ -236,10 +243,10 @@ class TestBaseline:
 
     def test_flat_spectrum_raises(self):
         with pytest.raises(NoPeakError):
-            run_baseline_fft(BaselineConfig(2, 0.0, 0.0), None)
+            run_baseline_fft(_baseline_cfg(2, 0.0, 0.0), None)
 
     def test_series_content(self):
-        bc = BaselineConfig(2, 0.4, 0.05, total_time=1.0, steps=50, shots_per_step=400)
+        bc = _baseline_cfg(2, 0.4, 0.05, total_time=1.0, steps=50, shots_per_step=400)
         t, p, p_hat = baseline_series(bc, ShotSampler(9, 400))
         assert t.shape == (50,)
         assert t[0] == 0.0 and t[-1] == pytest.approx(49 / 50)
@@ -249,7 +256,7 @@ class TestBaseline:
         np.testing.assert_array_equal(p_hat, p_hat2)
 
     def test_exact_series_copies_probabilities(self):
-        bc = BaselineConfig(2, 0.4, 0.05)
+        bc = _baseline_cfg(2, 0.4, 0.05)
         _, p, p_hat = baseline_series(bc, None)
         np.testing.assert_array_equal(p, p_hat)
         assert p is not p_hat
@@ -269,12 +276,13 @@ class TestBaseline:
 
 
 class TestMultiparam:
-    def test_commuting_edge_delegates_bit_for_bit(self):
+    @pytest.mark.parametrize("channel", [CHANNEL_DEPHASING, CHANNEL_AMPDAMP])
+    def test_commuting_edge_delegates_bit_for_bit(self, channel):
         shared = dict(
             n=4,
             theta_true=0.12,
             seed=7,
-            channel="dephasing",
+            channel=channel,
             gamma_true=0.05,
             optimizer={"max_epochs": 40, "tol_conv": 0.0},
         )
@@ -320,24 +328,46 @@ class TestMultiparam:
         assert res.final["abs_error_theta"] < 1e-5
         assert res.final["abs_error_theta2"] < 1e-5
 
+    def test_exact_damped_recovery(self):
+        # the pure Trotter ansatz against a damped probe: theta2 carries the
+        # ansatz bias, which grows with gamma * n
+        cfg = _cfg(
+            mode="vista_multiparam",
+            n=4,
+            theta_true=0.05,
+            theta2_true=0.04,
+            seed=2,
+            channel="amplitude_damping",
+            gamma_true=0.02,
+            shots={"exact": True},
+            optimizer={"decay": 0.985, "max_epochs": 900, "tol_conv": 0.0},
+            init={"theta0": 0.03, "theta2_0": 0.02},
+        )
+        res = run_multiparam(cfg)
+        assert res.final["abs_error_theta"] < 1e-5
+        assert res.final["abs_error_theta2"] < 1e-4
+
     @settings(max_examples=20, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=6),
         theta=st.floats(min_value=-0.4, max_value=0.4),
         theta2=st.floats(min_value=-0.4, max_value=0.4).filter(lambda v: abs(v) > 1e-3),
+        channel=st.sampled_from(CHANNELS),
         gamma=st.floats(min_value=0.0, max_value=0.3),
         d=st.integers(min_value=1, max_value=32),
         start=st.tuples(st.floats(min_value=-0.4, max_value=0.4), st.floats(min_value=-0.4, max_value=0.4)),
     )
-    def test_exact_loss_matches_dense_oracles(self, n, theta, theta2, gamma, d, start):
+    def test_exact_loss_matches_dense_oracles(self, n, theta, theta2, channel, gamma, d, start):
         # the first recorded loss is taken at the start point, before any step
+        if channel == CHANNEL_NONE:
+            gamma = 0.0
         cfg = _cfg(
             mode="vista_multiparam",
             n=n,
             theta_true=theta,
             theta2_true=theta2,
             seed=0,
-            channel="dephasing",
+            channel=channel,
             gamma_true=gamma,
             shots={"exact": True},
             optimizer={"max_epochs": 1},
@@ -346,7 +376,7 @@ class TestMultiparam:
         )
         res = run_multiparam(cfg)
         rho = lindblad_rk4_oracle(
-            ghz_density(n), HamiltonianSpec(theta, theta2), ChannelSpec(CHANNEL_DEPHASING, gamma), steps=1000
+            ghz_density(n), HamiltonianSpec(theta, theta2), ChannelSpec(channel, gamma), steps=1000
         )
         psi = trotter_evolve(ghz_vector(n), HamiltonianSpec(*start), d)
         assert res.trace["loss"][0] == pytest.approx(1 - np.vdot(psi, rho @ psi).real, abs=1e-10)

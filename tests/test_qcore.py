@@ -8,28 +8,30 @@ from hypothesis import strategies as st
 
 from vista.errors import DimensionError, DomainError, NumericsError
 from vista.qcore import (
-    ATOL,
     OPERATOR_QUBIT_GUARD,
     PAULI_I,
     PAULI_X,
     PAULI_Z,
     SIGMA_MINUS,
     VECTOR_QUBIT_GUARD,
+    bit_weights,
+    ghz_density,
+    ghz_vector,
+)
+
+from conftest import random_density, random_hermitian, random_state
+from dense import (
+    ATOL,
     Bitstring,
     apply_all_x,
     assert_density_matrix,
-    bit_weights,
     collective_operator,
-    ghz_density,
-    ghz_vector,
     is_hermitian,
     kron,
     purity,
     tensor_pauli,
     trace_product,
 )
-
-from conftest import random_density, random_hermitian, random_state
 
 
 class TestBitstring:
