@@ -34,15 +34,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _parse_entry(text, kind, flag):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"bad {flag} entry {text!r}; expected {'an integer' if kind is int else 'a number'}") from None
+
+
 def _parse_int_range(text):
     """'2:12:2' -> [2, 4, ..., 12] (stop inclusive); '5' -> [5]."""
-    parts = text.split(":")
+    parts = [_parse_entry(p, int, "range") for p in text.split(":")]
     if len(parts) == 1:
-        return [int(parts[0])]
+        return parts
     if len(parts) == 2:
-        start, stop, step = int(parts[0]), int(parts[1]), 1
+        start, stop, step = parts[0], parts[1], 1
     elif len(parts) == 3:
-        start, stop, step = int(parts[0]), int(parts[1]), int(parts[2])
+        start, stop, step = parts
     else:
         raise ConfigError(f"bad range {text!r}; expected start:stop[:step]")
     if step <= 0 or stop < start:
@@ -55,12 +62,12 @@ def _parse_float_list(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"bad float range {text!r}; expected start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_parse_entry(p, float, "float range") for p in parts)
         if step <= 0 or stop < start:
             raise ConfigError(f"bad float range {text!r}")
         # endpoint inclusive up to float dust
         return [float(v) for v in np.arange(start, stop + step / 2, step)]
-    return [float(v) for v in text.split(",")]
+    return [_parse_entry(v, float, "list") for v in text.split(",")]
 
 
 def _emit(result, out):
@@ -85,7 +92,9 @@ def _require_mode(cfg, mode, command):
 
 
 def _cmd_cascade(args):
-    n_sequence = [int(v) for v in args.n_sequence.split(",")] if args.n_sequence else None
+    n_sequence = None
+    if args.n_sequence:
+        n_sequence = [_parse_entry(v, int, "--n-sequence") for v in args.n_sequence.split(",")]
     cfg = load_config(
         args.config,
         {"cascade": {"n_sequence": n_sequence}, "seed": args.seed, "output": args.out},

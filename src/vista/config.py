@@ -157,6 +157,15 @@ _TOP_KEYS = (
 )
 
 
+def _number(value, kind, where):
+    """``kind(value)`` for int or float, or a ConfigError that names ``where`` and the value."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {what}, got {value!r}") from None
+
+
 def _block(cls, d, where):
     if d is None:
         return cls()
@@ -164,7 +173,7 @@ def _block(cls, d, where):
     _take(d, fields, where)
     kwargs = dict(d)
     if cls is CascadeBlock and "n_sequence" in kwargs:
-        kwargs["n_sequence"] = tuple(int(x) for x in kwargs["n_sequence"])
+        kwargs["n_sequence"] = tuple(_number(x, int, "cascade.n_sequence entry") for x in kwargs["n_sequence"])
     try:
         return cls(**kwargs)
     except DomainError as exc:  # raised by blocks that check their own fields
@@ -186,13 +195,13 @@ def from_dict(doc):
 
     cfg = RunConfig(
         mode=mode,
-        n=int(doc["n"]),
-        theta_true=float(doc["theta_true"]),
-        seed=int(doc["seed"]),
+        n=_number(doc["n"], int, "n"),
+        theta_true=_number(doc["theta_true"], float, "theta_true"),
+        seed=_number(doc["seed"], int, "seed"),
         normalization=doc.get("normalization", _DEFAULT_NORM[mode]),
         channel=doc.get("channel", _DEFAULT_CHANNEL[mode]),
-        gamma_true=float(doc.get("gamma_true", 0.0)),
-        theta2_true=None if doc.get("theta2_true") is None else float(doc["theta2_true"]),
+        gamma_true=_number(doc.get("gamma_true", 0.0), float, "gamma_true"),
+        theta2_true=None if doc.get("theta2_true") is None else _number(doc["theta2_true"], float, "theta2_true"),
         output=doc.get("output"),
         optimizer=_block(OptimizerConfig, doc.get("optimizer"), "optimizer"),
         shots=_block(ShotSchedule, doc.get("shots"), "shots"),

@@ -71,14 +71,27 @@ def closed_form_overlap(n, a, b, dtheta):
     """Tr(rho_a rho_b) of two n-qubit GHZ states whose qubits are a = (p_a, kappa_a) and b.
 
     dtheta is the phase of a minus that of b.  The purity of a state is its
-    overlap with itself, closed_form_overlap(n, a, a, 0).
+    overlap with itself, closed_form_overlap(n, a, a, 0).  Any of the p, kappa
+    and dtheta may be arrays of rows; the result then has their shape.
     """
     (pa, ka), (pb, kb) = a, b
-    qa, qb = 1 - pa, 1 - pb
-    diag = 0.25 * (1 + qa**n + qb**n + (pa * pb + qa * qb) ** n)
     # numpy's exp and cos, not math's: the two round differently on some
     # arguments, and seeded outputs depend on every bit of the overlap
-    return diag + 0.5 * np.exp(-n * (ka + kb)) * np.cos(2 * n * dtheta)
+    return _population_overlap(n, pa, pb) + 0.5 * np.exp(-n * (ka + kb)) * np.cos(2 * n * dtheta)
+
+
+def _population_overlap(n, pa, pb):
+    """The diagonal part of the overlap, 1/4 (1 + qa^n + qb^n + (pa pb + qa qb)^n) with q = 1 - p.
+
+    Rows are taken one at a time as float ** int: numpy's power on an array
+    rounds differently from its scalar power in some 5 % of cases, and a
+    row's bits must not depend on the rows beside it.
+    """
+    if isinstance(pa, np.ndarray) or isinstance(pb, np.ndarray):
+        pa, pb = np.broadcast_arrays(pa, pb)
+        return np.array([_population_overlap(n, x, y) for x, y in zip(pa.tolist(), pb.tolist())])
+    qa, qb = 1 - pa, 1 - pb
+    return 0.25 * (1 + qa**n + qb**n + (pa * pb + qa * qb) ** n)
 
 
 @dataclass(frozen=True)
@@ -165,14 +178,16 @@ def evolve_closed_form(n, ham, channel):
 
 
 def circuit_decay(kind, phi):
-    """Gamma-equivalent of the circuit angle phi, from the matching condition cos(phi) = e^{-kappa}."""
+    """Gamma-equivalent of the circuit angle phi (scalar or array), from cos(phi) = e^{-kappa}."""
     c = np.cos(phi)
-    if c <= 0:
+    bad = c <= 0
+    if bad.any() if bad.ndim else bad:  # a scalar's any() costs more than the rest together
         raise DomainError(f"cos(phi) must be positive for inversion, got phi={phi}")
     rate = _QUBIT_CHANNEL[kind][1] if kind in _QUBIT_CHANNEL else 0.0
     if rate == 0:
         raise UnsupportedModelError(f"no decay inversion for channel {kind!r}")
-    return float(-np.log(c) / rate)
+    decay = -np.log(c) / rate
+    return decay if isinstance(decay, np.ndarray) else float(decay)
 
 
 def circuit_ansatz_state(n, theta_hat, phi, kind):

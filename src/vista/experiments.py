@@ -2,8 +2,15 @@
 
 Replica seeds are derived from the master seed with the replica-stream label,
 so a sweep is reproducible as a whole while every run keeps an independent
-sampler stream.  Worker-pool fan-out is capped by the VISTA_THREADS
-environment variable; a cap of 1 (or a single job) runs in-process.
+sampler stream.  ``run_grid`` runs each grid point's replicas as lockstep
+batches (``protocols.run_batch``): it cuts a point's replicas into
+ceil(workers / points) contiguous slices, at most one per replica, and hands
+the slices to a worker pool, where each worker runs its slice as one batch
+and persists its runs.  The pool is capped by ``workers`` or the
+VISTA_THREADS environment variable; a cap of 1, or a single slice, runs
+in-process.  A replica's files do not depend on the slice it ran in, so they
+do not depend on the worker count.  A batch's ``optimizer.budget_s`` limits
+the batch's time, not each replica's.
 """
 
 import itertools
@@ -46,20 +53,21 @@ def worker_cap():
     return os.cpu_count() or 1
 
 
-def _run_job(doc):
-    cfg = cfgmod.from_dict(doc)
-    res = protocols.run_from_config(cfg)
-    out = {"status": res.status, "seed": res.seed}
-    out.update(res.final)
-    return out, res
+def _run_slice(cfgs):
+    """Summary rows of one slice of a grid point's replicas, run as one batch; persists each run."""
+    outs = []
+    for res in protocols.run_batch(cfgs):
+        if res.config.get("output"):
+            persist(res, res.config["output"])
+        outs.append({"status": res.status, "seed": res.seed, **res.final})
+    return outs
 
 
-def _job_summary(doc):
-    # separate top-level target for ProcessPoolExecutor pickling
-    out, res = _run_job(doc)
-    if res.config.get("output"):
-        persist(res, res.config["output"])
-    return out
+def _split(items, parts):
+    """``items`` cut into ``parts`` contiguous slices whose sizes differ by at most one."""
+    size, extra = divmod(len(items), parts)
+    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
@@ -71,9 +79,10 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
     """
     names = list(axes)
     seeds = replica_seeds(base_cfg.seed, replicas)
-    jobs = []
     points = list(itertools.product(*(axes[k] for k in names)))
+    batches = []
     for point in points:
+        batch = []
         for r, seed in enumerate(seeds):
             doc = cfgmod.effective_dict(base_cfg)
             doc.update(dict(zip(names, point)))
@@ -83,16 +92,19 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
                 doc["output"] = os.path.join(outdir, tag or "point", f"seed_{r}")
             else:
                 doc["output"] = None
-            cfgmod.from_dict(doc)  # fail fast on a bad grid point
-            jobs.append(doc)
+            batch.append(cfgmod.from_dict(doc))  # fail fast on a bad grid point
+        batches.append(batch)
 
-    cap = worker_cap() if workers is None else workers
-    cap = max(1, min(cap, len(jobs)))
+    cap = max(1, worker_cap() if workers is None else workers)
+    parts = min(replicas, -(-cap // max(1, len(points))))
+    tasks = [part for batch in batches if batch for part in _split(batch, parts)]
+    cap = max(1, min(cap, len(tasks)))
     if cap == 1:
-        outs = [_job_summary(doc) for doc in jobs]
+        results = [_run_slice(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=cap) as pool:
-            outs = list(pool.map(_job_summary, jobs))
+            results = list(pool.map(_run_slice, tasks))
+    outs = [out for part in results for out in part]
 
     rows = []
     per_point = len(seeds)

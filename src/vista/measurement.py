@@ -7,8 +7,14 @@ clipped; negative excursions are part of the statistics.  Any two closed-form
 states, of any channel kinds, have an exact overlap (``closed_form_overlap``).
 Quasi-normalization divides by the square root of the ansatz purity, which is
 always computed exactly from the closed form, never sampled.
+
+``loss`` scores one evaluation from plain numbers: the exact overlap, the
+generator its shots are drawn from (None when exact), the shot count and the
+ansatz purity.  The run loop calls it once per row and evaluation, and builds
+no state, overlap or sampler object for it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +47,14 @@ class ShotSampler:
         return ShotSampler(self.seed, shots, self.key)
 
     def binomial_fraction(self, p):
-        """k/nu with k ~ Binomial(shots, p); p is clipped only against float dust."""
-        if not np.isfinite(p) or p < -1e-9 or p > 1 + 1e-9:
-            raise DomainError(f"probability {p} outside [0, 1]")
-        p = min(max(float(p), 0.0), 1.0)
-        return self._gen.binomial(self.shots, p) / self.shots
+        return binomial_fraction(self._gen, self.shots, p)
+
+
+def binomial_fraction(gen, shots, p):
+    """k/shots with k ~ Binomial(shots, p) drawn from ``gen``; p is clipped only against float dust."""
+    if not -1e-9 <= p <= 1 + 1e-9:  # also rejects nan
+        raise DomainError(f"probability {p} outside [0, 1]")
+    return gen.binomial(shots, min(max(float(p), 0.0), 1.0)) / shots
 
 
 @dataclass(frozen=True)
@@ -89,13 +98,17 @@ LOSS_PLAIN = "plain"
 LOSS_QN = "quasi_normalized"
 
 
-def loss(overlap, sampler, mode=LOSS_PLAIN):
-    """1 - T-hat (plain) or 1 - T-hat / sqrt(purity) (quasi-normalized)."""
-    t_hat = swap_test_sample(overlap, sampler)
+def loss(raw, gen, shots=None, purity=1.0, mode=LOSS_PLAIN):
+    """1 - T-hat (plain) or 1 - T-hat / sqrt(purity) (quasi-normalized).
+
+    T-hat is the exact overlap ``raw`` when ``gen`` is None, else the swap-test
+    estimate from ``shots`` pairs drawn from the generator ``gen``.
+    """
+    t_hat = raw if gen is None else 2 * binomial_fraction(gen, shots, (1 + raw) / 2) - 1
     if mode == LOSS_PLAIN:
         return 1.0 - t_hat
     if mode == LOSS_QN:
-        return 1.0 - t_hat / np.sqrt(overlap.circuit_purity)
+        return 1.0 - t_hat / math.sqrt(purity)
     raise DomainError(f"unknown loss mode {mode!r}")
 
 

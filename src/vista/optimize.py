@@ -1,4 +1,4 @@
-"""Stochastic optimization of ansatz parameters against the sampled loss.
+"""Stochastic optimization of ansatz parameters against the sampled loss, for R replicas at once.
 
 The loop is plain ADAM with an exponentially decaying learning rate and a
 per-epoch shot schedule.  Gradients default to central differences with a
@@ -6,14 +6,23 @@ step of pi/(8n) for phase-type parameters (an eighth of the loss period) and
 0.05 for the disentangling angle; the parameter-shift rule is available for
 parameters whose loss is a single harmonic of known frequency.
 
+``run_optimization`` drives R replicas of one run in lockstep over an (R, p)
+parameter array: one row per replica, one column per parameter.  The rows
+share the loss closure, the settings and the epoch clock; each keeps its own
+parameters, ADAM moments, stream draws and stop status.  A row that converges
+or diverges leaves the live set and the others go on.  A single run is the
+case R = 1.  Every step acts on the rows elementwise, so a row's trajectory
+does not depend, to the last bit, on which rows share its batch.
+
 Every loss evaluation receives a distinct stream label, so each gradient
 shift and each recorded loss draws fresh shots while remaining a pure
 function of (config, master seed).
 """
 
+import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,22 +42,12 @@ STATUS_DIVERGED = "diverged"
 STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    names: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if len(self.names) != self.values.shape[0]:
-            raise DomainError("names and values length differ")
-
-    def clamped(self):
-        v = self.values.copy()
-        for i, name in enumerate(self.names):
-            if name == "phi":
-                v[i] = min(max(v[i], 0.0), PHI_CLAMP)
-        return ParamVector(self.names, v)
+def clamp_phi(values, names):
+    """The (R, p) rows ``values``, with the column named phi clamped to [0, PHI_CLAMP] in place."""
+    if "phi" in names:
+        j = names.index("phi")
+        values[:, j] = values[:, j].clip(0.0, PHI_CLAMP)
+    return values
 
 
 def check_gradient_method(method):
@@ -87,8 +86,8 @@ class OptimizerState:
     t: int = 0
 
     @classmethod
-    def fresh(cls, nparams):
-        return cls(np.zeros(nparams), np.zeros(nparams), 0)
+    def fresh(cls, shape):
+        return cls(np.zeros(shape), np.zeros(shape), 0)
 
 
 def adam_step(cfg, state, values, grad):
@@ -148,39 +147,60 @@ class GradientConfig:
         check_gradient_method(self.method)
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
 
+    @cached_property
+    def steps(self):
+        """(ups, downs, scales) of the gradient of p parameters.
+
+        values + ups[i] and values - downs[i] shift parameter i of every row by
+        its step and leave the others as they are: adding -0.0 and taking
+        away +0.0 change no float, the sign of a zero included.  The
+        difference of the two losses is scaled by scales[i].
+        """
+        shifts, scales = [], []
+        for i, h in enumerate(self.h):
+            use_shift_rule = self.method == GRAD_PARAM_SHIFT
+            if use_shift_rule and self.frequencies is None:
+                raise DomainError("parameter_shift needs per-parameter loss frequencies")
+            if use_shift_rule and self.frequencies[i] > 0:
+                w = self.frequencies[i]
+                shifts.append(np.pi / (2 * w))
+                scales.append(w / 2)
+            else:
+                shifts.append(h)
+                scales.append(1.0 / (2 * h))
+        own = np.eye(len(shifts), dtype=bool)[:, None, :]
+        return np.where(own, shifts, -0.0), np.where(own, shifts, 0.0), np.array(scales)
+
 
 def estimate_gradient(values, lossfn, grad_cfg, epoch=0):
-    """Gradient of the sampled loss at ``values``.
+    """Gradient of the sampled loss at each row of the (L, p) array ``values``.
 
-    ``lossfn(values, label)`` must evaluate the loss with shots drawn from the
-    stream named by ``label``; each shifted evaluation gets its own label so
-    no draws are shared (unless ``crn``).  Central differences use
+    ``lossfn(values, label)`` must return one loss per row, with shots drawn
+    from the stream named by ``label``; each shifted evaluation gets its own
+    label so no draws are shared (unless ``crn``).  Central differences use
     (L+ - L-)/(2h).  The parameter-shift rule evaluates at +-pi/(2 w) and
     scales by w/2, which is exact when the loss is A + B cos(w p + c) in
     parameter p; parameters with frequency 0 (no single-harmonic form, e.g.
     the decay-matching angle) fall back to their central-difference step.
     """
-    values = np.asarray(values, dtype=float)
-    grad = np.zeros_like(values)
-    for i in range(values.shape[0]):
-        use_shift_rule = grad_cfg.method == GRAD_PARAM_SHIFT
-        if use_shift_rule and grad_cfg.frequencies is None:
-            raise DomainError("parameter_shift needs per-parameter loss frequencies")
-        if use_shift_rule and grad_cfg.frequencies[i] > 0:
-            w = grad_cfg.frequencies[i]
-            shift, scale = np.pi / (2 * w), w / 2
-        else:
-            shift, scale = grad_cfg.h[i], 1.0 / (2 * grad_cfg.h[i])
-        up = values.copy()
-        up[i] += shift
-        down = values.copy()
-        down[i] -= shift
-        lp = lossfn(up, (STREAM_GRAD, epoch, i, 0))
-        lm = lossfn(down, (STREAM_GRAD, epoch, i, 0 if grad_cfg.crn else 1))
-        if not (np.isfinite(lp) and np.isfinite(lm)):
-            raise NumericsError(f"non-finite loss in gradient evaluation at parameter {i}")
-        grad[i] = (lp - lm) * scale
+    ups, downs, scales = grad_cfg.steps
+    ups, downs = values + ups, values - downs  # row blocks with one parameter shifted each
+    grad = np.empty(ups.shape[1:])
+    for i in range(len(scales)):
+        lp = lossfn(ups[i], (STREAM_GRAD, epoch, i, 0))
+        lm = lossfn(downs[i], (STREAM_GRAD, epoch, i, 0 if grad_cfg.crn else 1))
+        np.subtract(lp, lm, out=grad[:, i])
+    grad *= scales
+    # a difference of finite losses is finite, so one check covers every shifted loss
+    if not _finite(grad):
+        i = int(np.argmin(np.isfinite(grad).all(axis=0)))
+        raise NumericsError(f"non-finite loss in gradient evaluation at parameter {i}")
     return grad
+
+
+def _finite(x):
+    """Whether every entry of the array x is finite (in Python: cheaper than numpy for a few rows)."""
+    return all(map(math.isfinite, x.ravel().tolist()))
 
 
 @dataclass
@@ -202,71 +222,103 @@ class OptRun:
     status: str
 
 
-def run_optimization(params0, lossfn, *, optimizer, schedule, gradient):
-    """Drive ADAM until convergence, divergence, or the epoch/time budget.
+def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
+    """Drive ADAM on R replicas until each converges or diverges, or the epoch/time budget ends.
 
-    ``lossfn(values, nu, label)`` evaluates the (possibly sampled) loss; nu is
-    None in exact mode.  The stop rules come from ``optimizer``: convergence
-    requires the mean absolute parameter change, averaged over the trailing
-    ``window`` epochs, to drop below ``tol_conv`` (0 disables the check).
-    Parameters beyond the phase guard mark the run diverged rather than
-    raising.  Running past ``budget_s`` seconds stops the run after the
-    current epoch as ``budget_exhausted``.
+    ``params0`` is an (R, p) array of starting rows whose columns are named
+    by ``names``.  ``lossfn(values, nu, label, rows)`` evaluates the
+    (possibly sampled) loss of the live rows and returns one loss per row:
+    ``values`` is their (L, p) array and ``rows`` their indices into
+    ``params0``; nu is the epoch's shot count (None in exact mode) and
+    ``label`` names the stream of the evaluation.
+
+    The stop rules come from ``optimizer`` and are applied to each row:
+    convergence requires the mean absolute parameter change, averaged over
+    the trailing ``window`` epochs, to drop below ``tol_conv`` (0 disables
+    the check); parameters beyond the phase guard mark the row diverged
+    rather than raising.  ``budget_s`` limits the batch: once the batch has
+    run past it, every live row stops after the current epoch as
+    ``budget_exhausted``.  Returns one ``OptRun`` per row.
     """
+    values = clamp_phi(np.array(params0, dtype=float), names)
+    if values.ndim != 2 or values.shape[1] != len(names):
+        raise DomainError(f"params0 must have one column per name in {names}, got shape {values.shape}")
     max_epochs, tol_conv, window = optimizer.max_epochs, optimizer.tol_conv, optimizer.window
-    p = params0.clamped()
-    nparams = p.values.shape[0]
-    state = OptimizerState.fresh(nparams)
-    deltas = deque(maxlen=window)
-    rows = []
-    status = STATUS_MAX_EPOCHS
+    nrows, nparams = values.shape
+    state = OptimizerState.fresh(values.shape)
+    rows = np.arange(nrows)
+    # the trace of each live row, one column per row; a stopping row takes its column with it
+    losses = np.empty((max_epochs, nrows))
+    params = np.empty((max_epochs, nrows, nparams))
+    grads = np.empty((max_epochs, nrows, nparams))
+    deltas = np.empty((max_epochs, nrows))
+    shots, lrs = [], []
+    runs = {}
     t0 = time.monotonic()
+
+    def finish(k, epochs, status):
+        grad = grads[:epochs, k]
+        runs[int(rows[k])] = OptRun(
+            names=tuple(names),
+            epochs=np.arange(epochs),
+            losses=losses[:epochs, k].copy(),
+            params=params[:epochs, k].copy(),
+            # vecdot is BLAS's dot row by row: the same bits as np.linalg.norm of each gradient
+            grad_norms=np.sqrt(np.vecdot(grad, grad)),
+            shots=np.array(shots[:epochs], dtype=int),
+            lrs=np.array(lrs[:epochs]),
+            status=status,
+        )
 
     for epoch in range(max_epochs):
         nu = schedule.shots_at(epoch, max_epochs)
 
-        def eval_loss(values, label, _nu=nu):
-            return lossfn(values, _nu, label)
+        def eval_loss(v, label, _nu=nu, _rows=rows):
+            return lossfn(v, _nu, label, _rows)
 
-        loss_here = eval_loss(p.values, (STREAM_LOSS, epoch))
-        if not np.isfinite(loss_here):
+        loss_here = eval_loss(values, (STREAM_LOSS, epoch))
+        if not _finite(loss_here):
             raise NumericsError(f"non-finite loss at epoch {epoch}")
-        grad = estimate_gradient(p.values, eval_loss, gradient, epoch=epoch)
-        state, new_values = adam_step(optimizer, state, p.values, grad)
-        new_p = ParamVector(p.names, new_values).clamped()
+        grad = estimate_gradient(values, eval_loss, gradient, epoch=epoch)
+        state, new_values = adam_step(optimizer, state, values, grad)
+        new_values = clamp_phi(new_values, names)
 
-        rows.append(
-            (
-                epoch,
-                loss_here,
-                new_p.values.copy(),
-                float(np.linalg.norm(grad)),
-                0 if nu is None else nu,
-                optimizer.lr_at(epoch),
-            )
-        )
-        # a plain sum over a handful of floats; np.mean costs more than the epoch's ADAM step
-        deltas.append(float(np.abs(new_p.values - p.values).sum()) / nparams)
-        p = new_p
+        losses[epoch] = loss_here
+        params[epoch] = new_values
+        grads[epoch] = grad
+        deltas[epoch] = np.add.reduce(np.abs(new_values - values), axis=1) / float(nparams)
+        shots.append(0 if nu is None else nu)
+        lrs.append(optimizer.lr_at(epoch))
+        values = new_values
 
-        theta_like = [v for name, v in zip(p.names, p.values) if name != "phi"]
-        if any(not np.isfinite(v) or abs(v) > THETA_GUARD for v in theta_like):
-            status = STATUS_DIVERGED
+        # cheap checks over all rows first; phi is clamped well inside the guard, so only the
+        # other columns can fail it, and nan fails it too
+        diverged = not all(map(THETA_GUARD.__ge__, map(abs, values.ravel().tolist())))
+        # a window's sum is at least its last delta, so no row converges while every last delta is too big
+        converged = tol_conv > 0 and epoch + 1 >= window and min(deltas[epoch].tolist()) / window < tol_conv
+        out_of_time = time.monotonic() - t0 > optimizer.budget_s
+        if not (diverged or converged or out_of_time):
+            continue
+        diverged = ~(np.maximum.reduce(np.abs(values), axis=1) <= THETA_GUARD)
+        converged = np.zeros(len(rows), dtype=bool)
+        if tol_conv > 0 and epoch + 1 >= window:
+            # accumulate adds in order, as a running sum over the window does
+            converged = np.add.accumulate(deltas[epoch + 1 - window : epoch + 1], axis=0)[-1] / window < tol_conv
+        for k in range(len(rows)):
+            if diverged[k]:
+                finish(k, epoch + 1, STATUS_DIVERGED)
+            elif converged[k]:
+                finish(k, epoch + 1, STATUS_CONVERGED)
+            elif out_of_time:
+                finish(k, epoch + 1, STATUS_BUDGET_EXHAUSTED)
+        live = ~(diverged | converged)
+        if out_of_time or not live.any():
             break
-        if tol_conv > 0 and len(deltas) == window and sum(deltas) / window < tol_conv:
-            status = STATUS_CONVERGED
-            break
-        if time.monotonic() - t0 > optimizer.budget_s:
-            status = STATUS_BUDGET_EXHAUSTED
-            break
+        rows, values = rows[live], values[live]
+        state = OptimizerState(state.m[live], state.v[live], state.t)
+        losses, params, grads, deltas = losses[:, live], params[:, live], grads[:, live], deltas[:, live]
 
-    return OptRun(
-        names=p.names,
-        epochs=np.array([r[0] for r in rows], dtype=int),
-        losses=np.array([r[1] for r in rows]),
-        params=np.array([r[2] for r in rows]),
-        grad_norms=np.array([r[3] for r in rows]),
-        shots=np.array([r[4] for r in rows], dtype=int),
-        lrs=np.array([r[5] for r in rows]),
-        status=status,
-    )
+    for k in range(len(rows)):
+        if int(rows[k]) not in runs:
+            finish(k, max_epochs, STATUS_MAX_EPOCHS)
+    return [runs[r] for r in range(nrows)]

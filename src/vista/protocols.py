@@ -14,13 +14,21 @@ Probes are closed forms except in the multiparameter mode.  There the
 non-commuting generator has no closed form, but every term still acts on one
 qubit, so the probe is a product channel: one 4x4 exponential per run and a
 2x2 Trotter factor per evaluation, at a cost that does not grow with n.
-Every sampled evaluation
+
+``run_batch`` runs replicas of one run -- configs that differ only in seed
+and output -- as one lockstep batch of ``optimize.run_optimization``; every
+single run (``run_vista``, ``run_multiparam``, each cascade stage) is a batch
+of one.  The loss closures evaluate the live rows of a batch together: the
+closed forms take arrays of angles and decays (or, for a few rows, numpy
+scalars row by row), the two-angle overlap is formed row by row, and each
+row's shots come from its own stream.  Every sampled evaluation
 derives its stream from (seed, labels), so a (config, seed) pair fixes the
-whole trajectory.
+whole trajectory, whatever the batch.
 """
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,15 +46,14 @@ from .config import (
     with_overrides,
 )
 from .dynamics import (
-    CHANNEL_NONE,
     ChannelSpec,
-    ClosedFormState,
     HamiltonianSpec,
-    circuit_ansatz_state,
     circuit_decay,
+    closed_form_overlap,
     evolve_closed_form,
     ghz_product_overlap,
     product_channel_blocks,
+    qubit_channel,
     trotter_unitary,
 )
 from .errors import ConfigError, DomainError, NoPeakError
@@ -56,11 +63,10 @@ from .optimize import (
     PHI_CLAMP,
     STATUS_DIVERGED,
     GradientConfig,
-    ParamVector,
     run_optimization,
 )
 from .results import RunResult
-from .rng import STREAM_INIT, STREAM_STAGE, derive_seed, stream
+from .rng import STREAM_INIT, STREAM_STAGE, Streams, derive_seed, stream
 
 STATUS_CASCADE_FAILED = "cascade_failed"
 STATUS_EARLY_STOPPED = "early_stopped"
@@ -74,53 +80,73 @@ def _probe_state(cfg):
     return evolve_closed_form(cfg.n, ham, ChannelSpec(cfg.channel, cfg.gamma_true))
 
 
-def _single_param_lossfn(cfg, mode):
+# Below this many rows the closed form is cheaper on numpy scalars, row by row, than on
+# arrays, whose per-call overhead outweighs the work (measured: the two cross near 8 rows);
+# both give the same bits.
+_ARRAY_ROWS = 8
+
+
+def _single_param_lossfn(cfg, mode, seeds):
     """Loss closure for the closed-form modes; returns (names, lossfn, frequencies)."""
     probe = _probe_state(cfg)
     n = cfg.n
     norm = measurement.LOSS_QN if cfg.normalization == NORM_QN else measurement.LOSS_PLAIN
+    streams = None if cfg.shots.exact else Streams(seeds)
+    names = ("theta",) if mode == MODE_PURE else ("theta", "phi")
 
-    if mode == MODE_PURE:
-        names = ("theta",)
-
-        def build(values):
-            return ClosedFormState(n, CHANNEL_NONE, float(values[0]))
-
-    else:
-        names = ("theta", "phi")
-
-        def build(values):
-            phi = min(max(float(values[1]), 0.0), PHI_CLAMP)
+    def overlap(theta, phi=None):
+        """Raw overlap and ansatz purity at angles theta (and phi), scalars or arrays alike."""
+        if phi is None:
+            qubit = (1.0, 0.0)
+        else:
+            # a gradient shift may step past the clamp; phi only enters through cos(phi),
+            # so the sign of a zero does not matter here
+            if isinstance(phi, np.ndarray):
+                phi = np.minimum(np.maximum(phi, 0.0), PHI_CLAMP)
+            else:
+                phi = min(max(phi, 0.0), PHI_CLAMP)
             # a noisy mode's ansatz decays through the probe's channel (config.validate pairs them)
-            return circuit_ansatz_state(n, float(values[0]), phi, cfg.channel)
+            qubit = qubit_channel(cfg.channel, circuit_decay(cfg.channel, phi))
+        raw = closed_form_overlap(n, probe.qubit, qubit, probe.theta - theta)
+        return raw, closed_form_overlap(n, qubit, qubit, 0.0) if norm == measurement.LOSS_QN else 1.0
 
-    def lossfn(values, nu, label):
-        overlap = measurement.hs_overlap_closed(probe, build(values))
-        sampler = None if nu is None else ShotSampler(cfg.seed, nu, key=label)
-        return measurement.loss(overlap, sampler, norm)
+    def lossfn(values, nu, label, rows):
+        if len(values) < _ARRAY_ROWS:
+            overlaps = map(overlap, *values.T.tolist())
+        else:
+            raw, purity = overlap(*values.T)
+            overlaps = zip(raw.tolist(), np.broadcast_to(purity, raw.shape).tolist())
+        gens = [None] * len(values) if nu is None else streams.at(rows.tolist(), *label)
+        # one measurement.loss call per row, which draws the row's shots from its own stream
+        return np.array([measurement.loss(raw, gen, nu, pur, norm) for (raw, pur), gen in zip(overlaps, gens)])
 
     freqs = np.array([2.0 * n] + [0.0] * (len(names) - 1))
     return names, lossfn, freqs
 
 
-def _multiparam_lossfn(cfg):
+def _multiparam_lossfn(cfg, seeds):
     """Loss closure for the two-angle mode, evaluated on one qubit's channel and ansatz.
 
-    The probe blocks are computed once per run; each evaluation forms the 2x2
-    Trotter factor and contracts it with them, so nothing grows with n.
+    The probe blocks are computed once per run; each evaluation forms every
+    row's 2x2 Trotter factor and contracts it with them, so nothing grows
+    with n.  The rows are taken one at a time: the n-th power of a complex
+    array would round differently from the scalar one.
     """
     n = cfg.n
     probe = product_channel_blocks(
         HamiltonianSpec(cfg.theta_true, cfg.theta2_true), ChannelSpec(cfg.channel, cfg.gamma_true)
     )
     d = cfg.multiparam.trotter_steps
+    streams = None if cfg.shots.exact else Streams(seeds)
 
-    def lossfn(values, nu, label):
-        u = trotter_unitary(HamiltonianSpec(float(values[0]), float(values[1])), d)
-        raw = ghz_product_overlap(probe, u, n)
-        overlap = measurement.OverlapValue(raw, 1.0, raw)
-        sampler = None if nu is None else ShotSampler(cfg.seed, nu, key=label)
-        return measurement.loss(overlap, sampler, measurement.LOSS_PLAIN)
+    def lossfn(values, nu, label, rows):
+        gens = [None] * len(values) if nu is None else streams.at(rows.tolist(), *label)
+        return np.array(
+            [
+                measurement.loss(ghz_product_overlap(probe, trotter_unitary(HamiltonianSpec(a, b), d), n), gen, nu)
+                for (a, b), gen in zip(values.tolist(), gens)
+            ]
+        )
 
     return ("theta", "theta2"), lossfn, np.array([0.0, 0.0])
 
@@ -141,7 +167,7 @@ def _draw_init(cfg, names):
             if v is None:
                 v = rng.uniform(-hw, hw)
         values.append(float(v))
-    return ParamVector(names, np.array(values))
+    return values
 
 
 def _gradient_config(cfg, names, freqs):
@@ -196,17 +222,27 @@ def _to_result(cfg, names, opt, wall):
     )
 
 
-def _run_named(cfg, names, lossfn, freqs):
+def _optimizer_batch(cfgs):
+    """Replicas of one run in a closed-form or two-angle mode, in lockstep."""
+    cfg = cfgs[0]
+    seeds = [c.seed for c in cfgs]
+    if cfg.mode == MODE_MULTIPARAM and cfg.theta2_true != 0:
+        names, lossfn, freqs = _multiparam_lossfn(cfg, seeds)
+    else:
+        # theta2_true == 0 is the commuting edge case of vista_multiparam: a vista_pure run
+        mode = MODE_PURE if cfg.mode == MODE_MULTIPARAM else cfg.mode
+        names, lossfn, freqs = _single_param_lossfn(cfg, mode, seeds)
     t0 = time.monotonic()
-    params0 = _draw_init(cfg, names)
-    opt = run_optimization(
-        params0,
+    opts = run_optimization(
+        np.array([_draw_init(c, names) for c in cfgs]),
         lossfn,
+        names=names,
         optimizer=cfg.optimizer,
         schedule=cfg.shots,
         gradient=_gradient_config(cfg, names, freqs),
     )
-    return _to_result(cfg, names, opt, time.monotonic() - t0)
+    wall = time.monotonic() - t0  # the batch's time, not one replica's
+    return [_to_result(c, names, opt, wall) for c, opt in zip(cfgs, opts)]
 
 
 def run_vista(cfg):
@@ -214,8 +250,7 @@ def run_vista(cfg):
     validate(cfg)
     if cfg.mode not in (MODE_PURE, MODE_NOISY_DEPHASING, MODE_NOISY_AMPDAMP):
         raise ConfigError(f"run_vista does not handle mode {cfg.mode!r}")
-    names, lossfn, freqs = _single_param_lossfn(cfg, cfg.mode)
-    return _run_named(cfg, names, lossfn, freqs)
+    return _optimizer_batch([cfg])[0]
 
 
 def run_multiparam(cfg):
@@ -228,11 +263,7 @@ def run_multiparam(cfg):
     validate(cfg)
     if cfg.mode != MODE_MULTIPARAM:
         raise ConfigError(f"run_multiparam needs mode {MODE_MULTIPARAM!r}")
-    if cfg.theta2_true == 0:
-        names, lossfn, freqs = _single_param_lossfn(cfg, MODE_PURE)
-        return _run_named(cfg, names, lossfn, freqs)
-    names, lossfn, freqs = _multiparam_lossfn(cfg)
-    return _run_named(cfg, names, lossfn, freqs)
+    return _optimizer_batch([cfg])[0]
 
 
 # --- cascade -----------------------------------------------------------------
@@ -388,13 +419,29 @@ def run_baseline(cfg):
     )
 
 
-def run_from_config(cfg):
-    if cfg.mode in (MODE_PURE, MODE_NOISY_DEPHASING, MODE_NOISY_AMPDAMP):
-        return run_vista(cfg)
-    if cfg.mode == MODE_MULTIPARAM:
-        return run_multiparam(cfg)
+_OPTIMIZER_MODES = (MODE_PURE, MODE_NOISY_DEPHASING, MODE_NOISY_AMPDAMP, MODE_MULTIPARAM)
+
+
+def run_batch(cfgs):
+    """Results of configs that differ only in seed and output, in their order.
+
+    The optimizer modes run as one lockstep batch; cascades and baselines run
+    one after another.  Each result is byte for byte the one that
+    ``run_from_config`` gives for its config alone.
+    """
+    cfg = cfgs[0]
+    validate(cfg)
+    shared = replace(cfg, seed=0, output=None)
+    if any(replace(c, seed=0, output=None) != shared for c in cfgs[1:]):
+        raise ConfigError("the configs of a batch may differ only in seed and output")
+    if cfg.mode in _OPTIMIZER_MODES:
+        return _optimizer_batch(cfgs)
     if cfg.mode == MODE_CASCADE:
-        return run_cascade(cfg)
+        return [run_cascade(c) for c in cfgs]
     if cfg.mode == MODE_BASELINE:
-        return run_baseline(cfg)
+        return [run_baseline(c) for c in cfgs]
     raise ConfigError(f"unknown mode {cfg.mode!r}")
+
+
+def run_from_config(cfg):
+    return run_batch([cfg])[0]

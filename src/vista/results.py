@@ -44,7 +44,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()  # already Python scalars
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -86,33 +86,43 @@ def persist(result, outdir):
     if result.series is not None:
         doc["series"] = _jsonable(result.series)
 
-    with open(os.path.join(outdir, "result.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "result.json"), doc)
 
     if result.trace is not None:
-        with open(os.path.join(outdir, "trace.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(trace_header(result.param_names))
-            tr = result.trace
-            for i in range(len(tr["epoch"])):
-                row = [int(tr["epoch"][i]), _fmt(tr["loss"][i])]
-                row += [_fmt(v) for v in np.atleast_1d(tr["params"][i])]
-                row += [_fmt(tr["grad_norm"][i]), int(tr["shots"][i]), _fmt(tr["lr"][i])]
-                writer.writerow(row)
+        tr = result.trace
+        params = np.asarray(tr["params"], dtype=float)
+        params = params[:, None] if params.ndim == 1 else params
+        columns = [_int_column(tr["epoch"]), _fmt_column(tr["loss"])]
+        columns += [_fmt_column(params[:, j]) for j in range(params.shape[1])]
+        columns += [_fmt_column(tr["grad_norm"]), _int_column(tr["shots"]), _fmt_column(tr["lr"])]
+        _write_csv(os.path.join(outdir, "trace.csv"), trace_header(result.param_names), columns)
 
     if result.series is not None:
-        with open(os.path.join(outdir, "series.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            keys = list(result.series)
-            writer.writerow(keys)
-            length = len(result.series[keys[0]])
-            for i in range(length):
-                writer.writerow([_fmt(result.series[k][i]) for k in keys])
+        keys = list(result.series)
+        _write_csv(os.path.join(outdir, "series.csv"), keys, [_fmt_column(result.series[k]) for k in keys])
 
-    with open(os.path.join(outdir, "config.json"), "w") as fh:
-        json.dump(result.config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "config.json"), result.config)
+
+
+def _int_column(values):
+    return [str(x) for x in np.asarray(values).astype(int).tolist()]
+
+
+def _fmt_column(values):
+    """A float column formatted as ``_fmt`` formats each float."""
+    return [f"{x:.12g}" for x in np.asarray(values, dtype=float).tolist()]
+
+
+def _write_csv(path, header, columns):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_summary(path, fieldnames, rows):

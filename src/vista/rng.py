@@ -32,7 +32,9 @@ Label layout used by the drivers (all labels are small non-negative ints):
     (STREAM_STAGE, k)                   derived per-stage seeds in cascades
 
 ``derive_seed`` still hashes (seed, label) through a SeedSequence; it runs
-once per replica or stage, not once per draw.
+once per replica or stage, not once per draw.  ``Streams`` serves the rows of
+a lockstep batch: it keys each seed once per batch and builds a label's
+counter once per evaluation for all rows.
 """
 
 from functools import lru_cache
@@ -96,6 +98,18 @@ def _label_counter(key):
 def stream(seed, *key):
     """Generator for the stream identified by (seed, key)."""
     return np.random.Generator(np.random.Philox(_philox_key(int(seed)), counter=_label_counter(key)))
+
+
+class Streams:
+    """``stream(seed, *label)`` for each of a fixed list of seeds, drawn row by row."""
+
+    def __init__(self, seeds):
+        self._keys = [_philox_key(int(seed)) for seed in seeds]
+
+    def at(self, rows, *key):
+        """Generators of the seeds at ``rows`` for one label; each equals ``stream(seed, *key)``."""
+        counter = _label_counter(key)
+        return [np.random.Generator(np.random.Philox(self._keys[r], counter=counter)) for r in rows]
 
 
 def derive_seed(seed, *key):

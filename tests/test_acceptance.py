@@ -46,6 +46,7 @@ from vista.measurement import OverlapValue, ShotSampler, hs_overlap_closed, loss
 from vista.optimize import GradientConfig, estimate_gradient
 from vista.protocols import run_from_config
 from vista.qcore import PAULI_X, PAULI_Z, ghz_density
+from vista.rng import stream
 
 GAMMA_GRID = (0.0, 0.01, 0.05, 0.1, 0.2)
 THETA_GRID = (0.0, 0.05, 0.23)
@@ -275,15 +276,15 @@ def test_criterion_11_estimator_statistics():
 
     def sampled_loss(seed, shots):
         def fn(values, label):
-            ansatz = circuit_ansatz_state(3, values[0], 0.0, "none")
-            return loss(hs_overlap_closed(probe, ansatz), ShotSampler(seed, shots, key=tuple(label)))
+            ansatz = circuit_ansatz_state(3, values[0, 0], 0.0, "none")
+            return np.array([loss(hs_overlap_closed(probe, ansatz).raw, stream(seed, *label), shots)])
         return fn
 
     grad_cfg = GradientConfig(h=np.array([0.05]))
     nus = (1_000, 10_000, 100_000)
     variances = []
     for shots in nus:
-        grads = [estimate_gradient(np.array([0.10]), sampled_loss(s, shots), grad_cfg)[0]
+        grads = [estimate_gradient(np.array([[0.10]]), sampled_loss(s, shots), grad_cfg)[0, 0]
                  for s in range(300)]
         variances.append(float(np.var(grads)))
     slope = float(np.polyfit(np.log(nus), np.log(variances), 1)[0])

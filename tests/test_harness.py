@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -395,6 +396,22 @@ class TestExperiments:
             run_grid(base, {"n": [2, 0]}, replicas=1, outdir=str(tmp_path), workers=1)
         assert not (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize("axes", [{"theta_true": [0.1, 0.3]}, {}], ids=["two-points", "one-point"])
+    def test_run_grid_files_do_not_depend_on_workers(self, axes, tmp_path):
+        # in-process, one batch per point; with two workers, two points run as one task each
+        # and a single point's three replicas as slices of two and one
+        base = cfgmod.from_dict(dict(SMALL_RUN, optimizer={"max_epochs": 25, "tol_conv": 1e-2, "window": 5}))
+        trees, outs = [], []
+        out = tmp_path / "sweep"  # the same path both times: config.json echoes it
+        for workers in (1, 2):
+            outs.append(run_grid(base, axes, replicas=3, outdir=str(out), workers=workers)[1])
+            trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+            shutil.rmtree(out)
+        points = max(1, len(axes.get("theta_true", [])))
+        assert len(trees[0]) == points * 3 * 3 + 1 and "summary.csv" in trees[0]
+        assert trees[1] == trees[0]
+        assert len(outs[0]) == points * 3 and outs[1] == outs[0]
+
     def test_oracle_check_matches_closed_form(self):
         assert oracle_check(4, 0.05, 0.1, "dephasing") < 1e-6
         assert oracle_check(3, 0.1, 0.2, "amplitude_damping") < 1e-6
@@ -435,6 +452,17 @@ class TestExperiments:
         labels = [(), (0,), (1,), (1, 0), (1, 0, 0), (1, 0, 0, 0), (0, 1), (2**LABEL_WORD_BITS - 1,)]
         draws = {stream(5, *label).bit_generator.random_raw(2).tobytes() for label in labels}
         assert len(draws) == len(labels)
+
+    def test_batch_streams_match_single_streams(self):
+        # a batch's rows draw exactly what stream(seed, *label) draws for their seeds
+        seeds = [5, 9, 2**40 + 3]
+        streams = rngmod.Streams(seeds)
+        for label in [(STREAM_LOSS, 7), (STREAM_GRAD, 7, 1, 0)]:
+            gens = streams.at([2, 0], *label)
+            for gen, seed in zip(gens, (seeds[2], seeds[0])):
+                assert gen.bit_generator.random_raw(3).tolist() == stream(seed, *label).bit_generator.random_raw(3).tolist()
+        with pytest.raises(DomainError, match="label"):
+            streams.at([0], -1)
 
     @pytest.mark.parametrize(
         "label",
@@ -614,6 +642,23 @@ class TestCli:
         assert ret == 0
         assert out.count("gamma_hat_median=") == 2
         assert "holdout gamma=" in out
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            (["cascade", "--n-sequence", "2,x"], "'x'"),
+            (["sweep", "--axis", "n=2,x", "--replicas", "1"], "'x'"),
+            (["sweep", "--axis", "theta_true=0.1,abc", "--replicas", "1"], "'abc'"),
+        ],
+        ids=["cascade-n-sequence", "sweep-int-axis", "sweep-float-axis"],
+    )
+    def test_bad_list_entry_is_a_config_error(self, command, bad, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        doc = dict(SMALL_RUN, mode="cascade", cascade={"n_sequence": [2, 4]}) if command[0] == "cascade" else SMALL_RUN
+        path.write_text(json.dumps(doc))
+        assert cli.main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and bad in err and "Traceback" not in err
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -32,6 +32,8 @@ from vista.measurement import (
     swap_test_sample,
 )
 
+from vista.rng import stream
+
 from dense import matched_angle, trace_product
 
 
@@ -208,31 +210,33 @@ class TestSwapTest:
 class TestLoss:
     def test_exact_matched_pure_is_zero(self):
         ov = hs_overlap_closed(_pure(4, 0.2), _pure(4, 0.2))
-        assert loss(ov, None, LOSS_PLAIN) == pytest.approx(0.0, abs=1e-12)
+        assert loss(ov.raw, None, mode=LOSS_PLAIN) == pytest.approx(0.0, abs=1e-12)
 
     def test_plain_value(self):
         ov = hs_overlap_closed(_deph(1, 0.3, 0.2), _deph(1, 0.3, 0.2))
-        assert loss(ov, None, LOSS_PLAIN) == pytest.approx(1 - 0.5 * (1 + np.exp(-0.8)), abs=1e-12)
+        assert loss(ov.raw, None, mode=LOSS_PLAIN) == pytest.approx(1 - 0.5 * (1 + np.exp(-0.8)), abs=1e-12)
 
     def test_qn_floor_at_match(self):
         # plain loss bottoms out at 1 - purity; QN tightens that to 1 - sqrt(purity)
         n, g = 3, 0.1
         ov = hs_overlap_closed(_deph(n, 0.0, g), _deph(n, 0.0, g))
         pur = 0.5 * (1 + np.exp(-4 * n * g))
-        assert loss(ov, None, LOSS_PLAIN) == pytest.approx(1 - pur, abs=1e-12)
-        assert loss(ov, None, LOSS_QN) == pytest.approx(1 - np.sqrt(pur), abs=1e-12)
-        assert loss(ov, None, LOSS_QN) < loss(ov, None, LOSS_PLAIN)
+        plain = loss(ov.raw, None, purity=ov.circuit_purity, mode=LOSS_PLAIN)
+        qn = loss(ov.raw, None, purity=ov.circuit_purity, mode=LOSS_QN)
+        assert plain == pytest.approx(1 - pur, abs=1e-12)
+        assert qn == pytest.approx(1 - np.sqrt(pur), abs=1e-12)
+        assert qn < plain
 
     def test_sampled_loss_deterministic(self):
         ov = hs_overlap_closed(_deph(2, 0.0, 0.1), _deph(2, 0.05, 0.1))
-        a = loss(ov, ShotSampler(11, 5000), LOSS_PLAIN)
-        b = loss(ov, ShotSampler(11, 5000), LOSS_PLAIN)
+        a = loss(ov.raw, stream(11), 5000, mode=LOSS_PLAIN)
+        b = loss(ov.raw, stream(11), 5000, mode=LOSS_PLAIN)
         assert a == b
 
     def test_unknown_mode(self):
         ov = hs_overlap_closed(_pure(2, 0.0), _pure(2, 0.0))
         with pytest.raises(DomainError):
-            loss(ov, None, "renormalized")
+            loss(ov.raw, None, mode="renormalized")
 
 
 class TestParity:

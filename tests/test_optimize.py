@@ -6,6 +6,7 @@ import pytest
 from vista.dynamics import CHANNEL_NONE, ChannelSpec, HamiltonianSpec, circuit_ansatz_state, evolve_closed_form
 from vista.errors import DomainError, NumericsError
 from vista.measurement import LOSS_PLAIN, ShotSampler, hs_overlap_closed, loss
+from vista.rng import stream
 from vista.optimize import (
     GRAD_CENTRAL,
     GRAD_PARAM_SHIFT,
@@ -17,9 +18,9 @@ from vista.optimize import (
     GradientConfig,
     OptimizerConfig,
     OptimizerState,
-    ParamVector,
     ShotSchedule,
     adam_step,
+    clamp_phi,
     estimate_gradient,
     run_optimization,
 )
@@ -31,29 +32,46 @@ _PROBE = evolve_closed_form(N_PROBE, HamiltonianSpec(THETA_TRUE), ChannelSpec(CH
 
 def _exact_loss(values, nu, label):
     ansatz = circuit_ansatz_state(N_PROBE, values[0], 0.0, CHANNEL_NONE)
-    return loss(hs_overlap_closed(_PROBE, ansatz), None, LOSS_PLAIN)
+    return loss(hs_overlap_closed(_PROBE, ansatz).raw, None, mode=LOSS_PLAIN)
 
 
 def _sampled_loss(seed, nu):
     def f(values, label):
         ansatz = circuit_ansatz_state(N_PROBE, values[0], 0.0, CHANNEL_NONE)
-        sampler = ShotSampler(seed, nu, key=tuple(label))
-        return loss(hs_overlap_closed(_PROBE, ansatz), sampler, LOSS_PLAIN)
+        return loss(hs_overlap_closed(_PROBE, ansatz).raw, stream(seed, *label), nu, mode=LOSS_PLAIN)
 
     return f
 
 
-class TestParamVector:
+def _grad(at, f, cfg):
+    """The gradient at one point, through the batched estimator: f(values, label) scores one row."""
+    return estimate_gradient(np.atleast_2d(at), lambda v, label: np.array([f(row, label) for row in v]), cfg)[0]
+
+
+def _run(names, start, f, **kw):
+    """One run through the batched optimizer: f(values, nu, label) scores one row."""
+    runs = run_optimization(
+        np.atleast_2d(start),
+        lambda v, nu, label, rows: np.array([f(row, nu, label) for row in v]),
+        names=names,
+        **kw,
+    )
+    assert len(runs) == 1
+    return runs[0]
+
+
+class TestParams:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
-            ParamVector(("a", "b"), np.array([1.0]))
+            _run(("a", "b"), np.array([1.0]), _exact_loss, optimizer=OptimizerConfig(max_epochs=1),
+                 schedule=ShotSchedule(exact=True), gradient=GradientConfig(h=np.array([0.1, 0.1])))
 
     def test_clamp_only_touches_phi(self):
-        p = ParamVector(("theta", "phi"), np.array([5.0, 2.0])).clamped()
-        assert p.values[0] == 5.0
-        assert p.values[1] == pytest.approx(PHI_CLAMP)
-        q = ParamVector(("phi",), np.array([-0.3])).clamped()
-        assert q.values[0] == 0.0
+        p = clamp_phi(np.array([[5.0, 2.0]]), ("theta", "phi"))
+        assert p[0, 0] == 5.0
+        assert p[0, 1] == pytest.approx(PHI_CLAMP)
+        q = clamp_phi(np.array([[-0.3]]), ("phi",))
+        assert q[0, 0] == 0.0
 
 
 class TestAdamStep:
@@ -129,7 +147,7 @@ class TestGradientEstimation:
             return (values[0] - 1.0) ** 2
 
         cfg = GradientConfig(h=np.array([0.2]))
-        g = estimate_gradient(np.array([0.4]), f, cfg)
+        g = _grad(np.array([0.4]), f, cfg)
         assert g[0] == pytest.approx(2 * (0.4 - 1.0), abs=1e-12)
 
     def test_zero_at_minimum(self):
@@ -137,7 +155,7 @@ class TestGradientEstimation:
             return 1 - np.cos(2 * N_PROBE * (values[0] - THETA_TRUE))
 
         cfg = GradientConfig(h=np.array([np.pi / 24]))
-        g = estimate_gradient(np.array([THETA_TRUE]), f, cfg)
+        g = _grad(np.array([THETA_TRUE]), f, cfg)
         assert g[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_small_angle_slope_matches_information_rate(self):
@@ -145,7 +163,7 @@ class TestGradientEstimation:
         # i.e. the Hilbert-Schmidt information rate times the offset
         delta = 0.01
         cfg = GradientConfig(h=np.array([1e-4]))
-        g = estimate_gradient(np.array([THETA_TRUE + delta]), lambda v, label: _exact_loss(v, None, label), cfg)
+        g = _grad(np.array([THETA_TRUE + delta]), lambda v, label: _exact_loss(v, None, label), cfg)
         assert g[0] == pytest.approx(2 * N_PROBE**2 * delta, rel=2e-3)
 
     def test_parameter_shift_exact_for_single_harmonic(self):
@@ -157,7 +175,7 @@ class TestGradientEstimation:
 
         cfg = GradientConfig(method=GRAD_PARAM_SHIFT, h=np.array([0.05]), frequencies=np.array([w]))
         at = THETA_TRUE + 0.23
-        g = estimate_gradient(np.array([at]), f, cfg)
+        g = _grad(np.array([at]), f, cfg)
         assert g[0] == pytest.approx(0.5 * w * np.sin(w * 0.23), abs=1e-12)
 
     def test_parameter_shift_zero_frequency_falls_back(self):
@@ -169,14 +187,14 @@ class TestGradientEstimation:
         cfg = GradientConfig(
             method=GRAD_PARAM_SHIFT, h=np.array([0.1, 0.05]), frequencies=np.array([4, 0])
         )
-        g = estimate_gradient(np.array([0.3, 0.7]), f, cfg)
+        g = _grad(np.array([0.3, 0.7]), f, cfg)
         assert g[0] == pytest.approx(2 * np.sin(1.2), abs=1e-12)
         assert g[1] == pytest.approx(3.0, abs=1e-12)
 
     def test_parameter_shift_needs_frequencies(self):
         cfg = GradientConfig(method=GRAD_PARAM_SHIFT, h=np.array([0.1]))
         with pytest.raises(DomainError):
-            estimate_gradient(np.array([0.1]), lambda v, label: 0.0, cfg)
+            _grad(np.array([0.1]), lambda v, label: 0.0, cfg)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
@@ -189,14 +207,14 @@ class TestGradientEstimation:
             return ShotSampler(7, 1000, key=tuple(label)).binomial_fraction(0.5)
 
         crn = GradientConfig(h=np.array([0.1]), crn=True)
-        assert estimate_gradient(np.array([0.0]), f, crn)[0] == 0.0
+        assert _grad(np.array([0.0]), f, crn)[0] == 0.0
         plain = GradientConfig(h=np.array([0.1]), crn=False)
-        assert estimate_gradient(np.array([0.0]), f, plain)[0] != 0.0
+        assert _grad(np.array([0.0]), f, plain)[0] != 0.0
 
     def test_non_finite_loss_rejected(self):
         cfg = GradientConfig(h=np.array([0.1]))
         with pytest.raises(NumericsError):
-            estimate_gradient(np.array([0.0]), lambda v, label: float("nan"), cfg)
+            _grad(np.array([0.0]), lambda v, label: float("nan"), cfg)
 
     def test_sampled_sign_reliability(self):
         # a tenth of a radian off at 1e5 shots: the descent direction is
@@ -204,7 +222,7 @@ class TestGradientEstimation:
         cfg = GradientConfig(h=np.array([np.pi / (8 * N_PROBE)]))
         at = np.array([THETA_TRUE - 0.1])
         correct = sum(
-            estimate_gradient(at, _sampled_loss(seed, 100000), cfg)[0] < 0 for seed in range(50)
+            _grad(at, _sampled_loss(seed, 100000), cfg)[0] < 0 for seed in range(50)
         )
         assert correct >= 48
 
@@ -213,7 +231,7 @@ class TestGradientEstimation:
         at = np.array([THETA_TRUE - 0.1])
         variances = []
         for nu in (1000, 10000, 100000):
-            gs = [estimate_gradient(at, _sampled_loss(seed, nu), cfg)[0] for seed in range(300)]
+            gs = [_grad(at, _sampled_loss(seed, nu), cfg)[0] for seed in range(300)]
             variances.append(np.var(gs))
         slope = np.polyfit(np.log([1e3, 1e4, 1e5]), np.log(variances), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
@@ -221,8 +239,9 @@ class TestGradientEstimation:
 
 class TestRunOptimization:
     def test_exact_mode_converges_tightly(self):
-        run = run_optimization(
-            ParamVector(("theta",), np.array([0.10])),
+        run = _run(
+            ("theta",),
+            np.array([0.10]),
             _exact_loss,
             optimizer=OptimizerConfig(decay=0.98, max_epochs=800, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
@@ -235,8 +254,9 @@ class TestRunOptimization:
     def test_exact_mode_loss_envelope_decreases(self):
         # single-epoch losses oscillate near the floor; the per-window maximum
         # is the meaningful monotone quantity
-        run = run_optimization(
-            ParamVector(("theta",), np.array([0.10])),
+        run = _run(
+            ("theta",),
+            np.array([0.10]),
             _exact_loss,
             optimizer=OptimizerConfig(decay=0.98, max_epochs=800, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
@@ -247,8 +267,9 @@ class TestRunOptimization:
         assert run.losses[-1] <= 1e-9
 
     def test_convergence_status(self):
-        run = run_optimization(
-            ParamVector(("theta",), np.array([0.14])),
+        run = _run(
+            ("theta",),
+            np.array([0.14]),
             _exact_loss,
             optimizer=OptimizerConfig(max_epochs=400, tol_conv=1e-4, window=10),
             schedule=ShotSchedule(exact=True),
@@ -260,8 +281,9 @@ class TestRunOptimization:
     def test_divergence_detection(self):
         # constant pull with an undecayed, oversized rate walks the angle out
         # of every basin; the run must flag itself rather than raise
-        run = run_optimization(
-            ParamVector(("theta",), np.array([0.0])),
+        run = _run(
+            ("theta",),
+            np.array([0.0]),
             lambda values, nu, label: -values[0],
             optimizer=OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=100, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
@@ -272,8 +294,9 @@ class TestRunOptimization:
         assert abs(run.params[-1, 0]) > 2 * np.pi
 
     def test_zero_budget_still_records_one_epoch(self):
-        run = run_optimization(
-            ParamVector(("theta",), np.array([0.1])),
+        run = _run(
+            ("theta",),
+            np.array([0.1]),
             _exact_loss,
             optimizer=OptimizerConfig(max_epochs=400, tol_conv=0.0, budget_s=0.0),
             schedule=ShotSchedule(exact=True),
@@ -283,8 +306,9 @@ class TestRunOptimization:
         assert run.status == STATUS_BUDGET_EXHAUSTED
 
     def test_trace_shape_and_contiguity(self):
-        run = run_optimization(
-            ParamVector(("theta",), np.array([0.1])),
+        run = _run(
+            ("theta",),
+            np.array([0.1]),
             _exact_loss,
             optimizer=OptimizerConfig(max_epochs=25, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
@@ -299,8 +323,7 @@ class TestRunOptimization:
         def make(seed):
             def f(values, nu, label):
                 ansatz = circuit_ansatz_state(N_PROBE, values[0], 0.0, CHANNEL_NONE)
-                sampler = ShotSampler(seed, nu, key=tuple(label))
-                return loss(hs_overlap_closed(_PROBE, ansatz), sampler, LOSS_PLAIN)
+                return loss(hs_overlap_closed(_PROBE, ansatz).raw, stream(seed, *label), nu, mode=LOSS_PLAIN)
 
             return f
 
@@ -309,16 +332,17 @@ class TestRunOptimization:
             schedule=ShotSchedule(2000, 4000, "geometric"),
             gradient=GradientConfig(h=np.array([np.pi / 24])),
         )
-        a = run_optimization(ParamVector(("theta",), np.array([0.1])), make(5), **kw)
-        b = run_optimization(ParamVector(("theta",), np.array([0.1])), make(5), **kw)
+        a = _run(("theta",), np.array([0.1]), make(5), **kw)
+        b = _run(("theta",), np.array([0.1]), make(5), **kw)
         np.testing.assert_array_equal(a.params, b.params)
         np.testing.assert_array_equal(a.losses, b.losses)
         assert a.shots[0] == 2000 and a.shots[-1] == 4000
 
     def test_non_finite_loss_raises(self):
         with pytest.raises(NumericsError):
-            run_optimization(
-                ParamVector(("theta",), np.array([0.1])),
+            _run(
+                ("theta",),
+                np.array([0.1]),
                 lambda values, nu, label: float("inf"),
                 optimizer=OptimizerConfig(max_epochs=10),
                 schedule=ShotSchedule(exact=True),
@@ -328,8 +352,9 @@ class TestRunOptimization:
     def test_phi_stays_clamped(self):
         # push phi hard toward the boundary; the trajectory must never leave
         # the invertible range
-        run = run_optimization(
-            ParamVector(("theta", "phi"), np.array([0.0, 0.1])),
+        run = _run(
+            ("theta", "phi"),
+            np.array([0.0, 0.1]),
             lambda values, nu, label: -values[1],
             optimizer=OptimizerConfig(lr0=0.3, decay=1.0, max_epochs=40, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
@@ -337,3 +362,51 @@ class TestRunOptimization:
         )
         assert np.all(run.params[:, 1] <= PHI_CLAMP + 1e-15)
         assert np.all(run.params[:, 1] >= 0.0)
+
+
+class TestLockstep:
+    _KW = dict(
+        optimizer=OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=40, tol_conv=1e-3, window=5),
+        schedule=ShotSchedule(exact=True),
+        gradient=GradientConfig(h=np.array([0.1])),
+    )
+
+    @staticmethod
+    def _loss(values, nu, label, rows):
+        # row 0 is pulled off every basin, row 1 sits on a plateau, row 2 circles a bowl at 0.3
+        x = values[:, 0]
+        return np.select([rows == 0, rows == 1], [-x, np.zeros_like(x)], (x - 0.3) ** 2)
+
+    def test_rows_stop_one_by_one_as_if_alone(self):
+        starts = np.array([[0.0], [0.25], [0.5]])
+        batch = run_optimization(starts, self._loss, names=("theta",), **self._KW)
+        assert [r.status for r in batch] == [STATUS_DIVERGED, STATUS_CONVERGED, STATUS_MAX_EPOCHS]
+        assert len({len(r.epochs) for r in batch}) == 3
+        for r, run in enumerate(batch):
+            alone = run_optimization(
+                starts[r : r + 1], lambda v, nu, label, rows, _r=r: self._loss(v, nu, label, rows + _r),
+                names=("theta",), **self._KW,
+            )[0]
+            assert run.status == alone.status
+            for key in ("epochs", "losses", "params", "grad_norms", "shots", "lrs"):
+                np.testing.assert_array_equal(getattr(run, key), getattr(alone, key))
+
+    def test_grad_norm_is_the_row_norm_to_the_bit(self):
+        # with two parameters BLAS's dot may fuse a multiply-add; the batch must match np.linalg.norm
+        def f(values, nu, label):
+            return np.sin(3 * values[0]) * np.cos(2 * values[1]) + 0.1 * values[0] * values[1]
+
+        cfg = GradientConfig(h=np.array([0.07, 0.05]))
+        starts = np.random.default_rng(3).uniform(-1, 1, size=(7, 2))
+        runs = run_optimization(
+            starts,
+            lambda v, nu, label, rows: np.array([f(row, nu, label) for row in v]),
+            names=("theta", "theta2"),
+            optimizer=OptimizerConfig(max_epochs=20, tol_conv=0.0),
+            schedule=ShotSchedule(exact=True),
+            gradient=cfg,
+        )
+        for start, run in zip(starts, runs):
+            before = np.vstack([start, run.params[:-1]])
+            norms = [float(np.linalg.norm(_grad(b, lambda v, label: f(v, None, label), cfg))) for b in before]
+            assert run.grad_norms.tolist() == norms

@@ -1,6 +1,9 @@
 """End-to-end estimation drivers: single runs, the staged cascade, the FFT
 baseline, and the two-parameter product-channel mode."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from vista.dynamics import (
     circuit_decay,
     lindblad_rk4_oracle,
 )
+from vista import measurement, protocols
 from vista.errors import ConfigError, NoPeakError
 from vista.measurement import ShotSampler
 from vista.optimize import STATUS_BUDGET_EXHAUSTED, STATUS_CONVERGED, STATUS_MAX_EPOCHS
@@ -26,12 +30,14 @@ from vista.protocols import (
     baseline_series,
     run_baseline,
     run_baseline_fft,
+    run_batch,
     run_cascade,
     run_from_config,
     run_multiparam,
     run_vista,
 )
 from vista.qcore import ghz_density, ghz_vector
+from vista.results import persist
 from vista.rng import STREAM_LOSS
 
 from dense import trotter_evolve
@@ -419,3 +425,81 @@ class TestDispatchAndStreams:
         x = draws - draws.mean()
         lag1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(lag1) < 0.2
+
+
+# one small config per optimizer mode; the damped ones need R >= 5 to catch an array power
+_BATCH_MODES = {
+    "pure": dict(mode="vista_pure", n=3, theta_true=0.1, channel="dephasing", gamma_true=0.01),
+    "dephasing_qn_crn": dict(
+        mode="vista_noisy_dephasing", n=4, theta_true=0.02, gamma_true=0.05,
+        normalization="quasi_normalized", gradient={"crn": True},
+    ),
+    "ampdamp_qn": dict(
+        mode="vista_noisy_ampdamp", n=10, theta_true=0.01, gamma_true=0.04, normalization="quasi_normalized",
+    ),
+    "multiparam": dict(
+        mode="vista_multiparam", n=5, theta_true=0.05, theta2_true=0.04, multiparam={"trotter_steps": 8},
+    ),
+}
+
+
+def _batch_cfgs(name, exact, tmp_path, count=6):
+    shots = {"exact": True} if exact else {"nu_start": 2000, "nu_end": 8000}
+    base = _cfg(seed=0, shots=shots, optimizer={"max_epochs": 30, "tol_conv": 1e-2, "window": 5}, **_BATCH_MODES[name])
+    return [with_overrides(base, seed=100 + r, output=str(tmp_path / f"seed_{r}")) for r in range(count)]
+
+
+def _files(cfgs):
+    out = {}
+    for cfg in cfgs:
+        for path in sorted(Path(cfg.output).iterdir()):
+            out[(cfg.seed, path.name)] = path.read_bytes()
+    return out
+
+
+class TestLockstepBatch:
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    @pytest.mark.parametrize("name", list(_BATCH_MODES))
+    def test_batch_persists_the_bytes_of_single_runs(self, name, exact, tmp_path, monkeypatch):
+        # one batch of 6, six batches of 1 and a 2 + 4 split write the same files, while rows
+        # stop at different epochs; so do the closed forms taken row by row and on arrays
+        default = protocols._ARRAY_ROWS
+        written = []
+        for array_rows, split in ((default, [6]), (default, [1] * 6), (default, [2, 4]), (1, [6]), (10**9, [6])):
+            monkeypatch.setattr(protocols, "_ARRAY_ROWS", array_rows)
+            cfgs = _batch_cfgs(name, exact, tmp_path)
+            start = 0
+            for size in split:
+                for res in run_batch(cfgs[start : start + size]):
+                    persist(res, res.config["output"])
+                start += size
+            written.append(_files(cfgs))
+            shutil.rmtree(tmp_path)
+        assert len(written[0]) == 6 * 3
+        assert all(files == written[0] for files in written[1:])
+
+    def test_batch_rows_stop_one_by_one(self, tmp_path):
+        res = run_batch(_batch_cfgs("pure", True, tmp_path))
+        assert {r.status for r in res} == {STATUS_CONVERGED}
+        assert len({len(r.trace["epoch"]) for r in res}) > 1
+
+    @pytest.mark.parametrize("name", list(_BATCH_MODES))
+    def test_one_loss_call_per_row_evaluation(self, name, tmp_path, monkeypatch):
+        # the benchmark's traced count of measurement.loss calls relies on this
+        calls = []
+        real = measurement.loss
+
+        def counted(raw, gen, *args, **kwargs):
+            calls.append(gen is None)
+            return real(raw, gen, *args, **kwargs)
+
+        monkeypatch.setattr(measurement, "loss", counted)
+        res = run_batch(_batch_cfgs(name, False, tmp_path, count=3))
+        expected = sum(len(r.trace["epoch"]) * (1 + 2 * len(r.param_names)) for r in res)
+        assert len(calls) == expected
+        assert not any(calls)  # every call of a sampled run carries its generator
+
+    def test_batch_configs_must_differ_only_in_seed_and_output(self, tmp_path):
+        cfgs = _batch_cfgs("pure", True, tmp_path, count=2)
+        with pytest.raises(ConfigError):
+            run_batch([cfgs[0], with_overrides(cfgs[1], n=4)])
