@@ -4,9 +4,10 @@ Replica seeds are derived from the master seed with the replica-stream label,
 so a sweep is reproducible as a whole while every run keeps an independent
 sampler stream.  ``run_grid`` runs each grid point's replicas as lockstep
 batches (``protocols.run_batch``): it cuts a point's replicas into
-ceil(workers / points) contiguous slices, at most one per replica, and hands
-the slices to a worker pool, where each worker runs its slice as one batch
-and persists its runs.  The pool is capped by ``workers`` or the
+workers / gcd(workers, points) contiguous slices, at most one per replica,
+so that the slice count is a multiple of the worker count, and hands the
+slices to a worker pool, where each worker runs its slice as one batch and
+persists its runs.  The pool is capped by ``workers`` or the
 VISTA_THREADS environment variable; a cap of 1, or a single slice, runs
 in-process.  A replica's files do not depend on the slice it ran in, so they
 do not depend on the worker count.  A batch's ``optimizer.budget_s`` limits
@@ -96,7 +97,8 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
         batches.append(batch)
 
     cap = max(1, worker_cap() if workers is None else workers)
-    parts = min(replicas, -(-cap // max(1, len(points))))
+    # cap / gcd slices per point make the task count a multiple of cap, so every worker gets as many
+    parts = min(replicas, cap // math.gcd(cap, len(points)))
     tasks = [part for batch in batches if batch for part in _split(batch, parts)]
     cap = max(1, min(cap, len(tasks)))
     if cap == 1:

@@ -198,6 +198,16 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch=0):
     return grad
 
 
+_TRACE_EPOCHS = 64  # epochs the trace buffers hold at first
+
+
+def _grown(buf, size):
+    """The trace buffer ``buf`` copied into a new one that holds ``size`` epochs."""
+    out = np.empty((size,) + buf.shape[1:])
+    out[: len(buf)] = buf
+    return out
+
+
 def _finite(x):
     """Whether every entry of the array x is finite (in Python: cheaper than numpy for a few rows)."""
     return all(map(math.isfinite, x.ravel().tolist()))
@@ -240,18 +250,21 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     run past it, every live row stops after the current epoch as
     ``budget_exhausted``.  Returns one ``OptRun`` per row.
     """
-    values = clamp_phi(np.array(params0, dtype=float), names)
+    values = np.array(params0, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(names):
         raise DomainError(f"params0 must have one column per name in {names}, got shape {values.shape}")
+    values = clamp_phi(values, names)
     max_epochs, tol_conv, window = optimizer.max_epochs, optimizer.tol_conv, optimizer.window
     nrows, nparams = values.shape
     state = OptimizerState.fresh(values.shape)
     rows = np.arange(nrows)
-    # the trace of each live row, one column per row; a stopping row takes its column with it
-    losses = np.empty((max_epochs, nrows))
-    params = np.empty((max_epochs, nrows, nparams))
-    grads = np.empty((max_epochs, nrows, nparams))
-    deltas = np.empty((max_epochs, nrows))
+    # the trace of each live row, one column per row; a stopping row takes its column with it.
+    # The buffers double when full, so they hold at most twice the epochs run, not max_epochs.
+    size = min(max_epochs, _TRACE_EPOCHS)
+    losses = np.empty((size, nrows))
+    params = np.empty((size, nrows, nparams))
+    grads = np.empty((size, nrows, nparams))
+    deltas = np.empty((size, nrows))
     shots, lrs = [], []
     runs = {}
     t0 = time.monotonic()
@@ -263,14 +276,18 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
             epochs=np.arange(epochs),
             losses=losses[:epochs, k].copy(),
             params=params[:epochs, k].copy(),
-            # vecdot is BLAS's dot row by row: the same bits as np.linalg.norm of each gradient
-            grad_norms=np.sqrt(np.vecdot(grad, grad)),
+            # np.linalg.norm of each row, as it computes it: sqrt(g.dot(g)), a BLAS dot per row, whose
+            # bits a sum of squares along an axis need not give
+            grad_norms=np.sqrt([g.dot(g) for g in grad]),
             shots=np.array(shots[:epochs], dtype=int),
             lrs=np.array(lrs[:epochs]),
             status=status,
         )
 
     for epoch in range(max_epochs):
+        if epoch == len(losses):
+            size = min(2 * epoch, max_epochs)
+            losses, params, grads, deltas = (_grown(b, size) for b in (losses, params, grads, deltas))
         nu = schedule.shots_at(epoch, max_epochs)
 
         def eval_loss(v, label, _nu=nu, _rows=rows):

@@ -396,10 +396,14 @@ class TestExperiments:
             run_grid(base, {"n": [2, 0]}, replicas=1, outdir=str(tmp_path), workers=1)
         assert not (tmp_path / "summary.csv").exists()
 
-    @pytest.mark.parametrize("axes", [{"theta_true": [0.1, 0.3]}, {}], ids=["two-points", "one-point"])
+    @pytest.mark.parametrize(
+        "axes",
+        [{"theta_true": [0.1, 0.3]}, {}, {"theta_true": [0.1, 0.2, 0.3]}],
+        ids=["two-points", "one-point", "three-points"],
+    )
     def test_run_grid_files_do_not_depend_on_workers(self, axes, tmp_path):
-        # in-process, one batch per point; with two workers, two points run as one task each
-        # and a single point's three replicas as slices of two and one
+        # in-process, one batch per point; with two workers, two points run as one task each,
+        # and one or three points cut their three replicas into slices of two and one
         base = cfgmod.from_dict(dict(SMALL_RUN, optimizer={"max_epochs": 25, "tol_conv": 1e-2, "window": 5}))
         trees, outs = [], []
         out = tmp_path / "sweep"  # the same path both times: config.json echoes it

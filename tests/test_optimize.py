@@ -1,5 +1,7 @@
 """ADAM driver, shot schedules and stochastic gradient estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,11 @@ class TestParams:
         with pytest.raises(DomainError):
             _run(("a", "b"), np.array([1.0]), _exact_loss, optimizer=OptimizerConfig(max_epochs=1),
                  schedule=ShotSchedule(exact=True), gradient=GradientConfig(h=np.array([0.1, 0.1])))
+        # the shape is checked before phi is clamped, so a start without a phi column is a DomainError too
+        for start in (np.array([0.1, 0.2]), np.array([[0.1]])):
+            with pytest.raises(DomainError):
+                run_optimization(start, None, names=("theta", "phi"), optimizer=OptimizerConfig(max_epochs=1),
+                                 schedule=ShotSchedule(exact=True), gradient=GradientConfig(h=np.array([0.1, 0.1])))
 
     def test_clamp_only_touches_phi(self):
         p = clamp_phi(np.array([[5.0, 2.0]]), ("theta", "phi"))
@@ -366,7 +373,7 @@ class TestRunOptimization:
 
 class TestLockstep:
     _KW = dict(
-        optimizer=OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=40, tol_conv=1e-3, window=5),
+        optimizer=OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=100, tol_conv=1e-4, window=5),
         schedule=ShotSchedule(exact=True),
         gradient=GradientConfig(h=np.array([0.1])),
     )
@@ -390,6 +397,19 @@ class TestLockstep:
             assert run.status == alone.status
             for key in ("epochs", "losses", "params", "grad_norms", "shots", "lrs"):
                 np.testing.assert_array_equal(getattr(run, key), getattr(alone, key))
+
+    def test_trace_memory_follows_the_epochs_run(self):
+        # both rows stop within a few dozen epochs, so max_epochs must not size the trace buffers
+        kw = dict(self._KW, optimizer=OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=10**5, tol_conv=1e-3, window=5))
+        tracemalloc.start()
+        try:
+            batch = run_optimization(np.array([[0.0], [0.25]]), self._loss, names=("theta",), **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.status for r in batch] == [STATUS_DIVERGED, STATUS_CONVERGED]
+        assert max(len(r.epochs) for r in batch) < 100
+        assert peak < 2**20
 
     def test_grad_norm_is_the_row_norm_to_the_bit(self):
         # with two parameters BLAS's dot may fuse a multiply-add; the batch must match np.linalg.norm
