@@ -28,16 +28,7 @@ from .errors import (
     UnsupportedModelError,
     VistaError,
 )
-from .measurement import (
-    OverlapValue,
-    ShotSampler,
-    hs_overlap_closed,
-    loss,
-    parity_probability,
-    parity_sample,
-    quasi_normalize,
-    swap_test_sample,
-)
+from .measurement import hs_overlap_closed, loss, parity_probability
 from .protocols import (
     run_baseline_fft,
     run_cascade,
@@ -59,10 +50,8 @@ __all__ = [
     "HamiltonianSpec",
     "NoPeakError",
     "NumericsError",
-    "OverlapValue",
     "RunConfig",
     "RunResult",
-    "ShotSampler",
     "UnsupportedModelError",
     "VistaError",
     "circuit_ansatz_state",
@@ -73,14 +62,11 @@ __all__ = [
     "load_config",
     "loss",
     "parity_probability",
-    "parity_sample",
     "persist",
-    "quasi_normalize",
     "run_baseline_fft",
     "run_cascade",
     "run_from_config",
     "run_multiparam",
     "run_vista",
-    "swap_test_sample",
     "__version__",
 ]

@@ -132,9 +132,9 @@ class RunConfig:
         h = self.gradient.h_theta
         return math.pi / (8 * self.n) if h is None else h
 
-    def init_halfwidth_effective(self, n=None):
+    def init_halfwidth_effective(self):
         hw = self.init.halfwidth
-        return math.pi / (2 * (n or self.n)) if hw is None else hw
+        return math.pi / (2 * self.n) if hw is None else hw
 
 
 _TOP_KEYS = (
@@ -238,6 +238,9 @@ def validate(cfg):
             raise ConfigError("vista_multiparam requires theta2_true")
         if cfg.normalization != NORM_PLAIN:
             raise ConfigError("vista_multiparam uses a pure ansatz; normalization must be plain")
+    if cfg.mode == MODE_BASELINE and cfg.channel == CHANNEL_AMPDAMP:
+        # the parity law e^{-2 n gamma t} holds under dephasing; damping decays it as e^{-n gamma t / 2}
+        raise ConfigError("baseline_fft models a dephased or noiseless probe; channel 'amplitude_damping' is not supported")
     if cfg.multiparam.trotter_steps < 1:
         raise ConfigError(f"multiparam.trotter_steps must be >= 1, got {cfg.multiparam.trotter_steps}")
     if cfg.mode == MODE_CASCADE and not cfg.cascade.n_sequence:

@@ -7,11 +7,11 @@ batches (``protocols.run_batch``): it cuts a point's replicas into
 workers / gcd(workers, points) contiguous slices, at most one per replica,
 so that the slice count is a multiple of the worker count, and hands the
 slices to a worker pool, where each worker runs its slice as one batch and
-persists its runs.  The pool is capped by ``workers`` or the
-VISTA_THREADS environment variable; a cap of 1, or a single slice, runs
-in-process.  A replica's files do not depend on the slice it ran in, so they
-do not depend on the worker count.  A batch's ``optimizer.budget_s`` limits
-the batch's time, not each replica's.
+persists its runs.  The pool is capped by ``workers`` (default: the CPU
+count); a cap of 1, or a single slice, runs in-process.  A replica's files
+do not depend on the slice it ran in, so they do not depend on the worker
+count.  A batch's ``optimizer.budget_s`` limits the batch's time, not each
+replica's.
 """
 
 import itertools
@@ -39,19 +39,6 @@ from .rng import STREAM_REPLICA, derive_seed
 
 def replica_seeds(master_seed, count):
     return [derive_seed(master_seed, STREAM_REPLICA, r) for r in range(count)]
-
-
-def worker_cap():
-    raw = os.environ.get("VISTA_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"VISTA_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise ConfigError(f"VISTA_THREADS must be >= 1, got {cap}")
-        return cap
-    return os.cpu_count() or 1
 
 
 def _run_slice(cfgs):
@@ -96,7 +83,7 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
             batch.append(cfgmod.from_dict(doc))  # fail fast on a bad grid point
         batches.append(batch)
 
-    cap = max(1, worker_cap() if workers is None else workers)
+    cap = max(1, (os.cpu_count() or 1) if workers is None else workers)
     # cap / gcd slices per point make the task count a multiple of cap, so every worker gets as many
     parts = min(replicas, cap // math.gcd(cap, len(points)))
     tasks = [part for batch in batches if batch for part in _split(batch, parts)]
@@ -165,16 +152,8 @@ def scaling_experiment(
             "optimizer": {"max_epochs": int(max_epochs), "lr0": lr_scale / int(n)},
         }
         base = cfgmod.from_dict(doc)
-        point_rows, outs = run_grid(base, {}, replicas, outdir=None, workers=workers)
-        errs = [o["abs_error_theta"] for o in outs]
-        rows.append(
-            {
-                "n": int(n),
-                "n_runs": len(errs),
-                "mean_abs_error_theta": float(np.mean(errs)),
-                "std_abs_error_theta": float(np.std(errs)),
-            }
-        )
+        (row,), _ = run_grid(base, {}, replicas, outdir=None, workers=workers)
+        rows.append({"n": int(n), **row})
     fit = fit_scaling([r["n"] for r in rows], [r["mean_abs_error_theta"] for r in rows])
     if outdir is not None:
         write_summary(

@@ -57,7 +57,7 @@ from .dynamics import (
     trotter_unitary,
 )
 from .errors import ConfigError, DomainError, NoPeakError
-from .measurement import ShotSampler, parity_probability
+from .measurement import parity_probability
 from .optimize import (
     GRAD_PARAM_SHIFT,
     PHI_CLAMP,
@@ -364,14 +364,16 @@ def run_cascade(cfg):
 # --- stabilizer-parity FFT baseline ------------------------------------------
 
 
-def baseline_series(cfg, sampler):
-    """Time grid, exact parity probabilities, and their sampled versions for cfg.baseline."""
+def baseline_series(cfg):
+    """Time grid, exact parity probabilities, and their sampled versions for cfg.baseline.
+
+    Step k draws ``baseline.shots_per_step`` shots from ``stream(cfg.seed, k)``.
+    """
     steps, total_time = cfg.baseline.steps, cfg.baseline.total_time
     t = np.arange(steps) * (total_time / steps)
     p = parity_probability(cfg.n, cfg.theta_true, cfg.gamma_true, t)
-    if sampler is None:
-        return t, p, p.copy()
-    p_hat = np.array([sampler.spawn(k).binomial_fraction(pk) for k, pk in enumerate(p)])
+    shots = int(cfg.baseline.shots_per_step)
+    p_hat = np.array([measurement.binomial_fraction(stream(cfg.seed, k), shots, pk) for k, pk in enumerate(p)])
     return t, p, p_hat
 
 
@@ -385,14 +387,15 @@ def _spectrum_peak(cfg, p_hat):
     return peak, math.pi * (peak / cfg.baseline.total_time) / cfg.n
 
 
-def run_baseline_fft(cfg, sampler):
-    """Frequency-domain estimate: mean-subtract, magnitude spectrum, top non-DC bin.
+def run_baseline_fft(cfg, series):
+    """Frequency-domain estimate of a parity series: mean-subtract, magnitude spectrum, top non-DC bin.
 
-    The series is ``baseline_series(cfg, sampler)``.  The retained bin b maps
-    to theta-hat = pi * (b / T) / n.  Ties go to the lower frequency; a flat
+    ``series`` is sampled on the time grid of ``baseline_series(cfg)``; pass
+    its exact or its sampled probabilities.  The retained bin b maps to
+    theta-hat = pi * (b / T) / n.  Ties go to the lower frequency; a flat
     spectrum (no oscillation information) raises.
     """
-    return _spectrum_peak(cfg, baseline_series(cfg, sampler)[2])[1]
+    return _spectrum_peak(cfg, np.asarray(series, dtype=float))[1]
 
 
 def run_baseline(cfg):
@@ -401,8 +404,7 @@ def run_baseline(cfg):
     if cfg.mode != MODE_BASELINE:
         raise ConfigError(f"run_baseline needs mode {MODE_BASELINE!r}")
     t0 = time.monotonic()
-    sampler = ShotSampler(cfg.seed, cfg.baseline.shots_per_step)
-    t, p, p_hat = baseline_series(cfg, sampler)
+    t, p, p_hat = baseline_series(cfg)
     peak, theta_hat = _spectrum_peak(cfg, p_hat)
     return RunResult(
         config=effective_dict(cfg),

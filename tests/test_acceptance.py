@@ -42,7 +42,7 @@ from vista.experiments import (
     replica_seeds,
     scaling_experiment,
 )
-from vista.measurement import OverlapValue, ShotSampler, hs_overlap_closed, loss, swap_test_sample
+from vista.measurement import binomial_fraction, hs_overlap_closed, loss
 from vista.optimize import GradientConfig, estimate_gradient
 from vista.protocols import run_from_config
 from vista.qcore import PAULI_X, PAULI_Z, ghz_density
@@ -266,9 +266,8 @@ def test_criterion_11_estimator_statistics():
     worst_sigma = 0.0
     n_seeds, nu = 2000, 10_000
     for raw in (0.0, 0.3, 0.7, 0.97):
-        ov = OverlapValue(raw, 1.0, raw)
-        draws = [swap_test_sample(ov, ShotSampler(s, nu, key=(9,))) for s in range(n_seeds)]
         p = (1 + raw) / 2
+        draws = [2 * binomial_fraction(stream(s, 9), nu, p) - 1 for s in range(n_seeds)]
         se = math.sqrt(4 * p * (1 - p) / (nu * n_seeds))
         worst_sigma = max(worst_sigma, abs(float(np.mean(draws)) - raw) / se)
 
@@ -277,7 +276,7 @@ def test_criterion_11_estimator_statistics():
     def sampled_loss(seed, shots):
         def fn(values, label):
             ansatz = circuit_ansatz_state(3, values[0, 0], 0.0, "none")
-            return np.array([loss(hs_overlap_closed(probe, ansatz).raw, stream(seed, *label), shots)])
+            return np.array([loss(hs_overlap_closed(probe, ansatz), stream(seed, *label), shots)])
         return fn
 
     grad_cfg = GradientConfig(h=np.array([0.05]))

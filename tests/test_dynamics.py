@@ -346,4 +346,4 @@ class TestProductChannel:
         ansatz = circuit_ansatz_state(n, theta_hat, 0.0, CHANNEL_NONE)
         blocks = product_channel_blocks(HamiltonianSpec(theta), channel)
         kernel = ghz_product_overlap(blocks, trotter_unitary(HamiltonianSpec(theta_hat), 1), n)
-        assert hs_overlap_closed(probe, ansatz).raw == pytest.approx(kernel, rel=0, abs=1e-12)
+        assert hs_overlap_closed(probe, ansatz) == pytest.approx(kernel, rel=0, abs=1e-12)

@@ -25,9 +25,8 @@ from vista.experiments import (
     replica_seeds,
     run_grid,
     scaling_experiment,
-    worker_cap,
 )
-from vista.measurement import ShotSampler
+from vista.measurement import binomial_fraction
 from vista.protocols import run_from_config
 from vista.results import RunResult, persist, trace_header, write_summary
 from vista.rng import (
@@ -148,6 +147,21 @@ class TestConfig:
                 {"mode": cfgmod.MODE_NOISY_DEPHASING, "n": 3, "theta_true": 0.1,
                  "seed": 0, "gamma_true": 0.1, "channel": "amplitude_damping"}
             )
+
+    def test_baseline_rejects_amplitude_damping(self, tmp_path, capsys):
+        # the parity law of the baseline is the dephased one, e^{-2 n gamma t};
+        # under damping the fringe decays as e^{-n gamma t / 2}
+        doc = {"mode": cfgmod.MODE_BASELINE, "n": 3, "theta_true": 0.2, "gamma_true": 0.1,
+               "seed": 0, "channel": "amplitude_damping"}
+        with pytest.raises(ConfigError, match="amplitude_damping"):
+            cfgmod.from_dict(doc)
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["baseline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "amplitude_damping" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        for channel in ("none", "dephasing"):
+            cfgmod.from_dict(dict(doc, channel=channel, gamma_true=0.0 if channel == "none" else 0.1))
 
     def test_multiparam_needs_second_angle(self):
         with pytest.raises(ConfigError, match="theta2_true"):
@@ -362,18 +376,6 @@ class TestExperiments:
         assert len(set(seeds)) == 5
         assert seeds == [derive_seed(7, STREAM_REPLICA, r) for r in range(5)]
 
-    def test_worker_cap_env(self, monkeypatch):
-        monkeypatch.setenv("VISTA_THREADS", "3")
-        assert worker_cap() == 3
-        monkeypatch.setenv("VISTA_THREADS", "abc")
-        with pytest.raises(ConfigError, match="VISTA_THREADS"):
-            worker_cap()
-        monkeypatch.setenv("VISTA_THREADS", "0")
-        with pytest.raises(ConfigError, match="VISTA_THREADS"):
-            worker_cap()
-        monkeypatch.delenv("VISTA_THREADS")
-        assert worker_cap() >= 1
-
     def test_run_grid_replicas_and_summary(self, tmp_path):
         base = cfgmod.from_dict(SMALL_RUN)
         rows, outs = run_grid(
@@ -476,7 +478,7 @@ class TestExperiments:
         with pytest.raises(DomainError, match="label"):
             stream(5, *label)
         with pytest.raises(DomainError, match="label"):
-            ShotSampler(5, 10, key=label)
+            rngmod.Streams([5]).at([0], *label)
 
     def test_stream_builds_one_seed_sequence_per_seed(self, monkeypatch):
         built = []
@@ -493,7 +495,7 @@ class TestExperiments:
             for epoch in range(50):
                 stream(seed, STREAM_LOSS, epoch)
                 stream(seed, STREAM_GRAD, epoch, 0, 1)
-                ShotSampler(seed, 100, key=(STREAM_GRAD, epoch, 1, 0)).binomial_fraction(0.5)
+                binomial_fraction(stream(seed, STREAM_GRAD, epoch, 1, 0), 100, 0.5)
         assert sorted(built) == seeds
         assert not isinstance(stream(seeds[0], 1).bit_generator.seed_seq, real)
 
@@ -505,8 +507,7 @@ class TestExperiments:
         assert stream(5, 1, 2).bit_generator.random_raw(3).tolist() == [
             27316888594670530, 11269859136829732089, 13353263656809661434,
         ]
-        sampler = ShotSampler(7, 100, key=(STREAM_GRAD, 3, 1, 0))
-        assert sampler._gen.bit_generator.random_raw(3).tolist() == [
+        assert stream(7, STREAM_GRAD, 3, 1, 0).bit_generator.random_raw(3).tolist() == [
             9058021797130148876, 15808105609211896443, 17219924964056315599,
         ]
 
@@ -689,6 +690,11 @@ class TestPackaging:
                     continue
                 offenders += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
         assert offenders == []
+
+    def test_every_exported_name_resolves(self):
+        assert len(set(vista.__all__)) == len(vista.__all__)
+        missing = [name for name in vista.__all__ if not hasattr(vista, name)]
+        assert missing == []
 
     def test_no_test_only_names_in_src(self):
         # dense machinery that only tests call lives in tests/dense.py: every

@@ -1,5 +1,8 @@
 """Overlap values, quasi-normalization, swap-test shot statistics and the
-parity readout used by the non-variational baseline."""
+parity readout used by the non-variational baseline.
+
+Shots are drawn through ``binomial_fraction`` and ``loss`` from
+``stream(seed, *label)`` generators."""
 
 import numpy as np
 import pytest
@@ -16,25 +19,22 @@ from vista.dynamics import (
     HamiltonianSpec,
     circuit_ansatz_state,
     evolve_closed_form,
+    lindblad_rk4_oracle,
     to_dense,
 )
 from vista.errors import DimensionError, DomainError, UnsupportedModelError
 from vista.measurement import (
     LOSS_PLAIN,
     LOSS_QN,
-    OverlapValue,
-    ShotSampler,
+    binomial_fraction,
     hs_overlap_closed,
     loss,
     parity_probability,
-    parity_sample,
-    quasi_normalize,
-    swap_test_sample,
 )
-
+from vista.qcore import PAULI_X, ghz_density
 from vista.rng import stream
 
-from dense import matched_angle, trace_product
+from dense import matched_angle, tensor_pauli, trace_product
 
 
 def _deph(n, theta, gamma):
@@ -49,21 +49,31 @@ def _pure(n, theta):
     return evolve_closed_form(n, HamiltonianSpec(theta), ChannelSpec(CHANNEL_NONE))
 
 
+def _qn(probe, ansatz):
+    """Quasi-normalized overlap: the raw overlap over the square root of the ansatz purity."""
+    return hs_overlap_closed(probe, ansatz) / np.sqrt(ansatz.purity())
+
+
+def _t_hat(raw, gen, shots):
+    """Swap-test estimate of ``raw`` from ``shots`` pairs drawn from ``gen``."""
+    return 2 * binomial_fraction(gen, shots, (1 + raw) / 2) - 1
+
+
 class TestOverlapClosedForm:
     def test_dephased_pair_value(self):
         # 1 qubit, both decays 0.2, angles equal: (1/2)(1 + e^{-0.8})
-        ov = hs_overlap_closed(_deph(1, 0.3, 0.2), _deph(1, 0.3, 0.2))
-        assert ov.raw == pytest.approx(0.5 * (1 + np.exp(-0.8)), abs=1e-12)
-        assert ov.raw == pytest.approx(0.72466448, abs=1e-8)
+        raw = hs_overlap_closed(_deph(1, 0.3, 0.2), _deph(1, 0.3, 0.2))
+        assert raw == pytest.approx(0.5 * (1 + np.exp(-0.8)), abs=1e-12)
+        assert raw == pytest.approx(0.72466448, abs=1e-8)
 
     def test_pure_vs_damped_value(self):
-        ov = hs_overlap_closed(_pure(3, 0.0), _amp(3, 0.0, 0.2))
-        assert ov.raw == pytest.approx(0.759101080059102, abs=1e-12)
+        raw = hs_overlap_closed(_pure(3, 0.0), _amp(3, 0.0, 0.2))
+        assert raw == pytest.approx(0.759101080059102, abs=1e-12)
 
     def test_identical_pure_states_give_unity(self):
-        ov = hs_overlap_closed(_pure(5, 0.4), _pure(5, 0.4))
-        assert ov.raw == pytest.approx(1.0, abs=1e-12)
-        assert ov.circuit_purity == 1.0
+        raw = hs_overlap_closed(_pure(5, 0.4), _pure(5, 0.4))
+        assert raw == pytest.approx(1.0, abs=1e-12)
+        assert _pure(5, 0.4).purity() == 1.0
 
     def test_matches_dense_trace_on_grid(self):
         cases = []
@@ -77,20 +87,21 @@ class TestOverlapClosedForm:
                     (_amp(n, 0.1, 0.1), _amp(n, th, 0.3)),
                 ]
         for probe, ansatz in cases:
-            ov = hs_overlap_closed(probe, ansatz)
+            raw = hs_overlap_closed(probe, ansatz)
+            assert type(raw) is float
             dense = trace_product(to_dense(probe), to_dense(ansatz))
-            assert ov.raw == pytest.approx(dense, abs=1e-10)
+            assert raw == pytest.approx(dense, abs=1e-10)
 
     def test_symmetric_in_raw_value(self):
         a, b = _deph(3, 0.05, 0.2), _deph(3, 0.21, 0.07)
-        assert hs_overlap_closed(a, b).raw == pytest.approx(hs_overlap_closed(b, a).raw, abs=1e-14)
+        assert hs_overlap_closed(a, b) == pytest.approx(hs_overlap_closed(b, a), abs=1e-14)
 
     def test_dephased_and_damped_states_mix(self):
         for n in (1, 2, 3, 4):
             for (ta, ga), (tb, gb) in [((0.0, 0.1), (0.0, 0.1)), ((0.13, 0.4), (-0.2, 0.05))]:
                 for probe, ansatz in [(_deph(n, ta, ga), _amp(n, tb, gb)), (_amp(n, ta, ga), _deph(n, tb, gb))]:
                     dense = trace_product(to_dense(probe), to_dense(ansatz))
-                    assert hs_overlap_closed(probe, ansatz).raw == pytest.approx(dense, abs=1e-14)
+                    assert hs_overlap_closed(probe, ansatz) == pytest.approx(dense, abs=1e-14)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(DimensionError):
@@ -113,30 +124,30 @@ class TestOverlapClosedForm:
     def test_cauchy_schwarz_bound(self, n, kind_a, kind_b, ga, gb, ta, tb):
         a = ClosedFormState(n, kind_a, ta, 0.0 if kind_a == CHANNEL_NONE else ga)
         b = ClosedFormState(n, kind_b, tb, 0.0 if kind_b == CHANNEL_NONE else gb)
-        ov = hs_overlap_closed(a, b)
+        raw = hs_overlap_closed(a, b)
         cap = np.sqrt(a.purity() * b.purity())
-        assert -1e-12 <= ov.raw <= cap + 1e-12
+        assert -1e-12 <= raw <= cap + 1e-12
 
 
 class TestQuasiNormalization:
     def test_matched_dephased_value(self):
         # raw and purity coincide for a matched pair, so QN = sqrt(purity)
         n, g = 10, 0.1
-        ov = hs_overlap_closed(_deph(n, 0.0, g), _deph(n, 0.0, g))
+        probe, ansatz = _deph(n, 0.0, g), _deph(n, 0.0, g)
         expected = np.sqrt(0.5 * (1 + np.exp(-4 * n * g)))
-        assert ov.quasi_normalized == pytest.approx(expected, abs=1e-12)
-        assert quasi_normalize(ov) == pytest.approx(expected, abs=1e-12)
+        assert _qn(probe, ansatz) == pytest.approx(expected, abs=1e-12)
+        raw = hs_overlap_closed(probe, ansatz)
+        assert loss(raw, None, purity=ansatz.purity(), mode=LOSS_QN) == pytest.approx(1 - expected, abs=1e-12)
 
     def test_can_exceed_one(self):
-        # the renormalized overlap is not capped at 1
-        ov = OverlapValue(raw=1.0, circuit_purity=0.25, quasi_normalized=2.0)
-        assert quasi_normalize(ov) == pytest.approx(2.0)
+        # the renormalized overlap is not capped at 1, so the QN loss goes below 0
+        assert loss(1.0, None, purity=0.25, mode=LOSS_QN) == -1.0
 
     def test_purity_domain(self):
-        with pytest.raises(DomainError):
-            OverlapValue(raw=0.5, circuit_purity=0.0, quasi_normalized=0.0)
-        with pytest.raises(DomainError):
-            OverlapValue(raw=0.5, circuit_purity=1.2, quasi_normalized=0.5)
+        for purity in (0.0, -0.1, 1.2, float("nan")):
+            with pytest.raises(DomainError, match="purity"):
+                loss(0.5, None, purity=purity, mode=LOSS_QN)
+        assert loss(0.5, None, purity=1 + 1e-13, mode=LOSS_QN) == pytest.approx(0.5)
 
     def test_angle_scan_peaks_at_true_angle(self):
         # QN overlap against a matched-decay ansatz is maximal exactly at the
@@ -145,10 +156,7 @@ class TestQuasiNormalization:
         probe = _deph(n, 0.0, g)
         phi = matched_angle(ChannelSpec(CHANNEL_DEPHASING, g))
         thetas = np.round(np.arange(-0.15, 0.1501, 1e-3), 12)
-        qn = [
-            hs_overlap_closed(probe, circuit_ansatz_state(n, t, phi, CHANNEL_DEPHASING)).quasi_normalized
-            for t in thetas
-        ]
+        qn = [_qn(probe, circuit_ansatz_state(n, t, phi, CHANNEL_DEPHASING)) for t in thetas]
         assert thetas[int(np.argmax(qn))] == pytest.approx(0.0, abs=1e-12)
 
     def test_decay_scan_peaks_at_true_decay(self):
@@ -159,12 +167,7 @@ class TestQuasiNormalization:
         probe = _deph(n, 0.0, g)
         grid = np.round(np.arange(0.02, 0.2501, 0.005), 12)
         qn = [
-            hs_overlap_closed(
-                probe,
-                circuit_ansatz_state(
-                    n, 0.0, matched_angle(ChannelSpec(CHANNEL_DEPHASING, gg)), CHANNEL_DEPHASING
-                ),
-            ).quasi_normalized
+            _qn(probe, circuit_ansatz_state(n, 0.0, matched_angle(ChannelSpec(CHANNEL_DEPHASING, gg)), CHANNEL_DEPHASING))
             for gg in grid
         ]
         assert grid[int(np.argmax(qn))] == pytest.approx(g, abs=1e-12)
@@ -172,71 +175,78 @@ class TestQuasiNormalization:
 
 class TestSwapTest:
     def test_exact_passthrough(self):
-        ov = hs_overlap_closed(_pure(2, 0.1), _pure(2, 0.3))
-        assert swap_test_sample(ov, None) == ov.raw
+        raw = hs_overlap_closed(_pure(2, 0.1), _pure(2, 0.3))
+        assert loss(raw, None) == 1.0 - raw
 
     def test_unit_overlap_is_noiseless(self):
-        ov = OverlapValue(1.0, 1.0, 1.0)
         for seed in range(5):
-            assert swap_test_sample(ov, ShotSampler(seed, 1000)) == 1.0
+            assert _t_hat(1.0, stream(seed), 1000) == 1.0
+            assert loss(1.0, stream(seed), 1000) == 0.0
 
     def test_negative_unit_overlap_is_noiseless(self):
-        ov = OverlapValue(-1.0, 1.0, -1.0)
         for seed in range(5):
-            assert swap_test_sample(ov, ShotSampler(seed, 1000)) == -1.0
+            assert _t_hat(-1.0, stream(seed), 1000) == -1.0
+            assert loss(-1.0, stream(seed), 1000) == 2.0
 
     def test_zero_overlap_noise_scale(self):
         # T-hat at raw 0 has variance 1/nu; 1000 independent seeds
         nu = 10000
-        vals = np.array(
-            [swap_test_sample(OverlapValue(0.0, 1.0, 0.0), ShotSampler(s, nu, key=(3,))) for s in range(1000)]
-        )
+        vals = np.array([_t_hat(0.0, stream(s, 3), nu) for s in range(1000)])
         assert abs(vals.std() - 0.01) < 0.0015
         assert abs(vals.mean()) < 4 * 0.01 / np.sqrt(1000)
 
     def test_unbiased_at_intermediate_overlap(self):
         nu, raw = 10000, 0.5
-        vals = np.array(
-            [swap_test_sample(OverlapValue(raw, 1.0, raw), ShotSampler(s, nu, key=(7,))) for s in range(400)]
-        )
+        vals = np.array([_t_hat(raw, stream(s, 7), nu) for s in range(400)])
         sigma = np.sqrt((1 - raw**2) / nu)
         assert abs(vals.mean() - raw) < 4 * sigma / np.sqrt(400)
+        # loss draws the same shots
+        assert [1.0 - loss(raw, stream(s, 7), nu) for s in range(5)] == pytest.approx(vals[:5].tolist(), abs=1e-15)
 
     def test_out_of_range_overlap_rejected(self):
         with pytest.raises(DomainError):
-            swap_test_sample(OverlapValue(1.1, 1.0, 1.1), ShotSampler(0, 100))
+            loss(1.1, stream(0), 100)
 
 
 class TestLoss:
     def test_exact_matched_pure_is_zero(self):
-        ov = hs_overlap_closed(_pure(4, 0.2), _pure(4, 0.2))
-        assert loss(ov.raw, None, mode=LOSS_PLAIN) == pytest.approx(0.0, abs=1e-12)
+        raw = hs_overlap_closed(_pure(4, 0.2), _pure(4, 0.2))
+        assert loss(raw, None, mode=LOSS_PLAIN) == pytest.approx(0.0, abs=1e-12)
 
     def test_plain_value(self):
-        ov = hs_overlap_closed(_deph(1, 0.3, 0.2), _deph(1, 0.3, 0.2))
-        assert loss(ov.raw, None, mode=LOSS_PLAIN) == pytest.approx(1 - 0.5 * (1 + np.exp(-0.8)), abs=1e-12)
+        raw = hs_overlap_closed(_deph(1, 0.3, 0.2), _deph(1, 0.3, 0.2))
+        assert loss(raw, None, mode=LOSS_PLAIN) == pytest.approx(1 - 0.5 * (1 + np.exp(-0.8)), abs=1e-12)
 
     def test_qn_floor_at_match(self):
         # plain loss bottoms out at 1 - purity; QN tightens that to 1 - sqrt(purity)
         n, g = 3, 0.1
-        ov = hs_overlap_closed(_deph(n, 0.0, g), _deph(n, 0.0, g))
+        ansatz = _deph(n, 0.0, g)
+        raw = hs_overlap_closed(_deph(n, 0.0, g), ansatz)
         pur = 0.5 * (1 + np.exp(-4 * n * g))
-        plain = loss(ov.raw, None, purity=ov.circuit_purity, mode=LOSS_PLAIN)
-        qn = loss(ov.raw, None, purity=ov.circuit_purity, mode=LOSS_QN)
+        plain = loss(raw, None, purity=ansatz.purity(), mode=LOSS_PLAIN)
+        qn = loss(raw, None, purity=ansatz.purity(), mode=LOSS_QN)
         assert plain == pytest.approx(1 - pur, abs=1e-12)
         assert qn == pytest.approx(1 - np.sqrt(pur), abs=1e-12)
         assert qn < plain
 
     def test_sampled_loss_deterministic(self):
-        ov = hs_overlap_closed(_deph(2, 0.0, 0.1), _deph(2, 0.05, 0.1))
-        a = loss(ov.raw, stream(11), 5000, mode=LOSS_PLAIN)
-        b = loss(ov.raw, stream(11), 5000, mode=LOSS_PLAIN)
+        raw = hs_overlap_closed(_deph(2, 0.0, 0.1), _deph(2, 0.05, 0.1))
+        a = loss(raw, stream(11), 5000, mode=LOSS_PLAIN)
+        b = loss(raw, stream(11), 5000, mode=LOSS_PLAIN)
         assert a == b
 
+    def test_shot_floor(self):
+        # fewer than one shot pair is a domain error, not a division by zero
+        for shots in (0, -5):
+            with pytest.raises(DomainError, match="shots"):
+                loss(0.5, stream(1), shots)
+            with pytest.raises(DomainError, match="shots"):
+                loss(0.5, stream(1), shots, purity=0.5, mode=LOSS_QN)
+
     def test_unknown_mode(self):
-        ov = hs_overlap_closed(_pure(2, 0.0), _pure(2, 0.0))
+        raw = hs_overlap_closed(_pure(2, 0.0), _pure(2, 0.0))
         with pytest.raises(DomainError):
-            loss(ov.raw, None, mode="renormalized")
+            loss(raw, None, mode="renormalized")
 
 
 class TestParity:
@@ -264,47 +274,46 @@ class TestParity:
             parity_probability(2, 0.1, 0.1, -0.5)
 
     def test_sample_exact_and_seeded(self):
-        assert parity_sample(0.37, None) == 0.37
-        a = parity_sample(0.37, ShotSampler(5, 2500))
-        b = parity_sample(0.37, ShotSampler(5, 2500))
+        a = binomial_fraction(stream(5), 2500, 0.37)
+        b = binomial_fraction(stream(5), 2500, 0.37)
         assert a == b
         assert 0 <= a <= 1
 
+    @pytest.mark.parametrize("channel", [CHANNEL_NONE, CHANNEL_DEPHASING])
+    def test_matches_rk4_oracle(self, channel):
+        # <X...X> of the evolved GHZ probe, from the dense master equation
+        n, theta, t = 3, 0.2, 0.7
+        gamma = 0.0 if channel == CHANNEL_NONE else 0.1
+        rho = lindblad_rk4_oracle(ghz_density(n), HamiltonianSpec(theta_z=theta, t=t), ChannelSpec(channel, gamma), steps=400)
+        oracle = 0.5 * (1 + np.trace(tensor_pauli(n, PAULI_X) @ rho).real)
+        assert parity_probability(n, theta, gamma, t) == pytest.approx(oracle, abs=1e-9)
+
 
 class TestShotSampler:
+    """Shot draws: ``binomial_fraction`` on ``stream(seed, *label)`` generators."""
+
     def test_reproducible(self):
-        a = ShotSampler(42, 1000, key=(1, 2))
-        b = ShotSampler(42, 1000, key=(1, 2))
-        assert [a.binomial_fraction(0.5) for _ in range(5)] == [
-            b.binomial_fraction(0.5) for _ in range(5)
+        a, b = stream(42, 1, 2), stream(42, 1, 2)
+        assert [binomial_fraction(a, 1000, 0.5) for _ in range(5)] == [
+            binomial_fraction(b, 1000, 0.5) for _ in range(5)
         ]
 
-    def test_spawn_extends_key(self):
-        s = ShotSampler(42, 1000).spawn(1).spawn(2, 3)
-        assert s.key == (1, 2, 3)
-        assert s.seed == 42
-
     def test_spawned_streams_differ(self):
-        base = ShotSampler(42, 100000)
-        draws = [base.spawn(k).binomial_fraction(0.5) for k in range(6)]
+        draws = [binomial_fraction(stream(42, k), 100000, 0.5) for k in range(6)]
         assert len(set(draws)) > 1
-
-    def test_with_shots(self):
-        s = ShotSampler(7, 100, key=(4,)).with_shots(2000)
-        assert s.shots == 2000 and s.seed == 7 and s.key == (4,)
 
     def test_shot_floor(self):
         with pytest.raises(DomainError):
-            ShotSampler(0, 0)
+            binomial_fraction(stream(0), 0, 0.5)
 
     def test_probability_dust_tolerated(self):
-        s = ShotSampler(0, 100)
-        assert s.binomial_fraction(-1e-10) == 0.0
-        assert s.binomial_fraction(1 + 1e-10) == 1.0
+        gen = stream(0)
+        assert binomial_fraction(gen, 100, -1e-10) == 0.0
+        assert binomial_fraction(gen, 100, 1 + 1e-10) == 1.0
 
     def test_probability_domain(self):
-        s = ShotSampler(0, 100)
+        gen = stream(0)
         with pytest.raises(DomainError):
-            s.binomial_fraction(1.01)
+            binomial_fraction(gen, 100, 1.01)
         with pytest.raises(DomainError):
-            s.binomial_fraction(float("nan"))
+            binomial_fraction(gen, 100, float("nan"))

@@ -7,7 +7,7 @@ import pytest
 
 from vista.dynamics import CHANNEL_NONE, ChannelSpec, HamiltonianSpec, circuit_ansatz_state, evolve_closed_form
 from vista.errors import DomainError, NumericsError
-from vista.measurement import LOSS_PLAIN, ShotSampler, hs_overlap_closed, loss
+from vista.measurement import LOSS_PLAIN, binomial_fraction, hs_overlap_closed, loss
 from vista.rng import stream
 from vista.optimize import (
     GRAD_CENTRAL,
@@ -34,13 +34,13 @@ _PROBE = evolve_closed_form(N_PROBE, HamiltonianSpec(THETA_TRUE), ChannelSpec(CH
 
 def _exact_loss(values, nu, label):
     ansatz = circuit_ansatz_state(N_PROBE, values[0], 0.0, CHANNEL_NONE)
-    return loss(hs_overlap_closed(_PROBE, ansatz).raw, None, mode=LOSS_PLAIN)
+    return loss(hs_overlap_closed(_PROBE, ansatz), None, mode=LOSS_PLAIN)
 
 
 def _sampled_loss(seed, nu):
     def f(values, label):
         ansatz = circuit_ansatz_state(N_PROBE, values[0], 0.0, CHANNEL_NONE)
-        return loss(hs_overlap_closed(_PROBE, ansatz).raw, stream(seed, *label), nu, mode=LOSS_PLAIN)
+        return loss(hs_overlap_closed(_PROBE, ansatz), stream(seed, *label), nu, mode=LOSS_PLAIN)
 
     return f
 
@@ -211,7 +211,7 @@ class TestGradientEstimation:
         # a loss that depends only on the stream label: shared labels make the
         # two shifted draws identical, so the estimate collapses to zero
         def f(values, label):
-            return ShotSampler(7, 1000, key=tuple(label)).binomial_fraction(0.5)
+            return binomial_fraction(stream(7, *label), 1000, 0.5)
 
         crn = GradientConfig(h=np.array([0.1]), crn=True)
         assert _grad(np.array([0.0]), f, crn)[0] == 0.0
@@ -330,7 +330,7 @@ class TestRunOptimization:
         def make(seed):
             def f(values, nu, label):
                 ansatz = circuit_ansatz_state(N_PROBE, values[0], 0.0, CHANNEL_NONE)
-                return loss(hs_overlap_closed(_PROBE, ansatz).raw, stream(seed, *label), nu, mode=LOSS_PLAIN)
+                return loss(hs_overlap_closed(_PROBE, ansatz), stream(seed, *label), nu, mode=LOSS_PLAIN)
 
             return f
 

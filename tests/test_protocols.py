@@ -22,7 +22,7 @@ from vista.dynamics import (
 )
 from vista import measurement, protocols
 from vista.errors import ConfigError, NoPeakError
-from vista.measurement import ShotSampler
+from vista.measurement import binomial_fraction, parity_probability
 from vista.optimize import STATUS_BUDGET_EXHAUSTED, STATUS_CONVERGED, STATUS_MAX_EPOCHS
 from vista.protocols import (
     STATUS_CASCADE_FAILED,
@@ -38,7 +38,7 @@ from vista.protocols import (
 )
 from vista.qcore import ghz_density, ghz_vector
 from vista.results import persist
-from vista.rng import STREAM_LOSS
+from vista.rng import STREAM_LOSS, stream
 
 from dense import trotter_evolve
 
@@ -235,7 +235,9 @@ class TestBaseline:
     def test_exact_spectrum_recovers_integer_cycle_angle(self):
         # 3 full fringe cycles in the window: the peak bin maps back exactly
         theta = 3 * np.pi / 4
-        assert run_baseline_fft(_baseline_cfg(4, theta, 0.0), None) == pytest.approx(theta, abs=1e-12)
+        cfg = _baseline_cfg(4, theta, 0.0)
+        _, p, _ = baseline_series(cfg)
+        assert run_baseline_fft(cfg, p) == pytest.approx(theta, abs=1e-12)
 
     def test_sub_resolution_angle_aliases_to_first_bin(self):
         # at n=3, theta=0.23 the fringe completes well under one cycle, so the
@@ -248,23 +250,27 @@ class TestBaseline:
         assert res.final["abs_error_theta"] == pytest.approx(0.8171975, abs=1e-6)
 
     def test_flat_spectrum_raises(self):
+        cfg = _baseline_cfg(2, 0.0, 0.0)
         with pytest.raises(NoPeakError):
-            run_baseline_fft(_baseline_cfg(2, 0.0, 0.0), None)
+            run_baseline_fft(cfg, baseline_series(cfg)[1])
 
     def test_series_content(self):
         bc = _baseline_cfg(2, 0.4, 0.05, total_time=1.0, steps=50, shots_per_step=400)
-        t, p, p_hat = baseline_series(bc, ShotSampler(9, 400))
+        t, p, p_hat = baseline_series(bc)
         assert t.shape == (50,)
         assert t[0] == 0.0 and t[-1] == pytest.approx(49 / 50)
         np.testing.assert_allclose(p, 0.5 * (1 + np.exp(-0.2 * t) * np.cos(1.6 * t)), atol=1e-12)
         assert np.all((p_hat >= 0) & (p_hat <= 1))
-        _, _, p_hat2 = baseline_series(bc, ShotSampler(9, 400))
+        _, _, p_hat2 = baseline_series(bc)
         np.testing.assert_array_equal(p_hat, p_hat2)
+        # step k draws shots_per_step shots from stream(seed, k)
+        assert p_hat[7] == binomial_fraction(stream(bc.seed, 7), 400, p[7])
 
     def test_exact_series_copies_probabilities(self):
+        # the exact series is the parity law itself, returned beside the sampled one
         bc = _baseline_cfg(2, 0.4, 0.05)
-        _, p, p_hat = baseline_series(bc, None)
-        np.testing.assert_array_equal(p, p_hat)
+        t, p, p_hat = baseline_series(bc)
+        np.testing.assert_array_equal(p, parity_probability(2, 0.4, 0.05, t))
         assert p is not p_hat
 
     def test_run_records_series(self):
@@ -418,7 +424,7 @@ class TestDispatchAndStreams:
         nu = 1000
         draws = np.array(
             [
-                ShotSampler(13, nu, key=(STREAM_LOSS, epoch)).binomial_fraction(0.5)
+                binomial_fraction(stream(13, STREAM_LOSS, epoch), nu, 0.5)
                 for epoch in range(200)
             ]
         )
