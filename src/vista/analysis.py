@@ -6,8 +6,9 @@ The sensitivity quantity is the overlap curvature
 
 which for a single family equals Tr[(drho/dtheta)^2] and bounds the quantum
 Fisher information from below via Q >= 2 Q_HS (saturated by pure states).
-Its closed forms for the GHZ families, plain and quasi-normalized, give the
-shot-noise bounds delta-theta >= 1/sqrt(2 nu Q_HS) of the bound curves, and
+``curvature`` gives it for any probe and ansatz, plain and quasi-normalized,
+from their qubits' (p, kappa); the bound curves are the shot-noise bounds
+delta-theta >= 1/sqrt(2 nu Q_HS) of five probe/ansatz pairs, and
 ``qfi_ratio_ampdamp`` is the information kept by quasi-normalization under
 amplitude damping.
 """
@@ -16,47 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CHANNEL_AMPDAMP, closed_form_overlap, qubit_channel
+from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, check_channel, closed_form_overlap, qubit_channel
 from .errors import CalibrationError, DomainError
 
 
-# --- closed-form curvatures for the GHZ families -----------------------------
+# --- closed-form curvature of a probe/ansatz pair ------------------------------
 
 
-def q_hs_dephasing(n, gamma, gamma_ref=None):
-    """Curvature of the dephased-pair overlap; 2 n^2 exp(-2n(gamma+gamma'))."""
-    g2 = gamma if gamma_ref is None else gamma_ref
-    return 2 * n**2 * np.exp(-2 * n * (gamma + g2))
+def curvature(n, probe, ansatz, normalized=False):
+    """Q_HS of the overlap of two n-qubit GHZ states whose qubits are probe = (p, kappa) and ansatz.
 
-
-def q_hs_ampdamp_pure(n, gamma):
-    """Curvature of the damped-probe vs pure-ansatz overlap; 2 n^2 exp(-n gamma / 2)."""
-    return 2 * n**2 * np.exp(-n * gamma / 2)
-
-
-def q_hs_qn_dephasing(n, gamma):
-    """Quasi-normalized dephasing curvature at matched decay."""
-    x = np.exp(-4 * n * gamma)
-    return 4 * n**2 * x / np.sqrt(2 * (1 + x))
-
-
-def _ampdamp_purity(n, gamma):
-    # closed-form purity, written for gamma arrays as well as scalars
-    qubit = qubit_channel(CHANNEL_AMPDAMP, gamma)
-    return closed_form_overlap(n, qubit, qubit, 0.0)
-
-
-def q_hs_qn_ampdamp(n, gamma):
-    """Quasi-normalized amplitude-damping curvature at matched decay."""
-    return 2 * n**2 * np.exp(-n * gamma) / np.sqrt(_ampdamp_purity(n, gamma))
+    Only the corner coherence of ``closed_form_overlap`` depends on the phase,
+    so Q_HS = 2 n^2 e^{-n (kappa_probe + kappa_ansatz)}; quasi-normalization
+    divides it by the square root of the ansatz purity.
+    """
+    q = 2 * n**2 * np.exp(-n * (probe[1] + ansatz[1]))
+    return q / np.sqrt(closed_form_overlap(n, ansatz, ansatz, 0.0)) if normalized else q
 
 
 def qfi_ratio_ampdamp(n, gamma):
-    """Quasi-normalized over pure-ansatz curvature, exp(-n gamma/2)/sqrt(purity).
+    """Quasi-normalized over pure-ansatz curvature of the damped probe, exp(-n kappa)/sqrt(purity).
 
     Small-gamma expansion: 1 - n(n+1) gamma^2 / 8 + O(gamma^3).
     """
-    return np.exp(-n * gamma / 2) / np.sqrt(_ampdamp_purity(n, gamma))
+    qubit = qubit_channel(CHANNEL_AMPDAMP, gamma)
+    return np.exp(-n * qubit[1]) / np.sqrt(closed_form_overlap(n, qubit, qubit, 0.0))
 
 
 def qfi_ratio_ampdamp_expansion(n, gamma):
@@ -65,13 +50,15 @@ def qfi_ratio_ampdamp_expansion(n, gamma):
 
 # --- shot-noise bound curves -------------------------------------------------
 
-BOUND_KINDS = (
-    "pure_dephasing",
-    "unnorm_dephasing",
-    "qn_dephasing",
-    "pure_ampdamp",
-    "qn_ampdamp",
-)
+# Each kind: the probe's channel, whether the ansatz decays as the probe does
+# (else it is pure), and whether the loss is quasi-normalized.
+BOUND_KINDS = {
+    "pure_dephasing": (CHANNEL_DEPHASING, False, False),
+    "unnorm_dephasing": (CHANNEL_DEPHASING, True, False),
+    "qn_dephasing": (CHANNEL_DEPHASING, True, True),
+    "pure_ampdamp": (CHANNEL_AMPDAMP, False, False),
+    "qn_ampdamp": (CHANNEL_AMPDAMP, True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -83,33 +70,23 @@ class BoundCurve:
     nu: int
 
 
-def _bound_curvature(kind, n, gamma):
-    if kind == "pure_dephasing":
-        return q_hs_dephasing(n, gamma, 0.0)
-    if kind == "unnorm_dephasing":
-        return q_hs_dephasing(n, gamma)
-    if kind == "qn_dephasing":
-        return q_hs_qn_dephasing(n, gamma)
-    if kind == "pure_ampdamp":
-        return q_hs_ampdamp_pure(n, gamma)
-    if kind == "qn_ampdamp":
-        return q_hs_qn_ampdamp(n, gamma)
-    raise DomainError(f"unknown bound kind {kind!r}")
-
-
 def crb_curve(kind, ns, gamma, nu):
     """delta-theta lower bound 1/sqrt(2 nu Q_HS) over a qubit-number grid.
 
     All kinds reduce to the Heisenberg line 1/(2 n sqrt(nu)) at gamma = 0.
     """
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    if kind not in BOUND_KINDS:
+        raise DomainError(f"unknown bound kind {kind!r}")
+    channel, matched, normalized = BOUND_KINDS[kind]
+    check_channel(channel, gamma)
     if nu < 1:
         raise DomainError(f"nu must be >= 1, got {nu}")
     ns = np.asarray(ns, dtype=int)
     if ns.size == 0 or np.any(ns < 1):
         raise DomainError("n grid must be non-empty positive integers")
-    vals = np.array([1.0 / np.sqrt(2 * nu * _bound_curvature(kind, int(n), gamma)) for n in ns])
+    probe = qubit_channel(channel, gamma)
+    ansatz = probe if matched else qubit_channel(CHANNEL_NONE, 0.0)
+    vals = np.array([1.0 / np.sqrt(2 * nu * curvature(int(n), probe, ansatz, normalized)) for n in ns])
     return BoundCurve(kind, ns, vals, float(gamma), int(nu))
 
 

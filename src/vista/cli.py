@@ -14,6 +14,7 @@ import numpy as np
 
 from .analysis import BOUND_KINDS, crb_curve
 from .config import (
+    DECAY_MODES,
     MODE_BASELINE,
     MODE_CASCADE,
     from_dict,
@@ -21,6 +22,7 @@ from .config import (
     load_doc,
     merge_overrides,
 )
+from .dynamics import CHANNELS
 from .errors import ConfigError, VistaError
 from .experiments import calibrate_experiment, oracle_check, run_grid, scaling_experiment
 from .protocols import run_from_config
@@ -306,7 +308,7 @@ def build_parser():
     p = sub.add_parser("oracle-check", help="closed form vs dense integrator deviation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--channel", required=True, choices=["none", "dephasing", "amplitude_damping"])
+    p.add_argument("--channel", required=True, choices=CHANNELS)
     p.add_argument("--theta", type=float, default=0.1)
     p.add_argument("--steps", type=int, default=400)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -316,7 +318,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", type=float, default=1e-3)
     p.add_argument("--gammas", required=True, help="comma list or start:stop:step")
-    p.add_argument("--channel", default="dephasing", choices=["dephasing", "amplitude_damping"])
+    p.add_argument("--channel", default="dephasing", choices=list(DECAY_MODES))
     p.add_argument("--replicas", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int)

@@ -1,16 +1,20 @@
 """Run configuration: JSON schema, defaults, validation, and echo round-trip.
 
 A minimal config is {"mode", "n", "theta_true", "seed"}; every other field has
-a mode-aware default.  Unknown keys anywhere in the document are rejected so a
-typo cannot silently fall back to a default.  ``effective_dict`` materializes
-all defaults; persisting it and loading it back reproduces the same config.
+a default, the channel and normalization from the mode's row in ``MODES``.
+Unknown keys anywhere in the document are rejected so a typo cannot silently
+fall back to a default, and an integer field takes only an int or an integral
+float.  ``effective_dict`` materializes all defaults; persisting it and
+loading it back reproduces the same config.
 """
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
-from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, CHANNELS
+from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, CHANNELS, check_channel
 from .errors import ConfigError, DomainError
 from .optimize import GRAD_CENTRAL, OptimizerConfig, ShotSchedule, check_gradient_method
 
@@ -20,35 +24,28 @@ MODE_NOISY_AMPDAMP = "vista_noisy_ampdamp"
 MODE_MULTIPARAM = "vista_multiparam"
 MODE_CASCADE = "cascade"
 MODE_BASELINE = "baseline_fft"
-MODES = (
-    MODE_PURE,
-    MODE_NOISY_DEPHASING,
-    MODE_NOISY_AMPDAMP,
-    MODE_MULTIPARAM,
-    MODE_CASCADE,
-    MODE_BASELINE,
-)
 
 NORM_PLAIN = "plain"
 NORM_QN = "quasi_normalized"
 
-_DEFAULT_CHANNEL = {
-    MODE_PURE: CHANNEL_NONE,
-    MODE_NOISY_DEPHASING: CHANNEL_DEPHASING,
-    MODE_NOISY_AMPDAMP: CHANNEL_AMPDAMP,
-    MODE_MULTIPARAM: CHANNEL_DEPHASING,
-    MODE_CASCADE: CHANNEL_NONE,
-    MODE_BASELINE: CHANNEL_DEPHASING,
-}
 
-_DEFAULT_NORM = {
-    MODE_PURE: NORM_PLAIN,
-    MODE_NOISY_DEPHASING: NORM_QN,
-    MODE_NOISY_AMPDAMP: NORM_QN,
-    MODE_MULTIPARAM: NORM_PLAIN,
-    MODE_CASCADE: NORM_PLAIN,
-    MODE_BASELINE: NORM_PLAIN,
+class Mode(NamedTuple):
+    channel: str  # the default channel
+    normalization: str  # the default normalization
+    channels: tuple  # the channels the mode accepts
+    quasi_normalized: bool  # whether it accepts quasi-normalization
+
+
+MODES = {
+    MODE_PURE: Mode(CHANNEL_NONE, NORM_PLAIN, CHANNELS, False),
+    MODE_NOISY_DEPHASING: Mode(CHANNEL_DEPHASING, NORM_QN, (CHANNEL_DEPHASING,), True),
+    MODE_NOISY_AMPDAMP: Mode(CHANNEL_AMPDAMP, NORM_QN, (CHANNEL_AMPDAMP,), True),
+    MODE_MULTIPARAM: Mode(CHANNEL_DEPHASING, NORM_PLAIN, CHANNELS, False),
+    MODE_CASCADE: Mode(CHANNEL_NONE, NORM_PLAIN, CHANNELS, False),
+    MODE_BASELINE: Mode(CHANNEL_DEPHASING, NORM_PLAIN, CHANNELS, True),
 }
+# the mode that learns a decaying channel's rate: the one that accepts that channel alone
+DECAY_MODES = {row.channels[0]: mode for mode, row in MODES.items() if len(row.channels) == 1}
 
 
 def _take(d, allowed, where):
@@ -137,43 +134,30 @@ class RunConfig:
         return math.pi / (2 * self.n) if hw is None else hw
 
 
-_TOP_KEYS = (
-    "mode",
-    "n",
-    "theta_true",
-    "seed",
-    "normalization",
-    "channel",
-    "gamma_true",
-    "theta2_true",
-    "output",
-    "optimizer",
-    "shots",
-    "gradient",
-    "init",
-    "multiparam",
-    "cascade",
-    "baseline",
-)
-
-
-def _number(value, kind, where):
-    """``kind(value)`` for int or float, or a ConfigError that names ``where`` and the value."""
+def _float(value, where):
+    """``float(value)``, or a ConfigError that names ``where`` and the value."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where} must be {what}, got {value!r}") from None
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _integer(value, where):
+    """An int or an integral float as int; a bool or anything else is a ConfigError that names ``where``."""
+    integral_float = isinstance(value, float) and value.is_integer()
+    if integral_float or isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
 def _block(cls, d, where):
     if d is None:
         return cls()
-    fields = {f for f in cls.__dataclass_fields__}
-    _take(d, fields, where)
-    kwargs = dict(d)
+    known = cls.__dataclass_fields__
+    _take(d, known, where)
+    kwargs = {k: _integer(v, f"{where}.{k}") if known[k].type is int else v for k, v in d.items()}
     if cls is CascadeBlock and "n_sequence" in kwargs:
-        kwargs["n_sequence"] = tuple(_number(x, int, "cascade.n_sequence entry") for x in kwargs["n_sequence"])
+        kwargs["n_sequence"] = tuple(_integer(x, "cascade.n_sequence entry") for x in kwargs["n_sequence"])
     try:
         return cls(**kwargs)
     except DomainError as exc:  # raised by blocks that check their own fields
@@ -182,7 +166,7 @@ def _block(cls, d, where):
 
 def from_dict(doc):
     """Build and validate a RunConfig from a parsed JSON document."""
-    _take(doc, _TOP_KEYS, "config")
+    _take(doc, RunConfig.__dataclass_fields__, "config")
     for key in ("mode", "n", "theta_true"):
         if key not in doc:
             raise ConfigError(f"config key {key!r} is required")
@@ -190,18 +174,18 @@ def from_dict(doc):
         raise ConfigError("config key 'seed' is required (file or --seed)")
 
     mode = doc["mode"]
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-
+    if not isinstance(mode, str) or mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
+    rules = MODES[mode]
     cfg = RunConfig(
         mode=mode,
-        n=_number(doc["n"], int, "n"),
-        theta_true=_number(doc["theta_true"], float, "theta_true"),
-        seed=_number(doc["seed"], int, "seed"),
-        normalization=doc.get("normalization", _DEFAULT_NORM[mode]),
-        channel=doc.get("channel", _DEFAULT_CHANNEL[mode]),
-        gamma_true=_number(doc.get("gamma_true", 0.0), float, "gamma_true"),
-        theta2_true=None if doc.get("theta2_true") is None else _number(doc["theta2_true"], float, "theta2_true"),
+        n=_integer(doc["n"], "n"),
+        theta_true=_float(doc["theta_true"], "theta_true"),
+        seed=_integer(doc["seed"], "seed"),
+        normalization=doc.get("normalization", rules.normalization),
+        channel=doc.get("channel", rules.channel),
+        gamma_true=_float(doc.get("gamma_true", 0.0), "gamma_true"),
+        theta2_true=None if doc.get("theta2_true") is None else _float(doc["theta2_true"], "theta2_true"),
         output=doc.get("output"),
         optimizer=_block(OptimizerConfig, doc.get("optimizer"), "optimizer"),
         shots=_block(ShotSchedule, doc.get("shots"), "shots"),
@@ -216,37 +200,26 @@ def from_dict(doc):
 
 
 def validate(cfg):
+    # from_dict refuses an unknown mode; one set by with_overrides is refused where the config runs
+    rules = MODES.get(cfg.mode) or Mode(None, None, CHANNELS, True)
     if cfg.n < 1:
         raise ConfigError(f"n must be >= 1, got {cfg.n}")
-    if cfg.gamma_true < 0:
-        raise ConfigError(f"gamma_true must be >= 0, got {cfg.gamma_true}")
-    if cfg.channel not in CHANNELS:
-        raise ConfigError(f"unknown channel {cfg.channel!r}")
-    if cfg.channel == CHANNEL_NONE and cfg.gamma_true != 0:
-        raise ConfigError("channel 'none' requires gamma_true = 0")
+    try:
+        check_channel(cfg.channel, cfg.gamma_true)
+    except DomainError as exc:
+        raise ConfigError(f"channel, gamma_true: {exc}") from exc
     if cfg.normalization not in (NORM_PLAIN, NORM_QN):
         raise ConfigError(f"unknown normalization {cfg.normalization!r}")
-
-    if cfg.mode == MODE_PURE and cfg.normalization != NORM_PLAIN:
-        raise ConfigError("vista_pure has a pure ansatz; quasi-normalization is a no-op and rejected")
-    if cfg.mode == MODE_NOISY_DEPHASING and cfg.channel != CHANNEL_DEPHASING:
-        raise ConfigError("vista_noisy_dephasing requires channel 'dephasing'")
-    if cfg.mode == MODE_NOISY_AMPDAMP and cfg.channel != CHANNEL_AMPDAMP:
-        raise ConfigError("vista_noisy_ampdamp requires channel 'amplitude_damping'")
-    if cfg.mode == MODE_MULTIPARAM:
-        if cfg.theta2_true is None:
-            raise ConfigError("vista_multiparam requires theta2_true")
-        if cfg.normalization != NORM_PLAIN:
-            raise ConfigError("vista_multiparam uses a pure ansatz; normalization must be plain")
-    if cfg.mode == MODE_BASELINE and cfg.channel == CHANNEL_AMPDAMP:
-        # the parity law e^{-2 n gamma t} holds under dephasing; damping decays it as e^{-n gamma t / 2}
-        raise ConfigError("baseline_fft models a dephased or noiseless probe; channel 'amplitude_damping' is not supported")
+    if cfg.channel not in rules.channels:
+        raise ConfigError(f"{cfg.mode} requires channel {' or '.join(map(repr, rules.channels))}, got {cfg.channel!r}")
+    if cfg.normalization == NORM_QN and not rules.quasi_normalized:
+        raise ConfigError(f"{cfg.mode} uses a pure ansatz; normalization must be plain")
+    if cfg.mode == MODE_MULTIPARAM and cfg.theta2_true is None:
+        raise ConfigError("vista_multiparam requires theta2_true")
     if cfg.multiparam.trotter_steps < 1:
         raise ConfigError(f"multiparam.trotter_steps must be >= 1, got {cfg.multiparam.trotter_steps}")
     if cfg.mode == MODE_CASCADE and not cfg.cascade.n_sequence:
         raise ConfigError("cascade mode requires cascade.n_sequence")
-    if cfg.mode == MODE_CASCADE and cfg.normalization != NORM_PLAIN:
-        raise ConfigError("cascade stages use a pure ansatz; normalization must be plain")
     if cfg.cascade.n_sequence:
         seq = cfg.cascade.n_sequence
         if any(b <= a for a, b in zip(seq, seq[1:])):

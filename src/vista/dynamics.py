@@ -50,20 +50,31 @@ CHANNEL_NONE = "none"
 CHANNEL_DEPHASING = "dephasing"
 CHANNEL_AMPDAMP = "amplitude_damping"
 
-# One qubit's channel by kind: the excited population kept at decay g, and the
-# rate r of the coherence decay kappa = r g.  Each r is a power of two, so r g
-# is exact and matches 2 g and g / 2 to the last bit.
+# One qubit's channel by kind: the excited population kept at decay g, the
+# rate r of the coherence decay kappa = r g, and the jump operator L of the
+# master equation (sqrt(g) L acts on each qubit).  Each r is a power of two,
+# so r g is exact and matches 2 g and g / 2 to the last bit.
 _QUBIT_CHANNEL = {
-    CHANNEL_NONE: (lambda g: 1.0, 0.0),
-    CHANNEL_DEPHASING: (lambda g: 1.0, 2.0),
-    CHANNEL_AMPDAMP: (lambda g: np.exp(-g), 0.5),
+    CHANNEL_NONE: (lambda g: 1.0, 0.0, None),
+    CHANNEL_DEPHASING: (lambda g: 1.0, 2.0, PAULI_Z),
+    CHANNEL_AMPDAMP: (lambda g: np.exp(-g), 0.5, SIGMA_MINUS),
 }
 CHANNELS = tuple(_QUBIT_CHANNEL)
 
 
+def check_channel(kind, decay):
+    """Raise DomainError unless ``kind`` is a channel and ``decay`` one it can carry: >= 0, and 0 if it has no decay."""
+    if kind not in CHANNELS:
+        raise DomainError(f"unknown channel kind {kind!r}")
+    if decay < 0:
+        raise DomainError(f"decay must be >= 0, got {decay}")
+    if _QUBIT_CHANNEL[kind][1] == 0 and decay != 0:
+        raise DomainError(f"channel {kind!r} carries no decay, got {decay}")
+
+
 def qubit_channel(kind, decay):
     """(p, kappa) of one qubit after the channel ``kind`` at ``decay`` (scalar or array)."""
-    population, rate = _QUBIT_CHANNEL[kind]
+    population, rate, _ = _QUBIT_CHANNEL[kind]
     return population(decay), rate * decay
 
 
@@ -100,12 +111,7 @@ class ChannelSpec:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in CHANNELS:
-            raise DomainError(f"unknown channel kind {self.kind!r}")
-        if self.gamma < 0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if self.kind == CHANNEL_NONE and self.gamma != 0:
-            raise DomainError("channel 'none' requires gamma = 0")
+        check_channel(self.kind, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -139,12 +145,7 @@ class ClosedFormState:
 
     def __post_init__(self):
         check_qubit_count(self.n, 64, "ClosedFormState")  # closed forms have no dense guard
-        if self.kind not in CHANNELS:
-            raise DomainError(f"unknown channel kind {self.kind!r}")
-        if self.decay < 0:
-            raise DomainError(f"decay must be >= 0, got {self.decay}")
-        if self.kind == CHANNEL_NONE and self.decay != 0:
-            raise DomainError("channel 'none' carries no decay")
+        check_channel(self.kind, self.decay)
         object.__setattr__(self, "qubit", qubit_channel(self.kind, self.decay))
 
     def coherence(self):
@@ -223,12 +224,12 @@ def to_dense(state):
 def single_qubit_lindbladian(ham, channel):
     """4x4 generator of one qubit's master equation, acting on row-major vec(rho).
 
-    Built from vec(A rho B) = (A kron B^T) vec(rho).  The jump operator is
-    sqrt(gamma) Z for dephasing and sqrt(gamma) |0><1| for amplitude damping.
+    Built from vec(A rho B) = (A kron B^T) vec(rho), with the jump operator
+    sqrt(gamma) L of the channel's row in the table.
     """
     h = ham.theta_z * PAULI_Z + ham.theta_x * PAULI_X
     gen = -1j * (np.kron(h, PAULI_I) - np.kron(PAULI_I, h.T))
-    jump = {CHANNEL_DEPHASING: PAULI_Z, CHANNEL_AMPDAMP: SIGMA_MINUS}.get(channel.kind)
+    jump = _QUBIT_CHANNEL[channel.kind][2]
     if jump is not None:
         j = np.sqrt(channel.gamma) * jump
         jj = j.conj().T @ j

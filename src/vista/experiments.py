@@ -191,7 +191,9 @@ def calibrate_experiment(
     wandered to a loss revival), then evaluates raw vs calibrated absolute
     error on ``holdout`` rates (default: the grid midpoints).
     """
-    mode = cfgmod.MODE_NOISY_DEPHASING if channel == "dephasing" else cfgmod.MODE_NOISY_AMPDAMP
+    if channel not in cfgmod.DECAY_MODES:
+        raise ConfigError(f"no mode learns the decay of channel {channel!r}")
+    mode = cfgmod.DECAY_MODES[channel]
 
     def gamma_hats(gamma):
         doc = {

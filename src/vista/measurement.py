@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .dynamics import ClosedFormState, closed_form_overlap
+from .dynamics import CHANNEL_DEPHASING, ClosedFormState, closed_form_overlap, qubit_channel
 from .errors import DimensionError, DomainError, UnsupportedModelError
 
 
@@ -65,9 +65,13 @@ def loss(raw, gen, shots=None, purity=1.0, mode=LOSS_PLAIN):
     raise DomainError(f"unknown loss mode {mode!r}")
 
 
-def parity_probability(n, theta, gamma, t):
-    """P(+1) of the all-X stabilizer on a dephased GHZ probe at time t (scalar or array)."""
+def parity_probability(n, theta, gamma, t, kind=CHANNEL_DEPHASING):
+    """P(+1) of the all-X stabilizer on a GHZ probe under the channel ``kind`` at time t (scalar or array).
+
+    Only the corner coherence carries the parity, so the fringe decays as e^{-n kappa t}
+    with kappa the channel's coherence decay at ``gamma``.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("time must be >= 0")
-    return 0.5 * (1 + np.exp(-2 * n * gamma * t) * np.cos(2 * n * theta * t))
+    return 0.5 * (1 + np.exp(-n * qubit_channel(kind, gamma)[1] * t) * np.cos(2 * n * theta * t))

@@ -50,7 +50,6 @@ from .dynamics import (
     HamiltonianSpec,
     circuit_decay,
     closed_form_overlap,
-    evolve_closed_form,
     ghz_product_overlap,
     product_channel_blocks,
     qubit_channel,
@@ -75,11 +74,6 @@ STATUS_EARLY_STOPPED = "early_stopped"
 # --- probe / ansatz assembly -------------------------------------------------
 
 
-def _probe_state(cfg):
-    ham = HamiltonianSpec(theta_z=cfg.theta_true)
-    return evolve_closed_form(cfg.n, ham, ChannelSpec(cfg.channel, cfg.gamma_true))
-
-
 # Below this many rows the closed form is cheaper on numpy scalars, row by row, than on
 # arrays, whose per-call overhead outweighs the work (measured: the two cross near 8 rows);
 # both give the same bits.
@@ -88,7 +82,7 @@ _ARRAY_ROWS = 8
 
 def _single_param_lossfn(cfg, mode, seeds):
     """Loss closure for the closed-form modes; returns (names, lossfn, frequencies)."""
-    probe = _probe_state(cfg)
+    probe = qubit_channel(cfg.channel, cfg.gamma_true)  # the probe's qubit after unit time, at phase theta_true
     n = cfg.n
     norm = measurement.LOSS_QN if cfg.normalization == NORM_QN else measurement.LOSS_PLAIN
     streams = None if cfg.shots.exact else Streams(seeds)
@@ -107,7 +101,7 @@ def _single_param_lossfn(cfg, mode, seeds):
                 phi = min(max(phi, 0.0), PHI_CLAMP)
             # a noisy mode's ansatz decays through the probe's channel (config.validate pairs them)
             qubit = qubit_channel(cfg.channel, circuit_decay(cfg.channel, phi))
-        raw = closed_form_overlap(n, probe.qubit, qubit, probe.theta - theta)
+        raw = closed_form_overlap(n, probe, qubit, cfg.theta_true - theta)
         return raw, closed_form_overlap(n, qubit, qubit, 0.0) if norm == measurement.LOSS_QN else 1.0
 
     def lossfn(values, nu, label, rows):
@@ -365,13 +359,13 @@ def run_cascade(cfg):
 
 
 def baseline_series(cfg):
-    """Time grid, exact parity probabilities, and their sampled versions for cfg.baseline.
+    """Time grid, exact parity probabilities under cfg.channel, and their sampled versions for cfg.baseline.
 
     Step k draws ``baseline.shots_per_step`` shots from ``stream(cfg.seed, k)``.
     """
     steps, total_time = cfg.baseline.steps, cfg.baseline.total_time
     t = np.arange(steps) * (total_time / steps)
-    p = parity_probability(cfg.n, cfg.theta_true, cfg.gamma_true, t)
+    p = parity_probability(cfg.n, cfg.theta_true, cfg.gamma_true, t, cfg.channel)
     shots = int(cfg.baseline.shots_per_step)
     p_hat = np.array([measurement.binomial_fraction(stream(cfg.seed, k), shots, pk) for k, pk in enumerate(p)])
     return t, p, p_hat

@@ -70,17 +70,7 @@ def persist(result, outdir):
         "final": _jsonable(result.final),
     }
     if result.trace is not None:
-        doc["trace"] = _jsonable(
-            {
-                "param_names": list(result.param_names),
-                "epoch": result.trace["epoch"],
-                "loss": result.trace["loss"],
-                "params": result.trace["params"],
-                "grad_norm": result.trace["grad_norm"],
-                "shots": result.trace["shots"],
-                "lr": result.trace["lr"],
-            }
-        )
+        doc["trace"] = _jsonable({"param_names": list(result.param_names), **result.trace})
     if result.stages is not None:
         doc["stages"] = _jsonable(result.stages)
     if result.series is not None:

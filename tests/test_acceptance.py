@@ -20,13 +20,7 @@ import numpy as np
 
 from conftest import random_density, random_hermitian, random_state
 from dense import matched_angle, q_hs, qfi_uhlmann, tensor_pauli
-from vista.analysis import (
-    q_hs_ampdamp_pure,
-    q_hs_dephasing,
-    q_hs_qn_dephasing,
-    qfi_ratio_ampdamp,
-    qfi_ratio_ampdamp_expansion,
-)
+from vista.analysis import curvature, qfi_ratio_ampdamp, qfi_ratio_ampdamp_expansion
 from vista.config import from_dict
 from vista.dynamics import (
     ChannelSpec,
@@ -34,6 +28,7 @@ from vista.dynamics import (
     circuit_ansatz_state,
     evolve_closed_form,
     lindblad_rk4_oracle,
+    qubit_channel,
     to_dense,
 )
 from vista.experiments import (
@@ -147,19 +142,21 @@ def test_criterion_04_closed_form_curvatures():
 
     theta = 0.05
     worst = 0.0
+    pure = qubit_channel("none", 0.0)
     for n in (2, 4, 8):
         for g in (0.01, 0.05, 0.1):
+            dq, aq = qubit_channel("dephasing", g), qubit_channel("amplitude_damping", g)
             got = q_hs(deph(n, g), theta, reference=deph(n, 0.0))
-            want = q_hs_dephasing(n, g, gamma_ref=0.0)
+            want = curvature(n, dq, pure)
             worst = max(worst, abs(got - want) / want)
             got = q_hs(deph(n, g), theta, reference=deph(n, g))
-            want = q_hs_dephasing(n, g)  # matched pair, gamma' = gamma
+            want = curvature(n, dq, dq)  # matched pair, gamma' = gamma
             worst = max(worst, abs(got - want) / want)
             got = q_hs(amp(n, g), theta, reference=deph(n, 0.0))
-            want = q_hs_ampdamp_pure(n, g)
+            want = curvature(n, aq, pure)
             worst = max(worst, abs(got - want) / want)
             got = q_hs(deph(n, g), theta, normalize=True)
-            want = q_hs_qn_dephasing(n, g)
+            want = curvature(n, dq, dq, normalized=True)
             worst = max(worst, abs(got - want) / want)
     _report(4, worst <= 1e-4,
             f"numerical vs closed-form curvature: worst rel dev {worst:.2e} (tol 1e-4)")

@@ -9,12 +9,9 @@ from vista.analysis import (
     CalibrationCurve,
     ScalingFit,
     crb_curve,
+    curvature,
     fit_scaling,
     gamma_calibration,
-    q_hs_ampdamp_pure,
-    q_hs_dephasing,
-    q_hs_qn_ampdamp,
-    q_hs_qn_dephasing,
     qfi_ratio_ampdamp,
     qfi_ratio_ampdamp_expansion,
 )
@@ -23,6 +20,7 @@ from vista.dynamics import (
     CHANNEL_DEPHASING,
     CHANNEL_NONE,
     ClosedFormState,
+    qubit_channel,
     to_dense,
 )
 from vista.errors import CalibrationError, DimensionError, DomainError, NumericsError
@@ -95,39 +93,40 @@ class TestQfiSpectral:
         assert qfi_uhlmann(rho, drho) == pytest.approx(2 * trace_product(drho, drho), rel=1e-4)
 
 
+def _dense_family(n, kind, g):
+    return lambda t: to_dense(ClosedFormState(n, kind, t, g))
+
+
 class TestOverlapCurvature:
+    """``curvature`` of (p, kappa) pairs against the dense two-stencil curvature."""
+
     def test_matches_dephasing_closed_form(self):
         n, g = 3, 0.1
-
-        def family(t):
-            return to_dense(ClosedFormState(n, CHANNEL_DEPHASING, t, g))
-
-        assert q_hs(family, 0.05) == pytest.approx(q_hs_dephasing(n, g), rel=1e-6)
+        qubit = qubit_channel(CHANNEL_DEPHASING, g)
+        assert q_hs(_dense_family(n, CHANNEL_DEPHASING, g), 0.05) == pytest.approx(curvature(n, qubit, qubit), rel=1e-6)
 
     def test_matches_damped_probe_pure_ansatz_form(self):
         n, g = 4, 0.2
-
-        def probe(t):
-            return to_dense(ClosedFormState(n, CHANNEL_AMPDAMP, t, g))
-
-        def ansatz(t):
-            return to_dense(ClosedFormState(n, CHANNEL_NONE, t))
-
-        got = q_hs(probe, 0.0, reference=ansatz)
-        assert got == pytest.approx(q_hs_ampdamp_pure(n, g), rel=1e-6)
+        got = q_hs(_dense_family(n, CHANNEL_AMPDAMP, g), 0.0, reference=_dense_family(n, CHANNEL_NONE, 0.0))
+        want = curvature(n, qubit_channel(CHANNEL_AMPDAMP, g), qubit_channel(CHANNEL_NONE, 0.0))
+        assert got == pytest.approx(want, rel=1e-6)
+        assert want == pytest.approx(2 * n**2 * np.exp(-n * g / 2), rel=1e-15)
 
     def test_matches_quasi_normalized_forms(self):
         n, g = 3, 0.15
+        for kind in (CHANNEL_DEPHASING, CHANNEL_AMPDAMP):
+            qubit = qubit_channel(kind, g)
+            got = q_hs(_dense_family(n, kind, g), 0.0, normalize=True)
+            assert got == pytest.approx(curvature(n, qubit, qubit, normalized=True), rel=1e-6)
 
-        def deph(t):
-            return to_dense(ClosedFormState(n, CHANNEL_DEPHASING, t, g))
-
-        assert q_hs(deph, 0.0, normalize=True) == pytest.approx(q_hs_qn_dephasing(n, g), rel=1e-6)
-
-        def amp(t):
-            return to_dense(ClosedFormState(n, CHANNEL_AMPDAMP, t, g))
-
-        assert q_hs(amp, 0.0, normalize=True) == pytest.approx(q_hs_qn_ampdamp(n, g), rel=1e-6)
+    def test_matches_dephased_probe_damped_ansatz(self):
+        # a mixed pair no bound kind uses: the curvature holds for any two channels
+        n, g_probe, g_ansatz = 3, 0.08, 0.3
+        probe, ansatz = qubit_channel(CHANNEL_DEPHASING, g_probe), qubit_channel(CHANNEL_AMPDAMP, g_ansatz)
+        family, reference = _dense_family(n, CHANNEL_DEPHASING, g_probe), _dense_family(n, CHANNEL_AMPDAMP, g_ansatz)
+        for normalized in (False, True):
+            got = q_hs(family, 0.1, reference=reference, normalize=normalized)
+            assert got == pytest.approx(curvature(n, probe, ansatz, normalized), rel=1e-6)
 
     def test_invariant_under_fixed_rotation(self, rng):
         n, g = 3, 0.1
@@ -136,7 +135,8 @@ class TestOverlapCurvature:
         def family(t):
             return u @ to_dense(ClosedFormState(n, CHANNEL_DEPHASING, t, g)) @ u.conj().T
 
-        assert q_hs(family, 0.05) == pytest.approx(q_hs_dephasing(n, g), rel=1e-6)
+        qubit = qubit_channel(CHANNEL_DEPHASING, g)
+        assert q_hs(family, 0.05) == pytest.approx(curvature(n, qubit, qubit), rel=1e-6)
 
     def test_detects_non_smooth_family(self):
         # a kink at the evaluation point makes the two stencils disagree

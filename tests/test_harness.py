@@ -18,6 +18,7 @@ from vista import cli
 from vista import config as cfgmod
 from vista import rng as rngmod
 from vista.analysis import BOUND_KINDS
+from vista.dynamics import ChannelSpec, HamiltonianSpec, lindblad_rk4_oracle
 from vista.errors import ConfigError, DomainError
 from vista.experiments import (
     calibrate_experiment,
@@ -28,6 +29,7 @@ from vista.experiments import (
 )
 from vista.measurement import binomial_fraction
 from vista.protocols import run_from_config
+from vista.qcore import PAULI_X, ghz_density
 from vista.results import RunResult, persist, trace_header, write_summary
 from vista.rng import (
     LABEL_WORD_BITS,
@@ -38,6 +40,8 @@ from vista.rng import (
     derive_seed,
     stream,
 )
+
+from dense import tensor_pauli
 
 MINIMAL = {"mode": cfgmod.MODE_PURE, "n": 3, "theta_true": 0.1, "seed": 0}
 
@@ -148,20 +152,58 @@ class TestConfig:
                  "seed": 0, "gamma_true": 0.1, "channel": "amplitude_damping"}
             )
 
-    def test_baseline_rejects_amplitude_damping(self, tmp_path, capsys):
-        # the parity law of the baseline is the dephased one, e^{-2 n gamma t};
-        # under damping the fringe decays as e^{-n gamma t / 2}
-        doc = {"mode": cfgmod.MODE_BASELINE, "n": 3, "theta_true": 0.2, "gamma_true": 0.1,
-               "seed": 0, "channel": "amplitude_damping"}
-        with pytest.raises(ConfigError, match="amplitude_damping"):
-            cfgmod.from_dict(doc)
+    def test_damped_baseline_runs_on_the_damped_parity_law(self, tmp_path):
+        # the parity fringe follows the channel: e^{-n gamma t / 2} under damping
+        n, theta, gamma = 3, 0.2, 0.1
+        doc = {"mode": cfgmod.MODE_BASELINE, "n": n, "theta_true": theta, "gamma_true": gamma, "seed": 0,
+               "channel": "amplitude_damping", "baseline": {"steps": 8, "shots_per_step": 100}}
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(doc))
-        assert cli.main(["baseline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "amplitude_damping" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        for channel in ("none", "dephasing"):
-            cfgmod.from_dict(dict(doc, channel=channel, gamma_true=0.0 if channel == "none" else 0.1))
+        assert cli.main(["baseline", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        series = json.loads((tmp_path / "out" / "result.json").read_text())["series"]
+        parity = tensor_pauli(n, PAULI_X)
+        for t, p in zip(series["t"][1:], series["p_exact"][1:]):
+            ham = HamiltonianSpec(theta_z=theta, t=t)
+            rho = lindblad_rk4_oracle(ghz_density(n), ham, ChannelSpec("amplitude_damping", gamma), steps=400)
+            assert p == pytest.approx(0.5 * (1 + np.trace(parity @ rho).real), abs=1e-9)
+        assert series["p_exact"][0] == 1.0
+
+    def test_accepted_mode_channel_normalization_combinations(self):
+        accepted = {
+            ("vista_pure", "none", "plain"),
+            ("vista_pure", "dephasing", "plain"),
+            ("vista_pure", "amplitude_damping", "plain"),
+            ("vista_noisy_dephasing", "dephasing", "plain"),
+            ("vista_noisy_dephasing", "dephasing", "quasi_normalized"),
+            ("vista_noisy_ampdamp", "amplitude_damping", "plain"),
+            ("vista_noisy_ampdamp", "amplitude_damping", "quasi_normalized"),
+            ("vista_multiparam", "none", "plain"),
+            ("vista_multiparam", "dephasing", "plain"),
+            ("vista_multiparam", "amplitude_damping", "plain"),
+            ("cascade", "none", "plain"),
+            ("cascade", "dephasing", "plain"),
+            ("cascade", "amplitude_damping", "plain"),
+            ("baseline_fft", "none", "plain"),
+            ("baseline_fft", "none", "quasi_normalized"),
+            ("baseline_fft", "dephasing", "plain"),
+            ("baseline_fft", "dephasing", "quasi_normalized"),
+            ("baseline_fft", "amplitude_damping", "plain"),
+            ("baseline_fft", "amplitude_damping", "quasi_normalized"),
+        }
+        got = set()
+        modes = ("vista_pure", "vista_noisy_dephasing", "vista_noisy_ampdamp", "vista_multiparam", "cascade", "baseline_fft")
+        for mode in modes:
+            for channel in ("none", "dephasing", "amplitude_damping"):
+                for norm in ("plain", "quasi_normalized"):
+                    doc = {"mode": mode, "n": 4, "theta_true": 0.1, "seed": 0, "channel": channel,
+                           "normalization": norm, "gamma_true": 0.0 if channel == "none" else 0.1,
+                           "theta2_true": 0.05, "cascade": {"n_sequence": [2, 4]}}
+                    try:
+                        cfgmod.from_dict(doc)
+                    except ConfigError:
+                        continue
+                    got.add((mode, channel, norm))
+        assert got == accepted
 
     def test_multiparam_needs_second_angle(self):
         with pytest.raises(ConfigError, match="theta2_true"):
@@ -229,6 +271,38 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert cli.main(["run", "--config", str(path)]) == 1
         assert f"{block}: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value,field",
+        [
+            ("n", 3.7, "n"),
+            ("n", True, "n"),
+            ("n", "3", "n"),
+            ("seed", 2.9, "seed"),
+            ("optimizer", {"max_epochs": 2.5}, "optimizer.max_epochs"),
+            ("optimizer", {"window": 2.5}, "optimizer.window"),
+            ("optimizer", {"max_epochs": False}, "optimizer.max_epochs"),
+            ("baseline", {"shots_per_step": 2500.5}, "baseline.shots_per_step"),
+            ("shots", {"nu_start": 100.5}, "shots.nu_start"),
+            ("multiparam", {"trotter_steps": 1.5}, "multiparam.trotter_steps"),
+            ("cascade", {"n_sequence": [2.5, 4]}, "cascade.n_sequence"),
+        ],
+    )
+    def test_integer_fields_reject_non_integral_values(self, key, value, field, tmp_path, capsys):
+        doc = {**MINIMAL, key: value}
+        with pytest.raises(ConfigError, match=field):
+            cfgmod.from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert field in capsys.readouterr().err
+
+    def test_integral_floats_are_stored_as_ints(self):
+        cfg = _cfg(n=3.0, seed=np.int64(4), optimizer={"max_epochs": 30.0}, shots={"nu_start": 1e3, "nu_end": 2e3},
+                   cascade={"n_sequence": [2.0, 4]})
+        values = (cfg.n, cfg.seed, cfg.optimizer.max_epochs, cfg.shots.nu_start, cfg.shots.nu_end) + cfg.cascade.n_sequence
+        assert values == (3, 4, 30, 1000, 2000, 2, 4)
+        assert all(type(v) is int for v in values)
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -730,3 +804,22 @@ class TestPackaging:
             and not (name.startswith("__") and name.endswith("__"))
         )
         assert unused == []
+
+    def test_rk4_oracle_stays_independent_of_the_channel_table(self):
+        # the oracle checks the closed forms and the product-channel kernel,
+        # so it must not read the per-channel table they are built from
+        path = Path(vista.__file__).parent / "dynamics.py"
+        funcs = {
+            node.name: node
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, ast.FunctionDef) and node.name in ("lindblad_rk4_oracle", "_make_rhs")
+        }
+        assert set(funcs) == {"lindblad_rk4_oracle", "_make_rhs"}
+        banned = {"_QUBIT_CHANNEL", "qubit_channel", "closed_form_overlap", "single_qubit_lindbladian", "product_channel_blocks"}
+        used = {
+            f"{name}: {node.id if isinstance(node, ast.Name) else node.attr}"
+            for name, func in funcs.items()
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and node.id in banned or isinstance(node, ast.Attribute) and node.attr in banned
+        }
+        assert used == set()

@@ -279,14 +279,14 @@ class TestParity:
         assert a == b
         assert 0 <= a <= 1
 
-    @pytest.mark.parametrize("channel", [CHANNEL_NONE, CHANNEL_DEPHASING])
+    @pytest.mark.parametrize("channel", [CHANNEL_NONE, CHANNEL_DEPHASING, CHANNEL_AMPDAMP])
     def test_matches_rk4_oracle(self, channel):
         # <X...X> of the evolved GHZ probe, from the dense master equation
         n, theta, t = 3, 0.2, 0.7
         gamma = 0.0 if channel == CHANNEL_NONE else 0.1
         rho = lindblad_rk4_oracle(ghz_density(n), HamiltonianSpec(theta_z=theta, t=t), ChannelSpec(channel, gamma), steps=400)
         oracle = 0.5 * (1 + np.trace(tensor_pauli(n, PAULI_X) @ rho).real)
-        assert parity_probability(n, theta, gamma, t) == pytest.approx(oracle, abs=1e-9)
+        assert parity_probability(n, theta, gamma, t, channel) == pytest.approx(oracle, abs=1e-9)
 
 
 class TestShotSampler:
