@@ -11,7 +11,7 @@ loading it back reproduces the same config.
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple
 
 from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, CHANNELS, check_channel
@@ -199,9 +199,26 @@ def from_dict(doc):
     return cfg
 
 
+# (block, field, "block.field") of every integer field of a config block
+_BLOCK_INTEGERS = tuple(
+    (block.name, f.name, f"{block.name}.{f.name}")
+    for block in fields(RunConfig)
+    if is_dataclass(block.type)
+    for f in fields(block.type)
+    if f.type is int
+)
+
+
 def validate(cfg):
     # from_dict refuses an unknown mode; one set by with_overrides is refused where the config runs
     rules = MODES.get(cfg.mode) or Mode(None, None, CHANNELS, True)
+    # from_dict has already parsed these; a config changed by with_overrides has not
+    _integer(cfg.n, "n")
+    _integer(cfg.seed, "seed")
+    for block, name, where in _BLOCK_INTEGERS:
+        _integer(getattr(getattr(cfg, block), name), where)
+    for x in cfg.cascade.n_sequence:
+        _integer(x, "cascade.n_sequence entry")
     if cfg.n < 1:
         raise ConfigError(f"n must be >= 1, got {cfg.n}")
     try:

@@ -9,12 +9,19 @@
 Floats in CSV carry 12 significant digits.  Wall time is kept on the
 in-memory record but never persisted, so rerunning with the same seed
 overwrites every file byte-identically.
+
+The JSON files hold the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
+plus a newline, and the CSV files the bytes that ``csv.writer`` writes; both
+are written without those encoders' per-element Python loops (``_dumps``,
+``_write_csv``).
 """
 
 import csv
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -95,24 +102,59 @@ def persist(result, outdir):
 
 
 def _int_column(values):
-    return [str(x) for x in np.asarray(values).astype(int).tolist()]
+    return list(map(str, np.asarray(values).astype(int).tolist()))
 
 
 def _fmt_column(values):
-    """A float column formatted as ``_fmt`` formats each float."""
-    return [f"{x:.12g}" for x in np.asarray(values, dtype=float).tolist()]
+    """A float column formatted as ``_fmt`` formats each float, in one formatting call."""
+    values = tuple(np.asarray(values, dtype=float).tolist())
+    return ("%.12g\n" * len(values) % values).split()
 
 
 def _write_csv(path, header, columns):
+    """What ``csv.writer`` writes for fields that need no quoting: numbers and the fixed headers."""
+    lines = [",".join(header), *map(",".join, zip(*columns)), ""]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write("\r\n".join(lines))
+
+
+_INDENT = "  "
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _dumps(obj, pad=""):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` as it reads nested at indentation ``pad``.
+
+    json runs its pure-Python encoder whenever ``indent`` is set.  Here a list
+    or dict of scalars is encoded by the C encoder in one call, with the
+    newline and the indentation in its item separator.  A list of non-empty
+    lists of scalars is too, and its rows are then re-indented by string
+    replacement.  That is exact: json escapes every newline inside a string,
+    so the separators hold the only raw ones, and only a row's end and the
+    next row's start put "]" and "[" around a separator.  Every value is
+    spelled by json's own encoder.
+    """
+    inner = pad + _INDENT
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        return json.dumps(obj)
+    if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
+        body = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))
+        return f"{body[0]}\n{inner}{body[1:-1]}\n{pad}{body[-1]}"
+    if is_dict:
+        items = [f"{encode_basestring_ascii(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if set(map(type, obj)) == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) <= _SCALARS:
+        cell = inner + _INDENT
+        body = json.dumps(obj, separators=(",\n" + cell, ": "))[2:-2]
+        body = body.replace("],\n" + cell + "[", "\n" + inner + "],\n" + inner + "[\n" + cell)
+        return "[\n" + inner + "[\n" + cell + body + "\n" + inner + "]\n" + pad + "]"
+    return "[\n" + inner + (",\n" + inner).join([_dumps(item, inner) for item in obj]) + "\n" + pad + "]"
 
 
 def _write_json(path, doc):
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(_dumps(doc) + "\n")
 
 
 def write_summary(path, fieldnames, rows):

@@ -33,8 +33,9 @@ Label layout used by the drivers (all labels are small non-negative ints):
 
 ``derive_seed`` still hashes (seed, label) through a SeedSequence; it runs
 once per replica or stage, not once per draw.  ``Streams`` serves the rows of
-a lockstep batch: it keys each seed once per batch and builds a label's
-counter once per evaluation for all rows.
+a lockstep batch: it builds one generator per row when the batch starts, and
+per evaluation builds the label's counter once and resets each row's
+generator to it through ``bit_generator.state``, constructing nothing.
 """
 
 from functools import lru_cache
@@ -101,15 +102,36 @@ def stream(seed, *key):
 
 
 class Streams:
-    """``stream(seed, *label)`` for each of a fixed list of seeds, drawn row by row."""
+    """``stream(seed, *label)`` for each of a fixed list of seeds, drawn row by row.
+
+    Each row keeps one generator for the life of the batch.  ``at`` moves it
+    to a label by setting its public ``bit_generator.state``: the label's
+    counter, the row's key, and the buffered output of a fresh Philox (an
+    empty buffer, no cached 32-bit half).  Philox's output depends on nothing
+    else, so the row then draws what a new ``stream(seed, *label)`` draws.
+    """
 
     def __init__(self, seeds):
-        self._keys = [_philox_key(int(seed)) for seed in seeds]
+        keys = [_philox_key(int(seed)) for seed in seeds]
+        self._gens = [np.random.Generator(np.random.Philox(key)) for key in keys]
+        self._keys = [key.words.tolist() for key in keys]
 
     def at(self, rows, *key):
-        """Generators of the seeds at ``rows`` for one label; each equals ``stream(seed, *key)``."""
-        counter = _label_counter(key)
-        return [np.random.Generator(np.random.Philox(self._keys[r], counter=counter)) for r in rows]
+        """The kept generators of the distinct ``rows`` at one label; each
+        equals ``stream(seed, *key)`` until the next ``at`` on its row."""
+        counter = _label_counter(key).tolist()
+        gens = [self._gens[r] for r in rows]
+        for r, gen in zip(rows, gens):
+            gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": counter, "key": self._keys[r]},
+                # a fresh Philox's output buffer: 4 words, all consumed, and no cached 32-bit half
+                "buffer": (0, 0, 0, 0),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        return gens
 
 
 def derive_seed(seed, *key):

@@ -3,19 +3,25 @@
 import ast
 import csv
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
 import shutil
 import subprocess
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vista
 from vista import cli
 from vista import config as cfgmod
+from vista import results as resmod
 from vista import rng as rngmod
 from vista.analysis import BOUND_KINDS
 from vista.dynamics import ChannelSpec, HamiltonianSpec, lindblad_rk4_oracle
@@ -304,6 +310,26 @@ class TestConfig:
         assert values == (3, 4, 30, 1000, 2000, 2, 4)
         assert all(type(v) is int for v in values)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n", 3.5),
+            ("n", True),
+            ("seed", 2.5),
+            ("seed", "2"),
+            ("shots.nu_start", 100.5),
+            ("multiparam.trotter_steps", 1.5),
+            ("cascade.n_sequence", (2, 4.5)),
+        ],
+    )
+    def test_with_overrides_checks_integer_fields(self, field, value):
+        # validate applies from_dict's integer rule, so a changed config cannot carry n = 3.5
+        cfg = _cfg()
+        block, _, name = field.partition(".")
+        override = {block: replace(getattr(cfg, block), **{name: value})} if name else {field: value}
+        with pytest.raises(ConfigError, match=f"^{field}( entry)? must be an integer, got "):
+            cfgmod.with_overrides(cfg, **override)
+
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             cfgmod.load_config(str(tmp_path / "nope.json"))
@@ -443,6 +469,100 @@ class TestResults:
         assert rows == [["a", "b"], ["1", "2.5"], ["3", ""]]
 
 
+# JSON-like documents: scalars of every kind, flat and 2-D number lists (ragged, with
+# empty rows), and nested lists and dicts with str keys
+_NUMBERS = st.one_of(st.floats(), st.integers(), st.booleans())
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    _NUMBERS,
+    st.text(),
+    st.lists(_NUMBERS, max_size=6),
+    st.lists(st.lists(_NUMBERS | st.text(max_size=4), max_size=3), max_size=4),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+_EDGE_DOC = {
+    "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, 0.1],
+    "ints": [2**70, -(2**64), 0],
+    "mixed": [1, 2.5, True, False, None],
+    "empty": {"list": [], "dict": {}, "rows": [[]], "ragged": [[1.0], [], [2.0, 3.0]]},
+    "params": [[0.125, -0.0], [float("nan"), 3]],
+    "deep": [[[1.0]], 5, [[2, [3]], ["x, y"]]],
+    "text": ["é ✓ \u0001", 'quote " backslash \\ newline \n', "a, b"],
+}
+
+# persist of a hand-built run: literal values only, so the bytes are the same on any host
+_GOLDEN_RESULT = RunResult(
+    config={
+        "mode": "vista_noisy_dephasing", "n": 3, "theta_true": 0.25, "seed": 7, "gamma_true": 0.125,
+        "output": None, "channel": "dephasing", "normalization": "quasi_normalized",
+        "shots": {"exact": False, "nu_end": 40000, "nu_start": 10000, "profile": "geometric"},
+        "cascade": {"g_min": 0.0001, "n_sequence": []},
+    },
+    seed=7,
+    status="converged",
+    param_names=("theta_hat", "phi"),
+    trace={
+        "epoch": np.array([0, 1, 2]),
+        "loss": np.array([0.5, 0.1875, -0.0]),
+        "params": np.array([[0.125, 0.1], [0.2, 0.0625], [0.25, 1e-300]]),
+        "grad_norm": np.array([1.5, 3e-7, np.nan]),
+        "shots": np.array([10000, 20000, 40000]),
+        "lr": np.array([0.05, 0.04975, 123456789.0]),
+    },
+    final={"theta_hat": np.float64(0.25), "phi": 1e-300, "loss": -0.0, "epochs": np.int64(3)},
+    stages=[{"n": 2, "theta_hat": 0.125, "status": "converged", "window_breach": False}],
+)
+_GOLDEN_SHA256 = {
+    "config.json": "209e4471e79db7a82bae9af68a555e5482b76e3b186fd293a39e427b8e1d09c3",
+    "result.json": "72fd311228bad183b6f3cd99b8e13fbde18fb71e61b1aab8b314a8f4774c773d",
+    "trace.csv": "846ece253a8d4adfc08f128ee47ca17c2c8ad55597bc73ac1d377a4aba88281f",
+}
+
+
+class TestWriters:
+    """The persistence writers give the bytes of json.dumps(indent=2, sort_keys=True) and csv.writer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_JSON_DOCS)
+    @example(doc=_EDGE_DOC)
+    @example(doc=[["],\n    [", 1.0], [2.0]])  # a string holding the text of a 2-D row boundary
+    def test_write_json_matches_json_dumps(self, doc, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "doc.json"
+        resmod._write_json(str(path), doc)
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(width=64), max_size=40))
+    @example(values=[float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5,
+                     123456789012.5, 0.1 + 0.2, -1e-300])
+    @example(values=[])
+    def test_fmt_column_matches_format(self, values):
+        assert resmod._fmt_column(np.array(values)) == [f"{x:.12g}" for x in values]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 10**9), st.floats(), st.floats(), st.integers(1, 10**6)), max_size=12))
+    def test_write_csv_matches_csv_writer(self, rows, tmp_path_factory):
+        header = trace_header(("theta_hat",))[:4]
+        ints, a, b, shots = map(list, zip(*rows)) if rows else ([], [], [], [])
+        columns = [resmod._int_column(ints), resmod._fmt_column(a), resmod._fmt_column(b), resmod._int_column(shots)]
+        path = tmp_path_factory.getbasetemp() / "rows.csv"
+        resmod._write_csv(str(path), header, columns)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_persisted_bytes_are_pinned(self, tmp_path):
+        # A change to these digests changes the artifact format and must be reported in CHANGES.md.
+        persist(_GOLDEN_RESULT, str(tmp_path))
+        assert _hash_dir(tmp_path) == _GOLDEN_SHA256
+
+
 class TestExperiments:
     def test_replica_seeds_deterministic_and_distinct(self):
         seeds = replica_seeds(7, 5)
@@ -543,6 +663,46 @@ class TestExperiments:
                 assert gen.bit_generator.random_raw(3).tolist() == stream(seed, *label).bit_generator.random_raw(3).tolist()
         with pytest.raises(DomainError, match="label"):
             streams.at([0], -1)
+
+    def test_kept_generators_match_fresh_streams_after_drawing(self):
+        # a row's generator, dirtied by draws of every kind, draws what a fresh stream draws once moved
+        seeds = [5, 9, 2**40 + 3]
+        streams = rngmod.Streams(seeds)
+        labels = [(STREAM_LOSS, 7), (STREAM_GRAD, 7, 1, 0), (), (3, 2**LABEL_WORD_BITS - 1, 0, 1)]
+        for label, nu in itertools.product(labels, (10, 1000, 100_000)):
+            for gen in streams.at([0, 1, 2], STREAM_LOSS, 0):
+                gen.binomial(100_000, 0.49)
+                gen.normal(size=3)
+                gen.integers(0, 2**32, dtype=np.uint32)  # leaves the other half word cached
+                assert gen.bit_generator.state["has_uint32"] == 1
+            for gen, seed in zip(streams.at([1, 2, 0], *label), (seeds[1], seeds[2], seeds[0])):
+                fresh = stream(seed, *label)
+                assert binomial_fraction(gen, nu, 0.3) == binomial_fraction(fresh, nu, 0.3)
+                assert gen.integers(0, 2**32, dtype=np.uint32) == fresh.integers(0, 2**32, dtype=np.uint32)
+                assert gen.bit_generator.random_raw(5).tolist() == fresh.bit_generator.random_raw(5).tolist()
+
+    def test_kept_generators_follow_the_last_label_in_any_row_order(self):
+        seeds = [11, 12, 13]
+        label = (STREAM_GRAD, 4, 0, 1)
+        expected = [binomial_fraction(stream(seed, *label), 1000, 0.4) for seed in seeds]
+        streams = rngmod.Streams(seeds)
+        for order in itertools.permutations(range(3)):
+            streams.at(list(order), STREAM_LOSS, 3)  # moved away and not drawn from
+            gens = streams.at(list(order), *label)
+            assert [binomial_fraction(gen, 1000, 0.4) for gen in gens] == [expected[r] for r in order]
+
+    def test_at_constructs_no_generator(self, monkeypatch):
+        streams = rngmod.Streams([5, 9])
+        built = []
+        for name in ("Generator", "Philox"):
+            real = getattr(np.random, name)
+            monkeypatch.setattr(np.random, name, lambda *a, _real=real, _name=name, **k: built.append(_name) or _real(*a, **k))
+        for epoch in range(20):
+            for gen in streams.at([1, 0], STREAM_LOSS, epoch):
+                binomial_fraction(gen, 100, 0.5)
+        assert built == []
+        stream(5, STREAM_LOSS, 0)  # the patch sees a construction
+        assert built == ["Philox", "Generator"]
 
     @pytest.mark.parametrize(
         "label",
