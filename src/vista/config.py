@@ -4,8 +4,9 @@ A minimal config is {"mode", "n", "theta_true", "seed"}; every other field has
 a default, the channel and normalization from the mode's row in ``MODES``.
 Unknown keys anywhere in the document are rejected so a typo cannot silently
 fall back to a default, and an integer field takes only an int or an integral
-float.  ``effective_dict`` materializes all defaults; persisting it and
-loading it back reproduces the same config.
+float, which it stores as an int, whether set by ``from_dict`` or by
+``with_overrides``.  ``effective_dict`` materializes all defaults;
+persisting it and loading it back reproduces the same config.
 """
 
 import json
@@ -285,8 +286,23 @@ def load_config(path, overrides=None):
     return from_dict(merge_overrides(load_doc(path), overrides or {}))
 
 
+_TOP_INTEGERS = {f.name for f in fields(RunConfig) if f.type is int}
+
+
+def _with_integers(key, val):
+    """The override ``val`` of field ``key`` with each integer field it sets stored as an int, as from_dict stores it."""
+    if key in _TOP_INTEGERS:
+        return _integer(val, key)
+    if not is_dataclass(val):
+        return val
+    ints = {f.name: _integer(getattr(val, f.name), f"{key}.{f.name}") for f in fields(val) if f.type is int}
+    if isinstance(val, CascadeBlock):
+        ints["n_sequence"] = tuple(_integer(x, "cascade.n_sequence entry") for x in val.n_sequence)
+    return replace(val, **ints) if ints else val
+
+
 def with_overrides(cfg, **kwargs):
-    """Functional update preserving validation."""
-    new = replace(cfg, **kwargs)
+    """Functional update preserving validation; an integral float given for an integer field is stored as an int."""
+    new = replace(cfg, **{key: _with_integers(key, val) for key, val in kwargs.items()})
     validate(new)
     return new

@@ -27,8 +27,10 @@ With the transverse term theta_x != 0 there is no closed form for the corner
 structure, but E is still one 4x4 superoperator: the probe is
 rho = 1/2 sum_ab E(|a><b|)^{(x) n}, the Trotter ansatz is u^{(x) n}|GHZ> for
 one 2x2 matrix u, and their overlap is a sum of 16 scalars raised to the n-th
-power.  The dense RK4 integrator is kept as an independent oracle for these
-kernels (``vista oracle-check`` runs it).
+power.  ``trotter_unitary`` and ``ghz_product_overlap`` take a leading row
+axis, as ``closed_form_overlap`` takes arrays, and give every row the bits
+of its scalar evaluation.  The dense RK4 integrator is kept as an
+independent oracle for these kernels (``vista oracle-check`` runs it).
 """
 
 from dataclasses import dataclass, field
@@ -268,24 +270,34 @@ def trotter_unitary(ham, d=64):
 
     d steps of exp(-i theta_z tau sum Z) exp(-i theta_x tau sum X), tau = t/d,
     map |GHZ> to u^{(x) n}|GHZ> with u = (exp(-i theta_z tau Z) exp(-i theta_x tau X))^d.
+    theta_z and theta_x may be arrays of rows; u then has their shape
+    followed by (2, 2), and each row holds the bits of its scalar u.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
     tau = ham.t / d
-    c, s = np.cos(ham.theta_x * tau), np.sin(ham.theta_x * tau)
-    zphase = np.exp(-1j * ham.theta_z * tau * np.array([1.0, -1.0]))
-    step = zphase[:, None] * np.array([[c, -1j * s], [-1j * s, c]])
-    return np.linalg.matrix_power(step, d)
+    x = np.multiply(ham.theta_x, tau)
+    c, s = np.cos(x), np.sin(x)
+    zphase = np.exp(np.multiply.outer(-1j * np.asarray(ham.theta_z) * tau, [1.0, -1.0]))
+    rot = np.empty(np.shape(x) + (2, 2), dtype=complex)
+    rot[..., 0, 0] = rot[..., 1, 1] = c
+    rot[..., 0, 1] = rot[..., 1, 0] = -1j * s
+    return np.linalg.matrix_power(zphase[..., :, None] * rot, d)
 
 
 def ghz_product_overlap(blocks, u, n):
     """<psi|rho|psi> for rho = 1/2 sum_ab M_ab^{(x) n} and |psi> = u^{(x) n}|GHZ>.
 
     Equals 1/4 Re sum_abce t_abce^n with t_ab = u^dag M_ab u; the cost does
-    not depend on n.
+    not depend on n.  u may carry leading row axes, as ``trotter_unitary``
+    returns it; the result then has one overlap per row.  A row's bits do
+    not depend on the rows beside it: matmul runs the same 2x2 kernel on
+    every slice, the complex power goes element by element, and each row's
+    16 terms are summed along one contiguous axis.
     """
-    t = u.conj().T @ blocks @ u
-    return 0.25 * float(np.real(np.sum(t**n)))
+    u = u[..., None, None, :, :]
+    t = (np.swapaxes(u.conj(), -1, -2) @ blocks @ u) ** n
+    return 0.25 * np.real(np.sum(t.reshape(t.shape[:-4] + (16,)), axis=-1))
 
 
 # ---------------------------------------------------------------------------

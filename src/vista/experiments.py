@@ -68,19 +68,16 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
     names = list(axes)
     seeds = replica_seeds(base_cfg.seed, replicas)
     points = list(itertools.product(*(axes[k] for k in names)))
+    base_doc = cfgmod.effective_dict(base_cfg)
     batches = []
     for point in points:
+        point_doc = {**base_doc, **dict(zip(names, point))}
+        tag = "_".join(f"{k}={v}" for k, v in zip(names, point)) or "point"
         batch = []
         for r, seed in enumerate(seeds):
-            doc = cfgmod.effective_dict(base_cfg)
-            doc.update(dict(zip(names, point)))
-            doc["seed"] = seed
-            if outdir is not None:
-                tag = "_".join(f"{k}={v}" for k, v in zip(names, point))
-                doc["output"] = os.path.join(outdir, tag or "point", f"seed_{r}")
-            else:
-                doc["output"] = None
-            batch.append(cfgmod.from_dict(doc))  # fail fast on a bad grid point
+            # from_dict reads its document without changing it, so the replicas share the blocks
+            output = None if outdir is None else os.path.join(outdir, tag, f"seed_{r}")
+            batch.append(cfgmod.from_dict({**point_doc, "seed": seed, "output": output}))  # fail fast on a bad point
         batches.append(batch)
 
     cap = max(1, (os.cpu_count() or 1) if workers is None else workers)

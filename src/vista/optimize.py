@@ -14,9 +14,11 @@ or diverges leaves the live set and the others go on.  A single run is the
 case R = 1.  Every step acts on the rows elementwise, so a row's trajectory
 does not depend, to the last bit, on which rows share its batch.
 
-Every loss evaluation receives a distinct stream label, so each gradient
-shift and each recorded loss draws fresh shots while remaining a pure
-function of (config, master seed).
+An epoch is one loss call: ``estimate_gradient`` stacks the live rows and
+their 2p gradient shifts into one block and hands it to the loss closure
+with one stream label per row block, so each gradient shift and each
+recorded loss draws fresh shots while remaining a pure function of
+(config, master seed).
 """
 
 import math
@@ -172,30 +174,45 @@ class GradientConfig:
         return np.where(own, shifts, -0.0), np.where(own, shifts, 0.0), np.array(scales)
 
 
-def estimate_gradient(values, lossfn, grad_cfg, epoch=0):
-    """Gradient of the sampled loss at each row of the (L, p) array ``values``.
+def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None):
+    """One epoch's evaluation: (losses, gradient) of the sampled loss at the rows of the (L, p) array ``values``.
 
-    ``lossfn(values, label)`` must return one loss per row, with shots drawn
-    from the stream named by ``label``; each shifted evaluation gets its own
-    label so no draws are shared (unless ``crn``).  Central differences use
-    (L+ - L-)/(2h).  The parameter-shift rule evaluates at +-pi/(2 w) and
-    scales by w/2, which is exact when the loss is A + B cos(w p + c) in
-    parameter p; parameters with frequency 0 (no single-harmonic form, e.g.
-    the decay-matching angle) fall back to their central-difference step.
+    The rows and their 2p shifted copies are stacked into a ((1+2p) L, p)
+    block: the rows, then each parameter's up and down shift.  One call
+    ``lossfn(block, nu, labels, rows)`` returns a loss per block row, and
+    block k draws from the stream ``labels[k]``: (STREAM_LOSS, epoch), then
+    (STREAM_GRAD, epoch, i, side), where ``crn`` gives both sides side 0.
+    ``rows`` (default 0..L-1) names the rows to the closure.
+
+    Central differences use (L+ - L-)/(2h).  The parameter-shift rule
+    evaluates at +-pi/(2 w) and scales by w/2, which is exact when the loss
+    is A + B cos(w p + c) in parameter p; parameters with frequency 0 (no
+    single-harmonic form, e.g. the decay-matching angle) fall back to their
+    central-difference step.
     """
     ups, downs, scales = grad_cfg.steps
-    ups, downs = values + ups, values - downs  # row blocks with one parameter shifted each
-    grad = np.empty(ups.shape[1:])
-    for i in range(len(scales)):
-        lp = lossfn(ups[i], (STREAM_GRAD, epoch, i, 0))
-        lm = lossfn(downs[i], (STREAM_GRAD, epoch, i, 0 if grad_cfg.crn else 1))
-        np.subtract(lp, lm, out=grad[:, i])
+    nrows, nparams = values.shape
+    block = np.empty((1 + 2 * nparams, nrows, nparams))
+    block[0] = values
+    np.add(values, ups, out=block[1::2])  # one parameter shifted in each block
+    np.subtract(values, downs, out=block[2::2])
+    side = 0 if grad_cfg.crn else 1
+    labels = [(STREAM_LOSS, epoch)]
+    for i in range(nparams):
+        labels += [(STREAM_GRAD, epoch, i, 0), (STREAM_GRAD, epoch, i, side)]
+    out = lossfn(block.reshape(-1, nparams), nu, labels, np.arange(nrows) if rows is None else rows)
+    losses = out[:nrows]
+    if not _finite(losses):
+        raise NumericsError(f"non-finite loss at epoch {epoch}")
+    shifted = out[nrows:].reshape(nparams, 2, nrows)
+    grad = np.empty((nrows, nparams))
+    np.subtract(shifted[:, 0].T, shifted[:, 1].T, out=grad)
     grad *= scales
     # a difference of finite losses is finite, so one check covers every shifted loss
     if not _finite(grad):
         i = int(np.argmin(np.isfinite(grad).all(axis=0)))
         raise NumericsError(f"non-finite loss in gradient evaluation at parameter {i}")
-    return grad
+    return losses, grad
 
 
 _TRACE_EPOCHS = 64  # epochs the trace buffers hold at first
@@ -236,11 +253,11 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     """Drive ADAM on R replicas until each converges or diverges, or the epoch/time budget ends.
 
     ``params0`` is an (R, p) array of starting rows whose columns are named
-    by ``names``.  ``lossfn(values, nu, label, rows)`` evaluates the
-    (possibly sampled) loss of the live rows and returns one loss per row:
-    ``values`` is their (L, p) array and ``rows`` their indices into
-    ``params0``; nu is the epoch's shot count (None in exact mode) and
-    ``label`` names the stream of the evaluation.
+    by ``names``.  Each epoch makes one call ``lossfn(block, nu, labels,
+    rows)`` through ``estimate_gradient``: it returns the (possibly sampled)
+    loss of each row of ``block``, 1+2p stacked copies of the L live rows,
+    whose indices into ``params0`` are ``rows``; nu is the epoch's shot
+    count (None in exact mode) and ``labels[k]`` names the stream of block k.
 
     The stop rules come from ``optimizer`` and are applied to each row:
     convergence requires the mean absolute parameter change, averaged over
@@ -289,14 +306,7 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
             size = min(2 * epoch, max_epochs)
             losses, params, grads, deltas = (_grown(b, size) for b in (losses, params, grads, deltas))
         nu = schedule.shots_at(epoch, max_epochs)
-
-        def eval_loss(v, label, _nu=nu, _rows=rows):
-            return lossfn(v, _nu, label, _rows)
-
-        loss_here = eval_loss(values, (STREAM_LOSS, epoch))
-        if not _finite(loss_here):
-            raise NumericsError(f"non-finite loss at epoch {epoch}")
-        grad = estimate_gradient(values, eval_loss, gradient, epoch=epoch)
+        loss_here, grad = estimate_gradient(values, lossfn, gradient, epoch, nu, rows)
         state, new_values = adam_step(optimizer, state, values, grad)
         new_values = clamp_phi(new_values, names)
 

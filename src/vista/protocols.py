@@ -20,10 +20,11 @@ and output -- as one lockstep batch of ``optimize.run_optimization``; every
 single run (``run_vista``, ``run_multiparam``, each cascade stage) is a batch
 of one.  The loss closures evaluate the live rows of a batch together: the
 closed forms take arrays of angles and decays (or, for a few rows, numpy
-scalars row by row), the two-angle overlap is formed row by row, and each
-row's shots come from its own stream.  Every sampled evaluation
-derives its stream from (seed, labels), so a (config, seed) pair fixes the
-whole trajectory, whatever the batch.
+scalars row by row), the two-angle kernel takes the whole block of rows,
+and each row's shots come from its own stream.  An epoch is one call of the
+closure, on the live rows stacked with their gradient shifts.  Every
+sampled evaluation derives its stream from (seed, labels), so a (config,
+seed) pair fixes the whole trajectory, whatever the batch.
 """
 
 import math
@@ -85,8 +86,8 @@ def _single_param_lossfn(cfg, mode, seeds):
     probe = qubit_channel(cfg.channel, cfg.gamma_true)  # the probe's qubit after unit time, at phase theta_true
     n = cfg.n
     norm = measurement.LOSS_QN if cfg.normalization == NORM_QN else measurement.LOSS_PLAIN
-    streams = None if cfg.shots.exact else Streams(seeds)
     names = ("theta",) if mode == MODE_PURE else ("theta", "phi")
+    streams = None if cfg.shots.exact else Streams(seeds, 1 + 2 * len(names))
 
     def overlap(theta, phi=None):
         """Raw overlap and ansatz purity at angles theta (and phi), scalars or arrays alike."""
@@ -104,13 +105,13 @@ def _single_param_lossfn(cfg, mode, seeds):
         raw = closed_form_overlap(n, probe, qubit, cfg.theta_true - theta)
         return raw, closed_form_overlap(n, qubit, qubit, 0.0) if norm == measurement.LOSS_QN else 1.0
 
-    def lossfn(values, nu, label, rows):
+    def lossfn(values, nu, labels, rows):
         if len(values) < _ARRAY_ROWS:
             overlaps = map(overlap, *values.T.tolist())
         else:
             raw, purity = overlap(*values.T)
             overlaps = zip(raw.tolist(), np.broadcast_to(purity, raw.shape).tolist())
-        gens = [None] * len(values) if nu is None else streams.at(rows.tolist(), *label)
+        gens = [None] * len(values) if nu is None else streams.at(rows.tolist(), labels)
         # one measurement.loss call per row, which draws the row's shots from its own stream
         return np.array([measurement.loss(raw, gen, nu, pur, norm) for (raw, pur), gen in zip(overlaps, gens)])
 
@@ -121,28 +122,24 @@ def _single_param_lossfn(cfg, mode, seeds):
 def _multiparam_lossfn(cfg, seeds):
     """Loss closure for the two-angle mode, evaluated on one qubit's channel and ansatz.
 
-    The probe blocks are computed once per run; each evaluation forms every
-    row's 2x2 Trotter factor and contracts it with them, so nothing grows
-    with n.  The rows are taken one at a time: the n-th power of a complex
-    array would round differently from the scalar one.
+    The probe blocks are computed once per run; each evaluation forms the
+    2x2 Trotter factors of all its rows at once and contracts them with the
+    blocks, so nothing grows with n.
     """
     n = cfg.n
     probe = product_channel_blocks(
         HamiltonianSpec(cfg.theta_true, cfg.theta2_true), ChannelSpec(cfg.channel, cfg.gamma_true)
     )
     d = cfg.multiparam.trotter_steps
-    streams = None if cfg.shots.exact else Streams(seeds)
+    names = ("theta", "theta2")
+    streams = None if cfg.shots.exact else Streams(seeds, 1 + 2 * len(names))
 
-    def lossfn(values, nu, label, rows):
-        gens = [None] * len(values) if nu is None else streams.at(rows.tolist(), *label)
-        return np.array(
-            [
-                measurement.loss(ghz_product_overlap(probe, trotter_unitary(HamiltonianSpec(a, b), d), n), gen, nu)
-                for (a, b), gen in zip(values.tolist(), gens)
-            ]
-        )
+    def lossfn(values, nu, labels, rows):
+        raw = ghz_product_overlap(probe, trotter_unitary(HamiltonianSpec(values[:, 0], values[:, 1]), d), n)
+        gens = [None] * len(values) if nu is None else streams.at(rows.tolist(), labels)
+        return np.array([measurement.loss(r, gen, nu) for r, gen in zip(raw.tolist(), gens)])
 
-    return ("theta", "theta2"), lossfn, np.array([0.0, 0.0])
+    return names, lossfn, np.array([0.0, 0.0])
 
 
 def _draw_init(cfg, names):

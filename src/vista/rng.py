@@ -33,9 +33,10 @@ Label layout used by the drivers (all labels are small non-negative ints):
 
 ``derive_seed`` still hashes (seed, label) through a SeedSequence; it runs
 once per replica or stage, not once per draw.  ``Streams`` serves the rows of
-a lockstep batch: it builds one generator per row when the batch starts, and
-per evaluation builds the label's counter once and resets each row's
-generator to it through ``bit_generator.state``, constructing nothing.
+a lockstep batch: it builds one generator per row and label slot when the
+batch starts (an epoch draws under 1 + 2p labels at once), and per epoch
+builds each label's counter once and resets the rows' generators to it
+through ``bit_generator.state``, constructing nothing.
 """
 
 from functools import lru_cache
@@ -104,33 +105,42 @@ def stream(seed, *key):
 class Streams:
     """``stream(seed, *label)`` for each of a fixed list of seeds, drawn row by row.
 
-    Each row keeps one generator for the life of the batch.  ``at`` moves it
-    to a label by setting its public ``bit_generator.state``: the label's
-    counter, the row's key, and the buffered output of a fresh Philox (an
-    empty buffer, no cached 32-bit half).  Philox's output depends on nothing
-    else, so the row then draws what a new ``stream(seed, *label)`` draws.
+    Each row keeps ``slots`` generators for the life of the batch, one per
+    label of an ``at`` call.  ``at`` moves a generator to a label by setting
+    its public ``bit_generator.state``: the label's counter, the row's key,
+    and the buffered output of a fresh Philox (an empty buffer, no cached
+    32-bit half).  Philox's output depends on nothing else, so the generator
+    then draws what a new ``stream(seed, *label)`` draws.
     """
 
-    def __init__(self, seeds):
+    def __init__(self, seeds, slots=1):
         keys = [_philox_key(int(seed)) for seed in seeds]
-        self._gens = [np.random.Generator(np.random.Philox(key)) for key in keys]
+        self._slots = [[np.random.Generator(np.random.Philox(key)) for key in keys] for _ in range(slots)]
         self._keys = [key.words.tolist() for key in keys]
 
-    def at(self, rows, *key):
-        """The kept generators of the distinct ``rows`` at one label; each
-        equals ``stream(seed, *key)`` until the next ``at`` on its row."""
-        counter = _label_counter(key).tolist()
-        gens = [self._gens[r] for r in rows]
-        for r, gen in zip(rows, gens):
-            gen.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": counter, "key": self._keys[r]},
-                # a fresh Philox's output buffer: 4 words, all consumed, and no cached 32-bit half
-                "buffer": (0, 0, 0, 0),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+    def at(self, rows, labels):
+        """Kept generators of the distinct ``rows`` at each of ``labels``, label by label.
+
+        The generator of (labels[k], rows[j]) is item k * len(rows) + j; it
+        equals ``stream(seed, *labels[k])`` until the next ``at`` moves it.
+        """
+        if len(labels) > len(self._slots):
+            raise DomainError(f"{len(labels)} labels for {len(self._slots)} generator slots per row")
+        gens = []
+        for slot, key in zip(self._slots, labels):
+            counter = _label_counter(key).tolist()
+            for r in rows:
+                gen = slot[r]
+                gen.bit_generator.state = {
+                    "bit_generator": "Philox",
+                    "state": {"counter": counter, "key": self._keys[r]},
+                    # a fresh Philox's output buffer: 4 words, all consumed, and no cached 32-bit half
+                    "buffer": (0, 0, 0, 0),
+                    "buffer_pos": 4,
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                gens.append(gen)
         return gens
 
 

@@ -2,8 +2,9 @@
 
 Pauli algebra on full registers, Hilbert-Schmidt traces and density-matrix
 checks, the spectral quantum Fisher information with a finite-difference
-overlap curvature, the dense first-order Trotter product, and the circuit
-angle matched to a channel.  The package computes all of these in closed
+overlap curvature, the dense first-order Trotter product, one row's Trotter
+factor and product-channel overlap from scalars, and the circuit angle
+matched to a channel.  The package computes all of these in closed
 form or as products of one-qubit channels; the tests use this module as an
 independent dense reference for those results.  It follows the conventions
 of ``vista.qcore`` (qubit 0 is the most significant index bit).
@@ -231,6 +232,28 @@ def trotter_evolve(vec, ham, d=64):
                 v[:, 1, :] = c * a1 - 1j * s * a0
         psi *= zphase
     return psi
+
+
+def trotter_unitary_row(ham, d):
+    """One row's 2x2 Trotter factor, built from scalars step by step.
+
+    The reference for ``vista.dynamics.trotter_unitary`` on a row axis: each
+    row of the stacked factor must hold these bits.
+    """
+    tau = ham.t / d
+    c, s = np.cos(ham.theta_x * tau), np.sin(ham.theta_x * tau)
+    zphase = np.exp(-1j * ham.theta_z * tau * np.array([1.0, -1.0]))
+    step = zphase[:, None] * np.array([[c, -1j * s], [-1j * s, c]])
+    return np.linalg.matrix_power(step, d)
+
+
+def ghz_product_overlap_row(blocks, u, n):
+    """One row's product-channel overlap 1/4 Re sum_abce t_abce^n, t_ab = u^dag M_ab u, as a float.
+
+    The reference for ``vista.dynamics.ghz_product_overlap`` on a row axis.
+    """
+    t = u.conj().T @ blocks @ u
+    return 0.25 * float(np.real(np.sum(t**n)))
 
 
 def matched_angle(channel):

@@ -271,16 +271,17 @@ def test_criterion_11_estimator_statistics():
     probe = evolve_closed_form(3, HamiltonianSpec(theta_z=0.15, t=1.0), ChannelSpec("none", 0.0))
 
     def sampled_loss(seed, shots):
-        def fn(values, label):
-            ansatz = circuit_ansatz_state(3, values[0, 0], 0.0, "none")
-            return np.array([loss(hs_overlap_closed(probe, ansatz), stream(seed, *label), shots)])
+        # one row, so block k is row k and draws under labels[k]
+        def fn(values, nu, labels, rows):
+            return np.array([loss(hs_overlap_closed(probe, circuit_ansatz_state(3, v[0], 0.0, "none")),
+                                  stream(seed, *label), shots) for v, label in zip(values, labels)])
         return fn
 
     grad_cfg = GradientConfig(h=np.array([0.05]))
     nus = (1_000, 10_000, 100_000)
     variances = []
     for shots in nus:
-        grads = [estimate_gradient(np.array([[0.10]]), sampled_loss(s, shots), grad_cfg)[0, 0]
+        grads = [estimate_gradient(np.array([[0.10]]), sampled_loss(s, shots), grad_cfg)[1][0, 0]
                  for s in range(300)]
         variances.append(float(np.var(grads)))
     slope = float(np.polyfit(np.log(nus), np.log(variances), 1)[0])

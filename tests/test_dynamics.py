@@ -31,7 +31,14 @@ from vista.dynamics import (
 from vista.measurement import hs_overlap_closed
 from vista.qcore import ghz_density, ghz_vector
 
-from dense import collective_operator, matched_angle, purity, trotter_evolve
+from dense import (
+    collective_operator,
+    ghz_product_overlap_row,
+    matched_angle,
+    purity,
+    trotter_evolve,
+    trotter_unitary_row,
+)
 
 
 class TestClosedForm:
@@ -329,6 +336,31 @@ class TestProductChannel:
         np.testing.assert_allclose(ghz_rho, np.outer(psi, psi.conj()), atol=1e-14)
         with pytest.raises(DomainError):
             trotter_unitary(ham, d=0)
+
+    def test_stacked_kernel_matches_rows_to_the_bit(self):
+        # every row of a stacked evaluation holds the bits of its scalar one, over n, depth and channel
+        rng = np.random.default_rng(12)
+        rows = 0
+        for trial in range(240):
+            kind = CHANNELS[trial % len(CHANNELS)]
+            gamma = 0.0 if kind == CHANNEL_NONE else float(rng.uniform(0.0, 0.5))
+            blocks = product_channel_blocks(HamiltonianSpec(*rng.uniform(-1.5, 1.5, 2)), ChannelSpec(kind, gamma))
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 80))
+            values = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 45)), 2))
+            values[0, trial % 2] = (0.0, -0.0)[trial % 4 // 2]  # signed zeros reach the complex products
+            u = trotter_unitary(HamiltonianSpec(values[:, 0], values[:, 1]), d)
+            overlaps = ghz_product_overlap(blocks, u, n)
+            assert u.shape == (len(values), 2, 2) and overlaps.shape == (len(values),)
+            for k, (a, b) in enumerate(values.tolist()):
+                row = trotter_unitary_row(HamiltonianSpec(a, b), d)
+                assert u[k].tobytes() == row.tobytes()
+                assert overlaps[k] == ghz_product_overlap_row(blocks, row, n)
+            rows += len(values)
+        assert rows >= 5000
+        # a scalar spec is a stack of no rows
+        u = trotter_unitary(HamiltonianSpec(0.3, -0.2), 7)
+        assert u.tobytes() == trotter_unitary_row(HamiltonianSpec(0.3, -0.2), 7).tobytes()
+        assert ghz_product_overlap(blocks, u, 5) == ghz_product_overlap_row(blocks, u, 5)
 
     @pytest.mark.parametrize("kind", CHANNELS)
     @settings(max_examples=40, deadline=None)

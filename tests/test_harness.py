@@ -330,6 +330,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{field}( entry)? must be an integer, got "):
             cfgmod.with_overrides(cfg, **override)
 
+    def test_with_overrides_stores_integral_floats_as_ints(self, tmp_path):
+        # a changed config echoes "n": 4, as from_dict stores it, not "n": 4.0
+        cfg = _cfg(shots={"exact": True}, optimizer={"max_epochs": 5})
+        cfg = cfgmod.with_overrides(
+            cfg, n=4.0, seed=7.0, optimizer=replace(cfg.optimizer, max_epochs=3.0),
+            cascade=replace(cfg.cascade, n_sequence=(2.0, 4)), output=str(tmp_path / "run"),
+        )
+        values = (cfg.n, cfg.seed, cfg.optimizer.max_epochs) + cfg.cascade.n_sequence
+        assert values == (4, 7, 3, 2, 4) and all(type(v) is int for v in values)
+        persist(run_from_config(cfg), cfg.output)
+        echo = (tmp_path / "run" / "config.json").read_text()
+        assert '"n": 4,' in echo and '"seed": 7,' in echo and '"max_epochs": 3,' in echo
+        assert json.loads(echo) == cfgmod.effective_dict(cfgmod.from_dict(json.loads(echo)))
+
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             cfgmod.load_config(str(tmp_path / "nope.json"))
@@ -586,6 +600,24 @@ class TestExperiments:
             for sub in ("seed_0", "seed_1"):
                 assert (tmp_path / tag / sub / "result.json").exists()
 
+    def test_run_grid_builds_the_config_document_once(self, tmp_path, monkeypatch):
+        # the replicas share one document, each with its own seed and output
+        calls = []
+        real = cfgmod.effective_dict
+        monkeypatch.setattr(cfgmod, "effective_dict", lambda cfg: calls.append(cfg) or real(cfg))
+        base = cfgmod.from_dict(SMALL_RUN)
+        run_grid(base, {"theta_true": [0.1, 0.3]}, replicas=2, outdir=str(tmp_path), workers=1)
+        assert len(calls) == 1
+        seeds = replica_seeds(base.seed, 2)
+        for theta in (0.1, 0.3):
+            for r in range(2):
+                out = tmp_path / f"theta_true={theta}" / f"seed_{r}"
+                doc = json.loads((out / "config.json").read_text())
+                assert (doc["theta_true"], doc["seed"], doc["output"]) == (theta, seeds[r], str(out))
+                assert {k: v for k, v in doc.items() if k not in ("theta_true", "seed", "output")} == {
+                    k: v for k, v in real(base).items() if k not in ("theta_true", "seed", "output")
+                }
+
     def test_run_grid_rejects_bad_point_before_running(self, tmp_path):
         base = cfgmod.from_dict(SMALL_RUN)
         with pytest.raises(ConfigError):
@@ -658,11 +690,24 @@ class TestExperiments:
         seeds = [5, 9, 2**40 + 3]
         streams = rngmod.Streams(seeds)
         for label in [(STREAM_LOSS, 7), (STREAM_GRAD, 7, 1, 0)]:
-            gens = streams.at([2, 0], *label)
+            gens = streams.at([2, 0], [label])
             for gen, seed in zip(gens, (seeds[2], seeds[0])):
                 assert gen.bit_generator.random_raw(3).tolist() == stream(seed, *label).bit_generator.random_raw(3).tolist()
         with pytest.raises(DomainError, match="label"):
-            streams.at([0], -1)
+            streams.at([0], [(-1,)])
+
+    def test_at_keeps_one_generator_per_label_and_row(self):
+        # an epoch moves each row to several labels at once, some of them equal (common random numbers)
+        seeds = [5, 9, 2**40 + 3]
+        streams = rngmod.Streams(seeds, 3)
+        labels = [(STREAM_LOSS, 2), (STREAM_GRAD, 2, 0, 0), (STREAM_GRAD, 2, 0, 0)]
+        gens = streams.at([2, 0], labels)
+        assert len({id(gen) for gen in gens}) == 6
+        expected = [(label, seeds[r]) for label in labels for r in (2, 0)]
+        for gen, (label, seed) in zip(gens, expected):
+            assert gen.bit_generator.random_raw(3).tolist() == stream(seed, *label).bit_generator.random_raw(3).tolist()
+        with pytest.raises(DomainError, match="slots"):
+            streams.at([0], labels + [(STREAM_LOSS, 3)])
 
     def test_kept_generators_match_fresh_streams_after_drawing(self):
         # a row's generator, dirtied by draws of every kind, draws what a fresh stream draws once moved
@@ -670,12 +715,12 @@ class TestExperiments:
         streams = rngmod.Streams(seeds)
         labels = [(STREAM_LOSS, 7), (STREAM_GRAD, 7, 1, 0), (), (3, 2**LABEL_WORD_BITS - 1, 0, 1)]
         for label, nu in itertools.product(labels, (10, 1000, 100_000)):
-            for gen in streams.at([0, 1, 2], STREAM_LOSS, 0):
+            for gen in streams.at([0, 1, 2], [(STREAM_LOSS, 0)]):
                 gen.binomial(100_000, 0.49)
                 gen.normal(size=3)
                 gen.integers(0, 2**32, dtype=np.uint32)  # leaves the other half word cached
                 assert gen.bit_generator.state["has_uint32"] == 1
-            for gen, seed in zip(streams.at([1, 2, 0], *label), (seeds[1], seeds[2], seeds[0])):
+            for gen, seed in zip(streams.at([1, 2, 0], [label]), (seeds[1], seeds[2], seeds[0])):
                 fresh = stream(seed, *label)
                 assert binomial_fraction(gen, nu, 0.3) == binomial_fraction(fresh, nu, 0.3)
                 assert gen.integers(0, 2**32, dtype=np.uint32) == fresh.integers(0, 2**32, dtype=np.uint32)
@@ -687,8 +732,8 @@ class TestExperiments:
         expected = [binomial_fraction(stream(seed, *label), 1000, 0.4) for seed in seeds]
         streams = rngmod.Streams(seeds)
         for order in itertools.permutations(range(3)):
-            streams.at(list(order), STREAM_LOSS, 3)  # moved away and not drawn from
-            gens = streams.at(list(order), *label)
+            streams.at(list(order), [(STREAM_LOSS, 3)])  # moved away and not drawn from
+            gens = streams.at(list(order), [label])
             assert [binomial_fraction(gen, 1000, 0.4) for gen in gens] == [expected[r] for r in order]
 
     def test_at_constructs_no_generator(self, monkeypatch):
@@ -698,7 +743,7 @@ class TestExperiments:
             real = getattr(np.random, name)
             monkeypatch.setattr(np.random, name, lambda *a, _real=real, _name=name, **k: built.append(_name) or _real(*a, **k))
         for epoch in range(20):
-            for gen in streams.at([1, 0], STREAM_LOSS, epoch):
+            for gen in streams.at([1, 0], [(STREAM_LOSS, epoch)]):
                 binomial_fraction(gen, 100, 0.5)
         assert built == []
         stream(5, STREAM_LOSS, 0)  # the patch sees a construction
@@ -712,7 +757,7 @@ class TestExperiments:
         with pytest.raises(DomainError, match="label"):
             stream(5, *label)
         with pytest.raises(DomainError, match="label"):
-            rngmod.Streams([5]).at([0], *label)
+            rngmod.Streams([5]).at([0], [label])
 
     def test_stream_builds_one_seed_sequence_per_seed(self, monkeypatch):
         built = []

@@ -8,7 +8,7 @@ import pytest
 from vista.dynamics import CHANNEL_NONE, ChannelSpec, HamiltonianSpec, circuit_ansatz_state, evolve_closed_form
 from vista.errors import DomainError, NumericsError
 from vista.measurement import LOSS_PLAIN, binomial_fraction, hs_overlap_closed, loss
-from vista.rng import stream
+from vista.rng import STREAM_GRAD, STREAM_LOSS, stream
 from vista.optimize import (
     GRAD_CENTRAL,
     GRAD_PARAM_SHIFT,
@@ -45,19 +45,23 @@ def _sampled_loss(seed, nu):
     return f
 
 
+def _rowwise(f):
+    """A loss closure on stacked blocks from f(values, nu, label), which scores one row under its block's label."""
+
+    def lossfn(block, nu, labels, rows):
+        return np.array([f(row, nu, label) for label, part in zip(labels, np.split(block, len(labels))) for row in part])
+
+    return lossfn
+
+
 def _grad(at, f, cfg):
-    """The gradient at one point, through the batched estimator: f(values, label) scores one row."""
-    return estimate_gradient(np.atleast_2d(at), lambda v, label: np.array([f(row, label) for row in v]), cfg)[0]
+    """The gradient at one point, through the epoch evaluator: f(values, label) scores one row."""
+    return estimate_gradient(np.atleast_2d(at), _rowwise(lambda row, nu, label: f(row, label)), cfg)[1][0]
 
 
 def _run(names, start, f, **kw):
     """One run through the batched optimizer: f(values, nu, label) scores one row."""
-    runs = run_optimization(
-        np.atleast_2d(start),
-        lambda v, nu, label, rows: np.array([f(row, nu, label) for row in v]),
-        names=names,
-        **kw,
-    )
+    runs = run_optimization(np.atleast_2d(start), _rowwise(f), names=names, **kw)
     assert len(runs) == 1
     return runs[0]
 
@@ -371,6 +375,43 @@ class TestRunOptimization:
         assert np.all(run.params[:, 1] >= 0.0)
 
 
+class TestEpochEvaluator:
+    @pytest.mark.parametrize("crn", [False, True])
+    def test_one_loss_call_per_epoch_on_the_documented_schedule(self, crn):
+        # rows leave one by one; each epoch makes one call on the live rows, their shifts and one label per block
+        calls = []
+
+        def lossfn(block, nu, labels, rows):
+            calls.append((block.copy(), nu, list(labels), rows.copy()))
+            return TestLockstep._loss(block, nu, labels, rows)
+
+        steps = [0.1, 0.05]
+        schedule = ShotSchedule(100, 400, "linear")
+        optimizer = OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=100, tol_conv=1e-4, window=5)
+        starts = np.array([[0.0, 0.2], [0.25, -0.1], [0.5, 0.3]])
+        runs = run_optimization(starts, lossfn, names=("theta", "theta2"), optimizer=optimizer, schedule=schedule,
+                                gradient=GradientConfig(h=np.array(steps), crn=crn))
+        assert len(calls) == max(len(run.epochs) for run in runs)
+        assert len({len(rows) for *_, rows in calls}) == 3  # every row leaves at its own epoch
+        side = 0 if crn else 1
+        for epoch, (block, nu, labels, rows) in enumerate(calls):
+            assert nu == schedule.shots_at(epoch, optimizer.max_epochs)
+            live = [r for r, run in enumerate(runs) if len(run.epochs) > epoch]
+            assert rows.tolist() == live
+            # the schedule: each live row at its pre-update point, then shifted up and down in each parameter
+            expected = []
+            for label, i, sign in [((STREAM_LOSS, epoch), 0, 0), ((STREAM_GRAD, epoch, 0, 0), 0, 1),
+                                   ((STREAM_GRAD, epoch, 0, side), 0, -1), ((STREAM_GRAD, epoch, 1, 0), 1, 1),
+                                   ((STREAM_GRAD, epoch, 1, side), 1, -1)]:
+                for r in live:
+                    point = list(starts[r] if epoch == 0 else runs[r].params[epoch - 1])
+                    point[i] = point[i] + sign * steps[i] if sign else point[i]
+                    expected.append((r, label, point))
+            # row j of block k is row rows[j] under labels[k]
+            received = [(int(rows[j % len(rows)]), labels[j // len(rows)], row) for j, row in enumerate(block.tolist())]
+            assert received == expected
+
+
 class TestLockstep:
     _KW = dict(
         optimizer=OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=100, tol_conv=1e-4, window=5),
@@ -379,9 +420,9 @@ class TestLockstep:
     )
 
     @staticmethod
-    def _loss(values, nu, label, rows):
+    def _loss(values, nu, labels, rows):
         # row 0 is pulled off every basin, row 1 sits on a plateau, row 2 circles a bowl at 0.3
-        x = values[:, 0]
+        x, rows = values[:, 0], np.tile(rows, len(labels))
         return np.select([rows == 0, rows == 1], [-x, np.zeros_like(x)], (x - 0.3) ** 2)
 
     def test_rows_stop_one_by_one_as_if_alone(self):
@@ -391,7 +432,7 @@ class TestLockstep:
         assert len({len(r.epochs) for r in batch}) == 3
         for r, run in enumerate(batch):
             alone = run_optimization(
-                starts[r : r + 1], lambda v, nu, label, rows, _r=r: self._loss(v, nu, label, rows + _r),
+                starts[r : r + 1], lambda v, nu, labels, rows, _r=r: self._loss(v, nu, labels, rows + _r),
                 names=("theta",), **self._KW,
             )[0]
             assert run.status == alone.status
@@ -420,7 +461,7 @@ class TestLockstep:
         starts = np.random.default_rng(3).uniform(-1, 1, size=(7, 2))
         runs = run_optimization(
             starts,
-            lambda v, nu, label, rows: np.array([f(row, nu, label) for row in v]),
+            _rowwise(f),
             names=("theta", "theta2"),
             optimizer=OptimizerConfig(max_epochs=20, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
