@@ -7,17 +7,32 @@ batches (``protocols.run_batch``): it cuts a point's replicas into
 workers / gcd(workers, points) contiguous slices, at most one per replica,
 so that the slice count is a multiple of the worker count, and hands the
 slices to a worker pool, where each worker runs its slice as one batch and
-persists its runs.  The pool is capped by ``workers`` (default: the CPU
-count); a cap of 1, or a single slice, runs in-process.  A replica's files
-do not depend on the slice it ran in, so they do not depend on the worker
-count.  A batch's ``optimizer.budget_s`` limits the batch's time, not each
-replica's.
+persists its runs.  The pool is capped by ``workers`` (default: the CPUs
+this process may run on); a cap of 1, or a single slice, runs in-process.
+A replica's files do not depend on the slice it ran in, so they do not
+depend on the worker count.  A batch's ``optimizer.budget_s`` limits the
+batch's time, not each replica's.
+
+The process keeps one pool for its life, so a sequence of sweeps (one per n
+in ``scaling_experiment``, one per decay rate in ``calibrate_experiment``)
+forks its workers once.  The pool is built at the first pooled call with as
+many workers as that call's cap.  Later calls with the same cap reuse it; a
+call with another cap, or one made after a worker died (``BrokenProcessPool``),
+first joins the old pool and then builds a new one.  ``concurrent.futures``
+joins the pool at interpreter exit.  A pooled call returns or raises only
+after every slice it submitted has finished.  The workers are forked when
+the pool is built, so they see the modules as they were then.  A process
+forked from one that holds a pool builds its own at its first pooled call,
+and a multiprocessing child joins its pool when it exits.
 """
 
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import util as mputil
 
 import numpy as np
 
@@ -58,6 +73,66 @@ def _split(items, parts):
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def _usable_cpus():
+    """CPUs this process may run on (all of them where the platform cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None  # the kept pool of _pool_cap workers (see the module docstring)
+_pool_cap = 0
+_pool_lock = threading.Lock()  # one pooled call at a time may use or replace the pool
+
+
+def _drop_pool():
+    """Join the kept pool's workers and forget it."""
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
+def _forget_pool():
+    """In a forked child: the parent's pool (whose threads did not fork) and perhaps held lock are not this process's."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _submit_all(tasks, cap):
+    """Futures of ``_run_slice`` on each task, from the kept pool, built or resized here to ``cap`` workers."""
+    global _pool, _pool_cap
+    if _pool is not None and _pool_cap != cap:
+        _drop_pool()
+    if _pool is None:
+        _pool, _pool_cap = ProcessPoolExecutor(max_workers=cap), cap
+        # A multiprocessing child, as it exits, runs its finalizers (a queue's close at priority 10) and
+        # joins its child processes before it stops the threads that would stop the pool.  This one joins
+        # the pool before both; the interpreter's own exit has stopped the pool by the time it runs.
+        mputil.Finalize(None, _drop_pool, exitpriority=20)
+    return [_pool.submit(_run_slice, task) for task in tasks]
+
+
+def _run_pooled(tasks, cap):
+    """``_run_slice`` of each task on the kept pool of ``cap`` workers, in order, once all have finished."""
+    with _pool_lock:
+        try:
+            futures = _submit_all(tasks, cap)
+        except BrokenProcessPool:  # a worker died since the last call
+            _drop_pool()
+            futures = _submit_all(tasks, cap)
+        wait(futures)
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
+
+
 def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
     """Cross-product sweep; returns (rows, per-run outputs).
 
@@ -80,16 +155,14 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
             batch.append(cfgmod.from_dict({**point_doc, "seed": seed, "output": output}))  # fail fast on a bad point
         batches.append(batch)
 
-    cap = max(1, (os.cpu_count() or 1) if workers is None else workers)
+    cap = max(1, _usable_cpus() if workers is None else workers)
     # cap / gcd slices per point make the task count a multiple of cap, so every worker gets as many
     parts = min(replicas, cap // math.gcd(cap, len(points)))
     tasks = [part for batch in batches if batch for part in _split(batch, parts)]
-    cap = max(1, min(cap, len(tasks)))
-    if cap == 1:
+    if cap == 1 or len(tasks) <= 1:
         results = [_run_slice(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(_run_slice, tasks))
+        results = _run_pooled(tasks, cap)
     outs = [out for part in results for out in part]
 
     rows = []

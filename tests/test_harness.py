@@ -7,9 +7,14 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
+import sys
+import textwrap
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,11 +26,12 @@ from hypothesis import strategies as st
 import vista
 from vista import cli
 from vista import config as cfgmod
+from vista import experiments as expmod
 from vista import results as resmod
 from vista import rng as rngmod
 from vista.analysis import BOUND_KINDS
 from vista.dynamics import ChannelSpec, HamiltonianSpec, lindblad_rk4_oracle
-from vista.errors import ConfigError, DomainError
+from vista.errors import ConfigError, DomainError, NoPeakError
 from vista.experiments import (
     calibrate_experiment,
     oracle_check,
@@ -789,6 +795,121 @@ class TestExperiments:
         assert stream(7, STREAM_GRAD, 3, 1, 0).bit_generator.random_raw(3).tolist() == [
             9058021797130148876, 15808105609211896443, 17219924964056315599,
         ]
+
+
+def _worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _alive(pids):
+    """The pids that still name a process, zombies included."""
+    return {pid for pid in pids if os.path.exists(f"/proc/{pid}")}
+
+
+def _tree(path):
+    return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def _pooled_sweep_in_child(doc, queue):
+    rows, _ = run_grid(cfgmod.from_dict(doc), TestKeptPool.AXES, replicas=2, workers=2)
+    queue.put((rows, sorted(_worker_pids())))
+
+
+class TestKeptPool:
+    AXES = {"theta_true": [0.1, 0.3]}  # two slices on two workers
+
+    @pytest.fixture()
+    def base(self):
+        return cfgmod.from_dict(SMALL_RUN)
+
+    def test_pooled_calls_share_the_workers(self, base, tmp_path):
+        run_grid(base, self.AXES, replicas=2, outdir=str(tmp_path / "a"), workers=2)
+        pids = _worker_pids()
+        assert len(pids) == 2
+        run_grid(base, self.AXES, replicas=2, outdir=str(tmp_path / "b"), workers=2)
+        assert _worker_pids() == pids
+        assert _tree(tmp_path / "a").keys() == _tree(tmp_path / "b").keys()
+
+    def test_another_worker_count_joins_the_old_pool(self, base, tmp_path):
+        run_grid(base, self.AXES, replicas=2, outdir=str(tmp_path / "a"), workers=2)
+        old = _worker_pids()
+        run_grid(base, {}, replicas=3, outdir=str(tmp_path / "b"), workers=3)
+        assert len(_worker_pids()) == 3
+        assert not _alive(old)
+
+    def test_a_killed_worker_gives_a_fresh_pool_and_the_same_files(self, base, tmp_path):
+        out = tmp_path / "sweep"  # the same path both times: config.json echoes it
+        run_grid(base, self.AXES, replicas=2, outdir=str(out), workers=2)
+        before, old = _tree(out), _worker_pids()
+        shutil.rmtree(out)
+        os.kill(min(old), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while _alive(old) and time.monotonic() < deadline:  # the pool sees the death and joins its workers
+            time.sleep(0.01)
+        assert not _alive(old)
+        run_grid(base, self.AXES, replicas=2, outdir=str(out), workers=2)
+        assert _tree(out) == before
+        assert len(_worker_pids()) == 2 and not _worker_pids() & old
+
+    def test_the_pool_is_joined_at_exit(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import json, multiprocessing, sys
+            from vista import config
+            from vista.experiments import run_grid
+            base = config.from_dict(json.loads(sys.argv[1]))
+            for k in range(2):
+                run_grid(base, {"theta_true": [0.1, 0.3]}, 2, outdir=sys.argv[2] + str(k), workers=2)
+            print(json.dumps(sorted(p.pid for p in multiprocessing.active_children())))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(vista.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(SMALL_RUN), str(tmp_path / "sweep")],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        pids = json.loads(proc.stdout.splitlines()[-1])
+        assert len(pids) == 2
+        assert not _alive(pids)
+
+    def test_a_forked_child_builds_its_own_pool_and_joins_it(self, base):
+        # the child inherits the parent's pool, which it cannot use, and joins its own before it exits
+        rows, _ = run_grid(base, self.AXES, replicas=2, workers=2)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_pooled_sweep_in_child, args=(SMALL_RUN, queue))
+        child.start()
+        child_pids = []
+        try:
+            child_rows, child_pids = queue.get(timeout=60)
+            child.join(30)
+        finally:
+            if child.is_alive():  # hung: stop it and its workers
+                for pid in [child.pid, *child_pids]:
+                    os.kill(pid, signal.SIGKILL)
+                child.join()
+        assert child.exitcode == 0 and child_rows == rows
+        assert len(child_pids) == 2 and not _alive(child_pids)
+
+    def test_a_failing_slice_does_not_end_the_call_early(self, tmp_path):
+        # theta 0 with no noise gives a flat parity series, so the first slice raises at its first
+        # replica, while the second slice runs all 40 replicas of the point at 0.3
+        base = cfgmod.from_dict({"mode": "baseline_fft", "n": 3, "theta_true": 0.3, "seed": 0, "channel": "none"})
+        out = tmp_path / "sweep"
+        with pytest.raises(NoPeakError):
+            run_grid(base, {"theta_true": [0.0, 0.3]}, replicas=40, outdir=str(out), workers=2)
+        for r in range(40):
+            assert sorted(os.listdir(out / "theta_true=0.3" / f"seed_{r}")) == ["config.json", "result.json", "series.csv"]
+
+    def test_default_cap_is_the_usable_cpus(self, base, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(expmod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(expmod, "_pool", None)  # a kept pool would have to be built anew
+        rows, _ = run_grid(base, self.AXES, replicas=2, outdir=str(tmp_path), workers=None)
+        assert [row["n_runs"] for row in rows] == [2, 2]
 
 
 class TestCli:
