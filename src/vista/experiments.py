@@ -20,19 +20,21 @@ many workers as that call's cap.  Later calls with the same cap reuse it; a
 call with another cap, or one made after a worker died (``BrokenProcessPool``),
 first joins the old pool and then builds a new one.  ``concurrent.futures``
 joins the pool at interpreter exit.  A pooled call returns or raises only
-after every slice it submitted has finished.  The workers are forked when
-the pool is built, so they see the modules as they were then.  A process
-forked from one that holds a pool builds its own at its first pooled call,
-and a multiprocessing child joins its pool when it exits.
+after every slice it submitted has finished, also when it is interrupted.
+The workers are forked when the pool is built, so they see the modules as
+they were then.  Only the process that imported this module keeps a pool,
+and only if ``multiprocessing`` did not start it: a forked or multiprocessing
+child may stop without the exit hook that joins a kept pool, so it builds
+and joins one pool per pooled call.
 """
 
 import itertools
 import math
+import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import util as mputil
 
 import numpy as np
 
@@ -80,9 +82,15 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+_IMPORTED_IN = os.getpid()
 _pool = None  # the kept pool of _pool_cap workers (see the module docstring)
 _pool_cap = 0
-_pool_lock = threading.Lock()  # one pooled call at a time may use or replace the pool
+_pool_lock = threading.Lock()  # one pooled call at a time may use or replace the kept pool
+
+
+def _keeps_pool():
+    """False in a forked or multiprocessing child: it may stop without the exit hook that joins a kept pool."""
+    return os.getpid() == _IMPORTED_IN and multiprocessing.parent_process() is None
 
 
 def _drop_pool():
@@ -93,16 +101,6 @@ def _drop_pool():
         _pool = None
 
 
-def _forget_pool():
-    """In a forked child: the parent's pool (whose threads did not fork) and perhaps held lock are not this process's."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _submit_all(tasks, cap):
     """Futures of ``_run_slice`` on each task, from the kept pool, built or resized here to ``cap`` workers."""
     global _pool, _pool_cap
@@ -110,22 +108,27 @@ def _submit_all(tasks, cap):
         _drop_pool()
     if _pool is None:
         _pool, _pool_cap = ProcessPoolExecutor(max_workers=cap), cap
-        # A multiprocessing child, as it exits, runs its finalizers (a queue's close at priority 10) and
-        # joins its child processes before it stops the threads that would stop the pool.  This one joins
-        # the pool before both; the interpreter's own exit has stopped the pool by the time it runs.
-        mputil.Finalize(None, _drop_pool, exitpriority=20)
     return [_pool.submit(_run_slice, task) for task in tasks]
 
 
 def _run_pooled(tasks, cap):
-    """``_run_slice`` of each task on the kept pool of ``cap`` workers, in order, once all have finished."""
+    """``_run_slice`` of each task on ``cap`` workers, in order, once every slice has finished."""
+    if not _keeps_pool():
+        with ProcessPoolExecutor(max_workers=min(cap, len(tasks))) as pool:
+            return list(pool.map(_run_slice, tasks))
     with _pool_lock:
         try:
             futures = _submit_all(tasks, cap)
         except BrokenProcessPool:  # a worker died since the last call
             _drop_pool()
             futures = _submit_all(tasks, cap)
-        wait(futures)
+        try:
+            wait(futures)
+        except BaseException:  # interrupted: drop the slices not started and wait for the rest
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
         try:
             return [future.result() for future in futures]
         except BrokenProcessPool:

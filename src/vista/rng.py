@@ -116,7 +116,6 @@ class Streams:
     def __init__(self, seeds, slots=1):
         keys = [_philox_key(int(seed)) for seed in seeds]
         self._slots = [[np.random.Generator(np.random.Philox(key)) for key in keys] for _ in range(slots)]
-        self._bits = [[gen.bit_generator for gen in slot] for slot in self._slots]
         self._keys = [key.words.tolist() for key in keys]
 
     def at(self, rows, labels):
@@ -127,24 +126,21 @@ class Streams:
         """
         if len(labels) > len(self._slots):
             raise DomainError(f"{len(labels)} labels for {len(self._slots)} generator slots per row")
-        # one state document for the call: the setter copies it, so only the counter and key change
-        words = {"counter": None, "key": None}
-        state = {
-            "bit_generator": "Philox",
-            "state": words,
-            # a fresh Philox's output buffer: 4 words, all consumed, and no cached 32-bit half
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
         gens = []
-        for slot, bits, key in zip(self._slots, self._bits, labels):
-            words["counter"] = _label_counter(key).tolist()
+        for slot, key in zip(self._slots, labels):
+            counter = _label_counter(key).tolist()
             for r in rows:
-                words["key"] = self._keys[r]
-                bits[r].state = state
-                gens.append(slot[r])
+                gen = slot[r]
+                gen.bit_generator.state = {
+                    "bit_generator": "Philox",
+                    "state": {"counter": counter, "key": self._keys[r]},
+                    # a fresh Philox's output buffer: 4 words, all consumed, and no cached 32-bit half
+                    "buffer": (0, 0, 0, 0),
+                    "buffer_pos": 4,
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                gens.append(gen)
         return gens
 
 

@@ -872,24 +872,67 @@ class TestKeptPool:
         assert len(pids) == 2
         assert not _alive(pids)
 
-    def test_a_forked_child_builds_its_own_pool_and_joins_it(self, base):
-        # the child inherits the parent's pool, which it cannot use, and joins its own before it exits
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_a_multiprocessing_child_joins_its_pool_within_the_call(self, base, method):
+        # it may stop without the exit hook that joins a kept pool, so it keeps none; a forked one
+        # also inherits the parent's pool, which it cannot use
         rows, _ = run_grid(base, self.AXES, replicas=2, workers=2)
-        ctx = multiprocessing.get_context("fork")
+        ctx = multiprocessing.get_context(method)
         queue = ctx.Queue()
         child = ctx.Process(target=_pooled_sweep_in_child, args=(SMALL_RUN, queue))
         child.start()
-        child_pids = []
         try:
-            child_rows, child_pids = queue.get(timeout=60)
-            child.join(30)
+            child_rows, child_pids = queue.get(timeout=120)
         finally:
-            if child.is_alive():  # hung: stop it and its workers
-                for pid in [child.pid, *child_pids]:
-                    os.kill(pid, signal.SIGKILL)
+            child.join(60)
+            if child.is_alive():  # hung
+                child.kill()
                 child.join()
-        assert child.exitcode == 0 and child_rows == rows
-        assert len(child_pids) == 2 and not _alive(child_pids)
+        assert child.exitcode == 0 and child_rows == rows and child_pids == []
+
+    def test_a_forked_child_joins_its_pool_within_the_call(self, base):
+        rows, _ = run_grid(base, self.AXES, replicas=2, workers=2)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # report the rows and the workers left after the call, then stop at once
+            code = 1
+            try:
+                os.close(read)
+                inherited = _worker_pids()  # the parent's workers, which this process did not start
+                child_rows, _ = run_grid(base, self.AXES, replicas=2, workers=2)
+                os.write(write, json.dumps([child_rows, sorted(_worker_pids() - inherited)]).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        deadline = time.monotonic() + 60
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:  # hung
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its sweep")
+            time.sleep(0.01)
+        with os.fdopen(read) as fh:
+            child_rows, child_pids = json.loads(fh.read())
+        assert child_rows == json.loads(json.dumps(rows)) and child_pids == []
+
+    def test_an_interrupted_call_waits_for_its_running_slices(self, tmp_path, monkeypatch):
+        real_wait = expmod.wait
+
+        def interrupted(futures):
+            monkeypatch.setattr(expmod, "wait", real_wait)
+            while not all(f.running() or f.done() for f in futures):  # both slices are on the workers
+                time.sleep(0.001)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(expmod, "wait", interrupted)
+        base = cfgmod.from_dict({"mode": "baseline_fft", "n": 3, "theta_true": 0.3, "seed": 0, "channel": "none"})
+        out = tmp_path / "sweep"
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(base, {"theta_true": [0.2, 0.3]}, replicas=20, outdir=str(out), workers=2)
+        for point in ("theta_true=0.2", "theta_true=0.3"):
+            for r in range(20):
+                assert sorted(os.listdir(out / point / f"seed_{r}")) == ["config.json", "result.json", "series.csv"]
 
     def test_a_failing_slice_does_not_end_the_call_early(self, tmp_path):
         # theta 0 with no noise gives a flat parity series, so the first slice raises at its first
