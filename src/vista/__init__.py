@@ -4,20 +4,14 @@ A GHZ probe evolves under collective-rotation dynamics with optional
 dephasing or amplitude-damping noise.  A parameterized twin state is compared
 to the probe through a sampled swap test, and the resulting loss is minimized
 with ADAM to recover the rotation angle (and, in the noisy modes, the decay
-rate through a matched disentangling angle).  Closed-form states, a dense
+rate through a matched disentangling angle).  Closed forms of the GHZ state
+from its phase and each qubit's (p, kappa) (in ``vista.dynamics``), a dense
 Lindblad integrator, Fisher-information bounds, a cascaded scaling protocol,
 and a Fourier-spectrum baseline round out the toolkit.
 """
 
 from .config import RunConfig, from_dict, load_config
-from .dynamics import (
-    ChannelSpec,
-    ClosedFormState,
-    HamiltonianSpec,
-    circuit_ansatz_state,
-    evolve_closed_form,
-    lindblad_rk4_oracle,
-)
+from .dynamics import ChannelSpec, HamiltonianSpec, lindblad_rk4_oracle
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -28,7 +22,7 @@ from .errors import (
     UnsupportedModelError,
     VistaError,
 )
-from .measurement import hs_overlap_closed, loss, parity_probability
+from .measurement import loss, parity_probability
 from .protocols import (
     run_baseline_fft,
     run_cascade,
@@ -43,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibrationError",
     "ChannelSpec",
-    "ClosedFormState",
     "ConfigError",
     "DimensionError",
     "DomainError",
@@ -54,10 +47,7 @@ __all__ = [
     "RunResult",
     "UnsupportedModelError",
     "VistaError",
-    "circuit_ansatz_state",
-    "evolve_closed_form",
     "from_dict",
-    "hs_overlap_closed",
     "lindblad_rk4_oracle",
     "load_config",
     "loss",

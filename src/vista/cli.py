@@ -204,7 +204,7 @@ def _cmd_bounds(args):
 def _cmd_oracle_check(args):
     dev = oracle_check(args.n, args.theta, args.gamma, args.channel, steps=args.steps)
     print(f"max_abs_deviation = {dev:.3e} (tolerance {args.tol:.1e})")
-    if dev > args.tol:
+    if not dev <= args.tol:  # a nan deviation or tolerance fails
         print("oracle check FAILED", file=sys.stderr)
         return 2
     print("oracle check passed")

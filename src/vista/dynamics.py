@@ -18,10 +18,14 @@ its coherence, e^{-kappa}.  ``qubit_channel`` holds them for every kind:
 
 Every closed form follows from (theta, p, kappa) alone: the corner coherence
 (1/2) e^{-n kappa} e^{-2 i n theta}, the binomial populations, the overlap of
-any two states, of any kinds, and the purity as a state's overlap with itself.
+any two states, of any kinds (``closed_form_overlap``), and the purity as a
+state's overlap with itself.  No state object is kept: the run path passes
+the three numbers, and ``closed_form_density`` writes them out as a dense
+matrix for the RK4 oracle to check.
 
 The hardware-style ansatz (entangle, rotate by theta-hat, partially disentangle
-by angle phi) produces the same states, with cos(phi) = e^{-kappa}.
+by angle phi) produces the same states, with cos(phi) = e^{-kappa}:
+``circuit_decay`` turns phi into the decay that ``qubit_channel`` takes.
 
 With the transverse term theta_x != 0 there is no closed form for the corner
 structure, but E is still one 4x4 superoperator: the probe is
@@ -33,7 +37,7 @@ of its scalar evaluation.  The dense RK4 integrator is kept as an
 independent oracle for these kernels (``vista oracle-check`` runs it).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,11 +69,11 @@ CHANNELS = tuple(_QUBIT_CHANNEL)
 
 
 def check_channel(kind, decay):
-    """Raise DomainError unless ``kind`` is a channel and ``decay`` one it can carry: >= 0, and 0 if it has no decay."""
+    """Raise DomainError unless ``kind`` is a channel and ``decay`` one it can carry: finite, >= 0, and 0 if it has no decay."""
     if kind not in CHANNELS:
         raise DomainError(f"unknown channel kind {kind!r}")
-    if decay < 0:
-        raise DomainError(f"decay must be >= 0, got {decay}")
+    if not 0 <= decay < np.inf:  # also rejects nan
+        raise DomainError(f"decay must be finite and >= 0, got {decay}")
     if _QUBIT_CHANNEL[kind][1] == 0 and decay != 0:
         raise DomainError(f"channel {kind!r} carries no decay, got {decay}")
 
@@ -129,57 +133,6 @@ class HamiltonianSpec:
             raise DomainError(f"evolution time must be positive, got {self.t}")
 
 
-@dataclass(frozen=True)
-class ClosedFormState:
-    """Analytic n-qubit GHZ state after the channel ``kind`` acted on every qubit.
-
-    ``theta`` is the accumulated phase parameter (theta * t in probe terms) and
-    ``decay`` the accumulated decay exponent (gamma * t for probes, or the
-    gamma-equivalent of the circuit angle phi for ansatz states).  ``qubit``
-    is (p, kappa) from ``qubit_channel``.
-    """
-
-    n: int
-    kind: str
-    theta: float
-    decay: float = 0.0
-    qubit: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        check_qubit_count(self.n, 64, "ClosedFormState")  # closed forms have no dense guard
-        check_channel(self.kind, self.decay)
-        object.__setattr__(self, "qubit", qubit_channel(self.kind, self.decay))
-
-    def coherence(self):
-        """The |0...0><1...1| matrix element."""
-        mag = 0.5 * np.exp(-self.n * self.qubit[1])
-        return mag * np.exp(-2j * self.n * self.theta)
-
-    def diagonal(self):
-        """Populations over all 2^n basis states (closed form, no dense guard below 15 qubits)."""
-        n = self.n
-        if n > 14:
-            raise DimensionError("diagonal materialization limited to 14 qubits")
-        p = self.qubit[0]
-        w = bit_weights(n)
-        diag = 0.5 * p**w * (1 - p) ** (n - w)
-        diag[0] += 0.5
-        return diag
-
-    def purity(self):
-        return closed_form_overlap(self.n, self.qubit, self.qubit, 0.0)
-
-
-def evolve_closed_form(n, ham, channel):
-    """Closed-form GHZ probe state after evolving for ham.t under the given channel."""
-    n = int(n)
-    if n < 1:
-        raise DimensionError(f"need n >= 1, got {n}")
-    if ham.theta_x != 0:
-        raise UnsupportedModelError("closed forms cover the commuting Z generator only")
-    return ClosedFormState(n, channel.kind, ham.theta_z * ham.t, channel.gamma * ham.t)
-
-
 def circuit_decay(kind, phi):
     """Gamma-equivalent of the circuit angle phi (scalar or array), from cos(phi) = e^{-kappa}."""
     c = np.cos(phi)
@@ -193,27 +146,20 @@ def circuit_decay(kind, phi):
     return decay if isinstance(decay, np.ndarray) else float(decay)
 
 
-def circuit_ansatz_state(n, theta_hat, phi, kind):
-    """State prepared by the ansatz circuit: a GHZ state with phi-controlled decay.
+def closed_form_density(n, theta, qubit):
+    """Dense density matrix of the n-qubit GHZ state at phase theta whose qubits are qubit = (p, kappa).
 
-    Each qubit's coherence shrinks by cos(phi), and under amplitude damping
-    its mixing weight is alpha = sin^2(phi) = 1 - p.  That is the probe closed
-    form at the gamma-equivalent decay of phi.  phi must lie in [0, pi/2).
+    The diagonal holds the binomial populations 1/2 p^w (1 - p)^(n - w), plus
+    1/2 on |0...0>, and the corner the coherence 1/2 e^{-n kappa} e^{-2 i n theta}.
+    Guarded at 10 qubits, as every dense operator.
     """
-    phi = float(phi)
-    if not 0 <= phi < np.pi / 2:
-        raise DomainError(f"phi must lie in [0, pi/2), got {phi}")
-    if kind == CHANNEL_NONE and phi != 0:
-        raise DomainError("pure ansatz has no disentangling angle")
-    decay = circuit_decay(kind, phi) if phi else 0.0
-    return ClosedFormState(int(n), kind, float(theta_hat), decay)
-
-
-def to_dense(state):
-    """Materialize a closed-form state as a density matrix (guarded at 10 qubits)."""
-    n = check_qubit_count(state.n, OPERATOR_QUBIT_GUARD, "to_dense")
-    rho = np.diag(state.diagonal().astype(complex))
-    c = state.coherence()
+    n = check_qubit_count(n, OPERATOR_QUBIT_GUARD, "closed_form_density")
+    p, kappa = qubit
+    w = bit_weights(n)
+    diag = 0.5 * p**w * (1 - p) ** (n - w)
+    diag[0] += 0.5
+    rho = np.diag(diag.astype(complex))
+    c = 0.5 * np.exp(-n * kappa) * np.exp(-2j * n * theta)
     rho[0, -1] = c
     rho[-1, 0] = np.conj(c)
     return rho
@@ -383,7 +329,7 @@ def lindblad_rk4_oracle(rho0, ham, channel, steps=2000):
         rho = rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     drift = abs(np.trace(rho).real - 1) + abs(np.trace(rho).imag)
-    if drift > 1e-6:
+    if not drift <= 1e-6:  # a nan state drifts by nan
         raise NumericsError(
             f"trace drifted by {drift:.3e} after {steps} steps; halve the step size"
         )

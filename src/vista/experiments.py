@@ -41,13 +41,7 @@ import numpy as np
 from . import config as cfgmod
 from . import protocols
 from .analysis import fit_scaling, gamma_calibration
-from .dynamics import (
-    ChannelSpec,
-    HamiltonianSpec,
-    evolve_closed_form,
-    lindblad_rk4_oracle,
-    to_dense,
-)
+from .dynamics import ChannelSpec, HamiltonianSpec, closed_form_density, lindblad_rk4_oracle, qubit_channel
 from .errors import ConfigError
 from .qcore import ghz_density
 from .results import persist, write_summary
@@ -241,7 +235,7 @@ def oracle_check(n, theta, gamma, channel, steps=400, t=1.0):
     """Max-abs deviation between the closed-form state and the RK4 integrator."""
     ham = HamiltonianSpec(theta_z=theta, t=t)
     spec = ChannelSpec(channel, gamma)
-    closed = to_dense(evolve_closed_form(n, ham, spec))
+    closed = closed_form_density(n, theta * t, qubit_channel(channel, gamma * t))
     dense = lindblad_rk4_oracle(ghz_density(n), ham, spec, steps=steps)
     return float(np.max(np.abs(closed - dense)))
 

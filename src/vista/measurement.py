@@ -1,14 +1,13 @@
-"""Overlap estimation: closed-form Hilbert-Schmidt products and swap-test shot noise.
+"""Overlap estimation: swap-test shot noise on an exact overlap, and the loss it scores.
 
 The comparison primitive between probe and ansatz is Tr(rho sigma).  A swap test
 on nu shot pairs reports it through k ~ Binomial(nu, (1+Tr)/2) as
 T-hat = 2k/nu - 1, which is unbiased with variance 4p(1-p)/nu.  T-hat is never
 clipped; negative excursions are part of the statistics.  Any two closed-form
-states, of any channel kinds, have an exact overlap (``closed_form_overlap``);
-``hs_overlap_closed`` checks a pair and returns it as a float.
+states, of any channel kinds, have an exact overlap
+(``dynamics.closed_form_overlap`` of their qubits' (p, kappa) and phases).
 Quasi-normalization divides by the square root of the ansatz purity, which is
-always computed exactly from the closed form (``ClosedFormState.purity``),
-never sampled.
+always computed exactly as the ansatz's overlap with itself, never sampled.
 
 Shots are drawn one way: ``binomial_fraction`` on a numpy generator, which is
 ``rng.stream(seed, *label)`` in the package.  ``loss`` scores one evaluation
@@ -21,8 +20,8 @@ import math
 
 import numpy as np
 
-from .dynamics import CHANNEL_DEPHASING, ClosedFormState, closed_form_overlap, qubit_channel
-from .errors import DimensionError, DomainError, UnsupportedModelError
+from .dynamics import CHANNEL_DEPHASING, qubit_channel
+from .errors import DomainError
 
 
 def binomial_fraction(gen, shots, p):
@@ -32,15 +31,6 @@ def binomial_fraction(gen, shots, p):
     if not -1e-9 <= p <= 1 + 1e-9:  # also rejects nan
         raise DomainError(f"probability {p} outside [0, 1]")
     return gen.binomial(shots, min(max(float(p), 0.0), 1.0)) / shots
-
-
-def hs_overlap_closed(probe, ansatz):
-    """Tr(rho_probe rho_ansatz) for two closed-form states of the same size."""
-    if not isinstance(probe, ClosedFormState) or not isinstance(ansatz, ClosedFormState):
-        raise UnsupportedModelError("hs_overlap_closed needs two closed-form states")
-    if probe.n != ansatz.n:
-        raise DimensionError(f"qubit counts differ: {probe.n} vs {ansatz.n}")
-    return float(closed_form_overlap(probe.n, probe.qubit, ansatz.qubit, probe.theta - ansatz.theta))
 
 
 LOSS_PLAIN = "plain"

@@ -1,13 +1,14 @@
 """Dense building blocks for small qubit registers: one-qubit Paulis, GHZ states, basis weights.
 
-The product-channel kernel and the dense RK4 oracle build on these.
+The product-channel kernel, the dense closed-form state
+(``dynamics.closed_form_density``) and the dense RK4 oracle build on these.
 Conventions used everywhere in the package:
 
 * computational-basis index is read with qubit 0 as the most significant bit,
 * states are numpy complex vectors / row-major matrices,
 * dense vectors are allowed up to ``VECTOR_QUBIT_GUARD`` qubits and dense
-  operators up to ``OPERATOR_QUBIT_GUARD``; anything larger must stay in the
-  closed-form representation.
+  operators up to ``OPERATOR_QUBIT_GUARD``; anything larger must stay in
+  closed form, as a phase and each qubit's (p, kappa).
 """
 
 import numpy as np

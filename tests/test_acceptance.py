@@ -25,11 +25,11 @@ from vista.config import from_dict
 from vista.dynamics import (
     ChannelSpec,
     HamiltonianSpec,
-    circuit_ansatz_state,
-    evolve_closed_form,
+    circuit_decay,
+    closed_form_density,
+    closed_form_overlap,
     lindblad_rk4_oracle,
     qubit_channel,
-    to_dense,
 )
 from vista.experiments import (
     calibrate_experiment,
@@ -37,7 +37,7 @@ from vista.experiments import (
     replica_seeds,
     scaling_experiment,
 )
-from vista.measurement import binomial_fraction, hs_overlap_closed, loss
+from vista.measurement import binomial_fraction, loss
 from vista.optimize import GradientConfig, estimate_gradient
 from vista.protocols import run_from_config
 from vista.qcore import PAULI_X, PAULI_Z, ghz_density
@@ -89,8 +89,8 @@ def test_criterion_02_ansatz_matching():
                     spec = ChannelSpec(kind, gamma)
                     ham = HamiltonianSpec(theta_z=theta, t=1.0)
                     phi = matched_angle(spec)
-                    ansatz = to_dense(circuit_ansatz_state(n, theta, phi, kind))
-                    probe = to_dense(evolve_closed_form(n, ham, spec))
+                    ansatz = closed_form_density(n, theta, qubit_channel(kind, circuit_decay(kind, phi)))
+                    probe = closed_form_density(n, theta, qubit_channel(kind, gamma))
                     worst_sym = max(worst_sym, float(np.max(np.abs(ansatz - probe))))
                     dense = lindblad_rk4_oracle(ghz_density(n), ham, spec, steps=400)
                     worst_orc = max(worst_orc, float(np.max(np.abs(ansatz - dense))))
@@ -129,16 +129,10 @@ def test_criterion_03_information_bound():
 
 def test_criterion_04_closed_form_curvatures():
     def deph(n, g):
-        def fam(t):
-            return to_dense(evolve_closed_form(
-                n, HamiltonianSpec(theta_z=t, t=1.0), ChannelSpec("dephasing", g)))
-        return fam
+        return lambda t: closed_form_density(n, t, qubit_channel("dephasing", g))
 
     def amp(n, g):
-        def fam(t):
-            return to_dense(evolve_closed_form(
-                n, HamiltonianSpec(theta_z=t, t=1.0), ChannelSpec("amplitude_damping", g)))
-        return fam
+        return lambda t: closed_form_density(n, t, qubit_channel("amplitude_damping", g))
 
     theta = 0.05
     worst = 0.0
@@ -268,12 +262,12 @@ def test_criterion_11_estimator_statistics():
         se = math.sqrt(4 * p * (1 - p) / (nu * n_seeds))
         worst_sigma = max(worst_sigma, abs(float(np.mean(draws)) - raw) / se)
 
-    probe = evolve_closed_form(3, HamiltonianSpec(theta_z=0.15, t=1.0), ChannelSpec("none", 0.0))
+    pure = qubit_channel("none", 0.0)
 
     def sampled_loss(seed, shots):
         # one row, so block k is row k and draws under labels[k]
         def fn(values, nu, labels, rows):
-            return np.array([loss(hs_overlap_closed(probe, circuit_ansatz_state(3, v[0], 0.0, "none")),
+            return np.array([loss(float(closed_form_overlap(3, pure, pure, 0.15 - v[0])),
                                   stream(seed, *label), shots) for v, label in zip(values, labels)])
         return fn
 

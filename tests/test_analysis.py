@@ -19,9 +19,8 @@ from vista.dynamics import (
     CHANNEL_AMPDAMP,
     CHANNEL_DEPHASING,
     CHANNEL_NONE,
-    ClosedFormState,
+    closed_form_density,
     qubit_channel,
-    to_dense,
 )
 from vista.errors import CalibrationError, DimensionError, DomainError, NumericsError
 from vista.qcore import bit_weights, ghz_density, ghz_vector
@@ -57,7 +56,7 @@ class TestQfiSpectral:
 
     def test_fully_dephased_probe_carries_no_information(self):
         def family(t):
-            return to_dense(ClosedFormState(3, CHANNEL_DEPHASING, t, 10.0))
+            return closed_form_density(3, t, qubit_channel(CHANNEL_DEPHASING, 10.0))
 
         drho = _numeric_tangent(family, 0.2)
         assert qfi_uhlmann(family(0.2), drho) == pytest.approx(0.0, abs=1e-8)
@@ -94,7 +93,7 @@ class TestQfiSpectral:
 
 
 def _dense_family(n, kind, g):
-    return lambda t: to_dense(ClosedFormState(n, kind, t, g))
+    return lambda t: closed_form_density(n, t, qubit_channel(kind, g))
 
 
 class TestOverlapCurvature:
@@ -133,7 +132,7 @@ class TestOverlapCurvature:
         u = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
 
         def family(t):
-            return u @ to_dense(ClosedFormState(n, CHANNEL_DEPHASING, t, g)) @ u.conj().T
+            return u @ closed_form_density(n, t, qubit_channel(CHANNEL_DEPHASING, g)) @ u.conj().T
 
         qubit = qubit_channel(CHANNEL_DEPHASING, g)
         assert q_hs(family, 0.05) == pytest.approx(curvature(n, qubit, qubit), rel=1e-6)
@@ -178,8 +177,11 @@ class TestBoundCurves:
         assert qn < plain
 
     def test_validation(self):
+        for gamma in (-0.1, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                crb_curve("pure_dephasing", [2], gamma, 1000)
         with pytest.raises(DomainError):
-            crb_curve("pure_dephasing", [2], -0.1, 1000)
+            crb_curve("qn_dephasing", [2, 4], np.nan, 100)
         with pytest.raises(DomainError):
             crb_curve("pure_dephasing", [2], 0.1, 0)
         with pytest.raises(DomainError):

@@ -15,20 +15,19 @@ from vista.dynamics import (
     CHANNEL_NONE,
     CHANNELS,
     ChannelSpec,
-    ClosedFormState,
     HamiltonianSpec,
-    circuit_ansatz_state,
+    check_channel,
     circuit_decay,
-    evolve_closed_form,
+    closed_form_density,
+    closed_form_overlap,
     expm_small,
     ghz_product_overlap,
     lindblad_rk4_oracle,
     product_channel_blocks,
+    qubit_channel,
     single_qubit_lindbladian,
-    to_dense,
     trotter_unitary,
 )
-from vista.measurement import hs_overlap_closed
 from vista.qcore import ghz_density, ghz_vector
 
 from dense import (
@@ -41,76 +40,85 @@ from dense import (
 )
 
 
+def _state(n, kind, theta, decay=0.0):
+    """Dense GHZ state at phase theta whose qubits went through the channel ``kind`` at ``decay``."""
+    return closed_form_density(n, theta, qubit_channel(kind, decay))
+
+
+def _ansatz(n, theta_hat, phi, kind):
+    """Dense circuit ansatz: phi sets the decay through cos(phi) = e^{-kappa}."""
+    return _state(n, kind, theta_hat, circuit_decay(kind, phi))
+
+
 class TestClosedForm:
     def test_dephasing_coherence_magnitude(self):
-        state = evolve_closed_form(1, HamiltonianSpec(0.0), ChannelSpec(CHANNEL_DEPHASING, 0.2))
-        assert abs(state.coherence()) == pytest.approx(0.5 * np.exp(-0.4), abs=1e-12)
-        assert abs(state.coherence()) == pytest.approx(0.33516002, abs=1e-8)
+        corner = _state(1, CHANNEL_DEPHASING, 0.0, 0.2)[0, -1]
+        assert abs(corner) == pytest.approx(0.5 * np.exp(-0.4), abs=1e-12)
+        assert abs(corner) == pytest.approx(0.33516002, abs=1e-8)
 
     def test_coherence_phase_winding(self):
         # the corner element rotates 2n times faster than the bare angle
         for n, theta in [(1, 0.3), (4, 0.11)]:
-            state = ClosedFormState(n, CHANNEL_NONE, theta)
-            assert state.coherence() == pytest.approx(0.5 * np.exp(-2j * n * theta), abs=1e-12)
+            corner = _state(n, CHANNEL_NONE, theta)[0, -1]
+            assert corner == pytest.approx(0.5 * np.exp(-2j * n * theta), abs=1e-12)
 
     def test_ampdamp_diagonal_half_life(self):
         # at gamma = ln 2 every excited qubit decays with probability 1/2, so the
         # binomial part is flat: 1/16 per string plus the extra 1/2 on the ground string
-        state = evolve_closed_form(3, HamiltonianSpec(0.0), ChannelSpec(CHANNEL_AMPDAMP, np.log(2)))
-        diag = state.diagonal()
+        diag = np.diag(_state(3, CHANNEL_AMPDAMP, 0.0, np.log(2))).real
         assert diag[0] == pytest.approx(0.5625, abs=1e-12)
         np.testing.assert_allclose(diag[1:], 0.0625, atol=1e-12)
         assert diag.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_ampdamp_coherence(self):
-        state = evolve_closed_form(3, HamiltonianSpec(0.05), ChannelSpec(CHANNEL_AMPDAMP, 0.4))
         expected = 0.5 * np.exp(-3 * 0.4 / 2) * np.exp(-2j * 3 * 0.05)
-        assert state.coherence() == pytest.approx(expected, abs=1e-12)
+        assert _state(3, CHANNEL_AMPDAMP, 0.05, 0.4)[0, -1] == pytest.approx(expected, abs=1e-12)
 
     def test_time_scaling_folds_into_parameters(self):
-        slow = evolve_closed_form(2, HamiltonianSpec(0.1, t=3.0), ChannelSpec(CHANNEL_DEPHASING, 0.05))
-        fast = evolve_closed_form(2, HamiltonianSpec(0.3, t=1.0), ChannelSpec(CHANNEL_DEPHASING, 0.15))
-        assert slow.theta == pytest.approx(fast.theta)
-        assert slow.decay == pytest.approx(fast.decay)
-
-    def test_transverse_term_unsupported(self):
-        with pytest.raises(UnsupportedModelError):
-            evolve_closed_form(2, HamiltonianSpec(0.1, theta_x=0.2), ChannelSpec(CHANNEL_NONE))
+        # evolving for t = 3 at (0.1, 0.05) reaches the closed form at (0.3, 0.15)
+        slow = lindblad_rk4_oracle(
+            ghz_density(2), HamiltonianSpec(0.1, t=3.0), ChannelSpec(CHANNEL_DEPHASING, 0.05), steps=600
+        )
+        assert np.abs(slow - _state(2, CHANNEL_DEPHASING, 0.3, 0.15)).max() < 1e-6
 
     @pytest.mark.parametrize("kind", [CHANNEL_DEPHASING, CHANNEL_AMPDAMP])
     def test_coherence_monotone_in_decay_and_size(self, kind):
-        mags_g = [abs(ClosedFormState(3, kind, 0.0, g).coherence()) for g in (0.0, 0.1, 0.3, 0.8)]
+        mags_g = [abs(_state(3, kind, 0.0, g)[0, -1]) for g in (0.0, 0.1, 0.3, 0.8)]
         assert all(a > b for a, b in zip(mags_g, mags_g[1:]))
-        mags_n = [abs(ClosedFormState(n, kind, 0.0, 0.2).coherence()) for n in (1, 2, 4, 8)]
+        mags_n = [abs(_state(n, kind, 0.0, 0.2)[0, -1]) for n in (1, 2, 4, 8)]
         assert all(a > b for a, b in zip(mags_n, mags_n[1:]))
 
     def test_purity_formulas_match_dense(self):
-        deph = ClosedFormState(4, CHANNEL_DEPHASING, 0.21, 0.15)
-        assert deph.purity() == pytest.approx(purity(to_dense(deph)), abs=1e-10)
-        amp = ClosedFormState(5, CHANNEL_AMPDAMP, 0.07, 0.3)
-        assert amp.purity() == pytest.approx(purity(to_dense(amp)), abs=1e-10)
-        strong = ClosedFormState(9, CHANNEL_AMPDAMP, 0.07, 1.3)
-        assert strong.purity() == pytest.approx(purity(to_dense(strong)), rel=0, abs=1e-13)
+        def closed_purity(n, kind, g):
+            q = qubit_channel(kind, g)
+            return closed_form_overlap(n, q, q, 0.0)
+
+        deph = closed_purity(4, CHANNEL_DEPHASING, 0.15)
+        assert deph == pytest.approx(purity(_state(4, CHANNEL_DEPHASING, 0.21, 0.15)), abs=1e-10)
+        amp = closed_purity(5, CHANNEL_AMPDAMP, 0.3)
+        assert amp == pytest.approx(purity(_state(5, CHANNEL_AMPDAMP, 0.07, 0.3)), abs=1e-10)
+        strong = closed_purity(9, CHANNEL_AMPDAMP, 1.3)
+        assert strong == pytest.approx(purity(_state(9, CHANNEL_AMPDAMP, 0.07, 1.3)), rel=0, abs=1e-13)
 
     def test_pure_purity_is_one(self):
-        assert ClosedFormState(6, CHANNEL_NONE, 0.4).purity() == 1.0
+        q = qubit_channel(CHANNEL_NONE, 0.0)
+        assert closed_form_overlap(6, q, q, 0.0) == 1.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            ClosedFormState(2, "squeezed", 0.1)
+            check_channel("squeezed", 0.0)
         with pytest.raises(DomainError):
-            ClosedFormState(2, CHANNEL_DEPHASING, 0.1, -0.2)
+            check_channel(CHANNEL_DEPHASING, -0.2)
         with pytest.raises(DomainError):
-            ClosedFormState(2, CHANNEL_NONE, 0.1, 0.2)
+            check_channel(CHANNEL_NONE, 0.2)
         with pytest.raises(DimensionError):
-            ClosedFormState(0, CHANNEL_NONE, 0.1)
-        with pytest.raises(DimensionError):
-            ClosedFormState(65, CHANNEL_NONE, 0.1)
+            _state(0, CHANNEL_NONE, 0.1)
 
     def test_diagonal_materialization_guard(self):
-        state = ClosedFormState(15, CHANNEL_DEPHASING, 0.0, 0.1)  # state itself is fine
+        q = qubit_channel(CHANNEL_DEPHASING, 0.1)
+        assert 0 < closed_form_overlap(15, q, q, 0.0) < 1  # the closed form itself is fine
         with pytest.raises(DimensionError):
-            state.diagonal()
+            closed_form_density(15, 0.0, q)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -121,10 +129,11 @@ class TestClosedForm:
             ChannelSpec(CHANNEL_NONE, 0.1)
         with pytest.raises(DomainError):
             HamiltonianSpec(0.1, t=0.0)
-        with pytest.raises(DomainError):
-            circuit_ansatz_state(3, 0.0, np.pi / 2, CHANNEL_DEPHASING)
-        with pytest.raises(DomainError):
-            circuit_ansatz_state(3, 0.0, -0.01, CHANNEL_DEPHASING)
+        # a decay that is not finite is refused by every channel, nan included
+        for kind in CHANNELS:
+            for gamma in (np.nan, np.inf, -np.inf):
+                with pytest.raises(DomainError, match="finite"):
+                    ChannelSpec(kind, gamma)
 
 
 class TestAnsatzMatching:
@@ -132,37 +141,35 @@ class TestAnsatzMatching:
         "kind,gamma", [(CHANNEL_DEPHASING, 0.3), (CHANNEL_AMPDAMP, 0.25)]
     )
     def test_matched_circuit_reproduces_probe_exactly(self, kind, gamma):
-        channel = ChannelSpec(kind, gamma)
-        probe = evolve_closed_form(4, HamiltonianSpec(0.17), channel)
-        ansatz = circuit_ansatz_state(4, 0.17, matched_angle(channel), kind)
-        np.testing.assert_allclose(to_dense(ansatz), to_dense(probe), atol=1e-12)
+        probe = _state(4, kind, 0.17, gamma)
+        ansatz = _ansatz(4, 0.17, matched_angle(ChannelSpec(kind, gamma)), kind)
+        np.testing.assert_allclose(ansatz, probe, atol=1e-12)
 
     def test_dephasing_coherence_is_cos_power(self):
         phi = 0.4
-        state = circuit_ansatz_state(5, 0.0, phi, CHANNEL_DEPHASING)
-        assert abs(state.coherence()) == pytest.approx(0.5 * np.cos(phi) ** 5, abs=1e-12)
+        corner = _ansatz(5, 0.0, phi, CHANNEL_DEPHASING)[0, -1]
+        assert abs(corner) == pytest.approx(0.5 * np.cos(phi) ** 5, abs=1e-12)
 
     def test_ampdamp_mixing_weight(self):
         # alpha = sin^2(phi): binomial populations in cos^2 / sin^2
         phi = np.pi / 6
-        state = circuit_ansatz_state(2, 0.0, phi, CHANNEL_AMPDAMP)
-        diag = state.diagonal()
+        diag = np.diag(_ansatz(2, 0.0, phi, CHANNEL_AMPDAMP)).real
         assert diag[0] == pytest.approx(0.5 * 0.25**2 + 0.5, abs=1e-12)  # 0.53125
         assert diag[1] == pytest.approx(0.5 * 0.75 * 0.25, abs=1e-12)
         assert diag[3] == pytest.approx(0.5 * 0.75**2, abs=1e-12)
 
     def test_zero_angle_is_pure(self):
-        state = circuit_ansatz_state(3, 0.2, 0.0, CHANNEL_NONE)
-        assert state.kind == CHANNEL_NONE
-        assert state.decay == 0.0
+        for kind in (CHANNEL_DEPHASING, CHANNEL_AMPDAMP):
+            assert qubit_channel(kind, circuit_decay(kind, 0.0)) == qubit_channel(CHANNEL_NONE, 0.0)
 
     def test_pure_kind_rejects_nonzero_angle(self):
-        with pytest.raises(DomainError):
-            circuit_ansatz_state(3, 0.2, 0.1, CHANNEL_NONE)
+        # a pure ansatz has no disentangling angle to invert
+        with pytest.raises(UnsupportedModelError):
+            circuit_decay(CHANNEL_NONE, 0.1)
 
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedModelError):
-            circuit_ansatz_state(3, 0.2, 0.1, "depolarizing")
+            circuit_decay("depolarizing", 0.1)
 
     @pytest.mark.parametrize("kind", [CHANNEL_DEPHASING, CHANNEL_AMPDAMP])
     def test_angle_decay_round_trip(self, kind):
@@ -187,13 +194,13 @@ class TestDense:
     def test_strong_damping_keeps_tiny_coherence(self):
         # populations pin to the ground state while the corner element, which
         # decays at half the rate exponent, stays resolvable
-        rho = to_dense(evolve_closed_form(1, HamiltonianSpec(0.0), ChannelSpec(CHANNEL_AMPDAMP, 30.0)))
+        rho = _state(1, CHANNEL_AMPDAMP, 0.0, 30.0)
         np.testing.assert_allclose(np.diag(rho).real, [1.0, 0.0], atol=1e-10)
         assert rho[0, 1] == pytest.approx(0.5 * np.exp(-15.0), rel=1e-12)
 
     def test_guard(self):
         with pytest.raises(DimensionError):
-            to_dense(ClosedFormState(11, CHANNEL_DEPHASING, 0.0, 0.1))
+            _state(11, CHANNEL_DEPHASING, 0.0, 0.1)
 
 
 class TestRk4Oracle:
@@ -209,7 +216,7 @@ class TestRk4Oracle:
         ham = HamiltonianSpec(0.23)
         channel = ChannelSpec(kind, gamma)
         dense = lindblad_rk4_oracle(ghz_density(3), ham, channel, steps=500)
-        closed = to_dense(evolve_closed_form(3, ham, channel))
+        closed = _state(3, kind, 0.23, gamma)
         assert np.abs(dense - closed).max() < 1e-6
 
     def test_single_qubit_damping_entries(self):
@@ -248,6 +255,11 @@ class TestRk4Oracle:
             lindblad_rk4_oracle(
                 ghz_density(1), HamiltonianSpec(0.1), ChannelSpec(CHANNEL_AMPDAMP, 500.0), steps=100
             )
+
+    def test_nan_state_is_refused(self):
+        # a nan state drifts by nan, which no bound on the drift can accept
+        with pytest.raises(NumericsError, match="halve the step"):
+            lindblad_rk4_oracle(ghz_density(2), HamiltonianSpec(np.nan), ChannelSpec(CHANNEL_NONE), steps=100)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
@@ -374,8 +386,7 @@ class TestProductChannel:
     def test_closed_form_overlap_matches_kernel(self, kind, n, gamma, theta, theta_hat):
         # the commuting edge of the product-channel kernel against a pure ansatz
         channel = ChannelSpec(kind, 0.0 if kind == CHANNEL_NONE else gamma)
-        probe = evolve_closed_form(n, HamiltonianSpec(theta), channel)
-        ansatz = circuit_ansatz_state(n, theta_hat, 0.0, CHANNEL_NONE)
+        probe, ansatz = qubit_channel(channel.kind, channel.gamma), qubit_channel(CHANNEL_NONE, 0.0)
         blocks = product_channel_blocks(HamiltonianSpec(theta), channel)
         kernel = ghz_product_overlap(blocks, trotter_unitary(HamiltonianSpec(theta_hat), 1), n)
-        assert hs_overlap_closed(probe, ansatz) == pytest.approx(kernel, rel=0, abs=1e-12)
+        assert closed_form_overlap(n, probe, ansatz, theta - theta_hat) == pytest.approx(kernel, rel=0, abs=1e-12)

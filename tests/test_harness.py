@@ -152,6 +152,11 @@ class TestConfig:
     def test_channel_none_with_decay_rejected(self):
         with pytest.raises(ConfigError):
             _cfg(channel="none", gamma_true=0.3)
+        # nor does any channel carry a decay that is not finite
+        for channel in ("none", "dephasing", "amplitude_damping"):
+            for gamma in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigError, match="finite"):
+                    _cfg(channel=channel, gamma_true=gamma)
 
     def test_pure_mode_rejects_quasi_normalization(self):
         with pytest.raises(ConfigError):
@@ -1012,6 +1017,23 @@ class TestCli:
         assert ret == 2
         assert "oracle check FAILED" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--gamma", "nan", "--channel", "dephasing"],
+            ["--gamma", "inf", "--channel", "amplitude_damping"],
+            ["--gamma", "0.1", "--channel", "dephasing", "--theta", "nan"],
+            ["--gamma", "0.1", "--channel", "dephasing", "--tol", "nan"],
+        ],
+        ids=["gamma-nan", "gamma-inf", "theta-nan", "tol-nan"],
+    )
+    def test_oracle_check_fails_on_nan(self, argv, capsys):
+        # a nan or inf input must not pass on a nan deviation
+        ret = cli.main(["oracle-check", "--n", "2", *argv])
+        captured = capsys.readouterr()
+        assert ret != 0
+        assert "oracle check passed" not in captured.out
+
     def test_bounds_stdout_values(self, capsys):
         ret = cli.main(["bounds", "--gamma", "0", "--nu", "100", "--n", "2:4"])
         assert ret == 0
@@ -1184,7 +1206,14 @@ class TestPackaging:
             if isinstance(node, ast.FunctionDef) and node.name in ("lindblad_rk4_oracle", "_make_rhs")
         }
         assert set(funcs) == {"lindblad_rk4_oracle", "_make_rhs"}
-        banned = {"_QUBIT_CHANNEL", "qubit_channel", "closed_form_overlap", "single_qubit_lindbladian", "product_channel_blocks"}
+        banned = {
+            "_QUBIT_CHANNEL",
+            "qubit_channel",
+            "closed_form_overlap",
+            "closed_form_density",
+            "single_qubit_lindbladian",
+            "product_channel_blocks",
+        }
         used = {
             f"{name}: {node.id if isinstance(node, ast.Name) else node.attr}"
             for name, func in funcs.items()

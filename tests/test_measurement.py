@@ -15,19 +15,18 @@ from vista.dynamics import (
     CHANNEL_NONE,
     CHANNELS,
     ChannelSpec,
-    ClosedFormState,
     HamiltonianSpec,
-    circuit_ansatz_state,
-    evolve_closed_form,
+    circuit_decay,
+    closed_form_density,
+    closed_form_overlap,
     lindblad_rk4_oracle,
-    to_dense,
+    qubit_channel,
 )
-from vista.errors import DimensionError, DomainError, UnsupportedModelError
+from vista.errors import DomainError
 from vista.measurement import (
     LOSS_PLAIN,
     LOSS_QN,
     binomial_fraction,
-    hs_overlap_closed,
     loss,
     parity_probability,
 )
@@ -36,22 +35,39 @@ from vista.rng import stream
 
 from dense import matched_angle, tensor_pauli, trace_product
 
+# A closed-form state is (n, theta, (p, kappa)): the arguments of closed_form_density.
+
 
 def _deph(n, theta, gamma):
-    return evolve_closed_form(n, HamiltonianSpec(theta), ChannelSpec(CHANNEL_DEPHASING, gamma))
+    return n, theta, qubit_channel(CHANNEL_DEPHASING, gamma)
 
 
 def _amp(n, theta, gamma):
-    return evolve_closed_form(n, HamiltonianSpec(theta), ChannelSpec(CHANNEL_AMPDAMP, gamma))
+    return n, theta, qubit_channel(CHANNEL_AMPDAMP, gamma)
 
 
 def _pure(n, theta):
-    return evolve_closed_form(n, HamiltonianSpec(theta), ChannelSpec(CHANNEL_NONE))
+    return n, theta, qubit_channel(CHANNEL_NONE, 0.0)
+
+
+def _ansatz(n, theta_hat, phi, kind):
+    """The circuit ansatz: phi sets the decay through cos(phi) = e^{-kappa}."""
+    return n, theta_hat, qubit_channel(kind, circuit_decay(kind, phi))
+
+
+def _overlap(a, b):
+    """Tr(rho_a rho_b) of two states of the same size."""
+    (n, ta, qa), (_, tb, qb) = a, b
+    return closed_form_overlap(n, qa, qb, ta - tb)
+
+
+def _purity(state):
+    return _overlap(state, state)
 
 
 def _qn(probe, ansatz):
     """Quasi-normalized overlap: the raw overlap over the square root of the ansatz purity."""
-    return hs_overlap_closed(probe, ansatz) / np.sqrt(ansatz.purity())
+    return _overlap(probe, ansatz) / np.sqrt(_purity(ansatz))
 
 
 def _t_hat(raw, gen, shots):
@@ -62,18 +78,18 @@ def _t_hat(raw, gen, shots):
 class TestOverlapClosedForm:
     def test_dephased_pair_value(self):
         # 1 qubit, both decays 0.2, angles equal: (1/2)(1 + e^{-0.8})
-        raw = hs_overlap_closed(_deph(1, 0.3, 0.2), _deph(1, 0.3, 0.2))
+        raw = _overlap(_deph(1, 0.3, 0.2), _deph(1, 0.3, 0.2))
         assert raw == pytest.approx(0.5 * (1 + np.exp(-0.8)), abs=1e-12)
         assert raw == pytest.approx(0.72466448, abs=1e-8)
 
     def test_pure_vs_damped_value(self):
-        raw = hs_overlap_closed(_pure(3, 0.0), _amp(3, 0.0, 0.2))
+        raw = _overlap(_pure(3, 0.0), _amp(3, 0.0, 0.2))
         assert raw == pytest.approx(0.759101080059102, abs=1e-12)
 
     def test_identical_pure_states_give_unity(self):
-        raw = hs_overlap_closed(_pure(5, 0.4), _pure(5, 0.4))
+        raw = _overlap(_pure(5, 0.4), _pure(5, 0.4))
         assert raw == pytest.approx(1.0, abs=1e-12)
-        assert _pure(5, 0.4).purity() == 1.0
+        assert _purity(_pure(5, 0.4)) == 1.0
 
     def test_matches_dense_trace_on_grid(self):
         cases = []
@@ -87,29 +103,20 @@ class TestOverlapClosedForm:
                     (_amp(n, 0.1, 0.1), _amp(n, th, 0.3)),
                 ]
         for probe, ansatz in cases:
-            raw = hs_overlap_closed(probe, ansatz)
-            assert type(raw) is float
-            dense = trace_product(to_dense(probe), to_dense(ansatz))
+            raw = _overlap(probe, ansatz)
+            dense = trace_product(closed_form_density(*probe), closed_form_density(*ansatz))
             assert raw == pytest.approx(dense, abs=1e-10)
 
     def test_symmetric_in_raw_value(self):
         a, b = _deph(3, 0.05, 0.2), _deph(3, 0.21, 0.07)
-        assert hs_overlap_closed(a, b) == pytest.approx(hs_overlap_closed(b, a), abs=1e-14)
+        assert _overlap(a, b) == pytest.approx(_overlap(b, a), abs=1e-14)
 
     def test_dephased_and_damped_states_mix(self):
         for n in (1, 2, 3, 4):
             for (ta, ga), (tb, gb) in [((0.0, 0.1), (0.0, 0.1)), ((0.13, 0.4), (-0.2, 0.05))]:
                 for probe, ansatz in [(_deph(n, ta, ga), _amp(n, tb, gb)), (_amp(n, ta, ga), _deph(n, tb, gb))]:
-                    dense = trace_product(to_dense(probe), to_dense(ansatz))
-                    assert hs_overlap_closed(probe, ansatz) == pytest.approx(dense, abs=1e-14)
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(DimensionError):
-            hs_overlap_closed(_pure(2, 0.0), _pure(3, 0.0))
-
-    def test_rejects_non_closed_form(self):
-        with pytest.raises(UnsupportedModelError):
-            hs_overlap_closed(np.eye(4) / 4, _pure(2, 0.0))
+                    dense = trace_product(closed_form_density(*probe), closed_form_density(*ansatz))
+                    assert _overlap(probe, ansatz) == pytest.approx(dense, abs=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -122,10 +129,10 @@ class TestOverlapClosedForm:
         tb=st.floats(min_value=-1.5, max_value=1.5),
     )
     def test_cauchy_schwarz_bound(self, n, kind_a, kind_b, ga, gb, ta, tb):
-        a = ClosedFormState(n, kind_a, ta, 0.0 if kind_a == CHANNEL_NONE else ga)
-        b = ClosedFormState(n, kind_b, tb, 0.0 if kind_b == CHANNEL_NONE else gb)
-        raw = hs_overlap_closed(a, b)
-        cap = np.sqrt(a.purity() * b.purity())
+        a = n, ta, qubit_channel(kind_a, 0.0 if kind_a == CHANNEL_NONE else ga)
+        b = n, tb, qubit_channel(kind_b, 0.0 if kind_b == CHANNEL_NONE else gb)
+        raw = _overlap(a, b)
+        cap = np.sqrt(_purity(a) * _purity(b))
         assert -1e-12 <= raw <= cap + 1e-12
 
 
@@ -136,8 +143,8 @@ class TestQuasiNormalization:
         probe, ansatz = _deph(n, 0.0, g), _deph(n, 0.0, g)
         expected = np.sqrt(0.5 * (1 + np.exp(-4 * n * g)))
         assert _qn(probe, ansatz) == pytest.approx(expected, abs=1e-12)
-        raw = hs_overlap_closed(probe, ansatz)
-        assert loss(raw, None, purity=ansatz.purity(), mode=LOSS_QN) == pytest.approx(1 - expected, abs=1e-12)
+        raw = _overlap(probe, ansatz)
+        assert loss(raw, None, purity=_purity(ansatz), mode=LOSS_QN) == pytest.approx(1 - expected, abs=1e-12)
 
     def test_can_exceed_one(self):
         # the renormalized overlap is not capped at 1, so the QN loss goes below 0
@@ -156,7 +163,7 @@ class TestQuasiNormalization:
         probe = _deph(n, 0.0, g)
         phi = matched_angle(ChannelSpec(CHANNEL_DEPHASING, g))
         thetas = np.round(np.arange(-0.15, 0.1501, 1e-3), 12)
-        qn = [_qn(probe, circuit_ansatz_state(n, t, phi, CHANNEL_DEPHASING)) for t in thetas]
+        qn = [_qn(probe, _ansatz(n, t, phi, CHANNEL_DEPHASING)) for t in thetas]
         assert thetas[int(np.argmax(qn))] == pytest.approx(0.0, abs=1e-12)
 
     def test_decay_scan_peaks_at_true_decay(self):
@@ -167,7 +174,7 @@ class TestQuasiNormalization:
         probe = _deph(n, 0.0, g)
         grid = np.round(np.arange(0.02, 0.2501, 0.005), 12)
         qn = [
-            _qn(probe, circuit_ansatz_state(n, 0.0, matched_angle(ChannelSpec(CHANNEL_DEPHASING, gg)), CHANNEL_DEPHASING))
+            _qn(probe, _ansatz(n, 0.0, matched_angle(ChannelSpec(CHANNEL_DEPHASING, gg)), CHANNEL_DEPHASING))
             for gg in grid
         ]
         assert grid[int(np.argmax(qn))] == pytest.approx(g, abs=1e-12)
@@ -175,7 +182,7 @@ class TestQuasiNormalization:
 
 class TestSwapTest:
     def test_exact_passthrough(self):
-        raw = hs_overlap_closed(_pure(2, 0.1), _pure(2, 0.3))
+        raw = _overlap(_pure(2, 0.1), _pure(2, 0.3))
         assert loss(raw, None) == 1.0 - raw
 
     def test_unit_overlap_is_noiseless(self):
@@ -210,27 +217,27 @@ class TestSwapTest:
 
 class TestLoss:
     def test_exact_matched_pure_is_zero(self):
-        raw = hs_overlap_closed(_pure(4, 0.2), _pure(4, 0.2))
+        raw = _overlap(_pure(4, 0.2), _pure(4, 0.2))
         assert loss(raw, None, mode=LOSS_PLAIN) == pytest.approx(0.0, abs=1e-12)
 
     def test_plain_value(self):
-        raw = hs_overlap_closed(_deph(1, 0.3, 0.2), _deph(1, 0.3, 0.2))
+        raw = _overlap(_deph(1, 0.3, 0.2), _deph(1, 0.3, 0.2))
         assert loss(raw, None, mode=LOSS_PLAIN) == pytest.approx(1 - 0.5 * (1 + np.exp(-0.8)), abs=1e-12)
 
     def test_qn_floor_at_match(self):
         # plain loss bottoms out at 1 - purity; QN tightens that to 1 - sqrt(purity)
         n, g = 3, 0.1
         ansatz = _deph(n, 0.0, g)
-        raw = hs_overlap_closed(_deph(n, 0.0, g), ansatz)
+        raw = _overlap(_deph(n, 0.0, g), ansatz)
         pur = 0.5 * (1 + np.exp(-4 * n * g))
-        plain = loss(raw, None, purity=ansatz.purity(), mode=LOSS_PLAIN)
-        qn = loss(raw, None, purity=ansatz.purity(), mode=LOSS_QN)
+        plain = loss(raw, None, purity=_purity(ansatz), mode=LOSS_PLAIN)
+        qn = loss(raw, None, purity=_purity(ansatz), mode=LOSS_QN)
         assert plain == pytest.approx(1 - pur, abs=1e-12)
         assert qn == pytest.approx(1 - np.sqrt(pur), abs=1e-12)
         assert qn < plain
 
     def test_sampled_loss_deterministic(self):
-        raw = hs_overlap_closed(_deph(2, 0.0, 0.1), _deph(2, 0.05, 0.1))
+        raw = _overlap(_deph(2, 0.0, 0.1), _deph(2, 0.05, 0.1))
         a = loss(raw, stream(11), 5000, mode=LOSS_PLAIN)
         b = loss(raw, stream(11), 5000, mode=LOSS_PLAIN)
         assert a == b
@@ -244,7 +251,7 @@ class TestLoss:
                 loss(0.5, stream(1), shots, purity=0.5, mode=LOSS_QN)
 
     def test_unknown_mode(self):
-        raw = hs_overlap_closed(_pure(2, 0.0), _pure(2, 0.0))
+        raw = _overlap(_pure(2, 0.0), _pure(2, 0.0))
         with pytest.raises(DomainError):
             loss(raw, None, mode="renormalized")
 

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vista.dynamics import CHANNEL_NONE, ChannelSpec, HamiltonianSpec, circuit_ansatz_state, evolve_closed_form
+from vista.dynamics import CHANNEL_NONE, closed_form_overlap, qubit_channel
 from vista.errors import DomainError, NumericsError
-from vista.measurement import LOSS_PLAIN, binomial_fraction, hs_overlap_closed, loss
+from vista.measurement import LOSS_PLAIN, binomial_fraction, loss
 from vista.rng import STREAM_GRAD, STREAM_LOSS, stream
 from vista.optimize import (
     GRAD_CENTRAL,
@@ -29,18 +29,21 @@ from vista.optimize import (
 
 N_PROBE = 3
 THETA_TRUE = 0.15
-_PROBE = evolve_closed_form(N_PROBE, HamiltonianSpec(THETA_TRUE), ChannelSpec(CHANNEL_NONE))
+_PURE = qubit_channel(CHANNEL_NONE, 0.0)
+
+
+def _raw(theta_hat):
+    """Overlap of the pure probe at THETA_TRUE with the pure ansatz at theta_hat."""
+    return float(closed_form_overlap(N_PROBE, _PURE, _PURE, THETA_TRUE - theta_hat))
 
 
 def _exact_loss(values, nu, label):
-    ansatz = circuit_ansatz_state(N_PROBE, values[0], 0.0, CHANNEL_NONE)
-    return loss(hs_overlap_closed(_PROBE, ansatz), None, mode=LOSS_PLAIN)
+    return loss(_raw(values[0]), None, mode=LOSS_PLAIN)
 
 
 def _sampled_loss(seed, nu):
     def f(values, label):
-        ansatz = circuit_ansatz_state(N_PROBE, values[0], 0.0, CHANNEL_NONE)
-        return loss(hs_overlap_closed(_PROBE, ansatz), stream(seed, *label), nu, mode=LOSS_PLAIN)
+        return loss(_raw(values[0]), stream(seed, *label), nu, mode=LOSS_PLAIN)
 
     return f
 
@@ -333,8 +336,7 @@ class TestRunOptimization:
     def test_sampled_mode_is_reproducible(self):
         def make(seed):
             def f(values, nu, label):
-                ansatz = circuit_ansatz_state(N_PROBE, values[0], 0.0, CHANNEL_NONE)
-                return loss(hs_overlap_closed(_PROBE, ansatz), stream(seed, *label), nu, mode=LOSS_PLAIN)
+                return loss(_raw(values[0]), stream(seed, *label), nu, mode=LOSS_PLAIN)
 
             return f
 
