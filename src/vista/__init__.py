@@ -23,13 +23,7 @@ from .errors import (
     VistaError,
 )
 from .measurement import loss, parity_probability
-from .protocols import (
-    run_baseline_fft,
-    run_cascade,
-    run_from_config,
-    run_multiparam,
-    run_vista,
-)
+from .protocols import run_baseline_fft, run_from_config
 from .results import RunResult, persist
 
 __version__ = "0.1.0"
@@ -54,9 +48,6 @@ __all__ = [
     "parity_probability",
     "persist",
     "run_baseline_fft",
-    "run_cascade",
     "run_from_config",
-    "run_multiparam",
-    "run_vista",
     "__version__",
 ]

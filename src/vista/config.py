@@ -4,15 +4,16 @@ A minimal config is {"mode", "n", "theta_true", "seed"}; every other field has
 a default, the channel and normalization from the mode's row in ``MODES``.
 Unknown keys anywhere in the document are rejected so a typo cannot silently
 fall back to a default, and an integer field takes only an int or an integral
-float, which it stores as an int, whether set by ``from_dict`` or by
-``with_overrides``.  ``effective_dict`` materializes all defaults;
+float, which ``from_dict`` stores as an int.  ``validate`` applies the same
+rules, without converting, to a config built directly or changed with
+``dataclasses.replace``.  ``effective_dict`` materializes all defaults;
 persisting it and loading it back reproduces the same config.
 """
 
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import NamedTuple
 
 from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, CHANNELS, check_channel
@@ -211,9 +212,9 @@ _BLOCK_INTEGERS = tuple(
 
 
 def validate(cfg):
-    # from_dict refuses an unknown mode; one set by with_overrides is refused where the config runs
+    # from_dict refuses an unknown mode; one set by dataclasses.replace is refused where the config runs
     rules = MODES.get(cfg.mode) or Mode(None, None, CHANNELS, True)
-    # from_dict has already parsed these; a config changed by with_overrides has not
+    # from_dict has already parsed these; a config built directly or with dataclasses.replace has not
     _integer(cfg.n, "n")
     _integer(cfg.seed, "seed")
     for block, name, where in _BLOCK_INTEGERS:
@@ -222,6 +223,10 @@ def validate(cfg):
         _integer(x, "cascade.n_sequence entry")
     if cfg.n < 1:
         raise ConfigError(f"n must be >= 1, got {cfg.n}")
+    for name in ("theta_true", "theta2_true"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     try:
         check_channel(cfg.channel, cfg.gamma_true)
     except DomainError as exc:
@@ -240,6 +245,8 @@ def validate(cfg):
         raise ConfigError("cascade mode requires cascade.n_sequence")
     if cfg.cascade.n_sequence:
         seq = cfg.cascade.n_sequence
+        if min(seq) < 1:
+            raise ConfigError(f"cascade.n_sequence entries must be >= 1, got {seq}")
         if any(b <= a for a, b in zip(seq, seq[1:])):
             raise ConfigError(f"cascade.n_sequence must be strictly increasing, got {seq}")
         if cfg.mode == MODE_CASCADE and len(seq) < 2:
@@ -284,25 +291,3 @@ def merge_overrides(doc, overrides):
 def load_config(path, overrides=None):
     """Parse a JSON config file, apply CLI overrides, validate."""
     return from_dict(merge_overrides(load_doc(path), overrides or {}))
-
-
-_TOP_INTEGERS = {f.name for f in fields(RunConfig) if f.type is int}
-
-
-def _with_integers(key, val):
-    """The override ``val`` of field ``key`` with each integer field it sets stored as an int, as from_dict stores it."""
-    if key in _TOP_INTEGERS:
-        return _integer(val, key)
-    if not is_dataclass(val):
-        return val
-    ints = {f.name: _integer(getattr(val, f.name), f"{key}.{f.name}") for f in fields(val) if f.type is int}
-    if isinstance(val, CascadeBlock):
-        ints["n_sequence"] = tuple(_integer(x, "cascade.n_sequence entry") for x in val.n_sequence)
-    return replace(val, **ints) if ints else val
-
-
-def with_overrides(cfg, **kwargs):
-    """Functional update preserving validation; an integral float given for an integer field is stored as an int."""
-    new = replace(cfg, **{key: _with_integers(key, val) for key, val in kwargs.items()})
-    validate(new)
-    return new

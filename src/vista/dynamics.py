@@ -129,8 +129,8 @@ class HamiltonianSpec:
     t: float = 1.0
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise DomainError(f"evolution time must be positive, got {self.t}")
+        if not 0 < self.t < np.inf:  # nan fails too
+            raise DomainError(f"evolution time must be positive and finite, got {self.t}")
 
 
 def circuit_decay(kind, phi):

@@ -16,9 +16,9 @@ qubit, so the probe is a product channel: one 4x4 exponential per run and a
 2x2 Trotter factor per evaluation, at a cost that does not grow with n.
 
 ``run_batch`` runs replicas of one run -- configs that differ only in seed
-and output -- as one lockstep batch of ``optimize.run_optimization``; every
-single run (``run_vista``, ``run_multiparam``, each cascade stage) is a batch
-of one.  The loss closures evaluate the live rows of a batch together: the
+and output -- as one lockstep batch of ``optimize.run_optimization``, and a
+cascade's replicas as one such batch per stage; a single run is a batch of
+one.  The loss closures evaluate the live rows of a batch together: the
 closed forms take arrays of angles and decays (or, for a few rows, numpy
 scalars row by row), the two-angle kernel takes the whole block of rows,
 and each row's shots come from its own stream.  An epoch is one call of the
@@ -29,7 +29,7 @@ seed) pair fixes the whole trajectory, whatever the batch.
 
 import math
 import time
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .config import (
     NORM_QN,
     effective_dict,
     validate,
-    with_overrides,
 )
 from .dynamics import (
     ChannelSpec,
@@ -142,8 +141,8 @@ def _multiparam_lossfn(cfg, seeds):
     return names, lossfn, np.array([0.0, 0.0])
 
 
-def _draw_init(cfg, names):
-    rng = stream(cfg.seed, STREAM_INIT)
+def _draw_init(cfg, seed, names):
+    rng = stream(seed, STREAM_INIT)
     hw = cfg.init_halfwidth_effective()
     values = []
     for name in names:
@@ -194,162 +193,145 @@ def _final_estimates(cfg, names, opt):
 _TRACE_COL = {"theta": "theta_hat", "phi": "phi", "theta2": "theta2_hat"}
 
 
+def _trace(opt):
+    return {
+        "epoch": opt.epochs,
+        "loss": opt.losses,
+        "params": opt.params,
+        "grad_norm": opt.grad_norms,
+        "shots": opt.shots,
+        "lr": opt.lrs,
+    }
+
+
 def _to_result(cfg, names, opt, wall):
     return RunResult(
         config=effective_dict(cfg),
         seed=cfg.seed,
         status=opt.status,
         param_names=tuple(_TRACE_COL[n] for n in names),
-        trace={
-            "epoch": opt.epochs,
-            "loss": opt.losses,
-            "params": opt.params,
-            "grad_norm": opt.grad_norms,
-            "shots": opt.shots,
-            "lr": opt.lrs,
-        },
+        trace=_trace(opt),
         final=_final_estimates(cfg, names, opt),
         wall_time_s=wall,
     )
 
 
-def _optimizer_batch(cfgs):
-    """Replicas of one run in a closed-form or two-angle mode, in lockstep."""
-    cfg = cfgs[0]
-    seeds = [c.seed for c in cfgs]
+def _optimize(cfg, seeds, starts=None):
+    """Rows of cfg's run under ``seeds``, optimized as one lockstep batch: (names, an OptRun per row).
+
+    Row r starts at ``starts[r]``, or, without ``starts``, at the point that
+    ``_draw_init`` draws from its seed.
+    """
     if cfg.mode == MODE_MULTIPARAM and cfg.theta2_true != 0:
         names, lossfn, freqs = _multiparam_lossfn(cfg, seeds)
     else:
-        # theta2_true == 0 is the commuting edge case of vista_multiparam: a vista_pure run
-        mode = MODE_PURE if cfg.mode == MODE_MULTIPARAM else cfg.mode
+        # theta2_true == 0 is the commuting edge case of vista_multiparam: a vista_pure run;
+        # a cascade stage is a vista_pure run at the stage's n
+        mode = MODE_PURE if cfg.mode in (MODE_MULTIPARAM, MODE_CASCADE) else cfg.mode
         names, lossfn, freqs = _single_param_lossfn(cfg, mode, seeds)
-    t0 = time.monotonic()
+    if starts is None:
+        starts = [_draw_init(cfg, seed, names) for seed in seeds]
     opts = run_optimization(
-        np.array([_draw_init(c, names) for c in cfgs]),
+        np.array(starts),
         lossfn,
         names=names,
         optimizer=cfg.optimizer,
         schedule=cfg.shots,
         gradient=_gradient_config(cfg, names, freqs),
     )
+    return names, opts
+
+
+def _optimizer_batch(cfgs):
+    """Replicas of one run in a closed-form or two-angle mode, in lockstep."""
+    t0 = time.monotonic()
+    names, opts = _optimize(cfgs[0], [c.seed for c in cfgs])
     wall = time.monotonic() - t0  # the batch's time, not one replica's
     return [_to_result(c, names, opt, wall) for c, opt in zip(cfgs, opts)]
-
-
-def run_vista(cfg):
-    """One estimation run in any of the closed-form single-probe modes."""
-    validate(cfg)
-    if cfg.mode not in (MODE_PURE, MODE_NOISY_DEPHASING, MODE_NOISY_AMPDAMP):
-        raise ConfigError(f"run_vista does not handle mode {cfg.mode!r}")
-    return _optimizer_batch([cfg])[0]
-
-
-def run_multiparam(cfg):
-    """Two-parameter estimation with the product-channel probe and Trotter ansatz.
-
-    theta2_true == 0 is the commuting edge case: the generator collapses to
-    sum(Z) and the run delegates to the closed-form single-parameter pipeline,
-    reproducing a vista_pure run bit for bit under the same seed.
-    """
-    validate(cfg)
-    if cfg.mode != MODE_MULTIPARAM:
-        raise ConfigError(f"run_multiparam needs mode {MODE_MULTIPARAM!r}")
-    return _optimizer_batch([cfg])[0]
 
 
 # --- cascade -----------------------------------------------------------------
 
 
-def run_cascade(cfg):
-    """Stages of increasing n; each stage starts from the previous theta-hat.
+@dataclass
+class _Ladder:
+    """One cascade replica's stage records, and the traces, estimates and status of its accepted stages."""
 
-    A stage whose mean gradient magnitude falls below g_min contributes no
-    information; the cascade stops there and reports the previous stage's
-    estimate.  A diverged first stage fails the whole cascade.
+    stages: list = field(default_factory=list)
+    traces: list = field(default_factory=list)
+    final: dict | None = None
+    status: str | None = None
+
+
+def _cascade_batch(cfgs):
+    """Replicas of one cascade: stages of increasing n, each starting from the previous theta-hat.
+
+    Stage k of every replica still on the ladder runs as one lockstep batch at
+    n_k, under the seed ``derive_seed(seed, STREAM_STAGE, k)``; the first
+    stage draws its start.  A stage whose mean gradient magnitude falls below
+    g_min contributes no information: its replica stops there and reports the
+    previous stage's estimate.  A diverged stage fails its replica's cascade.
     """
-    validate(cfg)
-    if cfg.mode != MODE_CASCADE:
-        raise ConfigError(f"run_cascade needs mode {MODE_CASCADE!r}")
-    plan = cfg.cascade
+    cfg = cfgs[0]
     t0 = time.monotonic()
-
-    stages = []
-    traces = []
-    accepted = None  # result of the last informative stage
-    status = None
-    epochs_done = 0
-    for k, nk in enumerate(plan.n_sequence):
-        stage_cfg = with_overrides(
-            cfg,
-            mode=MODE_PURE,
-            n=int(nk),
-            seed=derive_seed(cfg.seed, STREAM_STAGE, k),
-            cascade=type(cfg.cascade)(),  # stages themselves do not cascade
-        )
-        if k > 0:
-            stage_cfg = with_overrides(
-                stage_cfg,
-                init=type(cfg.init)(
-                    theta0=float(accepted.final["theta_hat"]),
-                    phi0=cfg.init.phi0,
-                ),
+    ladders = [_Ladder() for _ in cfgs]
+    live = range(len(cfgs))
+    for k, nk in enumerate(cfg.cascade.n_sequence):
+        stage = replace(cfg, n=int(nk))
+        starts = None if k == 0 else [[ladders[r].final["theta_hat"]] for r in live]
+        names, opts = _optimize(stage, [derive_seed(cfgs[r].seed, STREAM_STAGE, k) for r in live], starts)
+        going = []
+        for r, opt in zip(live, opts):
+            row = ladders[r]
+            final = _final_estimates(stage, names, opt)
+            mean_grad = float(np.mean(opt.grad_norms))
+            row.stages.append(
+                {
+                    "n": int(nk),
+                    "first_epoch": sum(s["epochs"] for s in row.stages),
+                    "epochs": len(opt.epochs),
+                    "status": opt.status,
+                    "theta_hat": final["theta_hat"],
+                    "abs_error_theta": final["abs_error_theta"],
+                    "mean_grad": mean_grad,
+                    # the handed-over estimate against theta_true, which only a simulation knows
+                    "window_breach": k > 0 and not abs(row.final["theta_hat"] - cfg.theta_true) <= math.pi / (2 * nk),
+                }
             )
+            diverged = opt.status == STATUS_DIVERGED
+            rejected = k > 0 and not diverged and mean_grad < cfg.cascade.g_min
+            if rejected:  # vanishing signal at this n: keep the previous stage's estimate
+                row.stages[-1]["rejected_vanishing_gradient"] = True
+            if k == 0 or not (diverged or rejected):  # a diverged first stage is all its replica has
+                row.final, row.status = final, opt.status
+                row.traces.append(_trace(opt))
+            if diverged or rejected:
+                row.status = STATUS_CASCADE_FAILED if diverged else STATUS_EARLY_STOPPED
+            else:
+                going.append(r)
+        live = going
+        if not live:
+            break
+    wall = time.monotonic() - t0  # the batch's time, not one replica's
 
-        window_ok = True
-        if k > 0:
-            window_ok = abs(accepted.final["theta_hat"] - cfg.theta_true) <= math.pi / (2 * nk)
-
-        res = run_vista(stage_cfg)
-        mean_grad = float(np.mean(res.trace["grad_norm"])) if len(res.trace["grad_norm"]) else 0.0
-        stages.append(
-            {
-                "n": int(nk),
-                "first_epoch": epochs_done,
-                "epochs": int(len(res.trace["epoch"])),
-                "status": res.status,
-                "theta_hat": res.final["theta_hat"],
-                "abs_error_theta": res.final["abs_error_theta"],
-                "mean_grad": mean_grad,
-                "window_breach": not window_ok,
-            }
+    results = []
+    for c, row in zip(cfgs, ladders):
+        # contiguous epoch numbering across accepted stages
+        trace = {key: np.concatenate([tr[key] for tr in row.traces]) for key in row.traces[0]}
+        trace["epoch"] = np.arange(len(trace["loss"]))
+        results.append(
+            RunResult(
+                config=effective_dict(c),
+                seed=c.seed,
+                status=row.status,
+                param_names=("theta_hat",),
+                trace=trace,
+                final={**row.final, "n_final": row.stages[len(row.traces) - 1]["n"]},
+                stages=row.stages,
+                wall_time_s=wall,
+            )
         )
-        epochs_done += int(len(res.trace["epoch"]))
-
-        if res.status == STATUS_DIVERGED:
-            status = STATUS_CASCADE_FAILED
-            if k == 0:
-                accepted = res
-            break
-        if k > 0 and mean_grad < plan.g_min:
-            # vanishing signal at this n: keep the previous stage's estimate
-            stages[-1]["rejected_vanishing_gradient"] = True
-            status = STATUS_EARLY_STOPPED
-            break
-        accepted = res
-        traces.append(res.trace)
-
-    if status is None:
-        status = accepted.status
-
-    # contiguous epoch numbering across accepted stages
-    if traces:
-        joined = {key: np.concatenate([tr[key] for tr in traces]) for key in traces[0]}
-        joined["epoch"] = np.arange(len(joined["loss"]))
-    else:
-        joined = accepted.trace
-
-    final = dict(accepted.final)
-    final["n_final"] = int(stages[len(traces) - 1]["n"]) if traces else int(plan.n_sequence[0])
-    return RunResult(
-        config=effective_dict(cfg),
-        seed=cfg.seed,
-        status=status,
-        param_names=("theta_hat",),
-        trace=joined,
-        final=final,
-        stages=stages,
-        wall_time_s=time.monotonic() - t0,
-    )
+    return results
 
 
 # --- stabilizer-parity FFT baseline ------------------------------------------
@@ -418,8 +400,8 @@ _OPTIMIZER_MODES = (MODE_PURE, MODE_NOISY_DEPHASING, MODE_NOISY_AMPDAMP, MODE_MU
 def run_batch(cfgs):
     """Results of configs that differ only in seed and output, in their order.
 
-    The optimizer modes run as one lockstep batch; cascades and baselines run
-    one after another.  Each result is byte for byte the one that
+    The optimizer modes run as one lockstep batch, a cascade as one batch per
+    stage; baselines run one after another.  Each result is byte for byte the one that
     ``run_from_config`` gives for its config alone.
     """
     cfg = cfgs[0]
@@ -427,10 +409,10 @@ def run_batch(cfgs):
     shared = replace(cfg, seed=0, output=None)
     if any(replace(c, seed=0, output=None) != shared for c in cfgs[1:]):
         raise ConfigError("the configs of a batch may differ only in seed and output")
+    if cfg.mode == MODE_CASCADE:
+        return _cascade_batch(cfgs)
     if cfg.mode in _OPTIMIZER_MODES:
         return _optimizer_batch(cfgs)
-    if cfg.mode == MODE_CASCADE:
-        return [run_cascade(c) for c in cfgs]
     if cfg.mode == MODE_BASELINE:
         return [run_baseline(c) for c in cfgs]
     raise ConfigError(f"unknown mode {cfg.mode!r}")

@@ -129,6 +129,10 @@ class TestClosedForm:
             ChannelSpec(CHANNEL_NONE, 0.1)
         with pytest.raises(DomainError):
             HamiltonianSpec(0.1, t=0.0)
+        # nor is an evolution time that is not finite
+        for t in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="finite"):
+                HamiltonianSpec(0.1, t=t)
         # a decay that is not finite is refused by every channel, nan included
         for kind in CHANNELS:
             for gamma in (np.nan, np.inf, -np.inf):

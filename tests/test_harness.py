@@ -158,6 +158,35 @@ class TestConfig:
                 with pytest.raises(ConfigError, match="finite"):
                     _cfg(channel=channel, gamma_true=gamma)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"theta_true": math.nan},
+            {"theta_true": math.inf},
+            {"mode": cfgmod.MODE_MULTIPARAM, "theta2_true": math.nan},
+            {"mode": cfgmod.MODE_MULTIPARAM, "theta2_true": -math.inf},
+        ],
+        ids=["theta-nan", "theta-inf", "theta2-nan", "theta2-minus-inf"],
+    )
+    def test_angles_must_be_finite(self, doc, tmp_path, capsys):
+        # a config error (exit 1), not a failure at the first sampled loss (exit 2)
+        name = "theta2_true" if "theta2_true" in doc else "theta_true"
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            _cfg(**doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**MINIMAL, **doc}))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seq", [[0, 4], [-3, 4]])
+    def test_cascade_sizes_must_be_positive(self, seq, tmp_path, capsys):
+        doc = {**MINIMAL, "mode": cfgmod.MODE_CASCADE, "cascade": {"n_sequence": seq}}
+        with pytest.raises(ConfigError, match="cascade.n_sequence entries must be >= 1"):
+            cfgmod.from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(path)]) == 1
+
     def test_pure_mode_rejects_quasi_normalization(self):
         with pytest.raises(ConfigError):
             _cfg(normalization=cfgmod.NORM_QN)
@@ -339,21 +368,7 @@ class TestConfig:
         block, _, name = field.partition(".")
         override = {block: replace(getattr(cfg, block), **{name: value})} if name else {field: value}
         with pytest.raises(ConfigError, match=f"^{field}( entry)? must be an integer, got "):
-            cfgmod.with_overrides(cfg, **override)
-
-    def test_with_overrides_stores_integral_floats_as_ints(self, tmp_path):
-        # a changed config echoes "n": 4, as from_dict stores it, not "n": 4.0
-        cfg = _cfg(shots={"exact": True}, optimizer={"max_epochs": 5})
-        cfg = cfgmod.with_overrides(
-            cfg, n=4.0, seed=7.0, optimizer=replace(cfg.optimizer, max_epochs=3.0),
-            cascade=replace(cfg.cascade, n_sequence=(2.0, 4)), output=str(tmp_path / "run"),
-        )
-        values = (cfg.n, cfg.seed, cfg.optimizer.max_epochs) + cfg.cascade.n_sequence
-        assert values == (4, 7, 3, 2, 4) and all(type(v) is int for v in values)
-        persist(run_from_config(cfg), cfg.output)
-        echo = (tmp_path / "run" / "config.json").read_text()
-        assert '"n": 4,' in echo and '"seed": 7,' in echo and '"max_epochs": 3,' in echo
-        assert json.loads(echo) == cfgmod.effective_dict(cfgmod.from_dict(json.loads(echo)))
+            cfgmod.validate(replace(cfg, **override))
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -373,13 +388,6 @@ class TestConfig:
         path.write_text(json.dumps({**MINIMAL, "baseline": {"steps": 80}}))
         cfg = cfgmod.load_config(str(path), {"baseline": {"shots_per_step": 50, "total_time": None}})
         assert (cfg.baseline.steps, cfg.baseline.shots_per_step, cfg.baseline.total_time) == (80, 50, 1.0)
-
-    def test_with_overrides_returns_validated_copy(self):
-        cfg = _cfg()
-        other = cfgmod.with_overrides(cfg, n=5)
-        assert other.n == 5 and cfg.n == 3
-        with pytest.raises(ConfigError):
-            cfgmod.with_overrides(cfg, n=0)
 
     def test_effective_dict_round_trip(self):
         doc = {

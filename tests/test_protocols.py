@@ -1,7 +1,9 @@
 """End-to-end estimation drivers: single runs, the staged cascade, the FFT
 baseline, and the two-parameter product-channel mode."""
 
+import hashlib
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vista.config import from_dict, with_overrides
+from vista.config import from_dict
 from vista.dynamics import (
     CHANNEL_AMPDAMP,
     CHANNEL_DEPHASING,
@@ -22,6 +24,7 @@ from vista.dynamics import (
 )
 from vista import measurement, protocols
 from vista.errors import ConfigError, NoPeakError
+from vista.experiments import run_grid
 from vista.measurement import binomial_fraction, parity_probability
 from vista.optimize import STATUS_BUDGET_EXHAUSTED, STATUS_CONVERGED, STATUS_MAX_EPOCHS
 from vista.protocols import (
@@ -31,10 +34,7 @@ from vista.protocols import (
     run_baseline,
     run_baseline_fft,
     run_batch,
-    run_cascade,
     run_from_config,
-    run_multiparam,
-    run_vista,
 )
 from vista.qcore import ghz_density, ghz_vector
 from vista.results import persist
@@ -62,7 +62,7 @@ class TestSingleRun:
             optimizer={"decay": 0.98, "max_epochs": 800, "tol_conv": 0.0},
             init={"theta0": 0.05},
         )
-        res = run_vista(cfg)
+        res = run_from_config(cfg)
         assert res.final["abs_error_theta"] < 1e-6
         assert res.status == "max_epochs"
         assert res.param_names == ("theta_hat",)
@@ -80,7 +80,7 @@ class TestSingleRun:
             optimizer={"lr0": 0.0, "max_epochs": 1, "tol_conv": 0.0},
             init={"theta0": 0.1, "phi0": 0.25},
         )
-        res = run_vista(cfg)
+        res = run_from_config(cfg)
         assert res.final["gamma_hat"] == circuit_decay("dephasing", 0.25)
         assert res.final["gamma_flagged"] is False
         assert res.final["abs_error_gamma"] == pytest.approx(abs(res.final["gamma_hat"] - 0.2))
@@ -97,7 +97,7 @@ class TestSingleRun:
             shots={"exact": True},
             init={"theta0": 0.05 + np.pi / 8},
         )
-        res = run_vista(cfg)
+        res = run_from_config(cfg)
         assert res.final["abs_error_theta"] == pytest.approx(np.pi / 8, abs=1e-3)
 
     def test_reproducible_run(self):
@@ -109,23 +109,18 @@ class TestSingleRun:
             seed=21,
             optimizer={"max_epochs": 25, "tol_conv": 0.0},
         )
-        a = run_vista(_cfg(**doc))
-        b = run_vista(_cfg(**doc))
+        a = run_from_config(_cfg(**doc))
+        b = run_from_config(_cfg(**doc))
         np.testing.assert_array_equal(a.trace["params"], b.trace["params"])
         np.testing.assert_array_equal(a.trace["loss"], b.trace["loss"])
         assert a.final == b.final
 
-    def test_mode_guard(self):
-        cfg = _cfg(mode="cascade", n=4, theta_true=0.1, seed=0, cascade={"n_sequence": [2, 4]})
-        with pytest.raises(ConfigError):
-            run_vista(cfg)
-
     def test_time_budget_stop_has_its_own_status(self):
         doc = dict(mode="vista_pure", n=4, theta_true=0.1, seed=3)
-        stopped = run_vista(_cfg(**doc, optimizer={"budget_s": 0.0}))
+        stopped = run_from_config(_cfg(**doc, optimizer={"budget_s": 0.0}))
         assert stopped.status == STATUS_BUDGET_EXHAUSTED
         assert len(stopped.trace["epoch"]) == 1
-        normal = run_vista(_cfg(**doc))
+        normal = run_from_config(_cfg(**doc))
         assert normal.status in (STATUS_MAX_EPOCHS, STATUS_CONVERGED)
 
 
@@ -140,7 +135,7 @@ class TestCascade:
             shots={"exact": True},
             init={"theta0": 0.4},
         )
-        res = run_cascade(cfg)
+        res = run_from_config(cfg)
         assert res.status == "converged"
         assert res.final["n_final"] == 8
         assert res.final["abs_error_theta"] < 1e-4
@@ -161,7 +156,7 @@ class TestCascade:
             shots={"exact": True},
             init={"theta0": 0.4},
         )
-        res = run_cascade(cfg)
+        res = run_from_config(cfg)
         total = len(res.trace["epoch"])
         assert res.trace["epoch"].tolist() == list(range(total))
         assert total == sum(s["epochs"] for s in res.stages)
@@ -182,7 +177,7 @@ class TestCascade:
             optimizer={"lr0": 10.0, "decay": 1.0},
             init={"theta0": 0.2},
         )
-        res = run_cascade(cfg)
+        res = run_from_config(cfg)
         assert res.status == STATUS_CASCADE_FAILED
         assert len(res.stages) == 1
         assert res.stages[0]["status"] == "diverged"
@@ -202,7 +197,7 @@ class TestCascade:
             shots={"exact": True},
             init={"theta0": 0.2},
         )
-        res = run_cascade(cfg)
+        res = run_from_config(cfg)
         assert res.status == STATUS_EARLY_STOPPED
         assert res.stages[-1]["rejected_vanishing_gradient"] is True
         assert res.final["n_final"] == 2
@@ -221,14 +216,50 @@ class TestCascade:
             optimizer={"lr0": 0.0, "max_epochs": 1, "tol_conv": 0.0},
             init={"theta0": 0.4},
         )
-        res = run_cascade(cfg)
+        res = run_from_config(cfg)
         assert [s["window_breach"] for s in res.stages] == [False, True]
         assert res.status == "max_epochs"
 
-    def test_mode_guard(self):
-        cfg = _cfg(mode="vista_pure", n=4, theta_true=0.1, seed=0)
-        with pytest.raises(ConfigError):
-            run_cascade(cfg)
+    def test_sweep_files_keep_their_bytes(self, tmp_path, monkeypatch):
+        # sha256 digests of the files that the serial cascade (one batch of one per stage and
+        # replica) wrote for these sweeps: two full ladders, two rejected second stages and two
+        # diverged first stages.  The runs are noiseless, so their bytes came out the same under
+        # numpy's AVX-512, AVX2 and baseline kernels, and under OpenBLAS's Haswell and Prescott kernels.
+        monkeypatch.chdir(tmp_path)  # relative outputs, so the echoed paths do not depend on tmp_path
+        base = dict(
+            mode="cascade", n=8, theta_true=0.1, seed=1, cascade={"n_sequence": [2, 4, 8], "g_min": 1.25},
+            optimizer={"max_epochs": 30, "tol_conv": 1e-2, "window": 5},
+        )
+        sampled = dict(base, shots={"nu_start": 2000, "nu_end": 8000}, optimizer=dict(base["optimizer"], lr0=2.0))
+        run_grid(_cfg(**base, shots={"exact": True}), {"theta_true": [0.1, 0.3]}, 2, outdir="exact", workers=1)
+        run_grid(_cfg(**sampled), {"theta_true": [0.1]}, 2, outdir="sampled", workers=1)
+        written = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.rglob("*"))
+            if p.is_file()
+        }
+        assert written == {
+            "exact/summary.csv": "df8b9bb1e55f5591d3f3180f7c8617f4a63f49e95a7e103c8e527102c1fca87d",
+            "exact/theta_true=0.1/seed_0/config.json": "537639034797f6be0fa958b8c6b71df8dbe5f3c3abf3be428bbc988a903e45ac",
+            "exact/theta_true=0.1/seed_0/result.json": "8bc524d2f8ac3445dfea6d4afa844be85d2e484c978cb03cacb1e64de15f1cb6",
+            "exact/theta_true=0.1/seed_0/trace.csv": "4c706246dd931975815d619bf199a4959d78fb357da950a4ecb72329c5fd8e58",
+            "exact/theta_true=0.1/seed_1/config.json": "4dd36807a5b846506ca0ee7f673e87577f55ac2a498df8adb780501561c8ca13",
+            "exact/theta_true=0.1/seed_1/result.json": "290f294cb12c3ace67455ade1855c57428cf9e503db9ecb2e7742f64a5d0b079",
+            "exact/theta_true=0.1/seed_1/trace.csv": "8a0931e701fdae0e0247e82ece26ee835789312dece435bf401075095fab15f2",
+            "exact/theta_true=0.3/seed_0/config.json": "25c35f336ed2cd9ff18f8f40971cad95256baab141c955ae4a8ce2ef6a6344f8",
+            "exact/theta_true=0.3/seed_0/result.json": "c138da15914ef2a06b589d2a65def571eff1c546b95a77ac221c4c23a85cfa4b",
+            "exact/theta_true=0.3/seed_0/trace.csv": "eec70d001808310fd7d855a3266cf8e27e3a5f346766f08bb5aa1999ab7a0441",
+            "exact/theta_true=0.3/seed_1/config.json": "829d519a9eefaaf3a84e79e70a2f46d78ac8061de0aafdb433cf7486cc287c6e",
+            "exact/theta_true=0.3/seed_1/result.json": "61a0b3d722b321779e4e2f80de2e92e54aef8386ab65a3f782d2536e774b9ad4",
+            "exact/theta_true=0.3/seed_1/trace.csv": "ec9eb3fe3e265fda0fbaf5eefa2ae610f5aabf2dab7ccd50d379e9ad2a43e6d1",
+            "sampled/summary.csv": "0cafeab47c3ce25f3e5dc634709bdcfcf8754dc4dbe6ce661c60f6a8983a5532",
+            "sampled/theta_true=0.1/seed_0/config.json": "f1f7d6e3c763420318cb885232409f8f02cba2978047dc81404e9823d75d763b",
+            "sampled/theta_true=0.1/seed_0/result.json": "e009e5a9a03196892c55a01e002d6f7e7aefb85262909173e98dc72b55af48df",
+            "sampled/theta_true=0.1/seed_0/trace.csv": "d17090d3aa858db12ba3bef8bc8b5599c0bf0f620db75af207c08afe9dbad0c2",
+            "sampled/theta_true=0.1/seed_1/config.json": "bfb3771f33597b40ace48fa7338bc4b4c64955dde11629141e987d5c197de4c4",
+            "sampled/theta_true=0.1/seed_1/result.json": "93ddb33414ed0402f4446b43682e01d8420a39815118a2dbd7b8c5bf782b28f9",
+            "sampled/theta_true=0.1/seed_1/trace.csv": "bf134c0d659ffa4f4a820b945cf3a3ce8d88ebbe2c0b4ff3cd1f1d9d40f2092e",
+        }
 
 
 class TestBaseline:
@@ -298,8 +329,8 @@ class TestMultiparam:
             gamma_true=0.05,
             optimizer={"max_epochs": 40, "tol_conv": 0.0},
         )
-        two = run_multiparam(_cfg(mode="vista_multiparam", theta2_true=0.0, **shared))
-        one = run_vista(_cfg(mode="vista_pure", **shared))
+        two = run_from_config(_cfg(mode="vista_multiparam", theta2_true=0.0, **shared))
+        one = run_from_config(_cfg(mode="vista_pure", **shared))
         np.testing.assert_array_equal(two.trace["params"], one.trace["params"])
         np.testing.assert_array_equal(two.trace["loss"], one.trace["loss"])
         assert two.final["theta_hat"] == one.final["theta_hat"]
@@ -318,7 +349,7 @@ class TestMultiparam:
             multiparam={"probe_steps": 600},
             init={"theta0": 0.10, "theta2_0": 0.05},
         )
-        res = run_multiparam(cfg)
+        res = run_from_config(cfg)
         assert res.final["abs_error_theta"] < 1e-5
         assert res.final["abs_error_theta2"] < 1e-5
         assert res.param_names == ("theta_hat", "theta2_hat")
@@ -336,7 +367,7 @@ class TestMultiparam:
             optimizer={"decay": 0.985, "max_epochs": 900, "tol_conv": 0.0},
             init={"theta0": 0.03, "theta2_0": 0.02},
         )
-        res = run_multiparam(cfg)
+        res = run_from_config(cfg)
         assert res.final["abs_error_theta"] < 1e-5
         assert res.final["abs_error_theta2"] < 1e-5
 
@@ -355,7 +386,7 @@ class TestMultiparam:
             optimizer={"decay": 0.985, "max_epochs": 900, "tol_conv": 0.0},
             init={"theta0": 0.03, "theta2_0": 0.02},
         )
-        res = run_multiparam(cfg)
+        res = run_from_config(cfg)
         assert res.final["abs_error_theta"] < 1e-5
         assert res.final["abs_error_theta2"] < 1e-4
 
@@ -386,17 +417,12 @@ class TestMultiparam:
             multiparam={"trotter_steps": d},
             init={"theta0": start[0], "theta2_0": start[1]},
         )
-        res = run_multiparam(cfg)
+        res = run_from_config(cfg)
         rho = lindblad_rk4_oracle(
             ghz_density(n), HamiltonianSpec(theta, theta2), ChannelSpec(channel, gamma), steps=1000
         )
         psi = trotter_evolve(ghz_vector(n), HamiltonianSpec(*start), d)
         assert res.trace["loss"][0] == pytest.approx(1 - np.vdot(psi, rho @ psi).real, abs=1e-10)
-
-    def test_mode_guard(self):
-        cfg = _cfg(mode="vista_pure", n=4, theta_true=0.1, seed=0)
-        with pytest.raises(ConfigError):
-            run_multiparam(cfg)
 
 
 class TestDispatchAndStreams:
@@ -414,7 +440,7 @@ class TestDispatchAndStreams:
 
     def test_unknown_mode_rejected(self):
         cfg = _cfg(mode="vista_pure", n=2, theta_true=0.1, seed=0)
-        broken = with_overrides(cfg, mode="annealing")
+        broken = replace(cfg, mode="annealing")
         with pytest.raises(ConfigError):
             run_from_config(broken)
 
@@ -446,13 +472,26 @@ _BATCH_MODES = {
     "multiparam": dict(
         mode="vista_multiparam", n=5, theta_true=0.05, theta2_true=0.04, multiparam={"trotter_steps": 8},
     ),
+    # rows leave the ladder at different stages: diverged first stages and diverged later ones
+    "cascade_diverging": dict(
+        mode="cascade", n=8, theta_true=0.1, channel="dephasing", gamma_true=0.2,
+        cascade={"n_sequence": [2, 4, 8], "g_min": 0.05},
+        optimizer={"lr0": 2.0, "max_epochs": 30, "tol_conv": 1e-2, "window": 5},
+    ),
+    # diverged and rejected stages, and full ladders
+    "cascade_rejecting": dict(
+        mode="cascade", n=8, theta_true=0.1, channel="dephasing", gamma_true=0.3,
+        cascade={"n_sequence": [2, 4, 8], "g_min": 0.1},
+        optimizer={"lr0": 1.0, "max_epochs": 30, "tol_conv": 1e-2, "window": 5},
+    ),
 }
 
 
 def _batch_cfgs(name, exact, tmp_path, count=6):
     shots = {"exact": True} if exact else {"nu_start": 2000, "nu_end": 8000}
-    base = _cfg(seed=0, shots=shots, optimizer={"max_epochs": 30, "tol_conv": 1e-2, "window": 5}, **_BATCH_MODES[name])
-    return [with_overrides(base, seed=100 + r, output=str(tmp_path / f"seed_{r}")) for r in range(count)]
+    doc = {"optimizer": {"max_epochs": 30, "tol_conv": 1e-2, "window": 5}, **_BATCH_MODES[name]}
+    base = _cfg(seed=0, shots=shots, **doc)
+    return [replace(base, seed=100 + r, output=str(tmp_path / f"seed_{r}")) for r in range(count)]
 
 
 def _files(cfgs):
@@ -489,6 +528,12 @@ class TestLockstepBatch:
         assert {r.status for r in res} == {STATUS_CONVERGED}
         assert len({len(r.trace["epoch"]) for r in res}) > 1
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    @pytest.mark.parametrize("name", ["cascade_diverging", "cascade_rejecting"])
+    def test_cascade_rows_leave_the_ladder_at_different_stages(self, name, exact, tmp_path):
+        res = run_batch(_batch_cfgs(name, exact, tmp_path))
+        assert len({len(r.stages) for r in res}) > 1
+
     @pytest.mark.parametrize("name", list(_BATCH_MODES))
     def test_one_loss_call_per_row_evaluation(self, name, tmp_path, monkeypatch):
         # the benchmark's traced count of measurement.loss calls relies on this
@@ -501,11 +546,13 @@ class TestLockstepBatch:
 
         monkeypatch.setattr(measurement, "loss", counted)
         res = run_batch(_batch_cfgs(name, False, tmp_path, count=3))
-        expected = sum(len(r.trace["epoch"]) * (1 + 2 * len(r.param_names)) for r in res)
+        # a cascade's trace holds its accepted stages; its stage records count every epoch run
+        epochs = [sum(s["epochs"] for s in r.stages) if r.stages else len(r.trace["epoch"]) for r in res]
+        expected = sum(e * (1 + 2 * len(r.param_names)) for e, r in zip(epochs, res))
         assert len(calls) == expected
         assert not any(calls)  # every call of a sampled run carries its generator
 
     def test_batch_configs_must_differ_only_in_seed_and_output(self, tmp_path):
         cfgs = _batch_cfgs("pure", True, tmp_path, count=2)
         with pytest.raises(ConfigError):
-            run_batch([cfgs[0], with_overrides(cfgs[1], n=4)])
+            run_batch([cfgs[0], replace(cfgs[1], n=4)])
