@@ -142,13 +142,16 @@ def _cmd_sweep(args):
         if "=" not in spec_text:
             raise ConfigError(f"bad --axis {spec_text!r}; expected key=v1,v2,...")
         key, vals = spec_text.split("=", 1)
+        key = key.strip()
+        if key in axes:
+            raise ConfigError(f"--axis {key} is given more than once")
         parsed = []
         for token in vals.split(","):
             try:
                 parsed.append(json.loads(token))
             except json.JSONDecodeError:
                 parsed.append(token)
-        axes[key.strip()] = parsed
+        axes[key] = parsed
     rows, _ = run_grid(cfg, axes, args.replicas, outdir=args.out, workers=args.workers)
     for row in rows:
         print(row)
@@ -166,10 +169,15 @@ def _cmd_scaling(args):
         args.shots,
         replicas=args.replicas,
         seed=args.seed,
-        outdir=args.out,
         workers=args.workers,
         max_epochs=args.max_epochs,
     )
+    if args.out:
+        write_summary(
+            f"{args.out}/summary.csv",
+            ["n", "n_runs", "mean_abs_error_theta", "std_abs_error_theta"],
+            rows,
+        )
     for row in rows:
         print(
             f"n={row['n']}: mean_abs_error_theta={row['mean_abs_error_theta']:.6g} "

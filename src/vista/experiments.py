@@ -1,21 +1,24 @@
 """Multi-run orchestration: grid sweeps, scaling fits, oracle checks, calibration.
 
-Replica seeds are derived from the master seed with the replica-stream label,
-so a sweep is reproducible as a whole while every run keeps an independent
-sampler stream.  ``run_grid`` runs each grid point's replicas as lockstep
-batches (``protocols.run_batch``): it cuts a point's replicas into
-workers / gcd(workers, points) contiguous slices, at most one per replica,
-so that the slice count is a multiple of the worker count, and hands the
-slices to a worker pool, where each worker runs its slice as one batch and
-persists its runs.  The pool is capped by ``workers`` (default: the CPUs
-this process may run on); a cap of 1, or a single slice, runs in-process.
-A replica's files do not depend on the slice it ran in, so they do not
-depend on the worker count.  A batch's ``optimizer.budget_s`` limits the
-batch's time, not each replica's.
+Replica seeds are derived from each point's seed with the replica-stream
+label, so a sweep is reproducible as a whole while every run keeps an
+independent sampler stream.  Every sweep is a list of points run by one core
+(``_sweep``): ``run_grid`` builds the cross product of its axes, and
+``scaling_experiment`` (one point per n) and ``calibrate_experiment`` (one
+point per grid and midpoint decay rate) each make one sweep.  The core runs
+each point's replicas as lockstep batches (``protocols.run_batch``): it cuts
+a point's replicas into workers / gcd(workers, points) contiguous slices, at
+most one per replica, so that the slice count is a multiple of the worker
+count, and hands the slices to a worker pool, where each worker runs its
+slice as one batch and persists its runs.  The pool is capped by
+``workers`` (default: the CPUs this process may run on); a cap of 1, or a
+single slice, runs in-process.  A replica's files do not depend on the
+slice it ran in, so they do not depend on the worker count.  A batch's
+``optimizer.budget_s`` limits the batch's time, not each replica's.
 
-The process keeps one pool for its life, so a sequence of sweeps (one per n
-in ``scaling_experiment``, one per decay rate in ``calibrate_experiment``)
-forks its workers once.  The pool is built at the first pooled call with as
+The process keeps one pool for its life, so a library caller or benchmark
+that makes a sequence of sweeps forks its workers once; each CLI command
+makes one pooled call.  The pool is built at the first pooled call with as
 many workers as that call's cap.  Later calls with the same cap reuse it; a
 call with another cap, or one made after a worker died (``BrokenProcessPool``),
 first joins the old pool and then builds a new one.  ``concurrent.futures``
@@ -42,7 +45,7 @@ from . import config as cfgmod
 from . import protocols
 from .analysis import fit_scaling, gamma_calibration
 from .dynamics import ChannelSpec, HamiltonianSpec, closed_form_density, lindblad_rk4_oracle, qubit_channel
-from .errors import ConfigError
+from .errors import CalibrationError, ConfigError
 from .qcore import ghz_density
 from .results import persist, write_summary
 from .rng import STREAM_REPLICA, derive_seed
@@ -130,32 +133,31 @@ def _run_pooled(tasks, cap):
             raise
 
 
-def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
-    """Cross-product sweep; returns (rows, per-run outputs).
+def _sweep(names, points, replicas, outdir=None, workers=None):
+    """Run each point's replicas as one sweep; returns (rows, per-run outputs).
 
-    ``axes`` maps top-level config keys to value lists.  Each grid point runs
-    ``replicas`` times under seeds derived from the master seed.  Rows carry
-    the grid coordinates plus mean/std of the per-run absolute errors.
+    ``points`` lists (values, doc) pairs: ``values`` are the point's
+    coordinates under ``names``, which label its row and its run directory,
+    and ``doc`` is its config document.  The point's replicas run under
+    ``replica_seeds(doc["seed"], replicas)``.  Rows carry the coordinates
+    plus mean/std of the per-run absolute errors.
     """
-    names = list(axes)
-    seeds = replica_seeds(base_cfg.seed, replicas)
-    points = list(itertools.product(*(axes[k] for k in names)))
-    base_doc = cfgmod.effective_dict(base_cfg)
+    if replicas < 1:
+        raise ConfigError(f"replicas must be >= 1, got {replicas}")
     batches = []
-    for point in points:
-        point_doc = {**base_doc, **dict(zip(names, point))}
-        tag = "_".join(f"{k}={v}" for k, v in zip(names, point)) or "point"
+    for values, doc in points:
+        tag = "_".join(f"{k}={v}" for k, v in zip(names, values)) or "point"
         batch = []
-        for r, seed in enumerate(seeds):
+        for r, seed in enumerate(replica_seeds(cfgmod._integer(doc["seed"], "seed"), replicas)):
             # from_dict reads its document without changing it, so the replicas share the blocks
             output = None if outdir is None else os.path.join(outdir, tag, f"seed_{r}")
-            batch.append(cfgmod.from_dict({**point_doc, "seed": seed, "output": output}))  # fail fast on a bad point
+            batch.append(cfgmod.from_dict({**doc, "seed": seed, "output": output}))  # fail fast on a bad point
         batches.append(batch)
 
     cap = max(1, _usable_cpus() if workers is None else workers)
     # cap / gcd slices per point make the task count a multiple of cap, so every worker gets as many
     parts = min(replicas, cap // math.gcd(cap, len(points)))
-    tasks = [part for batch in batches if batch for part in _split(batch, parts)]
+    tasks = [part for batch in batches for part in _split(batch, parts)]
     if cap == 1 or len(tasks) <= 1:
         results = [_run_slice(task) for task in tasks]
     else:
@@ -163,10 +165,9 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
     outs = [out for part in results for out in part]
 
     rows = []
-    per_point = len(seeds)
-    for i, point in enumerate(points):
-        chunk = outs[i * per_point : (i + 1) * per_point]
-        row = dict(zip(names, point))
+    for i, (values, _) in enumerate(points):
+        chunk = outs[i * replicas : (i + 1) * replicas]
+        row = dict(zip(names, values))
         row["n_runs"] = len(chunk)
         for err_key in ("abs_error_theta", "abs_error_gamma", "abs_error_theta2"):
             vals = [c[err_key] for c in chunk if c.get(err_key) is not None]
@@ -183,51 +184,53 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
     return rows, outs
 
 
-def scaling_experiment(
-    ns,
-    gamma,
-    theta,
-    nu,
-    replicas=10,
-    seed=0,
-    outdir=None,
-    workers=None,
-    max_epochs=400,
-    lr_scale=0.15,
-):
+def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
+    """Cross-product sweep; returns (rows, per-run outputs).
+
+    ``axes`` maps top-level config keys to value lists.  Each grid point runs
+    ``replicas`` times under seeds derived from its own seed (the master
+    seed, unless ``seed`` is an axis).  Rows carry the grid coordinates plus
+    mean/std of the per-run absolute errors.
+    """
+    names = list(axes)
+    base_doc = cfgmod.effective_dict(base_cfg)
+    points = [(values, {**base_doc, **dict(zip(names, values))}) for values in itertools.product(*axes.values())]
+    return _sweep(names, points, replicas, outdir, workers)
+
+
+_LR_SCALE = 0.15  # scaling_experiment's lr0 times n
+
+
+def scaling_experiment(ns, gamma, theta, nu, replicas=10, seed=0, workers=None, max_epochs=400):
     """Mean absolute error vs qubit number, with a power-law fit.
 
     Pure ansatz against the (possibly dephased) probe at a constant shot
     budget.  Initial guesses are drawn within a quarter-window of the true
     value so every replica starts inside the convergence basin; the fitted
     exponent then reflects estimator precision, not basin roulette.  The
-    learning rate is scaled with the loss period (lr0 = lr_scale / n):
+    learning rate is scaled with the loss period (lr0 = 0.15 / n):
     a fixed step size leaves every n at the same ADAM noise floor, which
     flattens the error curve regardless of how precise large probes could be.
+    All sizes run as one sweep, one row per n.
     """
-    rows = []
-    for n in ns:
+    if len(set(ns)) < 4:
+        raise ConfigError(f"a scaling fit needs at least 4 distinct sizes, got {list(ns)}")
+    points = []
+    for n in map(int, ns):
         doc = {
             "mode": cfgmod.MODE_PURE,
-            "n": int(n),
+            "n": n,
             "theta_true": float(theta),
             "seed": int(seed),
             "channel": "dephasing" if gamma > 0 else "none",
             "gamma_true": float(gamma),
             "shots": {"nu_start": int(nu), "nu_end": int(nu), "profile": "constant"},
-            "init": {"center": float(theta), "halfwidth": math.pi / (4 * int(n))},
-            "optimizer": {"max_epochs": int(max_epochs), "lr0": lr_scale / int(n)},
+            "init": {"center": float(theta), "halfwidth": math.pi / (4 * n)},
+            "optimizer": {"max_epochs": int(max_epochs), "lr0": _LR_SCALE / n},
         }
-        base = cfgmod.from_dict(doc)
-        (row,), _ = run_grid(base, {}, replicas, outdir=None, workers=workers)
-        rows.append({"n": int(n), **row})
+        points.append(((n,), doc))
+    rows, _ = _sweep(["n"], points, replicas, workers=workers)
     fit = fit_scaling([r["n"] for r in rows], [r["mean_abs_error_theta"] for r in rows])
-    if outdir is not None:
-        write_summary(
-            os.path.join(outdir, "summary.csv"),
-            ["n", "n_runs", "mean_abs_error_theta", "std_abs_error_theta"],
-            rows,
-        )
     return rows, fit
 
 
@@ -240,58 +243,45 @@ def oracle_check(n, theta, gamma, channel, steps=400, t=1.0):
     return float(np.max(np.abs(closed - dense)))
 
 
-def calibrate_experiment(
-    n,
-    gammas,
-    theta,
-    replicas=5,
-    seed=0,
-    holdout=None,
-    channel="dephasing",
-    workers=None,
-    overrides=None,
-):
+def calibrate_experiment(n, gammas, theta, replicas=5, seed=0, channel="dephasing", workers=None, overrides=None):
     """Decay-estimate calibration: sweep, invert, score on held-out points.
 
     Fits the monotone map from estimated to true decay over ``gammas``
     (median estimate per grid point; the median discards replicas that
     wandered to a loss revival), then evaluates raw vs calibrated absolute
-    error on ``holdout`` rates (default: the grid midpoints).
+    error on the grid midpoints.  The grid and the midpoints run as one sweep.
     """
     if channel not in cfgmod.DECAY_MODES:
         raise ConfigError(f"no mode learns the decay of channel {channel!r}")
-    mode = cfgmod.DECAY_MODES[channel]
-
-    def gamma_hats(gamma):
-        doc = {
-            "mode": mode,
-            "n": int(n),
-            "theta_true": float(theta),
-            "seed": int(seed),
-            "channel": channel,
-            "gamma_true": float(gamma),
-        }
-        if overrides:
-            doc.update(overrides)
-        base = cfgmod.from_dict(doc)
-        _, outs = run_grid(base, {}, replicas, outdir=None, workers=workers)
-        hats = [o["gamma_hat"] for o in outs if o.get("gamma_hat") is not None]
-        if not hats:
-            raise ConfigError(f"all replicas at gamma={gamma} produced flagged estimates")
-        return hats
-
     grid = [float(g) for g in gammas]
-    hat_centers = [float(np.median(gamma_hats(g))) for g in grid]
-    curve = gamma_calibration(grid, hat_centers)
+    if len(set(grid)) < 2:
+        raise ConfigError(f"a calibration needs at least 2 distinct decay rates, got {grid}")
+    holdout = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
+    doc = {
+        "mode": cfgmod.DECAY_MODES[channel],
+        "n": int(n),
+        "theta_true": float(theta),
+        "seed": int(seed),
+        "channel": channel,
+        "gamma_true": grid[0],
+        **(overrides or {}),
+    }
+    rates = grid + holdout
+    _, outs = run_grid(cfgmod.from_dict(doc), {"gamma_true": rates}, replicas, workers=workers)
+    hats = []
+    for i, gamma in enumerate(rates):
+        point = [o["gamma_hat"] for o in outs[i * replicas : (i + 1) * replicas] if o.get("gamma_hat") is not None]
+        if not point:
+            raise CalibrationError(f"all replicas at gamma={gamma} produced flagged estimates")
+        hats.append(point)
 
-    if holdout is None:
-        holdout = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
+    hat_centers = [float(np.median(h)) for h in hats[: len(grid)]]
+    curve = gamma_calibration(grid, hat_centers)
     eval_rows = []
-    for g in holdout:
-        hats = gamma_hats(float(g))
-        raw = float(np.mean([abs(h - g) for h in hats]))
-        cal = float(np.mean([abs(float(curve(h)) - g) for h in hats]))
-        eval_rows.append({"gamma_true": float(g), "raw_mae": raw, "calibrated_mae": cal})
+    for g, h in zip(holdout, hats[len(grid) :]):
+        raw = float(np.mean([abs(x - g) for x in h]))
+        cal = float(np.mean([abs(float(curve(x)) - g) for x in h]))
+        eval_rows.append({"gamma_true": g, "raw_mae": raw, "calibrated_mae": cal})
 
     return {
         "grid": grid,

@@ -692,6 +692,58 @@ class TestExperiments:
         assert row["gamma_true"] == pytest.approx(0.175)
         assert row["raw_mae"] >= 0 and row["calibrated_mae"] >= 0
 
+    # the small settings of the two tests above; the literals pin the rows, the fit and the report,
+    # which must not move with the way a command's points are cut into slices and pooled calls
+    SCALING_ARGS = ([2, 3, 4, 5], 0.0, 0.1, 500)
+    SCALING_KW = {"replicas": 1, "seed": 0, "max_epochs": 40}
+    CALIBRATE_ARGS = (2, [0.05, 0.3], 1e-3)
+    CALIBRATE_KW = {"replicas": 1, "seed": 0, "overrides": {"shots": {"exact": True}, "optimizer": {"max_epochs": 80}}}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scaling_experiment_golden(self, workers):
+        rows, fit = scaling_experiment(*self.SCALING_ARGS, **self.SCALING_KW, workers=workers)
+        assert rows == [
+            {"n": 2, "n_runs": 1, "mean_abs_error_theta": 0.027556832689195426, "std_abs_error_theta": 0.0},
+            {"n": 3, "n_runs": 1, "mean_abs_error_theta": 0.01837122147603093, "std_abs_error_theta": 0.0},
+            {"n": 4, "n_runs": 1, "mean_abs_error_theta": 0.013778415988235898, "std_abs_error_theta": 0.0},
+            {"n": 5, "n_runs": 1, "mean_abs_error_theta": 0.011022732733570864, "std_abs_error_theta": 0.0},
+        ]
+        assert (fit.exponent, fit.intercept, fit.r_squared) == (-1.0000000341000694, -2.898357560797926, 1.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_calibrate_experiment_golden(self, workers):
+        report = calibrate_experiment(*self.CALIBRATE_ARGS, **self.CALIBRATE_KW, workers=workers)
+        curve = report.pop("curve")
+        assert curve.gamma_hat_grid.tolist() == [0.05061443466166801, 0.3097664691734114]
+        assert curve.gamma_true_grid.tolist() == [0.05, 0.3]
+        assert report == {
+            "grid": [0.05, 0.3],
+            "gamma_hat_median": [0.05061443466166801, 0.3097664691734114],
+            "holdout": [{"gamma_true": 0.175, "raw_mae": 0.0058211212117959266, "calibrated_mae": 0.010622696007463378}],
+        }
+
+    def test_each_experiment_is_one_pooled_call(self, monkeypatch):
+        calls = []
+        real = expmod._run_pooled
+        monkeypatch.setattr(expmod, "_run_pooled", lambda tasks, cap: calls.append(len(tasks)) or real(tasks, cap))
+        scaling_experiment(*self.SCALING_ARGS, **self.SCALING_KW, workers=2)
+        assert calls == [4]  # one slice per size
+        calibrate_experiment(*self.CALIBRATE_ARGS, **self.CALIBRATE_KW, workers=2)
+        assert calls == [4, 3]  # the two grid rates and their midpoint
+
+    def test_run_grid_seed_axis_sets_each_points_seed(self):
+        base = cfgmod.from_dict(dict(SMALL_RUN, optimizer={"max_epochs": 10}))
+        rows, outs = run_grid(base, {"seed": [1, 2]}, 2, workers=1)
+        assert [row["seed"] for row in rows] == [1, 2]
+        for k, point in ((1, outs[:2]), (2, outs[2:])):
+            assert point == run_grid(replace(base, seed=k), {}, 2, workers=1)[1]
+        assert outs[:2] != outs[2:]
+
+    def test_run_grid_empty_axis_writes_the_header_only(self, tmp_path):
+        rows, outs = run_grid(cfgmod.from_dict(SMALL_RUN), {"theta_true": []}, 2, outdir=str(tmp_path), workers=1)
+        assert rows == [] and outs == []
+        assert (tmp_path / "summary.csv").read_bytes() == b"theta_true\r\n"
+
     def test_labeled_streams(self):
         a = stream(5, 1, 2).random(4)
         assert np.array_equal(a, stream(5, 1, 2).random(4))
@@ -1105,13 +1157,18 @@ class TestCli:
         with open(os.path.join(out, "summary.csv")) as fh:
             assert len(fh.read().splitlines()) == 3
 
-    def test_scaling_prints_fit(self, capsys):
+    def test_scaling_prints_fit(self, tmp_path, capsys):
+        out_dir = tmp_path / "scaling"
         ret = cli.main(["scaling", "--gamma", "0", "--theta", "0.1", "--shots", "500",
-                        "--n", "2:5", "--replicas", "1", "--max-epochs", "40"])
+                        "--n", "2:5", "--replicas", "1", "--max-epochs", "40", "--out", str(out_dir)])
         out = capsys.readouterr().out
         assert ret == 0
         assert "alpha = -1.0000" in out
         assert "r_squared = 1.0000" in out
+        lines = (out_dir / "summary.csv").read_text().splitlines()
+        assert lines[0] == "n,n_runs,mean_abs_error_theta,std_abs_error_theta"
+        assert [line.split(",")[:2] for line in lines[1:]] == [[str(n), "1"] for n in range(2, 6)]
+        assert [p.name for p in out_dir.iterdir()] == ["summary.csv"]
 
     def test_calibrate_reports_grid_and_holdout(self, capsys):
         ret = cli.main(["calibrate", "--n", "2", "--gammas", "0.05,0.3",
@@ -1137,6 +1194,36 @@ class TestCli:
         assert cli.main([command[0], "--config", str(path), *command[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and bad in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["sweep", "--axis", "theta_true=0.1", "--replicas", "0"], "replicas must be >= 1"),
+            (["scaling", "--gamma", "0", "--theta", "0.1", "--shots", "500", "--n", "2:5", "--replicas", "0"],
+             "replicas must be >= 1"),
+            (["calibrate", "--n", "2", "--gammas", "0.05,0.3", "--replicas", "0"], "replicas must be >= 1"),
+            (["scaling", "--gamma", "0", "--theta", "0.1", "--shots", "500", "--n", "2:6:2"], "at least 4 distinct sizes"),
+            (["calibrate", "--n", "2", "--gammas", "0.05"], "at least 2 distinct decay rates"),
+            (["sweep", "--axis", "theta_true=0.1,0.2", "--axis", "theta_true=0.3"], "more than once"),
+            (["sweep", "--axis", "seed=1,x"], "seed must be an integer, got 'x'"),
+        ],
+        ids=["sweep-replicas-0", "scaling-replicas-0", "calibrate-replicas-0", "scaling-3-sizes",
+             "calibrate-1-rate", "sweep-repeated-axis", "sweep-bad-seed-axis"],
+    )
+    def test_bad_sweep_is_refused_before_any_run(self, command, message, run_cfg, monkeypatch, capsys):
+        def no_run(cfgs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
+        config = ["--config", run_cfg] if command[0] == "sweep" else []
+        assert cli.main([command[0], *config, *command[1:], "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+    def test_calibrate_all_flagged_is_a_runtime_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(expmod, "run_grid", lambda base, axes, replicas, workers: ([], [{"gamma_hat": None}] * 3))
+        assert cli.main(["calibrate", "--n", "2", "--gammas", "0.05,0.3", "--replicas", "1"]) == 2
+        assert capsys.readouterr().err == "error: all replicas at gamma=0.05 produced flagged estimates\n"
 
     def test_console_script_installed(self):
         proc = subprocess.run(
