@@ -152,6 +152,14 @@ def _integer(value, where):
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
+def _seed(value):
+    """A seed as int: numpy's SeedSequence takes only non-negative integers, so anything else is a ConfigError."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _block(cls, d, where):
     if d is None:
         return cls()
@@ -183,7 +191,7 @@ def from_dict(doc):
         mode=mode,
         n=_integer(doc["n"], "n"),
         theta_true=_float(doc["theta_true"], "theta_true"),
-        seed=_integer(doc["seed"], "seed"),
+        seed=_seed(doc["seed"]),
         normalization=doc.get("normalization", rules.normalization),
         channel=doc.get("channel", rules.channel),
         gamma_true=_float(doc.get("gamma_true", 0.0), "gamma_true"),
@@ -216,7 +224,7 @@ def validate(cfg):
     rules = MODES.get(cfg.mode) or Mode(None, None, CHANNELS, True)
     # from_dict has already parsed these; a config built directly or with dataclasses.replace has not
     _integer(cfg.n, "n")
-    _integer(cfg.seed, "seed")
+    _seed(cfg.seed)
     for block, name, where in _BLOCK_INTEGERS:
         _integer(getattr(getattr(cfg, block), name), where)
     for x in cfg.cascade.n_sequence:

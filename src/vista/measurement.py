@@ -9,8 +9,10 @@ states, of any channel kinds, have an exact overlap
 Quasi-normalization divides by the square root of the ansatz purity, which is
 always computed exactly as the ansatz's overlap with itself, never sampled.
 
-Shots are drawn one way: ``binomial_fraction`` on a numpy generator, which is
-``rng.stream(seed, *label)`` in the package.  ``loss`` scores one evaluation
+Shots are drawn one way: ``binomial_fraction`` on a numpy generator.  In the
+package that is a kept generator of an ``rng.Streams``, which ``Streams.at``
+has moved to a (seed, label) pair, so it draws what ``rng.stream(seed,
+*label)`` would.  ``loss`` scores one evaluation
 from plain numbers: the exact overlap, the generator its shots are drawn from
 (None when exact), the shot count and the ansatz purity.  The run loop calls
 it once per row and evaluation.

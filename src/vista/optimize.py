@@ -6,23 +6,31 @@ step of pi/(8n) for phase-type parameters (an eighth of the loss period) and
 0.05 for the disentangling angle; the parameter-shift rule is available for
 parameters whose loss is a single harmonic of known frequency.
 
-``run_optimization`` drives R replicas of one run in lockstep over an (R, p)
-parameter array: one row per replica, one column per parameter.  The rows
-share the loss closure, the settings and the epoch clock; each keeps its own
-parameters, ADAM moments, stream draws and stop status.  A row that converges
-or diverges leaves the live set and the others go on.  A single run is the
-case R = 1.  Every step acts on the rows elementwise, so a row's trajectory
-does not depend, to the last bit, on which rows share its batch.
+``run_optimization`` drives R replicas of one run in lockstep: one row per
+replica, one column per parameter.  The rows share the loss closure, the
+settings and the epoch clock; each keeps its own parameters, ADAM moments,
+stream draws and stop status.  A row that converges or diverges leaves the
+live set and the others go on.  A single run is the case R = 1.
 
-An epoch is one loss call: ``estimate_gradient`` stacks the live rows and
-their 2p gradient shifts into one block and hands it to the loss closure
-with one stream label per row block, so each gradient shift and each
-recorded loss draws fresh shots while remaining a pure function of
+The epoch runs on Python floats.  The live rows' parameters, ADAM moments
+and gradients are columns, one list per parameter with one float per row,
+and every row takes the same float operations in the same order, so a row's
+trajectory does not depend, to the last bit, on which rows share its batch.
+Each operation is the one numpy applies to arrays (``g * g``, not ``g**2``,
+which calls ``pow``; ``math.sqrt``, correctly rounded like ``np.sqrt``;
+sums from left to right), so the bits are those of an array loop.  numpy
+enters an epoch twice: one ufunc stacks the live rows and their gradient
+shifts into one block, and the loss closure evaluates it.
+
+An epoch is one loss call: ``estimate_gradient`` hands the block to the
+loss closure with one stream label per row block, so each gradient shift
+and each recorded loss draws fresh shots while remaining a pure function of
 (config, master seed).
 """
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,12 +52,15 @@ STATUS_DIVERGED = "diverged"
 STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-def clamp_phi(values, names):
-    """The (R, p) rows ``values``, with the column named phi clamped to [0, PHI_CLAMP] in place."""
+def clamp_phi(columns, names):
+    """The columns ``columns`` (one list of floats per name), with the one named phi clamped to [0, PHI_CLAMP].
+
+    Each float gets ``np.clip``'s value: -0.0 and nan fail both comparisons and stay as they are.
+    """
     if "phi" in names:
         j = names.index("phi")
-        values[:, j] = values[:, j].clip(0.0, PHI_CLAMP)
-    return values
+        columns[j] = [0.0 if x < 0.0 else PHI_CLAMP if x > PHI_CLAMP else x for x in columns[j]]
+    return columns
 
 
 def check_gradient_method(method):
@@ -76,36 +87,36 @@ class OptimizerConfig:
             raise DomainError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.window < 1:
             raise DomainError(f"window must be >= 1, got {self.window}")
+        # the bias corrections 1 - beta**t and the step's divisor sqrt(v-hat) + eps stay positive
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise DomainError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise DomainError(f"eps must be > 0, got {self.eps}")
 
     def lr_at(self, epoch):
         return self.lr0 * self.decay**epoch
 
 
-@dataclass
-class OptimizerState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
+def adam_step(cfg, epoch, values, grad, m, v):
+    """ADAM's update at ``epoch`` (counted from 0); returns the columns (values, m, v) after it.
 
-    @classmethod
-    def fresh(cls, shape):
-        return cls(np.zeros(shape), np.zeros(shape), 0)
-
-
-def adam_step(cfg, state, values, grad):
-    """One ADAM update; returns (new_state, new_values).
-
+    ``values``, ``grad`` and the moments ``m`` and ``v`` (zeros before the
+    first epoch) are columns: one list per parameter, one float per row.
     With bias correction the per-step motion is bounded by the current
     learning rate: |delta| <= lr * |m-hat| / (sqrt(v-hat) + eps) <= lr.
     """
-    t = state.t + 1
-    m = cfg.beta1 * state.m + (1 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1 - cfg.beta2) * grad**2
-    m_hat = m / (1 - cfg.beta1**t)
-    v_hat = v / (1 - cfg.beta2**t)
-    lr = cfg.lr_at(state.t)
-    new_values = values - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-    return OptimizerState(m, v, t), new_values
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
+    c1, c2 = 1 - b1, 1 - b2
+    k1, k2 = 1 - b1 ** (epoch + 1), 1 - b2 ** (epoch + 1)
+    lr = cfg.lr_at(epoch)
+    sqrt = math.sqrt
+    m = [[b1 * a + c1 * g for a, g in zip(mj, gj)] for mj, gj in zip(m, grad)]
+    v = [[b2 * a + c2 * (g * g) for a, g in zip(vj, gj)] for vj, gj in zip(v, grad)]
+    values = [
+        [x - lr * (a / k1) / (sqrt(b / k2) + eps) for x, a, b in zip(xj, mj, vj)] for xj, mj, vj in zip(values, m, v)
+    ]
+    return values, m, v
 
 
 @dataclass(frozen=True)
@@ -151,12 +162,13 @@ class GradientConfig:
 
     @cached_property
     def steps(self):
-        """(ups, downs, scales) of the gradient of p parameters.
+        """(shift, scales) of the gradient of p parameters.
 
-        values + ups[i] and values - downs[i] shift parameter i of every row by
-        its step and leave the others as they are: adding -0.0 and taking
-        away +0.0 change no float, the sign of a zero included.  The
-        difference of the two losses is scaled by scales[i].
+        ``shift`` is a (1 + 2p, 1, p) stack: a row of -0.0, then for each
+        parameter i its step up and its step down, negated, in column i and
+        -0.0 elsewhere.  values + shift is the epoch's block: x + (-0.0) is x,
+        the sign of a zero included, and x + (-h) is x - h.  The difference of
+        parameter i's two losses is scaled by the float scales[i].
         """
         shifts, scales = [], []
         for i, h in enumerate(self.h):
@@ -170,13 +182,19 @@ class GradientConfig:
             else:
                 shifts.append(h)
                 scales.append(1.0 / (2 * h))
-        own = np.eye(len(shifts), dtype=bool)[:, None, :]
-        return np.where(own, shifts, -0.0), np.where(own, shifts, 0.0), np.array(scales)
+        nparams = len(shifts)
+        shift = np.full((1 + 2 * nparams, 1, nparams), -0.0)
+        for i, h in enumerate(shifts):
+            shift[1 + 2 * i, 0, i] = h
+            shift[2 + 2 * i, 0, i] = -h
+        return shift, [float(s) for s in scales]
 
 
 def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None):
-    """One epoch's evaluation: (losses, gradient) of the sampled loss at the rows of the (L, p) array ``values``.
+    """One epoch's evaluation: (losses, gradient) of the sampled loss at L rows.
 
+    ``values`` holds the rows as columns, one list of L floats per parameter;
+    the losses come back as a list of L floats and the gradient as columns.
     The rows and their 2p shifted copies are stacked into a ((1+2p) L, p)
     block: the rows, then each parameter's up and down shift.  One call
     ``lossfn(block, nu, labels, rows)`` returns a loss per block row, and
@@ -190,44 +208,36 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None):
     single-harmonic form, e.g. the decay-matching angle) fall back to their
     central-difference step.
     """
-    ups, downs, scales = grad_cfg.steps
-    nrows, nparams = values.shape
-    block = np.empty((1 + 2 * nparams, nrows, nparams))
-    block[0] = values
-    np.add(values, ups, out=block[1::2])  # one parameter shifted in each block
-    np.subtract(values, downs, out=block[2::2])
+    shift, scales = grad_cfg.steps
+    nparams, nrows = len(values), len(values[0])
+    # the rows, then one parameter shifted in each block: a C-ordered ((1+2p) L, p) array, as the closures expect
+    block = np.add(np.array(values).T, shift, order="C").reshape(-1, nparams)
     side = 0 if grad_cfg.crn else 1
     labels = [(STREAM_LOSS, epoch)]
     for i in range(nparams):
         labels += [(STREAM_GRAD, epoch, i, 0), (STREAM_GRAD, epoch, i, side)]
-    out = lossfn(block.reshape(-1, nparams), nu, labels, np.arange(nrows) if rows is None else rows)
+    out = lossfn(block, nu, labels, np.arange(nrows) if rows is None else rows).tolist()
     losses = out[:nrows]
-    if not _finite(losses):
+    if not all(map(math.isfinite, losses)):
         raise NumericsError(f"non-finite loss at epoch {epoch}")
-    shifted = out[nrows:].reshape(nparams, 2, nrows)
-    grad = np.empty((nrows, nparams))
-    np.subtract(shifted[:, 0].T, shifted[:, 1].T, out=grad)
-    grad *= scales
-    # a difference of finite losses is finite, so one check covers every shifted loss
-    if not _finite(grad):
-        i = int(np.argmin(np.isfinite(grad).all(axis=0)))
-        raise NumericsError(f"non-finite loss in gradient evaluation at parameter {i}")
+    grad = []
+    for i, scale in enumerate(scales):
+        up = out[(1 + 2 * i) * nrows : (2 + 2 * i) * nrows]
+        down = out[(2 + 2 * i) * nrows : (3 + 2 * i) * nrows]
+        gi = [(a - b) * scale for a, b in zip(up, down)]
+        # a difference of finite losses is finite, so one check covers every shifted loss
+        if not all(map(math.isfinite, gi)):
+            raise NumericsError(f"non-finite loss in gradient evaluation at parameter {i}")
+        grad.append(gi)
     return losses, grad
 
 
-_TRACE_EPOCHS = 64  # epochs the trace buffers hold at first
-
-
-def _grown(buf, size):
-    """The trace buffer ``buf`` copied into a new one that holds ``size`` epochs."""
-    out = np.empty((size,) + buf.shape[1:])
-    out[: len(buf)] = buf
-    return out
-
-
-def _finite(x):
-    """Whether every entry of the array x is finite (in Python: cheaper than numpy for a few rows)."""
-    return all(map(math.isfinite, x.ravel().tolist()))
+def _window_sum(recent, k):
+    """Row k's deltas over the window, added in order, as a running sum over the window adds them."""
+    total = recent[0][k]
+    for deltas in recent[1:]:
+        total += deltas[k]
+    return total
 
 
 @dataclass
@@ -267,85 +277,102 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     run past it, every live row stops after the current epoch as
     ``budget_exhausted``.  Returns one ``OptRun`` per row.
     """
-    values = np.array(params0, dtype=float)
-    if values.ndim != 2 or values.shape[1] != len(names):
-        raise DomainError(f"params0 must have one column per name in {names}, got shape {values.shape}")
-    values = clamp_phi(values, names)
+    start = np.array(params0, dtype=float)
+    if start.ndim != 2 or start.shape[1] != len(names):
+        raise DomainError(f"params0 must have one column per name in {names}, got shape {start.shape}")
+    values = clamp_phi(start.T.tolist(), names)
     max_epochs, tol_conv, window = optimizer.max_epochs, optimizer.tol_conv, optimizer.window
-    nrows, nparams = values.shape
-    state = OptimizerState.fresh(values.shape)
+    nrows, nparams = start.shape
+    m = v = [[0.0] * nrows for _ in range(nparams)]
     rows = np.arange(nrows)
-    # the trace of each live row, one column per row; a stopping row takes its column with it.
-    # The buffers double when full, so they hold at most twice the epochs run, not max_epochs.
-    size = min(max_epochs, _TRACE_EPOCHS)
-    losses = np.empty((size, nrows))
-    params = np.empty((size, nrows, nparams))
-    grads = np.empty((size, nrows, nparams))
-    deltas = np.empty((size, nrows))
+    # The trace of the live rows: each epoch appends its losses, then its parameter and gradient
+    # columns, to ``record``, so it grows with the epochs run, not with max_epochs.  When rows stop,
+    # the record moves into ``kept`` as (epochs, 1 + 2p, rows) and the stopped rows' columns leave it.
+    record, kept = array("d"), np.empty((0, 1 + 2 * nparams, nrows))
+    recent = []  # the live rows' deltas of the last ``window`` epochs
     shots, lrs = [], []
     runs = {}
     t0 = time.monotonic()
 
-    def finish(k, epochs, status):
-        grad = grads[:epochs, k]
+    def flush():
+        nonlocal kept, record
+        kept = np.concatenate([kept, np.frombuffer(record).reshape(-1, 1 + 2 * nparams, len(rows))])
+        record = array("d")
+
+    def finish(k, status):
+        trace = kept[:, :, k]
+        epochs = len(trace)
+        grads = trace[:, 1 + nparams :].copy()
         runs[int(rows[k])] = OptRun(
             names=tuple(names),
             epochs=np.arange(epochs),
-            losses=losses[:epochs, k].copy(),
-            params=params[:epochs, k].copy(),
-            # np.linalg.norm of each row, as it computes it: sqrt(g.dot(g)), a BLAS dot per row, whose
-            # bits a sum of squares along an axis need not give
-            grad_norms=np.sqrt([g.dot(g) for g in grad]),
+            losses=trace[:, 0].copy(),
+            params=trace[:, 1 : 1 + nparams].copy(),
+            # np.linalg.norm of each epoch's gradient, as it computes it: sqrt(g.dot(g)), whose bits a sum of
+            # squares along an axis need not give.  matmul hands each (1, p) @ (p, 1) pair of contiguous
+            # rows to the dot routine that g.dot(g) calls, so one call gives every epoch's bits.
+            grad_norms=np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0]),
             shots=np.array(shots[:epochs], dtype=int),
             lrs=np.array(lrs[:epochs]),
             status=status,
         )
 
     for epoch in range(max_epochs):
-        if epoch == len(losses):
-            size = min(2 * epoch, max_epochs)
-            losses, params, grads, deltas = (_grown(b, size) for b in (losses, params, grads, deltas))
         nu = schedule.shots_at(epoch, max_epochs)
-        loss_here, grad = estimate_gradient(values, lossfn, gradient, epoch, nu, rows)
-        state, new_values = adam_step(optimizer, state, values, grad)
+        losses, grad = estimate_gradient(values, lossfn, gradient, epoch, nu, rows)
+        new_values, m, v = adam_step(optimizer, epoch, values, grad, m, v)
         new_values = clamp_phi(new_values, names)
+        # the mean absolute change of each row, its columns summed from left to right (0.0 + |x| is |x|)
+        deltas = [0.0] * len(rows)
+        for new, old in zip(new_values[:-1], values[:-1]):
+            deltas = [d + abs(a - b) for d, a, b in zip(deltas, new, old)]
+        deltas = [(d + abs(a - b)) / nparams for d, a, b in zip(deltas, new_values[-1], values[-1])]
+        values = new_values
 
-        losses[epoch] = loss_here
-        params[epoch] = new_values
-        grads[epoch] = grad
-        deltas[epoch] = np.add.reduce(np.abs(new_values - values), axis=1) / float(nparams)
+        record.fromlist(losses)
+        for column in values:
+            record.fromlist(column)
+        for column in grad:
+            record.fromlist(column)
+        recent.append(deltas)
+        if len(recent) > window:
+            del recent[0]
         shots.append(0 if nu is None else nu)
         lrs.append(optimizer.lr_at(epoch))
-        values = new_values
 
         # cheap checks over all rows first; phi is clamped well inside the guard, so only the
         # other columns can fail it, and nan fails it too
-        diverged = not all(map(THETA_GUARD.__ge__, map(abs, values.ravel().tolist())))
+        diverged = not all(all(map(THETA_GUARD.__ge__, map(abs, column))) for column in values)
         # a window's sum is at least its last delta, so no row converges while every last delta is too big
-        converged = tol_conv > 0 and epoch + 1 >= window and min(deltas[epoch].tolist()) / window < tol_conv
+        converged = tol_conv > 0 and epoch + 1 >= window and min(deltas) / window < tol_conv
         out_of_time = time.monotonic() - t0 > optimizer.budget_s
         if not (diverged or converged or out_of_time):
             continue
-        diverged = ~(np.maximum.reduce(np.abs(values), axis=1) <= THETA_GUARD)
-        converged = np.zeros(len(rows), dtype=bool)
+        stops = {}  # the status of each row that stops at this epoch
+        if diverged:
+            for k, row in enumerate(zip(*values)):
+                if not all(abs(x) <= THETA_GUARD for x in row):
+                    stops[k] = STATUS_DIVERGED
         if tol_conv > 0 and epoch + 1 >= window:
-            # accumulate adds in order, as a running sum over the window does
-            converged = np.add.accumulate(deltas[epoch + 1 - window : epoch + 1], axis=0)[-1] / window < tol_conv
-        for k in range(len(rows)):
-            if diverged[k]:
-                finish(k, epoch + 1, STATUS_DIVERGED)
-            elif converged[k]:
-                finish(k, epoch + 1, STATUS_CONVERGED)
-            elif out_of_time:
-                finish(k, epoch + 1, STATUS_BUDGET_EXHAUSTED)
-        live = ~(diverged | converged)
-        if out_of_time or not live.any():
+            for k, last in enumerate(deltas):
+                # only a row whose own last delta is small enough can converge
+                if k not in stops and last / window < tol_conv and _window_sum(recent, k) / window < tol_conv:
+                    stops[k] = STATUS_CONVERGED
+        if out_of_time:
+            stops = {k: stops.get(k, STATUS_BUDGET_EXHAUSTED) for k in range(len(rows))}
+        if not stops:
+            continue
+        flush()
+        for k, status in stops.items():
+            finish(k, status)
+        if len(stops) == len(rows):
             break
-        rows, values = rows[live], values[live]
-        state = OptimizerState(state.m[live], state.v[live], state.t)
-        losses, params, grads, deltas = losses[:, live], params[:, live], grads[:, live], deltas[:, live]
-
-    for k in range(len(rows)):
-        if int(rows[k]) not in runs:
-            finish(k, max_epochs, STATUS_MAX_EPOCHS)
+        live = [k for k in range(len(rows)) if k not in stops]
+        rows, kept = rows[live], kept[:, :, live]
+        values, m, v = ([[column[k] for k in live] for column in cols] for cols in (values, m, v))
+        recent = [[d[k] for k in live] for d in recent]
+    else:
+        flush()
+        for k in range(len(rows)):
+            finish(k, STATUS_MAX_EPOCHS)
     return [runs[r] for r in range(nrows)]

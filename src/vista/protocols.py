@@ -340,14 +340,17 @@ def _cascade_batch(cfgs):
 def baseline_series(cfg):
     """Time grid, exact parity probabilities under cfg.channel, and their sampled versions for cfg.baseline.
 
-    Step k draws ``baseline.shots_per_step`` shots from ``stream(cfg.seed, k)``.
+    Step k draws ``baseline.shots_per_step`` shots under the label (k,): what
+    ``stream(cfg.seed, k)`` draws, from one kept generator that ``Streams.at``
+    moves to each step's label.
     """
     steps, total_time = cfg.baseline.steps, cfg.baseline.total_time
     t = np.arange(steps) * (total_time / steps)
     p = parity_probability(cfg.n, cfg.theta_true, cfg.gamma_true, t, cfg.channel)
     shots = int(cfg.baseline.shots_per_step)
-    p_hat = np.array([measurement.binomial_fraction(stream(cfg.seed, k), shots, pk) for k, pk in enumerate(p)])
-    return t, p, p_hat
+    streams = Streams([cfg.seed])
+    p_hat = [measurement.binomial_fraction(streams.at([0], [(k,)])[0], shots, pk) for k, pk in enumerate(p)]
+    return t, p, np.array(p_hat)
 
 
 def _spectrum_peak(cfg, p_hat):

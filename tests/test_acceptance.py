@@ -275,7 +275,7 @@ def test_criterion_11_estimator_statistics():
     nus = (1_000, 10_000, 100_000)
     variances = []
     for shots in nus:
-        grads = [estimate_gradient(np.array([[0.10]]), sampled_loss(s, shots), grad_cfg)[1][0, 0]
+        grads = [estimate_gradient([[0.10]], sampled_loss(s, shots), grad_cfg)[1][0][0]
                  for s in range(300)]
         variances.append(float(np.var(grads)))
     slope = float(np.polyfit(np.log(nus), np.log(variances), 1)[0])

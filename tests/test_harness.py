@@ -178,6 +178,14 @@ class TestConfig:
         assert cli.main(["run", "--config", str(path)]) == 1
         assert f"{name} must be finite" in capsys.readouterr().err
 
+    def test_seed_must_be_non_negative(self):
+        # numpy's SeedSequence refuses a negative seed with a ValueError; the config refuses it first
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            _cfg(seed=-1)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            cfgmod.validate(replace(_cfg(), seed=-3))
+        assert _cfg(seed=0).seed == 0
+
     @pytest.mark.parametrize("seq", [[0, 4], [-3, 4]])
     def test_cascade_sizes_must_be_positive(self, seq, tmp_path, capsys):
         doc = {**MINIMAL, "mode": cfgmod.MODE_CASCADE, "cascade": {"n_sequence": seq}}
@@ -1049,6 +1057,12 @@ class TestCli:
         with open(os.path.join(out, "result.json")) as fh:
             assert json.load(fh)["seed"] == 11
 
+    def test_run_negative_seed_exits_1(self, run_cfg, tmp_path, capsys):
+        assert cli.main(["run", "--config", run_cfg, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         ret = cli.main(["run", "--config", str(tmp_path / "nope.json")])
         assert ret == 1
@@ -1206,9 +1220,12 @@ class TestCli:
             (["calibrate", "--n", "2", "--gammas", "0.05"], "at least 2 distinct decay rates"),
             (["sweep", "--axis", "theta_true=0.1,0.2", "--axis", "theta_true=0.3"], "more than once"),
             (["sweep", "--axis", "seed=1,x"], "seed must be an integer, got 'x'"),
+            (["sweep", "--axis", "seed=1,-1"], "seed must be >= 0, got -1"),
+            (["sweep", "--axis", "theta_true=0.1", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
         ids=["sweep-replicas-0", "scaling-replicas-0", "calibrate-replicas-0", "scaling-3-sizes",
-             "calibrate-1-rate", "sweep-repeated-axis", "sweep-bad-seed-axis"],
+             "calibrate-1-rate", "sweep-repeated-axis", "sweep-bad-seed-axis", "sweep-negative-seed-axis",
+             "sweep-negative-seed"],
     )
     def test_bad_sweep_is_refused_before_any_run(self, command, message, run_cfg, monkeypatch, capsys):
         def no_run(cfgs):

@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import numpy_epoch
 import pytest
 
 from vista.dynamics import CHANNEL_NONE, closed_form_overlap, qubit_channel
@@ -11,6 +12,7 @@ from vista.measurement import LOSS_PLAIN, binomial_fraction, loss
 from vista.rng import STREAM_GRAD, STREAM_LOSS, stream
 from vista.optimize import (
     GRAD_CENTRAL,
+    GRAD_METHODS,
     GRAD_PARAM_SHIFT,
     PHI_CLAMP,
     STATUS_BUDGET_EXHAUSTED,
@@ -19,7 +21,6 @@ from vista.optimize import (
     STATUS_MAX_EPOCHS,
     GradientConfig,
     OptimizerConfig,
-    OptimizerState,
     ShotSchedule,
     adam_step,
     clamp_phi,
@@ -59,7 +60,8 @@ def _rowwise(f):
 
 def _grad(at, f, cfg):
     """The gradient at one point, through the epoch evaluator: f(values, label) scores one row."""
-    return estimate_gradient(np.atleast_2d(at), _rowwise(lambda row, nu, label: f(row, label)), cfg)[1][0]
+    columns = estimate_gradient([[x] for x in at], _rowwise(lambda row, nu, label: f(row, label)), cfg)[1]
+    return np.array([g for [g] in columns])
 
 
 def _run(names, start, f, **kw):
@@ -81,37 +83,50 @@ class TestParams:
                                  schedule=ShotSchedule(exact=True), gradient=GradientConfig(h=np.array([0.1, 0.1])))
 
     def test_clamp_only_touches_phi(self):
-        p = clamp_phi(np.array([[5.0, 2.0]]), ("theta", "phi"))
-        assert p[0, 0] == 5.0
-        assert p[0, 1] == pytest.approx(PHI_CLAMP)
-        q = clamp_phi(np.array([[-0.3]]), ("phi",))
-        assert q[0, 0] == 0.0
+        p = clamp_phi([[5.0], [2.0]], ("theta", "phi"))
+        assert p[0] == [5.0]
+        assert p[1] == [PHI_CLAMP]
+        q = clamp_phi([[-0.3]], ("phi",))
+        assert q[0] == [0.0]
+
+    def test_clamp_agrees_with_np_clip(self):
+        column = [-0.0, 0.0, -0.3, 0.7, 2.0, float("nan"), float("-inf"), float("inf")]
+        clipped = np.array(column).clip(0.0, PHI_CLAMP)
+        # the bits: -0.0 stays -0.0 and nan stays nan, as np.clip leaves them
+        assert np.array(clamp_phi([column], ("phi",))[0]).tobytes() == clipped.tobytes()
 
 
 class TestAdamStep:
     def test_zero_gradient_is_stationary(self):
         cfg = OptimizerConfig()
-        state = OptimizerState.fresh(2)
-        values = np.array([0.3, -0.1])
-        new_state, new_values = adam_step(cfg, state, values, np.zeros(2))
-        np.testing.assert_allclose(new_values, values)
-        assert new_state.t == 1
+        values = [[0.3], [-0.1]]
+        zeros = [[0.0], [0.0]]
+        new_values, m, v = adam_step(cfg, 0, values, zeros, zeros, zeros)
+        assert new_values == values
+        assert m == v == zeros
 
     def test_first_step_moves_by_learning_rate(self):
         # bias-corrected first step is lr * sign(g) up to eps
         cfg = OptimizerConfig(lr0=0.05)
-        _, new_values = adam_step(cfg, OptimizerState.fresh(1), np.array([0.0]), np.array([2.7]))
-        assert new_values[0] == pytest.approx(-0.05, abs=1e-8)
+        [[new_value]], _, _ = adam_step(cfg, 0, [[0.0]], [[2.7]], [[0.0]], [[0.0]])
+        assert new_value == pytest.approx(-0.05, abs=1e-8)
 
     def test_motion_bounded_by_decayed_rate(self, rng):
         cfg = OptimizerConfig(lr0=0.1, decay=0.97)
-        state = OptimizerState.fresh(3)
-        values = np.zeros(3)
-        for _ in range(50):
-            lr = cfg.lr_at(state.t)
-            state, new_values = adam_step(cfg, state, values, rng.normal(size=3) * 10)
-            assert np.all(np.abs(new_values - values) <= lr + 1e-12)
+        values = m = v = [[0.0]] * 3
+        for epoch in range(50):
+            lr = cfg.lr_at(epoch)
+            grad = [[g] for g in (rng.normal(size=3) * 10).tolist()]
+            new_values, m, v = adam_step(cfg, epoch, values, grad, m, v)
+            assert np.all(np.abs(np.subtract(new_values, values)) <= lr + 1e-12)
             values = new_values
+
+    @pytest.mark.parametrize("bad", [{"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1}, {"beta2": float("nan")},
+                                     {"eps": 0.0}, {"eps": -1e-8}, {"eps": float("nan")}])
+    def test_settings_keep_the_divisors_positive(self, bad):
+        # 1 - beta**t and sqrt(v-hat) + eps divide the step; a zero would raise ZeroDivisionError in the epoch
+        with pytest.raises(DomainError):
+            OptimizerConfig(**bad)
 
     def test_rate_decay(self):
         cfg = OptimizerConfig(lr0=0.05, decay=0.995)
@@ -473,3 +488,72 @@ class TestLockstep:
             before = np.vstack([start, run.params[:-1]])
             norms = [float(np.linalg.norm(_grad(b, lambda v, label: f(v, None, label), cfg))) for b in before]
             assert run.grad_norms.tolist() == norms
+
+
+class TestNumpyOracle:
+    """The Python-float epoch against the numpy epoch of ``numpy_epoch``, every ``OptRun`` field to the bit."""
+
+    _FIELDS = ("names", "epochs", "losses", "params", "grad_norms", "shots", "lrs", "status")
+
+    @staticmethod
+    def _loss(seed):
+        def lossfn(block, nu, labels, rows):
+            r = np.tile(rows, len(labels))
+            x = block[:, 0]
+            # row kind 0 is pulled off every basin, kind 1 climbs to a plateau at its own height, kind 2 circles a bowl
+            kind = r % 3
+            out = np.select([kind == 0, kind == 1], [-x, -np.minimum(x, 0.2 + 0.05 * r)], (x - 0.3) ** 2)
+            if block.shape[1] == 2:
+                out = out + np.where(r % 2 == 0, -0.3, 0.3) * block[:, 1]  # phi pushed up on even rows, down on odd
+            if nu is not None:  # shots from each row's own stream under the block's label
+                gens = [stream(seed + int(q), *labels[j // len(rows)]) for j, q in enumerate(r)]
+                out = out + 1e-3 * np.array([binomial_fraction(gen, nu, 0.5) for gen in gens])
+            return out
+
+        return lossfn
+
+    def _both(self, seed, nparams, method=GRAD_CENTRAL, crn=False, sampled=True, budget_s=600.0):
+        rng = np.random.default_rng([seed, nparams])
+        nrows = int(rng.integers(5, 13))
+        starts = rng.uniform(0.0, 0.3, size=(nrows, nparams))
+        if nparams == 2:
+            starts[:, 1] = rng.uniform(0.0, 1.5, size=nrows)
+        kw = dict(
+            names=("theta", "phi")[:nparams],
+            optimizer=OptimizerConfig(lr0=1.0, decay=0.95, max_epochs=85, tol_conv=1e-4, window=8, budget_s=budget_s),
+            schedule=ShotSchedule(100, 400, "linear") if sampled else ShotSchedule(exact=True),
+            gradient=GradientConfig(method, np.array([0.1, 0.05][:nparams]), np.array([6.0, 0.0][:nparams]), crn),
+        )
+        runs = run_optimization(starts, self._loss(seed), **kw)
+        for run, ref in zip(runs, numpy_epoch.run_optimization(starts, self._loss(seed), **kw), strict=True):
+            for key in self._FIELDS:
+                got, want = getattr(run, key), getattr(ref, key)
+                if isinstance(want, np.ndarray):
+                    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), key
+                else:
+                    assert got == want, key
+        return runs
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("crn", [False, True])
+    @pytest.mark.parametrize("method", GRAD_METHODS)
+    @pytest.mark.parametrize("nparams", [1, 2])
+    def test_sampled_batches_match_to_the_bit(self, nparams, method, crn, seed):
+        runs = self._both(seed, nparams, method, crn)
+        # rows diverge, converge and run out of epochs in one batch, so the live set shrinks twice
+        stops = {run.status: set() for run in runs}
+        for run in runs:
+            stops[run.status].add(len(run.epochs))
+        assert set(stops) == {STATUS_DIVERGED, STATUS_CONVERGED, STATUS_MAX_EPOCHS}
+        assert max(stops[STATUS_DIVERGED]) < min(stops[STATUS_CONVERGED]) <= max(stops[STATUS_CONVERGED]) < 85
+        if nparams == 2:  # phi held at both ends of its range
+            phis = np.concatenate([run.params[:, 1] for run in runs])
+            assert phis.min() == 0.0 and phis.max() == PHI_CLAMP
+
+    @pytest.mark.parametrize("nparams", [1, 2])
+    def test_exact_batches_match_to_the_bit(self, nparams):
+        self._both(4, nparams, sampled=False)
+
+    def test_zero_budget_matches_to_the_bit(self):
+        runs = self._both(5, 2, budget_s=0.0)
+        assert {(run.status, len(run.epochs)) for run in runs} == {(STATUS_BUDGET_EXHAUSTED, 1)}

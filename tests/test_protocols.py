@@ -295,7 +295,14 @@ class TestBaseline:
         _, _, p_hat2 = baseline_series(bc)
         np.testing.assert_array_equal(p_hat, p_hat2)
         # step k draws shots_per_step shots from stream(seed, k)
-        assert p_hat[7] == binomial_fraction(stream(bc.seed, 7), 400, p[7])
+        assert p_hat.tolist() == [binomial_fraction(stream(bc.seed, k), 400, pk) for k, pk in enumerate(p)]
+
+    def test_series_builds_one_generator(self, monkeypatch):
+        # the steps share one kept generator of a Streams; none builds its own stream
+        built = []
+        monkeypatch.setattr(protocols, "stream", lambda *a: built.append(a))
+        baseline_series(_baseline_cfg(2, 0.4, 0.05, steps=50))
+        assert built == []
 
     def test_exact_series_copies_probabilities(self):
         # the exact series is the parity law itself, returned beside the sampled one
