@@ -13,6 +13,7 @@ delta-theta >= 1/sqrt(2 nu Q_HS) of five probe/ansatz pairs, and
 amplitude damping.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +32,21 @@ def curvature(n, probe, ansatz, normalized=False):
     so Q_HS = 2 n^2 e^{-n (kappa_probe + kappa_ansatz)}; quasi-normalization
     divides it by the square root of the ansatz purity.
     """
-    q = 2 * n**2 * np.exp(-n * (probe[1] + ansatz[1]))
-    return q / np.sqrt(closed_form_overlap(n, ansatz, ansatz, 0.0)) if normalized else q
+    q = 2 * n**2 * math.exp(-n * (probe[1] + ansatz[1]))
+    return q / math.sqrt(closed_form_overlap(n, ansatz, ansatz, 0.0)) if normalized else q
 
 
 def qfi_ratio_ampdamp(n, gamma):
     """Quasi-normalized over pure-ansatz curvature of the damped probe, exp(-n kappa)/sqrt(purity).
 
-    Small-gamma expansion: 1 - n(n+1) gamma^2 / 8 + O(gamma^3).
+    gamma is a float or an array.  Small-gamma expansion: 1 - n(n+1) gamma^2 / 8 + O(gamma^3).
     """
-    qubit = qubit_channel(CHANNEL_AMPDAMP, gamma)
-    return np.exp(-n * qubit[1]) / np.sqrt(closed_form_overlap(n, qubit, qubit, 0.0))
+
+    def ratio(g):
+        qubit = qubit_channel(CHANNEL_AMPDAMP, g)
+        return math.exp(-n * qubit[1]) / math.sqrt(closed_form_overlap(n, qubit, qubit, 0.0))
+
+    return np.vectorize(ratio, otypes=[float])(gamma)[()]
 
 
 def qfi_ratio_ampdamp_expansion(n, gamma):
@@ -86,7 +91,7 @@ def crb_curve(kind, ns, gamma, nu):
         raise DomainError("n grid must be non-empty positive integers")
     probe = qubit_channel(channel, gamma)
     ansatz = probe if matched else qubit_channel(CHANNEL_NONE, 0.0)
-    vals = np.array([1.0 / np.sqrt(2 * nu * curvature(int(n), probe, ansatz, normalized)) for n in ns])
+    vals = np.array([1.0 / math.sqrt(2 * nu * curvature(int(n), probe, ansatz, normalized)) for n in ns])
     return BoundCurve(kind, ns, vals, float(gamma), int(nu))
 
 

@@ -59,6 +59,14 @@ def _take(d, allowed, where):
     return d
 
 
+def _check_finite(block, names, rule="", holds=lambda x: True):
+    """Raise DomainError unless each named field of ``block`` is None or a finite number that ``holds``."""
+    for name in names:
+        value = getattr(block, name)
+        if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value) and holds(value)):
+            raise DomainError(f"{name} must be finite{rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GradientBlock:
     method: str = GRAD_CENTRAL
@@ -68,6 +76,9 @@ class GradientBlock:
 
     def __post_init__(self):
         check_gradient_method(self.method)
+        _check_finite(self, ("h_theta", "h_phi"), " and non-zero", lambda h: h != 0)
+        if not isinstance(self.crn, bool):  # a config's "yes" or 1 is not read for its truth
+            raise DomainError(f"crn must be true or false, got {self.crn!r}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,10 @@ class InitBlock:
     halfwidth: float | None = None  # defaults to pi/(2 n), the convergence window
     phi0: float = 0.1
     theta2_0: float | None = None
+
+    def __post_init__(self):
+        _check_finite(self, ("theta0", "center", "theta2_0"))
+        _check_finite(self, ("halfwidth",), " and >= 0", lambda hw: hw >= 0)
 
 
 @dataclass(frozen=True)

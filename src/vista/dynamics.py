@@ -21,7 +21,8 @@ Every closed form follows from (theta, p, kappa) alone: the corner coherence
 any two states, of any kinds (``closed_form_overlap``), and the purity as a
 state's overlap with itself.  No state object is kept: the run path passes
 the three numbers, and ``closed_form_density`` writes them out as a dense
-matrix for the RK4 oracle to check.
+matrix for the RK4 oracle to check.  The closed forms take Python floats and
+use ``math``: numpy's SIMD exp and log round differently on different CPUs.
 
 The hardware-style ansatz (entangle, rotate by theta-hat, partially disentangle
 by angle phi) produces the same states, with cos(phi) = e^{-kappa}:
@@ -32,11 +33,12 @@ structure, but E is still one 4x4 superoperator: the probe is
 rho = 1/2 sum_ab E(|a><b|)^{(x) n}, the Trotter ansatz is u^{(x) n}|GHZ> for
 one 2x2 matrix u, and their overlap is a sum of 16 scalars raised to the n-th
 power.  ``trotter_unitary`` and ``ghz_product_overlap`` take a leading row
-axis, as ``closed_form_overlap`` takes arrays, and give every row the bits
-of its scalar evaluation.  The dense RK4 integrator is kept as an
-independent oracle for these kernels (``vista oracle-check`` runs it).
+axis and give every row the bits of its scalar evaluation.  The dense RK4
+integrator is kept as an independent oracle for these kernels (``vista
+oracle-check`` runs it).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +65,7 @@ CHANNEL_AMPDAMP = "amplitude_damping"
 _QUBIT_CHANNEL = {
     CHANNEL_NONE: (lambda g: 1.0, 0.0, None),
     CHANNEL_DEPHASING: (lambda g: 1.0, 2.0, PAULI_Z),
-    CHANNEL_AMPDAMP: (lambda g: np.exp(-g), 0.5, SIGMA_MINUS),
+    CHANNEL_AMPDAMP: (lambda g: math.exp(-g), 0.5, SIGMA_MINUS),
 }
 CHANNELS = tuple(_QUBIT_CHANNEL)
 
@@ -79,7 +81,7 @@ def check_channel(kind, decay):
 
 
 def qubit_channel(kind, decay):
-    """(p, kappa) of one qubit after the channel ``kind`` at ``decay`` (scalar or array)."""
+    """(p, kappa) of one qubit after the channel ``kind`` at ``decay``."""
     population, rate, _ = _QUBIT_CHANNEL[kind]
     return population(decay), rate * decay
 
@@ -88,27 +90,13 @@ def closed_form_overlap(n, a, b, dtheta):
     """Tr(rho_a rho_b) of two n-qubit GHZ states whose qubits are a = (p_a, kappa_a) and b.
 
     dtheta is the phase of a minus that of b.  The purity of a state is its
-    overlap with itself, closed_form_overlap(n, a, a, 0).  Any of the p, kappa
-    and dtheta may be arrays of rows; the result then has their shape.
+    overlap with itself, closed_form_overlap(n, a, a, 0).  The diagonal part
+    is 1/4 (1 + qa^n + qb^n + (pa pb + qa qb)^n) with q = 1 - p.
     """
     (pa, ka), (pb, kb) = a, b
-    # numpy's exp and cos, not math's: the two round differently on some
-    # arguments, and seeded outputs depend on every bit of the overlap
-    return _population_overlap(n, pa, pb) + 0.5 * np.exp(-n * (ka + kb)) * np.cos(2 * n * dtheta)
-
-
-def _population_overlap(n, pa, pb):
-    """The diagonal part of the overlap, 1/4 (1 + qa^n + qb^n + (pa pb + qa qb)^n) with q = 1 - p.
-
-    Rows are taken one at a time as float ** int: numpy's power on an array
-    rounds differently from its scalar power in some 5 % of cases, and a
-    row's bits must not depend on the rows beside it.
-    """
-    if isinstance(pa, np.ndarray) or isinstance(pb, np.ndarray):
-        pa, pb = np.broadcast_arrays(pa, pb)
-        return np.array([_population_overlap(n, x, y) for x, y in zip(pa.tolist(), pb.tolist())])
     qa, qb = 1 - pa, 1 - pb
-    return 0.25 * (1 + qa**n + qb**n + (pa * pb + qa * qb) ** n)
+    populations = 0.25 * (1 + qa**n + qb**n + (pa * pb + qa * qb) ** n)
+    return populations + 0.5 * math.exp(-n * (ka + kb)) * math.cos(2 * n * dtheta)
 
 
 @dataclass(frozen=True)
@@ -134,16 +122,14 @@ class HamiltonianSpec:
 
 
 def circuit_decay(kind, phi):
-    """Gamma-equivalent of the circuit angle phi (scalar or array), from cos(phi) = e^{-kappa}."""
-    c = np.cos(phi)
-    bad = c <= 0
-    if bad.any() if bad.ndim else bad:  # a scalar's any() costs more than the rest together
+    """Gamma-equivalent of the circuit angle phi, from cos(phi) = e^{-kappa}."""
+    c = math.cos(phi)
+    if not c > 0:  # nan fails too
         raise DomainError(f"cos(phi) must be positive for inversion, got phi={phi}")
     rate = _QUBIT_CHANNEL[kind][1] if kind in _QUBIT_CHANNEL else 0.0
     if rate == 0:
         raise UnsupportedModelError(f"no decay inversion for channel {kind!r}")
-    decay = -np.log(c) / rate
-    return decay if isinstance(decay, np.ndarray) else float(decay)
+    return -math.log(c) / rate
 
 
 def closed_form_density(n, theta, qubit):

@@ -58,12 +58,16 @@ def loss(raw, gen, shots=None, purity=1.0, mode=LOSS_PLAIN):
 
 
 def parity_probability(n, theta, gamma, t, kind=CHANNEL_DEPHASING):
-    """P(+1) of the all-X stabilizer on a GHZ probe under the channel ``kind`` at time t (scalar or array).
+    """P(+1) of the all-X stabilizer on a GHZ probe under the channel ``kind`` at time t (a float or an array).
 
     Only the corner coherence carries the parity, so the fringe decays as e^{-n kappa t}
     with kappa the channel's coherence decay at ``gamma``.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("time must be >= 0")
-    return 0.5 * (1 + np.exp(-n * qubit_channel(kind, gamma)[1] * t) * np.cos(2 * n * theta * t))
+    kappa = qubit_channel(kind, gamma)[1]
+
+    def at(t):
+        if t < 0:
+            raise DomainError("time must be >= 0")
+        return 0.5 * (1 + math.exp(-n * kappa * t) * math.cos(2 * n * theta * t))
+
+    return np.vectorize(at, otypes=[float])(t)[()]

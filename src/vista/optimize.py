@@ -129,6 +129,8 @@ class ShotSchedule:
     exact: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.exact, bool):  # a config's "no" or 0 is not read for its truth
+            raise DomainError(f"exact must be true or false, got {self.exact!r}")
         if self.profile not in ("constant", "linear", "geometric"):
             raise DomainError(f"unknown shot profile {self.profile!r}")
         if not self.exact and (self.nu_start < 1 or self.nu_end < 1):

@@ -18,13 +18,12 @@ qubit, so the probe is a product channel: one 4x4 exponential per run and a
 ``run_batch`` runs replicas of one run -- configs that differ only in seed
 and output -- as one lockstep batch of ``optimize.run_optimization``, and a
 cascade's replicas as one such batch per stage; a single run is a batch of
-one.  The loss closures evaluate the live rows of a batch together: the
-closed forms take arrays of angles and decays (or, for a few rows, numpy
-scalars row by row), the two-angle kernel takes the whole block of rows,
-and each row's shots come from its own stream.  An epoch is one call of the
-closure, on the live rows stacked with their gradient shifts.  Every
-sampled evaluation derives its stream from (seed, labels), so a (config,
-seed) pair fixes the whole trajectory, whatever the batch.
+one.  The loss closures evaluate the live rows of a batch: the closed forms
+one row at a time on Python floats, the two-angle kernel on the whole block
+of rows, and each row's shots come from its own stream.  An epoch is one
+call of the closure, on the live rows stacked with their gradient shifts.
+Every sampled evaluation derives its stream from (seed, labels), so a
+(config, seed) pair fixes the whole trajectory, whatever the batch.
 """
 
 import math
@@ -74,12 +73,6 @@ STATUS_EARLY_STOPPED = "early_stopped"
 # --- probe / ansatz assembly -------------------------------------------------
 
 
-# Below this many rows the closed form is cheaper on numpy scalars, row by row, than on
-# arrays, whose per-call overhead outweighs the work (measured: the two cross near 8 rows);
-# both give the same bits.
-_ARRAY_ROWS = 8
-
-
 def _single_param_lossfn(cfg, mode, seeds):
     """Loss closure for the closed-form modes; returns (names, lossfn, frequencies)."""
     probe = qubit_channel(cfg.channel, cfg.gamma_true)  # the probe's qubit after unit time, at phase theta_true
@@ -89,27 +82,20 @@ def _single_param_lossfn(cfg, mode, seeds):
     streams = None if cfg.shots.exact else Streams(seeds, 1 + 2 * len(names))
 
     def overlap(theta, phi=None):
-        """Raw overlap and ansatz purity at angles theta (and phi), scalars or arrays alike."""
+        """Raw overlap and ansatz purity of one row at angles theta (and phi)."""
         if phi is None:
             qubit = (1.0, 0.0)
         else:
             # a gradient shift may step past the clamp; phi only enters through cos(phi),
             # so the sign of a zero does not matter here
-            if isinstance(phi, np.ndarray):
-                phi = np.minimum(np.maximum(phi, 0.0), PHI_CLAMP)
-            else:
-                phi = min(max(phi, 0.0), PHI_CLAMP)
+            phi = min(max(phi, 0.0), PHI_CLAMP)
             # a noisy mode's ansatz decays through the probe's channel (config.validate pairs them)
             qubit = qubit_channel(cfg.channel, circuit_decay(cfg.channel, phi))
         raw = closed_form_overlap(n, probe, qubit, cfg.theta_true - theta)
         return raw, closed_form_overlap(n, qubit, qubit, 0.0) if norm == measurement.LOSS_QN else 1.0
 
     def lossfn(values, nu, labels, rows):
-        if len(values) < _ARRAY_ROWS:
-            overlaps = map(overlap, *values.T.tolist())
-        else:
-            raw, purity = overlap(*values.T)
-            overlaps = zip(raw.tolist(), np.broadcast_to(purity, raw.shape).tolist())
+        overlaps = map(overlap, *values.T.tolist())
         gens = [None] * len(values) if nu is None else streams.at(rows.tolist(), labels)
         # one measurement.loss call per row, which draws the row's shots from its own stream
         return np.array([measurement.loss(raw, gen, nu, pur, norm) for (raw, pur), gen in zip(overlaps, gens)])

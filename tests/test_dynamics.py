@@ -193,6 +193,12 @@ class TestAnsatzMatching:
         with pytest.raises(UnsupportedModelError):
             circuit_decay(CHANNEL_NONE, 0.1)
 
+    @pytest.mark.parametrize("kind", [CHANNEL_DEPHASING, CHANNEL_AMPDAMP])
+    def test_decay_inversion_refuses_a_nan_angle(self, kind):
+        # cos(nan) is nan, which no comparison with 0 lets through
+        with pytest.raises(DomainError, match="positive"):
+            circuit_decay(kind, float("nan"))
+
 
 class TestDense:
     def test_strong_damping_keeps_tiny_coherence(self):

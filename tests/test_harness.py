@@ -351,6 +351,53 @@ class TestConfig:
         assert cli.main(["run", "--config", str(path)]) == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block,key,value",
+        [("shots", "exact", "no"), ("shots", "exact", 0), ("gradient", "crn", "yes"), ("gradient", "crn", 1)],
+    )
+    def test_boolean_fields_take_only_true_or_false(self, block, key, value, tmp_path, capsys):
+        # a string or number is not read for its truth: "no" would otherwise run an exact run
+        doc = {**MINIMAL, block: {key: value}}
+        with pytest.raises(ConfigError, match=f"{block}: {key} must be true or false"):
+            cfgmod.from_dict(doc)
+        # the block checks itself, so no config built directly or with replace holds the value either
+        with pytest.raises(DomainError, match=f"{key} must be true or false"):
+            replace(getattr(_cfg(), block), **{key: value})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert f"{block}: {key} must be true or false" in capsys.readouterr().err
+        assert _cfg(**{block: {key: True}}) != _cfg(**{block: {key: False}})
+
+    @pytest.mark.parametrize(
+        "block,key,value",
+        [
+            ("init", "center", math.inf),
+            ("init", "theta0", math.nan),
+            ("init", "theta2_0", -math.inf),
+            ("init", "halfwidth", math.nan),
+            ("init", "halfwidth", -1),
+            ("gradient", "h_theta", 0),
+            ("gradient", "h_theta", math.inf),
+            ("gradient", "h_phi", 0.0),
+            ("gradient", "h_phi", math.nan),
+        ],
+    )
+    def test_start_and_step_must_be_finite(self, block, key, value, tmp_path, capsys):
+        # each crashed the run: numpy's OverflowError or ValueError on the start's draw, or a
+        # NumericsError (exit 2) after the first epoch
+        doc = {**MINIMAL, "mode": cfgmod.MODE_MULTIPARAM, "theta2_true": 0.05, block: {key: value}}
+        with pytest.raises(ConfigError, match=f"{block}: {key} must be finite"):
+            cfgmod.from_dict(doc)
+        with pytest.raises(DomainError, match=f"{key} must be finite"):
+            replace(getattr(_cfg(), block), **{key: value})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert f"{block}: {key} must be finite" in capsys.readouterr().err
+        # a zero halfwidth starts every replica at the center; a negative step is a step
+        assert _cfg(init={"halfwidth": 0.0}, gradient={"h_theta": -0.01, "h_phi": -0.01})
+
     def test_integral_floats_are_stored_as_ints(self):
         cfg = _cfg(n=3.0, seed=np.int64(4), optimizer={"max_epochs": 30.0}, shots={"nu_start": 1e3, "nu_end": 2e3},
                    cascade={"n_sequence": [2.0, 4]})
@@ -722,12 +769,12 @@ class TestExperiments:
     def test_calibrate_experiment_golden(self, workers):
         report = calibrate_experiment(*self.CALIBRATE_ARGS, **self.CALIBRATE_KW, workers=workers)
         curve = report.pop("curve")
-        assert curve.gamma_hat_grid.tolist() == [0.05061443466166801, 0.3097664691734114]
+        assert curve.gamma_hat_grid.tolist() == [0.05061443466166795, 0.30976646917341094]
         assert curve.gamma_true_grid.tolist() == [0.05, 0.3]
         assert report == {
             "grid": [0.05, 0.3],
-            "gamma_hat_median": [0.05061443466166801, 0.3097664691734114],
-            "holdout": [{"gamma_true": 0.175, "raw_mae": 0.0058211212117959266, "calibrated_mae": 0.010622696007463378}],
+            "gamma_hat_median": [0.05061443466166795, 0.30976646917341094],
+            "holdout": [{"gamma_true": 0.175, "raw_mae": 0.005821121211796704, "calibrated_mae": 0.010622696007463905}],
         }
 
     def test_each_experiment_is_one_pooled_call(self, monkeypatch):
@@ -1026,6 +1073,73 @@ class TestKeptPool:
         monkeypatch.setattr(expmod, "_pool", None)  # a kept pool would have to be built anew
         rows, _ = run_grid(base, self.AXES, replicas=2, outdir=str(tmp_path), workers=None)
         assert [row["n_runs"] for row in rows] == [2, 2]
+
+
+def _dispatch_levels():
+    """The NPY_DISABLE_CPU_FEATURES values that drop numpy's SIMD dispatch one level at a time, highest first.
+
+    Each level is a dispatch target the host supports; on x86 an AVX512_*
+    target rides with the X86_V4 level before it.  Disabling a level disables
+    every level above it too.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    levels = []
+    for target in __cpu_dispatch__:
+        if __cpu_features__.get(target):
+            if levels and target.startswith("AVX512_"):
+                levels[-1].append(target)
+            else:
+                levels.append([target])
+    return [" ".join(t for level in levels[k:] for t in level) for k in reversed(range(len(levels)))]
+
+
+class TestDispatchLevels:
+    """A (config, seed) pair fixes every persisted byte, whichever SIMD kernels numpy dispatches to."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import json, sys
+        from vista import config
+        from vista.experiments import run_grid
+        for name, doc in json.loads(sys.argv[1]).items():
+            run_grid(config.from_dict(doc), {}, 2, outdir=f"sweep/{name}", workers=1)
+        """
+    )
+    POINT = {"n": 4, "theta_true": 0.2, "seed": 3}
+    SAMPLED = {**POINT, "shots": {"nu_start": 2000, "nu_end": 8000}, "optimizer": {"max_epochs": 60}}
+    SWEEP = {
+        "dephasing": {**SAMPLED, "mode": cfgmod.MODE_NOISY_DEPHASING, "gamma_true": 0.05},
+        "damping": {**SAMPLED, "mode": cfgmod.MODE_NOISY_AMPDAMP, "gamma_true": 0.1},
+        "baseline": {**POINT, "mode": cfgmod.MODE_BASELINE, "n": 3, "theta_true": 0.3, "gamma_true": 0.1,
+                     "baseline": {"steps": 60, "shots_per_step": 500}},
+        "two_angle": {**POINT, "mode": cfgmod.MODE_MULTIPARAM, "n": 3, "theta2_true": 0.05, "gamma_true": 0.05,
+                      "shots": {"exact": True}, "optimizer": {"max_epochs": 40}},
+    }
+
+    def _files(self, tmp_path, disabled):
+        # every level writes under the same relative path, which config.json and result.json echo
+        cwd = tmp_path / (disabled.replace(" ", "_") or "default")
+        cwd.mkdir()
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=os.pathsep.join(
+            [str(Path(vista.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(self.SWEEP)], cwd=cwd, env=env,
+                       capture_output=True, timeout=300, check=True)
+        return {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+
+    def test_seeded_bytes_do_not_depend_on_the_simd_level(self, tmp_path):
+        levels = _dispatch_levels()
+        if not levels:
+            pytest.skip("numpy dispatches no SIMD level above its baseline on this host")
+        default = self._files(tmp_path, "")
+        assert len(default) == 4 * 7  # four points of two runs of three files, and a summary each
+        for disabled in levels:
+            files = self._files(tmp_path, disabled)
+            changed = sorted(name for name in default.keys() | files.keys() if default.get(name) != files.get(name))
+            assert not changed, f"the default level and NPY_DISABLE_CPU_FEATURES={disabled!r} wrote different {changed}"
 
 
 class TestCli:
