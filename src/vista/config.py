@@ -60,10 +60,11 @@ def _take(d, allowed, where):
 
 
 def _check_finite(block, names, rule="", holds=lambda x: True):
-    """Raise DomainError unless each named field of ``block`` is None or a finite number that ``holds``."""
+    """Raise DomainError unless each named field of ``block`` is a finite number that ``holds``, or None by default."""
     for name in names:
         value = getattr(block, name)
-        if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value) and holds(value)):
+        optional = value is None and block.__dataclass_fields__[name].default is None
+        if not (optional or isinstance(value, numbers.Real) and math.isfinite(value) and holds(value)):
             raise DomainError(f"{name} must be finite{rule}, got {value!r}")
 
 
@@ -107,6 +108,9 @@ class CascadeBlock:
     n_sequence: tuple = ()
     g_min: float = 1e-4
 
+    def __post_init__(self):
+        _check_finite(self, ("g_min",), " and >= 0", lambda g: g >= 0)  # a NaN would never reject a stage
+
 
 @dataclass(frozen=True)
 class BaselineBlock:
@@ -117,8 +121,7 @@ class BaselineBlock:
     def __post_init__(self):
         if self.steps < 2:
             raise DomainError(f"steps must be >= 2, got {self.steps}")
-        if self.total_time <= 0:
-            raise DomainError(f"total_time must be positive, got {self.total_time}")
+        _check_finite(self, ("total_time",), " and > 0", lambda t: t > 0)
         if self.shots_per_step < 1:
             raise DomainError(f"shots_per_step must be >= 1, got {self.shots_per_step}")
 

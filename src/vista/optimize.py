@@ -18,17 +18,18 @@ and every row takes the same float operations in the same order, so a row's
 trajectory does not depend, to the last bit, on which rows share its batch.
 Each operation is the one numpy applies to arrays (``g * g``, not ``g**2``,
 which calls ``pow``; ``math.sqrt``, correctly rounded like ``np.sqrt``;
-sums from left to right), so the bits are those of an array loop.  numpy
-enters an epoch twice: one ufunc stacks the live rows and their gradient
-shifts into one block, and the loss closure evaluates it.
+sums from left to right), so the bits are those of an array loop.
 
-An epoch is one loss call: ``estimate_gradient`` hands the block to the
-loss closure with one stream label per row block, so each gradient shift
-and each recorded loss draws fresh shots while remaining a pure function of
-(config, master seed).
+An epoch is one loss call: ``estimate_gradient`` stacks the live rows and
+their gradient shifts into one block, also columns of Python floats, and
+hands it to the loss closure with one stream label per row block, so each
+gradient shift and each recorded loss draws fresh shots while remaining a
+pure function of (config, master seed).  numpy enters an epoch only inside
+a closure that uses it.
 """
 
 import math
+import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -83,16 +84,18 @@ class OptimizerConfig:
     budget_s: float = 600.0
 
     def __post_init__(self):
-        if self.max_epochs < 1:
-            raise DomainError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.window < 1:
-            raise DomainError(f"window must be >= 1, got {self.window}")
+        for name in ("max_epochs", "window"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
         # the bias corrections 1 - beta**t and the step's divisor sqrt(v-hat) + eps stay positive
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise DomainError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.eps > 0:
-            raise DomainError(f"eps must be > 0, got {self.eps}")
+        # a NaN fails every comparison, so it would switch a stop rule off; a negative lr0 climbs the loss
+        for name, rule in (("eps", ">"), ("lr0", ">="), ("decay", ">"), ("tol_conv", ">="), ("budget_s", ">=")):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and math.isfinite(v) and (v > 0 if rule == ">" else v >= 0)):
+                raise DomainError(f"{name} must be finite and {rule} 0, got {v!r}")
 
     def lr_at(self, epoch):
         return self.lr0 * self.decay**epoch
@@ -164,32 +167,24 @@ class GradientConfig:
 
     @cached_property
     def steps(self):
-        """(shift, scales) of the gradient of p parameters.
+        """(shifts, scales) of the gradient of p parameters, as Python floats.
 
-        ``shift`` is a (1 + 2p, 1, p) stack: a row of -0.0, then for each
-        parameter i its step up and its step down, negated, in column i and
-        -0.0 elsewhere.  values + shift is the epoch's block: x + (-0.0) is x,
-        the sign of a zero included, and x + (-h) is x - h.  The difference of
-        parameter i's two losses is scaled by the float scales[i].
+        Parameter i is evaluated at x + shifts[i] and x - shifts[i], and the
+        difference of its two losses is scaled by scales[i].
         """
         shifts, scales = [], []
-        for i, h in enumerate(self.h):
+        for i, h in enumerate(self.h.tolist()):
             use_shift_rule = self.method == GRAD_PARAM_SHIFT
             if use_shift_rule and self.frequencies is None:
                 raise DomainError("parameter_shift needs per-parameter loss frequencies")
             if use_shift_rule and self.frequencies[i] > 0:
-                w = self.frequencies[i]
-                shifts.append(np.pi / (2 * w))
+                w = float(self.frequencies[i])
+                shifts.append(math.pi / (2 * w))
                 scales.append(w / 2)
             else:
                 shifts.append(h)
                 scales.append(1.0 / (2 * h))
-        nparams = len(shifts)
-        shift = np.full((1 + 2 * nparams, 1, nparams), -0.0)
-        for i, h in enumerate(shifts):
-            shift[1 + 2 * i, 0, i] = h
-            shift[2 + 2 * i, 0, i] = -h
-        return shift, [float(s) for s in scales]
+        return shifts, scales
 
 
 def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None):
@@ -197,12 +192,12 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None):
 
     ``values`` holds the rows as columns, one list of L floats per parameter;
     the losses come back as a list of L floats and the gradient as columns.
-    The rows and their 2p shifted copies are stacked into a ((1+2p) L, p)
-    block: the rows, then each parameter's up and down shift.  One call
-    ``lossfn(block, nu, labels, rows)`` returns a loss per block row, and
-    block k draws from the stream ``labels[k]``: (STREAM_LOSS, epoch), then
-    (STREAM_GRAD, epoch, i, side), where ``crn`` gives both sides side 0.
-    ``rows`` (default 0..L-1) names the rows to the closure.
+    The rows and their 2p shifted copies are stacked into p columns of (1+2p) L
+    floats: the rows, then each parameter's up and down shift.  One call
+    ``lossfn(columns, nu, labels, rows)`` returns a list of a loss per block
+    row, and block k draws from the stream ``labels[k]``: (STREAM_LOSS,
+    epoch), then (STREAM_GRAD, epoch, i, side), where ``crn`` gives both
+    sides side 0.  ``rows`` (default 0..L-1) names the rows to the closure.
 
     Central differences use (L+ - L-)/(2h).  The parameter-shift rule
     evaluates at +-pi/(2 w) and scales by w/2, which is exact when the loss
@@ -210,15 +205,20 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None):
     single-harmonic form, e.g. the decay-matching angle) fall back to their
     central-difference step.
     """
-    shift, scales = grad_cfg.steps
+    shifts, scales = grad_cfg.steps
     nparams, nrows = len(values), len(values[0])
-    # the rows, then one parameter shifted in each block: a C-ordered ((1+2p) L, p) array, as the closures expect
-    block = np.add(np.array(values).T, shift, order="C").reshape(-1, nparams)
+    columns = []
+    for j, col in enumerate(values):
+        # column j: the rows, then each parameter i's up and down shift, x + h and x - h where i == j, a copy elsewhere
+        block = list(col)
+        for i, h in enumerate(shifts):
+            block += [x + h for x in col] + [x - h for x in col] if i == j else col + col
+        columns.append(block)
     side = 0 if grad_cfg.crn else 1
     labels = [(STREAM_LOSS, epoch)]
     for i in range(nparams):
         labels += [(STREAM_GRAD, epoch, i, 0), (STREAM_GRAD, epoch, i, side)]
-    out = lossfn(block, nu, labels, np.arange(nrows) if rows is None else rows).tolist()
+    out = lossfn(columns, nu, labels, list(range(nrows)) if rows is None else rows)
     losses = out[:nrows]
     if not all(map(math.isfinite, losses)):
         raise NumericsError(f"non-finite loss at epoch {epoch}")
@@ -265,11 +265,12 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     """Drive ADAM on R replicas until each converges or diverges, or the epoch/time budget ends.
 
     ``params0`` is an (R, p) array of starting rows whose columns are named
-    by ``names``.  Each epoch makes one call ``lossfn(block, nu, labels,
-    rows)`` through ``estimate_gradient``: it returns the (possibly sampled)
-    loss of each row of ``block``, 1+2p stacked copies of the L live rows,
-    whose indices into ``params0`` are ``rows``; nu is the epoch's shot
-    count (None in exact mode) and ``labels[k]`` names the stream of block k.
+    by ``names``.  Each epoch makes one call ``lossfn(columns, nu, labels,
+    rows)`` through ``estimate_gradient``: it returns a list of the (possibly
+    sampled) loss of each row of the block in ``columns``, 1+2p stacked copies
+    of the L live rows, whose indices into ``params0`` are the ints ``rows``;
+    nu is the epoch's shot count (None in exact mode) and ``labels[k]`` names
+    the stream of block k.
 
     The stop rules come from ``optimizer`` and are applied to each row:
     convergence requires the mean absolute parameter change, averaged over
@@ -286,7 +287,7 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     max_epochs, tol_conv, window = optimizer.max_epochs, optimizer.tol_conv, optimizer.window
     nrows, nparams = start.shape
     m = v = [[0.0] * nrows for _ in range(nparams)]
-    rows = np.arange(nrows)
+    rows = list(range(nrows))
     # The trace of the live rows: each epoch appends its losses, then its parameter and gradient
     # columns, to ``record``, so it grows with the epochs run, not with max_epochs.  When rows stop,
     # the record moves into ``kept`` as (epochs, 1 + 2p, rows) and the stopped rows' columns leave it.
@@ -304,16 +305,14 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     def finish(k, status):
         trace = kept[:, :, k]
         epochs = len(trace)
-        grads = trace[:, 1 + nparams :].copy()
-        runs[int(rows[k])] = OptRun(
+        runs[rows[k]] = OptRun(
             names=tuple(names),
             epochs=np.arange(epochs),
             losses=trace[:, 0].copy(),
             params=trace[:, 1 : 1 + nparams].copy(),
-            # np.linalg.norm of each epoch's gradient, as it computes it: sqrt(g.dot(g)), whose bits a sum of
-            # squares along an axis need not give.  matmul hands each (1, p) @ (p, 1) pair of contiguous
-            # rows to the dot routine that g.dot(g) calls, so one call gives every epoch's bits.
-            grad_norms=np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0]),
+            # each epoch's gradient norm: the squares added from left to right by elementwise ufuncs, which
+            # round correctly whatever the SIMD level or the BLAS kernel
+            grad_norms=np.sqrt(sum(g * g for g in trace[:, 1 + nparams :].T)),
             shots=np.array(shots[:epochs], dtype=int),
             lrs=np.array(lrs[:epochs]),
             status=status,
@@ -370,7 +369,7 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
         if len(stops) == len(rows):
             break
         live = [k for k in range(len(rows)) if k not in stops]
-        rows, kept = rows[live], kept[:, :, live]
+        rows, kept = [rows[k] for k in live], kept[:, :, live]
         values, m, v = ([[column[k] for k in live] for column in cols] for cols in (values, m, v))
         recent = [[d[k] for k in live] for d in recent]
     else:

@@ -18,12 +18,12 @@ qubit, so the probe is a product channel: one 4x4 exponential per run and a
 ``run_batch`` runs replicas of one run -- configs that differ only in seed
 and output -- as one lockstep batch of ``optimize.run_optimization``, and a
 cascade's replicas as one such batch per stage; a single run is a batch of
-one.  The loss closures evaluate the live rows of a batch: the closed forms
-one row at a time on Python floats, the two-angle kernel on the whole block
-of rows, and each row's shots come from its own stream.  An epoch is one
-call of the closure, on the live rows stacked with their gradient shifts.
-Every sampled evaluation derives its stream from (seed, labels), so a
-(config, seed) pair fixes the whole trajectory, whatever the batch.
+one.  An epoch is one call of the loss closure, which every optimizer mode
+shares, on the live rows stacked with their gradient shifts; a mode gives
+only the overlaps: the closed forms row by row on Python floats, the
+two-angle kernel on the whole block.  Each row's shots come from its own
+stream, derived from (seed, labels), so a (config, seed) pair fixes the
+whole trajectory, whatever the batch.
 """
 
 import math
@@ -73,13 +73,11 @@ STATUS_EARLY_STOPPED = "early_stopped"
 # --- probe / ansatz assembly -------------------------------------------------
 
 
-def _single_param_lossfn(cfg, mode, seeds):
-    """Loss closure for the closed-form modes; returns (names, lossfn, frequencies)."""
+def _closed_form_overlaps(cfg, mode):
+    """(names, overlaps, frequencies) of a closed-form mode; overlaps(columns) gives each row's (raw, purity)."""
     probe = qubit_channel(cfg.channel, cfg.gamma_true)  # the probe's qubit after unit time, at phase theta_true
     n = cfg.n
-    norm = measurement.LOSS_QN if cfg.normalization == NORM_QN else measurement.LOSS_PLAIN
     names = ("theta",) if mode == MODE_PURE else ("theta", "phi")
-    streams = None if cfg.shots.exact else Streams(seeds, 1 + 2 * len(names))
 
     def overlap(theta, phi=None):
         """Raw overlap and ansatz purity of one row at angles theta (and phi)."""
@@ -92,39 +90,30 @@ def _single_param_lossfn(cfg, mode, seeds):
             # a noisy mode's ansatz decays through the probe's channel (config.validate pairs them)
             qubit = qubit_channel(cfg.channel, circuit_decay(cfg.channel, phi))
         raw = closed_form_overlap(n, probe, qubit, cfg.theta_true - theta)
-        return raw, closed_form_overlap(n, qubit, qubit, 0.0) if norm == measurement.LOSS_QN else 1.0
+        return raw, closed_form_overlap(n, qubit, qubit, 0.0) if cfg.normalization == NORM_QN else 1.0
 
-    def lossfn(values, nu, labels, rows):
-        overlaps = map(overlap, *values.T.tolist())
-        gens = [None] * len(values) if nu is None else streams.at(rows.tolist(), labels)
-        # one measurement.loss call per row, which draws the row's shots from its own stream
-        return np.array([measurement.loss(raw, gen, nu, pur, norm) for (raw, pur), gen in zip(overlaps, gens)])
-
-    freqs = np.array([2.0 * n] + [0.0] * (len(names) - 1))
-    return names, lossfn, freqs
+    return names, lambda columns: map(overlap, *columns), [2.0 * n] + [0.0] * (len(names) - 1)
 
 
-def _multiparam_lossfn(cfg, seeds):
-    """Loss closure for the two-angle mode, evaluated on one qubit's channel and ansatz.
+def _two_angle_overlaps(cfg):
+    """(names, overlaps, frequencies) of the two-angle mode, evaluated on one qubit's channel and ansatz.
 
-    The probe blocks are computed once per run; each evaluation forms the
-    2x2 Trotter factors of all its rows at once and contracts them with the
-    blocks, so nothing grows with n.
+    The probe blocks are computed once per run; ``overlaps(columns)`` forms
+    the 2x2 Trotter factors of all the block's rows at once and contracts
+    them with the blocks, so nothing grows with n.  The ansatz is pure.
     """
     n = cfg.n
     probe = product_channel_blocks(
         HamiltonianSpec(cfg.theta_true, cfg.theta2_true), ChannelSpec(cfg.channel, cfg.gamma_true)
     )
     d = cfg.multiparam.trotter_steps
-    names = ("theta", "theta2")
-    streams = None if cfg.shots.exact else Streams(seeds, 1 + 2 * len(names))
 
-    def lossfn(values, nu, labels, rows):
-        raw = ghz_product_overlap(probe, trotter_unitary(HamiltonianSpec(values[:, 0], values[:, 1]), d), n)
-        gens = [None] * len(values) if nu is None else streams.at(rows.tolist(), labels)
-        return np.array([measurement.loss(r, gen, nu) for r, gen in zip(raw.tolist(), gens)])
+    def overlaps(columns):
+        theta, theta2 = np.array(columns)
+        raw = ghz_product_overlap(probe, trotter_unitary(HamiltonianSpec(theta, theta2), d), n)
+        return ((r, 1.0) for r in raw.tolist())
 
-    return names, lossfn, np.array([0.0, 0.0])
+    return ("theta", "theta2"), overlaps, [0.0, 0.0]
 
 
 def _draw_init(cfg, seed, names):
@@ -150,7 +139,7 @@ def _gradient_config(cfg, names, freqs):
     h = []
     for name in names:
         h.append(cfg.gradient.h_phi if name == "phi" else cfg.h_theta_effective())
-    frequencies = freqs if cfg.gradient.method == GRAD_PARAM_SHIFT else None
+    frequencies = np.array(freqs) if cfg.gradient.method == GRAD_PARAM_SHIFT else None
     return GradientConfig(cfg.gradient.method, np.array(h), frequencies, cfg.gradient.crn)
 
 
@@ -209,12 +198,20 @@ def _optimize(cfg, seeds, starts=None):
     ``_draw_init`` draws from its seed.
     """
     if cfg.mode == MODE_MULTIPARAM and cfg.theta2_true != 0:
-        names, lossfn, freqs = _multiparam_lossfn(cfg, seeds)
+        names, overlaps, freqs = _two_angle_overlaps(cfg)
     else:
         # theta2_true == 0 is the commuting edge case of vista_multiparam: a vista_pure run;
         # a cascade stage is a vista_pure run at the stage's n
         mode = MODE_PURE if cfg.mode in (MODE_MULTIPARAM, MODE_CASCADE) else cfg.mode
-        names, lossfn, freqs = _single_param_lossfn(cfg, mode, seeds)
+        names, overlaps, freqs = _closed_form_overlaps(cfg, mode)
+    norm = measurement.LOSS_QN if cfg.normalization == NORM_QN else measurement.LOSS_PLAIN
+    streams = None if cfg.shots.exact else Streams(seeds, 1 + 2 * len(names))
+
+    def lossfn(columns, nu, labels, rows):
+        gens = [None] * len(columns[0]) if nu is None else streams.at(rows, labels)
+        # one measurement.loss call per block row, which draws the row's shots from its own stream
+        return [measurement.loss(raw, gen, nu, pur, norm) for (raw, pur), gen in zip(overlaps(columns), gens)]
+
     if starts is None:
         starts = [_draw_init(cfg, seed, names) for seed in seeds]
     opts = run_optimization(

@@ -4,12 +4,14 @@
 loop written on (L, p) arrays, as the package ran it before: the block built
 from the step vectors with ``np.add`` and ``np.subtract``, ADAM as array
 ufuncs, phi clamped with ``np.clip``, the deltas and the window summed by
-numpy reductions, and the trace in preallocated arrays.  It shares only the
-config objects, the stream labels and the stop-rule constants with the
-package, so a test can require every ``OptRun`` field of the two to agree
-bit for bit.
+numpy reductions, and the trace in preallocated arrays.  Only its call of
+the loss closure follows the package: the block goes in as columns of Python
+floats and the losses come back as a list.  It shares only the config
+objects, the stream labels and the stop-rule constants with the package, so
+a test can require every ``OptRun`` field of the two to agree bit for bit.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -74,7 +76,7 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch, nu, rows):
     labels = [(STREAM_LOSS, epoch)]
     for i in range(nparams):
         labels += [(STREAM_GRAD, epoch, i, 0), (STREAM_GRAD, epoch, i, side)]
-    out = lossfn(block.reshape(-1, nparams), nu, labels, rows)
+    out = np.array(lossfn(block.reshape(-1, nparams).T.tolist(), nu, labels, rows.tolist()))
     losses = out[:nrows]
     if not np.isfinite(losses).all():
         raise NumericsError(f"non-finite loss at epoch {epoch}")
@@ -106,7 +108,8 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
             epochs=np.arange(epochs),
             losses=losses[:epochs, k].copy(),
             params=params[:epochs, k].copy(),
-            grad_norms=np.array([np.linalg.norm(g) for g in grads[:epochs, k]]),
+            # the squares of each epoch's gradient added from left to right, with no BLAS dot
+            grad_norms=np.sqrt(functools.reduce(np.add, np.square(grads[:epochs, k]).T)),
             shots=np.array(shots[:epochs], dtype=int),
             lrs=np.array(lrs[:epochs]),
             status=status,

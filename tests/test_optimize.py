@@ -1,5 +1,6 @@
 """ADAM driver, shot schedules and stochastic gradient estimation."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -52,8 +53,8 @@ def _sampled_loss(seed, nu):
 def _rowwise(f):
     """A loss closure on stacked blocks from f(values, nu, label), which scores one row under its block's label."""
 
-    def lossfn(block, nu, labels, rows):
-        return np.array([f(row, nu, label) for label, part in zip(labels, np.split(block, len(labels))) for row in part])
+    def lossfn(columns, nu, labels, rows):
+        return [float(f(row, nu, labels[j // len(rows)])) for j, row in enumerate(zip(*columns))]
 
     return lossfn
 
@@ -398,35 +399,40 @@ class TestEpochEvaluator:
         # rows leave one by one; each epoch makes one call on the live rows, their shifts and one label per block
         calls = []
 
-        def lossfn(block, nu, labels, rows):
-            calls.append((block.copy(), nu, list(labels), rows.copy()))
-            return TestLockstep._loss(block, nu, labels, rows)
+        def lossfn(columns, nu, labels, rows):
+            calls.append(([list(column) for column in columns], nu, list(labels), list(rows)))
+            return TestLockstep._loss(columns, nu, labels, rows)
 
         steps = [0.1, 0.05]
         schedule = ShotSchedule(100, 400, "linear")
         optimizer = OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=100, tol_conv=1e-4, window=5)
-        starts = np.array([[0.0, 0.2], [0.25, -0.1], [0.5, 0.3]])
+        # row 0 starts at theta = -0.0, which its unshifted copies must keep
+        starts = np.array([[-0.0, 0.2], [0.25, -0.1], [0.5, 0.3]])
         runs = run_optimization(starts, lossfn, names=("theta", "theta2"), optimizer=optimizer, schedule=schedule,
                                 gradient=GradientConfig(h=np.array(steps), crn=crn))
         assert len(calls) == max(len(run.epochs) for run in runs)
         assert len({len(rows) for *_, rows in calls}) == 3  # every row leaves at its own epoch
         side = 0 if crn else 1
-        for epoch, (block, nu, labels, rows) in enumerate(calls):
+        for epoch, (columns, nu, labels, rows) in enumerate(calls):
             assert nu == schedule.shots_at(epoch, optimizer.max_epochs)
             live = [r for r, run in enumerate(runs) if len(run.epochs) > epoch]
-            assert rows.tolist() == live
+            assert rows == live
+            assert all(type(x) is float for column in columns for x in column)
             # the schedule: each live row at its pre-update point, then shifted up and down in each parameter
             expected = []
             for label, i, sign in [((STREAM_LOSS, epoch), 0, 0), ((STREAM_GRAD, epoch, 0, 0), 0, 1),
                                    ((STREAM_GRAD, epoch, 0, side), 0, -1), ((STREAM_GRAD, epoch, 1, 0), 1, 1),
                                    ((STREAM_GRAD, epoch, 1, side), 1, -1)]:
                 for r in live:
-                    point = list(starts[r] if epoch == 0 else runs[r].params[epoch - 1])
-                    point[i] = point[i] + sign * steps[i] if sign else point[i]
-                    expected.append((r, label, point))
+                    point = [float(x) for x in (starts[r] if epoch == 0 else runs[r].params[epoch - 1])]
+                    point[i] = point[i] + steps[i] if sign > 0 else point[i] - steps[i] if sign < 0 else point[i]
+                    expected.append((r, label, [x.hex() for x in point]))  # hex tells -0.0 from 0.0
             # row j of block k is row rows[j] under labels[k]
-            received = [(int(rows[j % len(rows)]), labels[j // len(rows)], row) for j, row in enumerate(block.tolist())]
+            received = [(rows[j % len(rows)], labels[j // len(rows)], [x.hex() for x in row])
+                        for j, row in enumerate(zip(*columns))]
             assert received == expected
+        # the unshifted copies of row 0 at epoch 0: its loss row and its two theta2 shifts
+        assert [calls[0][0][0][k * 3].hex() for k in (0, 3, 4)] == [(-0.0).hex()] * 3
 
 
 class TestLockstep:
@@ -437,10 +443,10 @@ class TestLockstep:
     )
 
     @staticmethod
-    def _loss(values, nu, labels, rows):
+    def _loss(columns, nu, labels, rows):
         # row 0 is pulled off every basin, row 1 sits on a plateau, row 2 circles a bowl at 0.3
-        x, rows = values[:, 0], np.tile(rows, len(labels))
-        return np.select([rows == 0, rows == 1], [-x, np.zeros_like(x)], (x - 0.3) ** 2)
+        x, rows = np.array(columns[0]), np.tile(rows, len(labels))
+        return np.select([rows == 0, rows == 1], [-x, np.zeros_like(x)], (x - 0.3) ** 2).tolist()
 
     def test_rows_stop_one_by_one_as_if_alone(self):
         starts = np.array([[0.0], [0.25], [0.5]])
@@ -449,7 +455,7 @@ class TestLockstep:
         assert len({len(r.epochs) for r in batch}) == 3
         for r, run in enumerate(batch):
             alone = run_optimization(
-                starts[r : r + 1], lambda v, nu, labels, rows, _r=r: self._loss(v, nu, labels, rows + _r),
+                starts[r : r + 1], lambda v, nu, labels, rows, _r=r: self._loss(v, nu, labels, [q + _r for q in rows]),
                 names=("theta",), **self._KW,
             )[0]
             assert run.status == alone.status
@@ -470,7 +476,8 @@ class TestLockstep:
         assert peak < 2**20
 
     def test_grad_norm_is_the_row_norm_to_the_bit(self):
-        # with two parameters BLAS's dot may fuse a multiply-add; the batch must match np.linalg.norm
+        # with two parameters the norm is the square root of the squares added from left to right,
+        # with no BLAS dot, whose kernel may fuse a multiply-add
         def f(values, nu, label):
             return np.sin(3 * values[0]) * np.cos(2 * values[1]) + 0.1 * values[0] * values[1]
 
@@ -486,7 +493,8 @@ class TestLockstep:
         )
         for start, run in zip(starts, runs):
             before = np.vstack([start, run.params[:-1]])
-            norms = [float(np.linalg.norm(_grad(b, lambda v, label: f(v, None, label), cfg))) for b in before]
+            grads = [_grad(b, lambda v, label: f(v, None, label), cfg).tolist() for b in before]
+            norms = [math.sqrt(g0 * g0 + g1 * g1) for g0, g1 in grads]
             assert run.grad_norms.tolist() == norms
 
 
@@ -497,8 +505,8 @@ class TestNumpyOracle:
 
     @staticmethod
     def _loss(seed):
-        def lossfn(block, nu, labels, rows):
-            r = np.tile(rows, len(labels))
+        def lossfn(columns, nu, labels, rows):
+            block, r = np.array(columns).T, np.tile(rows, len(labels))
             x = block[:, 0]
             # row kind 0 is pulled off every basin, kind 1 climbs to a plateau at its own height, kind 2 circles a bowl
             kind = r % 3
@@ -508,7 +516,7 @@ class TestNumpyOracle:
             if nu is not None:  # shots from each row's own stream under the block's label
                 gens = [stream(seed + int(q), *labels[j // len(rows)]) for j, q in enumerate(r)]
                 out = out + 1e-3 * np.array([binomial_fraction(gen, nu, 0.5) for gen in gens])
-            return out
+            return out.tolist()
 
         return lossfn
 
