@@ -3,22 +3,24 @@
 A minimal config is {"mode", "n", "theta_true", "seed"}; every other field has
 a default, the channel and normalization from the mode's row in ``MODES``.
 Unknown keys anywhere in the document are rejected so a typo cannot silently
-fall back to a default, and an integer field takes only an int or an integral
-float, which ``from_dict`` stores as an int.  ``validate`` applies the same
-rules, without converting, to a config built directly or changed with
-``dataclasses.replace``.  ``effective_dict`` materializes all defaults;
-persisting it and loading it back reproduces the same config.
+fall back to a default.  Each field is declared with its rule (``optimize.rule``).
+A block checks its values on every construction; ``from_dict`` adds the int
+kind, storing an integral float as int, and checks the top-level fields and the
+rules between fields.  ``validate`` does the same, without converting, for a
+config built directly or changed with ``dataclasses.replace``.
+``effective_dict`` materializes all defaults; persisting it and loading it back
+reproduces the same config.
 """
 
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import NamedTuple
 
 from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, CHANNELS, check_channel
 from .errors import ConfigError, DomainError
-from .optimize import GRAD_CENTRAL, OptimizerConfig, ShotSchedule, check_gradient_method
+from .optimize import GRAD_CENTRAL, GRAD_METHODS, Checked, OptimizerConfig, ShotSchedule
+from .optimize import check, rule, rules
 
 MODE_PURE = "vista_pure"
 MODE_NOISY_DEPHASING = "vista_noisy_dephasing"
@@ -59,91 +61,63 @@ def _take(d, allowed, where):
     return d
 
 
-def _check_finite(block, names, rule="", holds=lambda x: True):
-    """Raise DomainError unless each named field of ``block`` is a finite number that ``holds``, or None by default."""
-    for name in names:
-        value = getattr(block, name)
-        optional = value is None and block.__dataclass_fields__[name].default is None
-        if not (optional or isinstance(value, numbers.Real) and math.isfinite(value) and holds(value)):
-            raise DomainError(f"{name} must be finite{rule}, got {value!r}")
+@dataclass(frozen=True)
+class GradientBlock(Checked):
+    method: str = rule(GRAD_CENTRAL, one_of=GRAD_METHODS)
+    h_theta: float | None = rule(None, "non-zero", lambda h: h != 0)  # defaults to pi/(8 n); a negative step is a step
+    h_phi: float = rule(0.05, "non-zero", lambda h: h != 0)
+    crn: bool = rule(False)  # reuse one shot stream for both sides of each difference
 
 
 @dataclass(frozen=True)
-class GradientBlock:
-    method: str = GRAD_CENTRAL
-    h_theta: float | None = None  # defaults to pi/(8 n)
-    h_phi: float = 0.05
-    crn: bool = False  # reuse one shot stream for both sides of each difference
-
-    def __post_init__(self):
-        check_gradient_method(self.method)
-        _check_finite(self, ("h_theta", "h_phi"), " and non-zero", lambda h: h != 0)
-        if not isinstance(self.crn, bool):  # a config's "yes" or 1 is not read for its truth
-            raise DomainError(f"crn must be true or false, got {self.crn!r}")
+class InitBlock(Checked):
+    theta0: float | None = rule(None)  # explicit start; otherwise uniform draw
+    center: float = rule(0.0)
+    halfwidth: float | None = rule(None, at_least=0)  # defaults to pi/(2 n), the convergence window
+    phi0: float = rule(0.1, "in [0, pi/2)", lambda phi: 0 <= phi < math.pi / 2)
+    theta2_0: float | None = rule(None)
 
 
 @dataclass(frozen=True)
-class InitBlock:
-    theta0: float | None = None  # explicit start; otherwise uniform draw
-    center: float = 0.0
-    halfwidth: float | None = None  # defaults to pi/(2 n), the convergence window
-    phi0: float = 0.1
-    theta2_0: float | None = None
-
-    def __post_init__(self):
-        _check_finite(self, ("theta0", "center", "theta2_0"))
-        _check_finite(self, ("halfwidth",), " and >= 0", lambda hw: hw >= 0)
-
-
-@dataclass(frozen=True)
-class MultiparamBlock:
-    trotter_steps: int = 64
+class MultiparamBlock(Checked):
+    trotter_steps: int = rule(64, at_least=1)
     # no longer read by runs (the probe is a closed-form product channel); kept
     # so that existing configs load and config.json still echoes it
-    probe_steps: int = 2000
+    probe_steps: int = rule(2000, at_least=1)
 
 
 @dataclass(frozen=True)
-class CascadeBlock:
-    n_sequence: tuple = ()
-    g_min: float = 1e-4
-
-    def __post_init__(self):
-        _check_finite(self, ("g_min",), " and >= 0", lambda g: g >= 0)  # a NaN would never reject a stage
+class CascadeBlock(Checked):
+    n_sequence: tuple = rule((), at_least=1)
+    g_min: float = rule(1e-4, at_least=0)  # a NaN would never reject a stage
 
 
 @dataclass(frozen=True)
-class BaselineBlock:
-    total_time: float = 1.0
-    steps: int = 200
-    shots_per_step: int = 2500
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise DomainError(f"steps must be >= 2, got {self.steps}")
-        _check_finite(self, ("total_time",), " and > 0", lambda t: t > 0)
-        if self.shots_per_step < 1:
-            raise DomainError(f"shots_per_step must be >= 1, got {self.shots_per_step}")
+class BaselineBlock(Checked):
+    total_time: float = rule(1.0, "> 0", lambda t: t > 0)
+    steps: int = rule(200, at_least=2)
+    shots_per_step: int = rule(2500, at_least=1)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     mode: str
-    n: int
-    theta_true: float
-    seed: int
-    normalization: str = NORM_PLAIN
-    channel: str = CHANNEL_NONE
-    gamma_true: float = 0.0
-    theta2_true: float | None = None
-    output: str | None = None
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    shots: ShotSchedule = field(default_factory=ShotSchedule)
-    gradient: GradientBlock = field(default_factory=GradientBlock)
-    init: InitBlock = field(default_factory=InitBlock)
-    multiparam: MultiparamBlock = field(default_factory=MultiparamBlock)
-    cascade: CascadeBlock = field(default_factory=CascadeBlock)
-    baseline: BaselineBlock = field(default_factory=BaselineBlock)
+    n: int = rule(MISSING, at_least=1)
+    theta_true: float = rule()
+    seed: int = rule(MISSING, at_least=0)  # numpy's SeedSequence takes only non-negative integers
+    normalization: str = rule(NORM_PLAIN, one_of=(NORM_PLAIN, NORM_QN))
+    channel: str = rule(CHANNEL_NONE, one_of=CHANNELS)
+    gamma_true: float = rule(0.0)  # its bound depends on the channel: see dynamics.check_channel
+    theta2_true: float | None = rule(None)
+    output: str | None = rule(None)  # the run directory; null persists nothing
+    # a block is frozen, so every config can share the default one
+    optimizer: OptimizerConfig = OptimizerConfig()
+    shots: ShotSchedule = ShotSchedule()
+    gradient: GradientBlock = GradientBlock()
+    init: InitBlock = InitBlock()
+    multiparam: MultiparamBlock = MultiparamBlock()
+    cascade: CascadeBlock = CascadeBlock()
+    baseline: BaselineBlock = BaselineBlock()
 
     def h_theta_effective(self):
         h = self.gradient.h_theta
@@ -154,132 +128,87 @@ class RunConfig:
         return math.pi / (2 * self.n) if hw is None else hw
 
 
-def _float(value, where):
-    """``float(value)``, or a ConfigError that names ``where`` and the value."""
+BLOCKS = {f.name: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
+
+
+def parse(name, value):
+    """``value`` as the top-level field ``name`` keeps it, an int as int and a float as float, or a ConfigError."""
+    r = rules(RunConfig)[name]
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+        return check(r, check(r, value, name, integral=True), name)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _integer(value, where):
-    """An int or an integral float as int; a bool or anything else is a ConfigError that names ``where``."""
-    integral_float = isinstance(value, float) and value.is_integer()
-    if integral_float or isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool):
-        return int(value)
-    raise ConfigError(f"{where} must be an integer, got {value!r}")
-
-
-def _seed(value):
-    """A seed as int: numpy's SeedSequence takes only non-negative integers, so anything else is a ConfigError."""
-    seed = _integer(value, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
+def _int_kinds(cls, values, where):
+    """The dict ``values`` of fields of the block ``cls``, with the int kind checked and an integral float as int."""
+    known = rules(cls)
+    try:
+        return {k: check(known[k], v, f"{where}.{k}", integral=True) for k, v in values.items()}
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _block(cls, d, where):
     if d is None:
         return cls()
-    known = cls.__dataclass_fields__
-    _take(d, known, where)
-    kwargs = {k: _integer(v, f"{where}.{k}") if known[k].type is int else v for k, v in d.items()}
-    if cls is CascadeBlock and "n_sequence" in kwargs:
-        kwargs["n_sequence"] = tuple(_integer(x, "cascade.n_sequence entry") for x in kwargs["n_sequence"])
     try:
-        return cls(**kwargs)
-    except DomainError as exc:  # raised by blocks that check their own fields
+        return cls(**_int_kinds(cls, _take(d, rules(cls), where), where))
+    except DomainError as exc:  # a value rule, checked by the block itself
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def from_dict(doc):
     """Build and validate a RunConfig from a parsed JSON document."""
     _take(doc, RunConfig.__dataclass_fields__, "config")
-    for key in ("mode", "n", "theta_true"):
+    for key in ("mode", "n", "theta_true", "seed"):
         if key not in doc:
-            raise ConfigError(f"config key {key!r} is required")
-    if "seed" not in doc:
-        raise ConfigError("config key 'seed' is required (file or --seed)")
+            raise ConfigError(f"config key {key!r} is required" + " (file or --seed)" * (key == "seed"))
 
     mode = doc["mode"]
     if not isinstance(mode, str) or mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
-    rules = MODES[mode]
-    cfg = RunConfig(
-        mode=mode,
-        n=_integer(doc["n"], "n"),
-        theta_true=_float(doc["theta_true"], "theta_true"),
-        seed=_seed(doc["seed"]),
-        normalization=doc.get("normalization", rules.normalization),
-        channel=doc.get("channel", rules.channel),
-        gamma_true=_float(doc.get("gamma_true", 0.0), "gamma_true"),
-        theta2_true=None if doc.get("theta2_true") is None else _float(doc["theta2_true"], "theta2_true"),
-        output=doc.get("output"),
-        optimizer=_block(OptimizerConfig, doc.get("optimizer"), "optimizer"),
-        shots=_block(ShotSchedule, doc.get("shots"), "shots"),
-        gradient=_block(GradientBlock, doc.get("gradient"), "gradient"),
-        init=_block(InitBlock, doc.get("init"), "init"),
-        multiparam=_block(MultiparamBlock, doc.get("multiparam"), "multiparam"),
-        cascade=_block(CascadeBlock, doc.get("cascade"), "cascade"),
-        baseline=_block(BaselineBlock, doc.get("baseline"), "baseline"),
-    )
-    validate(cfg)
+    row = MODES[mode]
+    values = {"normalization": row.normalization, "channel": row.channel}
+    for key, value in doc.items():
+        if key in BLOCKS:
+            values[key] = _block(BLOCKS[key], value, key)
+        elif key != "mode":
+            values[key] = parse(key, value)
+    cfg = RunConfig(mode=mode, **values)
+    _check_between_fields(cfg)
     return cfg
 
 
-# (block, field, "block.field") of every integer field of a config block
-_BLOCK_INTEGERS = tuple(
-    (block.name, f.name, f"{block.name}.{f.name}")
-    for block in fields(RunConfig)
-    if is_dataclass(block.type)
-    for f in fields(block.type)
-    if f.type is int
-)
-
-
 def validate(cfg):
+    """Raise ConfigError unless ``cfg`` keeps every rule; a block checked its own values when it was built."""
+    for name in rules(RunConfig):
+        parse(name, getattr(cfg, name))
+    for block, cls in BLOCKS.items():
+        _int_kinds(cls, vars(getattr(cfg, block)), block)
+    _check_between_fields(cfg)
+
+
+def _check_between_fields(cfg):
     # from_dict refuses an unknown mode; one set by dataclasses.replace is refused where the config runs
-    rules = MODES.get(cfg.mode) or Mode(None, None, CHANNELS, True)
-    # from_dict has already parsed these; a config built directly or with dataclasses.replace has not
-    _integer(cfg.n, "n")
-    _seed(cfg.seed)
-    for block, name, where in _BLOCK_INTEGERS:
-        _integer(getattr(getattr(cfg, block), name), where)
-    for x in cfg.cascade.n_sequence:
-        _integer(x, "cascade.n_sequence entry")
-    if cfg.n < 1:
-        raise ConfigError(f"n must be >= 1, got {cfg.n}")
-    for name in ("theta_true", "theta2_true"):
-        value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+    row = MODES.get(cfg.mode) or Mode(None, None, CHANNELS, True)
     try:
         check_channel(cfg.channel, cfg.gamma_true)
     except DomainError as exc:
         raise ConfigError(f"channel, gamma_true: {exc}") from exc
-    if cfg.normalization not in (NORM_PLAIN, NORM_QN):
-        raise ConfigError(f"unknown normalization {cfg.normalization!r}")
-    if cfg.channel not in rules.channels:
-        raise ConfigError(f"{cfg.mode} requires channel {' or '.join(map(repr, rules.channels))}, got {cfg.channel!r}")
-    if cfg.normalization == NORM_QN and not rules.quasi_normalized:
+    if cfg.channel not in row.channels:
+        raise ConfigError(f"{cfg.mode} requires channel {' or '.join(map(repr, row.channels))}, got {cfg.channel!r}")
+    if cfg.normalization == NORM_QN and not row.quasi_normalized:
         raise ConfigError(f"{cfg.mode} uses a pure ansatz; normalization must be plain")
     if cfg.mode == MODE_MULTIPARAM and cfg.theta2_true is None:
         raise ConfigError("vista_multiparam requires theta2_true")
-    if cfg.multiparam.trotter_steps < 1:
-        raise ConfigError(f"multiparam.trotter_steps must be >= 1, got {cfg.multiparam.trotter_steps}")
-    if cfg.mode == MODE_CASCADE and not cfg.cascade.n_sequence:
+    seq = cfg.cascade.n_sequence
+    if cfg.mode == MODE_CASCADE and not seq:
         raise ConfigError("cascade mode requires cascade.n_sequence")
-    if cfg.cascade.n_sequence:
-        seq = cfg.cascade.n_sequence
-        if min(seq) < 1:
-            raise ConfigError(f"cascade.n_sequence entries must be >= 1, got {seq}")
-        if any(b <= a for a, b in zip(seq, seq[1:])):
-            raise ConfigError(f"cascade.n_sequence must be strictly increasing, got {seq}")
-        if cfg.mode == MODE_CASCADE and len(seq) < 2:
-            raise ConfigError("cascade needs at least two stages")
-
-    if not 0 <= cfg.init.phi0 < math.pi / 2:
-        raise ConfigError(f"init.phi0 must lie in [0, pi/2), got {cfg.init.phi0}")
+    if any(b <= a for a, b in zip(seq, seq[1:])):
+        raise ConfigError(f"cascade.n_sequence must be strictly increasing, got {seq}")
+    if cfg.mode == MODE_CASCADE and len(seq) < 2:
+        raise ConfigError("cascade needs at least two stages")
 
 
 def effective_dict(cfg):
@@ -303,12 +232,16 @@ def load_doc(path):
 def merge_overrides(doc, overrides):
     """Apply overrides to a config document in place; None values are skipped.
 
-    A dict-valued override updates the block of that name key by key.
+    A dict-valued override updates the block of that name key by key.  The
+    document, and a block that an override updates, are checked first as
+    ``from_dict`` checks them: JSON objects without unknown keys.
     """
+    _take(doc, RunConfig.__dataclass_fields__, "config")
     for key, val in overrides.items():
         if isinstance(val, dict):
             val = {k: v for k, v in val.items() if v is not None}
-            val = {**(doc.get(key) or {}), **val} if val else None
+            block = doc.get(key)
+            val = {**({} if block is None else _take(block, rules(BLOCKS[key]), key)), **val} if val else None
         if val is not None:
             doc[key] = val
     return doc

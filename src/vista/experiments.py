@@ -148,7 +148,7 @@ def _sweep(names, points, replicas, outdir=None, workers=None):
     for values, doc in points:
         tag = "_".join(f"{k}={v}" for k, v in zip(names, values)) or "point"
         batch = []
-        for r, seed in enumerate(replica_seeds(cfgmod._seed(doc["seed"]), replicas)):
+        for r, seed in enumerate(replica_seeds(cfgmod.parse("seed", doc["seed"]), replicas)):
             # from_dict reads its document without changing it, so the replicas share the blocks
             output = None if outdir is None else os.path.join(outdir, tag, f"seed_{r}")
             batch.append(cfgmod.from_dict({**doc, "seed": seed, "output": output}))  # fail fast on a bad point

@@ -31,9 +31,11 @@ a closure that uses it.
 import math
 import numbers
 import time
+import types
+import typing
 from array import array
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -64,38 +66,102 @@ def clamp_phi(columns, names):
     return columns
 
 
-def check_gradient_method(method):
-    if method not in GRAD_METHODS:
-        raise DomainError(f"method must be one of {GRAD_METHODS}, got {method!r}")
+def rule(default=MISSING, bound="", holds=None, *, at_least=None, one_of=None):
+    """A dataclass field held to its annotated kind and to the bound ``holds``, stated as ``bound`` (see ``check``).
+
+    ``at_least`` gives the bound ``x >= at_least``, and ``one_of`` a choice among its strings.  The kind is float,
+    int, bool, str (a path or a choice) or tuple (a list of ints, whose bound holds for each entry).  A field
+    annotated ``X | None`` takes null, which keeps the default.
+    """
+    if at_least is not None:
+        bound, holds = f">= {at_least}", lambda x: x >= at_least
+    if one_of is not None:
+        bound, holds = f"one of {one_of}", one_of.__contains__
+    return field(default=default, metadata={"rule": (bound, holds)})
+
+
+@cache
+def rules(cls):
+    """{name: (kind, bound, holds, null)} of each field of the dataclass ``cls`` declared with ``rule``."""
+    out = {}
+    for f in fields(cls):
+        if "rule" in f.metadata:
+            null = isinstance(f.type, types.UnionType)
+            out[f.name] = (typing.get_args(f.type)[0] if null else f.type, *f.metadata["rule"], null)
+    return out
+
+
+def _is_real(x):
+    """Whether ``x`` is a real number; a bool is not one."""
+    return type(x) is float or type(x) is int or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _integer(value, name, integral):
+    """An integral number as int; any other real number as it is, unless ``integral``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral) and _is_real(value):
+        return int(value)
+    if not integral and _is_real(value):
+        return value
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def check(r, value, name, integral=False):
+    """``value`` as a field under the rule ``r`` keeps it, or a DomainError whose message starts with ``name``.
+
+    Without ``integral``, as on a block's construction, it checks the kind (an int field takes any real number) and
+    the bound, and a float comes back as float.  With ``integral`` it checks only that an int field's number is
+    integral, and returns it as int, so ``replace`` can set a number that ``config.validate`` then refuses.  A list
+    is checked whole either way, and comes back as a tuple.
+    """
+    kind, bound, holds, null = r
+    if value is None and null:
+        return value
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise DomainError(f"{name} must be a list of integers, got {value!r}")
+        value = tuple(_integer(x, f"{name} entry", integral) for x in value)
+        if holds is not None and not all(map(holds, value)):
+            raise DomainError(f"{name} entries must be {bound}, got {value}")
+        return value
+    if kind is int:
+        value = _integer(value, name, integral)
+    elif integral:
+        return value
+    elif kind is float:  # a NaN fails every comparison, so it would switch a bound off
+        if not (_is_real(value) and math.isfinite(value) and (holds is None or holds(value))):
+            raise DomainError(f"{name} must be finite{' and ' + bound if bound else ''}, got {value!r}")
+        return float(value)
+    elif not isinstance(value, kind):
+        raise DomainError(f"{name} must be {'true or false' if kind is bool else 'a string'}, got {value!r}")
+    if not integral and holds is not None and not holds(value):
+        raise DomainError(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
+class Checked:
+    """A dataclass that checks the value of each field declared with ``rule`` on every construction, ``replace`` too."""
+
+    def __post_init__(self):
+        for name, r in rules(type(self)).items():
+            check(r, getattr(self, name), name)
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(Checked):
     """ADAM settings and the stop rules of ``run_optimization``."""
 
-    lr0: float = 0.05
-    decay: float = 0.995
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    max_epochs: int = 400
-    tol_conv: float = 1e-5
-    window: int = 20
-    budget_s: float = 600.0
-
-    def __post_init__(self):
-        for name in ("max_epochs", "window"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # the bias corrections 1 - beta**t and the step's divisor sqrt(v-hat) + eps stay positive
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise DomainError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        # a NaN fails every comparison, so it would switch a stop rule off; a negative lr0 climbs the loss
-        for name, rule in (("eps", ">"), ("lr0", ">="), ("decay", ">"), ("tol_conv", ">="), ("budget_s", ">=")):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v) and (v > 0 if rule == ">" else v >= 0)):
-                raise DomainError(f"{name} must be finite and {rule} 0, got {v!r}")
+    lr0: float = rule(0.05, at_least=0)  # 0 freezes the parameters; a negative rate climbs the loss
+    decay: float = rule(0.995, "> 0", lambda x: x > 0)
+    # the bias corrections 1 - beta**t and the step's divisor sqrt(v-hat) + eps stay positive
+    beta1: float = rule(0.9, "in [0, 1)", lambda b: 0 <= b < 1)
+    beta2: float = rule(0.999, "in [0, 1)", lambda b: 0 <= b < 1)
+    eps: float = rule(1e-8, "> 0", lambda x: x > 0)
+    max_epochs: int = rule(400, at_least=1)
+    tol_conv: float = rule(1e-5, at_least=0)  # 0 switches the convergence check off
+    window: int = rule(20, at_least=1)
+    budget_s: float = rule(600.0, at_least=0)
 
     def lr_at(self, epoch):
         return self.lr0 * self.decay**epoch
@@ -123,23 +189,23 @@ def adam_step(cfg, epoch, values, grad, m, v):
 
 
 @dataclass(frozen=True)
-class ShotSchedule:
+class ShotSchedule(Checked):
     """Per-epoch shot count ramp; profile is constant, linear, or geometric."""
 
-    nu_start: int = 10_000
-    nu_end: int = 40_000
-    profile: str = "geometric"
-    exact: bool = False
+    nu_start: int = rule(10_000)
+    nu_end: int = rule(40_000)
+    profile: str = rule("geometric", one_of=("constant", "linear", "geometric"))
+    exact: bool = rule(False)  # a config's "no" or 0 is not read for its truth
 
     def __post_init__(self):
-        if not isinstance(self.exact, bool):  # a config's "no" or 0 is not read for its truth
-            raise DomainError(f"exact must be true or false, got {self.exact!r}")
-        if self.profile not in ("constant", "linear", "geometric"):
-            raise DomainError(f"unknown shot profile {self.profile!r}")
-        if not self.exact and (self.nu_start < 1 or self.nu_end < 1):
-            raise DomainError("shot counts must be >= 1")
-        if not self.exact and self.nu_end < self.nu_start:
-            raise DomainError("shot schedule must be non-decreasing (nu_start <= nu_end)")
+        super().__post_init__()
+        if self.exact:  # an exact run draws no shots
+            return
+        for name in ("nu_start", "nu_end"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1 unless exact, got {getattr(self, name)!r}")
+        if self.nu_end < self.nu_start:
+            raise DomainError(f"nu_end must be >= nu_start unless exact, got {self.nu_end!r} < {self.nu_start!r}")
 
     def shots_at(self, epoch, max_epochs):
         if self.exact:
@@ -153,17 +219,19 @@ class ShotSchedule:
 
 
 @dataclass(frozen=True)
-class GradientConfig:
-    method: str = GRAD_CENTRAL
-    h: np.ndarray = field(default_factory=lambda: np.array([0.05]))
+class GradientConfig(Checked):
+    method: str = rule(GRAD_CENTRAL, one_of=GRAD_METHODS)
+    h: tuple = (0.05,)
     # loss harmonic per parameter (e.g. 2n for the phase); required for parameter_shift
-    frequencies: np.ndarray | None = None
+    frequencies: tuple | None = None
     # common random numbers: both shifted evaluations reuse one stream label
     crn: bool = False
 
     def __post_init__(self):
-        check_gradient_method(self.method)
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
+        super().__post_init__()
+        object.__setattr__(self, "h", tuple(float(x) for x in self.h))
+        if self.frequencies is not None:
+            object.__setattr__(self, "frequencies", tuple(float(x) for x in self.frequencies))
 
     @cached_property
     def steps(self):
@@ -173,12 +241,12 @@ class GradientConfig:
         difference of its two losses is scaled by scales[i].
         """
         shifts, scales = [], []
-        for i, h in enumerate(self.h.tolist()):
+        for i, h in enumerate(self.h):
             use_shift_rule = self.method == GRAD_PARAM_SHIFT
             if use_shift_rule and self.frequencies is None:
                 raise DomainError("parameter_shift needs per-parameter loss frequencies")
             if use_shift_rule and self.frequencies[i] > 0:
-                w = float(self.frequencies[i])
+                w = self.frequencies[i]
                 shifts.append(math.pi / (2 * w))
                 scales.append(w / 2)
             else:

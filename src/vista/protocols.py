@@ -136,11 +136,9 @@ def _draw_init(cfg, seed, names):
 
 
 def _gradient_config(cfg, names, freqs):
-    h = []
-    for name in names:
-        h.append(cfg.gradient.h_phi if name == "phi" else cfg.h_theta_effective())
-    frequencies = np.array(freqs) if cfg.gradient.method == GRAD_PARAM_SHIFT else None
-    return GradientConfig(cfg.gradient.method, np.array(h), frequencies, cfg.gradient.crn)
+    h = [cfg.gradient.h_phi if name == "phi" else cfg.h_theta_effective() for name in names]
+    frequencies = freqs if cfg.gradient.method == GRAD_PARAM_SHIFT else None
+    return GradientConfig(cfg.gradient.method, h, frequencies, cfg.gradient.crn)
 
 
 def _final_estimates(cfg, names, opt):

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -9,6 +10,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -65,6 +67,10 @@ SMALL_RUN = {
     "seed": 5,
     "optimizer": {"max_epochs": 25},
 }
+
+
+# the block-valued fields of a config, by name
+BLOCKS = {f.name: f.type for f in dataclasses.fields(cfgmod.RunConfig) if dataclasses.is_dataclass(f.type)}
 
 
 def _cfg(**extra):
@@ -457,6 +463,82 @@ class TestConfig:
         path.write_text(json.dumps({**MINIMAL, "baseline": {"steps": 80}}))
         cfg = cfgmod.load_config(str(path), {"baseline": {"shots_per_step": 50, "total_time": None}})
         assert (cfg.baseline.steps, cfg.baseline.shots_per_step, cfg.baseline.total_time) == (80, 50, 1.0)
+
+    @pytest.mark.parametrize(
+        "doc,argv,message",
+        [
+            ({**MINIMAL, "mode": cfgmod.MODE_BASELINE, "baseline": 5}, ["baseline", "--steps", "8"],
+             "baseline must be a JSON object, got int"),
+            ({**MINIMAL, "mode": cfgmod.MODE_BASELINE, "baseline": 0}, ["baseline", "--steps", "8"],
+             "baseline must be a JSON object, got int"),
+            ({**MINIMAL, "mode": cfgmod.MODE_CASCADE, "cascade": "x"}, ["cascade", "--n-sequence", "2,4"],
+             "cascade must be a JSON object, got str"),
+            ([MINIMAL], ["run", "--seed", "3"], "config must be a JSON object, got list"),
+        ],
+        ids=["block-int", "block-zero", "block-str", "document-list"],
+    )
+    def test_overrides_refuse_a_document_or_block_that_is_not_an_object(self, doc, argv, message, tmp_path, capsys):
+        # the override is merged into the block, so the block is checked first, as from_dict checks it
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        # the same error as without the override
+        assert cli.main([argv[0], "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_every_field_carries_a_rule(self):
+        # a field added later cannot skip the table: each field but the mode and the blocks declares its rule
+        unruled = []
+        for cls in (cfgmod.RunConfig, *BLOCKS.values()):
+            for f in dataclasses.fields(cls):
+                if "rule" not in f.metadata and f.name != "mode" and f.name not in BLOCKS:
+                    unruled.append(f"{cls.__name__}.{f.name}")
+        assert not unruled
+        assert len(BLOCKS) == 7
+
+    # A fuzz of every field on a vista_noisy_dephasing base.  Each bad value is refused with a ConfigError that
+    # names the field, unless it is listed here with the rule that accepts it.
+    FUZZ_BASE = {**MINIMAL, "mode": cfgmod.MODE_NOISY_DEPHASING, "gamma_true": 0.1}
+    FUZZ_VALUES = {"null": None, "string": "x", "nan": math.nan, "inf": math.inf, "-1": -1, "true": True, "[1]": [1]}
+    FUZZ_ACCEPTED = {
+        ("theta_true", "-1"): "an angle may be negative",
+        ("theta2_true", "-1"): "an angle may be negative",
+        ("theta2_true", "null"): "null keeps the default; only vista_multiparam needs theta2_true",
+        ("output", "null"): "null keeps the default: nothing is persisted",
+        ("output", "string"): "a path",
+        ("shots.exact", "true"): "a bool",
+        ("gradient.crn", "true"): "a bool",
+        ("gradient.h_theta", "null"): "null keeps the default, pi/(8 n)",
+        ("gradient.h_theta", "-1"): "a negative step is a step",
+        ("gradient.h_phi", "-1"): "a negative step is a step",
+        ("init.theta0", "null"): "null keeps the default: a drawn start",
+        ("init.theta0", "-1"): "an angle may be negative",
+        ("init.center", "-1"): "an angle may be negative",
+        ("init.halfwidth", "null"): "null keeps the default, pi/(2 n)",
+        ("init.theta2_0", "null"): "null keeps the default: a drawn start",
+        ("init.theta2_0", "-1"): "an angle may be negative",
+        ("cascade.n_sequence", "[1]"): "a list of sizes >= 1; its order and length matter only in cascade mode",
+    }
+
+    @pytest.mark.parametrize("value", FUZZ_VALUES)
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in dataclasses.fields(cfgmod.RunConfig) if f.name != "mode" and f.name not in BLOCKS]
+        + [f"{block}.{f.name}" for block, cls in BLOCKS.items() for f in dataclasses.fields(cls)],
+    )
+    def test_fuzz_every_field_is_refused_by_name_or_accepted_by_a_rule(self, field, value):
+        block, _, name = field.rpartition(".")
+        bad = self.FUZZ_VALUES[value]
+        doc = {**self.FUZZ_BASE, **({block: {name: bad}} if block else {name: bad})}
+        if (field, value) in self.FUZZ_ACCEPTED:
+            cfgmod.from_dict(doc)
+            return
+        with pytest.raises(ConfigError) as err:
+            cfgmod.from_dict(doc)
+        # block.field for the int kind, "block: field" for a value rule, "channel, gamma_true" for the channel's decay
+        named = rf"({block}\.{name}|{block}: {name}) " if block else rf"({name}|channel, {name}:) "
+        assert re.match(named, str(err.value))
 
     def test_effective_dict_round_trip(self):
         doc = {
@@ -1176,6 +1258,35 @@ class TestDispatchLevels:
             pytest.skip("OPENBLAS_CORETYPE=Haswell runs the same ddot kernel as the default on this host")
         changed = self._changed(default, files)
         assert not changed, f"the default BLAS kernel and OPENBLAS_CORETYPE=Haswell wrote different {changed}"
+
+    # checksums of math.exp, math.cos, math.log and float ** over fixed inputs, then of math.sqrt over them
+    LIBM = textwrap.dedent(
+        """
+        import hashlib, math, random, struct
+        rng = random.Random(0)
+        xs = [rng.uniform(-20.0, 20.0) for _ in range(50_000)]
+        digest = lambda values: hashlib.sha256(struct.pack(f"{len(values)}d", *values)).hexdigest()
+        libm = [math.exp(x) for x in xs] + [math.cos(x) for x in xs] + [math.log(abs(x)) for x in xs]
+        print(digest(libm + [abs(x) ** 24 for x in xs]), digest([math.sqrt(abs(x)) for x in xs]))
+        """
+    )
+
+    def test_glibc_picks_libm_variants_per_cpu(self):
+        # math calls glibc, which picks an FMA or a plain variant of exp, cos, log and pow for the CPU at load, and
+        # they round differently; sqrt is correctly rounded in every variant.  See the README's determinism section.
+        def checksums(**variables):
+            env = dict(os.environ, **variables)
+            child = subprocess.run([sys.executable, "-c", self.LIBM], env=env, capture_output=True, text=True,
+                                   timeout=120, check=True)
+            return child.stdout.split()
+
+        default_libm, default_sqrt = checksums(GLIBC_TUNABLES="")
+        plain_libm, plain_sqrt = checksums(GLIBC_TUNABLES="glibc.cpu.hwcaps=-FMA,-AVX2")
+        assert plain_sqrt == default_sqrt
+        if plain_libm == default_libm:
+            pytest.skip("GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 leaves glibc's libm variants as they are on this "
+                        "host: a CPU without FMA or AVX2, or a C library that ignores the tunable")
+        assert plain_libm != default_libm
 
 
 class TestCli:
