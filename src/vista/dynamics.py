@@ -18,11 +18,12 @@ its coherence, e^{-kappa}.  ``qubit_channel`` holds them for every kind:
 
 Every closed form follows from (theta, p, kappa) alone: the corner coherence
 (1/2) e^{-n kappa} e^{-2 i n theta}, the binomial populations, the overlap of
-any two states, of any kinds (``closed_form_overlap``), and the purity as a
-state's overlap with itself.  No state object is kept: the run path passes
-the three numbers, and ``closed_form_density`` writes them out as a dense
-matrix for the RK4 oracle to check.  The closed forms take Python floats and
-use ``math``: numpy's SIMD exp and log round differently on different CPUs.
+any two states, of any kinds (``closed_form_overlap``, built on the
+theta-free ``overlap_factors``), and the purity as a state's overlap with
+itself.  No state object is kept: the run path passes the three numbers,
+and ``closed_form_density`` writes them out as a dense matrix for the RK4
+oracle to check.  The closed forms take Python floats and use ``math``:
+numpy's SIMD exp and log round differently on different CPUs.
 
 The hardware-style ansatz (entangle, rotate by theta-hat, partially disentangle
 by angle phi) produces the same states, with cos(phi) = e^{-kappa}:
@@ -86,17 +87,24 @@ def qubit_channel(kind, decay):
     return population(decay), rate * decay
 
 
+def overlap_factors(n, a, b):
+    """(populations, amplitude) of closed_form_overlap(n, a, b, dtheta) = populations + amplitude * cos(2n dtheta).
+
+    With q = 1 - p, they are 1/4 (1 + qa^n + qb^n + (pa pb + qa qb)^n) and 1/2 e^{-n (kappa_a + kappa_b)}.
+    """
+    (pa, ka), (pb, kb) = a, b
+    qa, qb = 1 - pa, 1 - pb
+    return 0.25 * (1 + qa**n + qb**n + (pa * pb + qa * qb) ** n), 0.5 * math.exp(-n * (ka + kb))
+
+
 def closed_form_overlap(n, a, b, dtheta):
     """Tr(rho_a rho_b) of two n-qubit GHZ states whose qubits are a = (p_a, kappa_a) and b.
 
     dtheta is the phase of a minus that of b.  The purity of a state is its
-    overlap with itself, closed_form_overlap(n, a, a, 0).  The diagonal part
-    is 1/4 (1 + qa^n + qb^n + (pa pb + qa qb)^n) with q = 1 - p.
+    overlap with itself, closed_form_overlap(n, a, a, 0).
     """
-    (pa, ka), (pb, kb) = a, b
-    qa, qb = 1 - pa, 1 - pb
-    populations = 0.25 * (1 + qa**n + qb**n + (pa * pb + qa * qb) ** n)
-    return populations + 0.5 * math.exp(-n * (ka + kb)) * math.cos(2 * n * dtheta)
+    populations, amplitude = overlap_factors(n, a, b)
+    return populations + amplitude * math.cos(2 * n * dtheta)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ def binomial_fraction(gen, shots, p):
         raise DomainError(f"need shots >= 1, got {shots}")
     if not -1e-9 <= p <= 1 + 1e-9:  # also rejects nan
         raise DomainError(f"probability {p} outside [0, 1]")
-    return gen.binomial(shots, min(max(float(p), 0.0), 1.0)) / shots
+    return gen.binomial(shots, 0.0 if p < 0.0 else 1.0 if p > 1.0 else p) / shots
 
 
 LOSS_PLAIN = "plain"
@@ -47,14 +47,14 @@ def loss(raw, gen, shots=None, purity=1.0, mode=LOSS_PLAIN):
     pairs drawn from the generator ``gen``.  The quasi-normalized loss is not
     capped: it falls below 0 when T-hat exceeds sqrt(purity).
     """
-    t_hat = raw if gen is None else 2 * binomial_fraction(gen, shots, (1 + raw) / 2) - 1
-    if mode == LOSS_PLAIN:
-        return 1.0 - t_hat
-    if mode == LOSS_QN:
+    # refuse the mode and the purity before the shots advance ``gen``
+    if mode != LOSS_PLAIN:
+        if mode != LOSS_QN:
+            raise DomainError(f"unknown loss mode {mode!r}")
         if not 0 < purity <= 1 + 1e-12:
             raise DomainError(f"ansatz purity {purity} outside (0, 1]")
-        return 1.0 - t_hat / math.sqrt(purity)
-    raise DomainError(f"unknown loss mode {mode!r}")
+    t_hat = raw if gen is None else 2 * binomial_fraction(gen, shots, (1 + raw) / 2) - 1
+    return 1.0 - t_hat if mode == LOSS_PLAIN else 1.0 - t_hat / math.sqrt(purity)
 
 
 def parity_probability(n, theta, gamma, t, kind=CHANNEL_DEPHASING):

@@ -20,7 +20,8 @@ and output -- as one lockstep batch of ``optimize.run_optimization``, and a
 cascade's replicas as one such batch per stage; a single run is a batch of
 one.  An epoch is one call of the loss closure, which every optimizer mode
 shares, on the live rows stacked with their gradient shifts; a mode gives
-only the overlaps: the closed forms row by row on Python floats, the
+only the overlaps: the closed forms row by row on Python floats, one cos
+per row once the factors of the run or of each phi are known, the
 two-angle kernel on the whole block.  Each row's shots come from its own
 stream, derived from (seed, labels), so a (config, seed) pair fixes the
 whole trajectory, whatever the batch.
@@ -48,8 +49,8 @@ from .dynamics import (
     ChannelSpec,
     HamiltonianSpec,
     circuit_decay,
-    closed_form_overlap,
     ghz_product_overlap,
+    overlap_factors,
     product_channel_blocks,
     qubit_channel,
     trotter_unitary,
@@ -74,25 +75,37 @@ STATUS_EARLY_STOPPED = "early_stopped"
 
 
 def _closed_form_overlaps(cfg, mode):
-    """(names, overlaps, frequencies) of a closed-form mode; overlaps(columns) gives each row's (raw, purity)."""
-    probe = qubit_channel(cfg.channel, cfg.gamma_true)  # the probe's qubit after unit time, at phase theta_true
-    n = cfg.n
-    names = ("theta",) if mode == MODE_PURE else ("theta", "phi")
+    """(names, overlaps, frequencies) of a closed-form mode; overlaps(columns) gives each row's (raw, purity).
 
-    def overlap(theta, phi=None):
-        """Raw overlap and ansatz purity of one row at angles theta (and phi)."""
-        if phi is None:
-            qubit = (1.0, 0.0)
-        else:
+    A row at angle theta has the overlap pop + amp * cos(2n (theta_true - theta)), ``closed_form_overlap``'s
+    bits, with (pop, amp, purity) computed once per run (pure ansatz) or per distinct phi of a block (noisy).
+    """
+    probe = qubit_channel(cfg.channel, cfg.gamma_true)  # the probe's qubit after unit time, at phase theta_true
+    n, theta_true = cfg.n, cfg.theta_true
+
+    def factors(qubit):
+        pop, amp = overlap_factors(n, probe, qubit)
+        # the purity is the ansatz's overlap with itself at dtheta = 0, where the cos is exactly 1.0
+        return pop, amp, sum(overlap_factors(n, qubit, qubit)) if cfg.normalization == NORM_QN else 1.0
+
+    if mode == MODE_PURE:
+        pop, amp, pur = factors((1.0, 0.0))
+        return ("theta",), lambda cols: [(pop + amp * math.cos(2 * n * (theta_true - t)), pur) for t in cols[0]], [2.0 * n]
+
+    def overlaps(columns):
+        at_phi, out = {}, []  # a block's theta shifts keep their rows' phi, so its 5L rows hold 3L distinct phi
+        for theta, phi in zip(*columns):
             # a gradient shift may step past the clamp; phi only enters through cos(phi),
             # so the sign of a zero does not matter here
-            phi = min(max(phi, 0.0), PHI_CLAMP)
-            # a noisy mode's ansatz decays through the probe's channel (config.validate pairs them)
-            qubit = qubit_channel(cfg.channel, circuit_decay(cfg.channel, phi))
-        raw = closed_form_overlap(n, probe, qubit, cfg.theta_true - theta)
-        return raw, closed_form_overlap(n, qubit, qubit, 0.0) if cfg.normalization == NORM_QN else 1.0
+            phi = 0.0 if phi < 0.0 else PHI_CLAMP if phi > PHI_CLAMP else phi
+            if phi not in at_phi:
+                # a noisy mode's ansatz decays through the probe's channel (config.validate pairs them)
+                at_phi[phi] = factors(qubit_channel(cfg.channel, circuit_decay(cfg.channel, phi)))
+            pop, amp, pur = at_phi[phi]
+            out.append((pop + amp * math.cos(2 * n * (theta_true - theta)), pur))
+        return out
 
-    return names, lambda columns: map(overlap, *columns), [2.0 * n] + [0.0] * (len(names) - 1)
+    return ("theta", "phi"), overlaps, [2.0 * n, 0.0]
 
 
 def _two_angle_overlaps(cfg):

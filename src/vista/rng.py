@@ -13,7 +13,8 @@ Key and counter layout of ``stream(seed, *label)``:
     word 0   Philox's block counter; starts at 0 and advances as the stream
              is drawn from, so streams overlap only after 2**64 blocks
     words 1-3  the 192-bit integer  m + sum_i label[i] * 2**(4 + 40 i)
-             for a label of m <= 4 words, word 1 holding the low 64 bits
+             for a label of m <= 4 words, word 1 holding the low 64 bits,
+             all four given by ``_label_counter`` as Python ints
 
 The fields of the packed label do not overlap, so distinct labels, including
 labels of different lengths such as (1,) and (1, 0), give distinct counters.
@@ -33,10 +34,11 @@ Label layout used by the drivers (all labels are small non-negative ints):
 
 ``derive_seed`` still hashes (seed, label) through a SeedSequence; it runs
 once per replica or stage, not once per draw.  ``Streams`` serves the rows of
-a lockstep batch: it builds one generator per row and label slot when the
-batch starts (an epoch draws under 1 + 2p labels at once), and per epoch
-builds each label's counter once and resets the rows' generators to it
-through ``bit_generator.state``, constructing nothing.
+a lockstep batch: it builds one generator per row and label slot, and one
+state dict per row, when the batch starts (an epoch draws under 1 + 2p
+labels at once), and per epoch builds each label's counter once and resets
+the rows' generators to it through ``bit_generator.state``, constructing
+nothing.
 """
 
 from functools import lru_cache
@@ -57,6 +59,7 @@ LABEL_WORDS = 4
 LABEL_WORD_BITS = 40
 _LENGTH_BITS = 4
 _WORD_LIMIT = 1 << LABEL_WORD_BITS
+_WORD_MASK = (1 << 64) - 1
 
 
 class _PhiloxKey(ISeedSequence):
@@ -84,7 +87,7 @@ def _philox_key(seed):
 
 
 def _label_counter(key):
-    """The Philox counter for a label, as 4 uint64 words (see the module docstring)."""
+    """The Philox counter for a label, as 4 Python ints (see the module docstring)."""
     if len(key) > LABEL_WORDS:
         raise DomainError(f"a stream label has at most {LABEL_WORDS} words, got {key}")
     packed = len(key)
@@ -94,29 +97,35 @@ def _label_counter(key):
             raise DomainError(f"stream label words must lie in [0, 2**{LABEL_WORD_BITS}), got {key}")
         packed |= word << shift
         shift += LABEL_WORD_BITS
-    return np.frombuffer((packed << 64).to_bytes(32, "little"), "<u8")
+    return [0, packed & _WORD_MASK, packed >> 64 & _WORD_MASK, packed >> 128]
 
 
 def stream(seed, *key):
     """Generator for the stream identified by (seed, key)."""
-    return np.random.Generator(np.random.Philox(_philox_key(int(seed)), counter=_label_counter(key)))
+    counter = np.array(_label_counter(key), np.uint64)
+    return np.random.Generator(np.random.Philox(_philox_key(int(seed)), counter=counter))
 
 
 class Streams:
     """``stream(seed, *label)`` for each of a fixed list of seeds, drawn row by row.
 
     Each row keeps ``slots`` generators for the life of the batch, one per
-    label of an ``at`` call.  ``at`` moves a generator to a label by setting
-    its public ``bit_generator.state``: the label's counter, the row's key,
-    and the buffered output of a fresh Philox (an empty buffer, no cached
-    32-bit half).  Philox's output depends on nothing else, so the generator
-    then draws what a new ``stream(seed, *label)`` draws.
+    label of an ``at`` call, and the state dict of a fresh Philox with the
+    row's key.  ``at`` sets the dict's counter to the label's and assigns the
+    dict to the generator's ``bit_generator.state``, which copies it.
+    Philox's output depends on nothing else, so the generator then draws
+    what a new ``stream(seed, *label)`` draws.
     """
 
     def __init__(self, seeds, slots=1):
         keys = [_philox_key(int(seed)) for seed in seeds]
         self._slots = [[np.random.Generator(np.random.Philox(key)) for key in keys] for _ in range(slots)]
-        self._keys = [key.words.tolist() for key in keys]
+        # a fresh Philox's output buffer: 4 words, all consumed, and no cached 32-bit half
+        self._states = [
+            {"bit_generator": "Philox", "state": {"counter": None, "key": key.words.tolist()},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            for key in keys
+        ]
 
     def at(self, rows, labels):
         """Kept generators of the distinct ``rows`` at each of ``labels``, label by label.
@@ -126,21 +135,15 @@ class Streams:
         """
         if len(labels) > len(self._slots):
             raise DomainError(f"{len(labels)} labels for {len(self._slots)} generator slots per row")
-        gens = []
+        if len(set(rows)) < len(rows):
+            raise DomainError(f"row {next(r for r in rows if rows.count(r) > 1)} repeated in {rows}")
+        gens, states = [], self._states
         for slot, key in zip(self._slots, labels):
-            counter = _label_counter(key).tolist()
+            counter = _label_counter(key)
             for r in rows:
-                gen = slot[r]
-                gen.bit_generator.state = {
-                    "bit_generator": "Philox",
-                    "state": {"counter": counter, "key": self._keys[r]},
-                    # a fresh Philox's output buffer: 4 words, all consumed, and no cached 32-bit half
-                    "buffer": (0, 0, 0, 0),
-                    "buffer_pos": 4,
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                gens.append(gen)
+                states[r]["state"]["counter"] = counter
+                slot[r].bit_generator.state = states[r]
+                gens.append(slot[r])
         return gens
 
 

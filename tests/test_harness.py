@@ -971,6 +971,28 @@ class TestExperiments:
         stream(5, STREAM_LOSS, 0)  # the patch sees a construction
         assert built == ["Philox", "Generator"]
 
+    def test_at_refuses_a_repeated_row(self):
+        # one kept generator cannot stand for two draws of the same row and label
+        streams = rngmod.Streams([5, 9])
+        with pytest.raises(DomainError, match="row 0 repeated"):
+            streams.at([0, 0], [(STREAM_LOSS, 3)])
+        with pytest.raises(DomainError, match="row 1 repeated"):
+            streams.at([1, 0, 1], [(STREAM_LOSS, 3)])
+        gen = streams.at([1, 0], [(STREAM_LOSS, 3)])[1]
+        assert binomial_fraction(gen, 1000, 0.4) == binomial_fraction(stream(5, STREAM_LOSS, 3), 1000, 0.4)
+
+    @pytest.mark.parametrize(
+        "label",
+        [(), (2**LABEL_WORD_BITS - 1,) * LABEL_WORDS, (0,), (STREAM_LOSS, 7), (STREAM_GRAD, 7, 1, 0), (199,),
+         (STREAM_GRAD, 2**LABEL_WORD_BITS - 1, 1, 1)],
+    )
+    def test_label_counter_words_match_the_byte_layout(self, label):
+        # the counter as Python ints is the 256-bit little-endian counter cut into 4 uint64 words
+        packed = len(label) + sum(word << (4 + LABEL_WORD_BITS * i) for i, word in enumerate(label))
+        words = rngmod._label_counter(label)
+        assert all(type(word) is int for word in words)
+        assert words == np.frombuffer((packed << 64).to_bytes(32, "little"), "<u8").tolist()
+
     @pytest.mark.parametrize(
         "label",
         [(-1,), (1, -1), (2**LABEL_WORD_BITS,), (0, 2**64 + 1), (0,) * (LABEL_WORDS + 1)],

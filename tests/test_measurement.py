@@ -255,6 +255,19 @@ class TestLoss:
         with pytest.raises(DomainError):
             loss(raw, None, mode="renormalized")
 
+    @pytest.mark.parametrize(
+        "purity, mode, match",
+        [(1.0, "bogus", "mode"), (0.0, LOSS_QN, "purity"), (1.5, LOSS_QN, "purity"), (float("nan"), LOSS_QN, "purity")],
+    )
+    def test_refused_loss_draws_nothing(self, purity, mode, match):
+        # a refused evaluation leaves its generator where it was
+        gen = stream(5, 1, 3)
+        with pytest.raises(DomainError, match=match):
+            loss(0.2, gen, 100, purity, mode)
+        fresh = stream(5, 1, 3)
+        assert binomial_fraction(gen, 1000, 0.4) == binomial_fraction(fresh, 1000, 0.4)
+        assert gen.bit_generator.random_raw(3).tolist() == fresh.bit_generator.random_raw(3).tolist()
+
 
 class TestParity:
     def test_noiseless_start(self):
@@ -317,6 +330,7 @@ class TestShotSampler:
         gen = stream(0)
         assert binomial_fraction(gen, 100, -1e-10) == 0.0
         assert binomial_fraction(gen, 100, 1 + 1e-10) == 1.0
+        assert binomial_fraction(gen, 100, -0.0) == 0.0
 
     def test_probability_domain(self):
         gen = stream(0)

@@ -20,13 +20,15 @@ from vista.dynamics import (
     ChannelSpec,
     HamiltonianSpec,
     circuit_decay,
+    closed_form_overlap,
     lindblad_rk4_oracle,
+    qubit_channel,
 )
-from vista import measurement, protocols
+from vista import dynamics, measurement, protocols
 from vista.errors import ConfigError, NoPeakError
 from vista.experiments import run_grid
 from vista.measurement import binomial_fraction, parity_probability
-from vista.optimize import STATUS_BUDGET_EXHAUSTED, STATUS_CONVERGED, STATUS_MAX_EPOCHS
+from vista.optimize import PHI_CLAMP, STATUS_BUDGET_EXHAUSTED, STATUS_CONVERGED, STATUS_MAX_EPOCHS
 from vista.protocols import (
     STATUS_CASCADE_FAILED,
     STATUS_EARLY_STOPPED,
@@ -464,6 +466,72 @@ class TestDispatchAndStreams:
         x = draws - draws.mean()
         lag1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(lag1) < 0.2
+
+
+_CLOSED_FORM_MODES = {
+    "vista_pure": dict(channel="dephasing", gamma_true=0.01),
+    "vista_noisy_dephasing": dict(channel="dephasing", gamma_true=0.05),
+    "vista_noisy_ampdamp": dict(channel="amplitude_damping", gamma_true=0.04),
+}
+
+
+def _closure(mode, normalization="quasi_normalized"):
+    """(cfg, (names, overlaps, frequencies)) of a closed-form mode at n = 7."""
+    cfg = _cfg(mode=mode, n=7, theta_true=0.03, seed=0, **_CLOSED_FORM_MODES[mode])
+    # a pure ansatz's config refuses quasi-normalization; the closure still takes it, with purity 1
+    cfg = replace(cfg, normalization=normalization)
+    return cfg, protocols._closed_form_overlaps(cfg, mode)
+
+
+class TestClosedFormOverlaps:
+    @pytest.mark.parametrize("normalization", ["plain", "quasi_normalized"])
+    @pytest.mark.parametrize("mode", list(_CLOSED_FORM_MODES))
+    def test_overlaps_match_the_closed_form_to_the_bit(self, mode, normalization):
+        cfg, (names, overlaps, _) = _closure(mode, normalization)
+        rng = np.random.default_rng(7)
+        thetas = rng.uniform(-0.5, 0.5, 24).tolist()
+        # phi at 0 of both signs, at the clamp, past it, below 0 and between, each twice, as a block repeats them
+        phis = [0.0, -0.0, PHI_CLAMP, PHI_CLAMP + 0.3, -0.2, *rng.uniform(0, PHI_CLAMP, 7).tolist()] * 2
+        probe = qubit_channel(cfg.channel, cfg.gamma_true)
+        rows = overlaps([thetas] if names == ("theta",) else [thetas, phis])
+        for theta, phi, (raw, purity) in zip(thetas, phis, rows, strict=True):
+            qubit = (1.0, 0.0) if names == ("theta",) else qubit_channel(
+                cfg.channel, circuit_decay(cfg.channel, min(max(phi, 0.0), PHI_CLAMP))
+            )
+            assert raw == closed_form_overlap(cfg.n, probe, qubit, cfg.theta_true - theta)
+            assert purity == (closed_form_overlap(cfg.n, qubit, qubit, 0.0) if normalization == "quasi_normalized" else 1.0)
+
+    @pytest.mark.parametrize("mode", ["vista_noisy_dephasing", "vista_noisy_ampdamp"])
+    def test_noisy_block_decays_each_distinct_phi_once(self, mode, monkeypatch):
+        calls = []
+        real = protocols.circuit_decay
+        monkeypatch.setattr(protocols, "circuit_decay", lambda kind, phi: calls.append(phi) or real(kind, phi))
+        _, (_, overlaps, _) = _closure(mode)
+        count, h = 6, 0.01
+        theta = [0.01 * k for k in range(count)]
+        phi = [0.1 + 0.05 * k for k in range(count)]
+        # an epoch's 5L-row block at p = 2: the rows, theta's up and down shifts, then phi's
+        block = [
+            theta + [t + h for t in theta] + [t - h for t in theta] + theta * 2,
+            phi * 3 + [p + h for p in phi] + [p - h for p in phi],
+        ]
+        overlaps(block)
+        assert len(calls) == 3 * count
+        overlaps(block)
+        assert len(calls) == 6 * count  # kept per block, not per run
+
+    @pytest.mark.parametrize("normalization", ["plain", "quasi_normalized"])
+    def test_pure_block_computes_no_factors_per_row(self, normalization, monkeypatch):
+        # closed_form_overlap reaches overlap_factors through dynamics, the closure through protocols
+        calls = []
+        real = dynamics.overlap_factors
+        for module in (dynamics, protocols):
+            monkeypatch.setattr(module, "overlap_factors", lambda *args: calls.append(args) or real(*args))
+        _, (_, overlaps, _) = _closure("vista_pure", normalization)
+        assert len(calls) == (2 if normalization == "quasi_normalized" else 1)
+        for count in (3, 60):
+            assert len(overlaps([[0.01 * k for k in range(count)]])) == count
+        assert len(calls) == (2 if normalization == "quasi_normalized" else 1)
 
 
 # one small config per optimizer mode; the damped ones need R >= 5 to catch an array power
