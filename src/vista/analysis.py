@@ -84,8 +84,8 @@ def crb_curve(kind, ns, gamma, nu):
         raise DomainError(f"unknown bound kind {kind!r}")
     channel, matched, normalized = BOUND_KINDS[kind]
     check_channel(channel, gamma)
-    if nu < 1:
-        raise DomainError(f"nu must be >= 1, got {nu}")
+    if not 1 <= nu < math.inf:  # nan fails too
+        raise DomainError(f"nu must be finite and >= 1, got {nu}")
     ns = np.asarray(ns, dtype=int)
     if ns.size == 0 or np.any(ns < 1):
         raise DomainError("n grid must be non-empty positive integers")
@@ -111,8 +111,8 @@ def fit_scaling(ns, errors):
     errors = np.asarray(errors, dtype=float)
     if ns.shape != errors.shape or ns.size < 4:
         raise DomainError("need matching grids with at least 4 points")
-    if np.any(ns <= 0) or np.any(errors <= 0):
-        raise DomainError("scaling fit needs positive n and errors")
+    if not (np.all((0 < ns) & (ns < np.inf)) and np.all((0 < errors) & (errors < np.inf))):  # nan fails too
+        raise DomainError("scaling fit needs finite positive n and errors")
     x, y = np.log(ns), np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -142,6 +142,8 @@ def gamma_calibration(gamma_true, gamma_hat):
     gh = np.asarray(gamma_hat, dtype=float)
     if gt.shape != gh.shape or gt.size < 2:
         raise DomainError("need at least two (gamma_true, gamma_hat) pairs")
+    if not (np.all(np.isfinite(gt)) and np.all(np.isfinite(gh))):
+        raise DomainError("calibration needs finite gamma_true and gamma_hat")
     order = np.argsort(gt)
     gt, gh = gt[order], gh[order]
     if np.any(np.diff(gh) <= 0):

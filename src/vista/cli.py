@@ -8,6 +8,7 @@ directory; without one, a summary is printed to stdout.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,7 +66,8 @@ def _parse_float_list(text):
         if len(parts) != 3:
             raise ConfigError(f"bad float range {text!r}; expected start:stop:step")
         start, stop, step = (_parse_entry(p, float, "float range") for p in parts)
-        if step <= 0 or stop < start:
+        # numpy's arange cannot size an infinite or NaN range
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ConfigError(f"bad float range {text!r}")
         # endpoint inclusive up to float dust
         return [float(v) for v in np.arange(start, stop + step / 2, step)]

@@ -14,7 +14,7 @@ reproduces the same config.
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import NamedTuple
 
 from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, CHANNELS, check_channel
@@ -212,8 +212,11 @@ def _check_between_fields(cfg):
 
 
 def effective_dict(cfg):
-    """Fully materialized config document (all defaults filled in)."""
-    doc = asdict(cfg)
+    """Fully materialized config document (all defaults filled in): ``dataclasses.asdict``'s, without its deep
+    copy, since every value is a number, a string or None but n_sequence, which becomes a new list."""
+    doc = {name: getattr(cfg, name) for name in RunConfig.__dataclass_fields__}
+    for block in BLOCKS:
+        doc[block] = dict(vars(doc[block]))
     doc["cascade"]["n_sequence"] = list(cfg.cascade.n_sequence)
     return doc
 

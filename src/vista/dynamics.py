@@ -28,6 +28,8 @@ numpy's SIMD exp and log round differently on different CPUs.
 The hardware-style ansatz (entangle, rotate by theta-hat, partially disentangle
 by angle phi) produces the same states, with cos(phi) = e^{-kappa}:
 ``circuit_decay`` turns phi into the decay that ``qubit_channel`` takes.
+For a run's probe, ``ansatz_factors`` maps phi to the ansatz's overlap
+factors and purity in one call, with the bits of the chain it replaces.
 
 With the transverse term theta_x != 0 there is no closed form for the corner
 structure, but E is still one 4x4 superoperator: the probe is
@@ -87,6 +89,11 @@ def qubit_channel(kind, decay):
     return population(decay), rate * decay
 
 
+def _factors(n, head, pa, qa, pb, qb, kappa):
+    """``overlap_factors`` from head = 1 + qa^n + qb^n and kappa = kappa_a + kappa_b, so a caller can keep their parts."""
+    return 0.25 * (head + (pa * pb + qa * qb) ** n), 0.5 * math.exp(-n * kappa)
+
+
 def overlap_factors(n, a, b):
     """(populations, amplitude) of closed_form_overlap(n, a, b, dtheta) = populations + amplitude * cos(2n dtheta).
 
@@ -94,7 +101,7 @@ def overlap_factors(n, a, b):
     """
     (pa, ka), (pb, kb) = a, b
     qa, qb = 1 - pa, 1 - pb
-    return 0.25 * (1 + qa**n + qb**n + (pa * pb + qa * qb) ** n), 0.5 * math.exp(-n * (ka + kb))
+    return _factors(n, 1 + qa**n + qb**n, pa, qa, pb, qb, ka + kb)
 
 
 def closed_form_overlap(n, a, b, dtheta):
@@ -138,6 +145,33 @@ def circuit_decay(kind, phi):
     if rate == 0:
         raise UnsupportedModelError(f"no decay inversion for channel {kind!r}")
     return -math.log(c) / rate
+
+
+def ansatz_factors(n, kind, probe, normalized):
+    """The function phi -> (populations, amplitude, purity) of the ansatz at circuit angle phi against ``probe``.
+
+    For the ansatz's qubit = qubit_channel(kind, circuit_decay(kind, phi)), they are the bits of
+    ``overlap_factors(n, probe, qubit)`` and of the purity ``closed_form_overlap(n, qubit, qubit, 0.0)``,
+    or 1.0 unless ``normalized``.  The probe's 1 + qa^n is computed once, and qb^n once per phi for both.
+    """
+    pa, ka = probe
+    qa = 1 - pa
+    lead = 1 + qa**n
+    population, rate, _ = _QUBIT_CHANNEL[kind]
+
+    def at(phi):
+        g = circuit_decay(kind, phi)
+        pb, kb = population(g), rate * g  # qubit_channel(kind, g), its row read once per run
+        qb = 1 - pb
+        qbn = qb**n
+        pop, amp = _factors(n, lead + qbn, pa, qa, pb, qb, ka + kb)
+        if not normalized:
+            return pop, amp, 1.0
+        # the overlap with itself at dtheta = 0, where the cos is exactly 1.0
+        self_pop, self_amp = _factors(n, 1 + qbn + qbn, pb, qb, pb, qb, kb + kb)
+        return pop, amp, self_pop + self_amp
+
+    return at
 
 
 def closed_form_density(n, theta, qubit):

@@ -180,12 +180,19 @@ def adam_step(cfg, epoch, values, grad, m, v):
     k1, k2 = 1 - b1 ** (epoch + 1), 1 - b2 ** (epoch + 1)
     lr = cfg.lr_at(epoch)
     sqrt = math.sqrt
-    m = [[b1 * a + c1 * g for a, g in zip(mj, gj)] for mj, gj in zip(m, grad)]
-    v = [[b2 * a + c2 * (g * g) for a, g in zip(vj, gj)] for vj, gj in zip(v, grad)]
-    values = [
-        [x - lr * (a / k1) / (sqrt(b / k2) + eps) for x, a, b in zip(xj, mj, vj)] for xj, mj, vj in zip(values, m, v)
-    ]
-    return values, m, v
+    new_values, new_m, new_v = [], [], []
+    for xj, gj, mj, vj in zip(values, grad, m, v):  # one pass over each parameter's rows
+        xs, ms, vs = [], [], []
+        for x, g, a, b in zip(xj, gj, mj, vj):
+            a = b1 * a + c1 * g
+            b = b2 * b + c2 * (g * g)
+            xs.append(x - lr * (a / k1) / (sqrt(b / k2) + eps))
+            ms.append(a)
+            vs.append(b)
+        new_values.append(xs)
+        new_m.append(ms)
+        new_v.append(vs)
+    return new_values, new_m, new_v
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ cascade's replicas as one such batch per stage; a single run is a batch of
 one.  An epoch is one call of the loss closure, which every optimizer mode
 shares, on the live rows stacked with their gradient shifts; a mode gives
 only the overlaps: the closed forms row by row on Python floats, one cos
-per row once the factors of the run or of each phi are known, the
-two-angle kernel on the whole block.  Each row's shots come from its own
+per row once the factors of the run, or of each phi (one
+``dynamics.ansatz_factors`` call per distinct phi of a block), are known,
+the two-angle kernel on the whole block.  Each row's shots come from its own
 stream, derived from (seed, labels), so a (config, seed) pair fixes the
 whole trajectory, whatever the batch.
 """
@@ -48,6 +49,7 @@ from .config import (
 from .dynamics import (
     ChannelSpec,
     HamiltonianSpec,
+    ansatz_factors,
     circuit_decay,
     ghz_product_overlap,
     overlap_factors,
@@ -78,19 +80,22 @@ def _closed_form_overlaps(cfg, mode):
     """(names, overlaps, frequencies) of a closed-form mode; overlaps(columns) gives each row's (raw, purity).
 
     A row at angle theta has the overlap pop + amp * cos(2n (theta_true - theta)), ``closed_form_overlap``'s
-    bits, with (pop, amp, purity) computed once per run (pure ansatz) or per distinct phi of a block (noisy).
+    bits, with (pop, amp, purity) computed once per run (pure ansatz) or, by ``ansatz_factors``, once per
+    distinct phi of a block (noisy).
     """
     probe = qubit_channel(cfg.channel, cfg.gamma_true)  # the probe's qubit after unit time, at phase theta_true
     n, theta_true = cfg.n, cfg.theta_true
-
-    def factors(qubit):
-        pop, amp = overlap_factors(n, probe, qubit)
-        # the purity is the ansatz's overlap with itself at dtheta = 0, where the cos is exactly 1.0
-        return pop, amp, sum(overlap_factors(n, qubit, qubit)) if cfg.normalization == NORM_QN else 1.0
+    normalized = cfg.normalization == NORM_QN
 
     if mode == MODE_PURE:
-        pop, amp, pur = factors((1.0, 0.0))
+        pure = (1.0, 0.0)
+        pop, amp = overlap_factors(n, probe, pure)
+        # the purity is the ansatz's overlap with itself at dtheta = 0, where the cos is exactly 1.0
+        pur = sum(overlap_factors(n, pure, pure)) if normalized else 1.0
         return ("theta",), lambda cols: [(pop + amp * math.cos(2 * n * (theta_true - t)), pur) for t in cols[0]], [2.0 * n]
+
+    # a noisy mode's ansatz decays through the probe's channel (config.validate pairs them)
+    factors = ansatz_factors(n, cfg.channel, probe, normalized)
 
     def overlaps(columns):
         at_phi, out = {}, []  # a block's theta shifts keep their rows' phi, so its 5L rows hold 3L distinct phi
@@ -99,8 +104,7 @@ def _closed_form_overlaps(cfg, mode):
             # so the sign of a zero does not matter here
             phi = 0.0 if phi < 0.0 else PHI_CLAMP if phi > PHI_CLAMP else phi
             if phi not in at_phi:
-                # a noisy mode's ansatz decays through the probe's channel (config.validate pairs them)
-                at_phi[phi] = factors(qubit_channel(cfg.channel, circuit_decay(cfg.channel, phi)))
+                at_phi[phi] = factors(phi)
             pop, amp, pur = at_phi[phi]
             out.append((pop + amp * math.cos(2 * n * (theta_true - theta)), pur))
         return out
@@ -130,19 +134,25 @@ def _two_angle_overlaps(cfg):
 
 
 def _draw_init(cfg, seed, names):
-    rng = stream(seed, STREAM_INIT)
+    """The run's start under ``seed``: the values the config gives, and init-stream draws for the others.
+
+    The stream is built at the first draw, so a run whose start is all given builds none.
+    """
+    rng = None
     hw = cfg.init_halfwidth_effective()
     values = []
     for name in names:
         if name == "theta":
             v = cfg.init.theta0
             if v is None:
+                rng = rng or stream(seed, STREAM_INIT)
                 v = rng.uniform(cfg.init.center - hw, cfg.init.center + hw)
         elif name == "phi":
             v = cfg.init.phi0
         else:  # theta2
             v = cfg.init.theta2_0
             if v is None:
+                rng = rng or stream(seed, STREAM_INIT)
                 v = rng.uniform(-hw, hw)
         values.append(float(v))
     return values

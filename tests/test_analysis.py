@@ -191,6 +191,11 @@ class TestBoundCurves:
         with pytest.raises(DomainError):
             crb_curve("squeezed", [2], 0.1, 1000)
 
+    @pytest.mark.parametrize("nu", [np.nan, np.inf])
+    def test_refuses_a_non_finite_shot_count(self, nu):
+        with pytest.raises(DomainError, match="nu must be finite"):
+            crb_curve("pure_dephasing", [2], 0.1, nu)
+
 
 class TestDampingRatio:
     def test_no_damping_no_penalty(self):
@@ -246,12 +251,28 @@ class TestScalingFit:
         with pytest.raises(DomainError):
             fit_scaling([2, 4, 6, 8], [0.1, 0.05, 0.03])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_non_finite_points(self, bad, capfd):
+        # a NaN error gave a NaN exponent, and a NaN n a LinAlgError with LAPACK noise on stderr
+        for ns, errors in (([2, 4, 6, 8], [0.1, bad, 0.03, 0.01]), ([2, 4, bad, 8], [0.1, 0.05, 0.03, 0.01])):
+            with pytest.raises(DomainError, match="finite positive"):
+                fit_scaling(ns, errors)
+        assert capfd.readouterr().err == ""
+
 
 class TestCalibration:
     def test_identity_sweep(self):
         gt = np.array([0.02, 0.04, 0.06, 0.08, 0.1])
         curve = gamma_calibration(gt, gt.copy())
         assert curve(0.05) == pytest.approx(0.05, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_non_finite_pairs(self, bad):
+        gt = [0.02, 0.04, 0.06]
+        with pytest.raises(DomainError, match="finite"):
+            gamma_calibration(gt, [0.02, bad, 0.06])
+        with pytest.raises(DomainError, match="finite"):
+            gamma_calibration([0.02, bad, 0.06], gt)
 
     def test_inverts_affine_bias(self):
         gt = np.array([0.02, 0.04, 0.06, 0.08, 0.1])

@@ -16,6 +16,7 @@ from vista.dynamics import (
     CHANNELS,
     ChannelSpec,
     HamiltonianSpec,
+    ansatz_factors,
     check_channel,
     circuit_decay,
     closed_form_density,
@@ -23,11 +24,13 @@ from vista.dynamics import (
     expm_small,
     ghz_product_overlap,
     lindblad_rk4_oracle,
+    overlap_factors,
     product_channel_blocks,
     qubit_channel,
     single_qubit_lindbladian,
     trotter_unitary,
 )
+from vista.optimize import PHI_CLAMP
 from vista.qcore import ghz_density, ghz_vector
 
 from dense import (
@@ -198,6 +201,33 @@ class TestAnsatzMatching:
         # cos(nan) is nan, which no comparison with 0 lets through
         with pytest.raises(DomainError, match="positive"):
             circuit_decay(kind, float("nan"))
+
+
+class TestAnsatzFactors:
+    # 1e-300: cos rounds to 1.0, so the decay is -0.0
+    PHIS = (-0.0, 0.0, 1e-300, 1e-3, PHI_CLAMP)
+
+    @pytest.mark.parametrize("normalized", [False, True], ids=["plain", "quasi_normalized"])
+    @pytest.mark.parametrize("n", [1, 2, 10, 24])
+    @pytest.mark.parametrize("kind", [CHANNEL_DEPHASING, CHANNEL_AMPDAMP])
+    def test_matches_the_closed_forms_to_the_bit(self, kind, n, normalized):
+        for gamma in (0.0, 0.04):
+            probe = qubit_channel(kind, gamma)
+            at = ansatz_factors(n, kind, probe, normalized)
+            for phi in self.PHIS:
+                q = qubit_channel(kind, circuit_decay(kind, phi))
+                pop, amp, purity = at(phi)
+                assert (pop, amp) == overlap_factors(n, probe, q)
+                assert purity == (closed_form_overlap(n, q, q, 0.0) if normalized else 1.0)
+
+    def test_tiny_angle_decays_by_negative_zero(self):
+        assert str(circuit_decay(CHANNEL_DEPHASING, 1e-300)) == "-0.0"
+
+    @pytest.mark.parametrize("kind", [CHANNEL_DEPHASING, CHANNEL_AMPDAMP])
+    def test_refuses_a_nan_angle(self, kind):
+        at = ansatz_factors(4, kind, qubit_channel(kind, 0.04), True)
+        with pytest.raises(DomainError, match="positive"):
+            at(float("nan"))
 
 
 class TestDense:

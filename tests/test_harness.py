@@ -549,6 +549,24 @@ class TestConfig:
         cfg = cfgmod.from_dict(doc)
         assert cfgmod.from_dict(cfgmod.effective_dict(cfg)) == cfg
 
+    @pytest.mark.parametrize(
+        "extra",
+        [{"mode": "vista_pure"}]
+        + [{"mode": mode, "theta2_true": 0.04, "cascade": {"n_sequence": [2, 4]}} for mode in cfgmod.MODES],
+        ids=["default", *cfgmod.MODES],
+    )
+    def test_effective_dict_is_the_asdict_document(self, extra):
+        cfg = cfgmod.from_dict({"n": 4, "theta_true": 0.1, "seed": 3, **extra})
+        want = dataclasses.asdict(cfg)
+        want["cascade"]["n_sequence"] = list(cfg.cascade.n_sequence)
+        doc = cfgmod.effective_dict(cfg)
+        assert json.dumps(doc) == json.dumps(want)  # the same keys in the same order, and a list
+        # the document is the caller's: changing it leaves the config as it was
+        doc["n"] = 99
+        doc["optimizer"]["lr0"] = 9.0
+        doc["cascade"]["n_sequence"].append(99)
+        assert cfgmod.effective_dict(cfg) == want
+
 
 @pytest.fixture(scope="module")
 def small_result():
@@ -1501,13 +1519,17 @@ class TestCli:
             (["calibrate", "--n", "2", "--gammas", "0.05,0.3", "--replicas", "0"], "replicas must be >= 1"),
             (["scaling", "--gamma", "0", "--theta", "0.1", "--shots", "500", "--n", "2:6:2"], "at least 4 distinct sizes"),
             (["calibrate", "--n", "2", "--gammas", "0.05"], "at least 2 distinct decay rates"),
+            (["calibrate", "--n", "4", "--gammas", "0:inf:1"], "bad float range '0:inf:1'"),
+            (["calibrate", "--n", "4", "--gammas", "0:1:nan"], "bad float range '0:1:nan'"),
+            (["calibrate", "--n", "4", "--gammas=-inf:1:0.5"], "bad float range '-inf:1:0.5'"),
             (["sweep", "--axis", "theta_true=0.1,0.2", "--axis", "theta_true=0.3"], "more than once"),
             (["sweep", "--axis", "seed=1,x"], "seed must be an integer, got 'x'"),
             (["sweep", "--axis", "seed=1,-1"], "seed must be >= 0, got -1"),
             (["sweep", "--axis", "theta_true=0.1", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
         ids=["sweep-replicas-0", "scaling-replicas-0", "calibrate-replicas-0", "scaling-3-sizes",
-             "calibrate-1-rate", "sweep-repeated-axis", "sweep-bad-seed-axis", "sweep-negative-seed-axis",
+             "calibrate-1-rate", "calibrate-infinite-stop", "calibrate-nan-step", "calibrate-infinite-start",
+             "sweep-repeated-axis", "sweep-bad-seed-axis", "sweep-negative-seed-axis",
              "sweep-negative-seed"],
     )
     def test_bad_sweep_is_refused_before_any_run(self, command, message, run_cfg, monkeypatch, capsys):

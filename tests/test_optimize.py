@@ -106,6 +106,17 @@ class TestAdamStep:
         assert new_values == values
         assert m == v == zeros
 
+    def test_returns_fresh_columns(self):
+        cfg = OptimizerConfig()
+        values, grad, m, v = [[0.3, 0.1], [-0.1, 0.2]], [[1.0, -2.0], [0.5, 0.0]], [[0.1, 0.2], [0.0, 0.1]], [[0.01] * 2] * 2
+        before = [[list(c) for c in cols] for cols in (values, grad, m, v)]
+        out = adam_step(cfg, 3, values, grad, m, v)
+        assert [[list(c) for c in cols] for cols in (values, grad, m, v)] == before
+        ids = {id(x) for cols in (values, grad, m, v) for x in (cols, *cols)}
+        assert all(type(cols) is list and id(cols) not in ids for cols in out)
+        assert all(type(c) is list and id(c) not in ids for cols in out for c in cols)
+        assert len({id(c) for cols in out for c in cols}) == 6
+
     def test_first_step_moves_by_learning_rate(self):
         # bias-corrected first step is lr * sign(g) up to eps
         cfg = OptimizerConfig(lr0=0.05)

@@ -40,7 +40,7 @@ from vista.protocols import (
 )
 from vista.qcore import ghz_density, ghz_vector
 from vista.results import persist
-from vista.rng import STREAM_LOSS, stream
+from vista.rng import STREAM_INIT, STREAM_LOSS, stream
 
 from dense import trotter_evolve
 
@@ -503,9 +503,15 @@ class TestClosedFormOverlaps:
 
     @pytest.mark.parametrize("mode", ["vista_noisy_dephasing", "vista_noisy_ampdamp"])
     def test_noisy_block_decays_each_distinct_phi_once(self, mode, monkeypatch):
+        # count the calls of the run's per-phi function that ansatz_factors returns
         calls = []
-        real = protocols.circuit_decay
-        monkeypatch.setattr(protocols, "circuit_decay", lambda kind, phi: calls.append(phi) or real(kind, phi))
+        real = protocols.ansatz_factors
+
+        def counted(*args):
+            at = real(*args)
+            return lambda phi: calls.append(phi) or at(phi)
+
+        monkeypatch.setattr(protocols, "ansatz_factors", counted)
         _, (_, overlaps, _) = _closure(mode)
         count, h = 6, 0.01
         theta = [0.01 * k for k in range(count)]
@@ -532,6 +538,42 @@ class TestClosedFormOverlaps:
         for count in (3, 60):
             assert len(overlaps([[0.01 * k for k in range(count)]])) == count
         assert len(calls) == (2 if normalization == "quasi_normalized" else 1)
+
+
+class TestDrawInit:
+    _GIVEN = {
+        "vista_pure": dict(init={"theta0": 0.02}),
+        "vista_noisy_ampdamp": dict(gamma_true=0.04, init={"theta0": 0.02}),
+        "vista_multiparam": dict(theta2_true=0.04, init={"theta0": 0.02, "theta2_0": 0.01}),
+        "cascade": dict(cascade={"n_sequence": [2, 4]}, init={"theta0": 0.02}),
+    }
+
+    @pytest.mark.parametrize("mode", list(_GIVEN))
+    def test_given_starts_build_no_init_stream(self, mode, monkeypatch):
+        calls = []
+        real = protocols.stream
+        monkeypatch.setattr(protocols, "stream", lambda *args: calls.append(args) or real(*args))
+        doc = dict(mode=mode, n=4, theta_true=0.03, seed=5, shots={"exact": True}, optimizer={"max_epochs": 3})
+        run_from_config(_cfg(**doc, **self._GIVEN[mode]))
+        assert calls == []
+
+    @pytest.mark.parametrize("given", [{}, {"theta0": 0.02}, {"theta2_0": 0.01}])
+    def test_drawn_starts_keep_their_values(self, given):
+        # the stream's draws go to the drawn values in the order of the names
+        cfg = _cfg(mode="vista_multiparam", n=5, theta_true=0.05, theta2_true=0.04, seed=9, init={"center": 0.1, **given})
+        hw = np.pi / 10
+        rng = stream(9, STREAM_INIT)
+        want = [given.get("theta0", None), given.get("theta2_0", None)]
+        if want[0] is None:
+            want[0] = rng.uniform(0.1 - hw, 0.1 + hw)
+        if want[1] is None:
+            want[1] = rng.uniform(-hw, hw)
+        assert protocols._draw_init(cfg, 9, ("theta", "theta2")) == want
+        noisy = _cfg(mode="vista_noisy_dephasing", n=5, theta_true=0.05, gamma_true=0.01, seed=9)
+        assert protocols._draw_init(noisy, 9, ("theta", "phi")) == [
+            stream(9, STREAM_INIT).uniform(-np.pi / 10, np.pi / 10),
+            0.1,
+        ]
 
 
 # one small config per optimizer mode; the damped ones need R >= 5 to catch an array power
