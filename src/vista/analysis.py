@@ -20,6 +20,7 @@ import numpy as np
 
 from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, check_channel, closed_form_overlap, qubit_channel
 from .errors import CalibrationError, DomainError
+from .optimize import integer
 
 
 # --- closed-form curvature of a probe/ansatz pair ------------------------------
@@ -86,7 +87,7 @@ def crb_curve(kind, ns, gamma, nu):
     check_channel(channel, gamma)
     if not 1 <= nu < math.inf:  # nan fails too
         raise DomainError(f"nu must be finite and >= 1, got {nu}")
-    ns = np.asarray(ns, dtype=int)
+    ns = np.array([integer(n, "n grid entry", integral=True) for n in ns], dtype=int)  # no NaN, fraction or bool
     if ns.size == 0 or np.any(ns < 1):
         raise DomainError("n grid must be non-empty positive integers")
     probe = qubit_channel(channel, gamma)

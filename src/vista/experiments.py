@@ -38,6 +38,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 
@@ -53,6 +54,19 @@ from .rng import STREAM_REPLICA, derive_seed
 
 def replica_seeds(master_seed, count):
     return [derive_seed(master_seed, STREAM_REPLICA, r) for r in range(count)]
+
+
+def _replica_configs(doc, replicas, outdir=None):
+    """The configs of a point's replicas: its document under each replica seed, run in ``outdir``/seed_<r>.
+
+    One ``from_dict`` checks the point, so a bad point fails before any run;
+    the replicas are that config with their seed and output replaced.
+    """
+    cfg = cfgmod.from_dict({**doc, "output": None})
+    return [
+        replace(cfg, seed=seed, output=None if outdir is None else os.path.join(outdir, f"seed_{r}"))
+        for r, seed in enumerate(replica_seeds(cfg.seed, replicas))
+    ]
 
 
 def _run_slice(cfgs):
@@ -147,12 +161,7 @@ def _sweep(names, points, replicas, outdir=None, workers=None):
     batches = []
     for values, doc in points:
         tag = "_".join(f"{k}={v}" for k, v in zip(names, values)) or "point"
-        batch = []
-        for r, seed in enumerate(replica_seeds(cfgmod.parse("seed", doc["seed"]), replicas)):
-            # from_dict reads its document without changing it, so the replicas share the blocks
-            output = None if outdir is None else os.path.join(outdir, tag, f"seed_{r}")
-            batch.append(cfgmod.from_dict({**doc, "seed": seed, "output": output}))  # fail fast on a bad point
-        batches.append(batch)
+        batches.append(_replica_configs(doc, replicas, None if outdir is None else os.path.join(outdir, tag)))
 
     cap = max(1, _usable_cpus() if workers is None else workers)
     # cap / gcd slices per point make the task count a multiple of cap, so every worker gets as many

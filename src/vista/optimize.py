@@ -96,7 +96,7 @@ def _is_real(x):
     return type(x) is float or type(x) is int or isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _integer(value, name, integral):
+def integer(value, name, integral):
     """An integral number as int; any other real number as it is, unless ``integral``."""
     if type(value) is int:
         return value
@@ -121,12 +121,12 @@ def check(r, value, name, integral=False):
     if kind is tuple:
         if not isinstance(value, (list, tuple)):
             raise DomainError(f"{name} must be a list of integers, got {value!r}")
-        value = tuple(_integer(x, f"{name} entry", integral) for x in value)
+        value = tuple(integer(x, f"{name} entry", integral) for x in value)
         if holds is not None and not all(map(holds, value)):
             raise DomainError(f"{name} entries must be {bound}, got {value}")
         return value
     if kind is int:
-        value = _integer(value, name, integral)
+        value = integer(value, name, integral)
     elif integral:
         return value
     elif kind is float:  # a NaN fails every comparison, so it would switch a bound off

@@ -11,16 +11,19 @@ in-memory record but never persisted, so rerunning with the same seed
 overwrites every file byte-identically.
 
 The JSON files hold the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
-plus a newline, and the CSV files the bytes that ``csv.writer`` writes; both
-are written without those encoders' per-element Python loops (``_dumps``,
-``_write_csv``).
+plus a newline, and the CSV files the bytes that ``csv.writer`` writes, at
+about the cost of formatting their numbers: json's C encoder spells each list
+of scalars in one call (``_flat``), the config is encoded once for both JSON
+files, the trace is written column by column, and the columns that a batch's
+replicas share (epoch, shots, lr) are formatted once per distinct column
+(``_shared_column``).  Each file is one write.
 """
 
 import csv
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -32,7 +35,7 @@ class RunResult:
     seed: int
     status: str
     param_names: tuple = ()
-    trace: dict | None = None  # epoch, loss, params (2D), grad_norm, shots, lr
+    trace: dict | None = None  # numpy arrays: epoch, loss, params (2D), grad_norm, shots, lr
     final: dict = field(default_factory=dict)
     stages: list | None = None
     series: dict | None = None  # baseline time series instead of a trace
@@ -66,43 +69,65 @@ def trace_header(param_names):
     return cols
 
 
+_INDENT = "  "
+_SCALARS = {str, int, float, bool, type(None)}
+_COLUMN_PAD = 2 * _INDENT  # the indentation of a trace column's key in result.json
+# the trace columns that a batch's replicas share, each with whether trace.csv spells it as integers
+_SHARED = {"epoch": True, "shots": True, "lr": False}
+
+
 def persist(result, outdir):
     """Write result.json, trace.csv (or series.csv), and the config echo."""
     os.makedirs(outdir, exist_ok=True)
 
-    doc = {
-        "config": result.config,
-        "seed": result.seed,
-        "status": result.status,
-        "final": _jsonable(result.final),
+    config = _dumps(result.config)
+    texts = {
+        # nested one level deeper: json escapes every newline inside a string, so each raw one starts a line
+        "config": config.replace("\n", "\n" + _INDENT),
+        "seed": json.dumps(result.seed),
+        "status": json.dumps(result.status),
+        "final": _dumps(_jsonable(result.final), _INDENT),
     }
-    if result.trace is not None:
-        doc["trace"] = _jsonable({"param_names": list(result.param_names), **result.trace})
+    tr = result.trace
+    if tr is not None:
+        shared = {key: _shared_column(tr[key].tobytes(), tr[key].dtype.str, ints) for key, ints in _SHARED.items()}
+        columns = {"param_names": _flat(list(result.param_names), _COLUMN_PAD)}
+        for key, values in tr.items():
+            if key in shared:
+                columns[key] = shared[key][0]
+            elif key == "params":
+                columns[key] = _rows(values, _COLUMN_PAD)
+            else:
+                columns[key] = _flat(values.tolist(), _COLUMN_PAD)
+        texts["trace"] = _object(columns, _INDENT)
     if result.stages is not None:
-        doc["stages"] = _jsonable(result.stages)
+        texts["stages"] = _dumps(_jsonable(result.stages), _INDENT)
     if result.series is not None:
-        doc["series"] = _jsonable(result.series)
+        texts["series"] = _dumps(_jsonable(result.series), _INDENT)
+    _write(os.path.join(outdir, "result.json"), _object(texts, "") + "\n")
 
-    _write_json(os.path.join(outdir, "result.json"), doc)
-
-    if result.trace is not None:
-        tr = result.trace
-        params = np.asarray(tr["params"], dtype=float)
-        params = params[:, None] if params.ndim == 1 else params
-        columns = [_int_column(tr["epoch"]), _fmt_column(tr["loss"])]
-        columns += [_fmt_column(params[:, j]) for j in range(params.shape[1])]
-        columns += [_fmt_column(tr["grad_norm"]), _int_column(tr["shots"]), _fmt_column(tr["lr"])]
-        _write_csv(os.path.join(outdir, "trace.csv"), trace_header(result.param_names), columns)
+    if tr is not None:
+        cells = [shared["epoch"][1], _fmt_column(tr["loss"]), *map(_fmt_column, tr["params"].T)]
+        cells += [_fmt_column(tr["grad_norm"]), shared["shots"][1], shared["lr"][1]]
+        _write_csv(os.path.join(outdir, "trace.csv"), trace_header(result.param_names), cells)
 
     if result.series is not None:
         keys = list(result.series)
         _write_csv(os.path.join(outdir, "series.csv"), keys, [_fmt_column(result.series[k]) for k in keys])
 
-    _write_json(os.path.join(outdir, "config.json"), result.config)
+    _write(os.path.join(outdir, "config.json"), config + "\n")
 
 
-def _int_column(values):
-    return list(map(str, np.asarray(values).astype(int).tolist()))
+@lru_cache(maxsize=8)
+def _shared_column(data, dtype, ints):
+    """The result.json text and the trace.csv cells of the trace column with these bytes and this dtype.
+
+    The key tells apart what float equality does not (0.0 and -0.0, an int column and a float one), and the cache
+    keeps the few columns that the runs of a batch, persisted one after another, have in common.
+    """
+    values = np.frombuffer(data, dtype)
+    cells = map(str, values.astype(int).tolist()) if ints else _fmt_column(values)
+    return _flat(values.tolist(), _COLUMN_PAD), tuple(cells)
 
 
 def _fmt_column(values):
@@ -113,48 +138,65 @@ def _fmt_column(values):
 
 def _write_csv(path, header, columns):
     """What ``csv.writer`` writes for fields that need no quoting: numbers and the fixed headers."""
-    lines = [",".join(header), *map(",".join, zip(*columns)), ""]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+    _write(path, "\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
 
 
-_INDENT = "  "
-_SCALARS = {str, int, float, bool, type(None)}
+def _write(path, text):
+    """Write ``text`` to ``path`` in one call on an unbuffered handle, continued only after a short write."""
+    data = memoryview(text.encode())
+    with open(path, "wb", buffering=0) as fh:
+        while data:
+            data = data[fh.write(data) :]
 
 
 def _dumps(obj, pad=""):
     """``json.dumps(obj, indent=2, sort_keys=True)`` as it reads nested at indentation ``pad``.
 
-    json runs its pure-Python encoder whenever ``indent`` is set.  Here a list
-    or dict of scalars is encoded by the C encoder in one call, with the
-    newline and the indentation in its item separator.  A list of non-empty
-    lists of scalars is too, and its rows are then re-indented by string
-    replacement.  That is exact: json escapes every newline inside a string,
-    so the separators hold the only raw ones, and only a row's end and the
-    next row's start put "]" and "[" around a separator.  Every value is
-    spelled by json's own encoder.
+    json runs its pure-Python encoder whenever ``indent`` is set.  Here each
+    list or dict of scalars is encoded by the C encoder in one call
+    (``_flat``), so every value is spelled by json's own encoder.
     """
-    inner = pad + _INDENT
     is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+    if not (is_dict or isinstance(obj, (list, tuple))):
         return json.dumps(obj)
     if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
-        body = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))
-        return f"{body[0]}\n{inner}{body[1:-1]}\n{pad}{body[-1]}"
+        return _flat(obj, pad)
+    inner = pad + _INDENT
     if is_dict:
-        items = [f"{encode_basestring_ascii(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if set(map(type, obj)) == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) <= _SCALARS:
-        cell = inner + _INDENT
-        body = json.dumps(obj, separators=(",\n" + cell, ": "))[2:-2]
-        body = body.replace("],\n" + cell + "[", "\n" + inner + "],\n" + inner + "[\n" + cell)
-        return "[\n" + inner + "[\n" + cell + body + "\n" + inner + "]\n" + pad + "]"
+        return _object({key: _dumps(obj[key], inner) for key in obj}, pad)
     return "[\n" + inner + (",\n" + inner).join([_dumps(item, inner) for item in obj]) + "\n" + pad + "]"
 
 
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        fh.write(_dumps(doc) + "\n")
+def _flat(obj, pad):
+    """``_dumps`` of a list or dict of scalars: one C-encoder call, the newline and indentation in its item separator."""
+    if not obj:
+        return json.dumps(obj)
+    inner = pad + _INDENT
+    body = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))
+    return f"{body[0]}\n{inner}{body[1:-1]}\n{pad}{body[-1]}"
+
+
+def _object(texts, pad):
+    """The JSON object at indentation ``pad`` whose keys hold the encoded values ``texts``, in sorted key order."""
+    inner = pad + _INDENT
+    items = [f"{encode_basestring_ascii(key)}: {texts[key]}" for key in sorted(texts)]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+
+
+def _rows(values, pad):
+    """``_dumps(values.tolist(), pad)`` of a 2-D array of floats with at least one column, in one C-encoder call.
+
+    The rows are encoded with the newline and their items' indentation in the
+    item separator, and each boundary between two rows is then re-indented by
+    string replacement.  That is exact: numbers hold no brackets, so only a
+    row's end and the next row's start put "]" and "[" around a separator.
+    """
+    if not len(values):
+        return "[]"
+    inner, cell = pad + _INDENT, pad + 2 * _INDENT
+    body = json.dumps(values.tolist(), separators=(",\n" + cell, ": "))[2:-2]
+    body = body.replace("],\n" + cell + "[", "\n" + inner + "],\n" + inner + "[\n" + cell)
+    return "[\n" + inner + "[\n" + cell + body + "\n" + inner + "]\n" + pad + "]"
 
 
 def write_summary(path, fieldnames, rows):

@@ -191,6 +191,14 @@ class TestBoundCurves:
         with pytest.raises(DomainError):
             crb_curve("squeezed", [2], 0.1, 1000)
 
+    @pytest.mark.parametrize("ns", [[np.nan, 3], [np.inf], [2.7, 3], [True, 2]], ids=["nan", "inf", "fraction", "bool"])
+    def test_refuses_an_n_that_is_not_an_integer(self, ns):
+        with pytest.raises(DomainError, match="n grid entry must be an integer"):
+            crb_curve("pure_dephasing", ns, 0.1, 1000)
+
+    def test_takes_integral_floats_as_n(self):
+        assert crb_curve("pure_dephasing", [3.0, np.float64(4.0)], 0.1, 1000).ns.tolist() == [3, 4]
+
     @pytest.mark.parametrize("nu", [np.nan, np.inf])
     def test_refuses_a_non_finite_shot_count(self, nu):
         with pytest.raises(DomainError, match="nu must be finite"):

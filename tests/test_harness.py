@@ -725,6 +725,102 @@ _GOLDEN_SHA256 = {
 }
 
 
+def _plain(obj):
+    """``obj`` with numpy arrays and scalars as Python lists and scalars."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj.tolist() if isinstance(obj, (np.ndarray, np.generic)) else obj
+
+
+def _reference_files(result):
+    """The bytes of each file that persist writes, from json.dumps and csv.writer on the run's document."""
+    doc = {"config": result.config, "seed": result.seed, "status": result.status, "final": _plain(result.final)}
+    if result.trace is not None:
+        doc["trace"] = _plain({"param_names": list(result.param_names), **result.trace})
+    if result.stages is not None:
+        doc["stages"] = _plain(result.stages)
+    if result.series is not None:
+        doc["series"] = _plain(result.series)
+    files = {name: json.dumps(d, indent=2, sort_keys=True) + "\n" for name, d in (("result.json", doc), ("config.json", result.config))}
+    table = io.StringIO(newline="")
+    writer = csv.writer(table)
+    if result.trace is not None:
+        tr = result.trace
+        floats = [tr["loss"], *tr["params"].T, tr["grad_norm"]]
+        writer.writerow(trace_header(result.param_names))
+        for e, *xs, shots, lr in zip(tr["epoch"].tolist(), *map(list, floats), tr["shots"].tolist(), tr["lr"].tolist()):
+            writer.writerow([int(e), *(f"{x:.12g}" for x in xs), int(shots), f"{lr:.12g}"])
+        files["trace.csv"] = table.getvalue()
+    if result.series is not None:
+        writer.writerow(list(result.series))
+        writer.writerows([f"{x:.12g}" for x in row] for row in zip(*result.series.values()))
+        files["series.csv"] = table.getvalue()
+    return {name: text.encode() for name, text in files.items()}
+
+
+_FLOATS = st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16]) | st.floats()
+_CONFIGS = st.dictionaries(st.text(max_size=6), _JSON_DOCS, max_size=5)
+
+
+@st.composite
+def _run_results(draw):
+    """Hand-built runs: 1 to 3 parameters, 0, 1 or many epochs, a trace or a series, stages, None finals."""
+    nparams = draw(st.integers(1, 3))
+    epochs = draw(st.sampled_from([0, 1]) | st.integers(2, 40))
+    column = st.lists(_FLOATS, min_size=epochs, max_size=epochs).map(np.array)
+    trace = series = None
+    if draw(st.booleans()):
+        trace = {
+            "epoch": np.arange(epochs),
+            "loss": draw(column),
+            "params": np.array(draw(st.lists(_FLOATS, min_size=epochs * nparams, max_size=epochs * nparams)))
+            .reshape(epochs, nparams),
+            "grad_norm": draw(column),
+            "shots": np.array(draw(st.lists(st.integers(1, 10**7), min_size=epochs, max_size=epochs)), dtype=int),
+            "lr": draw(st.sampled_from([np.full(epochs, 0.05), np.full(epochs, -0.0)]) | column),
+        }
+    else:
+        series = draw(st.dictionaries(st.sampled_from(["t", "p_exact", "p_hat"]), column, min_size=1))
+    scalars = st.none() | _FLOATS | st.integers() | st.booleans() | _FLOATS.map(np.float64) | st.integers(0, 99).map(np.int64)
+    stage = st.fixed_dictionaries({"n": st.integers(1, 30), "theta_hat": _FLOATS, "status": st.text(max_size=8)})
+    return RunResult(
+        config=draw(_CONFIGS),
+        seed=draw(st.integers(0, 2**63)),
+        status=draw(st.sampled_from(["converged", "max_epochs", "diverged"])),
+        param_names=("theta_hat", "phi", "theta2_hat")[:nparams],
+        trace=trace,
+        final=draw(st.dictionaries(st.sampled_from(["theta_hat", "gamma_hat", "loss", "epochs", "flag"]), scalars)),
+        stages=draw(st.none() | st.lists(stage, max_size=3)),
+        series=series,
+    )
+
+
+_RUN_RESULTS = _run_results()
+
+
+def _nans(bits, count):
+    """``count`` NaNs with the payload ``bits``."""
+    return np.full(count, bits, dtype=np.uint64).view(np.float64)
+
+
+def _hand_run(**columns):
+    """A one-parameter run of up to five epochs, with the trace columns given replaced and the rest cut to their length."""
+    trace = {
+        "epoch": np.arange(5),
+        "loss": np.array([0.5, 0.25, 0.125, 0.0625, 0.03125]),
+        "params": np.array([[0.1], [0.2], [0.3], [0.4], [0.5]]),
+        "grad_norm": np.array([1.0, 0.5, 0.25, 0.125, 0.0625]),
+        "shots": np.full(5, 1000),
+        "lr": np.full(5, 0.05),
+        **columns,
+    }
+    epochs = min(map(len, trace.values()))
+    trace = {key: values[:epochs] for key, values in trace.items()}
+    return RunResult(config={"mode": "vista_pure", "seed": 1}, seed=1, status="converged", param_names=("theta_hat",), trace=trace)
+
+
 class TestWriters:
     """The persistence writers give the bytes of json.dumps(indent=2, sort_keys=True) and csv.writer."""
 
@@ -732,10 +828,8 @@ class TestWriters:
     @given(doc=_JSON_DOCS)
     @example(doc=_EDGE_DOC)
     @example(doc=[["],\n    [", 1.0], [2.0]])  # a string holding the text of a 2-D row boundary
-    def test_write_json_matches_json_dumps(self, doc, tmp_path_factory):
-        path = tmp_path_factory.getbasetemp() / "doc.json"
-        resmod._write_json(str(path), doc)
-        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    def test_dumps_matches_json_dumps(self, doc):
+        assert resmod._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.floats(width=64), max_size=40))
@@ -750,7 +844,9 @@ class TestWriters:
     def test_write_csv_matches_csv_writer(self, rows, tmp_path_factory):
         header = trace_header(("theta_hat",))[:4]
         ints, a, b, shots = map(list, zip(*rows)) if rows else ([], [], [], [])
-        columns = [resmod._int_column(ints), resmod._fmt_column(a), resmod._fmt_column(b), resmod._int_column(shots)]
+        ints, shots = (np.array(v, dtype=int) for v in (ints, shots))
+        int_cells = [resmod._shared_column(v.tobytes(), v.dtype.str, True)[1] for v in (ints, shots)]
+        columns = [int_cells[0], resmod._fmt_column(a), resmod._fmt_column(b), int_cells[1]]
         path = tmp_path_factory.getbasetemp() / "rows.csv"
         resmod._write_csv(str(path), header, columns)
         expected = io.StringIO(newline="")
@@ -758,6 +854,41 @@ class TestWriters:
         writer.writerow(header)
         writer.writerows(zip(*columns))
         assert path.read_bytes() == expected.getvalue().encode()
+
+    @settings(max_examples=150, deadline=None)
+    @given(result=_RUN_RESULTS)
+    @example(result=_GOLDEN_RESULT)
+    def test_persist_matches_the_standard_encoders(self, result, tmp_path_factory):
+        out = tmp_path_factory.mktemp("run")
+        persist(result, str(out))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == _reference_files(result)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"lr": np.zeros(3)}, {"lr": np.full(3, -0.0)}),
+            ({"lr": _nans(0x7FF8000000000000, 3)}, {"lr": _nans(0xFFF8000000000001, 3)}),
+            ({"lr": np.linspace(0.1, 0.5, 5)}, {"lr": np.linspace(0.1, 0.5, 5)[:3]}),
+            ({"lr": np.zeros(3)}, {"lr": np.zeros(3, dtype=int)}),
+            ({"shots": np.zeros(3)}, {"shots": np.zeros(3, dtype=int)}),
+        ],
+        ids=["signed-zero", "nan-payload", "prefix", "int-lr", "int-shots"],
+    )
+    def test_shared_columns_that_float_equality_confuses(self, first, second, tmp_path):
+        # runs persisted one after another in one process, in both orders, each write the bytes a
+        # fresh process writes (the standard encoders' bytes): the shared-column cache confuses none of them
+        runs = [_hand_run(**columns) for columns in (first, second)]
+        for order in (runs, runs[::-1]):
+            for k, run in enumerate(order):
+                persist(run, str(tmp_path / str(k)))
+                assert {p.name: p.read_bytes() for p in (tmp_path / str(k)).iterdir()} == _reference_files(run)
+
+    def test_replicas_format_their_shared_columns_once(self, tmp_path):
+        # replicas of a batch share epoch, shots and lr: the second replica finds all three spelled
+        resmod._shared_column.cache_clear()
+        persist(_hand_run(), str(tmp_path / "a"))
+        persist(_hand_run(loss=np.linspace(0.1, 0.9, 5)), str(tmp_path / "b"))
+        assert resmod._shared_column.cache_info().hits == 3
 
     def test_persisted_bytes_are_pinned(self, tmp_path):
         # A change to these digests changes the artifact format and must be reported in CHANGES.md.
@@ -805,6 +936,17 @@ class TestExperiments:
                 assert {k: v for k, v in doc.items() if k not in ("theta_true", "seed", "output")} == {
                     k: v for k, v in real(base).items() if k not in ("theta_true", "seed", "output")
                 }
+
+    @pytest.mark.parametrize("outdir", [None, "sweep/n=2"])
+    def test_replica_configs_equal_their_from_dict_configs(self, outdir):
+        doc = {**cfgmod.effective_dict(cfgmod.from_dict(SMALL_RUN)), "n": 2.0, "seed": 11}
+        replicas = expmod._replica_configs(doc, 3, outdir)
+        expected = [
+            cfgmod.from_dict({**doc, "seed": seed, "output": outdir and os.path.join(outdir, f"seed_{r}")})
+            for r, seed in enumerate(replica_seeds(11, 3))
+        ]
+        assert replicas == expected
+        assert list(map(cfgmod.effective_dict, replicas)) == list(map(cfgmod.effective_dict, expected))
 
     def test_run_grid_rejects_bad_point_before_running(self, tmp_path):
         base = cfgmod.from_dict(SMALL_RUN)
