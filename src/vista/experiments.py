@@ -46,7 +46,8 @@ from . import config as cfgmod
 from . import protocols
 from .analysis import fit_scaling, gamma_calibration
 from .dynamics import ChannelSpec, HamiltonianSpec, closed_form_density, lindblad_rk4_oracle, qubit_channel
-from .errors import CalibrationError, ConfigError
+from .errors import CalibrationError, ConfigError, DomainError
+from .optimize import integer
 from .qcore import ghz_density
 from .results import persist, write_summary
 from .rng import STREAM_REPLICA, derive_seed
@@ -147,6 +148,17 @@ def _run_pooled(tasks, cap):
             raise
 
 
+def _count(value, name):
+    """``value`` as an int >= 1, or a ConfigError naming ``name``: a bool or a fractional number is no count."""
+    try:
+        value = integer(value, name, True)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _sweep(names, points, replicas, outdir=None, workers=None):
     """Run each point's replicas as one sweep; returns (rows, per-run outputs).
 
@@ -156,14 +168,13 @@ def _sweep(names, points, replicas, outdir=None, workers=None):
     ``replica_seeds(doc["seed"], replicas)``.  Rows carry the coordinates
     plus mean/std of the per-run absolute errors.
     """
-    if replicas < 1:
-        raise ConfigError(f"replicas must be >= 1, got {replicas}")
+    replicas = _count(replicas, "replicas")
+    cap = _usable_cpus() if workers is None else _count(workers, "workers")
     batches = []
     for values, doc in points:
         tag = "_".join(f"{k}={v}" for k, v in zip(names, values)) or "point"
         batches.append(_replica_configs(doc, replicas, None if outdir is None else os.path.join(outdir, tag)))
 
-    cap = max(1, _usable_cpus() if workers is None else workers)
     # cap / gcd slices per point make the task count a multiple of cap, so every worker gets as many
     parts = min(replicas, cap // math.gcd(cap, len(points)))
     tasks = [part for batch in batches for part in _split(batch, parts)]

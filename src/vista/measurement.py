@@ -66,8 +66,8 @@ def parity_probability(n, theta, gamma, t, kind=CHANNEL_DEPHASING):
     kappa = qubit_channel(kind, gamma)[1]
 
     def at(t):
-        if t < 0:
-            raise DomainError("time must be >= 0")
+        if not 0 <= t < math.inf:  # a NaN fails the comparison too
+            raise DomainError(f"time must be finite and >= 0, got {t}")
         return 0.5 * (1 + math.exp(-n * kappa * t) * math.cos(2 * n * theta * t))
 
     return np.vectorize(at, otypes=[float])(t)[()]

@@ -24,8 +24,9 @@ An epoch is one loss call: ``estimate_gradient`` stacks the live rows and
 their gradient shifts into one block, also columns of Python floats, and
 hands it to the loss closure with one stream label per row block, so each
 gradient shift and each recorded loss draws fresh shots while remaining a
-pure function of (config, master seed).  numpy enters an epoch only inside
-a closure that uses it.
+pure function of (config, master seed).  ``adam_step`` then takes each
+parameter's live rows through one loop: gradient, ADAM update, clamp, delta
+and guard.  numpy enters an epoch only inside a closure that uses it.
 """
 
 import math
@@ -167,32 +168,79 @@ class OptimizerConfig(Checked):
         return self.lr0 * self.decay**epoch
 
 
-def adam_step(cfg, epoch, values, grad, m, v):
-    """ADAM's update at ``epoch`` (counted from 0); returns the columns (values, m, v) after it.
+class Adam:
+    """ADAM's state over the L rows of a batch, and the constants of its run, read once per run.
 
-    ``values``, ``grad`` and the moments ``m`` and ``v`` (zeros before the
-    first epoch) are columns: one list per parameter, one float per row.
-    With bias correction the per-step motion is bounded by the current
-    learning rate: |delta| <= lr * |m-hat| / (sqrt(v-hat) + eps) <= lr.
+    ``m`` and ``v`` are the moments, columns like the values: one list per
+    parameter, one float per row, zeros before the first epoch.  Each column
+    has its clamp: phi's (column ``phi``, if any) is [0, PHI_CLAMP], and the
+    others' (-inf, inf) leaves every float as it is.  ``adam_step`` moves the state one epoch and
+    leaves its report: ``values``, the rows after the step; ``deltas``, each
+    row's mean absolute change; ``diverged``, whether a value left the phase
+    guard; and ``lr``, the epoch's learning rate.
     """
-    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
-    c1, c2 = 1 - b1, 1 - b2
+
+    def __init__(self, optimizer, gradient, nparams, nrows, phi=None):
+        b1, b2 = optimizer.beta1, optimizer.beta2
+        self.constants = (b1, 1 - b1, b2, 1 - b2, optimizer.eps)
+        self.lr_at = optimizer.lr_at
+        self.shifts, self.scales = gradient.steps
+        self.side = 0 if gradient.crn else 1
+        self.bounds = [(0.0, PHI_CLAMP) if j == phi else (-math.inf, math.inf) for j in range(nparams)]
+        self.m = self.v = [[0.0] * nrows for _ in range(nparams)]
+        self.values = self.deltas = self.lr = None
+        self.diverged = False
+
+
+def adam_step(adam, epoch, values, out):
+    """ADAM's update at ``epoch`` (counted from 0) of the L rows ``values``; returns the gradient, as columns.
+
+    ``out`` is the loss list of the block that ``estimate_gradient`` stacks at
+    ``values``: the rows' losses, then each parameter's up and down shifts.
+    Each parameter's rows take one pass: the difference of the row's two
+    shifted losses times the parameter's scale, a NumericsError unless it is
+    finite, the update of m, v and the value, the column's clamp, the change's
+    absolute value added to the row's delta, and the phase guard, which a NaN
+    fails.  With bias correction the per-step motion is bounded by the
+    current learning rate: |delta| <= lr * |m-hat| / (sqrt(v-hat) + eps) <= lr.
+    The new columns replace ``adam``'s; a raise leaves them as they were.
+    """
+    b1, c1, b2, c2, eps = adam.constants
     k1, k2 = 1 - b1 ** (epoch + 1), 1 - b2 ** (epoch + 1)
-    lr = cfg.lr_at(epoch)
-    sqrt = math.sqrt
-    new_values, new_m, new_v = [], [], []
-    for xj, gj, mj, vj in zip(values, grad, m, v):  # one pass over each parameter's rows
-        xs, ms, vs = [], [], []
-        for x, g, a, b in zip(xj, gj, mj, vj):
+    lr = adam.lr_at(epoch)
+    sqrt, isfinite, low, high = math.sqrt, math.isfinite, -THETA_GUARD, THETA_GUARD
+    nparams, nrows = len(values), len(values[0])
+    grad, new_values, new_m, new_v = [], [], [], []
+    deltas, diverged = [0.0] * nrows, False
+    for i, (xj, mj, vj, scale, (lo, hi)) in enumerate(zip(values, adam.m, adam.v, adam.scales, adam.bounds)):
+        up = out[(1 + 2 * i) * nrows : (2 + 2 * i) * nrows]
+        down = out[(2 + 2 * i) * nrows : (3 + 2 * i) * nrows]
+        # each row's delta sums its columns' changes from left to right, and the last column divides the sum by p
+        # (0.0 + |x| is |x|, and dividing by 1.0 changes no float)
+        div = float(nparams) if i == nparams - 1 else 1.0
+        gs, xs, ms, vs, ds = [], [], [], [], []
+        for u, w, x, a, b, d in zip(up, down, xj, mj, vj, deltas):
+            g = (u - w) * scale
+            if not isfinite(g):  # a difference of finite losses is finite, so this covers every shifted loss
+                raise NumericsError(f"non-finite loss in gradient evaluation at parameter {i}")
             a = b1 * a + c1 * g
             b = b2 * b + c2 * (g * g)
-            xs.append(x - lr * (a / k1) / (sqrt(b / k2) + eps))
+            y = x - lr * (a / k1) / (sqrt(b / k2) + eps)
+            y = lo if y < lo else hi if y > hi else y  # np.clip's value: -0.0 and nan stay as they are
+            if not low <= y <= high:
+                diverged = True
+            gs.append(g)
+            xs.append(y)
             ms.append(a)
             vs.append(b)
+            ds.append((d + abs(y - x)) / div)
+        grad.append(gs)
         new_values.append(xs)
         new_m.append(ms)
         new_v.append(vs)
-    return new_values, new_m, new_v
+        deltas = ds
+    adam.values, adam.m, adam.v, adam.deltas, adam.diverged, adam.lr = new_values, new_m, new_v, deltas, diverged, lr
+    return grad
 
 
 @dataclass(frozen=True)
@@ -262,7 +310,7 @@ class GradientConfig(Checked):
         return shifts, scales
 
 
-def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None):
+def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None, adam=None):
     """One epoch's evaluation: (losses, gradient) of the sampled loss at L rows.
 
     ``values`` holds the rows as columns, one list of L floats per parameter;
@@ -279,34 +327,30 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None):
     is A + B cos(w p + c) in parameter p; parameters with frequency 0 (no
     single-harmonic form, e.g. the decay-matching angle) fall back to their
     central-difference step.
+
+    The gradient is ``adam_step``'s, which takes the epoch's ADAM step of the
+    state ``adam`` (an ``Adam`` made with ``grad_cfg``) in the same pass.
+    Without one, the step is taken from a fresh state under the default
+    settings and dropped.
     """
-    shifts, scales = grad_cfg.steps
     nparams, nrows = len(values), len(values[0])
+    if adam is None:
+        adam = Adam(OptimizerConfig(), grad_cfg, nparams, nrows)
     columns = []
     for j, col in enumerate(values):
         # column j: the rows, then each parameter i's up and down shift, x + h and x - h where i == j, a copy elsewhere
         block = list(col)
-        for i, h in enumerate(shifts):
+        for i, h in enumerate(adam.shifts):
             block += [x + h for x in col] + [x - h for x in col] if i == j else col + col
         columns.append(block)
-    side = 0 if grad_cfg.crn else 1
     labels = [(STREAM_LOSS, epoch)]
     for i in range(nparams):
-        labels += [(STREAM_GRAD, epoch, i, 0), (STREAM_GRAD, epoch, i, side)]
+        labels += [(STREAM_GRAD, epoch, i, 0), (STREAM_GRAD, epoch, i, adam.side)]
     out = lossfn(columns, nu, labels, list(range(nrows)) if rows is None else rows)
     losses = out[:nrows]
     if not all(map(math.isfinite, losses)):
         raise NumericsError(f"non-finite loss at epoch {epoch}")
-    grad = []
-    for i, scale in enumerate(scales):
-        up = out[(1 + 2 * i) * nrows : (2 + 2 * i) * nrows]
-        down = out[(2 + 2 * i) * nrows : (3 + 2 * i) * nrows]
-        gi = [(a - b) * scale for a, b in zip(up, down)]
-        # a difference of finite losses is finite, so one check covers every shifted loss
-        if not all(map(math.isfinite, gi)):
-            raise NumericsError(f"non-finite loss in gradient evaluation at parameter {i}")
-        grad.append(gi)
-    return losses, grad
+    return losses, adam_step(adam, epoch, values, out)
 
 
 def _window_sum(recent, k):
@@ -361,7 +405,7 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     values = clamp_phi(start.T.tolist(), names)
     max_epochs, tol_conv, window = optimizer.max_epochs, optimizer.tol_conv, optimizer.window
     nrows, nparams = start.shape
-    m = v = [[0.0] * nrows for _ in range(nparams)]
+    adam = Adam(optimizer, gradient, nparams, nrows, names.index("phi") if "phi" in names else None)
     rows = list(range(nrows))
     # The trace of the live rows: each epoch appends its losses, then its parameter and gradient
     # columns, to ``record``, so it grows with the epochs run, not with max_epochs.  When rows stop,
@@ -395,15 +439,8 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
 
     for epoch in range(max_epochs):
         nu = schedule.shots_at(epoch, max_epochs)
-        losses, grad = estimate_gradient(values, lossfn, gradient, epoch, nu, rows)
-        new_values, m, v = adam_step(optimizer, epoch, values, grad, m, v)
-        new_values = clamp_phi(new_values, names)
-        # the mean absolute change of each row, its columns summed from left to right (0.0 + |x| is |x|)
-        deltas = [0.0] * len(rows)
-        for new, old in zip(new_values[:-1], values[:-1]):
-            deltas = [d + abs(a - b) for d, a, b in zip(deltas, new, old)]
-        deltas = [(d + abs(a - b)) / nparams for d, a, b in zip(deltas, new_values[-1], values[-1])]
-        values = new_values
+        losses, grad = estimate_gradient(values, lossfn, gradient, epoch, nu, rows, adam)
+        values, deltas = adam.values, adam.deltas
 
         record.fromlist(losses)
         for column in values:
@@ -414,18 +451,15 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
         if len(recent) > window:
             del recent[0]
         shots.append(0 if nu is None else nu)
-        lrs.append(optimizer.lr_at(epoch))
+        lrs.append(adam.lr)
 
-        # cheap checks over all rows first; phi is clamped well inside the guard, so only the
-        # other columns can fail it, and nan fails it too
-        diverged = not all(all(map(THETA_GUARD.__ge__, map(abs, column))) for column in values)
         # a window's sum is at least its last delta, so no row converges while every last delta is too big
         converged = tol_conv > 0 and epoch + 1 >= window and min(deltas) / window < tol_conv
         out_of_time = time.monotonic() - t0 > optimizer.budget_s
-        if not (diverged or converged or out_of_time):
+        if not (adam.diverged or converged or out_of_time):
             continue
         stops = {}  # the status of each row that stops at this epoch
-        if diverged:
+        if adam.diverged:
             for k, row in enumerate(zip(*values)):
                 if not all(abs(x) <= THETA_GUARD for x in row):
                     stops[k] = STATUS_DIVERGED
@@ -445,7 +479,7 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
             break
         live = [k for k in range(len(rows)) if k not in stops]
         rows, kept = [rows[k] for k in live], kept[:, :, live]
-        values, m, v = ([[column[k] for k in live] for column in cols] for cols in (values, m, v))
+        values, adam.m, adam.v = ([[column[k] for k in live] for column in cols] for cols in (values, adam.m, adam.v))
         recent = [[d[k] for k in live] for d in recent]
     else:
         flush()

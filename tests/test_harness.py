@@ -919,6 +919,32 @@ class TestExperiments:
             for sub in ("seed_0", "seed_1"):
                 assert (tmp_path / tag / sub / "result.json").exists()
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"replicas": 0}, "replicas must be >= 1, got 0"),
+            ({"replicas": True}, "replicas must be an integer, got True"),
+            ({"replicas": 2.5}, "replicas must be an integer, got 2.5"),
+            ({"replicas": float("nan")}, "replicas must be an integer, got nan"),
+            ({"workers": 0}, "workers must be >= 1, got 0"),
+            ({"workers": -3}, "workers must be >= 1, got -3"),
+            ({"workers": True}, "workers must be an integer, got True"),
+            ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+        ],
+    )
+    def test_counts_are_refused_by_name_before_any_run(self, kw, message, monkeypatch):
+        def no_run(cfgs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_grid(cfgmod.from_dict(SMALL_RUN), {"theta_true": [0.1]}, **{"replicas": 1, "workers": 1, **kw})
+
+    def test_integral_counts_are_taken_as_int(self, monkeypatch):
+        monkeypatch.setattr(expmod, "_run_slice", lambda task: [{"status": "converged"}] * len(task))
+        rows, outs = run_grid(cfgmod.from_dict(SMALL_RUN), {"theta_true": [0.1]}, replicas=2.0, workers=np.int64(1))
+        assert rows[0]["n_runs"] == 2 and len(outs) == 2
+
     def test_run_grid_builds_the_config_document_once(self, tmp_path, monkeypatch):
         # the replicas share one document, each with its own seed and output
         calls = []
@@ -1683,6 +1709,25 @@ class TestCli:
         assert cli.main([command[0], *config, *command[1:], "--workers", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--axis", "theta_true=0.1"],
+            ["scaling", "--gamma", "0", "--theta", "0.1", "--shots", "500", "--n", "2:5"],
+            ["calibrate", "--n", "2", "--gammas", "0.05,0.3"],
+        ],
+        ids=["sweep", "scaling", "calibrate"],
+    )
+    def test_workers_below_one_are_refused_before_any_run(self, command, workers, run_cfg, monkeypatch, capsys):
+        def no_run(cfgs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
+        config = ["--config", run_cfg] if command[0] == "sweep" else []
+        assert cli.main([command[0], *config, *command[1:], "--replicas", "1", f"--workers={workers}"]) == 1
+        assert capsys.readouterr().err == f"config error: workers must be >= 1, got {workers}\n"
 
     def test_calibrate_all_flagged_is_a_runtime_error(self, monkeypatch, capsys):
         monkeypatch.setattr(expmod, "run_grid", lambda base, axes, replicas, workers: ([], [{"gamma_hat": None}] * 3))

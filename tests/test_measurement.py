@@ -4,6 +4,9 @@ parity readout used by the non-variational baseline.
 Shots are drawn through ``binomial_fraction`` and ``loss`` from
 ``stream(seed, *label)`` generators."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,9 +292,12 @@ class TestParity:
         assert p.shape == t.shape
         np.testing.assert_allclose(p, 0.5 * (1 + np.exp(-0.4 * t) * np.cos(1.6 * t)), atol=1e-12)
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            parity_probability(2, 0.1, 0.1, -0.5)
+    @pytest.mark.parametrize("t", [-0.5, -math.inf, math.inf, math.nan, np.array([0.0, math.nan])])
+    def test_negative_or_non_finite_time_rejected(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN once slipped through as a numpy RuntimeWarning
+            with pytest.raises(DomainError, match="time must be finite and >= 0"):
+                parity_probability(3, 0.1, 0.1, t)
 
     def test_sample_exact_and_seeded(self):
         a = binomial_fraction(stream(5), 2500, 0.37)

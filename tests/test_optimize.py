@@ -20,6 +20,7 @@ from vista.optimize import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_MAX_EPOCHS,
+    Adam,
     GradientConfig,
     OptimizerConfig,
     ShotSchedule,
@@ -65,6 +66,21 @@ def _grad(at, f, cfg):
     return np.array([g for [g] in columns])
 
 
+def _adam_step(cfg, epoch, values, grad, m, v):
+    """``adam_step`` from the moments ``m`` and ``v`` on the gradient columns ``grad``; returns (values, m, v) after it.
+
+    The block's up shifts lose g and its down shifts 0.0 under a unit scale (h = 0.5), so its gradient is ``grad``.
+    """
+    nparams, nrows = len(values), len(values[0])
+    adam = Adam(cfg, GradientConfig(h=(0.5,) * nparams), nparams, nrows)
+    adam.m, adam.v = m, v
+    out = [0.0] * nrows
+    for column in grad:
+        out += column + [0.0] * nrows
+    assert adam_step(adam, epoch, values, out) == grad
+    return adam.values, adam.m, adam.v
+
+
 def _run(names, start, f, **kw):
     """One run through the batched optimizer: f(values, nu, label) scores one row."""
     runs = run_optimization(np.atleast_2d(start), _rowwise(f), names=names, **kw)
@@ -102,7 +118,7 @@ class TestAdamStep:
         cfg = OptimizerConfig()
         values = [[0.3], [-0.1]]
         zeros = [[0.0], [0.0]]
-        new_values, m, v = adam_step(cfg, 0, values, zeros, zeros, zeros)
+        new_values, m, v = _adam_step(cfg, 0, values, zeros, zeros, zeros)
         assert new_values == values
         assert m == v == zeros
 
@@ -110,7 +126,7 @@ class TestAdamStep:
         cfg = OptimizerConfig()
         values, grad, m, v = [[0.3, 0.1], [-0.1, 0.2]], [[1.0, -2.0], [0.5, 0.0]], [[0.1, 0.2], [0.0, 0.1]], [[0.01] * 2] * 2
         before = [[list(c) for c in cols] for cols in (values, grad, m, v)]
-        out = adam_step(cfg, 3, values, grad, m, v)
+        out = _adam_step(cfg, 3, values, grad, m, v)
         assert [[list(c) for c in cols] for cols in (values, grad, m, v)] == before
         ids = {id(x) for cols in (values, grad, m, v) for x in (cols, *cols)}
         assert all(type(cols) is list and id(cols) not in ids for cols in out)
@@ -120,7 +136,7 @@ class TestAdamStep:
     def test_first_step_moves_by_learning_rate(self):
         # bias-corrected first step is lr * sign(g) up to eps
         cfg = OptimizerConfig(lr0=0.05)
-        [[new_value]], _, _ = adam_step(cfg, 0, [[0.0]], [[2.7]], [[0.0]], [[0.0]])
+        [[new_value]], _, _ = _adam_step(cfg, 0, [[0.0]], [[2.7]], [[0.0]], [[0.0]])
         assert new_value == pytest.approx(-0.05, abs=1e-8)
 
     def test_motion_bounded_by_decayed_rate(self, rng):
@@ -129,7 +145,7 @@ class TestAdamStep:
         for epoch in range(50):
             lr = cfg.lr_at(epoch)
             grad = [[g] for g in (rng.normal(size=3) * 10).tolist()]
-            new_values, m, v = adam_step(cfg, epoch, values, grad, m, v)
+            new_values, m, v = _adam_step(cfg, epoch, values, grad, m, v)
             assert np.all(np.abs(np.subtract(new_values, values)) <= lr + 1e-12)
             values = new_values
 
@@ -404,6 +420,57 @@ class TestRunOptimization:
         assert np.all(run.params[:, 1] >= 0.0)
 
 
+class TestNonFiniteLosses:
+    """The epoch's refusals through ``run_optimization`` on 3-row batches, where one row's loss is not finite."""
+
+    @staticmethod
+    def _batch(nparams, sampled, bad):
+        """Three rows in a bowl at 0.3, with shot noise when ``sampled``; ``bad`` maps (epoch, block, row) to a loss."""
+
+        def lossfn(columns, nu, labels, rows):
+            out = []
+            for j, row in enumerate(zip(*columns)):
+                block, k = divmod(j, len(rows))
+                value = sum((x - 0.3) ** 2 for x in row)
+                if nu is not None:
+                    value += 1e-3 * binomial_fraction(stream(rows[k], *labels[block]), nu, 0.5)
+                out.append(bad.get((labels[0][1], block, k), value))
+            return out
+
+        return run_optimization(
+            np.array([[0.1, 0.2], [0.25, 0.4], [0.5, 0.6]])[:, :nparams],
+            lossfn,
+            names=("theta", "phi")[:nparams],
+            optimizer=OptimizerConfig(max_epochs=10, tol_conv=0.0),
+            schedule=ShotSchedule(100, 400, "linear") if sampled else ShotSchedule(exact=True),
+            gradient=GradientConfig(h=(0.1, 0.05)[:nparams]),
+        )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("nparams", [1, 2])
+    def test_recorded_loss_is_refused_before_the_gradient(self, nparams, sampled, bad):
+        # row 1's recorded loss at epoch 3 is named, though row 2's last shifted loss is not finite either
+        with pytest.raises(NumericsError, match=r"^non-finite loss at epoch 3$"):
+            self._batch(nparams, sampled, {(3, 0, 1): bad, (3, 2 * nparams, 2): bad})
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("nparams", [1, 2])
+    def test_shifted_loss_names_its_parameter(self, nparams, sampled, bad, side):
+        # only row 2's up (side 1) or down (side 2) shift of the last parameter, at epoch 3
+        last = nparams - 1
+        with pytest.raises(NumericsError, match=rf"^non-finite loss in gradient evaluation at parameter {last}$"):
+            self._batch(nparams, sampled, {(3, 2 * last + side, 2): bad})
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_parameters_are_checked_in_order(self, sampled):
+        # row 0's shift of parameter 1 and row 2's of parameter 0: parameter 0 is named
+        with pytest.raises(NumericsError, match=r"^non-finite loss in gradient evaluation at parameter 0$"):
+            self._batch(2, sampled, {(3, 3, 0): float("nan"), (3, 2, 2): float("inf")})
+
+
 class TestEpochEvaluator:
     @pytest.mark.parametrize("crn", [False, True])
     def test_one_loss_call_per_epoch_on_the_documented_schedule(self, crn):
@@ -515,9 +582,10 @@ class TestNumpyOracle:
     _FIELDS = ("names", "epochs", "losses", "params", "grad_norms", "shots", "lrs", "status")
 
     @staticmethod
-    def _loss(seed):
+    def _loss(seed, first=0):
+        # rows are numbered from ``first``, which sets a one-row batch's kind
         def lossfn(columns, nu, labels, rows):
-            block, r = np.array(columns).T, np.tile(rows, len(labels))
+            block, r = np.array(columns).T, np.tile(rows, len(labels)) + first
             x = block[:, 0]
             # row kind 0 is pulled off every basin, kind 1 climbs to a plateau at its own height, kind 2 circles a bowl
             kind = r % 3
@@ -531,9 +599,10 @@ class TestNumpyOracle:
 
         return lossfn
 
-    def _both(self, seed, nparams, method=GRAD_CENTRAL, crn=False, sampled=True, budget_s=600.0):
+    def _both(self, seed, nparams, method=GRAD_CENTRAL, crn=False, sampled=True, budget_s=600.0, nrows=None, first=0):
         rng = np.random.default_rng([seed, nparams])
-        nrows = int(rng.integers(5, 13))
+        drawn = int(rng.integers(5, 13))  # drawn either way, so the starts keep their draws
+        nrows = drawn if nrows is None else nrows
         starts = rng.uniform(0.0, 0.3, size=(nrows, nparams))
         if nparams == 2:
             starts[:, 1] = rng.uniform(0.0, 1.5, size=nrows)
@@ -543,8 +612,8 @@ class TestNumpyOracle:
             schedule=ShotSchedule(100, 400, "linear") if sampled else ShotSchedule(exact=True),
             gradient=GradientConfig(method, np.array([0.1, 0.05][:nparams]), np.array([6.0, 0.0][:nparams]), crn),
         )
-        runs = run_optimization(starts, self._loss(seed), **kw)
-        for run, ref in zip(runs, numpy_epoch.run_optimization(starts, self._loss(seed), **kw), strict=True):
+        runs = run_optimization(starts, self._loss(seed, first), **kw)
+        for run, ref in zip(runs, numpy_epoch.run_optimization(starts, self._loss(seed, first), **kw), strict=True):
             for key in self._FIELDS:
                 got, want = getattr(run, key), getattr(ref, key)
                 if isinstance(want, np.ndarray):
@@ -568,6 +637,15 @@ class TestNumpyOracle:
         if nparams == 2:  # phi held at both ends of its range
             phis = np.concatenate([run.params[:, 1] for run in runs])
             assert phis.min() == 0.0 and phis.max() == PHI_CLAMP
+
+    @pytest.mark.parametrize("sampled", [True, False])
+    @pytest.mark.parametrize("method", GRAD_METHODS)
+    @pytest.mark.parametrize("nparams", [1, 2])
+    def test_one_row_batches_match_to_the_bit(self, nparams, method, sampled):
+        # a single run is a one-row batch; its row's kind decides how it stops
+        runs = [run for kind in range(3) for seed in (6, 7)
+                for run in self._both(seed, nparams, method, sampled=sampled, nrows=1, first=kind)]
+        assert {run.status for run in runs} == {STATUS_DIVERGED, STATUS_CONVERGED, STATUS_MAX_EPOCHS}
 
     @pytest.mark.parametrize("nparams", [1, 2])
     def test_exact_batches_match_to_the_bit(self, nparams):
