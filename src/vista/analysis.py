@@ -50,10 +50,6 @@ def qfi_ratio_ampdamp(n, gamma):
     return np.vectorize(ratio, otypes=[float])(gamma)[()]
 
 
-def qfi_ratio_ampdamp_expansion(n, gamma):
-    return 1 - n * (n + 1) * gamma**2 / 8
-
-
 # --- shot-noise bound curves -------------------------------------------------
 
 # Each kind: the probe's channel, whether the ansatz decays as the probe does

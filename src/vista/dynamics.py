@@ -89,11 +89,6 @@ def qubit_channel(kind, decay):
     return population(decay), rate * decay
 
 
-def _factors(n, head, pa, qa, pb, qb, kappa):
-    """``overlap_factors`` from head = 1 + qa^n + qb^n and kappa = kappa_a + kappa_b, so a caller can keep their parts."""
-    return 0.25 * (head + (pa * pb + qa * qb) ** n), 0.5 * math.exp(-n * kappa)
-
-
 def overlap_factors(n, a, b):
     """(populations, amplitude) of closed_form_overlap(n, a, b, dtheta) = populations + amplitude * cos(2n dtheta).
 
@@ -101,7 +96,7 @@ def overlap_factors(n, a, b):
     """
     (pa, ka), (pb, kb) = a, b
     qa, qb = 1 - pa, 1 - pb
-    return _factors(n, 1 + qa**n + qb**n, pa, qa, pb, qb, ka + kb)
+    return 0.25 * (1 + qa**n + qb**n + (pa * pb + qa * qb) ** n), 0.5 * math.exp(-n * (ka + kb))
 
 
 def closed_form_overlap(n, a, b, dtheta):
@@ -152,24 +147,30 @@ def ansatz_factors(n, kind, probe, normalized):
 
     For the ansatz's qubit = qubit_channel(kind, circuit_decay(kind, phi)), they are the bits of
     ``overlap_factors(n, probe, qubit)`` and of the purity ``closed_form_overlap(n, qubit, qubit, 0.0)``,
-    or 1.0 unless ``normalized``.  The probe's 1 + qa^n is computed once, and qb^n once per phi for both.
+    or 1.0 unless ``normalized``: the same expressions, written out once.  The probe's 1 + qa^n is computed
+    once, and qb^n once per phi for both.  A channel with no decay to invert is refused here, a bad phi per call.
     """
     pa, ka = probe
     qa = 1 - pa
     lead = 1 + qa**n
-    population, rate, _ = _QUBIT_CHANNEL[kind]
+    population, rate, _ = _QUBIT_CHANNEL.get(kind, (None, 0.0, None))
+    if rate == 0:
+        raise UnsupportedModelError(f"no decay inversion for channel {kind!r}")
+    cos, log, exp = math.cos, math.log, math.exp
 
     def at(phi):
-        g = circuit_decay(kind, phi)
+        c = cos(phi)  # circuit_decay(kind, phi), its checks and expression
+        if not c > 0:  # nan fails too
+            raise DomainError(f"cos(phi) must be positive for inversion, got phi={phi}")
+        g = -log(c) / rate
         pb, kb = population(g), rate * g  # qubit_channel(kind, g), its row read once per run
         qb = 1 - pb
         qbn = qb**n
-        pop, amp = _factors(n, lead + qbn, pa, qa, pb, qb, ka + kb)
+        pop, amp = 0.25 * (lead + qbn + (pa * pb + qa * qb) ** n), 0.5 * exp(-n * (ka + kb))
         if not normalized:
             return pop, amp, 1.0
         # the overlap with itself at dtheta = 0, where the cos is exactly 1.0
-        self_pop, self_amp = _factors(n, 1 + qbn + qbn, pb, qb, pb, qb, kb + kb)
-        return pop, amp, self_pop + self_amp
+        return pop, amp, 0.25 * (1 + qbn + qbn + (pb * pb + qb * qb) ** n) + 0.5 * exp(-n * (kb + kb))
 
     return at
 

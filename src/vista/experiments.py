@@ -164,15 +164,18 @@ def _sweep(names, points, replicas, outdir=None, workers=None):
 
     ``points`` lists (values, doc) pairs: ``values`` are the point's
     coordinates under ``names``, which label its row and its run directory,
-    and ``doc`` is its config document.  The point's replicas run under
-    ``replica_seeds(doc["seed"], replicas)``.  Rows carry the coordinates
-    plus mean/std of the per-run absolute errors.
+    and ``doc`` is its config document.  With ``outdir``, two points whose
+    run directories coincide are refused before any run.  The point's
+    replicas run under ``replica_seeds(doc["seed"], replicas)``.  Rows carry
+    the coordinates plus mean/std of the per-run absolute errors.
     """
     replicas = _count(replicas, "replicas")
     cap = _usable_cpus() if workers is None else _count(workers, "workers")
-    batches = []
-    for values, doc in points:
+    batches, tags = [], {}
+    for i, (values, doc) in enumerate(points):
         tag = "_".join(f"{k}={v}" for k, v in zip(names, values)) or "point"
+        if outdir is not None and tags.setdefault(tag, i) != i:  # a repeated value would run two points into one
+            raise ConfigError(f"sweep points {tags[tag]} and {i} would both write the run directory {tag!r}")
         batches.append(_replica_configs(doc, replicas, None if outdir is None else os.path.join(outdir, tag)))
 
     # cap / gcd slices per point make the task count a multiple of cap, so every worker gets as many

@@ -213,32 +213,27 @@ def adam_step(adam, epoch, values, out):
     grad, new_values, new_m, new_v = [], [], [], []
     deltas, diverged = [0.0] * nrows, False
     for i, (xj, mj, vj, scale, (lo, hi)) in enumerate(zip(values, adam.m, adam.v, adam.scales, adam.bounds)):
-        up = out[(1 + 2 * i) * nrows : (2 + 2 * i) * nrows]
-        down = out[(2 + 2 * i) * nrows : (3 + 2 * i) * nrows]
+        up, down = (1 + 2 * i) * nrows, (2 + 2 * i) * nrows  # the offsets of the parameter's shifted losses in out
         # each row's delta sums its columns' changes from left to right, and the last column divides the sum by p
         # (0.0 + |x| is |x|, and dividing by 1.0 changes no float)
         div = float(nparams) if i == nparams - 1 else 1.0
-        gs, xs, ms, vs, ds = [], [], [], [], []
-        for u, w, x, a, b, d in zip(up, down, xj, mj, vj, deltas):
-            g = (u - w) * scale
+        gs, xs, ms, vs = [0.0] * nrows, [0.0] * nrows, [0.0] * nrows, [0.0] * nrows
+        for k in range(nrows):
+            gs[k] = g = (out[up + k] - out[down + k]) * scale
             if not isfinite(g):  # a difference of finite losses is finite, so this covers every shifted loss
                 raise NumericsError(f"non-finite loss in gradient evaluation at parameter {i}")
-            a = b1 * a + c1 * g
-            b = b2 * b + c2 * (g * g)
+            x = xj[k]
+            ms[k] = a = b1 * mj[k] + c1 * g
+            vs[k] = b = b2 * vj[k] + c2 * (g * g)
             y = x - lr * (a / k1) / (sqrt(b / k2) + eps)
-            y = lo if y < lo else hi if y > hi else y  # np.clip's value: -0.0 and nan stay as they are
+            xs[k] = y = lo if y < lo else hi if y > hi else y  # np.clip's value: -0.0 and nan stay as they are
             if not low <= y <= high:
                 diverged = True
-            gs.append(g)
-            xs.append(y)
-            ms.append(a)
-            vs.append(b)
-            ds.append((d + abs(y - x)) / div)
+            deltas[k] = (deltas[k] + abs(y - x)) / div
         grad.append(gs)
         new_values.append(xs)
         new_m.append(ms)
         new_v.append(vs)
-        deltas = ds
     adam.values, adam.m, adam.v, adam.deltas, adam.diverged, adam.lr = new_values, new_m, new_v, deltas, diverged, lr
     return grad
 
@@ -337,11 +332,13 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None, ada
     if adam is None:
         adam = Adam(OptimizerConfig(), grad_cfg, nparams, nrows)
     columns = []
-    for j, col in enumerate(values):
+    for j, (col, h) in enumerate(zip(values, adam.shifts)):
         # column j: the rows, then each parameter i's up and down shift, x + h and x - h where i == j, a copy elsewhere
-        block = list(col)
-        for i, h in enumerate(adam.shifts):
-            block += [x + h for x in col] + [x - h for x in col] if i == j else col + col
+        block = col * (1 + 2 * nparams)
+        up, down = (1 + 2 * j) * nrows, (2 + 2 * j) * nrows
+        for k, x in enumerate(col):
+            block[up + k] = x + h
+            block[down + k] = x - h
         columns.append(block)
     labels = [(STREAM_LOSS, epoch)]
     for i in range(nparams):
@@ -437,8 +434,9 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
             status=status,
         )
 
+    exact = schedule.exact
     for epoch in range(max_epochs):
-        nu = schedule.shots_at(epoch, max_epochs)
+        nu = None if exact else schedule.shots_at(epoch, max_epochs)
         losses, grad = estimate_gradient(values, lossfn, gradient, epoch, nu, rows, adam)
         values, deltas = adam.values, adam.deltas
 

@@ -229,9 +229,11 @@ def _optimize(cfg, seeds, starts=None):
     streams = None if cfg.shots.exact else Streams(seeds, 1 + 2 * len(names))
 
     def lossfn(columns, nu, labels, rows):
-        gens = [None] * len(columns[0]) if nu is None else streams.at(rows, labels)
         # one measurement.loss call per block row, which draws the row's shots from its own stream
-        return [measurement.loss(raw, gen, nu, pur, norm) for (raw, pur), gen in zip(overlaps(columns), gens)]
+        loss = measurement.loss
+        if nu is None:  # exact: no stream and no draw
+            return [loss(raw, None, None, pur, norm) for raw, pur in overlaps(columns)]
+        return [loss(raw, gen, nu, pur, norm) for (raw, pur), gen in zip(overlaps(columns), streams.at(rows, labels))]
 
     if starts is None:
         starts = [_draw_init(cfg, seed, names) for seed in seeds]

@@ -15,13 +15,15 @@ plus a newline, and the CSV files the bytes that ``csv.writer`` writes, at
 about the cost of formatting their numbers: json's C encoder spells each list
 of scalars in one call (``_flat``), the config is encoded once for both JSON
 files, the trace is written column by column, and the columns that a batch's
-replicas share (epoch, shots, lr) are formatted once per distinct column
+replicas share (epoch, shots, lr) are formatted once per distinct column,
+and a column that starts a longer formatted one takes its first values
 (``_shared_column``).  Each file is one write.
 """
 
 import csv
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -74,6 +76,8 @@ _SCALARS = {str, int, float, bool, type(None)}
 _COLUMN_PAD = 2 * _INDENT  # the indentation of a trace column's key in result.json
 # the trace columns that a batch's replicas share, each with whether trace.csv spells it as integers
 _SHARED = {"epoch": True, "shots": True, "lr": False}
+# ((dtype, ints), bytes, json items, csv cells) of the shared columns formatted last, newest first
+_FORMATTED = deque(maxlen=8)
 
 
 def persist(result, outdir):
@@ -123,11 +127,23 @@ def _shared_column(data, dtype, ints):
     """The result.json text and the trace.csv cells of the trace column with these bytes and this dtype.
 
     The key tells apart what float equality does not (0.0 and -0.0, an int column and a float one), and the cache
-    keeps the few columns that the runs of a batch, persisted one after another, have in common.
+    keeps the few columns that the runs of a batch, persisted one after another, have in common.  Replicas that
+    stop at different epochs share a prefix: a column whose bytes start a formatted one's of the same dtype and
+    spelling takes that column's first values.
     """
-    values = np.frombuffer(data, dtype)
-    cells = map(str, values.astype(int).tolist()) if ints else _fmt_column(values)
-    return _flat(values.tolist(), _COLUMN_PAD), tuple(cells)
+    for kind, kept, items, cells in _FORMATTED:
+        if kind == (dtype, ints) and kept.startswith(data):
+            count = len(data) // np.dtype(dtype).itemsize
+            break
+    else:
+        values = np.frombuffer(data, dtype)
+        items = json.dumps(values.tolist())[1:-1].split(", ")  # json's C encoder spells them; no number holds ", "
+        cells = tuple(map(str, values.astype(int).tolist()) if ints else _fmt_column(values))
+        count = len(values)
+        _FORMATTED.appendleft(((dtype, ints), data, items, cells))
+    inner = _COLUMN_PAD + _INDENT
+    text = "[\n" + inner + (",\n" + inner).join(items[:count]) + "\n" + _COLUMN_PAD + "]" if count else "[]"
+    return text, cells[:count]
 
 
 def _fmt_column(values):

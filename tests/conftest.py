@@ -1,4 +1,4 @@
-"""Shared fixtures and random-matrix helpers."""
+"""Shared fixtures, random-matrix helpers, and the closed-form expansion that only the tests use."""
 
 import numpy as np
 import pytest
@@ -20,6 +20,11 @@ def random_density(rng, dim, rank=None):
 def random_hermitian(rng, dim, scale=1.0):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (a + a.conj().T) / 2
+
+
+def qfi_ratio_ampdamp_expansion(n, gamma):
+    """The paper's small-gamma expansion of ``analysis.qfi_ratio_ampdamp``: 1 - n(n+1) gamma^2 / 8."""
+    return 1 - n * (n + 1) * gamma**2 / 8
 
 
 @pytest.fixture

@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from conftest import random_density, random_hermitian, random_state
+from conftest import qfi_ratio_ampdamp_expansion, random_density, random_hermitian, random_state
 from dense import matched_angle, q_hs, qfi_uhlmann, tensor_pauli
-from vista.analysis import curvature, qfi_ratio_ampdamp, qfi_ratio_ampdamp_expansion
+from vista.analysis import curvature, qfi_ratio_ampdamp
 from vista.config import from_dict
 from vista.dynamics import (
     ChannelSpec,

@@ -13,7 +13,6 @@ from vista.analysis import (
     fit_scaling,
     gamma_calibration,
     qfi_ratio_ampdamp,
-    qfi_ratio_ampdamp_expansion,
 )
 from vista.dynamics import (
     CHANNEL_AMPDAMP,
@@ -25,7 +24,7 @@ from vista.dynamics import (
 from vista.errors import CalibrationError, DimensionError, DomainError, NumericsError
 from vista.qcore import bit_weights, ghz_density, ghz_vector
 
-from conftest import random_density, random_hermitian
+from conftest import qfi_ratio_ampdamp_expansion, random_density, random_hermitian
 from dense import collective_operator, q_hs, qfi_uhlmann, trace_product
 
 

@@ -896,6 +896,20 @@ class TestWriters:
         assert _hash_dir(tmp_path) == _GOLDEN_SHA256
 
 
+class TestSharedColumnPrefixes:
+    def test_replicas_that_stop_earlier_cut_the_formatted_columns(self, tmp_path):
+        # the replicas of a noisy batch stop at different epochs, so their epoch, shots and lr columns are prefixes
+        resmod._shared_column.cache_clear()
+        resmod._FORMATTED.clear()
+        lr = np.linspace(0.1, 0.5, 5)
+        for k in (5, 4, 1):
+            run = _hand_run(loss=np.linspace(0.2, 0.9, k), lr=lr[:k])
+            persist(run, str(tmp_path / str(k)))
+            assert {p.name: p.read_bytes() for p in (tmp_path / str(k)).iterdir()} == _reference_files(run)
+        assert resmod._shared_column.cache_info().misses == 9
+        assert len(resmod._FORMATTED) == 3  # epoch, shots and lr, each formatted once
+
+
 class TestExperiments:
     def test_replica_seeds_deterministic_and_distinct(self):
         seeds = replica_seeds(7, 5)
@@ -979,6 +993,18 @@ class TestExperiments:
         with pytest.raises(ConfigError):
             run_grid(base, {"n": [2, 0]}, replicas=1, outdir=str(tmp_path), workers=1)
         assert not (tmp_path / "summary.csv").exists()
+
+    def test_run_grid_refuses_points_that_share_a_run_directory(self, tmp_path, monkeypatch):
+        # a repeated axis value names one run directory twice, where two workers would write the same files
+        def no_run(cfgs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
+        base = cfgmod.from_dict(dict(SMALL_RUN, channel="dephasing"))
+        message = r"^sweep points 0 and 1 would both write the run directory 'gamma_true=0\.02'$"
+        with pytest.raises(ConfigError, match=message):
+            run_grid(base, {"gamma_true": [0.02, 0.02]}, 2, outdir=str(tmp_path / "sweep"), workers=2)
+        assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize(
         "axes",
@@ -1640,6 +1666,18 @@ class TestCli:
         with open(os.path.join(out, "summary.csv")) as fh:
             assert len(fh.read().splitlines()) == 3
 
+    def test_sweep_refuses_a_repeated_axis_value_with_out(self, run_cfg, tmp_path, monkeypatch, capsys):
+        def no_run(cfgs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", run_cfg, "--axis", "theta_true=0.1,0.1", "--replicas", "2", "--out", str(out)]
+        assert cli.main([*argv, "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: sweep points 0 and 1 would both write the run directory 'theta_true=0.1'\n"
+        assert not out.exists()
+
     def test_scaling_prints_fit(self, tmp_path, capsys):
         out_dir = tmp_path / "scaling"
         ret = cli.main(["scaling", "--gamma", "0", "--theta", "0.1", "--shots", "500",
@@ -1744,6 +1782,52 @@ class TestCli:
 
 
 class TestPackaging:
+    # what perfbench/tracer.py wraps, as (module, attribute), to count loss evaluations and epochs
+    _TRACED = (
+        ("measurement", "loss"),
+        ("optimize", "estimate_gradient"),
+        ("optimize", "adam_step"),
+        ("protocols", "run_optimization"),
+        ("protocols", "run_from_config"),
+        ("experiments", "persist"),
+        ("config", "from_dict"),
+    )
+
+    def test_the_tracers_load_bearing_targets_resolve_and_run(self, tmp_path, monkeypatch):
+        # the tracer wraps each target where the package looks it up at call time and skips one that is gone,
+        # so a target that no longer resolves, or that the run path no longer calls, would read 0, not fail
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        [targets] = [
+            node.value
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+        ]
+        assert set(self._TRACED) <= {(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts}
+        counts = dict.fromkeys(self._TRACED, 0)
+        for key in self._TRACED:
+            module = getattr(vista, key[0])
+            real = getattr(module, key[1])
+            assert callable(real)
+
+            def counted(*args, _key=key, _real=real, **kwargs):
+                counts[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, key[1], counted)
+        single = vista.protocols.run_from_config(cfgmod.from_dict(dict(SMALL_RUN, shots={"exact": True})))
+        run_grid(cfgmod.from_dict(SMALL_RUN), {}, 1, outdir=str(tmp_path), workers=1)
+        swept = len((tmp_path / "point" / "seed_0" / "trace.csv").read_text().splitlines()) - 1
+        epochs = len(single.trace["epoch"]) + swept
+        assert counts.pop(("config", "from_dict")) >= 2
+        assert counts == {
+            ("measurement", "loss"): 3 * epochs,  # one parameter: the loss and its two shifts
+            ("optimize", "estimate_gradient"): epochs,
+            ("optimize", "adam_step"): epochs,
+            ("protocols", "run_optimization"): 2,
+            ("protocols", "run_from_config"): 1,
+            ("experiments", "persist"): 1,
+        }
+
     def test_no_module_imports_scipy(self):
         # scipy is a test-only dependency: the package itself needs numpy alone
         modules = sorted(Path(vista.__file__).parent.rglob("*.py"))
@@ -1771,7 +1855,6 @@ class TestPackaging:
         # by package code, exported from vista, or listed here with a reason
         allowed = {
             "qfi_ratio_ampdamp": "the paper's closed-form information ratio under amplitude damping",
-            "qfi_ratio_ampdamp_expansion": "the paper's small-gamma expansion of that ratio",
         }
         trees = [ast.parse(p.read_text(), str(p)) for p in sorted(Path(vista.__file__).parent.glob("*.py"))]
         defined = set()

@@ -649,23 +649,33 @@ class TestLockstepBatch:
         res = run_batch(_batch_cfgs(name, exact, tmp_path))
         assert len({len(r.stages) for r in res}) > 1
 
-    @pytest.mark.parametrize("name", list(_BATCH_MODES))
-    def test_one_loss_call_per_row_evaluation(self, name, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, exact",
+        [(name, False) for name in _BATCH_MODES] + [(name, True) for name in _BATCH_MODES],
+        ids=list(_BATCH_MODES) + [f"{name}-exact" for name in _BATCH_MODES],
+    )
+    def test_one_loss_call_per_row_evaluation(self, name, exact, tmp_path, monkeypatch):
         # the benchmark's traced count of measurement.loss calls relies on this
-        calls = []
-        real = measurement.loss
+        calls, draws, streams = [], [], []
+        real_loss, real_draw, real_streams = measurement.loss, measurement.binomial_fraction, protocols.Streams
 
         def counted(raw, gen, *args, **kwargs):
             calls.append(gen is None)
-            return real(raw, gen, *args, **kwargs)
+            return real_loss(raw, gen, *args, **kwargs)
 
         monkeypatch.setattr(measurement, "loss", counted)
-        res = run_batch(_batch_cfgs(name, False, tmp_path, count=3))
+        monkeypatch.setattr(measurement, "binomial_fraction", lambda *args: draws.append(1) or real_draw(*args))
+        monkeypatch.setattr(protocols, "Streams", lambda *args: streams.append(1) or real_streams(*args))
+        res = run_batch(_batch_cfgs(name, exact, tmp_path, count=3))
         # a cascade's trace holds its accepted stages; its stage records count every epoch run
         epochs = [sum(s["epochs"] for s in r.stages) if r.stages else len(r.trace["epoch"]) for r in res]
         expected = sum(e * (1 + 2 * len(r.param_names)) for e, r in zip(epochs, res))
         assert len(calls) == expected
-        assert not any(calls)  # every call of a sampled run carries its generator
+        if exact:  # an exact run scores every evaluation with no generator, and builds no stream
+            assert all(calls) and draws == streams == []
+        else:  # every call of a sampled run carries its generator and draws its shots once
+            assert not any(calls) and len(draws) == expected
+            assert len(streams) == (max(len(r.stages) for r in res) if res[0].stages else 1)  # one per batch
 
     def test_batch_configs_must_differ_only_in_seed_and_output(self, tmp_path):
         cfgs = _batch_cfgs("pure", True, tmp_path, count=2)
