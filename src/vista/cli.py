@@ -75,7 +75,7 @@ def _parse_float_list(text):
 
 
 def _emit(result, out):
-    if out:
+    if out is not None:
         persist(result, out)
         print(f"wrote {out}/result.json")
     summary = {"status": result.status, **result.final}

@@ -109,7 +109,7 @@ class RunConfig:
     channel: str = rule(CHANNEL_NONE, one_of=CHANNELS)
     gamma_true: float = rule(0.0)  # its bound depends on the channel: see dynamics.check_channel
     theta2_true: float | None = rule(None)
-    output: str | None = rule(None)  # the run directory; null persists nothing
+    output: str | None = rule(None, "non-empty", lambda path: path != "")  # the run directory; null persists nothing
     # a block is frozen, so every config can share the default one
     optimizer: OptimizerConfig = OptimizerConfig()
     shots: ShotSchedule = ShotSchedule()

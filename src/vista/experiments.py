@@ -74,7 +74,7 @@ def _run_slice(cfgs):
     """Summary rows of one slice of a grid point's replicas, run as one batch; persists each run."""
     outs = []
     for res in protocols.run_batch(cfgs):
-        if res.config.get("output"):
+        if res.config["output"] is not None:
             persist(res, res.config["output"])
         outs.append({"status": res.status, "seed": res.seed, **res.final})
     return outs
@@ -213,8 +213,12 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
     ``axes`` maps top-level config keys to value lists.  Each grid point runs
     ``replicas`` times under seeds derived from its own seed (the master
     seed, unless ``seed`` is an axis).  Rows carry the grid coordinates plus
-    mean/std of the per-run absolute errors.
+    mean/std of the per-run absolute errors.  An axis with no values is refused before any run.
     """
+    axes = {name: list(values) for name, values in axes.items()}
+    for name, values in axes.items():
+        if not values:
+            raise ConfigError(f"sweep axis {name} has no values")
     names = list(axes)
     base_doc = cfgmod.effective_dict(base_cfg)
     points = [(values, {**base_doc, **dict(zip(names, values))}) for values in itertools.product(*axes.values())]

@@ -1,23 +1,19 @@
-"""Run records and deterministic persistence.
+"""Run records, deterministic persistence, and the loader.
 
-``persist`` writes three files into the output directory:
+``persist`` writes two files into the output directory:
 
-* ``result.json``  : status, final estimates, full trace, config echo
-* ``trace.csv``    : epoch,loss,theta_hat[,phi][,theta2_hat],grad_norm,shots,lr
+* ``result.json``  : status, final estimates, the full trace (a baseline's series instead), config echo
 * ``config.json``  : the effective config alone (loadable as a config file)
 
-Floats in CSV carry 12 significant digits.  Wall time is kept on the
-in-memory record but never persisted, so rerunning with the same seed
-overwrites every file byte-identically.
+``load`` reads ``result.json`` back into a ``RunResult``: the trace at full precision, each float bit for bit
+(JSON spells one NaN, so a NaN comes back without its payload).  Wall time is kept on the in-memory record but
+never persisted, so rerunning with the same seed overwrites every file byte-identically.
 
-The JSON files hold the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
-plus a newline, and the CSV files the bytes that ``csv.writer`` writes, at
-about the cost of formatting their numbers: json's C encoder spells each list
-of scalars in one call (``_flat``), the config is encoded once for both JSON
-files, the trace is written column by column, and the columns that a batch's
-replicas share (epoch, shots, lr) are formatted once per distinct column,
-and a column that starts a longer formatted one takes its first values
-(``_shared_column``).  Each file is one write.
+The files hold the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, at about the cost of
+formatting their numbers: json's C encoder spells each list of scalars in one call (``_flat``), the config is
+encoded once for both files, the trace is written column by column, and the columns that a batch's replicas
+share (epoch, shots, lr) are formatted once per distinct column, and a column that starts a longer formatted one
+takes its first values (``_shared_column``).  Each file is one write.
 """
 
 import csv
@@ -64,24 +60,16 @@ def _jsonable(obj):
     return obj
 
 
-def trace_header(param_names):
-    cols = ["epoch", "loss"]
-    cols += list(param_names)
-    cols += ["grad_norm", "shots", "lr"]
-    return cols
-
-
 _INDENT = "  "
 _SCALARS = {str, int, float, bool, type(None)}
 _COLUMN_PAD = 2 * _INDENT  # the indentation of a trace column's key in result.json
-# the trace columns that a batch's replicas share, each with whether trace.csv spells it as integers
-_SHARED = {"epoch": True, "shots": True, "lr": False}
-# ((dtype, ints), bytes, json items, csv cells) of the shared columns formatted last, newest first
-_FORMATTED = deque(maxlen=8)
+_SHARED = ("epoch", "shots", "lr")  # the trace columns that a batch's replicas share
+_FORMATTED = deque(maxlen=8)  # (dtype, bytes, json items) of the shared columns formatted last, newest first
+_INT_COLUMNS = ("epoch", "shots")  # the trace columns that ``load`` reads as int64; the others are float64
 
 
 def persist(result, outdir):
-    """Write result.json, trace.csv (or series.csv), and the config echo."""
+    """Write result.json and the config echo."""
     os.makedirs(outdir, exist_ok=True)
 
     config = _dumps(result.config)
@@ -94,11 +82,11 @@ def persist(result, outdir):
     }
     tr = result.trace
     if tr is not None:
-        shared = {key: _shared_column(tr[key].tobytes(), tr[key].dtype.str, ints) for key, ints in _SHARED.items()}
+        shared = {key: _shared_column(tr[key].tobytes(), tr[key].dtype.str) for key in _SHARED}
         columns = {"param_names": _flat(list(result.param_names), _COLUMN_PAD)}
         for key, values in tr.items():
             if key in shared:
-                columns[key] = shared[key][0]
+                columns[key] = shared[key]
             elif key == "params":
                 columns[key] = _rows(values, _COLUMN_PAD)
             else:
@@ -109,52 +97,52 @@ def persist(result, outdir):
     if result.series is not None:
         texts["series"] = _dumps(_jsonable(result.series), _INDENT)
     _write(os.path.join(outdir, "result.json"), _object(texts, "") + "\n")
-
-    if tr is not None:
-        cells = [shared["epoch"][1], _fmt_column(tr["loss"]), *map(_fmt_column, tr["params"].T)]
-        cells += [_fmt_column(tr["grad_norm"]), shared["shots"][1], shared["lr"][1]]
-        _write_csv(os.path.join(outdir, "trace.csv"), trace_header(result.param_names), cells)
-
-    if result.series is not None:
-        keys = list(result.series)
-        _write_csv(os.path.join(outdir, "series.csv"), keys, [_fmt_column(result.series[k]) for k in keys])
-
     _write(os.path.join(outdir, "config.json"), config + "\n")
 
 
+def load(run_dir):
+    """The ``RunResult`` that ``run_dir``'s result.json describes, with ``wall_time_s`` 0.0: ``persist``'s inverse.
+
+    The trace's epoch and shots come back as int64 and its other columns, like a series, as float64, with params
+    of shape (epochs, parameters) also when there are no epochs.
+    """
+    with open(os.path.join(run_dir, "result.json")) as fh:
+        doc = json.load(fh)
+    param_names, trace, series = (), doc.get("trace"), doc.get("series")
+    if trace is not None:
+        param_names = tuple(trace.pop("param_names"))
+        trace = {
+            key: np.array(values, np.int64 if key in _INT_COLUMNS else np.float64) for key, values in trace.items()
+        }
+        trace["params"] = trace["params"].reshape(len(trace["epoch"]), len(param_names))
+    if series is not None:
+        series = {key: np.array(values, np.float64) for key, values in series.items()}
+    return RunResult(
+        config=doc["config"], seed=doc["seed"], status=doc["status"], param_names=param_names, trace=trace,
+        final=doc["final"], stages=doc.get("stages"), series=series,
+    )
+
+
 @lru_cache(maxsize=8)
-def _shared_column(data, dtype, ints):
-    """The result.json text and the trace.csv cells of the trace column with these bytes and this dtype.
+def _shared_column(data, dtype):
+    """The result.json text of the trace column with these bytes and this dtype.
 
     The key tells apart what float equality does not (0.0 and -0.0, an int column and a float one), and the cache
     keeps the few columns that the runs of a batch, persisted one after another, have in common.  Replicas that
-    stop at different epochs share a prefix: a column whose bytes start a formatted one's of the same dtype and
-    spelling takes that column's first values.
+    stop at different epochs share a prefix: a column whose bytes start a formatted one's of the same dtype takes
+    that column's first values.
     """
-    for kind, kept, items, cells in _FORMATTED:
-        if kind == (dtype, ints) and kept.startswith(data):
+    for kind, kept, items in _FORMATTED:
+        if kind == dtype and kept.startswith(data):
             count = len(data) // np.dtype(dtype).itemsize
             break
     else:
         values = np.frombuffer(data, dtype)
         items = json.dumps(values.tolist())[1:-1].split(", ")  # json's C encoder spells them; no number holds ", "
-        cells = tuple(map(str, values.astype(int).tolist()) if ints else _fmt_column(values))
         count = len(values)
-        _FORMATTED.appendleft(((dtype, ints), data, items, cells))
+        _FORMATTED.appendleft((dtype, data, items))
     inner = _COLUMN_PAD + _INDENT
-    text = "[\n" + inner + (",\n" + inner).join(items[:count]) + "\n" + _COLUMN_PAD + "]" if count else "[]"
-    return text, cells[:count]
-
-
-def _fmt_column(values):
-    """A float column formatted as ``_fmt`` formats each float, in one formatting call."""
-    values = tuple(np.asarray(values, dtype=float).tolist())
-    return ("%.12g\n" * len(values) % values).split()
-
-
-def _write_csv(path, header, columns):
-    """What ``csv.writer`` writes for fields that need no quoting: numbers and the fixed headers."""
-    _write(path, "\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
+    return "[\n" + inner + (",\n" + inner).join(items[:count]) + "\n" + _COLUMN_PAD + "]" if count else "[]"
 
 
 def _write(path, text):

@@ -4,7 +4,6 @@ import ast
 import csv
 import dataclasses
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -44,7 +43,7 @@ from vista.experiments import (
 from vista.measurement import binomial_fraction
 from vista.protocols import run_from_config
 from vista.qcore import PAULI_X, ghz_density
-from vista.results import RunResult, persist, trace_header, write_summary
+from vista.results import RunResult, load, persist, write_summary
 from vista.rng import (
     LABEL_WORD_BITS,
     LABEL_WORDS,
@@ -453,6 +452,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             cfgmod.load_config(str(bad))
 
+    def test_an_empty_output_is_refused_by_name(self):
+        # an empty path is no run directory; null, the default, persists nothing
+        with pytest.raises(ConfigError, match="^output must be non-empty, got ''$"):
+            cfgmod.from_dict({**MINIMAL, "output": ""})
+        with pytest.raises(ConfigError, match="^output must be non-empty, got ''$"):
+            cfgmod.validate(replace(_cfg(), output=""))
+        assert cfgmod.from_dict({**MINIMAL, "output": None}).output is None
+
     def test_load_config_overrides_skip_none(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(MINIMAL))
@@ -500,7 +507,9 @@ class TestConfig:
     # A fuzz of every field on a vista_noisy_dephasing base.  Each bad value is refused with a ConfigError that
     # names the field, unless it is listed here with the rule that accepts it.
     FUZZ_BASE = {**MINIMAL, "mode": cfgmod.MODE_NOISY_DEPHASING, "gamma_true": 0.1}
-    FUZZ_VALUES = {"null": None, "string": "x", "nan": math.nan, "inf": math.inf, "-1": -1, "true": True, "[1]": [1]}
+    FUZZ_VALUES = {
+        "null": None, "string": "x", "empty": "", "nan": math.nan, "inf": math.inf, "-1": -1, "true": True, "[1]": [1],
+    }
     FUZZ_ACCEPTED = {
         ("theta_true", "-1"): "an angle may be negative",
         ("theta2_true", "-1"): "an angle may be negative",
@@ -574,21 +583,20 @@ def small_result():
 
 
 class TestResults:
-    def test_persisted_files_and_headers(self, small_result, tmp_path):
+    def test_persisted_files_and_trace_columns(self, small_result, tmp_path):
         persist(small_result, str(tmp_path))
-        assert sorted(os.listdir(tmp_path)) == ["config.json", "result.json", "trace.csv"]
-        with open(tmp_path / "trace.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["epoch", "loss", "theta_hat", "grad_norm", "shots", "lr"]
-        assert len(rows) - 1 == len(small_result.trace["epoch"])
-        assert all(len(r) == len(rows[0]) for r in rows)
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "result.json"]
+        trace = json.loads((tmp_path / "result.json").read_text())["trace"]
+        assert sorted(trace) == ["epoch", "grad_norm", "loss", "lr", "param_names", "params", "shots"]
+        epochs = len(small_result.trace["epoch"])
+        assert all(len(trace[key]) == epochs for key in trace if key != "param_names")
+        assert all(len(row) == 1 for row in trace["params"])
 
-    def test_trace_floats_carry_12_digits(self, small_result, tmp_path):
+    def test_trace_floats_are_exact(self, small_result, tmp_path):
         persist(small_result, str(tmp_path))
-        with open(tmp_path / "trace.csv") as fh:
-            first = next(csv.DictReader(fh))
-        assert first["loss"] == f"{float(small_result.trace['loss'][0]):.12g}"
-        assert first["shots"] == str(int(small_result.trace["shots"][0]))
+        first = {key: column[0] for key, column in json.loads((tmp_path / "result.json").read_text())["trace"].items()}
+        assert first["loss"] == small_result.trace["loss"][0] and type(first["loss"]) is float
+        assert first["shots"] == small_result.trace["shots"][0] and type(first["shots"]) is int
 
     def test_result_json_structure(self, small_result, tmp_path):
         persist(small_result, str(tmp_path))
@@ -618,9 +626,9 @@ class TestResults:
              "seed": 2, "gamma_true": 0.1, "optimizer": {"max_epochs": 5}}
         )
         persist(run_from_config(cfg), str(tmp_path))
-        with open(tmp_path / "trace.csv") as fh:
-            header = fh.readline().strip().split(",")
-        assert header == ["epoch", "loss", "theta_hat", "phi", "grad_norm", "shots", "lr"]
+        trace = json.loads((tmp_path / "result.json").read_text())["trace"]
+        assert trace["param_names"] == ["theta_hat", "phi"]
+        assert all(len(row) == 2 for row in trace["params"])
 
     def test_baseline_persists_series(self, tmp_path):
         cfg = cfgmod.from_dict(
@@ -628,14 +636,13 @@ class TestResults:
              "baseline": {"steps": 20, "shots_per_step": 100}}
         )
         persist(run_from_config(cfg), str(tmp_path))
-        names = sorted(os.listdir(tmp_path))
-        assert "series.csv" in names and "trace.csv" not in names
-        with open(tmp_path / "series.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "p_exact", "p_hat"]
-        assert len(rows) - 1 == 20
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "result.json"]
+        doc = json.loads((tmp_path / "result.json").read_text())
+        assert "trace" not in doc
+        assert sorted(doc["series"]) == ["p_exact", "p_hat", "t"]
+        assert all(len(column) == 20 for column in doc["series"].values())
 
-    def test_empty_trace_persists_header_only(self, tmp_path):
+    def test_empty_trace_persists_empty_columns(self, tmp_path):
         res = RunResult(
             config=dict(MINIMAL),
             seed=0,
@@ -652,16 +659,11 @@ class TestResults:
             final={"theta_hat": 0.0},
         )
         persist(res, str(tmp_path))
-        with open(tmp_path / "trace.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows == [trace_header(("theta_hat",))]
         with open(tmp_path / "result.json") as fh:
-            assert json.load(fh)["trace"]["epoch"] == []
-
-    def test_trace_header_order(self):
-        assert trace_header(("theta_hat", "phi")) == [
-            "epoch", "loss", "theta_hat", "phi", "grad_norm", "shots", "lr",
-        ]
+            trace = json.load(fh)["trace"]
+        assert trace.pop("param_names") == ["theta_hat"]
+        assert trace == dict.fromkeys(["epoch", "grad_norm", "loss", "lr", "params", "shots"], [])
+        assert load(str(tmp_path)).trace["params"].shape == (0, 1)
 
     def test_write_summary_blanks_missing_keys(self, tmp_path):
         path = tmp_path / "summary.csv"
@@ -721,7 +723,6 @@ _GOLDEN_RESULT = RunResult(
 _GOLDEN_SHA256 = {
     "config.json": "209e4471e79db7a82bae9af68a555e5482b76e3b186fd293a39e427b8e1d09c3",
     "result.json": "72fd311228bad183b6f3cd99b8e13fbde18fb71e61b1aab8b314a8f4774c773d",
-    "trace.csv": "846ece253a8d4adfc08f128ee47ca17c2c8ad55597bc73ac1d377a4aba88281f",
 }
 
 
@@ -735,7 +736,7 @@ def _plain(obj):
 
 
 def _reference_files(result):
-    """The bytes of each file that persist writes, from json.dumps and csv.writer on the run's document."""
+    """The bytes of each file that persist writes, from json.dumps on the run's document."""
     doc = {"config": result.config, "seed": result.seed, "status": result.status, "final": _plain(result.final)}
     if result.trace is not None:
         doc["trace"] = _plain({"param_names": list(result.param_names), **result.trace})
@@ -743,21 +744,8 @@ def _reference_files(result):
         doc["stages"] = _plain(result.stages)
     if result.series is not None:
         doc["series"] = _plain(result.series)
-    files = {name: json.dumps(d, indent=2, sort_keys=True) + "\n" for name, d in (("result.json", doc), ("config.json", result.config))}
-    table = io.StringIO(newline="")
-    writer = csv.writer(table)
-    if result.trace is not None:
-        tr = result.trace
-        floats = [tr["loss"], *tr["params"].T, tr["grad_norm"]]
-        writer.writerow(trace_header(result.param_names))
-        for e, *xs, shots, lr in zip(tr["epoch"].tolist(), *map(list, floats), tr["shots"].tolist(), tr["lr"].tolist()):
-            writer.writerow([int(e), *(f"{x:.12g}" for x in xs), int(shots), f"{lr:.12g}"])
-        files["trace.csv"] = table.getvalue()
-    if result.series is not None:
-        writer.writerow(list(result.series))
-        writer.writerows([f"{x:.12g}" for x in row] for row in zip(*result.series.values()))
-        files["series.csv"] = table.getvalue()
-    return {name: text.encode() for name, text in files.items()}
+    docs = (("result.json", doc), ("config.json", result.config))
+    return {name: (json.dumps(d, indent=2, sort_keys=True) + "\n").encode() for name, d in docs}
 
 
 _FLOATS = st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16]) | st.floats()
@@ -800,6 +788,19 @@ def _run_results(draw):
 _RUN_RESULTS = _run_results()
 
 
+# -0.0, NaN, both infinities, the least subnormal and a float that needs all 17 digits
+_EDGE_FLOATS = np.array([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1 + 0.2])
+
+
+def _one_nan(values):
+    """``values`` with each NaN as the one NaN that JSON spells: ``persist`` writes any NaN as ``NaN``."""
+    if values.dtype.kind != "f":
+        return values
+    out = values.copy()
+    out[np.isnan(out)] = np.nan
+    return out
+
+
 def _nans(bits, count):
     """``count`` NaNs with the payload ``bits``."""
     return np.full(count, bits, dtype=np.uint64).view(np.float64)
@@ -822,7 +823,7 @@ def _hand_run(**columns):
 
 
 class TestWriters:
-    """The persistence writers give the bytes of json.dumps(indent=2, sort_keys=True) and csv.writer."""
+    """The persistence writers give the bytes of json.dumps(indent=2, sort_keys=True); the loader reads them back."""
 
     @settings(max_examples=300, deadline=None)
     @given(doc=_JSON_DOCS)
@@ -831,30 +832,6 @@ class TestWriters:
     def test_dumps_matches_json_dumps(self, doc):
         assert resmod._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
-    @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(st.floats(width=64), max_size=40))
-    @example(values=[float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5,
-                     123456789012.5, 0.1 + 0.2, -1e-300])
-    @example(values=[])
-    def test_fmt_column_matches_format(self, values):
-        assert resmod._fmt_column(np.array(values)) == [f"{x:.12g}" for x in values]
-
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(st.tuples(st.integers(0, 10**9), st.floats(), st.floats(), st.integers(1, 10**6)), max_size=12))
-    def test_write_csv_matches_csv_writer(self, rows, tmp_path_factory):
-        header = trace_header(("theta_hat",))[:4]
-        ints, a, b, shots = map(list, zip(*rows)) if rows else ([], [], [], [])
-        ints, shots = (np.array(v, dtype=int) for v in (ints, shots))
-        int_cells = [resmod._shared_column(v.tobytes(), v.dtype.str, True)[1] for v in (ints, shots)]
-        columns = [int_cells[0], resmod._fmt_column(a), resmod._fmt_column(b), int_cells[1]]
-        path = tmp_path_factory.getbasetemp() / "rows.csv"
-        resmod._write_csv(str(path), header, columns)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
-        assert path.read_bytes() == expected.getvalue().encode()
-
     @settings(max_examples=150, deadline=None)
     @given(result=_RUN_RESULTS)
     @example(result=_GOLDEN_RESULT)
@@ -862,6 +839,26 @@ class TestWriters:
         out = tmp_path_factory.mktemp("run")
         persist(result, str(out))
         assert {p.name: p.read_bytes() for p in out.iterdir()} == _reference_files(result)
+
+    @settings(max_examples=150, deadline=None)
+    @given(result=_RUN_RESULTS)
+    @example(result=_GOLDEN_RESULT)
+    @example(result=_hand_run(loss=_EDGE_FLOATS, grad_norm=_EDGE_FLOATS[::-1], lr=-_EDGE_FLOATS))
+    @example(result=_hand_run(epoch=np.arange(0), params=np.zeros((0, 1))))
+    @example(result=RunResult(config={}, seed=0, status="done", series={"t": _EDGE_FLOATS, "p_hat": np.zeros(0)}))
+    def test_load_inverts_persist(self, result, tmp_path_factory):
+        first, second = tmp_path_factory.mktemp("run"), tmp_path_factory.mktemp("again")
+        persist(result, str(first))
+        loaded = load(str(first))
+        assert loaded.wall_time_s == 0.0
+        persist(loaded, str(second))
+        assert {p.name: p.read_bytes() for p in second.iterdir()} == {p.name: p.read_bytes() for p in first.iterdir()}
+        for want, got in ((result.trace, loaded.trace), (result.series, loaded.series)):
+            assert (got is None) == (want is None)
+            assert sorted(got or ()) == sorted(want or ())
+            for key, values in (want or {}).items():
+                assert (got[key].dtype, got[key].shape) == (values.dtype, values.shape), key
+                assert got[key].tobytes() == _one_nan(values).tobytes(), key
 
     @pytest.mark.parametrize(
         "first, second",
@@ -1022,7 +1019,7 @@ class TestExperiments:
             trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
             shutil.rmtree(out)
         points = max(1, len(axes.get("theta_true", [])))
-        assert len(trees[0]) == points * 3 * 3 + 1 and "summary.csv" in trees[0]
+        assert len(trees[0]) == points * 3 * 2 + 1 and "summary.csv" in trees[0]
         assert trees[1] == trees[0]
         assert len(outs[0]) == points * 3 and outs[1] == outs[0]
 
@@ -1102,10 +1099,16 @@ class TestExperiments:
             assert point == run_grid(replace(base, seed=k), {}, 2, workers=1)[1]
         assert outs[:2] != outs[2:]
 
-    def test_run_grid_empty_axis_writes_the_header_only(self, tmp_path):
-        rows, outs = run_grid(cfgmod.from_dict(SMALL_RUN), {"theta_true": []}, 2, outdir=str(tmp_path), workers=1)
-        assert rows == [] and outs == []
-        assert (tmp_path / "summary.csv").read_bytes() == b"theta_true\r\n"
+    @pytest.mark.parametrize("axes", [{"theta_true": []}, {"gamma_true": [], "n": [2, 3]}, {"n": [2, 3], "seed": ()}])
+    def test_run_grid_refuses_an_empty_axis_by_name_before_any_run(self, axes, tmp_path, monkeypatch):
+        def no_run(cfgs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
+        [empty] = [name for name, values in axes.items() if not values]
+        with pytest.raises(ConfigError, match=f"^sweep axis {empty} has no values$"):
+            run_grid(cfgmod.from_dict(SMALL_RUN), axes, 2, outdir=str(tmp_path / "sweep"), workers=1)
+        assert not (tmp_path / "sweep").exists()
 
     def test_labeled_streams(self):
         a = stream(5, 1, 2).random(4)
@@ -1382,7 +1385,7 @@ class TestKeptPool:
             run_grid(base, {"theta_true": [0.2, 0.3]}, replicas=20, outdir=str(out), workers=2)
         for point in ("theta_true=0.2", "theta_true=0.3"):
             for r in range(20):
-                assert sorted(os.listdir(out / point / f"seed_{r}")) == ["config.json", "result.json", "series.csv"]
+                assert sorted(os.listdir(out / point / f"seed_{r}")) == ["config.json", "result.json"]
 
     def test_a_failing_slice_does_not_end_the_call_early(self, tmp_path):
         # theta 0 with no noise gives a flat parity series, so the first slice raises at its first
@@ -1392,7 +1395,7 @@ class TestKeptPool:
         with pytest.raises(NoPeakError):
             run_grid(base, {"theta_true": [0.0, 0.3]}, replicas=40, outdir=str(out), workers=2)
         for r in range(40):
-            assert sorted(os.listdir(out / "theta_true=0.3" / f"seed_{r}")) == ["config.json", "result.json", "series.csv"]
+            assert sorted(os.listdir(out / "theta_true=0.3" / f"seed_{r}")) == ["config.json", "result.json"]
 
     def test_default_cap_is_the_usable_cpus(self, base, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -1464,7 +1467,7 @@ class TestDispatchLevels:
         child = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(sweep)], cwd=cwd, env=env,
                                capture_output=True, text=True, timeout=300, check=True)
         files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
-        assert len(files) == len(sweep) * 7  # each point: two runs of three files, and a summary
+        assert len(files) == len(sweep) * 5  # each point: two runs of two files, and a summary
         return files, child.stdout.split()[-1]
 
     @staticmethod
@@ -1551,6 +1554,17 @@ class TestCli:
         capsys.readouterr()
         with open(os.path.join(out, "result.json")) as fh:
             assert json.load(fh)["seed"] == 11
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["cascade"], ["baseline", "--n", "3", "--theta", "0.3", "--seed", "1"]], ids=lambda c: c[0]
+    )
+    def test_empty_out_exits_1_and_writes_nothing(self, command, run_cfg, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = [] if command[0] == "baseline" else ["--config", run_cfg]
+        assert cli.main([*command, *config, "--out", ""]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "config error: output must be non-empty, got ''\n")
+        assert os.listdir(tmp_path) == ["run.json"]
 
     def test_run_negative_seed_exits_1(self, run_cfg, tmp_path, capsys):
         assert cli.main(["run", "--config", run_cfg, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
@@ -1816,7 +1830,7 @@ class TestPackaging:
             monkeypatch.setattr(module, key[1], counted)
         single = vista.protocols.run_from_config(cfgmod.from_dict(dict(SMALL_RUN, shots={"exact": True})))
         run_grid(cfgmod.from_dict(SMALL_RUN), {}, 1, outdir=str(tmp_path), workers=1)
-        swept = len((tmp_path / "point" / "seed_0" / "trace.csv").read_text().splitlines()) - 1
+        swept = len(load(str(tmp_path / "point" / "seed_0")).trace["epoch"])
         epochs = len(single.trace["epoch"]) + swept
         assert counts.pop(("config", "from_dict")) >= 2
         assert counts == {

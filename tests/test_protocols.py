@@ -2,6 +2,7 @@
 baseline, and the two-parameter product-channel mode."""
 
 import hashlib
+import math
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +27,7 @@ from vista.dynamics import (
 )
 from vista import dynamics, measurement, protocols
 from vista.errors import ConfigError, NoPeakError
-from vista.experiments import run_grid
+from vista.experiments import replica_seeds, run_grid
 from vista.measurement import binomial_fraction, parity_probability
 from vista.optimize import PHI_CLAMP, STATUS_BUDGET_EXHAUSTED, STATUS_CONVERGED, STATUS_MAX_EPOCHS
 from vista.protocols import (
@@ -244,24 +245,41 @@ class TestCascade:
             "exact/summary.csv": "df8b9bb1e55f5591d3f3180f7c8617f4a63f49e95a7e103c8e527102c1fca87d",
             "exact/theta_true=0.1/seed_0/config.json": "537639034797f6be0fa958b8c6b71df8dbe5f3c3abf3be428bbc988a903e45ac",
             "exact/theta_true=0.1/seed_0/result.json": "8bc524d2f8ac3445dfea6d4afa844be85d2e484c978cb03cacb1e64de15f1cb6",
-            "exact/theta_true=0.1/seed_0/trace.csv": "4c706246dd931975815d619bf199a4959d78fb357da950a4ecb72329c5fd8e58",
             "exact/theta_true=0.1/seed_1/config.json": "4dd36807a5b846506ca0ee7f673e87577f55ac2a498df8adb780501561c8ca13",
             "exact/theta_true=0.1/seed_1/result.json": "290f294cb12c3ace67455ade1855c57428cf9e503db9ecb2e7742f64a5d0b079",
-            "exact/theta_true=0.1/seed_1/trace.csv": "8a0931e701fdae0e0247e82ece26ee835789312dece435bf401075095fab15f2",
             "exact/theta_true=0.3/seed_0/config.json": "25c35f336ed2cd9ff18f8f40971cad95256baab141c955ae4a8ce2ef6a6344f8",
             "exact/theta_true=0.3/seed_0/result.json": "c138da15914ef2a06b589d2a65def571eff1c546b95a77ac221c4c23a85cfa4b",
-            "exact/theta_true=0.3/seed_0/trace.csv": "eec70d001808310fd7d855a3266cf8e27e3a5f346766f08bb5aa1999ab7a0441",
             "exact/theta_true=0.3/seed_1/config.json": "829d519a9eefaaf3a84e79e70a2f46d78ac8061de0aafdb433cf7486cc287c6e",
             "exact/theta_true=0.3/seed_1/result.json": "61a0b3d722b321779e4e2f80de2e92e54aef8386ab65a3f782d2536e774b9ad4",
-            "exact/theta_true=0.3/seed_1/trace.csv": "ec9eb3fe3e265fda0fbaf5eefa2ae610f5aabf2dab7ccd50d379e9ad2a43e6d1",
             "sampled/summary.csv": "0cafeab47c3ce25f3e5dc634709bdcfcf8754dc4dbe6ce661c60f6a8983a5532",
             "sampled/theta_true=0.1/seed_0/config.json": "f1f7d6e3c763420318cb885232409f8f02cba2978047dc81404e9823d75d763b",
             "sampled/theta_true=0.1/seed_0/result.json": "e009e5a9a03196892c55a01e002d6f7e7aefb85262909173e98dc72b55af48df",
-            "sampled/theta_true=0.1/seed_0/trace.csv": "d17090d3aa858db12ba3bef8bc8b5599c0bf0f620db75af207c08afe9dbad0c2",
             "sampled/theta_true=0.1/seed_1/config.json": "bfb3771f33597b40ace48fa7338bc4b4c64955dde11629141e987d5c197de4c4",
             "sampled/theta_true=0.1/seed_1/result.json": "93ddb33414ed0402f4446b43682e01d8420a39815118a2dbd7b8c5bf782b28f9",
-            "sampled/theta_true=0.1/seed_1/trace.csv": "bf134c0d659ffa4f4a820b945cf3a3ce8d88ebbe2c0b4ff3cd1f1d9d40f2092e",
         }
+
+
+class TestHeisenbergFloor:
+    # N copies of a pure GHZ probe of n qubits, whose phase is 2n theta, estimate theta no better than
+    # HL = 1/(2n sqrt N).  A run of one parameter spends 3 nu copies per epoch: the loss and its two shifts.
+    # Each setting of a swap test is a separate experiment with its own shot noise, so without common
+    # random numbers no sampled sweep can beat HL; one that reuses a stream across settings can.
+    REPLICAS = 20
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_sampled_rmse_stays_above_the_heisenberg_limit(self, n):
+        theta = 0.05
+        base = _cfg(
+            mode="vista_pure", n=n, theta_true=theta, seed=11, channel="none",
+            shots={"nu_start": 10**4, "nu_end": 10**4, "profile": "constant"},
+            init={"center": theta, "halfwidth": math.pi / (4 * n)},
+        )
+        results = run_batch([replace(base, seed=seed) for seed in replica_seeds(base.seed, self.REPLICAS)])
+        rmse = math.sqrt(np.mean([(r.final["theta_hat"] - theta) ** 2 for r in results]))
+        copies = 3 * np.median([r.trace["shots"].sum() for r in results])
+        heisenberg = 1 / (2 * n * math.sqrt(copies))
+        # an RMSE over R replicas has a relative sampling error of about 1/sqrt(2R); allow three of them
+        assert rmse >= heisenberg * (1 - 3 / math.sqrt(2 * self.REPLICAS)), rmse / heisenberg
 
 
 class TestBaseline:
@@ -635,7 +653,7 @@ class TestLockstepBatch:
                 start += size
             written.append(_files(cfgs))
             shutil.rmtree(tmp_path)
-        assert len(written[0]) == 6 * 3
+        assert len(written[0]) == 6 * 2
         assert all(files == written[0] for files in written[1:])
 
     def test_batch_rows_stop_one_by_one(self, tmp_path):
