@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import integer
 from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, check_channel, closed_form_overlap, qubit_channel
 from .errors import CalibrationError, DomainError
-from .optimize import integer
 
 
 # --- closed-form curvature of a probe/ansatz pair ------------------------------

@@ -22,6 +22,7 @@ from .config import (
     load_config,
     load_doc,
     merge_overrides,
+    parse,
 )
 from .dynamics import CHANNELS
 from .errors import ConfigError, VistaError
@@ -74,11 +75,13 @@ def _parse_float_list(text):
     return [_parse_entry(v, float, "list") for v in text.split(",")]
 
 
-def _emit(result, out):
-    if out is not None:
-        persist(result, out)
-        print(f"wrote {out}/result.json")
+def _emit(result, cfg):
+    if cfg.output is not None:
+        persist(result, cfg.output)
+        print(f"wrote {cfg.output}/result.json")
     summary = {"status": result.status, **result.final}
+    if cfg.gradient.crn and cfg.mode != MODE_BASELINE:  # its shot noise is coupled as no device couples it
+        summary["crn"] = "true"
     for key, val in summary.items():
         print(f"{key} = {val}")
 
@@ -86,7 +89,7 @@ def _emit(result, out):
 def _cmd_run(args):
     cfg = load_config(args.config, {"seed": args.seed, "output": args.out})
     result = run_from_config(cfg)
-    _emit(result, cfg.output)
+    _emit(result, cfg)
     return 0
 
 
@@ -105,7 +108,7 @@ def _cmd_cascade(args):
     )
     _require_mode(cfg, MODE_CASCADE, "cascade")
     result = run_from_config(cfg)
-    _emit(result, cfg.output)
+    _emit(result, cfg)
     for stage in result.stages:
         print(
             "stage n={n}: status={status} theta_hat={theta_hat:.6g} "
@@ -133,7 +136,7 @@ def _cmd_baseline(args):
     cfg = from_dict(merge_overrides(doc, overrides))
     _require_mode(cfg, MODE_BASELINE, "baseline")
     result = run_from_config(cfg)
-    _emit(result, cfg.output)
+    _emit(result, cfg)
     return 0
 
 
@@ -342,6 +345,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        parse("output", getattr(args, "out", None))  # an empty --out would name the working directory
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 A minimal config is {"mode", "n", "theta_true", "seed"}; every other field has
 a default, the channel and normalization from the mode's row in ``MODES``.
 Unknown keys anywhere in the document are rejected so a typo cannot silently
-fall back to a default.  Each field is declared with its rule (``optimize.rule``).
+fall back to a default.  Each field is declared with its rule (``rule``), and
+this module is the one that states rules, the optimizer's blocks included.
 A block checks its values on every construction; ``from_dict`` adds the int
 kind, storing an integral float as int, and checks the top-level fields and the
 rules between fields.  ``validate`` does the same, without converting, for a
@@ -14,13 +15,187 @@ reproduces the same config.
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass
-from typing import NamedTuple
+import numbers
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache, cached_property
+from typing import NamedTuple, get_args
 
 from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, CHANNELS, check_channel
 from .errors import ConfigError, DomainError
-from .optimize import GRAD_CENTRAL, GRAD_METHODS, Checked, OptimizerConfig, ShotSchedule
-from .optimize import check, rule, rules
+
+GRAD_CENTRAL = "central_difference"
+GRAD_PARAM_SHIFT = "parameter_shift"
+GRAD_METHODS = (GRAD_CENTRAL, GRAD_PARAM_SHIFT)
+
+
+def rule(default=MISSING, bound="", holds=None, *, at_least=None, one_of=None):
+    """A dataclass field held to its annotated kind and to the bound ``holds``, stated as ``bound`` (see ``check``).
+
+    ``at_least`` gives the bound ``x >= at_least``, and ``one_of`` a choice among its strings.  The kind is float,
+    int, bool, str (a path or a choice) or tuple (a list of ints, whose bound holds for each entry).  A field
+    annotated ``X | None`` takes null, which keeps the default.
+    """
+    if at_least is not None:
+        bound, holds = f">= {at_least}", lambda x: x >= at_least
+    if one_of is not None:
+        bound, holds = f"one of {one_of}", one_of.__contains__
+    return field(default=default, metadata={"rule": (bound, holds)})
+
+
+@cache
+def rules(cls):
+    """{name: (kind, bound, holds, null)} of each field of the dataclass ``cls`` declared with ``rule``."""
+    out = {}
+    for f in fields(cls):
+        if "rule" in f.metadata:
+            null = isinstance(f.type, types.UnionType)
+            out[f.name] = (get_args(f.type)[0] if null else f.type, *f.metadata["rule"], null)
+    return out
+
+
+def _is_real(x):
+    """Whether ``x`` is a real number; a bool is not one."""
+    return type(x) is float or type(x) is int or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def integer(value, name, integral):
+    """An integral number as int; any other real number as it is, unless ``integral``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral) and _is_real(value):
+        return int(value)
+    if not integral and _is_real(value):
+        return value
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def check(r, value, name, integral=False):
+    """``value`` as a field under the rule ``r`` keeps it, or a DomainError whose message starts with ``name``.
+
+    Without ``integral``, as on a block's construction, it checks the kind (an int field takes any real number) and
+    the bound, and a float comes back as float.  With ``integral`` it checks only that an int field's number is
+    integral, and returns it as int, so ``replace`` can set a number that ``config.validate`` then refuses.  A list
+    is checked whole either way, and comes back as a tuple.
+    """
+    kind, bound, holds, null = r
+    if value is None and null:
+        return value
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise DomainError(f"{name} must be a list of integers, got {value!r}")
+        value = tuple(integer(x, f"{name} entry", integral) for x in value)
+        if holds is not None and not all(map(holds, value)):
+            raise DomainError(f"{name} entries must be {bound}, got {value}")
+        return value
+    if kind is int:
+        value = integer(value, name, integral)
+    elif integral:
+        return value
+    elif kind is float:  # a NaN fails every comparison, so it would switch a bound off
+        if not (_is_real(value) and math.isfinite(value) and (holds is None or holds(value))):
+            raise DomainError(f"{name} must be finite{' and ' + bound if bound else ''}, got {value!r}")
+        return float(value)
+    elif not isinstance(value, kind):
+        raise DomainError(f"{name} must be {'true or false' if kind is bool else 'a string'}, got {value!r}")
+    if not integral and holds is not None and not holds(value):
+        raise DomainError(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
+class Checked:
+    """A dataclass that checks the value of each field declared with ``rule`` on every construction, ``replace`` too."""
+
+    def __post_init__(self):
+        for name, r in rules(type(self)).items():
+            check(r, getattr(self, name), name)
+
+
+@dataclass(frozen=True)
+class OptimizerConfig(Checked):
+    """ADAM settings and the stop rules of ``run_optimization``."""
+
+    lr0: float = rule(0.05, at_least=0)  # 0 freezes the parameters; a negative rate climbs the loss
+    decay: float = rule(0.995, "> 0", lambda x: x > 0)
+    # the bias corrections 1 - beta**t and the step's divisor sqrt(v-hat) + eps stay positive
+    beta1: float = rule(0.9, "in [0, 1)", lambda b: 0 <= b < 1)
+    beta2: float = rule(0.999, "in [0, 1)", lambda b: 0 <= b < 1)
+    eps: float = rule(1e-8, "> 0", lambda x: x > 0)
+    max_epochs: int = rule(400, at_least=1)
+    tol_conv: float = rule(1e-5, at_least=0)  # 0 switches the convergence check off
+    window: int = rule(20, at_least=1)
+    budget_s: float = rule(600.0, at_least=0)
+
+    def lr_at(self, epoch):
+        return self.lr0 * self.decay**epoch
+
+
+@dataclass(frozen=True)
+class ShotSchedule(Checked):
+    """Per-epoch shot count ramp; profile is constant, linear, or geometric."""
+
+    nu_start: int = rule(10_000)
+    nu_end: int = rule(40_000)
+    profile: str = rule("geometric", one_of=("constant", "linear", "geometric"))
+    exact: bool = rule(False)  # a config's "no" or 0 is not read for its truth
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.exact:  # an exact run draws no shots
+            return
+        for name in ("nu_start", "nu_end"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1 unless exact, got {getattr(self, name)!r}")
+        if self.nu_end < self.nu_start:
+            raise DomainError(f"nu_end must be >= nu_start unless exact, got {self.nu_end!r} < {self.nu_start!r}")
+
+    def shots_at(self, epoch, max_epochs):
+        if self.exact:
+            return None
+        if self.profile == "constant" or max_epochs <= 1:
+            return int(self.nu_start)
+        frac = epoch / (max_epochs - 1)
+        if self.profile == "linear":
+            return int(round(self.nu_start + (self.nu_end - self.nu_start) * frac))
+        return int(round(self.nu_start * (self.nu_end / self.nu_start) ** frac))
+
+
+@dataclass(frozen=True)
+class GradientConfig(Checked):
+    method: str = rule(GRAD_CENTRAL, one_of=GRAD_METHODS)
+    h: tuple = (0.05,)
+    # loss harmonic per parameter (e.g. 2n for the phase); required for parameter_shift
+    frequencies: tuple | None = None
+    # common random numbers: both shifted evaluations reuse one stream label
+    crn: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "h", tuple(float(x) for x in self.h))
+        if self.frequencies is not None:
+            object.__setattr__(self, "frequencies", tuple(float(x) for x in self.frequencies))
+
+    @cached_property
+    def steps(self):
+        """(shifts, scales) of the gradient of p parameters, as Python floats.
+
+        Parameter i is evaluated at x + shifts[i] and x - shifts[i], and the
+        difference of its two losses is scaled by scales[i].
+        """
+        shifts, scales = [], []
+        for i, h in enumerate(self.h):
+            use_shift_rule = self.method == GRAD_PARAM_SHIFT
+            if use_shift_rule and self.frequencies is None:
+                raise DomainError("parameter_shift needs per-parameter loss frequencies")
+            if use_shift_rule and self.frequencies[i] > 0:
+                w = self.frequencies[i]
+                shifts.append(math.pi / (2 * w))
+                scales.append(w / 2)
+            else:
+                shifts.append(h)
+                scales.append(1.0 / (2 * h))
+        return shifts, scales
+
 
 MODE_PURE = "vista_pure"
 MODE_NOISY_DEPHASING = "vista_noisy_dephasing"

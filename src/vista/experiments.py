@@ -45,9 +45,9 @@ import numpy as np
 from . import config as cfgmod
 from . import protocols
 from .analysis import fit_scaling, gamma_calibration
+from .config import integer
 from .dynamics import ChannelSpec, HamiltonianSpec, closed_form_density, lindblad_rk4_oracle, qubit_channel
 from .errors import CalibrationError, ConfigError, DomainError
-from .optimize import integer
 from .qcore import ghz_density
 from .results import persist, write_summary
 from .rng import STREAM_REPLICA, derive_seed

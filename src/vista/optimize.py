@@ -27,25 +27,23 @@ gradient shift and each recorded loss draws fresh shots while remaining a
 pure function of (config, master seed).  ``adam_step`` then takes each
 parameter's live rows through one loop: gradient, ADAM update, clamp, delta
 and guard.  numpy enters an epoch only inside a closure that uses it.
+
+phi is the one bounded parameter: ``clip`` holds it in [0, PHI_CLAMP] at the
+start, in the block's shifts and after each step, so a loss closure never
+sees it outside.  The settings an epoch reads (``OptimizerConfig``,
+``ShotSchedule``, ``GradientConfig``) are defined in ``vista.config``.
 """
 
 import math
-import numbers
 import time
-import types
-import typing
 from array import array
-from dataclasses import MISSING, dataclass, field, fields
-from functools import cache, cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import OptimizerConfig
 from .errors import DomainError, NumericsError
 from .rng import STREAM_GRAD, STREAM_LOSS
-
-GRAD_CENTRAL = "central_difference"
-GRAD_PARAM_SHIFT = "parameter_shift"
-GRAD_METHODS = (GRAD_CENTRAL, GRAD_PARAM_SHIFT)
 
 PHI_CLAMP = np.pi / 2 - 1e-6
 THETA_GUARD = 2 * np.pi  # leaving this range means the run walked off every basin
@@ -56,126 +54,18 @@ STATUS_DIVERGED = "diverged"
 STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-def clamp_phi(columns, names):
-    """The columns ``columns`` (one list of floats per name), with the one named phi clamped to [0, PHI_CLAMP].
-
-    Each float gets ``np.clip``'s value: -0.0 and nan fail both comparisons and stay as they are.
-    """
-    if "phi" in names:
-        j = names.index("phi")
-        columns[j] = [0.0 if x < 0.0 else PHI_CLAMP if x > PHI_CLAMP else x for x in columns[j]]
-    return columns
-
-
-def rule(default=MISSING, bound="", holds=None, *, at_least=None, one_of=None):
-    """A dataclass field held to its annotated kind and to the bound ``holds``, stated as ``bound`` (see ``check``).
-
-    ``at_least`` gives the bound ``x >= at_least``, and ``one_of`` a choice among its strings.  The kind is float,
-    int, bool, str (a path or a choice) or tuple (a list of ints, whose bound holds for each entry).  A field
-    annotated ``X | None`` takes null, which keeps the default.
-    """
-    if at_least is not None:
-        bound, holds = f">= {at_least}", lambda x: x >= at_least
-    if one_of is not None:
-        bound, holds = f"one of {one_of}", one_of.__contains__
-    return field(default=default, metadata={"rule": (bound, holds)})
-
-
-@cache
-def rules(cls):
-    """{name: (kind, bound, holds, null)} of each field of the dataclass ``cls`` declared with ``rule``."""
-    out = {}
-    for f in fields(cls):
-        if "rule" in f.metadata:
-            null = isinstance(f.type, types.UnionType)
-            out[f.name] = (typing.get_args(f.type)[0] if null else f.type, *f.metadata["rule"], null)
-    return out
-
-
-def _is_real(x):
-    """Whether ``x`` is a real number; a bool is not one."""
-    return type(x) is float or type(x) is int or isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def integer(value, name, integral):
-    """An integral number as int; any other real number as it is, unless ``integral``."""
-    if type(value) is int:
-        return value
-    if isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral) and _is_real(value):
-        return int(value)
-    if not integral and _is_real(value):
-        return value
-    raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
-def check(r, value, name, integral=False):
-    """``value`` as a field under the rule ``r`` keeps it, or a DomainError whose message starts with ``name``.
-
-    Without ``integral``, as on a block's construction, it checks the kind (an int field takes any real number) and
-    the bound, and a float comes back as float.  With ``integral`` it checks only that an int field's number is
-    integral, and returns it as int, so ``replace`` can set a number that ``config.validate`` then refuses.  A list
-    is checked whole either way, and comes back as a tuple.
-    """
-    kind, bound, holds, null = r
-    if value is None and null:
-        return value
-    if kind is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise DomainError(f"{name} must be a list of integers, got {value!r}")
-        value = tuple(integer(x, f"{name} entry", integral) for x in value)
-        if holds is not None and not all(map(holds, value)):
-            raise DomainError(f"{name} entries must be {bound}, got {value}")
-        return value
-    if kind is int:
-        value = integer(value, name, integral)
-    elif integral:
-        return value
-    elif kind is float:  # a NaN fails every comparison, so it would switch a bound off
-        if not (_is_real(value) and math.isfinite(value) and (holds is None or holds(value))):
-            raise DomainError(f"{name} must be finite{' and ' + bound if bound else ''}, got {value!r}")
-        return float(value)
-    elif not isinstance(value, kind):
-        raise DomainError(f"{name} must be {'true or false' if kind is bool else 'a string'}, got {value!r}")
-    if not integral and holds is not None and not holds(value):
-        raise DomainError(f"{name} must be {bound}, got {value!r}")
-    return value
-
-
-class Checked:
-    """A dataclass that checks the value of each field declared with ``rule`` on every construction, ``replace`` too."""
-
-    def __post_init__(self):
-        for name, r in rules(type(self)).items():
-            check(r, getattr(self, name), name)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig(Checked):
-    """ADAM settings and the stop rules of ``run_optimization``."""
-
-    lr0: float = rule(0.05, at_least=0)  # 0 freezes the parameters; a negative rate climbs the loss
-    decay: float = rule(0.995, "> 0", lambda x: x > 0)
-    # the bias corrections 1 - beta**t and the step's divisor sqrt(v-hat) + eps stay positive
-    beta1: float = rule(0.9, "in [0, 1)", lambda b: 0 <= b < 1)
-    beta2: float = rule(0.999, "in [0, 1)", lambda b: 0 <= b < 1)
-    eps: float = rule(1e-8, "> 0", lambda x: x > 0)
-    max_epochs: int = rule(400, at_least=1)
-    tol_conv: float = rule(1e-5, at_least=0)  # 0 switches the convergence check off
-    window: int = rule(20, at_least=1)
-    budget_s: float = rule(600.0, at_least=0)
-
-    def lr_at(self, epoch):
-        return self.lr0 * self.decay**epoch
+def clip(x, lo, hi):
+    """``x`` clamped to [lo, hi], as ``np.clip`` gives it: -0.0 and nan fail both comparisons and stay as they are."""
+    return lo if x < lo else hi if x > hi else x
 
 
 class Adam:
     """ADAM's state over the L rows of a batch, and the constants of its run, read once per run.
 
     ``m`` and ``v`` are the moments, columns like the values: one list per
-    parameter, one float per row, zeros before the first epoch.  Each column
-    has its clamp: phi's (column ``phi``, if any) is [0, PHI_CLAMP], and the
-    others' (-inf, inf) leaves every float as it is.  ``adam_step`` moves the state one epoch and
-    leaves its report: ``values``, the rows after the step; ``deltas``, each
+    parameter, one float per row, zeros before the first epoch.  ``bounds``
+    holds each column's (lo, hi), [0, PHI_CLAMP] for phi (column ``phi``, if
+    any), or None.  ``adam_step`` moves the state one epoch and leaves its report: ``values``, the rows after the step; ``deltas``, each
     row's mean absolute change; ``diverged``, whether a value left the phase
     guard; and ``lr``, the epoch's learning rate.
     """
@@ -186,7 +76,7 @@ class Adam:
         self.lr_at = optimizer.lr_at
         self.shifts, self.scales = gradient.steps
         self.side = 0 if gradient.crn else 1
-        self.bounds = [(0.0, PHI_CLAMP) if j == phi else (-math.inf, math.inf) for j in range(nparams)]
+        self.bounds = [(0.0, PHI_CLAMP) if j == phi else None for j in range(nparams)]
         self.m = self.v = [[0.0] * nrows for _ in range(nparams)]
         self.values = self.deltas = self.lr = None
         self.diverged = False
@@ -199,7 +89,7 @@ def adam_step(adam, epoch, values, out):
     ``values``: the rows' losses, then each parameter's up and down shifts.
     Each parameter's rows take one pass: the difference of the row's two
     shifted losses times the parameter's scale, a NumericsError unless it is
-    finite, the update of m, v and the value, the column's clamp, the change's
+    finite, the update of m, v and the value, the column's bounds, the change's
     absolute value added to the row's delta, and the phase guard, which a NaN
     fails.  With bias correction the per-step motion is bounded by the
     current learning rate: |delta| <= lr * |m-hat| / (sqrt(v-hat) + eps) <= lr.
@@ -212,11 +102,12 @@ def adam_step(adam, epoch, values, out):
     nparams, nrows = len(values), len(values[0])
     grad, new_values, new_m, new_v = [], [], [], []
     deltas, diverged = [0.0] * nrows, False
-    for i, (xj, mj, vj, scale, (lo, hi)) in enumerate(zip(values, adam.m, adam.v, adam.scales, adam.bounds)):
+    for i, (xj, mj, vj, scale, bound) in enumerate(zip(values, adam.m, adam.v, adam.scales, adam.bounds)):
         up, down = (1 + 2 * i) * nrows, (2 + 2 * i) * nrows  # the offsets of the parameter's shifted losses in out
         # each row's delta sums its columns' changes from left to right, and the last column divides the sum by p
         # (0.0 + |x| is |x|, and dividing by 1.0 changes no float)
         div = float(nparams) if i == nparams - 1 else 1.0
+        lo, hi = bound or (None, None)
         gs, xs, ms, vs = [0.0] * nrows, [0.0] * nrows, [0.0] * nrows, [0.0] * nrows
         for k in range(nrows):
             gs[k] = g = (out[up + k] - out[down + k]) * scale
@@ -226,7 +117,7 @@ def adam_step(adam, epoch, values, out):
             ms[k] = a = b1 * mj[k] + c1 * g
             vs[k] = b = b2 * vj[k] + c2 * (g * g)
             y = x - lr * (a / k1) / (sqrt(b / k2) + eps)
-            xs[k] = y = lo if y < lo else hi if y > hi else y  # np.clip's value: -0.0 and nan stay as they are
+            xs[k] = y = clip(y, lo, hi) if bound else y
             if not low <= y <= high:
                 diverged = True
             deltas[k] = (deltas[k] + abs(y - x)) / div
@@ -238,80 +129,14 @@ def adam_step(adam, epoch, values, out):
     return grad
 
 
-@dataclass(frozen=True)
-class ShotSchedule(Checked):
-    """Per-epoch shot count ramp; profile is constant, linear, or geometric."""
-
-    nu_start: int = rule(10_000)
-    nu_end: int = rule(40_000)
-    profile: str = rule("geometric", one_of=("constant", "linear", "geometric"))
-    exact: bool = rule(False)  # a config's "no" or 0 is not read for its truth
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.exact:  # an exact run draws no shots
-            return
-        for name in ("nu_start", "nu_end"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1 unless exact, got {getattr(self, name)!r}")
-        if self.nu_end < self.nu_start:
-            raise DomainError(f"nu_end must be >= nu_start unless exact, got {self.nu_end!r} < {self.nu_start!r}")
-
-    def shots_at(self, epoch, max_epochs):
-        if self.exact:
-            return None
-        if self.profile == "constant" or max_epochs <= 1:
-            return int(self.nu_start)
-        frac = epoch / (max_epochs - 1)
-        if self.profile == "linear":
-            return int(round(self.nu_start + (self.nu_end - self.nu_start) * frac))
-        return int(round(self.nu_start * (self.nu_end / self.nu_start) ** frac))
-
-
-@dataclass(frozen=True)
-class GradientConfig(Checked):
-    method: str = rule(GRAD_CENTRAL, one_of=GRAD_METHODS)
-    h: tuple = (0.05,)
-    # loss harmonic per parameter (e.g. 2n for the phase); required for parameter_shift
-    frequencies: tuple | None = None
-    # common random numbers: both shifted evaluations reuse one stream label
-    crn: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "h", tuple(float(x) for x in self.h))
-        if self.frequencies is not None:
-            object.__setattr__(self, "frequencies", tuple(float(x) for x in self.frequencies))
-
-    @cached_property
-    def steps(self):
-        """(shifts, scales) of the gradient of p parameters, as Python floats.
-
-        Parameter i is evaluated at x + shifts[i] and x - shifts[i], and the
-        difference of its two losses is scaled by scales[i].
-        """
-        shifts, scales = [], []
-        for i, h in enumerate(self.h):
-            use_shift_rule = self.method == GRAD_PARAM_SHIFT
-            if use_shift_rule and self.frequencies is None:
-                raise DomainError("parameter_shift needs per-parameter loss frequencies")
-            if use_shift_rule and self.frequencies[i] > 0:
-                w = self.frequencies[i]
-                shifts.append(math.pi / (2 * w))
-                scales.append(w / 2)
-            else:
-                shifts.append(h)
-                scales.append(1.0 / (2 * h))
-        return shifts, scales
-
-
 def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None, adam=None):
     """One epoch's evaluation: (losses, gradient) of the sampled loss at L rows.
 
     ``values`` holds the rows as columns, one list of L floats per parameter;
     the losses come back as a list of L floats and the gradient as columns.
     The rows and their 2p shifted copies are stacked into p columns of (1+2p) L
-    floats: the rows, then each parameter's up and down shift.  One call
+    floats: the rows, then each parameter's up and down shift, clipped to
+    the column's bounds in ``adam`` if it has them.  One call
     ``lossfn(columns, nu, labels, rows)`` returns a list of a loss per block
     row, and block k draws from the stream ``labels[k]``: (STREAM_LOSS,
     epoch), then (STREAM_GRAD, epoch, i, side), where ``crn`` gives both
@@ -332,13 +157,16 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None, ada
     if adam is None:
         adam = Adam(OptimizerConfig(), grad_cfg, nparams, nrows)
     columns = []
-    for j, (col, h) in enumerate(zip(values, adam.shifts)):
+    for j, (col, h, bound) in enumerate(zip(values, adam.shifts, adam.bounds)):
         # column j: the rows, then each parameter i's up and down shift, x + h and x - h where i == j, a copy elsewhere
         block = col * (1 + 2 * nparams)
         up, down = (1 + 2 * j) * nrows, (2 + 2 * j) * nrows
         for k, x in enumerate(col):
             block[up + k] = x + h
             block[down + k] = x - h
+        if bound:
+            lo, hi = bound
+            block[up : down + nrows] = [clip(x, lo, hi) for x in block[up : down + nrows]]
         columns.append(block)
     labels = [(STREAM_LOSS, epoch)]
     for i in range(nparams):
@@ -399,10 +227,10 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     start = np.array(params0, dtype=float)
     if start.ndim != 2 or start.shape[1] != len(names):
         raise DomainError(f"params0 must have one column per name in {names}, got shape {start.shape}")
-    values = clamp_phi(start.T.tolist(), names)
     max_epochs, tol_conv, window = optimizer.max_epochs, optimizer.tol_conv, optimizer.window
     nrows, nparams = start.shape
     adam = Adam(optimizer, gradient, nparams, nrows, names.index("phi") if "phi" in names else None)
+    values = [[clip(x, *bound) for x in col] if bound else col for col, bound in zip(start.T.tolist(), adam.bounds)]
     rows = list(range(nrows))
     # The trace of the live rows: each epoch appends its losses, then its parameter and gradient
     # columns, to ``record``, so it grows with the epochs run, not with max_epochs.  When rows stop,

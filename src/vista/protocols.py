@@ -36,6 +36,7 @@ import numpy as np
 
 from . import measurement
 from .config import (
+    GRAD_PARAM_SHIFT,
     MODE_BASELINE,
     MODE_CASCADE,
     MODE_MULTIPARAM,
@@ -43,6 +44,7 @@ from .config import (
     MODE_NOISY_DEPHASING,
     MODE_PURE,
     NORM_QN,
+    GradientConfig,
     effective_dict,
     validate,
 )
@@ -59,13 +61,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DomainError, NoPeakError
 from .measurement import parity_probability
-from .optimize import (
-    GRAD_PARAM_SHIFT,
-    PHI_CLAMP,
-    STATUS_DIVERGED,
-    GradientConfig,
-    run_optimization,
-)
+from .optimize import STATUS_DIVERGED, run_optimization
 from .results import RunResult
 from .rng import STREAM_INIT, STREAM_STAGE, Streams, derive_seed, stream
 
@@ -81,7 +77,7 @@ def _closed_form_overlaps(cfg, mode):
 
     A row at angle theta has the overlap pop + amp * cos(2n (theta_true - theta)), ``closed_form_overlap``'s
     bits, with (pop, amp, purity) computed once per run (pure ansatz) or, by ``ansatz_factors``, once per
-    distinct phi of a block (noisy).
+    distinct phi of a block (noisy).  ``run_optimization`` hands it every phi in [0, PHI_CLAMP].
     """
     probe = qubit_channel(cfg.channel, cfg.gamma_true)  # the probe's qubit after unit time, at phase theta_true
     n, theta_true = cfg.n, cfg.theta_true
@@ -100,10 +96,7 @@ def _closed_form_overlaps(cfg, mode):
     def overlaps(columns):
         at_phi, out = {}, []  # a block's theta shifts keep their rows' phi, so its 5L rows hold 3L distinct phi
         for theta, phi in zip(*columns):
-            # a gradient shift may step past the clamp; phi only enters through cos(phi),
-            # so the sign of a zero does not matter here
-            phi = 0.0 if phi < 0.0 else PHI_CLAMP if phi > PHI_CLAMP else phi
-            if phi not in at_phi:
+            if phi not in at_phi:  # -0.0 and 0.0 share a key; phi only enters through cos(phi)
                 at_phi[phi] = factors(phi)
             pop, amp, pur = at_phi[phi]
             out.append((pop + amp * math.cos(2 * n * (theta_true - theta)), pur))

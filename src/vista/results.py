@@ -40,12 +40,6 @@ class RunResult:
     wall_time_s: float = 0.0
 
 
-def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -213,5 +207,5 @@ def write_summary(path, fieldnames, rows):
             out = []
             for k in fieldnames:
                 v = row.get(k, "")
-                out.append(_fmt(v) if isinstance(v, float) else v)
+                out.append(f"{float(v):.12g}" if isinstance(v, float) else v)
             writer.writerow(out)

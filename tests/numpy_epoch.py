@@ -3,12 +3,13 @@
 ``vista.optimize`` runs its epoch on Python floats.  This module is the same
 loop written on (L, p) arrays, as the package ran it before: the block built
 from the step vectors with ``np.add`` and ``np.subtract``, ADAM as array
-ufuncs, phi clamped with ``np.clip``, the deltas and the window summed by
-numpy reductions, and the trace in preallocated arrays.  Only its call of
-the loss closure follows the package: the block goes in as columns of Python
-floats and the losses come back as a list.  It shares only the config
-objects, the stream labels and the stop-rule constants with the package, so
-a test can require every ``OptRun`` field of the two to agree bit for bit.
+ufuncs, phi clamped with ``np.clip`` at the start, in the block and after
+each step, the deltas and the window summed by numpy reductions, and the
+trace in preallocated arrays.  Only its call of the loss closure follows the
+package: the block goes in as columns of Python floats and the losses come
+back as a list.  It shares only the config objects, the stream labels and
+the stop-rule constants with the package, so a test can require every
+``OptRun`` field of the two to agree bit for bit.
 """
 
 import functools
@@ -16,9 +17,9 @@ import time
 
 import numpy as np
 
+from vista.config import GRAD_PARAM_SHIFT
 from vista.errors import DomainError, NumericsError
 from vista.optimize import (
-    GRAD_PARAM_SHIFT,
     PHI_CLAMP,
     STATUS_BUDGET_EXHAUSTED,
     STATUS_CONVERGED,
@@ -64,7 +65,7 @@ def gradient_steps(grad_cfg):
     return np.where(own, shifts, -0.0), np.where(own, shifts, 0.0), np.array(scales)
 
 
-def estimate_gradient(values, lossfn, grad_cfg, epoch, nu, rows):
+def estimate_gradient(values, lossfn, grad_cfg, epoch, nu, rows, names):
     """(losses, gradient) of the (L, p) rows ``values``, from one call of ``lossfn`` on their stacked block."""
     ups, downs, scales = gradient_steps(grad_cfg)
     nrows, nparams = values.shape
@@ -76,7 +77,8 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch, nu, rows):
     labels = [(STREAM_LOSS, epoch)]
     for i in range(nparams):
         labels += [(STREAM_GRAD, epoch, i, 0), (STREAM_GRAD, epoch, i, side)]
-    out = np.array(lossfn(block.reshape(-1, nparams).T.tolist(), nu, labels, rows.tolist()))
+    stacked = clamp_phi(block.reshape(-1, nparams), names)  # phi's shifts stay in [0, PHI_CLAMP], as its rows do
+    out = np.array(lossfn(stacked.T.tolist(), nu, labels, rows.tolist()))
     losses = out[:nrows]
     if not np.isfinite(losses).all():
         raise NumericsError(f"non-finite loss at epoch {epoch}")
@@ -117,7 +119,7 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
 
     for epoch in range(max_epochs):
         nu = schedule.shots_at(epoch, max_epochs)
-        loss_here, grad = estimate_gradient(values, lossfn, gradient, epoch, nu, rows)
+        loss_here, grad = estimate_gradient(values, lossfn, gradient, epoch, nu, rows, names)
         m, v, new_values = adam_step(optimizer, epoch, m, v, values, grad)
         new_values = clamp_phi(new_values, names)
         losses[epoch], params[epoch], grads[epoch] = loss_here, new_values, grad

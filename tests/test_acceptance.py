@@ -21,7 +21,7 @@ import numpy as np
 from conftest import qfi_ratio_ampdamp_expansion, random_density, random_hermitian, random_state
 from dense import matched_angle, q_hs, qfi_uhlmann, tensor_pauli
 from vista.analysis import curvature, qfi_ratio_ampdamp
-from vista.config import from_dict
+from vista.config import GradientConfig, from_dict
 from vista.dynamics import (
     ChannelSpec,
     HamiltonianSpec,
@@ -38,7 +38,7 @@ from vista.experiments import (
     scaling_experiment,
 )
 from vista.measurement import binomial_fraction, loss
-from vista.optimize import GradientConfig, estimate_gradient
+from vista.optimize import estimate_gradient
 from vista.protocols import run_from_config
 from vista.qcore import PAULI_X, PAULI_Z, ghz_density
 from vista.rng import stream

@@ -1556,15 +1556,39 @@ class TestCli:
             assert json.load(fh)["seed"] == 11
 
     @pytest.mark.parametrize(
-        "command", [["run"], ["cascade"], ["baseline", "--n", "3", "--theta", "0.3", "--seed", "1"]], ids=lambda c: c[0]
+        "command",
+        [
+            ["run"],
+            ["cascade"],
+            ["baseline", "--n", "3", "--theta", "0.3", "--seed", "1"],
+            ["sweep"],
+            ["scaling", "--gamma", "0", "--theta", "0.1", "--shots", "100", "--n", "2", "--replicas", "1"],
+            ["bounds", "--gamma", "0", "--nu", "100", "--n", "2"],
+            ["calibrate", "--n", "2", "--gammas", "0.1", "--replicas", "1"],
+        ],
+        ids=lambda c: c[0],
     )
     def test_empty_out_exits_1_and_writes_nothing(self, command, run_cfg, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        config = [] if command[0] == "baseline" else ["--config", run_cfg]
+        config = ["--config", run_cfg] if command[0] in ("run", "cascade", "sweep") else []
         assert cli.main([*command, *config, "--out", ""]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", "config error: output must be non-empty, got ''\n")
         assert os.listdir(tmp_path) == ["run.json"]
+
+    @pytest.mark.parametrize("command", ["run", "cascade"])
+    def test_crn_run_says_so(self, command, tmp_path, capsys):
+        # a CRN estimate's shot noise is coupled across each gradient difference, so its output marks it
+        doc = dict(SMALL_RUN)
+        if command == "cascade":
+            doc.update(mode=cfgmod.MODE_CASCADE, n=4, cascade={"n_sequence": [2, 4]})
+        printed = {}
+        for crn in (True, False):
+            path = tmp_path / f"crn_{crn}.json"
+            path.write_text(json.dumps(dict(doc, gradient={"crn": crn})))
+            assert cli.main([command, "--config", str(path)]) == 0
+            printed[crn] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("crn")]
+        assert printed == {True: ["crn = true"], False: []}
 
     def test_run_negative_seed_exits_1(self, run_cfg, tmp_path, capsys):
         assert cli.main(["run", "--config", run_cfg, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
@@ -1841,6 +1865,19 @@ class TestPackaging:
             ("protocols", "run_from_config"): 1,
             ("experiments", "persist"): 1,
         }
+
+    def test_config_does_not_import_the_epoch(self):
+        # the package's __init__ imports every module, so vista.config is imported under a bare package
+        code = textwrap.dedent(f"""
+            import sys, types
+            package = types.ModuleType("vista")
+            package.__path__ = [{str(Path(vista.__file__).parent)!r}]
+            sys.modules["vista"] = package
+            import vista.config
+            print(" ".join(sorted(name for name in sys.modules if name.startswith("vista."))))
+        """)
+        loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+        assert "vista.config" in loaded and "vista.optimize" not in loaded
 
     def test_no_module_imports_scipy(self):
         # scipy is a test-only dependency: the package itself needs numpy alone

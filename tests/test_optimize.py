@@ -7,25 +7,20 @@ import numpy as np
 import numpy_epoch
 import pytest
 
+from vista.config import GRAD_CENTRAL, GRAD_METHODS, GRAD_PARAM_SHIFT, GradientConfig, OptimizerConfig, ShotSchedule
 from vista.dynamics import CHANNEL_NONE, closed_form_overlap, qubit_channel
 from vista.errors import DomainError, NumericsError
 from vista.measurement import LOSS_PLAIN, binomial_fraction, loss
 from vista.rng import STREAM_GRAD, STREAM_LOSS, stream
 from vista.optimize import (
-    GRAD_CENTRAL,
-    GRAD_METHODS,
-    GRAD_PARAM_SHIFT,
     PHI_CLAMP,
     STATUS_BUDGET_EXHAUSTED,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_MAX_EPOCHS,
     Adam,
-    GradientConfig,
-    OptimizerConfig,
-    ShotSchedule,
     adam_step,
-    clamp_phi,
+    clip,
     estimate_gradient,
     run_optimization,
 )
@@ -100,17 +95,23 @@ class TestParams:
                                  schedule=ShotSchedule(exact=True), gradient=GradientConfig(h=np.array([0.1, 0.1])))
 
     def test_clamp_only_touches_phi(self):
-        p = clamp_phi([[5.0], [2.0]], ("theta", "phi"))
-        assert p[0] == [5.0]
-        assert p[1] == [PHI_CLAMP]
-        q = clamp_phi([[-0.3]], ("phi",))
-        assert q[0] == [0.0]
+        # the start rows as the loss closure receives them: phi clipped to [0, PHI_CLAMP], theta as it was
+        starts = []
+
+        def lossfn(columns, nu, labels, rows):
+            starts.append([column[: len(rows)] for column in columns])
+            return [0.0] * len(columns[0])
+
+        run_optimization([[5.0, 2.0], [-6.0, -0.3]], lossfn, names=("theta", "phi"),
+                         optimizer=OptimizerConfig(max_epochs=1), schedule=ShotSchedule(exact=True),
+                         gradient=GradientConfig(h=(0.1, 0.05)))
+        assert starts == [[[5.0, -6.0], [PHI_CLAMP, 0.0]]]
 
     def test_clamp_agrees_with_np_clip(self):
         column = [-0.0, 0.0, -0.3, 0.7, 2.0, float("nan"), float("-inf"), float("inf")]
         clipped = np.array(column).clip(0.0, PHI_CLAMP)
         # the bits: -0.0 stays -0.0 and nan stays nan, as np.clip leaves them
-        assert np.array(clamp_phi([column], ("phi",))[0]).tobytes() == clipped.tobytes()
+        assert np.array([clip(x, 0.0, PHI_CLAMP) for x in column]).tobytes() == clipped.tobytes()
 
 
 class TestAdamStep:
@@ -418,6 +419,32 @@ class TestRunOptimization:
         )
         assert np.all(run.params[:, 1] <= PHI_CLAMP + 1e-15)
         assert np.all(run.params[:, 1] >= 0.0)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("h_phi", [0.05, -0.05])
+    @pytest.mark.parametrize("phi0", [0.0, PHI_CLAMP])
+    def test_loss_closure_sees_phi_only_in_its_bounds(self, phi0, h_phi, sampled):
+        # phi starts at an end of its range and the loss pushes it past that end, so one of each
+        # gradient shift's sides, and the steps, would leave the range if nothing clipped them
+        slope = 1.0 if phi0 == 0.0 else -1.0
+        seen = []
+
+        def lossfn(columns, nu, labels, rows):
+            seen.extend(columns[1])
+            return [
+                (theta - 0.1) ** 2 + slope * phi + (0.0 if nu is None else stream(3, *labels[j // len(rows)]).normal() / nu)
+                for j, (theta, phi) in enumerate(zip(*columns))
+            ]
+
+        runs = run_optimization(
+            [[0.0, phi0], [0.2, phi0]], lossfn, names=("theta", "phi"),
+            optimizer=OptimizerConfig(lr0=0.1, max_epochs=6, tol_conv=0.0),
+            schedule=ShotSchedule(100, 400, "linear") if sampled else ShotSchedule(exact=True),
+            gradient=GradientConfig(h=(0.05, h_phi)),
+        )
+        assert len(seen) == 2 * 5 * 6
+        assert all(0.0 <= phi <= PHI_CLAMP for phi in seen)
+        assert all(run.params[-1, 1] == phi0 for run in runs)  # held at its end, not pushed off it
 
 
 class TestNonFiniteLosses:

@@ -508,13 +508,14 @@ class TestClosedFormOverlaps:
         cfg, (names, overlaps, _) = _closure(mode, normalization)
         rng = np.random.default_rng(7)
         thetas = rng.uniform(-0.5, 0.5, 24).tolist()
-        # phi at 0 of both signs, at the clamp, past it, below 0 and between, each twice, as a block repeats them
-        phis = [0.0, -0.0, PHI_CLAMP, PHI_CLAMP + 0.3, -0.2, *rng.uniform(0, PHI_CLAMP, 7).tolist()] * 2
+        # phi at 0 of both signs, at the clamp and between, each twice, as a block repeats them; run_optimization
+        # hands the closure no phi outside [0, PHI_CLAMP] (test_optimize checks that)
+        phis = [0.0, -0.0, PHI_CLAMP, *rng.uniform(0, PHI_CLAMP, 9).tolist()] * 2
         probe = qubit_channel(cfg.channel, cfg.gamma_true)
         rows = overlaps([thetas] if names == ("theta",) else [thetas, phis])
         for theta, phi, (raw, purity) in zip(thetas, phis, rows, strict=True):
             qubit = (1.0, 0.0) if names == ("theta",) else qubit_channel(
-                cfg.channel, circuit_decay(cfg.channel, min(max(phi, 0.0), PHI_CLAMP))
+                cfg.channel, circuit_decay(cfg.channel, phi)
             )
             assert raw == closed_form_overlap(cfg.n, probe, qubit, cfg.theta_true - theta)
             assert purity == (closed_form_overlap(cfg.n, qubit, qubit, 0.0) if normalization == "quasi_normalized" else 1.0)
