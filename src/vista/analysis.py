@@ -83,7 +83,7 @@ def crb_curve(kind, ns, gamma, nu):
     check_channel(channel, gamma)
     if not 1 <= nu < math.inf:  # nan fails too
         raise DomainError(f"nu must be finite and >= 1, got {nu}")
-    ns = np.array([integer(n, "n grid entry", integral=True) for n in ns], dtype=int)  # no NaN, fraction or bool
+    ns = np.array([integer(n, "n grid entry") for n in ns], dtype=int)  # no NaN, fraction or bool
     if ns.size == 0 or np.any(ns < 1):
         raise DomainError("n grid must be non-empty positive integers")
     probe = qubit_channel(channel, gamma)

@@ -5,10 +5,12 @@ a default, the channel and normalization from the mode's row in ``MODES``.
 Unknown keys anywhere in the document are rejected so a typo cannot silently
 fall back to a default.  Each field is declared with its rule (``rule``), and
 this module is the one that states rules, the optimizer's blocks included.
-A block checks its values on every construction; ``from_dict`` adds the int
-kind, storing an integral float as int, and checks the top-level fields and the
-rules between fields.  ``validate`` does the same, without converting, for a
-config built directly or changed with ``dataclasses.replace``.
+A config is checked once, when it is built: ``RunConfig`` and each block
+check every field on construction, ``dataclasses.replace`` included, and store
+it normalized (an integral number as int, a real one as float, a list as a
+tuple); ``RunConfig`` also checks its mode and the rules between fields.
+``from_dict`` rejects unknown keys, takes defaults from the mode's row and
+builds the blocks, reporting a block's error as ``block: field ...``.
 ``effective_dict`` materializes all defaults; persisting it and loading it back
 reproduces the same config.
 """
@@ -27,6 +29,7 @@ from .errors import ConfigError, DomainError
 GRAD_CENTRAL = "central_difference"
 GRAD_PARAM_SHIFT = "parameter_shift"
 GRAD_METHODS = (GRAD_CENTRAL, GRAD_PARAM_SHIFT)
+PHI_CLAMP = math.pi / 2 - 1e-6  # phi's upper bound; the disentangling angle's decay diverges at pi/2
 
 
 def rule(default=MISSING, bound="", holds=None, *, at_least=None, one_of=None):
@@ -59,24 +62,20 @@ def _is_real(x):
     return type(x) is float or type(x) is int or isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def integer(value, name, integral):
-    """An integral number as int; any other real number as it is, unless ``integral``."""
+def integer(value, name):
+    """An integral number as int, or a DomainError naming ``name``: a bool or a fractional number is none."""
     if type(value) is int:
         return value
     if isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral) and _is_real(value):
         return int(value)
-    if not integral and _is_real(value):
-        return value
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-def check(r, value, name, integral=False):
+def check(r, value, name):
     """``value`` as a field under the rule ``r`` keeps it, or a DomainError whose message starts with ``name``.
 
-    Without ``integral``, as on a block's construction, it checks the kind (an int field takes any real number) and
-    the bound, and a float comes back as float.  With ``integral`` it checks only that an int field's number is
-    integral, and returns it as int, so ``replace`` can set a number that ``config.validate`` then refuses.  A list
-    is checked whole either way, and comes back as a tuple.
+    It checks the kind and the bound.  An int field's number comes back as int, a float field's as float, and a
+    list as a tuple.
     """
     kind, bound, holds, null = r
     if value is None and null:
@@ -84,31 +83,30 @@ def check(r, value, name, integral=False):
     if kind is tuple:
         if not isinstance(value, (list, tuple)):
             raise DomainError(f"{name} must be a list of integers, got {value!r}")
-        value = tuple(integer(x, f"{name} entry", integral) for x in value)
+        value = tuple(integer(x, f"{name} entry") for x in value)
         if holds is not None and not all(map(holds, value)):
             raise DomainError(f"{name} entries must be {bound}, got {value}")
         return value
     if kind is int:
-        value = integer(value, name, integral)
-    elif integral:
-        return value
+        value = integer(value, name)
     elif kind is float:  # a NaN fails every comparison, so it would switch a bound off
         if not (_is_real(value) and math.isfinite(value) and (holds is None or holds(value))):
             raise DomainError(f"{name} must be finite{' and ' + bound if bound else ''}, got {value!r}")
         return float(value)
     elif not isinstance(value, kind):
         raise DomainError(f"{name} must be {'true or false' if kind is bool else 'a string'}, got {value!r}")
-    if not integral and holds is not None and not holds(value):
+    if holds is not None and not holds(value):
         raise DomainError(f"{name} must be {bound}, got {value!r}")
     return value
 
 
 class Checked:
-    """A dataclass that checks the value of each field declared with ``rule`` on every construction, ``replace`` too."""
+    """A dataclass that checks each field declared with ``rule`` on every construction, ``replace`` too, and stores
+    the value that ``check`` returns."""
 
     def __post_init__(self):
         for name, r in rules(type(self)).items():
-            check(r, getattr(self, name), name)
+            object.__setattr__(self, name, check(r, getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,7 @@ class InitBlock(Checked):
     theta0: float | None = rule(None)  # explicit start; otherwise uniform draw
     center: float = rule(0.0)
     halfwidth: float | None = rule(None, at_least=0)  # defaults to pi/(2 n), the convergence window
-    phi0: float = rule(0.1, "in [0, pi/2)", lambda phi: 0 <= phi < math.pi / 2)
+    phi0: float = rule(0.1, "in [0, PHI_CLAMP]", lambda phi: 0 <= phi <= PHI_CLAMP)
     theta2_0: float | None = rule(None)
 
 
@@ -275,7 +273,7 @@ class BaselineBlock(Checked):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Checked):
     mode: str
     n: int = rule(MISSING, at_least=1)
     theta_true: float = rule()
@@ -294,6 +292,35 @@ class RunConfig:
     cascade: CascadeBlock = CascadeBlock()
     baseline: BaselineBlock = BaselineBlock()
 
+    def __post_init__(self):
+        """Check the mode, each top-level field, the blocks' types and the rules between fields, or a ConfigError."""
+        row = _row(self.mode)
+        try:
+            super().__post_init__()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+        for block, cls in BLOCKS.items():
+            if not isinstance(getattr(self, block), cls):
+                raise ConfigError(f"{block} must be a config.{cls.__name__}, got {getattr(self, block)!r}")
+        try:
+            check_channel(self.channel, self.gamma_true)
+        except DomainError as exc:
+            raise ConfigError(f"channel, gamma_true: {exc}") from exc
+        if self.channel not in row.channels:
+            accepted = " or ".join(map(repr, row.channels))
+            raise ConfigError(f"{self.mode} requires channel {accepted}, got {self.channel!r}")
+        if self.normalization == NORM_QN and not row.quasi_normalized:
+            raise ConfigError(f"{self.mode} uses a pure ansatz; normalization must be plain")
+        if self.mode == MODE_MULTIPARAM and self.theta2_true is None:
+            raise ConfigError("vista_multiparam requires theta2_true")
+        seq = self.cascade.n_sequence
+        if self.mode == MODE_CASCADE and not seq:
+            raise ConfigError("cascade mode requires cascade.n_sequence")
+        if any(b <= a for a, b in zip(seq, seq[1:])):
+            raise ConfigError(f"cascade.n_sequence must be strictly increasing, got {seq}")
+        if self.mode == MODE_CASCADE and len(seq) < 2:
+            raise ConfigError("cascade needs at least two stages")
+
     def h_theta_effective(self):
         h = self.gradient.h_theta
         return math.pi / (8 * self.n) if h is None else h
@@ -306,20 +333,17 @@ class RunConfig:
 BLOCKS = {f.name: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
 
 
+def _row(mode):
+    """The ``MODES`` row of ``mode``, or a ConfigError."""
+    if not isinstance(mode, str) or mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
+    return MODES[mode]
+
+
 def parse(name, value):
     """``value`` as the top-level field ``name`` keeps it, an int as int and a float as float, or a ConfigError."""
-    r = rules(RunConfig)[name]
     try:
-        return check(r, check(r, value, name, integral=True), name)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _int_kinds(cls, values, where):
-    """The dict ``values`` of fields of the block ``cls``, with the int kind checked and an integral float as int."""
-    known = rules(cls)
-    try:
-        return {k: check(known[k], v, f"{where}.{k}", integral=True) for k, v in values.items()}
+        return check(rules(RunConfig)[name], value, name)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -328,62 +352,22 @@ def _block(cls, d, where):
     if d is None:
         return cls()
     try:
-        return cls(**_int_kinds(cls, _take(d, rules(cls), where), where))
-    except DomainError as exc:  # a value rule, checked by the block itself
+        return cls(**_take(d, rules(cls), where))
+    except DomainError as exc:  # checked by the block itself
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def from_dict(doc):
-    """Build and validate a RunConfig from a parsed JSON document."""
+    """Build a RunConfig from a parsed JSON document, which the config checks as it is built."""
     _take(doc, RunConfig.__dataclass_fields__, "config")
     for key in ("mode", "n", "theta_true", "seed"):
         if key not in doc:
             raise ConfigError(f"config key {key!r} is required" + " (file or --seed)" * (key == "seed"))
-
-    mode = doc["mode"]
-    if not isinstance(mode, str) or mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
-    row = MODES[mode]
+    row = _row(doc["mode"])
     values = {"normalization": row.normalization, "channel": row.channel}
     for key, value in doc.items():
-        if key in BLOCKS:
-            values[key] = _block(BLOCKS[key], value, key)
-        elif key != "mode":
-            values[key] = parse(key, value)
-    cfg = RunConfig(mode=mode, **values)
-    _check_between_fields(cfg)
-    return cfg
-
-
-def validate(cfg):
-    """Raise ConfigError unless ``cfg`` keeps every rule; a block checked its own values when it was built."""
-    for name in rules(RunConfig):
-        parse(name, getattr(cfg, name))
-    for block, cls in BLOCKS.items():
-        _int_kinds(cls, vars(getattr(cfg, block)), block)
-    _check_between_fields(cfg)
-
-
-def _check_between_fields(cfg):
-    # from_dict refuses an unknown mode; one set by dataclasses.replace is refused where the config runs
-    row = MODES.get(cfg.mode) or Mode(None, None, CHANNELS, True)
-    try:
-        check_channel(cfg.channel, cfg.gamma_true)
-    except DomainError as exc:
-        raise ConfigError(f"channel, gamma_true: {exc}") from exc
-    if cfg.channel not in row.channels:
-        raise ConfigError(f"{cfg.mode} requires channel {' or '.join(map(repr, row.channels))}, got {cfg.channel!r}")
-    if cfg.normalization == NORM_QN and not row.quasi_normalized:
-        raise ConfigError(f"{cfg.mode} uses a pure ansatz; normalization must be plain")
-    if cfg.mode == MODE_MULTIPARAM and cfg.theta2_true is None:
-        raise ConfigError("vista_multiparam requires theta2_true")
-    seq = cfg.cascade.n_sequence
-    if cfg.mode == MODE_CASCADE and not seq:
-        raise ConfigError("cascade mode requires cascade.n_sequence")
-    if any(b <= a for a, b in zip(seq, seq[1:])):
-        raise ConfigError(f"cascade.n_sequence must be strictly increasing, got {seq}")
-    if cfg.mode == MODE_CASCADE and len(seq) < 2:
-        raise ConfigError("cascade needs at least two stages")
+        values[key] = _block(BLOCKS[key], value, key) if key in BLOCKS else value
+    return RunConfig(**values)
 
 
 def effective_dict(cfg):

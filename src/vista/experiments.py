@@ -57,13 +57,8 @@ def replica_seeds(master_seed, count):
     return [derive_seed(master_seed, STREAM_REPLICA, r) for r in range(count)]
 
 
-def _replica_configs(doc, replicas, outdir=None):
-    """The configs of a point's replicas: its document under each replica seed, run in ``outdir``/seed_<r>.
-
-    One ``from_dict`` checks the point, so a bad point fails before any run;
-    the replicas are that config with their seed and output replaced.
-    """
-    cfg = cfgmod.from_dict({**doc, "output": None})
+def _replica_configs(cfg, replicas, outdir=None):
+    """The configs of a point's replicas: its config under each replica seed, run in ``outdir``/seed_<r>."""
     return [
         replace(cfg, seed=seed, output=None if outdir is None else os.path.join(outdir, f"seed_{r}"))
         for r, seed in enumerate(replica_seeds(cfg.seed, replicas))
@@ -151,7 +146,7 @@ def _run_pooled(tasks, cap):
 def _count(value, name):
     """``value`` as an int >= 1, or a ConfigError naming ``name``: a bool or a fractional number is no count."""
     try:
-        value = integer(value, name, True)
+        value = integer(value, name)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     if value < 1:
@@ -162,21 +157,21 @@ def _count(value, name):
 def _sweep(names, points, replicas, outdir=None, workers=None):
     """Run each point's replicas as one sweep; returns (rows, per-run outputs).
 
-    ``points`` lists (values, doc) pairs: ``values`` are the point's
+    ``points`` lists (values, cfg) pairs: ``values`` are the point's
     coordinates under ``names``, which label its row and its run directory,
-    and ``doc`` is its config document.  With ``outdir``, two points whose
+    and ``cfg`` is its config.  With ``outdir``, two points whose
     run directories coincide are refused before any run.  The point's
-    replicas run under ``replica_seeds(doc["seed"], replicas)``.  Rows carry
+    replicas run under ``replica_seeds(cfg.seed, replicas)``.  Rows carry
     the coordinates plus mean/std of the per-run absolute errors.
     """
     replicas = _count(replicas, "replicas")
     cap = _usable_cpus() if workers is None else _count(workers, "workers")
     batches, tags = [], {}
-    for i, (values, doc) in enumerate(points):
+    for i, (values, cfg) in enumerate(points):
         tag = "_".join(f"{k}={v}" for k, v in zip(names, values)) or "point"
         if outdir is not None and tags.setdefault(tag, i) != i:  # a repeated value would run two points into one
             raise ConfigError(f"sweep points {tags[tag]} and {i} would both write the run directory {tag!r}")
-        batches.append(_replica_configs(doc, replicas, None if outdir is None else os.path.join(outdir, tag)))
+        batches.append(_replica_configs(cfg, replicas, None if outdir is None else os.path.join(outdir, tag)))
 
     # cap / gcd slices per point make the task count a multiple of cap, so every worker gets as many
     parts = min(replicas, cap // math.gcd(cap, len(points)))
@@ -221,7 +216,11 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
             raise ConfigError(f"sweep axis {name} has no values")
     names = list(axes)
     base_doc = cfgmod.effective_dict(base_cfg)
-    points = [(values, {**base_doc, **dict(zip(names, values))}) for values in itertools.product(*axes.values())]
+    # one from_dict per point checks it, so a bad point fails before any run
+    points = [
+        (values, cfgmod.from_dict({**base_doc, **dict(zip(names, values))}))
+        for values in itertools.product(*axes.values())
+    ]
     return _sweep(names, points, replicas, outdir, workers)
 
 
@@ -243,19 +242,20 @@ def scaling_experiment(ns, gamma, theta, nu, replicas=10, seed=0, workers=None, 
     if len(set(ns)) < 4:
         raise ConfigError(f"a scaling fit needs at least 4 distinct sizes, got {list(ns)}")
     points = []
-    for n in map(int, ns):
-        doc = {
+    for n in ns:
+        # the config refuses a fractional n, seed, nu or max_epochs by name; its n is the row's
+        cfg = cfgmod.from_dict({
             "mode": cfgmod.MODE_PURE,
             "n": n,
-            "theta_true": float(theta),
-            "seed": int(seed),
+            "theta_true": theta,
+            "seed": seed,
             "channel": "dephasing" if gamma > 0 else "none",
-            "gamma_true": float(gamma),
-            "shots": {"nu_start": int(nu), "nu_end": int(nu), "profile": "constant"},
-            "init": {"center": float(theta), "halfwidth": math.pi / (4 * n)},
-            "optimizer": {"max_epochs": int(max_epochs), "lr0": _LR_SCALE / n},
-        }
-        points.append(((n,), doc))
+            "gamma_true": gamma,
+            "shots": {"nu_start": nu, "nu_end": nu, "profile": "constant"},
+            "init": {"center": theta, "halfwidth": math.pi / (4 * n)},
+            "optimizer": {"max_epochs": max_epochs, "lr0": _LR_SCALE / n},
+        })
+        points.append(((cfg.n,), cfg))
     rows, _ = _sweep(["n"], points, replicas, workers=workers)
     fit = fit_scaling([r["n"] for r in rows], [r["mean_abs_error_theta"] for r in rows])
     return rows, fit
@@ -286,9 +286,9 @@ def calibrate_experiment(n, gammas, theta, replicas=5, seed=0, channel="dephasin
     holdout = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
     doc = {
         "mode": cfgmod.DECAY_MODES[channel],
-        "n": int(n),
-        "theta_true": float(theta),
-        "seed": int(seed),
+        "n": n,
+        "theta_true": theta,
+        "seed": seed,
         "channel": channel,
         "gamma_true": grid[0],
         **(overrides or {}),

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from .config import NORM_PLAIN, NORM_QN
 from .dynamics import CHANNEL_DEPHASING, qubit_channel
 from .errors import DomainError
 
@@ -35,11 +36,7 @@ def binomial_fraction(gen, shots, p):
     return gen.binomial(shots, 0.0 if p < 0.0 else 1.0 if p > 1.0 else p) / shots
 
 
-LOSS_PLAIN = "plain"
-LOSS_QN = "quasi_normalized"
-
-
-def loss(raw, gen, shots=None, purity=1.0, mode=LOSS_PLAIN):
+def loss(raw, gen, shots=None, purity=1.0, mode=NORM_PLAIN):
     """1 - T-hat (plain) or 1 - T-hat / sqrt(purity) (quasi-normalized).
 
     T-hat is the exact overlap ``raw`` when ``gen`` is None, else the swap-test
@@ -48,13 +45,13 @@ def loss(raw, gen, shots=None, purity=1.0, mode=LOSS_PLAIN):
     capped: it falls below 0 when T-hat exceeds sqrt(purity).
     """
     # refuse the mode and the purity before the shots advance ``gen``
-    if mode != LOSS_PLAIN:
-        if mode != LOSS_QN:
+    if mode != NORM_PLAIN:
+        if mode != NORM_QN:
             raise DomainError(f"unknown loss mode {mode!r}")
         if not 0 < purity <= 1 + 1e-12:
             raise DomainError(f"ansatz purity {purity} outside (0, 1]")
     t_hat = raw if gen is None else 2 * binomial_fraction(gen, shots, (1 + raw) / 2) - 1
-    return 1.0 - t_hat if mode == LOSS_PLAIN else 1.0 - t_hat / math.sqrt(purity)
+    return 1.0 - t_hat if mode == NORM_PLAIN else 1.0 - t_hat / math.sqrt(purity)
 
 
 def parity_probability(n, theta, gamma, t, kind=CHANNEL_DEPHASING):

@@ -41,11 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import OptimizerConfig
+from .config import PHI_CLAMP, OptimizerConfig
 from .errors import DomainError, NumericsError
 from .rng import STREAM_GRAD, STREAM_LOSS
 
-PHI_CLAMP = np.pi / 2 - 1e-6
 THETA_GUARD = 2 * np.pi  # leaving this range means the run walked off every basin
 
 STATUS_CONVERGED = "converged"

@@ -46,7 +46,6 @@ from .config import (
     NORM_QN,
     GradientConfig,
     effective_dict,
-    validate,
 )
 from .dynamics import (
     ChannelSpec,
@@ -90,7 +89,7 @@ def _closed_form_overlaps(cfg, mode):
         pur = sum(overlap_factors(n, pure, pure)) if normalized else 1.0
         return ("theta",), lambda cols: [(pop + amp * math.cos(2 * n * (theta_true - t)), pur) for t in cols[0]], [2.0 * n]
 
-    # a noisy mode's ansatz decays through the probe's channel (config.validate pairs them)
+    # a noisy mode's ansatz decays through the probe's channel (the config pairs them)
     factors = ansatz_factors(n, cfg.channel, probe, normalized)
 
     def overlaps(columns):
@@ -218,7 +217,7 @@ def _optimize(cfg, seeds, starts=None):
         # a cascade stage is a vista_pure run at the stage's n
         mode = MODE_PURE if cfg.mode in (MODE_MULTIPARAM, MODE_CASCADE) else cfg.mode
         names, overlaps, freqs = _closed_form_overlaps(cfg, mode)
-    norm = measurement.LOSS_QN if cfg.normalization == NORM_QN else measurement.LOSS_PLAIN
+    norm = cfg.normalization
     streams = None if cfg.shots.exact else Streams(seeds, 1 + 2 * len(names))
 
     def lossfn(columns, nu, labels, rows):
@@ -375,7 +374,6 @@ def run_baseline_fft(cfg, series):
 
 def run_baseline(cfg):
     """Config-driven baseline run producing a persistable record."""
-    validate(cfg)
     if cfg.mode != MODE_BASELINE:
         raise ConfigError(f"run_baseline needs mode {MODE_BASELINE!r}")
     t0 = time.monotonic()
@@ -407,7 +405,6 @@ def run_batch(cfgs):
     ``run_from_config`` gives for its config alone.
     """
     cfg = cfgs[0]
-    validate(cfg)
     shared = replace(cfg, seed=0, output=None)
     if any(replace(c, seed=0, output=None) != shared for c in cfgs[1:]):
         raise ConfigError("the configs of a batch may differ only in seed and output")

@@ -188,13 +188,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             _cfg(seed=-1)
         with pytest.raises(ConfigError, match="seed must be >= 0"):
-            cfgmod.validate(replace(_cfg(), seed=-3))
+            replace(_cfg(), seed=-3)
         assert _cfg(seed=0).seed == 0
 
     @pytest.mark.parametrize("seq", [[0, 4], [-3, 4]])
     def test_cascade_sizes_must_be_positive(self, seq, tmp_path, capsys):
         doc = {**MINIMAL, "mode": cfgmod.MODE_CASCADE, "cascade": {"n_sequence": seq}}
-        with pytest.raises(ConfigError, match="cascade.n_sequence entries must be >= 1"):
+        with pytest.raises(ConfigError, match="cascade: n_sequence entries must be >= 1"):
             cfgmod.from_dict(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -291,9 +291,11 @@ class TestConfig:
         assert ok.cascade.n_sequence == (2, 4)
 
     def test_phi0_range(self):
-        for bad in (-0.1, 1.6):
-            with pytest.raises(ConfigError):
+        # phi0 holds phi's start to the optimizer's bound, so config.json echoes the start it runs
+        for bad in (-0.1, 1.6, 1.5707963):
+            with pytest.raises(ConfigError, match="^init: phi0 must be finite and in \\[0, PHI_CLAMP\\]"):
                 _cfg(init={"phi0": bad})
+        assert _cfg(init={"phi0": cfgmod.PHI_CLAMP}).init.phi0 == cfgmod.PHI_CLAMP
 
     def test_shot_count_validation(self, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -352,13 +354,13 @@ class TestConfig:
             ("n", True, "n"),
             ("n", "3", "n"),
             ("seed", 2.9, "seed"),
-            ("optimizer", {"max_epochs": 2.5}, "optimizer.max_epochs"),
-            ("optimizer", {"window": 2.5}, "optimizer.window"),
-            ("optimizer", {"max_epochs": False}, "optimizer.max_epochs"),
-            ("baseline", {"shots_per_step": 2500.5}, "baseline.shots_per_step"),
-            ("shots", {"nu_start": 100.5}, "shots.nu_start"),
-            ("multiparam", {"trotter_steps": 1.5}, "multiparam.trotter_steps"),
-            ("cascade", {"n_sequence": [2.5, 4]}, "cascade.n_sequence"),
+            ("optimizer", {"max_epochs": 2.5}, "optimizer: max_epochs"),
+            ("optimizer", {"window": 2.5}, "optimizer: window"),
+            ("optimizer", {"max_epochs": False}, "optimizer: max_epochs"),
+            ("baseline", {"shots_per_step": 2500.5}, "baseline: shots_per_step"),
+            ("shots", {"nu_start": 100.5}, "shots: nu_start"),
+            ("multiparam", {"trotter_steps": 1.5}, "multiparam: trotter_steps"),
+            ("cascade", {"n_sequence": [2.5, 4]}, "cascade: n_sequence"),
         ],
     )
     def test_integer_fields_reject_non_integral_values(self, key, value, field, tmp_path, capsys):
@@ -437,12 +439,26 @@ class TestConfig:
         ],
     )
     def test_with_overrides_checks_integer_fields(self, field, value):
-        # validate applies from_dict's integer rule, so a changed config cannot carry n = 3.5
+        # a config checks itself on replace as from_dict checks it, so a changed config cannot carry n = 3.5
         cfg = _cfg()
         block, _, name = field.partition(".")
-        override = {block: replace(getattr(cfg, block), **{name: value})} if name else {field: value}
-        with pytest.raises(ConfigError, match=f"^{field}( entry)? must be an integer, got "):
-            cfgmod.validate(replace(cfg, **override))
+        message = f"^{name or field}( entry)? must be an integer, got "
+        with pytest.raises(DomainError if name else ConfigError, match=message):
+            replace(getattr(cfg, block), **{name: value}) if name else replace(cfg, **{field: value})
+
+    def test_replace_stores_an_integral_number_as_from_dict_does(self, tmp_path):
+        # replace stores n = 4.0 as the int that a config file gives, so both runs write the same bytes
+        replaced = replace(cfgmod.from_dict(SMALL_RUN), n=4.0)
+        loaded = cfgmod.from_dict({**SMALL_RUN, "n": 4})
+        assert type(replaced.n) is int and replaced == loaded
+        persist(run_from_config(replaced), str(tmp_path / "replaced"))
+        persist(run_from_config(loaded), str(tmp_path / "loaded"))
+        for name in ("config.json", "result.json"):
+            assert (tmp_path / "replaced" / name).read_bytes() == (tmp_path / "loaded" / name).read_bytes()
+        # an integral float in a block runs as its int: range() takes no float
+        optimizer = replace(loaded.optimizer, max_epochs=30.0)
+        assert type(optimizer.max_epochs) is int
+        assert run_from_config(replace(loaded, optimizer=optimizer)).status
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -457,7 +473,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^output must be non-empty, got ''$"):
             cfgmod.from_dict({**MINIMAL, "output": ""})
         with pytest.raises(ConfigError, match="^output must be non-empty, got ''$"):
-            cfgmod.validate(replace(_cfg(), output=""))
+            replace(_cfg(), output="")
         assert cfgmod.from_dict({**MINIMAL, "output": None}).output is None
 
     def test_load_config_overrides_skip_none(self, tmp_path):
@@ -503,6 +519,10 @@ class TestConfig:
                     unruled.append(f"{cls.__name__}.{f.name}")
         assert not unruled
         assert len(BLOCKS) == 7
+        # and each checks itself on construction, replace included
+        assert all(issubclass(cls, cfgmod.Checked) for cls in (cfgmod.RunConfig, *BLOCKS.values()))
+        with pytest.raises(ConfigError, match=r"^optimizer must be a config\.OptimizerConfig, got \{'max_epochs': 3\}"):
+            replace(_cfg(), optimizer={"max_epochs": 3})
 
     # A fuzz of every field on a vista_noisy_dephasing base.  Each bad value is refused with a ConfigError that
     # names the field, unless it is listed here with the rule that accepts it.
@@ -545,9 +565,14 @@ class TestConfig:
             return
         with pytest.raises(ConfigError) as err:
             cfgmod.from_dict(doc)
-        # block.field for the int kind, "block: field" for a value rule, "channel, gamma_true" for the channel's decay
-        named = rf"({block}\.{name}|{block}: {name}) " if block else rf"({name}|channel, {name}:) "
+        # "block: field" for a block's field, "channel, gamma_true" for the channel's decay
+        named = rf"{block}: {name} " if block else rf"({name}|channel, {name}:) "
         assert re.match(named, str(err.value))
+        # replace on the block, or on the config, refuses the value with the same message, without "block: "
+        base = cfgmod.from_dict(self.FUZZ_BASE)
+        with pytest.raises(DomainError if block else ConfigError) as again:
+            replace(getattr(base, block), **{name: bad}) if block else replace(base, **{name: bad})
+        assert str(again.value) == str(err.value).removeprefix(f"{block}: " if block else "")
 
     def test_effective_dict_round_trip(self):
         doc = {
@@ -977,7 +1002,7 @@ class TestExperiments:
     @pytest.mark.parametrize("outdir", [None, "sweep/n=2"])
     def test_replica_configs_equal_their_from_dict_configs(self, outdir):
         doc = {**cfgmod.effective_dict(cfgmod.from_dict(SMALL_RUN)), "n": 2.0, "seed": 11}
-        replicas = expmod._replica_configs(doc, 3, outdir)
+        replicas = expmod._replica_configs(cfgmod.from_dict(doc), 3, outdir)
         expected = [
             cfgmod.from_dict({**doc, "seed": seed, "output": outdir and os.path.join(outdir, f"seed_{r}")})
             for r, seed in enumerate(replica_seeds(11, 3))
@@ -1081,6 +1106,35 @@ class TestExperiments:
             "gamma_hat_median": [0.05061443466166795, 0.30976646917341094],
             "holdout": [{"gamma_true": 0.175, "raw_mae": 0.005821121211796704, "calibrated_mae": 0.010622696007463905}],
         }
+
+    @pytest.mark.parametrize(
+        "experiment,args,kw,message",
+        [
+            (scaling_experiment, ([2.5, 3, 4, 5], 0.0, 0.05, 1000), {}, "n must be an integer, got 2.5"),
+            (scaling_experiment, ([2, 3, 4, 5], 0.0, 0.05, 1000.7), {},
+             "shots: nu_start must be an integer, got 1000.7"),
+            (scaling_experiment, ([2, 3, 4, 5], 0.0, 0.05, 1000), {"seed": 1.9}, "seed must be an integer, got 1.9"),
+            (scaling_experiment, ([2, 3, 4, 5], 0.0, 0.05, 1000), {"max_epochs": 3.5},
+             "optimizer: max_epochs must be an integer, got 3.5"),
+            (calibrate_experiment, (2.5, [0.05, 0.3], 1e-3), {}, "n must be an integer, got 2.5"),
+            (calibrate_experiment, (2, [0.05, 0.3], 1e-3), {"seed": 1.9}, "seed must be an integer, got 1.9"),
+        ],
+    )
+    def test_experiments_refuse_fractional_inputs_by_name(self, experiment, args, kw, message, monkeypatch):
+        # each was truncated: n = 2.5 ran as n = 2
+        def no_run(cfgs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            experiment(*args, replicas=1, workers=1, **kw)
+
+    def test_scaling_takes_integral_floats_and_numpy_ints(self):
+        # the rows of the golden run, each n the int that its config stored
+        args = ([2.0, np.int64(3), 4, 5], 0.0, 0.1, 500.0)
+        rows, _ = scaling_experiment(*args, replicas=1, seed=np.int64(0), max_epochs=40.0, workers=1)
+        assert rows == scaling_experiment(*self.SCALING_ARGS, **self.SCALING_KW, workers=1)[0]
+        assert [type(r["n"]) for r in rows] == [int] * 4
 
     def test_each_experiment_is_one_pooled_call(self, monkeypatch):
         calls = []

@@ -25,14 +25,9 @@ from vista.dynamics import (
     lindblad_rk4_oracle,
     qubit_channel,
 )
+from vista.config import NORM_PLAIN, NORM_QN
 from vista.errors import DomainError
-from vista.measurement import (
-    LOSS_PLAIN,
-    LOSS_QN,
-    binomial_fraction,
-    loss,
-    parity_probability,
-)
+from vista.measurement import binomial_fraction, loss, parity_probability
 from vista.qcore import PAULI_X, ghz_density
 from vista.rng import stream
 
@@ -147,17 +142,17 @@ class TestQuasiNormalization:
         expected = np.sqrt(0.5 * (1 + np.exp(-4 * n * g)))
         assert _qn(probe, ansatz) == pytest.approx(expected, abs=1e-12)
         raw = _overlap(probe, ansatz)
-        assert loss(raw, None, purity=_purity(ansatz), mode=LOSS_QN) == pytest.approx(1 - expected, abs=1e-12)
+        assert loss(raw, None, purity=_purity(ansatz), mode=NORM_QN) == pytest.approx(1 - expected, abs=1e-12)
 
     def test_can_exceed_one(self):
         # the renormalized overlap is not capped at 1, so the QN loss goes below 0
-        assert loss(1.0, None, purity=0.25, mode=LOSS_QN) == -1.0
+        assert loss(1.0, None, purity=0.25, mode=NORM_QN) == -1.0
 
     def test_purity_domain(self):
         for purity in (0.0, -0.1, 1.2, float("nan")):
             with pytest.raises(DomainError, match="purity"):
-                loss(0.5, None, purity=purity, mode=LOSS_QN)
-        assert loss(0.5, None, purity=1 + 1e-13, mode=LOSS_QN) == pytest.approx(0.5)
+                loss(0.5, None, purity=purity, mode=NORM_QN)
+        assert loss(0.5, None, purity=1 + 1e-13, mode=NORM_QN) == pytest.approx(0.5)
 
     def test_angle_scan_peaks_at_true_angle(self):
         # QN overlap against a matched-decay ansatz is maximal exactly at the
@@ -221,11 +216,11 @@ class TestSwapTest:
 class TestLoss:
     def test_exact_matched_pure_is_zero(self):
         raw = _overlap(_pure(4, 0.2), _pure(4, 0.2))
-        assert loss(raw, None, mode=LOSS_PLAIN) == pytest.approx(0.0, abs=1e-12)
+        assert loss(raw, None, mode=NORM_PLAIN) == pytest.approx(0.0, abs=1e-12)
 
     def test_plain_value(self):
         raw = _overlap(_deph(1, 0.3, 0.2), _deph(1, 0.3, 0.2))
-        assert loss(raw, None, mode=LOSS_PLAIN) == pytest.approx(1 - 0.5 * (1 + np.exp(-0.8)), abs=1e-12)
+        assert loss(raw, None, mode=NORM_PLAIN) == pytest.approx(1 - 0.5 * (1 + np.exp(-0.8)), abs=1e-12)
 
     def test_qn_floor_at_match(self):
         # plain loss bottoms out at 1 - purity; QN tightens that to 1 - sqrt(purity)
@@ -233,16 +228,16 @@ class TestLoss:
         ansatz = _deph(n, 0.0, g)
         raw = _overlap(_deph(n, 0.0, g), ansatz)
         pur = 0.5 * (1 + np.exp(-4 * n * g))
-        plain = loss(raw, None, purity=_purity(ansatz), mode=LOSS_PLAIN)
-        qn = loss(raw, None, purity=_purity(ansatz), mode=LOSS_QN)
+        plain = loss(raw, None, purity=_purity(ansatz), mode=NORM_PLAIN)
+        qn = loss(raw, None, purity=_purity(ansatz), mode=NORM_QN)
         assert plain == pytest.approx(1 - pur, abs=1e-12)
         assert qn == pytest.approx(1 - np.sqrt(pur), abs=1e-12)
         assert qn < plain
 
     def test_sampled_loss_deterministic(self):
         raw = _overlap(_deph(2, 0.0, 0.1), _deph(2, 0.05, 0.1))
-        a = loss(raw, stream(11), 5000, mode=LOSS_PLAIN)
-        b = loss(raw, stream(11), 5000, mode=LOSS_PLAIN)
+        a = loss(raw, stream(11), 5000, mode=NORM_PLAIN)
+        b = loss(raw, stream(11), 5000, mode=NORM_PLAIN)
         assert a == b
 
     def test_shot_floor(self):
@@ -251,7 +246,7 @@ class TestLoss:
             with pytest.raises(DomainError, match="shots"):
                 loss(0.5, stream(1), shots)
             with pytest.raises(DomainError, match="shots"):
-                loss(0.5, stream(1), shots, purity=0.5, mode=LOSS_QN)
+                loss(0.5, stream(1), shots, purity=0.5, mode=NORM_QN)
 
     def test_unknown_mode(self):
         raw = _overlap(_pure(2, 0.0), _pure(2, 0.0))
@@ -260,7 +255,7 @@ class TestLoss:
 
     @pytest.mark.parametrize(
         "purity, mode, match",
-        [(1.0, "bogus", "mode"), (0.0, LOSS_QN, "purity"), (1.5, LOSS_QN, "purity"), (float("nan"), LOSS_QN, "purity")],
+        [(1.0, "bogus", "mode"), (0.0, NORM_QN, "purity"), (1.5, NORM_QN, "purity"), (float("nan"), NORM_QN, "purity")],
     )
     def test_refused_loss_draws_nothing(self, purity, mode, match):
         # a refused evaluation leaves its generator where it was

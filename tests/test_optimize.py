@@ -7,10 +7,18 @@ import numpy as np
 import numpy_epoch
 import pytest
 
-from vista.config import GRAD_CENTRAL, GRAD_METHODS, GRAD_PARAM_SHIFT, GradientConfig, OptimizerConfig, ShotSchedule
+from vista.config import (
+    GRAD_CENTRAL,
+    GRAD_METHODS,
+    GRAD_PARAM_SHIFT,
+    NORM_PLAIN,
+    GradientConfig,
+    OptimizerConfig,
+    ShotSchedule,
+)
 from vista.dynamics import CHANNEL_NONE, closed_form_overlap, qubit_channel
 from vista.errors import DomainError, NumericsError
-from vista.measurement import LOSS_PLAIN, binomial_fraction, loss
+from vista.measurement import binomial_fraction, loss
 from vista.rng import STREAM_GRAD, STREAM_LOSS, stream
 from vista.optimize import (
     PHI_CLAMP,
@@ -36,12 +44,12 @@ def _raw(theta_hat):
 
 
 def _exact_loss(values, nu, label):
-    return loss(_raw(values[0]), None, mode=LOSS_PLAIN)
+    return loss(_raw(values[0]), None, mode=NORM_PLAIN)
 
 
 def _sampled_loss(seed, nu):
     def f(values, label):
-        return loss(_raw(values[0]), stream(seed, *label), nu, mode=LOSS_PLAIN)
+        return loss(_raw(values[0]), stream(seed, *label), nu, mode=NORM_PLAIN)
 
     return f
 
@@ -380,7 +388,7 @@ class TestRunOptimization:
     def test_sampled_mode_is_reproducible(self):
         def make(seed):
             def f(values, nu, label):
-                return loss(_raw(values[0]), stream(seed, *label), nu, mode=LOSS_PLAIN)
+                return loss(_raw(values[0]), stream(seed, *label), nu, mode=NORM_PLAIN)
 
             return f
 

@@ -466,10 +466,10 @@ class TestDispatchAndStreams:
             assert res.seed == 0
 
     def test_unknown_mode_rejected(self):
+        # the config checks its mode when it is built, replace included
         cfg = _cfg(mode="vista_pure", n=2, theta_true=0.1, seed=0)
-        broken = replace(cfg, mode="annealing")
-        with pytest.raises(ConfigError):
-            run_from_config(broken)
+        with pytest.raises(ConfigError, match="annealing"):
+            replace(cfg, mode="annealing")
 
     def test_loss_stream_labels_decorrelate_epochs(self):
         # consecutive epochs draw from sibling streams; the sampled sequence
@@ -495,9 +495,10 @@ _CLOSED_FORM_MODES = {
 
 def _closure(mode, normalization="quasi_normalized"):
     """(cfg, (names, overlaps, frequencies)) of a closed-form mode at n = 7."""
-    cfg = _cfg(mode=mode, n=7, theta_true=0.03, seed=0, **_CLOSED_FORM_MODES[mode])
-    # a pure ansatz's config refuses quasi-normalization; the closure still takes it, with purity 1
-    cfg = replace(cfg, normalization=normalization)
+    # a pure ansatz's config refuses quasi-normalization; the closure, which takes the mode apart, still takes it,
+    # with purity 1.  The baseline's config accepts every channel and normalization.
+    cfg = _cfg(mode="baseline_fft", n=7, theta_true=0.03, seed=0, normalization=normalization,
+               **_CLOSED_FORM_MODES[mode])
     return cfg, protocols._closed_form_overlaps(cfg, mode)
 
 
