@@ -35,10 +35,12 @@ With the transverse term theta_x != 0 there is no closed form for the corner
 structure, but E is still one 4x4 superoperator: the probe is
 rho = 1/2 sum_ab E(|a><b|)^{(x) n}, the Trotter ansatz is u^{(x) n}|GHZ> for
 one 2x2 matrix u, and their overlap is a sum of 16 scalars raised to the n-th
-power.  ``trotter_unitary`` and ``ghz_product_overlap`` take a leading row
-axis and give every row the bits of its scalar evaluation.  The dense RK4
-integrator is kept as an independent oracle for these kernels (``vista
-oracle-check`` runs it).
+power.  u is the d-th power of one Trotter step, an SU(2) rotation, so
+``trotter_unitary`` writes it out as the rotation by d times the step's
+angle, and ``ghz_product_overlap`` forms the 16 scalars with one einsum.
+Both take a leading row axis, give every row the bits of its scalar
+evaluation, and call no BLAS routine.  The dense RK4 integrator is kept as
+an independent oracle for these kernels (``vista oracle-check`` runs it).
 """
 
 import math
@@ -245,19 +247,34 @@ def trotter_unitary(ham, d=64):
 
     d steps of exp(-i theta_z tau sum Z) exp(-i theta_x tau sum X), tau = t/d,
     map |GHZ> to u^{(x) n}|GHZ> with u = (exp(-i theta_z tau Z) exp(-i theta_x tau X))^d.
+    With a = theta_z tau and b = theta_x tau, one step is the SU(2) rotation
+    w I - i (x X + y Y + z Z), (w, x, y, z) = (cos b cos a, sin b cos a, sin b sin a, cos b sin a),
+    by the angle gamma = atan2(s, w), s = |(x, y, z)|.  u is the rotation by d gamma about
+    the same axis, cos(d gamma) I - i sin(d gamma)/s (x X + y Y + z Z), with sin(d gamma)/s = d
+    where s = 0.  cos(d gamma) + i sin(d gamma) is the complex power (w + i s)^d, which numpy
+    computes one element at a time in the same bits at every SIMD level (its arctan2 does not).
+
     theta_z and theta_x may be arrays of rows; u then has their shape
     followed by (2, 2), and each row holds the bits of its scalar u.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
     tau = ham.t / d
-    x = np.multiply(ham.theta_x, tau)
-    c, s = np.cos(x), np.sin(x)
-    zphase = np.exp(np.multiply.outer(-1j * np.asarray(ham.theta_z) * tau, [1.0, -1.0]))
-    rot = np.empty(np.shape(x) + (2, 2), dtype=complex)
-    rot[..., 0, 0] = rot[..., 1, 1] = c
-    rot[..., 0, 1] = rot[..., 1, 0] = -1j * s
-    return np.linalg.matrix_power(zphase[..., :, None] * rot, d)
+    a, b = np.multiply(ham.theta_z, tau), np.multiply(ham.theta_x, tau)
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    w, x, y, z = cb * ca, sb * ca, sb * sa, cb * sa
+    s = np.sqrt(x * x + y * y + z * z)
+    rot = np.power(w + 1j * s, d)
+    f = np.divide(rot.imag, s, out=np.full(np.shape(s), float(d)), where=s != 0)
+    x, y, z = f * x, f * y, f * z
+    # [[c - i z, -y - i x], [y - i x, c + i z]], written part by part: a complex * would round per SIMD level
+    u = np.empty(np.shape(s) + (2, 2), dtype=complex)
+    re, im = u.real, u.imag
+    re[..., 0, 0] = re[..., 1, 1] = rot.real
+    re[..., 0, 1], re[..., 1, 0] = -y, y
+    im[..., 0, 0], im[..., 1, 1] = -z, z
+    im[..., 0, 1] = im[..., 1, 0] = -x
+    return u
 
 
 def ghz_product_overlap(blocks, u, n):
@@ -265,13 +282,15 @@ def ghz_product_overlap(blocks, u, n):
 
     Equals 1/4 Re sum_abce t_abce^n with t_ab = u^dag M_ab u; the cost does
     not depend on n.  u may carry leading row axes, as ``trotter_unitary``
-    returns it; the result then has one overlap per row.  A row's bits do
-    not depend on the rows beside it: matmul runs the same 2x2 kernel on
-    every slice, the complex power goes element by element, and each row's
-    16 terms are summed along one contiguous axis.
+    returns it; the result then has one overlap per row.  t is one einsum,
+    which sums each entry's four products in the same order on every row
+    and calls no BLAS routine; the complex power goes element by element
+    (``np.power``: the ``**`` operator sends n = 2 to numpy's complex square,
+    whose bits move with the SIMD level); and each row's 16 terms are summed
+    along one contiguous axis.  So a row's bits do not depend on the rows
+    beside it.
     """
-    u = u[..., None, None, :, :]
-    t = (np.swapaxes(u.conj(), -1, -2) @ blocks @ u) ** n
+    t = np.power(np.einsum("...ji,...kl,abjk->...ilab", u.conj(), u, blocks), n)
     return 0.25 * np.real(np.sum(t.reshape(t.shape[:-4] + (16,)), axis=-1))
 
 

@@ -208,7 +208,11 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
     ``axes`` maps top-level config keys to value lists.  Each grid point runs
     ``replicas`` times under seeds derived from its own seed (the master
     seed, unless ``seed`` is an axis).  Rows carry the grid coordinates plus
-    mean/std of the per-run absolute errors.  An axis with no values is refused before any run.
+    mean/std of the per-run absolute errors.  A coordinate, in its row and
+    its run directory, is the value the point's config stores (a
+    ``gamma_true`` of 0 reads 0.0), so two values that build one config, as
+    0 and 0.0 do, are one point, which a sweep with ``outdir`` refuses to
+    run twice.  An axis with no values is refused before any run.
     """
     axes = {name: list(values) for name, values in axes.items()}
     for name, values in axes.items():
@@ -217,10 +221,12 @@ def run_grid(base_cfg, axes, replicas, outdir=None, workers=None):
     names = list(axes)
     base_doc = cfgmod.effective_dict(base_cfg)
     # one from_dict per point checks it, so a bad point fails before any run
-    points = [
-        (values, cfgmod.from_dict({**base_doc, **dict(zip(names, values))}))
-        for values in itertools.product(*axes.values())
-    ]
+    points = []
+    for values in itertools.product(*axes.values()):
+        cfg = cfgmod.from_dict({**base_doc, **dict(zip(names, values))})
+        # the point is named by what its config stores: a gamma_true given as 0 is 0.0, a block is its fields
+        stored = [getattr(cfg, name) for name in names]
+        points.append(([dict(vars(v)) if name in cfgmod.BLOCKS else v for name, v in zip(names, stored)], cfg))
     return _sweep(names, points, replicas, outdir, workers)
 
 
@@ -243,7 +249,8 @@ def scaling_experiment(ns, gamma, theta, nu, replicas=10, seed=0, workers=None, 
         raise ConfigError(f"a scaling fit needs at least 4 distinct sizes, got {list(ns)}")
     points = []
     for n in ns:
-        # the config refuses a fractional n, seed, nu or max_epochs by name; its n is the row's
+        # the config refuses a fractional n, seed, nu or max_epochs by name, and n < 1 before it divides here
+        n = cfgmod.parse("n", n)
         cfg = cfgmod.from_dict({
             "mode": cfgmod.MODE_PURE,
             "n": n,
@@ -255,7 +262,7 @@ def scaling_experiment(ns, gamma, theta, nu, replicas=10, seed=0, workers=None, 
             "init": {"center": theta, "halfwidth": math.pi / (4 * n)},
             "optimizer": {"max_epochs": max_epochs, "lr0": _LR_SCALE / n},
         })
-        points.append(((cfg.n,), cfg))
+        points.append(((n,), cfg))
     rows, _ = _sweep(["n"], points, replicas, workers=workers)
     fit = fit_scaling([r["n"] for r in rows], [r["mean_abs_error_theta"] for r in rows])
     return rows, fit

@@ -31,6 +31,7 @@ whole trajectory, whatever the batch.
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -118,9 +119,8 @@ def _two_angle_overlaps(cfg):
     d = cfg.multiparam.trotter_steps
 
     def overlaps(columns):
-        theta, theta2 = np.array(columns)
-        raw = ghz_product_overlap(probe, trotter_unitary(HamiltonianSpec(theta, theta2), d), n)
-        return ((r, 1.0) for r in raw.tolist())
+        raw = ghz_product_overlap(probe, trotter_unitary(HamiltonianSpec(*columns), d), n)
+        return zip(raw.tolist(), repeat(1.0))
 
     return ("theta", "theta2"), overlaps, [0.0, 0.0]
 

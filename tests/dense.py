@@ -234,26 +234,17 @@ def trotter_evolve(vec, ham, d=64):
     return psi
 
 
-def trotter_unitary_row(ham, d):
-    """One row's 2x2 Trotter factor, built from scalars step by step.
+def trotter_step_power(ham, d):
+    """One qubit's 2x2 Trotter factor as one step raised to the d-th power with ``matrix_power``.
 
-    The reference for ``vista.dynamics.trotter_unitary`` on a row axis: each
-    row of the stacked factor must hold these bits.
+    The reference for ``vista.dynamics.trotter_unitary``, which writes the
+    d-th power of the step out as one SU(2) rotation instead.
     """
     tau = ham.t / d
     c, s = np.cos(ham.theta_x * tau), np.sin(ham.theta_x * tau)
     zphase = np.exp(-1j * ham.theta_z * tau * np.array([1.0, -1.0]))
     step = zphase[:, None] * np.array([[c, -1j * s], [-1j * s, c]])
     return np.linalg.matrix_power(step, d)
-
-
-def ghz_product_overlap_row(blocks, u, n):
-    """One row's product-channel overlap 1/4 Re sum_abce t_abce^n, t_ab = u^dag M_ab u, as a float.
-
-    The reference for ``vista.dynamics.ghz_product_overlap`` on a row axis.
-    """
-    t = u.conj().T @ blocks @ u
-    return 0.25 * float(np.real(np.sum(t**n)))
 
 
 def matched_angle(channel):

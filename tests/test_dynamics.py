@@ -35,11 +35,10 @@ from vista.qcore import ghz_density, ghz_vector
 
 from dense import (
     collective_operator,
-    ghz_product_overlap_row,
     matched_angle,
     purity,
     trotter_evolve,
-    trotter_unitary_row,
+    trotter_step_power,
 )
 
 
@@ -389,6 +388,38 @@ class TestProductChannel:
         with pytest.raises(DomainError):
             trotter_unitary(ham, d=0)
 
+    def test_trotter_factor_matches_the_step_raised_to_the_power(self):
+        # the closed rotation against one step multiplied out d times, over random angles and depths; the
+        # reference's d <= 80 unitary 2x2 products round to about 4 d eps (7e-14), hence 1e-13
+        rng = np.random.default_rng(5)
+        zeros = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 1.3), (-0.0, -1.3), (0.7, 0.0), (-0.7, -0.0)]
+        negative_w = 0
+        for trial in range(400):
+            d = 1 if trial % 4 == 0 else int(rng.integers(1, 81))
+            values = np.concatenate([zeros, rng.uniform(-2.0, 2.0, size=(12, 2))])
+            u = trotter_unitary(HamiltonianSpec(values[:, 0], values[:, 1]), d)
+            for k, (a, b) in enumerate(values.tolist()):
+                np.testing.assert_allclose(u[k], trotter_step_power(HamiltonianSpec(a, b), d), rtol=0, atol=1e-13)
+            # w = cos(theta_z tau) cos(theta_x tau) < 0 takes the rotation past a quarter turn in one step
+            negative_w += int(np.sum(np.cos(values[:, 0] / d) * np.cos(values[:, 1] / d) < 0))
+        assert negative_w >= 100
+        # no rotation: exactly the identity, up to the signs of its zeros
+        assert np.array_equal(trotter_unitary(HamiltonianSpec(0.0, 0.0), 80), np.eye(2))
+
+    @pytest.mark.parametrize("kind", CHANNELS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_overlap_matches_dense_overlap(self, kind, n):
+        # <psi|rho|psi> of the dense probe and the dense Trotter state, for angles that do not commute
+        rng = np.random.default_rng(20 + n)
+        for _ in range(6):
+            channel = ChannelSpec(kind, 0.0 if kind == CHANNEL_NONE else float(rng.uniform(0.05, 0.5)))
+            blocks = product_channel_blocks(HamiltonianSpec(*rng.uniform(-1.5, 1.5, 2)), channel)
+            ansatz, d = HamiltonianSpec(*rng.uniform(-1.5, 1.5, 2)), int(rng.integers(1, 20))
+            psi = trotter_evolve(ghz_vector(n), ansatz, d=d)
+            dense = np.vdot(psi, _dense_from_blocks(blocks, n) @ psi).real
+            assert ghz_product_overlap(blocks, trotter_step_power(ansatz, d), n) == pytest.approx(dense, abs=1e-13)
+            assert ghz_product_overlap(blocks, trotter_unitary(ansatz, d), n) == pytest.approx(dense, abs=1e-13)
+
     def test_stacked_kernel_matches_rows_to_the_bit(self):
         # every row of a stacked evaluation holds the bits of its scalar one, over n, depth and channel
         rng = np.random.default_rng(12)
@@ -399,20 +430,20 @@ class TestProductChannel:
             blocks = product_channel_blocks(HamiltonianSpec(*rng.uniform(-1.5, 1.5, 2)), ChannelSpec(kind, gamma))
             n, d = int(rng.integers(1, 40)), int(rng.integers(1, 80))
             values = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 45)), 2))
-            values[0, trial % 2] = (0.0, -0.0)[trial % 4 // 2]  # signed zeros reach the complex products
+            values[0, trial % 2] = (0.0, -0.0)[trial % 4 // 2]  # signed zeros reach the rotation and the products
             u = trotter_unitary(HamiltonianSpec(values[:, 0], values[:, 1]), d)
             overlaps = ghz_product_overlap(blocks, u, n)
             assert u.shape == (len(values), 2, 2) and overlaps.shape == (len(values),)
             for k, (a, b) in enumerate(values.tolist()):
-                row = trotter_unitary_row(HamiltonianSpec(a, b), d)
-                assert u[k].tobytes() == row.tobytes()
-                assert overlaps[k] == ghz_product_overlap_row(blocks, row, n)
+                row = trotter_unitary(HamiltonianSpec(a, b), d)
+                assert row.shape == (2, 2) and u[k].tobytes() == row.tobytes()
+                assert overlaps[k] == ghz_product_overlap(blocks, row, n)
             rows += len(values)
         assert rows >= 5000
         # a scalar spec is a stack of no rows
         u = trotter_unitary(HamiltonianSpec(0.3, -0.2), 7)
-        assert u.tobytes() == trotter_unitary_row(HamiltonianSpec(0.3, -0.2), 7).tobytes()
-        assert ghz_product_overlap(blocks, u, 5) == ghz_product_overlap_row(blocks, u, 5)
+        assert u.tobytes() == trotter_unitary(HamiltonianSpec(np.array([0.3]), np.array([-0.2])), 7)[0].tobytes()
+        assert ghz_product_overlap(blocks, u, 5) == ghz_product_overlap(blocks, u[None], 5)[0]
 
     @pytest.mark.parametrize("kind", CHANNELS)
     @settings(max_examples=40, deadline=None)

@@ -1028,6 +1028,24 @@ class TestExperiments:
             run_grid(base, {"gamma_true": [0.02, 0.02]}, 2, outdir=str(tmp_path / "sweep"), workers=2)
         assert not (tmp_path / "sweep").exists()
 
+    def test_run_grid_names_a_point_by_its_stored_value(self, tmp_path, monkeypatch):
+        # gamma_true is a float field: 0 is stored as 0.0, and its row and run directory say so
+        base = cfgmod.from_dict(dict(SMALL_RUN, channel="dephasing", optimizer={"max_epochs": 5}))
+        rows, _ = run_grid(base, {"gamma_true": [0, 0.1], "n": [2.0]}, 1, outdir=str(tmp_path / "sweep"), workers=1)
+        assert [(row["gamma_true"], row["n"]) for row in rows] == [(0.0, 2), (0.1, 2)]
+        assert [type(row["gamma_true"]) for row in rows] == [float, float] and type(rows[0]["n"]) is int
+        assert sorted(os.listdir(tmp_path / "sweep")) == ["gamma_true=0.0_n=2", "gamma_true=0.1_n=2", "summary.csv"]
+
+        # so 0 and 0.0 are one point, which a sweep refuses to run twice
+        def no_run(cfgs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
+        message = r"^sweep points 0 and 1 would both write the run directory 'gamma_true=0\.0'$"
+        with pytest.raises(ConfigError, match=message):
+            run_grid(base, {"gamma_true": [0, 0.0]}, 2, outdir=str(tmp_path / "repeated"), workers=1)
+        assert not (tmp_path / "repeated").exists()
+
     @pytest.mark.parametrize(
         "axes",
         [{"theta_true": [0.1, 0.3]}, {}, {"theta_true": [0.1, 0.2, 0.3]}],
@@ -1128,6 +1146,15 @@ class TestExperiments:
         monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             experiment(*args, replicas=1, workers=1, **kw)
+
+    def test_scaling_refuses_a_size_below_one_before_dividing_by_it(self, monkeypatch):
+        # the start window pi / (4 n) and the rate 0.15 / n divided by zero first
+        def no_run(cfgs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
+        with pytest.raises(ConfigError, match="^n must be >= 1, got 0$"):
+            scaling_experiment([0, 2, 3, 4], 0.0, 0.1, 100, replicas=1, workers=1)
 
     def test_scaling_takes_integral_floats_and_numpy_ints(self):
         # the rows of the golden run, each n the int that its config stored
@@ -1511,15 +1538,19 @@ class TestDispatchLevels:
                       "shots": {"exact": True}, "optimizer": {"max_epochs": 40}},
     }
 
+    @staticmethod
+    def _env(**variables):
+        """This process's environment with ``variables`` set, and the package under test on the path."""
+        return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+            [str(Path(vista.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
     def _files(self, tmp_path, name, sweep, **variables):
         """The files that ``sweep`` writes in a child under the environment ``variables``, and its ddot checksum."""
         # every child writes under the same relative path, which config.json and result.json echo
         cwd = tmp_path / name
         cwd.mkdir()
-        env = dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
-            [str(Path(vista.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        child = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(sweep)], cwd=cwd, env=env,
-                               capture_output=True, text=True, timeout=300, check=True)
+        child = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(sweep)], cwd=cwd,
+                               env=self._env(**variables), capture_output=True, text=True, timeout=300, check=True)
         files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
         assert len(files) == len(sweep) * 5  # each point: two runs of two files, and a summary
         return files, child.stdout.split()[-1]
@@ -1539,16 +1570,49 @@ class TestDispatchLevels:
             assert not changed, f"the default level and NPY_DISABLE_CPU_FEATURES={disabled!r} wrote different {changed}"
 
     def test_seeded_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path):
-        # The two-angle point is left out: its stacked 2x2 complex products (trotter_unitary's
-        # matrix_power, ghz_product_overlap's @) go through OpenBLAS zgemm, and under the Haswell
-        # kernel its losses differ from the first epoch, at about 1e-14.
-        sweep = {name: doc for name, doc in self.SWEEP.items() if name != "two_angle"}
-        default, dot = self._files(tmp_path, "default", sweep, OPENBLAS_CORETYPE="")
-        files, haswell_dot = self._files(tmp_path, "haswell", sweep, OPENBLAS_CORETYPE="Haswell")
+        # Every point, the two-angle one included: its epoch writes the Trotter factor out as one
+        # rotation and contracts it with one einsum, so no epoch calls BLAS.  The probe's 4x4
+        # exponential still multiplies with @, once per run.
+        default, dot = self._files(tmp_path, "default", self.SWEEP, OPENBLAS_CORETYPE="")
+        files, haswell_dot = self._files(tmp_path, "haswell", self.SWEEP, OPENBLAS_CORETYPE="Haswell")
         if haswell_dot == dot:
             pytest.skip("OPENBLAS_CORETYPE=Haswell runs the same ddot kernel as the default on this host")
         changed = self._changed(default, files)
         assert not changed, f"the default BLAS kernel and OPENBLAS_CORETYPE=Haswell wrote different {changed}"
+
+    # a checksum of the two-angle kernel's factors and overlaps over 24,000 fixed rows, every channel, n 1..11, d 1..119
+    KERNEL = textwrap.dedent(
+        """
+        import hashlib
+        import numpy as np
+        from vista.dynamics import CHANNELS, ChannelSpec, HamiltonianSpec, ghz_product_overlap, product_channel_blocks
+        from vista.dynamics import trotter_unitary
+        rng = np.random.default_rng(0)
+        digest = hashlib.sha256()
+        for trial in range(600):
+            kind = CHANNELS[trial % len(CHANNELS)]
+            channel = ChannelSpec(kind, 0.0 if kind == "none" else 0.2)
+            blocks = product_channel_blocks(HamiltonianSpec(*rng.uniform(-1.5, 1.5, 2)), channel)
+            values = rng.uniform(-2.0, 2.0, size=(40, 2))
+            u = trotter_unitary(HamiltonianSpec(values[:, 0], values[:, 1]), int(rng.integers(1, 120)))
+            digest.update(u.tobytes())
+            digest.update(ghz_product_overlap(blocks, u, int(rng.integers(1, 12))).tobytes())
+        print(digest.hexdigest())
+        """
+    )
+
+    def test_two_angle_kernel_bits_do_not_depend_on_the_simd_level_or_the_blas_kernel(self):
+        # The sweeps above run one two-angle point.  A kernel that moves one row in a hundred by an ulp passes them:
+        # one built on numpy's arctan2, whose AVX-512 and baseline kernels round differently, did.
+        def checksum(**variables):
+            child = subprocess.run([sys.executable, "-c", self.KERNEL], env=self._env(**variables), capture_output=True,
+                                   text=True, timeout=300, check=True)
+            return child.stdout.split()[-1]
+
+        default = checksum(NPY_DISABLE_CPU_FEATURES="", OPENBLAS_CORETYPE="")
+        for disabled in _dispatch_levels():
+            assert checksum(NPY_DISABLE_CPU_FEATURES=disabled) == default, f"NPY_DISABLE_CPU_FEATURES={disabled!r}"
+        assert checksum(OPENBLAS_CORETYPE="Haswell") == default, "OPENBLAS_CORETYPE=Haswell"
 
     # checksums of math.exp, math.cos, math.log and float ** over fixed inputs, then of math.sqrt over them
     LIBM = textwrap.dedent(
