@@ -164,8 +164,6 @@ class GradientConfig(Checked):
     h: tuple = (0.05,)
     # loss harmonic per parameter (e.g. 2n for the phase); required for parameter_shift
     frequencies: tuple | None = None
-    # common random numbers: both shifted evaluations reuse one stream label
-    crn: bool = False
 
     def __post_init__(self):
         super().__post_init__()

@@ -10,12 +10,11 @@ Quasi-normalization divides by the square root of the ansatz purity, which is
 always computed exactly as the ansatz's overlap with itself, never sampled.
 
 Shots are drawn one way: ``binomial_fraction`` on a numpy generator.  In the
-package that is a kept generator of an ``rng.Streams``, which ``Streams.at``
-has moved to a (seed, label) pair, so it draws what ``rng.stream(seed,
-*label)`` would.  ``loss`` scores one evaluation
-from plain numbers: the exact overlap, the generator its shots are drawn from
-(None when exact), the shot count and the ansatz purity.  The run loop calls
-it once per row and evaluation.
+package that is a row's kept generator of an ``rng.Streams``, which the loss
+closure of ``protocols`` moves to the row's streams.  ``loss`` scores one
+evaluation from plain numbers: the exact overlap, the generator its shots
+are drawn from (None when exact), the shot count and the ansatz purity.  The
+run loop calls it once per row and evaluation.
 """
 
 import math
@@ -29,8 +28,8 @@ from .errors import DomainError
 
 def binomial_fraction(gen, shots, p):
     """k/shots with k ~ Binomial(shots, p) drawn from ``gen``; p is clipped only against float dust."""
-    if shots < 1:
-        raise DomainError(f"need shots >= 1, got {shots}")
+    if shots < 1 or shots % 1:  # numpy draws Binomial(2, p) for 2.5 shots; nan and inf leave a nan remainder
+        raise DomainError(f"need a whole number of shots >= 1, got {shots}")
     if not -1e-9 <= p <= 1 + 1e-9:  # also rejects nan
         raise DomainError(f"probability {p} outside [0, 1]")
     return gen.binomial(shots, 0.0 if p < 0.0 else 1.0 if p > 1.0 else p) / shots

@@ -22,9 +22,9 @@ sums from left to right), so the bits are those of an array loop.
 
 An epoch is one loss call: ``estimate_gradient`` stacks the live rows and
 their gradient shifts into one block, also columns of Python floats, and
-hands it to the loss closure with one stream label per row block, so each
-gradient shift and each recorded loss draws fresh shots while remaining a
-pure function of (config, master seed).  ``adam_step`` then takes each
+hands it to the loss closure with the epoch and the rows' indices.  The
+closure owns its randomness: which shots each block row draws is its rule,
+and this module names no stream.  ``adam_step`` then takes each
 parameter's live rows through one loop: gradient, ADAM update, clamp, delta
 and guard.  numpy enters an epoch only inside a closure that uses it.
 
@@ -43,7 +43,6 @@ import numpy as np
 
 from .config import PHI_CLAMP, OptimizerConfig
 from .errors import DomainError, NumericsError
-from .rng import STREAM_GRAD, STREAM_LOSS
 
 THETA_GUARD = 2 * np.pi  # leaving this range means the run walked off every basin
 
@@ -74,7 +73,6 @@ class Adam:
         self.constants = (b1, 1 - b1, b2, 1 - b2, optimizer.eps)
         self.lr_at = optimizer.lr_at
         self.shifts, self.scales = gradient.steps
-        self.side = 0 if gradient.crn else 1
         self.bounds = [(0.0, PHI_CLAMP) if j == phi else None for j in range(nparams)]
         self.m = self.v = [[0.0] * nrows for _ in range(nparams)]
         self.values = self.deltas = self.lr = None
@@ -136,10 +134,8 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None, ada
     The rows and their 2p shifted copies are stacked into p columns of (1+2p) L
     floats: the rows, then each parameter's up and down shift, clipped to
     the column's bounds in ``adam`` if it has them.  One call
-    ``lossfn(columns, nu, labels, rows)`` returns a list of a loss per block
-    row, and block k draws from the stream ``labels[k]``: (STREAM_LOSS,
-    epoch), then (STREAM_GRAD, epoch, i, side), where ``crn`` gives both
-    sides side 0.  ``rows`` (default 0..L-1) names the rows to the closure.
+    ``lossfn(columns, nu, epoch, rows)`` returns a list of a loss per block
+    row; ``rows`` (default 0..L-1) names the rows to the closure.
 
     Central differences use (L+ - L-)/(2h).  The parameter-shift rule
     evaluates at +-pi/(2 w) and scales by w/2, which is exact when the loss
@@ -167,10 +163,7 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None, ada
             lo, hi = bound
             block[up : down + nrows] = [clip(x, lo, hi) for x in block[up : down + nrows]]
         columns.append(block)
-    labels = [(STREAM_LOSS, epoch)]
-    for i in range(nparams):
-        labels += [(STREAM_GRAD, epoch, i, 0), (STREAM_GRAD, epoch, i, adam.side)]
-    out = lossfn(columns, nu, labels, list(range(nrows)) if rows is None else rows)
+    out = lossfn(columns, nu, epoch, list(range(nrows)) if rows is None else rows)
     losses = out[:nrows]
     if not all(map(math.isfinite, losses)):
         raise NumericsError(f"non-finite loss at epoch {epoch}")
@@ -208,12 +201,12 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     """Drive ADAM on R replicas until each converges or diverges, or the epoch/time budget ends.
 
     ``params0`` is an (R, p) array of starting rows whose columns are named
-    by ``names``.  Each epoch makes one call ``lossfn(columns, nu, labels,
+    by ``names``.  Each epoch makes one call ``lossfn(columns, nu, epoch,
     rows)`` through ``estimate_gradient``: it returns a list of the (possibly
     sampled) loss of each row of the block in ``columns``, 1+2p stacked copies
     of the L live rows, whose indices into ``params0`` are the ints ``rows``;
-    nu is the epoch's shot count (None in exact mode) and ``labels[k]`` names
-    the stream of block k.
+    nu is the epoch's shot count (None in exact mode) and ``epoch`` counts
+    from 0.
 
     The stop rules come from ``optimizer`` and are applied to each row:
     convergence requires the mean absolute parameter change, averaged over

@@ -23,15 +23,20 @@ shares, on the live rows stacked with their gradient shifts; a mode gives
 only the overlaps: the closed forms row by row on Python floats, one cos
 per row once the factors of the run, or of each phi (one
 ``dynamics.ansatz_factors`` call per distinct phi of a block), are known,
-the two-angle kernel on the whole block.  Each row's shots come from its own
-stream, derived from (seed, labels), so a (config, seed) pair fixes the
-whole trajectory, whatever the batch.
+the two-angle kernel on the whole block.  The closure also owns the
+shots.  Without common random numbers (CRN) each row draws every shot of its
+run, in block order, from its one stream (seed, (STREAM_LOSS,)), moved to
+once when the batch starts; under CRN each block of an epoch draws from a
+fresh stream, (STREAM_LOSS, epoch) for the recorded loss and (STREAM_GRAD,
+epoch, i, 0) for both shifts of parameter i.  Either way a row draws from its
+own generator in a fixed order, so a (config, seed) pair fixes the whole
+trajectory, whatever the batch.
 """
 
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -63,7 +68,7 @@ from .errors import ConfigError, DomainError, NoPeakError
 from .measurement import parity_probability
 from .optimize import STATUS_DIVERGED, run_optimization
 from .results import RunResult
-from .rng import STREAM_INIT, STREAM_STAGE, Streams, derive_seed, stream
+from .rng import STREAM_GRAD, STREAM_INIT, STREAM_LOSS, STREAM_STAGE, Streams, derive_seed, stream
 
 STATUS_CASCADE_FAILED = "cascade_failed"
 STATUS_EARLY_STOPPED = "early_stopped"
@@ -153,7 +158,7 @@ def _draw_init(cfg, seed, names):
 def _gradient_config(cfg, names, freqs):
     h = [cfg.gradient.h_phi if name == "phi" else cfg.h_theta_effective() for name in names]
     frequencies = freqs if cfg.gradient.method == GRAD_PARAM_SHIFT else None
-    return GradientConfig(cfg.gradient.method, h, frequencies, cfg.gradient.crn)
+    return GradientConfig(cfg.gradient.method, h, frequencies)
 
 
 def _final_estimates(cfg, names, opt):
@@ -217,15 +222,22 @@ def _optimize(cfg, seeds, starts=None):
         # a cascade stage is a vista_pure run at the stage's n
         mode = MODE_PURE if cfg.mode in (MODE_MULTIPARAM, MODE_CASCADE) else cfg.mode
         names, overlaps, freqs = _closed_form_overlaps(cfg, mode)
-    norm = cfg.normalization
-    streams = None if cfg.shots.exact else Streams(seeds, 1 + 2 * len(names))
+    norm, crn = cfg.normalization, cfg.gradient.crn
+    streams = None if cfg.shots.exact else Streams(seeds)
+    if streams is not None and not crn:  # each row draws its whole run from one stream, moved to once
+        kept = streams.at(list(range(len(seeds))), (STREAM_LOSS,))
 
-    def lossfn(columns, nu, labels, rows):
-        # one measurement.loss call per block row, which draws the row's shots from its own stream
+    def lossfn(columns, nu, epoch, rows):
+        # one measurement.loss call per block row, which draws the row's shots from its own generator
         loss = measurement.loss
         if nu is None:  # exact: no stream and no draw
             return [loss(raw, None, None, pur, norm) for raw, pur in overlaps(columns)]
-        return [loss(raw, gen, nu, pur, norm) for (raw, pur), gen in zip(overlaps(columns), streams.at(rows, labels))]
+        if crn:  # zip pulls a block's generators, moving the rows to its label, only once the block before has drawn
+            labels = [(STREAM_LOSS, epoch), *((STREAM_GRAD, epoch, i, 0) for i in range(len(names)) for _ in "ud")]
+            gens = chain.from_iterable(streams.at(rows, label) for label in labels)
+        else:  # the rows draw on, block after block
+            gens = cycle([kept[r] for r in rows])
+        return [loss(raw, gen, nu, pur, norm) for (raw, pur), gen in zip(overlaps(columns), gens)]
 
     if starts is None:
         starts = [_draw_init(cfg, seed, names) for seed in seeds]
@@ -347,7 +359,7 @@ def baseline_series(cfg):
     p = parity_probability(cfg.n, cfg.theta_true, cfg.gamma_true, t, cfg.channel)
     shots = int(cfg.baseline.shots_per_step)
     streams = Streams([cfg.seed])
-    p_hat = [measurement.binomial_fraction(streams.at([0], [(k,)])[0], shots, pk) for k, pk in enumerate(p)]
+    p_hat = [measurement.binomial_fraction(streams.at([0], (k,))[0], shots, pk) for k, pk in enumerate(p)]
     return t, p, np.array(p_hat)
 
 

@@ -24,23 +24,25 @@ A label of more than ``LABEL_WORDS`` words, or with a word outside
 Label layout used by the drivers (all labels are small non-negative ints):
 
     (STREAM_INIT,)                      parameter initialization for a run
-    (STREAM_LOSS, epoch)                recorded loss evaluation in an epoch
-    (STREAM_GRAD, epoch, i, side)       gradient shift evaluations (side 0/1)
+    (STREAM_LOSS,)                      every shot of a sampled run without
+                                        common random numbers (CRN), in order
+    (STREAM_LOSS, epoch)                under CRN: an epoch's recorded loss
+    (STREAM_GRAD, epoch, i, 0)          under CRN: both shifts of parameter i
     (k,)                                parity shots at time step k of a
                                         baseline run, which draws no other
                                         stream
     (STREAM_REPLICA, r)                 derived per-replica seeds in sweeps
     (STREAM_STAGE, k)                   derived per-stage seeds in cascades
 
-``derive_seed`` still hashes (seed, label) through a SeedSequence; it runs
-once per replica or stage, not once per draw.  ``Streams`` serves the rows of
-a lockstep batch: it builds one generator per row and label slot, and one
-state dict per row, when the batch starts (an epoch draws under 1 + 2p
-labels at once), and per epoch builds each label's counter once and resets
-the rows' generators to it through ``bit_generator.state``, constructing
-nothing.
+A seed or label word that is not a Python or numpy int (1.5, or even 1.0)
+raises ``DomainError``.  ``derive_seed`` still hashes (seed, label) through a
+SeedSequence; it runs once per replica or stage, not once per draw.
+``Streams`` serves the rows of a lockstep batch: it builds one generator and
+one state dict per row when the batch starts, and ``at`` resets the rows'
+generators to a label through ``bit_generator.state``, constructing nothing.
 """
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -81,8 +83,17 @@ class _PhiloxKey(ISeedSequence):
         return self.words
 
 
+def _integer(x, what):
+    """``x`` as a Python int if it is a Python or numpy int; anything else, an integral float too, raises."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {x!r}") from None
+
+
 @lru_cache(maxsize=128)
 def _philox_key(seed):
+    # the caller passes a Python int: the cache would take 5.0 for a 5 it holds
     return _PhiloxKey(seed)
 
 
@@ -92,7 +103,8 @@ def _label_counter(key):
         raise DomainError(f"a stream label has at most {LABEL_WORDS} words, got {key}")
     packed = len(key)
     shift = _LENGTH_BITS
-    for word in map(int, key):
+    for word in key:
+        word = _integer(word, "a stream label word")
         if not 0 <= word < _WORD_LIMIT:
             raise DomainError(f"stream label words must lie in [0, 2**{LABEL_WORD_BITS}), got {key}")
         packed |= word << shift
@@ -103,23 +115,23 @@ def _label_counter(key):
 def stream(seed, *key):
     """Generator for the stream identified by (seed, key)."""
     counter = np.array(_label_counter(key), np.uint64)
-    return np.random.Generator(np.random.Philox(_philox_key(int(seed)), counter=counter))
+    return np.random.Generator(np.random.Philox(_philox_key(_integer(seed, "a seed")), counter=counter))
 
 
 class Streams:
     """``stream(seed, *label)`` for each of a fixed list of seeds, drawn row by row.
 
-    Each row keeps ``slots`` generators for the life of the batch, one per
-    label of an ``at`` call, and the state dict of a fresh Philox with the
-    row's key.  ``at`` sets the dict's counter to the label's and assigns the
-    dict to the generator's ``bit_generator.state``, which copies it.
-    Philox's output depends on nothing else, so the generator then draws
-    what a new ``stream(seed, *label)`` draws.
+    Each row keeps one generator for the life of the batch, and the state
+    dict of a fresh Philox with the row's key.  ``at`` sets the dict's
+    counter to the label's and assigns the dict to the generator's
+    ``bit_generator.state``, which copies it.  Philox's output depends on
+    nothing else, so the generator then draws what a new ``stream(seed,
+    *label)`` draws.
     """
 
-    def __init__(self, seeds, slots=1):
-        keys = [_philox_key(int(seed)) for seed in seeds]
-        self._slots = [[np.random.Generator(np.random.Philox(key)) for key in keys] for _ in range(slots)]
+    def __init__(self, seeds):
+        keys = [_philox_key(_integer(seed, "a seed")) for seed in seeds]
+        self._gens = [np.random.Generator(np.random.Philox(key)) for key in keys]
         # a fresh Philox's output buffer: 4 words, all consumed, and no cached 32-bit half
         self._states = [
             {"bit_generator": "Philox", "state": {"counter": None, "key": key.words.tolist()},
@@ -127,27 +139,24 @@ class Streams:
             for key in keys
         ]
 
-    def at(self, rows, labels):
-        """Kept generators of the distinct ``rows`` at each of ``labels``, label by label.
+    def at(self, rows, label):
+        """The kept generators of the distinct ``rows``, in their order, each moved to ``label``.
 
-        The generator of (labels[k], rows[j]) is item k * len(rows) + j; it
-        equals ``stream(seed, *labels[k])`` until the next ``at`` moves it.
+        The generator of ``rows[j]`` equals ``stream(seed, *label)`` until it
+        draws or the next ``at`` moves it.
         """
-        if len(labels) > len(self._slots):
-            raise DomainError(f"{len(labels)} labels for {len(self._slots)} generator slots per row")
         if len(set(rows)) < len(rows):
             raise DomainError(f"row {next(r for r in rows if rows.count(r) > 1)} repeated in {rows}")
-        gens, states = [], self._states
-        for slot, key in zip(self._slots, labels):
-            counter = _label_counter(key)
-            for r in rows:
-                states[r]["state"]["counter"] = counter
-                slot[r].bit_generator.state = states[r]
-                gens.append(slot[r])
-        return gens
+        counter = _label_counter(label)
+        gens, states = self._gens, self._states
+        for r in rows:
+            states[r]["state"]["counter"] = counter
+            gens[r].bit_generator.state = states[r]
+        return [gens[r] for r in rows]
 
 
 def derive_seed(seed, *key):
     """Deterministic 63-bit child seed for a labeled sub-experiment."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    spawn_key = tuple(_integer(k, "a label word") for k in key)
+    ss = np.random.SeedSequence(entropy=_integer(seed, "a seed"), spawn_key=spawn_key)
     return int(ss.generate_state(1, np.uint64)[0] >> np.uint64(1))

@@ -7,9 +7,9 @@ ufuncs, phi clamped with ``np.clip`` at the start, in the block and after
 each step, the deltas and the window summed by numpy reductions, and the
 trace in preallocated arrays.  Only its call of the loss closure follows the
 package: the block goes in as columns of Python floats and the losses come
-back as a list.  It shares only the config objects, the stream labels and
-the stop-rule constants with the package, so a test can require every
-``OptRun`` field of the two to agree bit for bit.
+back as a list.  It shares only the config objects and the stop-rule
+constants with the package, so a test can require every ``OptRun`` field of
+the two to agree bit for bit.
 """
 
 import functools
@@ -28,7 +28,6 @@ from vista.optimize import (
     THETA_GUARD,
     OptRun,
 )
-from vista.rng import STREAM_GRAD, STREAM_LOSS
 
 
 def clamp_phi(values, names):
@@ -73,12 +72,8 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch, nu, rows, names):
     block[0] = values
     np.add(values, ups, out=block[1::2])
     np.subtract(values, downs, out=block[2::2])
-    side = 0 if grad_cfg.crn else 1
-    labels = [(STREAM_LOSS, epoch)]
-    for i in range(nparams):
-        labels += [(STREAM_GRAD, epoch, i, 0), (STREAM_GRAD, epoch, i, side)]
     stacked = clamp_phi(block.reshape(-1, nparams), names)  # phi's shifts stay in [0, PHI_CLAMP], as its rows do
-    out = np.array(lossfn(stacked.T.tolist(), nu, labels, rows.tolist()))
+    out = np.array(lossfn(stacked.T.tolist(), nu, epoch, rows.tolist()))
     losses = out[:nrows]
     if not np.isfinite(losses).all():
         raise NumericsError(f"non-finite loss at epoch {epoch}")

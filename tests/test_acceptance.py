@@ -41,7 +41,7 @@ from vista.measurement import binomial_fraction, loss
 from vista.optimize import estimate_gradient
 from vista.protocols import run_from_config
 from vista.qcore import PAULI_X, PAULI_Z, ghz_density
-from vista.rng import stream
+from vista.rng import STREAM_LOSS, stream
 
 GAMMA_GRID = (0.0, 0.01, 0.05, 0.1, 0.2)
 THETA_GRID = (0.0, 0.05, 0.23)
@@ -265,10 +265,10 @@ def test_criterion_11_estimator_statistics():
     pure = qubit_channel("none", 0.0)
 
     def sampled_loss(seed, shots):
-        # one row, so block k is row k and draws under labels[k]
-        def fn(columns, nu, labels, rows):
-            return [loss(float(closed_form_overlap(3, pure, pure, 0.15 - v)), stream(seed, *label), shots)
-                    for v, label in zip(columns[0], labels)]
+        # one row, whose loss and shifts draw on from one stream, as a sampled run without CRN draws them
+        def fn(columns, nu, epoch, rows):
+            gen = stream(seed, STREAM_LOSS)
+            return [loss(float(closed_form_overlap(3, pure, pure, 0.15 - v)), gen, shots) for v in columns[0]]
         return fn
 
     grad_cfg = GradientConfig(h=np.array([0.05]))

@@ -1106,12 +1106,12 @@ class TestExperiments:
     def test_scaling_experiment_golden(self, workers):
         rows, fit = scaling_experiment(*self.SCALING_ARGS, **self.SCALING_KW, workers=workers)
         assert rows == [
-            {"n": 2, "n_runs": 1, "mean_abs_error_theta": 0.027556832689195426, "std_abs_error_theta": 0.0},
-            {"n": 3, "n_runs": 1, "mean_abs_error_theta": 0.01837122147603093, "std_abs_error_theta": 0.0},
-            {"n": 4, "n_runs": 1, "mean_abs_error_theta": 0.013778415988235898, "std_abs_error_theta": 0.0},
-            {"n": 5, "n_runs": 1, "mean_abs_error_theta": 0.011022732733570864, "std_abs_error_theta": 0.0},
+            {"n": 2, "n_runs": 1, "mean_abs_error_theta": 0.026868538244442713, "std_abs_error_theta": 0.0},
+            {"n": 3, "n_runs": 1, "mean_abs_error_theta": 0.01791235855983339, "std_abs_error_theta": 0.0},
+            {"n": 4, "n_runs": 1, "mean_abs_error_theta": 0.0134342688187018, "std_abs_error_theta": 0.0},
+            {"n": 5, "n_runs": 1, "mean_abs_error_theta": 0.010747415006398281, "std_abs_error_theta": 0.0},
         ]
-        assert (fit.exponent, fit.intercept, fit.r_squared) == (-1.0000000341000694, -2.898357560797926, 1.0)
+        assert (fit.exponent, fit.intercept, fit.r_squared) == (-1.0000000297876397, -2.9236520588397417, 1.0)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_calibrate_experiment_golden(self, workers):
@@ -1208,24 +1208,25 @@ class TestExperiments:
         seeds = [5, 9, 2**40 + 3]
         streams = rngmod.Streams(seeds)
         for label in [(STREAM_LOSS, 7), (STREAM_GRAD, 7, 1, 0)]:
-            gens = streams.at([2, 0], [label])
+            gens = streams.at([2, 0], label)
             for gen, seed in zip(gens, (seeds[2], seeds[0])):
                 assert gen.bit_generator.random_raw(3).tolist() == stream(seed, *label).bit_generator.random_raw(3).tolist()
         with pytest.raises(DomainError, match="label"):
-            streams.at([0], [(-1,)])
+            streams.at([0], (-1,))
 
-    def test_at_keeps_one_generator_per_label_and_row(self):
-        # an epoch moves each row to several labels at once, some of them equal (common random numbers)
+    def test_at_keeps_one_generator_per_row(self):
+        # a CRN epoch moves each row to its labels one after another, the shifts' label twice, drawing between moves
         seeds = [5, 9, 2**40 + 3]
-        streams = rngmod.Streams(seeds, 3)
+        streams = rngmod.Streams(seeds)
         labels = [(STREAM_LOSS, 2), (STREAM_GRAD, 2, 0, 0), (STREAM_GRAD, 2, 0, 0)]
-        gens = streams.at([2, 0], labels)
-        assert len({id(gen) for gen in gens}) == 6
-        expected = [(label, seeds[r]) for label in labels for r in (2, 0)]
-        for gen, (label, seed) in zip(gens, expected):
-            assert gen.bit_generator.random_raw(3).tolist() == stream(seed, *label).bit_generator.random_raw(3).tolist()
-        with pytest.raises(DomainError, match="slots"):
-            streams.at([0], labels + [(STREAM_LOSS, 3)])
+        kept = set()
+        for label in labels:
+            gens = streams.at([2, 0], label)
+            kept |= {(r, id(gen)) for r, gen in zip((2, 0), gens)}
+            for gen, r in zip(gens, (2, 0)):
+                fresh = stream(seeds[r], *label)
+                assert gen.bit_generator.random_raw(3).tolist() == fresh.bit_generator.random_raw(3).tolist()
+        assert len(kept) == 2
 
     def test_kept_generators_match_fresh_streams_after_drawing(self):
         # a row's generator, dirtied by draws of every kind, draws what a fresh stream draws once moved
@@ -1233,12 +1234,12 @@ class TestExperiments:
         streams = rngmod.Streams(seeds)
         labels = [(STREAM_LOSS, 7), (STREAM_GRAD, 7, 1, 0), (), (3, 2**LABEL_WORD_BITS - 1, 0, 1)]
         for label, nu in itertools.product(labels, (10, 1000, 100_000)):
-            for gen in streams.at([0, 1, 2], [(STREAM_LOSS, 0)]):
+            for gen in streams.at([0, 1, 2], (STREAM_LOSS, 0)):
                 gen.binomial(100_000, 0.49)
                 gen.normal(size=3)
                 gen.integers(0, 2**32, dtype=np.uint32)  # leaves the other half word cached
                 assert gen.bit_generator.state["has_uint32"] == 1
-            for gen, seed in zip(streams.at([1, 2, 0], [label]), (seeds[1], seeds[2], seeds[0])):
+            for gen, seed in zip(streams.at([1, 2, 0], label), (seeds[1], seeds[2], seeds[0])):
                 fresh = stream(seed, *label)
                 assert binomial_fraction(gen, nu, 0.3) == binomial_fraction(fresh, nu, 0.3)
                 assert gen.integers(0, 2**32, dtype=np.uint32) == fresh.integers(0, 2**32, dtype=np.uint32)
@@ -1250,8 +1251,8 @@ class TestExperiments:
         expected = [binomial_fraction(stream(seed, *label), 1000, 0.4) for seed in seeds]
         streams = rngmod.Streams(seeds)
         for order in itertools.permutations(range(3)):
-            streams.at(list(order), [(STREAM_LOSS, 3)])  # moved away and not drawn from
-            gens = streams.at(list(order), [label])
+            streams.at(list(order), (STREAM_LOSS, 3))  # moved away and not drawn from
+            gens = streams.at(list(order), label)
             assert [binomial_fraction(gen, 1000, 0.4) for gen in gens] == [expected[r] for r in order]
 
     def test_at_constructs_no_generator(self, monkeypatch):
@@ -1261,7 +1262,7 @@ class TestExperiments:
             real = getattr(np.random, name)
             monkeypatch.setattr(np.random, name, lambda *a, _real=real, _name=name, **k: built.append(_name) or _real(*a, **k))
         for epoch in range(20):
-            for gen in streams.at([1, 0], [(STREAM_LOSS, epoch)]):
+            for gen in streams.at([1, 0], (STREAM_LOSS, epoch)):
                 binomial_fraction(gen, 100, 0.5)
         assert built == []
         stream(5, STREAM_LOSS, 0)  # the patch sees a construction
@@ -1271,10 +1272,10 @@ class TestExperiments:
         # one kept generator cannot stand for two draws of the same row and label
         streams = rngmod.Streams([5, 9])
         with pytest.raises(DomainError, match="row 0 repeated"):
-            streams.at([0, 0], [(STREAM_LOSS, 3)])
+            streams.at([0, 0], (STREAM_LOSS, 3))
         with pytest.raises(DomainError, match="row 1 repeated"):
-            streams.at([1, 0, 1], [(STREAM_LOSS, 3)])
-        gen = streams.at([1, 0], [(STREAM_LOSS, 3)])[1]
+            streams.at([1, 0, 1], (STREAM_LOSS, 3))
+        gen = streams.at([1, 0], (STREAM_LOSS, 3))[1]
         assert binomial_fraction(gen, 1000, 0.4) == binomial_fraction(stream(5, STREAM_LOSS, 3), 1000, 0.4)
 
     @pytest.mark.parametrize(
@@ -1297,7 +1298,31 @@ class TestExperiments:
         with pytest.raises(DomainError, match="label"):
             stream(5, *label)
         with pytest.raises(DomainError, match="label"):
-            rngmod.Streams([5]).at([0], [label])
+            rngmod.Streams([5]).at([0], label)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(2.0), float("nan"), "3", None])
+    def test_seeds_and_label_words_must_be_integers(self, bad):
+        # int() would truncate 1.5 to 1 and draw stream 1's numbers under another name
+        with pytest.raises(DomainError, match="must be an integer"):
+            stream(bad)
+        with pytest.raises(DomainError, match="must be an integer"):
+            stream(5, STREAM_LOSS, bad)
+        with pytest.raises(DomainError, match="must be an integer"):
+            rngmod.Streams([5, bad])
+        with pytest.raises(DomainError, match="must be an integer"):
+            rngmod.Streams([5]).at([0], (bad,))
+        with pytest.raises(DomainError, match="must be an integer"):
+            derive_seed(bad, STREAM_REPLICA, 0)
+        with pytest.raises(DomainError, match="must be an integer"):
+            derive_seed(1, STREAM_REPLICA, bad)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.uint32, np.int8])
+    def test_python_and_numpy_ints_name_the_same_stream(self, kind):
+        raw = stream(5, STREAM_LOSS, 7).bit_generator.random_raw(3).tolist()
+        assert stream(kind(5), kind(STREAM_LOSS), kind(7)).bit_generator.random_raw(3).tolist() == raw
+        [gen] = rngmod.Streams([kind(5)]).at([0], (kind(STREAM_LOSS), kind(7)))
+        assert gen.bit_generator.random_raw(3).tolist() == raw
+        assert derive_seed(kind(5), kind(STREAM_REPLICA), kind(3)) == derive_seed(5, STREAM_REPLICA, 3)
 
     def test_stream_builds_one_seed_sequence_per_seed(self, monkeypatch):
         built = []

@@ -327,6 +327,19 @@ class TestShotSampler:
         with pytest.raises(DomainError):
             binomial_fraction(stream(0), 0, 0.5)
 
+    @pytest.mark.parametrize("shots", [2.5, 1000.7, 1.5, float("nan"), float("inf"), np.float64(99.5)])
+    def test_fractional_shot_counts_are_refused(self, shots):
+        # numpy would draw Binomial(2, p) for 2.5 shots and the division by 2.5 would give 0.0, 0.4 or 0.8
+        for draw in (lambda gen: binomial_fraction(gen, shots, 0.5), lambda gen: loss(0.0, gen, shots)):
+            gen = stream(3)
+            with pytest.raises(DomainError, match="whole number of shots"):
+                draw(gen)
+            assert gen.bit_generator.random_raw(2).tolist() == stream(3).bit_generator.random_raw(2).tolist()
+
+    def test_whole_shot_counts_of_any_number_type_draw_alike(self):
+        draws = {binomial_fraction(stream(4), shots, 0.3) for shots in (1000, 1000.0, np.int64(1000), np.float64(1000))}
+        assert len(draws) == 1
+
     def test_probability_dust_tolerated(self):
         gen = stream(0)
         assert binomial_fraction(gen, 100, -1e-10) == 0.0

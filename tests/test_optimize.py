@@ -1,5 +1,7 @@
 """ADAM driver, shot schedules and stochastic gradient estimation."""
 
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -19,6 +21,7 @@ from vista.config import (
 from vista.dynamics import CHANNEL_NONE, closed_form_overlap, qubit_channel
 from vista.errors import DomainError, NumericsError
 from vista.measurement import binomial_fraction, loss
+from vista import optimize
 from vista.rng import STREAM_GRAD, STREAM_LOSS, stream
 from vista.optimize import (
     PHI_CLAMP,
@@ -54,10 +57,18 @@ def _sampled_loss(seed, nu):
     return f
 
 
+def _labels(epoch, nblocks, crn=False):
+    """A test closure's stream label for each block of an epoch: the recorded loss, then each parameter's two shifts,
+    which share their label under common random numbers."""
+    return [(STREAM_LOSS, epoch)] + [(STREAM_GRAD, epoch, i, side * (not crn))
+                                     for i in range((nblocks - 1) // 2) for side in (0, 1)]
+
+
 def _rowwise(f):
     """A loss closure on stacked blocks from f(values, nu, label), which scores one row under its block's label."""
 
-    def lossfn(columns, nu, labels, rows):
+    def lossfn(columns, nu, epoch, rows):
+        labels = _labels(epoch, len(columns[0]) // len(rows))
         return [float(f(row, nu, labels[j // len(rows)])) for j, row in enumerate(zip(*columns))]
 
     return lossfn
@@ -106,7 +117,7 @@ class TestParams:
         # the start rows as the loss closure receives them: phi clipped to [0, PHI_CLAMP], theta as it was
         starts = []
 
-        def lossfn(columns, nu, labels, rows):
+        def lossfn(columns, nu, epoch, rows):
             starts.append([column[: len(rows)] for column in columns])
             return [0.0] * len(columns[0])
 
@@ -265,17 +276,6 @@ class TestGradientEstimation:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             GradientConfig(method="forward")
-
-    def test_common_random_numbers_cancel_label_noise(self):
-        # a loss that depends only on the stream label: shared labels make the
-        # two shifted draws identical, so the estimate collapses to zero
-        def f(values, label):
-            return binomial_fraction(stream(7, *label), 1000, 0.5)
-
-        crn = GradientConfig(h=np.array([0.1]), crn=True)
-        assert _grad(np.array([0.0]), f, crn)[0] == 0.0
-        plain = GradientConfig(h=np.array([0.1]), crn=False)
-        assert _grad(np.array([0.0]), f, plain)[0] != 0.0
 
     def test_non_finite_loss_rejected(self):
         cfg = GradientConfig(h=np.array([0.1]))
@@ -437,8 +437,9 @@ class TestRunOptimization:
         slope = 1.0 if phi0 == 0.0 else -1.0
         seen = []
 
-        def lossfn(columns, nu, labels, rows):
+        def lossfn(columns, nu, epoch, rows):
             seen.extend(columns[1])
+            labels = _labels(epoch, 5)
             return [
                 (theta - 0.1) ** 2 + slope * phi + (0.0 if nu is None else stream(3, *labels[j // len(rows)]).normal() / nu)
                 for j, (theta, phi) in enumerate(zip(*columns))
@@ -462,14 +463,14 @@ class TestNonFiniteLosses:
     def _batch(nparams, sampled, bad):
         """Three rows in a bowl at 0.3, with shot noise when ``sampled``; ``bad`` maps (epoch, block, row) to a loss."""
 
-        def lossfn(columns, nu, labels, rows):
-            out = []
+        def lossfn(columns, nu, epoch, rows):
+            labels, out = _labels(epoch, 1 + 2 * nparams), []
             for j, row in enumerate(zip(*columns)):
                 block, k = divmod(j, len(rows))
                 value = sum((x - 0.3) ** 2 for x in row)
                 if nu is not None:
                     value += 1e-3 * binomial_fraction(stream(rows[k], *labels[block]), nu, 0.5)
-                out.append(bad.get((labels[0][1], block, k), value))
+                out.append(bad.get((epoch, block, k), value))
             return out
 
         return run_optimization(
@@ -507,14 +508,20 @@ class TestNonFiniteLosses:
 
 
 class TestEpochEvaluator:
-    @pytest.mark.parametrize("crn", [False, True])
-    def test_one_loss_call_per_epoch_on_the_documented_schedule(self, crn):
-        # rows leave one by one; each epoch makes one call on the live rows, their shifts and one label per block
+    def test_the_optimizer_names_no_stream(self):
+        # the loss closure owns its draws: vista.optimize imports nothing from vista.rng, so it builds no label
+        tree = ast.parse(inspect.getsource(optimize))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        assert "numpy" in imported and not any(name and name.split(".")[-1] == "rng" for name in imported)
+
+    def test_one_loss_call_per_epoch_on_the_documented_schedule(self):
+        # rows leave one by one; each epoch makes one call on the live rows and their shifts, with its epoch
         calls = []
 
-        def lossfn(columns, nu, labels, rows):
-            calls.append(([list(column) for column in columns], nu, list(labels), list(rows)))
-            return TestLockstep._loss(columns, nu, labels, rows)
+        def lossfn(columns, nu, epoch, rows):
+            calls.append(([list(column) for column in columns], nu, epoch, list(rows)))
+            return TestLockstep._loss(columns, nu, epoch, rows)
 
         steps = [0.1, 0.05]
         schedule = ShotSchedule(100, 400, "linear")
@@ -522,26 +529,24 @@ class TestEpochEvaluator:
         # row 0 starts at theta = -0.0, which its unshifted copies must keep
         starts = np.array([[-0.0, 0.2], [0.25, -0.1], [0.5, 0.3]])
         runs = run_optimization(starts, lossfn, names=("theta", "theta2"), optimizer=optimizer, schedule=schedule,
-                                gradient=GradientConfig(h=np.array(steps), crn=crn))
+                                gradient=GradientConfig(h=np.array(steps)))
         assert len(calls) == max(len(run.epochs) for run in runs)
         assert len({len(rows) for *_, rows in calls}) == 3  # every row leaves at its own epoch
-        side = 0 if crn else 1
-        for epoch, (columns, nu, labels, rows) in enumerate(calls):
+        for epoch, (columns, nu, called_at, rows) in enumerate(calls):
+            assert called_at == epoch
             assert nu == schedule.shots_at(epoch, optimizer.max_epochs)
             live = [r for r, run in enumerate(runs) if len(run.epochs) > epoch]
             assert rows == live
             assert all(type(x) is float for column in columns for x in column)
             # the schedule: each live row at its pre-update point, then shifted up and down in each parameter
             expected = []
-            for label, i, sign in [((STREAM_LOSS, epoch), 0, 0), ((STREAM_GRAD, epoch, 0, 0), 0, 1),
-                                   ((STREAM_GRAD, epoch, 0, side), 0, -1), ((STREAM_GRAD, epoch, 1, 0), 1, 1),
-                                   ((STREAM_GRAD, epoch, 1, side), 1, -1)]:
+            for block, (i, sign) in enumerate([(0, 0), (0, 1), (0, -1), (1, 1), (1, -1)]):
                 for r in live:
                     point = [float(x) for x in (starts[r] if epoch == 0 else runs[r].params[epoch - 1])]
                     point[i] = point[i] + steps[i] if sign > 0 else point[i] - steps[i] if sign < 0 else point[i]
-                    expected.append((r, label, [x.hex() for x in point]))  # hex tells -0.0 from 0.0
-            # row j of block k is row rows[j] under labels[k]
-            received = [(rows[j % len(rows)], labels[j // len(rows)], [x.hex() for x in row])
+                    expected.append((r, block, [x.hex() for x in point]))  # hex tells -0.0 from 0.0
+            # row j of block k is row rows[j]
+            received = [(rows[j % len(rows)], j // len(rows), [x.hex() for x in row])
                         for j, row in enumerate(zip(*columns))]
             assert received == expected
         # the unshifted copies of row 0 at epoch 0: its loss row and its two theta2 shifts
@@ -556,9 +561,9 @@ class TestLockstep:
     )
 
     @staticmethod
-    def _loss(columns, nu, labels, rows):
+    def _loss(columns, nu, epoch, rows):
         # row 0 is pulled off every basin, row 1 sits on a plateau, row 2 circles a bowl at 0.3
-        x, rows = np.array(columns[0]), np.tile(rows, len(labels))
+        x, rows = np.array(columns[0]), np.tile(rows, len(columns[0]) // len(rows))
         return np.select([rows == 0, rows == 1], [-x, np.zeros_like(x)], (x - 0.3) ** 2).tolist()
 
     def test_rows_stop_one_by_one_as_if_alone(self):
@@ -568,7 +573,7 @@ class TestLockstep:
         assert len({len(r.epochs) for r in batch}) == 3
         for r, run in enumerate(batch):
             alone = run_optimization(
-                starts[r : r + 1], lambda v, nu, labels, rows, _r=r: self._loss(v, nu, labels, [q + _r for q in rows]),
+                starts[r : r + 1], lambda v, nu, epoch, rows, _r=r: self._loss(v, nu, epoch, [q + _r for q in rows]),
                 names=("theta",), **self._KW,
             )[0]
             assert run.status == alone.status
@@ -617,9 +622,10 @@ class TestNumpyOracle:
     _FIELDS = ("names", "epochs", "losses", "params", "grad_norms", "shots", "lrs", "status")
 
     @staticmethod
-    def _loss(seed, first=0):
+    def _loss(seed, crn, first=0):
         # rows are numbered from ``first``, which sets a one-row batch's kind
-        def lossfn(columns, nu, labels, rows):
+        def lossfn(columns, nu, epoch, rows):
+            labels = _labels(epoch, len(columns[0]) // len(rows), crn)
             block, r = np.array(columns).T, np.tile(rows, len(labels)) + first
             x = block[:, 0]
             # row kind 0 is pulled off every basin, kind 1 climbs to a plateau at its own height, kind 2 circles a bowl
@@ -645,10 +651,10 @@ class TestNumpyOracle:
             names=("theta", "phi")[:nparams],
             optimizer=OptimizerConfig(lr0=1.0, decay=0.95, max_epochs=85, tol_conv=1e-4, window=8, budget_s=budget_s),
             schedule=ShotSchedule(100, 400, "linear") if sampled else ShotSchedule(exact=True),
-            gradient=GradientConfig(method, np.array([0.1, 0.05][:nparams]), np.array([6.0, 0.0][:nparams]), crn),
+            gradient=GradientConfig(method, np.array([0.1, 0.05][:nparams]), np.array([6.0, 0.0][:nparams])),
         )
-        runs = run_optimization(starts, self._loss(seed, first), **kw)
-        for run, ref in zip(runs, numpy_epoch.run_optimization(starts, self._loss(seed, first), **kw), strict=True):
+        runs = run_optimization(starts, self._loss(seed, crn, first), **kw)
+        for run, ref in zip(runs, numpy_epoch.run_optimization(starts, self._loss(seed, crn, first), **kw), strict=True):
             for key in self._FIELDS:
                 got, want = getattr(run, key), getattr(ref, key)
                 if isinstance(want, np.ndarray):

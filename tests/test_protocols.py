@@ -41,7 +41,7 @@ from vista.protocols import (
 )
 from vista.qcore import ghz_density, ghz_vector
 from vista.results import persist
-from vista.rng import STREAM_INIT, STREAM_LOSS, stream
+from vista.rng import STREAM_GRAD, STREAM_INIT, STREAM_LOSS, stream
 
 from dense import trotter_evolve
 
@@ -227,7 +227,8 @@ class TestCascade:
         # sha256 digests of the files that the serial cascade (one batch of one per stage and
         # replica) wrote for these sweeps: two full ladders, two rejected second stages and two
         # diverged first stages.  The runs are noiseless, so their bytes came out the same under
-        # numpy's AVX-512, AVX2 and baseline kernels, and under OpenBLAS's Haswell and Prescott kernels.
+        # numpy's AVX-512, AVX2 and baseline kernels, and under OpenBLAS's Haswell and Prescott kernels.  The
+        # sampled digests were re-pinned when each sampled row came to draw its whole run from one stream.
         monkeypatch.chdir(tmp_path)  # relative outputs, so the echoed paths do not depend on tmp_path
         base = dict(
             mode="cascade", n=8, theta_true=0.1, seed=1, cascade={"n_sequence": [2, 4, 8], "g_min": 1.25},
@@ -251,11 +252,11 @@ class TestCascade:
             "exact/theta_true=0.3/seed_0/result.json": "c138da15914ef2a06b589d2a65def571eff1c546b95a77ac221c4c23a85cfa4b",
             "exact/theta_true=0.3/seed_1/config.json": "829d519a9eefaaf3a84e79e70a2f46d78ac8061de0aafdb433cf7486cc287c6e",
             "exact/theta_true=0.3/seed_1/result.json": "61a0b3d722b321779e4e2f80de2e92e54aef8386ab65a3f782d2536e774b9ad4",
-            "sampled/summary.csv": "0cafeab47c3ce25f3e5dc634709bdcfcf8754dc4dbe6ce661c60f6a8983a5532",
+            "sampled/summary.csv": "ba76377b05c36954c4bbedb9176c50df6ae09e9a94ec6fe508567b5253bc3ccf",
             "sampled/theta_true=0.1/seed_0/config.json": "f1f7d6e3c763420318cb885232409f8f02cba2978047dc81404e9823d75d763b",
-            "sampled/theta_true=0.1/seed_0/result.json": "e009e5a9a03196892c55a01e002d6f7e7aefb85262909173e98dc72b55af48df",
+            "sampled/theta_true=0.1/seed_0/result.json": "c08cc90e970e292d64fde0068d29afb35d03b2a4b9936dbb1f5e68270966e7c4",
             "sampled/theta_true=0.1/seed_1/config.json": "bfb3771f33597b40ace48fa7338bc4b4c64955dde11629141e987d5c197de4c4",
-            "sampled/theta_true=0.1/seed_1/result.json": "93ddb33414ed0402f4446b43682e01d8420a39815118a2dbd7b8c5bf782b28f9",
+            "sampled/theta_true=0.1/seed_1/result.json": "32f1c8c65b230174f5cd0928149e61dc938f0111e97f43d02a47850fec97f53d",
         }
 
 
@@ -484,6 +485,142 @@ class TestDispatchAndStreams:
         x = draws - draws.mean()
         lag1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(lag1) < 0.2
+
+
+class TestShotStreams:
+    """Which shots a sampled run draws, replayed with ``rng.stream`` and ``binomial_fraction`` alone."""
+
+    _MODES = {
+        "vista_pure": dict(n=3, theta_true=0.1, channel="dephasing", gamma_true=0.01),
+        "vista_noisy_dephasing": dict(n=4, theta_true=0.02, gamma_true=0.05),
+    }
+
+    def _cfgs(self, mode, crn, count=4):
+        base = _cfg(mode=mode, seed=0, shots={"nu_start": 2000, "nu_end": 8000}, init={"theta0": 0.05},
+                    gradient={"crn": crn}, optimizer={"max_epochs": 30, "tol_conv": 1e-2, "window": 5},
+                    **self._MODES[mode])
+        return [replace(base, seed=100 + r) for r in range(count)]
+
+    @staticmethod
+    def _replay(cfg, trace, crn):
+        """The losses and gradient norms of a closed-form run's trace, each epoch scored from its start point.
+
+        Without CRN the row's loss, then each parameter's up and down shift, draw on from the one stream
+        (seed, (STREAM_LOSS,)); under CRN the loss draws from (STREAM_LOSS, epoch) and both shifts of parameter
+        i from fresh streams (STREAM_GRAD, epoch, i, 0).
+        """
+        probe = qubit_channel(cfg.channel, cfg.gamma_true)
+        noisy = cfg.mode != "vista_pure"
+        steps = [cfg.h_theta_effective()] + [cfg.gradient.h_phi] * noisy
+        run_stream = stream(cfg.seed, STREAM_LOSS)
+
+        def score(point, gen, nu):
+            theta, *phi = point
+            qubit = qubit_channel(cfg.channel, circuit_decay(cfg.channel, phi[0])) if noisy else (1.0, 0.0)
+            raw = closed_form_overlap(cfg.n, probe, qubit, cfg.theta_true - theta)
+            t_hat = 2 * binomial_fraction(gen, nu, (1 + raw) / 2) - 1
+            return 1.0 - t_hat / math.sqrt(closed_form_overlap(cfg.n, qubit, qubit, 0.0)) if noisy else 1.0 - t_hat
+
+        point = [cfg.init.theta0] + [cfg.init.phi0] * noisy
+        losses, norms = [], []
+        for epoch, nu in enumerate(trace["shots"].tolist()):
+            gen = stream(cfg.seed, STREAM_LOSS, epoch) if crn else run_stream
+            losses.append(score(point, gen, nu))
+            squares = 0.0
+            for i, h in enumerate(steps):
+                sides = []
+                for x in (point[i] + h, point[i] - h):
+                    shifted = list(point)
+                    shifted[i] = min(max(x, 0.0), PHI_CLAMP) if i == 1 else x
+                    sides.append(score(shifted, stream(cfg.seed, STREAM_GRAD, epoch, i, 0) if crn else run_stream, nu))
+                g = (sides[0] - sides[1]) * (1.0 / (2 * h))
+                squares += g * g
+            norms.append(math.sqrt(squares))
+            point = trace["params"][epoch].tolist()
+        return losses, norms
+
+    @pytest.mark.parametrize("crn", [False, True], ids=["independent", "crn"])
+    @pytest.mark.parametrize("mode", list(_MODES))
+    def test_batch_rows_replay_from_their_streams_to_the_bit(self, mode, crn):
+        cfgs = self._cfgs(mode, crn)
+        results = run_batch(cfgs)
+        assert len({len(res.trace["epoch"]) for res in results}) > 1  # rows leave the batch at different epochs
+        for cfg, res in zip(cfgs, results):
+            losses, norms = self._replay(cfg, res.trace, crn)
+            assert res.trace["loss"].tolist() == losses
+            assert res.trace["grad_norm"].tolist() == norms
+
+    @pytest.mark.parametrize("crn", [False, True], ids=["independent", "crn"])
+    def test_generator_moves(self, crn, monkeypatch):
+        # without CRN each row's generator is moved once, when the batch starts; under CRN before each block
+        events, philox = [], np.random.Philox
+
+        class Philox(philox):  # the state setter checks the class's name against the state's
+            @property
+            def state(self):
+                return philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                events.append("move")
+                philox.state.__set__(self, value)
+
+        real_loss = measurement.loss
+        monkeypatch.setattr(np.random, "Philox", Philox)
+        monkeypatch.setattr(measurement, "loss", lambda *args: events.append("loss") or real_loss(*args))
+        cfgs = self._cfgs("vista_noisy_dephasing", crn)
+        results = run_batch(cfgs)
+        evaluations = sum(5 * len(res.trace["epoch"]) for res in results)
+        assert events.count("loss") == evaluations
+        if crn:  # one move per row and block: the recorded loss and the four shifts
+            assert events.count("move") == evaluations
+        else:
+            assert events[: len(cfgs)] == ["move"] * len(cfgs) and events.count("move") == len(cfgs)
+
+    def test_common_random_numbers_cancel_shot_noise(self):
+        # at theta_true = 0 a row that starts there sees equal overlaps at its two shifts, +h and -h; under CRN
+        # they draw equal shots, so the first gradient is exactly zero, and without it they do not
+        for crn in (False, True):
+            cfg = _cfg(mode="vista_pure", n=3, theta_true=0.0, seed=7, shots={"nu_start": 1000, "nu_end": 1000},
+                       init={"theta0": 0.0}, gradient={"crn": crn}, optimizer={"max_epochs": 1})
+            grad_norm = run_from_config(cfg).trace["grad_norm"][0]
+            assert (grad_norm == 0.0) == crn
+
+    def test_crn_and_baseline_sweeps_keep_their_bytes(self, tmp_path, monkeypatch):
+        # sha256 digests of the files these sweeps wrote when every evaluation of a sampled run drew from its own
+        # label's stream: a CRN run still does, and a baseline draws from one stream per time step, as before
+        monkeypatch.chdir(tmp_path)  # relative outputs, so the echoed paths do not depend on tmp_path
+        crn = _cfg(mode="vista_noisy_dephasing", n=4, theta_true=0.02, gamma_true=0.05, seed=3,
+                   shots={"nu_start": 2000, "nu_end": 8000}, gradient={"crn": True},
+                   optimizer={"max_epochs": 30, "tol_conv": 1e-2, "window": 5})
+        run_grid(crn, {"gamma_true": [0.05, 0.1]}, 2, outdir="crn", workers=1)
+        run_grid(_baseline_cfg(3, 0.3, 0.1, steps=60, shots_per_step=500), {"n": [2, 3]}, 2, outdir="baseline",
+                 workers=1)
+        written = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.rglob("*"))
+            if p.is_file()
+        }
+        assert written == {
+            "baseline/n=2/seed_0/config.json": "a8f45aa1a8e4ace3045fef086f6c9168f42b9d99e40d42e68ce7b645e30be304",
+            "baseline/n=2/seed_0/result.json": "617b0f2c5478ac8cccab886e18b7cc8ffa46e04342d99a50c6dd80e2a60af1f4",
+            "baseline/n=2/seed_1/config.json": "1132de0f8f848daad7555980fe87b15ab7c8655d48420bb96d16259aac5b7d3a",
+            "baseline/n=2/seed_1/result.json": "82532a74ee86fcb3805e1653a54670f69f67782224a369d7cf9f1807217705a9",
+            "baseline/n=3/seed_0/config.json": "9319dac7f1bb0ff0f6bdce6802dbd32c903853be8c2351aedc7ccc0dc9fba9d6",
+            "baseline/n=3/seed_0/result.json": "7cd1a4c5aba3c03daee7a0451f5dae99ccc01067eb1080640e4947e59138bb71",
+            "baseline/n=3/seed_1/config.json": "522027557b88ca04a2a379c0581b7727656d653a25df8f8b134b222bfbfedbf2",
+            "baseline/n=3/seed_1/result.json": "a0c3896266bbb2279d4e14747bcfcdd88775e7acfd00611e81d66e4332c2f47e",
+            "baseline/summary.csv": "4a6fd9b307f62312059b71a87e5bb96ffb380ec2c9d52a1a83a1af9e94816f64",
+            "crn/gamma_true=0.05/seed_0/config.json": "4f92eaf1e7b2ddfc1cdea3bdb7db486b1f3f7b6af12017ac3a1352b79922f43b",
+            "crn/gamma_true=0.05/seed_0/result.json": "d5f27d7e43e052c2f4dca3421d8f7fa9ae670f7990b63b2b034d5411cebd6032",
+            "crn/gamma_true=0.05/seed_1/config.json": "1d5fd754e7ddc22567a263e4cce4fadd6de467c21a2719dccffafda45be9b0a1",
+            "crn/gamma_true=0.05/seed_1/result.json": "68b7da1bf39d2730dedcff8045a2617805fa9013b1e222587fc54ef848bf4f55",
+            "crn/gamma_true=0.1/seed_0/config.json": "f881401fb04355bbdb1aee1feb9e83fe9cece08da93dfc5ec88088030c530bc7",
+            "crn/gamma_true=0.1/seed_0/result.json": "3dbb9a3ee94ed01a52f3ff38828a7abfed54fd45bd70ac8161330661c6b928a9",
+            "crn/gamma_true=0.1/seed_1/config.json": "2c81ce882761062ffc82bc87d5745770654209441eee66a144da4a0f21bc0d66",
+            "crn/gamma_true=0.1/seed_1/result.json": "ee3e0a732d128d7d359370cab953815fdd2f452ee2e1fd022c2533ea26fc419c",
+            "crn/summary.csv": "6a6ad18b18ae1cc0701df2d3241230498236b48ba909f3ab46f5c5273bac7948",
+        }
 
 
 _CLOSED_FORM_MODES = {
