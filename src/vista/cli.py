@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration/usage error (a bad flag value
+included), 2 runtime failure.
 Subcommands: run, sweep, cascade, baseline, scaling, bounds, oracle-check,
 calibrate.  Results are written as JSON/CSV under the configured output
 directory; without one, a summary is printed to stdout.
@@ -10,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .config import (
     parse,
 )
 from .dynamics import CHANNELS
-from .errors import ConfigError, VistaError
+from .errors import ConfigError, DimensionError, DomainError, VistaError
 from .experiments import calibrate_experiment, oracle_check, run_grid, scaling_experiment
 from .protocols import run_from_config
 from .results import persist, write_summary
@@ -73,6 +75,15 @@ def _parse_float_list(text):
         # endpoint inclusive up to float dust
         return [float(v) for v in np.arange(start, stop + step / 2, step)]
     return [_parse_entry(v, float, "list") for v in text.split(",")]
+
+
+@contextmanager
+def _flag_values():
+    """A DomainError or DimensionError raised inside, where only a flag's value can cause one, as a ConfigError."""
+    try:
+        yield
+    except (DomainError, DimensionError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _emit(result, cfg):
@@ -197,7 +208,8 @@ def _cmd_scaling(args):
 def _cmd_bounds(args):
     ns = _parse_int_range(args.n)
     kinds = list(BOUND_KINDS) if args.kind == "all" else [args.kind]
-    curves = {kind: crb_curve(kind, ns, args.gamma, args.nu) for kind in kinds}
+    with _flag_values():
+        curves = {kind: crb_curve(kind, ns, args.gamma, args.nu) for kind in kinds}
     rows = []
     for i, n in enumerate(ns):
         row = {"n": int(n)}
@@ -215,7 +227,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_oracle_check(args):
-    dev = oracle_check(args.n, args.theta, args.gamma, args.channel, steps=args.steps)
+    with _flag_values():  # the integrator's NumericsError stays a runtime failure
+        dev = oracle_check(args.n, args.theta, args.gamma, args.channel, steps=args.steps)
     print(f"max_abs_deviation = {dev:.3e} (tolerance {args.tol:.1e})")
     if not dev <= args.tol:  # a nan deviation or tolerance fails
         print("oracle check FAILED", file=sys.stderr)

@@ -9,8 +9,9 @@ point per grid and midpoint decay rate) each make one sweep.  The core runs
 each point's replicas as lockstep batches (``protocols.run_batch``): it cuts
 a point's replicas into workers / gcd(workers, points) contiguous slices, at
 most one per replica, so that the slice count is a multiple of the worker
-count, and hands the slices to a worker pool, where each worker runs its
-slice as one batch and persists its runs.  The pool is capped by
+count, and hands each slice to a worker pool as the point's one config, the
+slice's seeds and their outputs; each worker runs its slice as one batch and
+persists its runs.  The pool is capped by
 ``workers`` (default: the CPUs this process may run on); a cap of 1, or a
 single slice, runs in-process.  A replica's files do not depend on the
 slice it ran in, so they do not depend on the worker count.  A batch's
@@ -38,7 +39,6 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 
 import numpy as np
 
@@ -57,18 +57,10 @@ def replica_seeds(master_seed, count):
     return [derive_seed(master_seed, STREAM_REPLICA, r) for r in range(count)]
 
 
-def _replica_configs(cfg, replicas, outdir=None):
-    """The configs of a point's replicas: its config under each replica seed, run in ``outdir``/seed_<r>."""
-    return [
-        replace(cfg, seed=seed, output=None if outdir is None else os.path.join(outdir, f"seed_{r}"))
-        for r, seed in enumerate(replica_seeds(cfg.seed, replicas))
-    ]
-
-
-def _run_slice(cfgs):
-    """Summary rows of one slice of a grid point's replicas, run as one batch; persists each run."""
+def _run_slice(task):
+    """Summary rows of one slice of a grid point's replicas, (cfg, seeds, outputs), run as one batch; persists each."""
     outs = []
-    for res in protocols.run_batch(cfgs):
+    for res in protocols.run_batch(*task):
         if res.config["output"] is not None:
             persist(res, res.config["output"])
         outs.append({"status": res.status, "seed": res.seed, **res.final})
@@ -166,16 +158,16 @@ def _sweep(names, points, replicas, outdir=None, workers=None):
     """
     replicas = _count(replicas, "replicas")
     cap = _usable_cpus() if workers is None else _count(workers, "workers")
-    batches, tags = [], {}
+    # cap / gcd slices per point make the task count a multiple of cap, so every worker gets as many
+    parts = min(replicas, cap // math.gcd(cap, len(points)))
+    tasks, tags = [], {}
     for i, (values, cfg) in enumerate(points):
         tag = "_".join(f"{k}={v}" for k, v in zip(names, values)) or "point"
         if outdir is not None and tags.setdefault(tag, i) != i:  # a repeated value would run two points into one
             raise ConfigError(f"sweep points {tags[tag]} and {i} would both write the run directory {tag!r}")
-        batches.append(_replica_configs(cfg, replicas, None if outdir is None else os.path.join(outdir, tag)))
-
-    # cap / gcd slices per point make the task count a multiple of cap, so every worker gets as many
-    parts = min(replicas, cap // math.gcd(cap, len(points)))
-    tasks = [part for batch in batches for part in _split(batch, parts)]
+        outputs = [None if outdir is None else os.path.join(outdir, tag, f"seed_{r}") for r in range(replicas)]
+        seeds = replica_seeds(cfg.seed, replicas)
+        tasks += [(cfg, *part) for part in zip(_split(seeds, parts), _split(outputs, parts))]
     if cap == 1 or len(tasks) <= 1:
         results = [_run_slice(task) for task in tasks]
     else:

@@ -11,7 +11,8 @@ always computed exactly as the ansatz's overlap with itself, never sampled.
 
 Shots are drawn one way: ``binomial_fraction`` on a numpy generator.  In the
 package that is a row's kept generator of an ``rng.Streams``, which the loss
-closure of ``protocols`` moves to the row's streams.  ``loss`` scores one
+closure of ``protocols`` moves to the row's streams, or a baseline's one
+parity stream.  ``loss`` scores one
 evaluation from plain numbers: the exact overlap, the generator its shots
 are drawn from (None when exact), the shot count and the ansatz purity.  The
 run loop calls it once per row and evaluation.

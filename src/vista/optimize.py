@@ -10,7 +10,9 @@ parameters whose loss is a single harmonic of known frequency.
 replica, one column per parameter.  The rows share the loss closure, the
 settings and the epoch clock; each keeps its own parameters, ADAM moments,
 stream draws and stop status.  A row that converges or diverges leaves the
-live set and the others go on.  A single run is the case R = 1.
+live set and the others go on.  A single run is the case R = 1.  Each row
+comes back as an ``OptRun``: its status and its trace, under the keys that
+a run persists.
 
 The epoch runs on Python floats.  The live rows' parameters, ADAM moments
 and gradients are columns, one list per parameter with one float per row,
@@ -180,21 +182,16 @@ def _window_sum(recent, k):
 
 @dataclass
 class OptRun:
-    """Epoch-indexed trajectory of one optimization.
+    """One row's stop status and epoch-indexed trace, under the keys that a run persists.
 
-    ``params`` holds the post-update parameter vector of each epoch; ``losses``
-    the sampled loss at the pre-update vector.  The final estimate is the last
-    row of ``params``.
+    The trace holds ``epoch``, ``loss`` (the sampled loss at the pre-update
+    vector), ``params`` (the post-update vector of each epoch, one column per
+    parameter), ``grad_norm``, ``shots`` and ``lr``.  The final estimate is
+    the last row of ``params``.
     """
 
-    names: tuple
-    epochs: np.ndarray
-    losses: np.ndarray
-    params: np.ndarray
-    grad_norms: np.ndarray
-    shots: np.ndarray
-    lrs: np.ndarray
     status: str
+    trace: dict
 
 
 def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
@@ -241,18 +238,16 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     def finish(k, status):
         trace = kept[:, :, k]
         epochs = len(trace)
-        runs[rows[k]] = OptRun(
-            names=tuple(names),
-            epochs=np.arange(epochs),
-            losses=trace[:, 0].copy(),
-            params=trace[:, 1 : 1 + nparams].copy(),
+        runs[rows[k]] = OptRun(status, {
+            "epoch": np.arange(epochs),
+            "loss": trace[:, 0].copy(),
+            "params": trace[:, 1 : 1 + nparams].copy(),
             # each epoch's gradient norm: the squares added from left to right by elementwise ufuncs, which
             # round correctly whatever the SIMD level or the BLAS kernel
-            grad_norms=np.sqrt(sum(g * g for g in trace[:, 1 + nparams :].T)),
-            shots=np.array(shots[:epochs], dtype=int),
-            lrs=np.array(lrs[:epochs]),
-            status=status,
-        )
+            "grad_norm": np.sqrt(sum(g * g for g in trace[:, 1 + nparams :].T)),
+            "shots": np.array(shots[:epochs], dtype=int),
+            "lr": np.array(lrs[:epochs]),
+        })
 
     exact = schedule.exact
     for epoch in range(max_epochs):

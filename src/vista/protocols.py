@@ -15,10 +15,11 @@ non-commuting generator has no closed form, but every term still acts on one
 qubit, so the probe is a product channel: one 4x4 exponential per run and a
 2x2 Trotter factor per evaluation, at a cost that does not grow with n.
 
-``run_batch`` runs replicas of one run -- configs that differ only in seed
-and output -- as one lockstep batch of ``optimize.run_optimization``, and a
-cascade's replicas as one such batch per stage; a single run is a batch of
-one.  An epoch is one call of the loss closure, which every optimizer mode
+``run_batch`` runs one checked config under a list of replica seeds, each
+with its own output, as one lockstep batch of ``optimize.run_optimization``,
+and a cascade's replicas as one such batch per stage; a single run is a batch
+of one.  Each row comes back as the trace that its result persists.  An
+epoch is one call of the loss closure, which every optimizer mode
 shares, on the live rows stacked with their gradient shifts; a mode gives
 only the overlaps: the closed forms row by row on Python floats, one cos
 per row once the factors of the run, or of each phi (one
@@ -34,7 +35,6 @@ trajectory, whatever the batch.
 """
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from itertools import chain, cycle, repeat
 
@@ -52,6 +52,7 @@ from .config import (
     NORM_QN,
     GradientConfig,
     effective_dict,
+    parse,
 )
 from .dynamics import (
     ChannelSpec,
@@ -68,7 +69,7 @@ from .errors import ConfigError, DomainError, NoPeakError
 from .measurement import parity_probability
 from .optimize import STATUS_DIVERGED, run_optimization
 from .results import RunResult
-from .rng import STREAM_GRAD, STREAM_INIT, STREAM_LOSS, STREAM_STAGE, Streams, derive_seed, stream
+from .rng import STREAM_GRAD, STREAM_INIT, STREAM_LOSS, STREAM_PARITY, STREAM_STAGE, Streams, derive_seed, stream
 
 STATUS_CASCADE_FAILED = "cascade_failed"
 STATUS_EARLY_STOPPED = "early_stopped"
@@ -162,7 +163,7 @@ def _gradient_config(cfg, names, freqs):
 
 
 def _final_estimates(cfg, names, opt):
-    last = opt.params[-1]
+    last = opt.trace["params"][-1]
     final = {"theta_hat": float(last[0])}
     if cfg.theta_true is not None:
         final["abs_error_theta"] = abs(final["theta_hat"] - cfg.theta_true)
@@ -186,27 +187,9 @@ def _final_estimates(cfg, names, opt):
 _TRACE_COL = {"theta": "theta_hat", "phi": "phi", "theta2": "theta2_hat"}
 
 
-def _trace(opt):
-    return {
-        "epoch": opt.epochs,
-        "loss": opt.losses,
-        "params": opt.params,
-        "grad_norm": opt.grad_norms,
-        "shots": opt.shots,
-        "lr": opt.lrs,
-    }
-
-
-def _to_result(cfg, names, opt, wall):
-    return RunResult(
-        config=effective_dict(cfg),
-        seed=cfg.seed,
-        status=opt.status,
-        param_names=tuple(_TRACE_COL[n] for n in names),
-        trace=_trace(opt),
-        final=_final_estimates(cfg, names, opt),
-        wall_time_s=wall,
-    )
+def _result(cfg, seed, output, **fields):
+    """The record of cfg's run under ``seed``, written to ``output``: a config echo of its own, nothing shared."""
+    return RunResult(config={**effective_dict(cfg), "seed": seed, "output": output}, seed=seed, **fields)
 
 
 def _optimize(cfg, seeds, starts=None):
@@ -252,12 +235,15 @@ def _optimize(cfg, seeds, starts=None):
     return names, opts
 
 
-def _optimizer_batch(cfgs):
+def _optimizer_batch(cfg, seeds, outputs):
     """Replicas of one run in a closed-form or two-angle mode, in lockstep."""
-    t0 = time.monotonic()
-    names, opts = _optimize(cfgs[0], [c.seed for c in cfgs])
-    wall = time.monotonic() - t0  # the batch's time, not one replica's
-    return [_to_result(c, names, opt, wall) for c, opt in zip(cfgs, opts)]
+    names, opts = _optimize(cfg, seeds)
+    params = tuple(_TRACE_COL[n] for n in names)
+    return [
+        _result(cfg, seed, output, status=opt.status, param_names=params, trace=opt.trace,
+                final=_final_estimates(cfg, names, opt))
+        for seed, output, opt in zip(seeds, outputs, opts)
+    ]
 
 
 # --- cascade -----------------------------------------------------------------
@@ -273,7 +259,7 @@ class _Ladder:
     status: str | None = None
 
 
-def _cascade_batch(cfgs):
+def _cascade_batch(cfg, seeds, outputs):
     """Replicas of one cascade: stages of increasing n, each starting from the previous theta-hat.
 
     Stage k of every replica still on the ladder runs as one lockstep batch at
@@ -282,24 +268,22 @@ def _cascade_batch(cfgs):
     g_min contributes no information: its replica stops there and reports the
     previous stage's estimate.  A diverged stage fails its replica's cascade.
     """
-    cfg = cfgs[0]
-    t0 = time.monotonic()
-    ladders = [_Ladder() for _ in cfgs]
-    live = range(len(cfgs))
+    ladders = [_Ladder() for _ in seeds]
+    live = range(len(seeds))
     for k, nk in enumerate(cfg.cascade.n_sequence):
         stage = replace(cfg, n=int(nk))
         starts = None if k == 0 else [[ladders[r].final["theta_hat"]] for r in live]
-        names, opts = _optimize(stage, [derive_seed(cfgs[r].seed, STREAM_STAGE, k) for r in live], starts)
+        names, opts = _optimize(stage, [derive_seed(seeds[r], STREAM_STAGE, k) for r in live], starts)
         going = []
         for r, opt in zip(live, opts):
             row = ladders[r]
             final = _final_estimates(stage, names, opt)
-            mean_grad = float(np.mean(opt.grad_norms))
+            mean_grad = float(np.mean(opt.trace["grad_norm"]))
             row.stages.append(
                 {
                     "n": int(nk),
                     "first_epoch": sum(s["epochs"] for s in row.stages),
-                    "epochs": len(opt.epochs),
+                    "epochs": len(opt.trace["epoch"]),
                     "status": opt.status,
                     "theta_hat": final["theta_hat"],
                     "abs_error_theta": final["abs_error_theta"],
@@ -314,7 +298,7 @@ def _cascade_batch(cfgs):
                 row.stages[-1]["rejected_vanishing_gradient"] = True
             if k == 0 or not (diverged or rejected):  # a diverged first stage is all its replica has
                 row.final, row.status = final, opt.status
-                row.traces.append(_trace(opt))
+                row.traces.append(opt.trace)
             if diverged or rejected:
                 row.status = STATUS_CASCADE_FAILED if diverged else STATUS_EARLY_STOPPED
             else:
@@ -322,25 +306,15 @@ def _cascade_batch(cfgs):
         live = going
         if not live:
             break
-    wall = time.monotonic() - t0  # the batch's time, not one replica's
 
     results = []
-    for c, row in zip(cfgs, ladders):
+    for seed, output, row in zip(seeds, outputs, ladders):
         # contiguous epoch numbering across accepted stages
         trace = {key: np.concatenate([tr[key] for tr in row.traces]) for key in row.traces[0]}
         trace["epoch"] = np.arange(len(trace["loss"]))
-        results.append(
-            RunResult(
-                config=effective_dict(c),
-                seed=c.seed,
-                status=row.status,
-                param_names=("theta_hat",),
-                trace=trace,
-                final={**row.final, "n_final": row.stages[len(row.traces) - 1]["n"]},
-                stages=row.stages,
-                wall_time_s=wall,
-            )
-        )
+        final = {**row.final, "n_final": row.stages[len(row.traces) - 1]["n"]}
+        results.append(_result(cfg, seed, output, status=row.status, param_names=("theta_hat",), trace=trace,
+                               final=final, stages=row.stages))
     return results
 
 
@@ -350,16 +324,15 @@ def _cascade_batch(cfgs):
 def baseline_series(cfg):
     """Time grid, exact parity probabilities under cfg.channel, and their sampled versions for cfg.baseline.
 
-    Step k draws ``baseline.shots_per_step`` shots under the label (k,): what
-    ``stream(cfg.seed, k)`` draws, from one kept generator that ``Streams.at``
-    moves to each step's label.
+    Every step draws its ``baseline.shots_per_step`` shots, in order, from
+    the one stream ``stream(cfg.seed, STREAM_PARITY)``.
     """
     steps, total_time = cfg.baseline.steps, cfg.baseline.total_time
     t = np.arange(steps) * (total_time / steps)
     p = parity_probability(cfg.n, cfg.theta_true, cfg.gamma_true, t, cfg.channel)
     shots = int(cfg.baseline.shots_per_step)
-    streams = Streams([cfg.seed])
-    p_hat = [measurement.binomial_fraction(streams.at([0], (k,))[0], shots, pk) for k, pk in enumerate(p)]
+    rng = stream(cfg.seed, STREAM_PARITY)
+    p_hat = [measurement.binomial_fraction(rng, shots, pk) for pk in p]
     return t, p, np.array(p_hat)
 
 
@@ -388,7 +361,6 @@ def run_baseline(cfg):
     """Config-driven baseline run producing a persistable record."""
     if cfg.mode != MODE_BASELINE:
         raise ConfigError(f"run_baseline needs mode {MODE_BASELINE!r}")
-    t0 = time.monotonic()
     t, p, p_hat = baseline_series(cfg)
     peak, theta_hat = _spectrum_peak(cfg, p_hat)
     return RunResult(
@@ -402,32 +374,35 @@ def run_baseline(cfg):
             "f_hat": peak / cfg.baseline.total_time,
         },
         series={"t": t, "p_exact": p, "p_hat": p_hat},
-        wall_time_s=time.monotonic() - t0,
     )
 
 
 _OPTIMIZER_MODES = (MODE_PURE, MODE_NOISY_DEPHASING, MODE_NOISY_AMPDAMP, MODE_MULTIPARAM)
 
 
-def run_batch(cfgs):
-    """Results of configs that differ only in seed and output, in their order.
+def run_batch(cfg, seeds, outputs=None):
+    """Results of cfg's run under each of ``seeds``, in their order; result r is written to ``outputs[r]``.
 
-    The optimizer modes run as one lockstep batch, a cascade as one batch per
-    stage; baselines run one after another.  Each result is byte for byte the one that
-    ``run_from_config`` gives for its config alone.
+    ``outputs`` defaults to None, no output, for every seed.  Each seed and
+    output is checked by the config's own rule, and the two lists must be
+    equally long; a ConfigError says which fails.  The optimizer modes run
+    as one lockstep batch, a cascade as one batch per stage; baselines run
+    one after another.  Each result echoes its own seed and output and is,
+    byte for byte, the one that ``run_from_config`` gives for cfg under
+    that seed and output.
     """
-    cfg = cfgs[0]
-    shared = replace(cfg, seed=0, output=None)
-    if any(replace(c, seed=0, output=None) != shared for c in cfgs[1:]):
-        raise ConfigError("the configs of a batch may differ only in seed and output")
+    seeds = [parse("seed", seed) for seed in seeds]
+    outputs = [None] * len(seeds) if outputs is None else [parse("output", output) for output in outputs]
+    if len(outputs) != len(seeds):
+        raise ConfigError(f"a batch needs one output per seed, got {len(outputs)} for {len(seeds)}")
     if cfg.mode == MODE_CASCADE:
-        return _cascade_batch(cfgs)
+        return _cascade_batch(cfg, seeds, outputs)
     if cfg.mode in _OPTIMIZER_MODES:
-        return _optimizer_batch(cfgs)
+        return _optimizer_batch(cfg, seeds, outputs)
     if cfg.mode == MODE_BASELINE:
-        return [run_baseline(c) for c in cfgs]
+        return [run_baseline(replace(cfg, seed=seed, output=output)) for seed, output in zip(seeds, outputs)]
     raise ConfigError(f"unknown mode {cfg.mode!r}")
 
 
 def run_from_config(cfg):
-    return run_batch([cfg])[0]
+    return run_batch(cfg, [cfg.seed], [cfg.output])[0]

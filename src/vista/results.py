@@ -6,8 +6,8 @@
 * ``config.json``  : the effective config alone (loadable as a config file)
 
 ``load`` reads ``result.json`` back into a ``RunResult``: the trace at full precision, each float bit for bit
-(JSON spells one NaN, so a NaN comes back without its payload).  Wall time is kept on the in-memory record but
-never persisted, so rerunning with the same seed overwrites every file byte-identically.
+(JSON spells one NaN, so a NaN comes back without its payload).  A record holds no timing, so rerunning with the
+same seed overwrites every file byte-identically.
 
 The files hold the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, at about the cost of
 formatting their numbers: json's C encoder spells each list of scalars in one call (``_flat``), the config is
@@ -29,6 +29,8 @@ import numpy as np
 
 @dataclass
 class RunResult:
+    """A run's record: what result.json holds, and nothing else."""
+
     config: dict
     seed: int
     status: str
@@ -37,7 +39,6 @@ class RunResult:
     final: dict = field(default_factory=dict)
     stages: list | None = None
     series: dict | None = None  # baseline time series instead of a trace
-    wall_time_s: float = 0.0
 
 
 def _jsonable(obj):
@@ -95,7 +96,7 @@ def persist(result, outdir):
 
 
 def load(run_dir):
-    """The ``RunResult`` that ``run_dir``'s result.json describes, with ``wall_time_s`` 0.0: ``persist``'s inverse.
+    """The ``RunResult`` that ``run_dir``'s result.json describes: ``persist``'s inverse.
 
     The trace's epoch and shots come back as int64 and its other columns, like a series, as float64, with params
     of shape (epochs, parameters) also when there are no epochs.

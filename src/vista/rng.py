@@ -28,18 +28,21 @@ Label layout used by the drivers (all labels are small non-negative ints):
                                         common random numbers (CRN), in order
     (STREAM_LOSS, epoch)                under CRN: an epoch's recorded loss
     (STREAM_GRAD, epoch, i, 0)          under CRN: both shifts of parameter i
-    (k,)                                parity shots at time step k of a
-                                        baseline run, which draws no other
-                                        stream
+    (STREAM_PARITY,)                    every parity shot of a baseline run,
+                                        step after step
     (STREAM_REPLICA, r)                 derived per-replica seeds in sweeps
     (STREAM_STAGE, k)                   derived per-stage seeds in cascades
+
+A baseline draws from no label that an optimizer run uses, so the two modes
+under one seed share no stream.
 
 A seed or label word that is not a Python or numpy int (1.5, or even 1.0)
 raises ``DomainError``.  ``derive_seed`` still hashes (seed, label) through a
 SeedSequence; it runs once per replica or stage, not once per draw.
-``Streams`` serves the rows of a lockstep batch: it builds one generator and
-one state dict per row when the batch starts, and ``at`` resets the rows'
-generators to a label through ``bit_generator.state``, constructing nothing.
+``Streams`` serves the rows of an optimizer's lockstep batch: it builds one
+generator and one state dict per row when the batch starts, and ``at``
+resets the rows' generators to a label through ``bit_generator.state``,
+constructing nothing.
 """
 
 import operator
@@ -53,7 +56,8 @@ from .errors import DomainError
 STREAM_INIT = 0
 STREAM_LOSS = 1
 STREAM_GRAD = 2
-# 3 is free; the labels keep their values because derived seeds depend on them
+STREAM_PARITY = 3
+# the labels keep their values because derived seeds depend on them
 STREAM_REPLICA = 4
 STREAM_STAGE = 5
 

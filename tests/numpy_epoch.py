@@ -8,8 +8,8 @@ each step, the deltas and the window summed by numpy reductions, and the
 trace in preallocated arrays.  Only its call of the loss closure follows the
 package: the block goes in as columns of Python floats and the losses come
 back as a list.  It shares only the config objects and the stop-rule
-constants with the package, so a test can require every ``OptRun`` field of
-the two to agree bit for bit.
+constants with the package, so a test can require every ``OptRun`` field and
+trace column of the two to agree bit for bit.
 """
 
 import functools
@@ -100,17 +100,15 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     t0 = time.monotonic()
 
     def finish(k, epochs, status):
-        runs[int(rows[k])] = OptRun(
-            names=tuple(names),
-            epochs=np.arange(epochs),
-            losses=losses[:epochs, k].copy(),
-            params=params[:epochs, k].copy(),
+        runs[int(rows[k])] = OptRun(status, {
+            "epoch": np.arange(epochs),
+            "loss": losses[:epochs, k].copy(),
+            "params": params[:epochs, k].copy(),
             # the squares of each epoch's gradient added from left to right, with no BLAS dot
-            grad_norms=np.sqrt(functools.reduce(np.add, np.square(grads[:epochs, k]).T)),
-            shots=np.array(shots[:epochs], dtype=int),
-            lrs=np.array(lrs[:epochs]),
-            status=status,
-        )
+            "grad_norm": np.sqrt(functools.reduce(np.add, np.square(grads[:epochs, k]).T)),
+            "shots": np.array(shots[:epochs], dtype=int),
+            "lr": np.array(lrs[:epochs]),
+        })
 
     for epoch in range(max_epochs):
         nu = schedule.shots_at(epoch, max_epochs)

@@ -875,7 +875,6 @@ class TestWriters:
         first, second = tmp_path_factory.mktemp("run"), tmp_path_factory.mktemp("again")
         persist(result, str(first))
         loaded = load(str(first))
-        assert loaded.wall_time_s == 0.0
         persist(loaded, str(second))
         assert {p.name: p.read_bytes() for p in second.iterdir()} == {p.name: p.read_bytes() for p in first.iterdir()}
         for want, got in ((result.trace, loaded.trace), (result.series, loaded.series)):
@@ -969,7 +968,7 @@ class TestExperiments:
         ],
     )
     def test_counts_are_refused_by_name_before_any_run(self, kw, message, monkeypatch):
-        def no_run(cfgs):
+        def no_run(cfg, seeds, outputs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
@@ -977,7 +976,7 @@ class TestExperiments:
             run_grid(cfgmod.from_dict(SMALL_RUN), {"theta_true": [0.1]}, **{"replicas": 1, "workers": 1, **kw})
 
     def test_integral_counts_are_taken_as_int(self, monkeypatch):
-        monkeypatch.setattr(expmod, "_run_slice", lambda task: [{"status": "converged"}] * len(task))
+        monkeypatch.setattr(expmod, "_run_slice", lambda task: [{"status": "converged"}] * len(task[1]))
         rows, outs = run_grid(cfgmod.from_dict(SMALL_RUN), {"theta_true": [0.1]}, replicas=2.0, workers=np.int64(1))
         assert rows[0]["n_runs"] == 2 and len(outs) == 2
 
@@ -999,16 +998,44 @@ class TestExperiments:
                     k: v for k, v in real(base).items() if k not in ("theta_true", "seed", "output")
                 }
 
-    @pytest.mark.parametrize("outdir", [None, "sweep/n=2"])
-    def test_replica_configs_equal_their_from_dict_configs(self, outdir):
-        doc = {**cfgmod.effective_dict(cfgmod.from_dict(SMALL_RUN)), "n": 2.0, "seed": 11}
-        replicas = expmod._replica_configs(cfgmod.from_dict(doc), 3, outdir)
-        expected = [
-            cfgmod.from_dict({**doc, "seed": seed, "output": outdir and os.path.join(outdir, f"seed_{r}")})
-            for r, seed in enumerate(replica_seeds(11, 3))
-        ]
-        assert replicas == expected
-        assert list(map(cfgmod.effective_dict, replicas)) == list(map(cfgmod.effective_dict, expected))
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2.0},
+            {"mode": "cascade", "n": 4, "cascade": {"n_sequence": [2, 4]}},
+            {"mode": "baseline_fft", "baseline": {"steps": 40, "shots_per_step": 200}},
+        ],
+        ids=["pure", "cascade", "baseline"],
+    )
+    def test_persisted_replica_configs_load_back_to_their_replicas(self, doc, tmp_path, monkeypatch):
+        # a replica's config.json is its point's config under the replica's seed and output
+        monkeypatch.chdir(tmp_path)
+        base = cfgmod.from_dict({**SMALL_RUN, "seed": 11, **doc})
+        run_grid(base, {"theta_true": [0.1, 0.3]}, 3, outdir="sweep/n=2", workers=1)
+        for theta in (0.1, 0.3):
+            point = replace(base, theta_true=theta)
+            for r, seed in enumerate(replica_seeds(point.seed, 3)):
+                out = os.path.join("sweep/n=2", f"theta_true={theta}", f"seed_{r}")
+                loaded = cfgmod.from_dict(json.loads(Path(out, "config.json").read_text()))
+                want = replace(point, seed=seed, output=out)
+                assert loaded == want
+                assert cfgmod.effective_dict(loaded) == cfgmod.effective_dict(want)
+
+    @pytest.mark.parametrize(
+        "doc, per_point",
+        [({}, 1), ({"mode": "cascade", "n": 4, "cascade": {"n_sequence": [2, 4]}}, 3)],
+        ids=["pure", "cascade"],
+    )
+    def test_run_grid_builds_no_config_per_replica(self, doc, per_point, monkeypatch):
+        # one config per point, and a cascade one per stage, however many replicas run
+        built = []
+        real = cfgmod.RunConfig.__post_init__
+        monkeypatch.setattr(cfgmod.RunConfig, "__post_init__", lambda cfg: built.append(cfg) or real(cfg))
+        base = cfgmod.from_dict({**SMALL_RUN, "optimizer": {"max_epochs": 3}, **doc})
+        built.clear()
+        rows, _ = run_grid(base, {"theta_true": [0.1, 0.2, 0.3]}, 4, workers=1)
+        assert [row["n_runs"] for row in rows] == [4, 4, 4]
+        assert len(built) == 3 * per_point
 
     def test_run_grid_rejects_bad_point_before_running(self, tmp_path):
         base = cfgmod.from_dict(SMALL_RUN)
@@ -1018,7 +1045,7 @@ class TestExperiments:
 
     def test_run_grid_refuses_points_that_share_a_run_directory(self, tmp_path, monkeypatch):
         # a repeated axis value names one run directory twice, where two workers would write the same files
-        def no_run(cfgs):
+        def no_run(cfg, seeds, outputs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
@@ -1037,7 +1064,7 @@ class TestExperiments:
         assert sorted(os.listdir(tmp_path / "sweep")) == ["gamma_true=0.0_n=2", "gamma_true=0.1_n=2", "summary.csv"]
 
         # so 0 and 0.0 are one point, which a sweep refuses to run twice
-        def no_run(cfgs):
+        def no_run(cfg, seeds, outputs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
@@ -1140,7 +1167,7 @@ class TestExperiments:
     )
     def test_experiments_refuse_fractional_inputs_by_name(self, experiment, args, kw, message, monkeypatch):
         # each was truncated: n = 2.5 ran as n = 2
-        def no_run(cfgs):
+        def no_run(cfg, seeds, outputs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
@@ -1149,7 +1176,7 @@ class TestExperiments:
 
     def test_scaling_refuses_a_size_below_one_before_dividing_by_it(self, monkeypatch):
         # the start window pi / (4 n) and the rate 0.15 / n divided by zero first
-        def no_run(cfgs):
+        def no_run(cfg, seeds, outputs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
@@ -1182,7 +1209,7 @@ class TestExperiments:
 
     @pytest.mark.parametrize("axes", [{"theta_true": []}, {"gamma_true": [], "n": [2, 3]}, {"n": [2, 3], "seed": ()}])
     def test_run_grid_refuses_an_empty_axis_by_name_before_any_run(self, axes, tmp_path, monkeypatch):
-        def no_run(cfgs):
+        def no_run(cfg, seeds, outputs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
@@ -1784,6 +1811,36 @@ class TestCli:
         assert ret != 0
         assert "oracle check passed" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "--gamma", "-1", "--nu", "100", "--n", "2:4"], "decay must be finite and >= 0, got -1.0"),
+            (["bounds", "--gamma", "0.1", "--nu", "0", "--n", "2:4"], "nu must be finite and >= 1, got 0"),
+            (["bounds", "--gamma", "0.1", "--nu", "100", "--n", "0:3"], "n grid must be non-empty positive integers"),
+            (["oracle-check", "--n", "2", "--gamma", "-0.1", "--channel", "dephasing"],
+             "decay must be finite and >= 0, got -0.1"),
+            (["oracle-check", "--n", "2", "--channel", "none", "--gamma", "0.1"],
+             "channel 'none' carries no decay, got 0.1"),
+            (["oracle-check", "--n", "2", "--gamma", "0.1", "--channel", "dephasing", "--steps", "10"],
+             "need steps >= 100, got 10"),
+            (["oracle-check", "--n", "11", "--gamma", "0.1", "--channel", "dephasing"],
+             "closed_form_density supports 1..10 qubits, got n=11"),
+            (["oracle-check", "--n", "0", "--gamma", "0.1", "--channel", "dephasing"],
+             "closed_form_density supports 1..10 qubits, got n=0"),
+        ],
+        ids=["bounds-gamma", "bounds-nu", "bounds-n", "oracle-gamma", "oracle-channel", "oracle-steps", "oracle-n-high",
+             "oracle-n-zero"],
+    )
+    def test_bad_flag_values_exit_1(self, argv, message, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_oracle_check_integrator_failure_exits_2(self, capsys):
+        # a NumericsError of the integrator is a runtime failure, not a bad flag value
+        ret = cli.main(["oracle-check", "--n", "2", "--gamma", "0.1", "--channel", "dephasing", "--theta", "nan"])
+        assert ret == 2
+        assert capsys.readouterr().err.startswith("error: trace drifted by nan")
+
     def test_bounds_stdout_values(self, capsys):
         ret = cli.main(["bounds", "--gamma", "0", "--nu", "100", "--n", "2:4"])
         assert ret == 0
@@ -1848,7 +1905,7 @@ class TestCli:
             assert len(fh.read().splitlines()) == 3
 
     def test_sweep_refuses_a_repeated_axis_value_with_out(self, run_cfg, tmp_path, monkeypatch, capsys):
-        def no_run(cfgs):
+        def no_run(cfg, seeds, outputs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
@@ -1920,7 +1977,7 @@ class TestCli:
              "sweep-negative-seed"],
     )
     def test_bad_sweep_is_refused_before_any_run(self, command, message, run_cfg, monkeypatch, capsys):
-        def no_run(cfgs):
+        def no_run(cfg, seeds, outputs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
@@ -1940,7 +1997,7 @@ class TestCli:
         ids=["sweep", "scaling", "calibrate"],
     )
     def test_workers_below_one_are_refused_before_any_run(self, command, workers, run_cfg, monkeypatch, capsys):
-        def no_run(cfgs):
+        def no_run(cfg, seeds, outputs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(expmod.protocols, "run_batch", no_run)
@@ -2037,6 +2094,22 @@ class TestPackaging:
                     continue
                 offenders += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
         assert offenders == []
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        # every name an import binds is read in its module; __init__'s names in __all__ count as read
+        unused = []
+        for path in sorted(Path(vista.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            bound = {}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:  # ``import a.b`` binds a
+                        bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            if path.name == "__init__.py":
+                read |= set(vista.__all__)
+            unused += [f"{path.name}:{line}: {name}" for name, line in bound.items() if name not in read]
+        assert unused == []
 
     def test_every_exported_name_resolves(self):
         assert len(set(vista.__all__)) == len(vista.__all__)

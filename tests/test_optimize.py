@@ -314,8 +314,8 @@ class TestRunOptimization:
             gradient=GradientConfig(h=np.array([np.pi / (8 * N_PROBE)])),
         )
         assert run.status == STATUS_MAX_EPOCHS
-        assert abs(run.params[-1, 0] - THETA_TRUE) < 1e-6
-        assert len(run.epochs) == 800
+        assert abs(run.trace["params"][-1, 0] - THETA_TRUE) < 1e-6
+        assert len(run.trace["epoch"]) == 800
 
     def test_exact_mode_loss_envelope_decreases(self):
         # single-epoch losses oscillate near the floor; the per-window maximum
@@ -328,9 +328,9 @@ class TestRunOptimization:
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([np.pi / (8 * N_PROBE)])),
         )
-        envelopes = [run.losses[a:b].max() for a, b in ((10, 100), (100, 200), (200, 400), (400, 800))]
+        envelopes = [run.trace["loss"][a:b].max() for a, b in ((10, 100), (100, 200), (200, 400), (400, 800))]
         assert all(hi > lo for hi, lo in zip(envelopes, envelopes[1:]))
-        assert run.losses[-1] <= 1e-9
+        assert run.trace["loss"][-1] <= 1e-9
 
     def test_convergence_status(self):
         run = _run(
@@ -342,7 +342,7 @@ class TestRunOptimization:
             gradient=GradientConfig(h=np.array([np.pi / 24])),
         )
         assert run.status == STATUS_CONVERGED
-        assert len(run.epochs) < 400
+        assert len(run.trace["epoch"]) < 400
 
     def test_divergence_detection(self):
         # constant pull with an undecayed, oversized rate walks the angle out
@@ -356,8 +356,8 @@ class TestRunOptimization:
             gradient=GradientConfig(h=np.array([0.1])),
         )
         assert run.status == STATUS_DIVERGED
-        assert len(run.epochs) == 13
-        assert abs(run.params[-1, 0]) > 2 * np.pi
+        assert len(run.trace["epoch"]) == 13
+        assert abs(run.trace["params"][-1, 0]) > 2 * np.pi
 
     def test_zero_budget_still_records_one_epoch(self):
         run = _run(
@@ -368,7 +368,7 @@ class TestRunOptimization:
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([0.1])),
         )
-        assert len(run.epochs) == 1
+        assert len(run.trace["epoch"]) == 1
         assert run.status == STATUS_BUDGET_EXHAUSTED
 
     def test_trace_shape_and_contiguity(self):
@@ -380,10 +380,10 @@ class TestRunOptimization:
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([0.1])),
         )
-        assert run.epochs.tolist() == list(range(25))
-        assert run.params.shape == (25, 1)
-        assert run.shots.tolist() == [0] * 25  # exact mode records zero shots
-        np.testing.assert_allclose(run.lrs, 0.05 * 0.995 ** np.arange(25))
+        assert run.trace["epoch"].tolist() == list(range(25))
+        assert run.trace["params"].shape == (25, 1)
+        assert run.trace["shots"].tolist() == [0] * 25  # exact mode records zero shots
+        np.testing.assert_allclose(run.trace["lr"], 0.05 * 0.995 ** np.arange(25))
 
     def test_sampled_mode_is_reproducible(self):
         def make(seed):
@@ -399,9 +399,9 @@ class TestRunOptimization:
         )
         a = _run(("theta",), np.array([0.1]), make(5), **kw)
         b = _run(("theta",), np.array([0.1]), make(5), **kw)
-        np.testing.assert_array_equal(a.params, b.params)
-        np.testing.assert_array_equal(a.losses, b.losses)
-        assert a.shots[0] == 2000 and a.shots[-1] == 4000
+        np.testing.assert_array_equal(a.trace["params"], b.trace["params"])
+        np.testing.assert_array_equal(a.trace["loss"], b.trace["loss"])
+        assert a.trace["shots"][0] == 2000 and a.trace["shots"][-1] == 4000
 
     def test_non_finite_loss_raises(self):
         with pytest.raises(NumericsError):
@@ -425,8 +425,8 @@ class TestRunOptimization:
             schedule=ShotSchedule(exact=True),
             gradient=GradientConfig(h=np.array([0.1, 0.05])),
         )
-        assert np.all(run.params[:, 1] <= PHI_CLAMP + 1e-15)
-        assert np.all(run.params[:, 1] >= 0.0)
+        assert np.all(run.trace["params"][:, 1] <= PHI_CLAMP + 1e-15)
+        assert np.all(run.trace["params"][:, 1] >= 0.0)
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("h_phi", [0.05, -0.05])
@@ -453,7 +453,7 @@ class TestRunOptimization:
         )
         assert len(seen) == 2 * 5 * 6
         assert all(0.0 <= phi <= PHI_CLAMP for phi in seen)
-        assert all(run.params[-1, 1] == phi0 for run in runs)  # held at its end, not pushed off it
+        assert all(run.trace["params"][-1, 1] == phi0 for run in runs)  # held at its end, not pushed off it
 
 
 class TestNonFiniteLosses:
@@ -530,19 +530,19 @@ class TestEpochEvaluator:
         starts = np.array([[-0.0, 0.2], [0.25, -0.1], [0.5, 0.3]])
         runs = run_optimization(starts, lossfn, names=("theta", "theta2"), optimizer=optimizer, schedule=schedule,
                                 gradient=GradientConfig(h=np.array(steps)))
-        assert len(calls) == max(len(run.epochs) for run in runs)
+        assert len(calls) == max(len(run.trace["epoch"]) for run in runs)
         assert len({len(rows) for *_, rows in calls}) == 3  # every row leaves at its own epoch
         for epoch, (columns, nu, called_at, rows) in enumerate(calls):
             assert called_at == epoch
             assert nu == schedule.shots_at(epoch, optimizer.max_epochs)
-            live = [r for r, run in enumerate(runs) if len(run.epochs) > epoch]
+            live = [r for r, run in enumerate(runs) if len(run.trace["epoch"]) > epoch]
             assert rows == live
             assert all(type(x) is float for column in columns for x in column)
             # the schedule: each live row at its pre-update point, then shifted up and down in each parameter
             expected = []
             for block, (i, sign) in enumerate([(0, 0), (0, 1), (0, -1), (1, 1), (1, -1)]):
                 for r in live:
-                    point = [float(x) for x in (starts[r] if epoch == 0 else runs[r].params[epoch - 1])]
+                    point = [float(x) for x in (starts[r] if epoch == 0 else runs[r].trace["params"][epoch - 1])]
                     point[i] = point[i] + steps[i] if sign > 0 else point[i] - steps[i] if sign < 0 else point[i]
                     expected.append((r, block, [x.hex() for x in point]))  # hex tells -0.0 from 0.0
             # row j of block k is row rows[j]
@@ -570,15 +570,16 @@ class TestLockstep:
         starts = np.array([[0.0], [0.25], [0.5]])
         batch = run_optimization(starts, self._loss, names=("theta",), **self._KW)
         assert [r.status for r in batch] == [STATUS_DIVERGED, STATUS_CONVERGED, STATUS_MAX_EPOCHS]
-        assert len({len(r.epochs) for r in batch}) == 3
+        assert len({len(r.trace["epoch"]) for r in batch}) == 3
         for r, run in enumerate(batch):
             alone = run_optimization(
                 starts[r : r + 1], lambda v, nu, epoch, rows, _r=r: self._loss(v, nu, epoch, [q + _r for q in rows]),
                 names=("theta",), **self._KW,
             )[0]
             assert run.status == alone.status
-            for key in ("epochs", "losses", "params", "grad_norms", "shots", "lrs"):
-                np.testing.assert_array_equal(getattr(run, key), getattr(alone, key))
+            assert list(run.trace) == list(alone.trace)
+            for key in run.trace:
+                np.testing.assert_array_equal(run.trace[key], alone.trace[key])
 
     def test_trace_memory_follows_the_epochs_run(self):
         # both rows stop within a few dozen epochs, so max_epochs must not size the trace buffers
@@ -590,7 +591,7 @@ class TestLockstep:
         finally:
             tracemalloc.stop()
         assert [r.status for r in batch] == [STATUS_DIVERGED, STATUS_CONVERGED]
-        assert max(len(r.epochs) for r in batch) < 100
+        assert max(len(r.trace["epoch"]) for r in batch) < 100
         assert peak < 2**20
 
     def test_grad_norm_is_the_row_norm_to_the_bit(self):
@@ -610,16 +611,16 @@ class TestLockstep:
             gradient=cfg,
         )
         for start, run in zip(starts, runs):
-            before = np.vstack([start, run.params[:-1]])
+            before = np.vstack([start, run.trace["params"][:-1]])
             grads = [_grad(b, lambda v, label: f(v, None, label), cfg).tolist() for b in before]
             norms = [math.sqrt(g0 * g0 + g1 * g1) for g0, g1 in grads]
-            assert run.grad_norms.tolist() == norms
+            assert run.trace["grad_norm"].tolist() == norms
 
 
 class TestNumpyOracle:
-    """The Python-float epoch against the numpy epoch of ``numpy_epoch``, every ``OptRun`` field to the bit."""
+    """The Python-float epoch against the numpy epoch of ``numpy_epoch``: the status and every trace column to the bit."""
 
-    _FIELDS = ("names", "epochs", "losses", "params", "grad_norms", "shots", "lrs", "status")
+    _COLUMNS = ("epoch", "loss", "params", "grad_norm", "shots", "lr")
 
     @staticmethod
     def _loss(seed, crn, first=0):
@@ -655,12 +656,11 @@ class TestNumpyOracle:
         )
         runs = run_optimization(starts, self._loss(seed, crn, first), **kw)
         for run, ref in zip(runs, numpy_epoch.run_optimization(starts, self._loss(seed, crn, first), **kw), strict=True):
-            for key in self._FIELDS:
-                got, want = getattr(run, key), getattr(ref, key)
-                if isinstance(want, np.ndarray):
-                    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), key
-                else:
-                    assert got == want, key
+            assert run.status == ref.status
+            assert tuple(run.trace) == tuple(ref.trace) == self._COLUMNS
+            for key in self._COLUMNS:
+                got, want = run.trace[key], ref.trace[key]
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), key
         return runs
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -672,11 +672,11 @@ class TestNumpyOracle:
         # rows diverge, converge and run out of epochs in one batch, so the live set shrinks twice
         stops = {run.status: set() for run in runs}
         for run in runs:
-            stops[run.status].add(len(run.epochs))
+            stops[run.status].add(len(run.trace["epoch"]))
         assert set(stops) == {STATUS_DIVERGED, STATUS_CONVERGED, STATUS_MAX_EPOCHS}
         assert max(stops[STATUS_DIVERGED]) < min(stops[STATUS_CONVERGED]) <= max(stops[STATUS_CONVERGED]) < 85
         if nparams == 2:  # phi held at both ends of its range
-            phis = np.concatenate([run.params[:, 1] for run in runs])
+            phis = np.concatenate([run.trace["params"][:, 1] for run in runs])
             assert phis.min() == 0.0 and phis.max() == PHI_CLAMP
 
     @pytest.mark.parametrize("sampled", [True, False])
@@ -694,4 +694,4 @@ class TestNumpyOracle:
 
     def test_zero_budget_matches_to_the_bit(self):
         runs = self._both(5, 2, budget_s=0.0)
-        assert {(run.status, len(run.epochs)) for run in runs} == {(STATUS_BUDGET_EXHAUSTED, 1)}
+        assert {(run.status, len(run.trace["epoch"])) for run in runs} == {(STATUS_BUDGET_EXHAUSTED, 1)}

@@ -41,7 +41,7 @@ from vista.protocols import (
 )
 from vista.qcore import ghz_density, ghz_vector
 from vista.results import persist
-from vista.rng import STREAM_GRAD, STREAM_INIT, STREAM_LOSS, stream
+from vista.rng import STREAM_GRAD, STREAM_INIT, STREAM_LOSS, STREAM_PARITY, stream
 
 from dense import trotter_evolve
 
@@ -275,7 +275,7 @@ class TestHeisenbergFloor:
             shots={"nu_start": 10**4, "nu_end": 10**4, "profile": "constant"},
             init={"center": theta, "halfwidth": math.pi / (4 * n)},
         )
-        results = run_batch([replace(base, seed=seed) for seed in replica_seeds(base.seed, self.REPLICAS)])
+        results = run_batch(base, replica_seeds(base.seed, self.REPLICAS))
         rmse = math.sqrt(np.mean([(r.final["theta_hat"] - theta) ** 2 for r in results]))
         copies = 3 * np.median([r.trace["shots"].sum() for r in results])
         heisenberg = 1 / (2 * n * math.sqrt(copies))
@@ -315,15 +315,16 @@ class TestBaseline:
         assert np.all((p_hat >= 0) & (p_hat <= 1))
         _, _, p_hat2 = baseline_series(bc)
         np.testing.assert_array_equal(p_hat, p_hat2)
-        # step k draws shots_per_step shots from stream(seed, k)
-        assert p_hat.tolist() == [binomial_fraction(stream(bc.seed, k), 400, pk) for k, pk in enumerate(p)]
+        # the steps draw shots_per_step shots each, in order, from the one stream (seed, (STREAM_PARITY,))
+        rng = stream(bc.seed, STREAM_PARITY)
+        assert p_hat.tolist() == [binomial_fraction(rng, 400, pk) for pk in p]
 
     def test_series_builds_one_generator(self, monkeypatch):
-        # the steps share one kept generator of a Streams; none builds its own stream
-        built = []
-        monkeypatch.setattr(protocols, "stream", lambda *a: built.append(a))
+        # the steps share one stream; none builds its own
+        built, real = [], protocols.stream
+        monkeypatch.setattr(protocols, "stream", lambda *a: built.append(a) or real(*a))
         baseline_series(_baseline_cfg(2, 0.4, 0.05, steps=50))
-        assert built == []
+        assert built == [(0, STREAM_PARITY)]
 
     def test_exact_series_copies_probabilities(self):
         # the exact series is the parity law itself, returned beside the sampled one
@@ -495,14 +496,15 @@ class TestShotStreams:
         "vista_noisy_dephasing": dict(n=4, theta_true=0.02, gamma_true=0.05),
     }
 
-    def _cfgs(self, mode, crn, count=4):
+    def _batch(self, mode, crn, count=4):
+        """A batch's config and its rows' seeds."""
         base = _cfg(mode=mode, seed=0, shots={"nu_start": 2000, "nu_end": 8000}, init={"theta0": 0.05},
                     gradient={"crn": crn}, optimizer={"max_epochs": 30, "tol_conv": 1e-2, "window": 5},
                     **self._MODES[mode])
-        return [replace(base, seed=100 + r) for r in range(count)]
+        return base, [100 + r for r in range(count)]
 
     @staticmethod
-    def _replay(cfg, trace, crn):
+    def _replay(cfg, seed, trace, crn):
         """The losses and gradient norms of a closed-form run's trace, each epoch scored from its start point.
 
         Without CRN the row's loss, then each parameter's up and down shift, draw on from the one stream
@@ -512,7 +514,7 @@ class TestShotStreams:
         probe = qubit_channel(cfg.channel, cfg.gamma_true)
         noisy = cfg.mode != "vista_pure"
         steps = [cfg.h_theta_effective()] + [cfg.gradient.h_phi] * noisy
-        run_stream = stream(cfg.seed, STREAM_LOSS)
+        run_stream = stream(seed, STREAM_LOSS)
 
         def score(point, gen, nu):
             theta, *phi = point
@@ -524,7 +526,7 @@ class TestShotStreams:
         point = [cfg.init.theta0] + [cfg.init.phi0] * noisy
         losses, norms = [], []
         for epoch, nu in enumerate(trace["shots"].tolist()):
-            gen = stream(cfg.seed, STREAM_LOSS, epoch) if crn else run_stream
+            gen = stream(seed, STREAM_LOSS, epoch) if crn else run_stream
             losses.append(score(point, gen, nu))
             squares = 0.0
             for i, h in enumerate(steps):
@@ -532,7 +534,7 @@ class TestShotStreams:
                 for x in (point[i] + h, point[i] - h):
                     shifted = list(point)
                     shifted[i] = min(max(x, 0.0), PHI_CLAMP) if i == 1 else x
-                    sides.append(score(shifted, stream(cfg.seed, STREAM_GRAD, epoch, i, 0) if crn else run_stream, nu))
+                    sides.append(score(shifted, stream(seed, STREAM_GRAD, epoch, i, 0) if crn else run_stream, nu))
                 g = (sides[0] - sides[1]) * (1.0 / (2 * h))
                 squares += g * g
             norms.append(math.sqrt(squares))
@@ -542,11 +544,11 @@ class TestShotStreams:
     @pytest.mark.parametrize("crn", [False, True], ids=["independent", "crn"])
     @pytest.mark.parametrize("mode", list(_MODES))
     def test_batch_rows_replay_from_their_streams_to_the_bit(self, mode, crn):
-        cfgs = self._cfgs(mode, crn)
-        results = run_batch(cfgs)
+        cfg, seeds = self._batch(mode, crn)
+        results = run_batch(cfg, seeds)
         assert len({len(res.trace["epoch"]) for res in results}) > 1  # rows leave the batch at different epochs
-        for cfg, res in zip(cfgs, results):
-            losses, norms = self._replay(cfg, res.trace, crn)
+        for seed, res in zip(seeds, results):
+            losses, norms = self._replay(cfg, seed, res.trace, crn)
             assert res.trace["loss"].tolist() == losses
             assert res.trace["grad_norm"].tolist() == norms
 
@@ -568,14 +570,14 @@ class TestShotStreams:
         real_loss = measurement.loss
         monkeypatch.setattr(np.random, "Philox", Philox)
         monkeypatch.setattr(measurement, "loss", lambda *args: events.append("loss") or real_loss(*args))
-        cfgs = self._cfgs("vista_noisy_dephasing", crn)
-        results = run_batch(cfgs)
+        cfg, seeds = self._batch("vista_noisy_dephasing", crn)
+        results = run_batch(cfg, seeds)
         evaluations = sum(5 * len(res.trace["epoch"]) for res in results)
         assert events.count("loss") == evaluations
         if crn:  # one move per row and block: the recorded loss and the four shifts
             assert events.count("move") == evaluations
         else:
-            assert events[: len(cfgs)] == ["move"] * len(cfgs) and events.count("move") == len(cfgs)
+            assert events[: len(seeds)] == ["move"] * len(seeds) and events.count("move") == len(seeds)
 
     def test_common_random_numbers_cancel_shot_noise(self):
         # at theta_true = 0 a row that starts there sees equal overlaps at its two shifts, +h and -h; under CRN
@@ -588,7 +590,9 @@ class TestShotStreams:
 
     def test_crn_and_baseline_sweeps_keep_their_bytes(self, tmp_path, monkeypatch):
         # sha256 digests of the files these sweeps wrote when every evaluation of a sampled run drew from its own
-        # label's stream: a CRN run still does, and a baseline draws from one stream per time step, as before
+        # label's stream: a CRN run still does.  A baseline's result.json files hold the series that it draws, step
+        # after step, from its one stream (seed, (STREAM_PARITY,)); its config.json and summary.csv files kept the
+        # bytes they had when each step drew from the label (k,)
         monkeypatch.chdir(tmp_path)  # relative outputs, so the echoed paths do not depend on tmp_path
         crn = _cfg(mode="vista_noisy_dephasing", n=4, theta_true=0.02, gamma_true=0.05, seed=3,
                    shots={"nu_start": 2000, "nu_end": 8000}, gradient={"crn": True},
@@ -603,13 +607,13 @@ class TestShotStreams:
         }
         assert written == {
             "baseline/n=2/seed_0/config.json": "a8f45aa1a8e4ace3045fef086f6c9168f42b9d99e40d42e68ce7b645e30be304",
-            "baseline/n=2/seed_0/result.json": "617b0f2c5478ac8cccab886e18b7cc8ffa46e04342d99a50c6dd80e2a60af1f4",
+            "baseline/n=2/seed_0/result.json": "5d791ad3cd536a3eb2d29bda9d4a9e882066e167a0199eba196f8457a1d10d3e",
             "baseline/n=2/seed_1/config.json": "1132de0f8f848daad7555980fe87b15ab7c8655d48420bb96d16259aac5b7d3a",
-            "baseline/n=2/seed_1/result.json": "82532a74ee86fcb3805e1653a54670f69f67782224a369d7cf9f1807217705a9",
+            "baseline/n=2/seed_1/result.json": "e230bcd6e070c2e2d01d747304e09b9b6ce535c56b3478b255226bad3a098468",
             "baseline/n=3/seed_0/config.json": "9319dac7f1bb0ff0f6bdce6802dbd32c903853be8c2351aedc7ccc0dc9fba9d6",
-            "baseline/n=3/seed_0/result.json": "7cd1a4c5aba3c03daee7a0451f5dae99ccc01067eb1080640e4947e59138bb71",
+            "baseline/n=3/seed_0/result.json": "27d8d69bbbbd4f5856c8c0ce3ec8701415be33320d31970edbb6e5f3e9eba483",
             "baseline/n=3/seed_1/config.json": "522027557b88ca04a2a379c0581b7727656d653a25df8f8b134b222bfbfedbf2",
-            "baseline/n=3/seed_1/result.json": "a0c3896266bbb2279d4e14747bcfcdd88775e7acfd00611e81d66e4332c2f47e",
+            "baseline/n=3/seed_1/result.json": "d0b6dc8e6c972431de0743ed53ccde385c24b7bba7b923ffab7951ebc7cf50e0",
             "baseline/summary.csv": "4a6fd9b307f62312059b71a87e5bb96ffb380ec2c9d52a1a83a1af9e94816f64",
             "crn/gamma_true=0.05/seed_0/config.json": "4f92eaf1e7b2ddfc1cdea3bdb7db486b1f3f7b6af12017ac3a1352b79922f43b",
             "crn/gamma_true=0.05/seed_0/result.json": "d5f27d7e43e052c2f4dca3421d8f7fa9ae670f7990b63b2b034d5411cebd6032",
@@ -761,18 +765,19 @@ _BATCH_MODES = {
 }
 
 
-def _batch_cfgs(name, exact, tmp_path, count=6):
+def _batch(name, exact, tmp_path, count=6):
+    """A batch's config, its rows' seeds and their outputs."""
     shots = {"exact": True} if exact else {"nu_start": 2000, "nu_end": 8000}
     doc = {"optimizer": {"max_epochs": 30, "tol_conv": 1e-2, "window": 5}, **_BATCH_MODES[name]}
     base = _cfg(seed=0, shots=shots, **doc)
-    return [replace(base, seed=100 + r, output=str(tmp_path / f"seed_{r}")) for r in range(count)]
+    return base, [100 + r for r in range(count)], [str(tmp_path / f"seed_{r}") for r in range(count)]
 
 
-def _files(cfgs):
+def _files(seeds, outputs):
     out = {}
-    for cfg in cfgs:
-        for path in sorted(Path(cfg.output).iterdir()):
-            out[(cfg.seed, path.name)] = path.read_bytes()
+    for seed, output in zip(seeds, outputs):
+        for path in sorted(Path(output).iterdir()):
+            out[(seed, path.name)] = path.read_bytes()
     return out
 
 
@@ -784,26 +789,26 @@ class TestLockstepBatch:
         # stop at different epochs
         written = []
         for split in ([6], [1] * 6, [2, 4]):
-            cfgs = _batch_cfgs(name, exact, tmp_path)
+            cfg, seeds, outputs = _batch(name, exact, tmp_path)
             start = 0
             for size in split:
-                for res in run_batch(cfgs[start : start + size]):
+                for res in run_batch(cfg, seeds[start : start + size], outputs[start : start + size]):
                     persist(res, res.config["output"])
                 start += size
-            written.append(_files(cfgs))
+            written.append(_files(seeds, outputs))
             shutil.rmtree(tmp_path)
         assert len(written[0]) == 6 * 2
         assert all(files == written[0] for files in written[1:])
 
     def test_batch_rows_stop_one_by_one(self, tmp_path):
-        res = run_batch(_batch_cfgs("pure", True, tmp_path))
+        res = run_batch(*_batch("pure", True, tmp_path))
         assert {r.status for r in res} == {STATUS_CONVERGED}
         assert len({len(r.trace["epoch"]) for r in res}) > 1
 
     @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
     @pytest.mark.parametrize("name", ["cascade_diverging", "cascade_rejecting"])
     def test_cascade_rows_leave_the_ladder_at_different_stages(self, name, exact, tmp_path):
-        res = run_batch(_batch_cfgs(name, exact, tmp_path))
+        res = run_batch(*_batch(name, exact, tmp_path))
         assert len({len(r.stages) for r in res}) > 1
 
     @pytest.mark.parametrize(
@@ -823,7 +828,7 @@ class TestLockstepBatch:
         monkeypatch.setattr(measurement, "loss", counted)
         monkeypatch.setattr(measurement, "binomial_fraction", lambda *args: draws.append(1) or real_draw(*args))
         monkeypatch.setattr(protocols, "Streams", lambda *args: streams.append(1) or real_streams(*args))
-        res = run_batch(_batch_cfgs(name, exact, tmp_path, count=3))
+        res = run_batch(*_batch(name, exact, tmp_path, count=3))
         # a cascade's trace holds its accepted stages; its stage records count every epoch run
         epochs = [sum(s["epochs"] for s in r.stages) if r.stages else len(r.trace["epoch"]) for r in res]
         expected = sum(e * (1 + 2 * len(r.param_names)) for e, r in zip(epochs, res))
@@ -834,7 +839,13 @@ class TestLockstepBatch:
             assert not any(calls) and len(draws) == expected
             assert len(streams) == (max(len(r.stages) for r in res) if res[0].stages else 1)  # one per batch
 
-    def test_batch_configs_must_differ_only_in_seed_and_output(self, tmp_path):
-        cfgs = _batch_cfgs("pure", True, tmp_path, count=2)
+    @pytest.mark.parametrize(
+        "seeds, outputs",
+        [([100, 1.5], None), ([100, -1], None), ([100, 101], ["a", ""]), ([100, 101], ["a"]), ([100], ["a", "b"])],
+        ids=["fractional-seed", "negative-seed", "empty-output", "fewer-outputs", "more-outputs"],
+    )
+    def test_batch_refuses_bad_seeds_and_outputs(self, seeds, outputs, tmp_path):
+        # each seed and output is held to the config's own rule, and each seed needs its one output
+        cfg, _, _ = _batch("pure", True, tmp_path)
         with pytest.raises(ConfigError):
-            run_batch([cfgs[0], replace(cfgs[1], n=4)])
+            run_batch(cfg, seeds, outputs)
