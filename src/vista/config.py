@@ -20,7 +20,7 @@ import math
 import numbers
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple, get_args
 
 from .dynamics import CHANNEL_AMPDAMP, CHANNEL_DEPHASING, CHANNEL_NONE, CHANNELS, check_channel
@@ -156,41 +156,6 @@ class ShotSchedule(Checked):
         if self.profile == "linear":
             return int(round(self.nu_start + (self.nu_end - self.nu_start) * frac))
         return int(round(self.nu_start * (self.nu_end / self.nu_start) ** frac))
-
-
-@dataclass(frozen=True)
-class GradientConfig(Checked):
-    method: str = rule(GRAD_CENTRAL, one_of=GRAD_METHODS)
-    h: tuple = (0.05,)
-    # loss harmonic per parameter (e.g. 2n for the phase); required for parameter_shift
-    frequencies: tuple | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "h", tuple(float(x) for x in self.h))
-        if self.frequencies is not None:
-            object.__setattr__(self, "frequencies", tuple(float(x) for x in self.frequencies))
-
-    @cached_property
-    def steps(self):
-        """(shifts, scales) of the gradient of p parameters, as Python floats.
-
-        Parameter i is evaluated at x + shifts[i] and x - shifts[i], and the
-        difference of its two losses is scaled by scales[i].
-        """
-        shifts, scales = [], []
-        for i, h in enumerate(self.h):
-            use_shift_rule = self.method == GRAD_PARAM_SHIFT
-            if use_shift_rule and self.frequencies is None:
-                raise DomainError("parameter_shift needs per-parameter loss frequencies")
-            if use_shift_rule and self.frequencies[i] > 0:
-                w = self.frequencies[i]
-                shifts.append(math.pi / (2 * w))
-                scales.append(w / 2)
-            else:
-                shifts.append(h)
-                scales.append(1.0 / (2 * h))
-        return shifts, scales
 
 
 MODE_PURE = "vista_pure"

@@ -354,7 +354,10 @@ def lindblad_rk4_oracle(rho0, ham, channel, steps=2000):
         here, comfortably inside the 1e-6 oracle budget.
 
     Returns the final density matrix; raises NumericsError when the trace
-    drifts by more than 1e-6 (halve the step, i.e. raise ``steps``).
+    drifts by more than 1e-6, or when an entry's modulus exceeds 1 + 1e-6 or
+    is not finite (halve the step, i.e. raise ``steps``).  RK4 keeps the
+    trace, so an unstable step blows up with the trace intact; a density
+    matrix has no entry of modulus above 1.
     """
     rho = np.array(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -380,5 +383,10 @@ def lindblad_rk4_oracle(rho0, ham, channel, steps=2000):
     if not drift <= 1e-6:  # a nan state drifts by nan
         raise NumericsError(
             f"trace drifted by {drift:.3e} after {steps} steps; halve the step size"
+        )
+    largest = np.abs(rho).max()
+    if not largest <= 1 + 1e-6:  # a non-finite entry fails too
+        raise NumericsError(
+            f"an entry reached modulus {largest:.3e} after {steps} steps; halve the step size"
         )
     return rho

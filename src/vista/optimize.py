@@ -1,10 +1,9 @@
 """Stochastic optimization of ansatz parameters against the sampled loss, for R replicas at once.
 
 The loop is plain ADAM with an exponentially decaying learning rate and a
-per-epoch shot schedule.  Gradients default to central differences with a
-step of pi/(8n) for phase-type parameters (an eighth of the loss period) and
-0.05 for the disentangling angle; the parameter-shift rule is available for
-parameters whose loss is a single harmonic of known frequency.
+per-epoch shot schedule.  The optimizer steps columns, not named parameters:
+each run hands it every column's gradient step, a shift and a scale, and its
+bounds, which ``vista.protocols`` computes from the run's config.
 
 ``run_optimization`` drives R replicas of one run in lockstep: one row per
 replica, one column per parameter.  The rows share the loss closure, the
@@ -30,10 +29,10 @@ and this module names no stream.  ``adam_step`` then takes each
 parameter's live rows through one loop: gradient, ADAM update, clamp, delta
 and guard.  numpy enters an epoch only inside a closure that uses it.
 
-phi is the one bounded parameter: ``clip`` holds it in [0, PHI_CLAMP] at the
-start, in the block's shifts and after each step, so a loss closure never
-sees it outside.  The settings an epoch reads (``OptimizerConfig``,
-``ShotSchedule``, ``GradientConfig``) are defined in ``vista.config``.
+A column with bounds (lo, hi) is held in them by ``clip`` at the start, in
+the block's shifts and after each step, so a loss closure never sees it
+outside.  The settings an epoch reads (``OptimizerConfig``, ``ShotSchedule``)
+are defined in ``vista.config``, which this module does not import.
 """
 
 import math
@@ -43,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PHI_CLAMP, OptimizerConfig
 from .errors import DomainError, NumericsError
 
 THETA_GUARD = 2 * np.pi  # leaving this range means the run walked off every basin
@@ -62,21 +60,24 @@ def clip(x, lo, hi):
 class Adam:
     """ADAM's state over the L rows of a batch, and the constants of its run, read once per run.
 
-    ``m`` and ``v`` are the moments, columns like the values: one list per
-    parameter, one float per row, zeros before the first epoch.  ``bounds``
-    holds each column's (lo, hi), [0, PHI_CLAMP] for phi (column ``phi``, if
-    any), or None.  ``adam_step`` moves the state one epoch and leaves its report: ``values``, the rows after the step; ``deltas``, each
-    row's mean absolute change; ``diverged``, whether a value left the phase
-    guard; and ``lr``, the epoch's learning rate.
+    ``steps`` is (shifts, scales): column i is evaluated at x + shifts[i] and
+    x - shifts[i], and the difference of its two losses is scaled by
+    scales[i].  ``bounds`` holds each column's (lo, hi), or None.  ``m`` and
+    ``v`` are the moments, columns like the values: one list per column, one
+    float per row, zeros before the first epoch.  ``adam_step`` moves the
+    state one epoch and leaves its report: ``values``, the rows after the
+    step; ``deltas``, each row's mean absolute change; ``diverged``, whether a
+    value left the phase guard; and ``lr``, the epoch's learning rate.
     """
 
-    def __init__(self, optimizer, gradient, nparams, nrows, phi=None):
+    def __init__(self, optimizer, steps, bounds, nrows):
         b1, b2 = optimizer.beta1, optimizer.beta2
         self.constants = (b1, 1 - b1, b2, 1 - b2, optimizer.eps)
         self.lr_at = optimizer.lr_at
-        self.shifts, self.scales = gradient.steps
-        self.bounds = [(0.0, PHI_CLAMP) if j == phi else None for j in range(nparams)]
-        self.m = self.v = [[0.0] * nrows for _ in range(nparams)]
+        self.shifts, self.scales = steps
+        self.bounds = bounds
+        self.m = [[0.0] * nrows for _ in bounds]
+        self.v = [[0.0] * nrows for _ in bounds]
         self.values = self.deltas = self.lr = None
         self.diverged = False
 
@@ -128,31 +129,21 @@ def adam_step(adam, epoch, values, out):
     return grad
 
 
-def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None, adam=None):
+def estimate_gradient(values, lossfn, adam, epoch, nu, rows):
     """One epoch's evaluation: (losses, gradient) of the sampled loss at L rows.
 
     ``values`` holds the rows as columns, one list of L floats per parameter;
     the losses come back as a list of L floats and the gradient as columns.
     The rows and their 2p shifted copies are stacked into p columns of (1+2p) L
-    floats: the rows, then each parameter's up and down shift, clipped to
-    the column's bounds in ``adam`` if it has them.  One call
+    floats: the rows, then each column's up and down shift by ``adam.shifts``,
+    clipped to the column's bounds in ``adam`` if it has them.  One call
     ``lossfn(columns, nu, epoch, rows)`` returns a list of a loss per block
-    row; ``rows`` (default 0..L-1) names the rows to the closure.
-
-    Central differences use (L+ - L-)/(2h).  The parameter-shift rule
-    evaluates at +-pi/(2 w) and scales by w/2, which is exact when the loss
-    is A + B cos(w p + c) in parameter p; parameters with frequency 0 (no
-    single-harmonic form, e.g. the decay-matching angle) fall back to their
-    central-difference step.
+    row; ``rows``, a list of L ints, names the rows to the closure.
 
     The gradient is ``adam_step``'s, which takes the epoch's ADAM step of the
-    state ``adam`` (an ``Adam`` made with ``grad_cfg``) in the same pass.
-    Without one, the step is taken from a fresh state under the default
-    settings and dropped.
+    state ``adam`` in the same pass.
     """
     nparams, nrows = len(values), len(values[0])
-    if adam is None:
-        adam = Adam(OptimizerConfig(), grad_cfg, nparams, nrows)
     columns = []
     for j, (col, h, bound) in enumerate(zip(values, adam.shifts, adam.bounds)):
         # column j: the rows, then each parameter i's up and down shift, x + h and x - h where i == j, a copy elsewhere
@@ -165,7 +156,7 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch=0, nu=None, rows=None, ada
             lo, hi = bound
             block[up : down + nrows] = [clip(x, lo, hi) for x in block[up : down + nrows]]
         columns.append(block)
-    out = lossfn(columns, nu, epoch, list(range(nrows)) if rows is None else rows)
+    out = lossfn(columns, nu, epoch, rows)
     losses = out[:nrows]
     if not all(map(math.isfinite, losses)):
         raise NumericsError(f"non-finite loss at epoch {epoch}")
@@ -194,16 +185,17 @@ class OptRun:
     trace: dict
 
 
-def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
+def run_optimization(params0, lossfn, *, optimizer, schedule, steps, bounds):
     """Drive ADAM on R replicas until each converges or diverges, or the epoch/time budget ends.
 
-    ``params0`` is an (R, p) array of starting rows whose columns are named
-    by ``names``.  Each epoch makes one call ``lossfn(columns, nu, epoch,
-    rows)`` through ``estimate_gradient``: it returns a list of the (possibly
-    sampled) loss of each row of the block in ``columns``, 1+2p stacked copies
-    of the L live rows, whose indices into ``params0`` are the ints ``rows``;
-    nu is the epoch's shot count (None in exact mode) and ``epoch`` counts
-    from 0.
+    ``params0`` is an (R, p) array of starting rows.  ``steps`` is (shifts,
+    scales) and ``bounds`` holds each column's (lo, hi) or None, as ``Adam``
+    takes them; a bounded column's starts are clipped to its bounds.  Each
+    epoch makes one call ``lossfn(columns, nu, epoch, rows)`` through
+    ``estimate_gradient``: it returns a list of the (possibly sampled) loss
+    of each row of the block in ``columns``, 1+2p stacked copies of the L
+    live rows, whose indices into ``params0`` are the ints ``rows``; nu is
+    the epoch's shot count (None in exact mode) and ``epoch`` counts from 0.
 
     The stop rules come from ``optimizer`` and are applied to each row:
     convergence requires the mean absolute parameter change, averaged over
@@ -214,12 +206,12 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     ``budget_exhausted``.  Returns one ``OptRun`` per row.
     """
     start = np.array(params0, dtype=float)
-    if start.ndim != 2 or start.shape[1] != len(names):
-        raise DomainError(f"params0 must have one column per name in {names}, got shape {start.shape}")
+    if start.ndim != 2 or start.shape[1] != len(bounds):
+        raise DomainError(f"params0 must be an (R, {len(bounds)}) array, one column per bound, got shape {start.shape}")
     max_epochs, tol_conv, window = optimizer.max_epochs, optimizer.tol_conv, optimizer.window
     nrows, nparams = start.shape
-    adam = Adam(optimizer, gradient, nparams, nrows, names.index("phi") if "phi" in names else None)
-    values = [[clip(x, *bound) for x in col] if bound else col for col, bound in zip(start.T.tolist(), adam.bounds)]
+    adam = Adam(optimizer, steps, bounds, nrows)
+    values = [[clip(x, *bound) for x in col] if bound else col for col, bound in zip(start.T.tolist(), bounds)]
     rows = list(range(nrows))
     # The trace of the live rows: each epoch appends its losses, then its parameter and gradient
     # columns, to ``record``, so it grows with the epochs run, not with max_epochs.  When rows stop,
@@ -252,7 +244,7 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
     exact = schedule.exact
     for epoch in range(max_epochs):
         nu = None if exact else schedule.shots_at(epoch, max_epochs)
-        losses, grad = estimate_gradient(values, lossfn, gradient, epoch, nu, rows, adam)
+        losses, grad = estimate_gradient(values, lossfn, adam, epoch, nu, rows)
         values, deltas = adam.values, adam.deltas
 
         record.fromlist(losses)

@@ -50,7 +50,7 @@ from .config import (
     MODE_NOISY_DEPHASING,
     MODE_PURE,
     NORM_QN,
-    GradientConfig,
+    PHI_CLAMP,
     effective_dict,
     parse,
 )
@@ -83,7 +83,7 @@ def _closed_form_overlaps(cfg, mode):
 
     A row at angle theta has the overlap pop + amp * cos(2n (theta_true - theta)), ``closed_form_overlap``'s
     bits, with (pop, amp, purity) computed once per run (pure ansatz) or, by ``ansatz_factors``, once per
-    distinct phi of a block (noisy).  ``run_optimization`` hands it every phi in [0, PHI_CLAMP].
+    distinct phi of a block (noisy).  ``_optimize`` bounds phi, so it receives every phi in [0, PHI_CLAMP].
     """
     probe = qubit_channel(cfg.channel, cfg.gamma_true)  # the probe's qubit after unit time, at phase theta_true
     n, theta_true = cfg.n, cfg.theta_true
@@ -156,10 +156,28 @@ def _draw_init(cfg, seed, names):
     return values
 
 
-def _gradient_config(cfg, names, freqs):
-    h = [cfg.gradient.h_phi if name == "phi" else cfg.h_theta_effective() for name in names]
-    frequencies = freqs if cfg.gradient.method == GRAD_PARAM_SHIFT else None
-    return GradientConfig(cfg.gradient.method, h, frequencies)
+def _gradient_steps(cfg, names, freqs):
+    """(shifts, scales) of the gradient of the parameters ``names``, whose loss harmonics are ``freqs``.
+
+    Parameter i is evaluated at x + shifts[i] and x - shifts[i], and the
+    difference of its two losses is scaled by scales[i].  Under the
+    parameter-shift rule a parameter of frequency w > 0 takes pi/(2 w) and
+    w/2, which is exact when the loss is A + B cos(w p + c); every other
+    parameter (frequency 0 has no single-harmonic form, e.g. the
+    decay-matching angle) takes its central-difference step h, ``h_phi`` for
+    phi and ``h_theta_effective()`` for an angle, and 1/(2 h).
+    """
+    shift_rule = cfg.gradient.method == GRAD_PARAM_SHIFT
+    shifts, scales = [], []
+    for name, w in zip(names, freqs):
+        if shift_rule and w > 0:
+            shifts.append(math.pi / (2 * w))
+            scales.append(w / 2)
+        else:
+            h = cfg.gradient.h_phi if name == "phi" else cfg.h_theta_effective()
+            shifts.append(h)
+            scales.append(1.0 / (2 * h))
+    return shifts, scales
 
 
 def _final_estimates(cfg, names, opt):
@@ -196,7 +214,9 @@ def _optimize(cfg, seeds, starts=None):
     """Rows of cfg's run under ``seeds``, optimized as one lockstep batch: (names, an OptRun per row).
 
     Row r starts at ``starts[r]``, or, without ``starts``, at the point that
-    ``_draw_init`` draws from its seed.
+    ``_draw_init`` draws from its seed.  This is where a run's parameters meet
+    the optimizer's columns: each takes its step from ``_gradient_steps``, and
+    phi alone is bounded, to [0, PHI_CLAMP].
     """
     if cfg.mode == MODE_MULTIPARAM and cfg.theta2_true != 0:
         names, overlaps, freqs = _two_angle_overlaps(cfg)
@@ -227,10 +247,10 @@ def _optimize(cfg, seeds, starts=None):
     opts = run_optimization(
         np.array(starts),
         lossfn,
-        names=names,
         optimizer=cfg.optimizer,
         schedule=cfg.shots,
-        gradient=_gradient_config(cfg, names, freqs),
+        steps=_gradient_steps(cfg, names, freqs),
+        bounds=[(0.0, PHI_CLAMP) if name == "phi" else None for name in names],
     )
     return names, opts
 

@@ -3,12 +3,12 @@
 ``vista.optimize`` runs its epoch on Python floats.  This module is the same
 loop written on (L, p) arrays, as the package ran it before: the block built
 from the step vectors with ``np.add`` and ``np.subtract``, ADAM as array
-ufuncs, phi clamped with ``np.clip`` at the start, in the block and after
-each step, the deltas and the window summed by numpy reductions, and the
+ufuncs, each bounded column clamped with ``np.clip`` at the start, in the
+block and after each step, the deltas and the window summed by numpy reductions, and the
 trace in preallocated arrays.  Only its call of the loss closure follows the
 package: the block goes in as columns of Python floats and the losses come
-back as a list.  It shares only the config objects and the stop-rule
-constants with the package, so a test can require every ``OptRun`` field and
+back as a list.  It shares only the config objects, the steps and bounds it is
+handed and the stop-rule constants with the package, so a test can require every ``OptRun`` field and
 trace column of the two to agree bit for bit.
 """
 
@@ -17,10 +17,8 @@ import time
 
 import numpy as np
 
-from vista.config import GRAD_PARAM_SHIFT
-from vista.errors import DomainError, NumericsError
+from vista.errors import NumericsError
 from vista.optimize import (
-    PHI_CLAMP,
     STATUS_BUDGET_EXHAUSTED,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
@@ -30,11 +28,11 @@ from vista.optimize import (
 )
 
 
-def clamp_phi(values, names):
-    """The (R, p) rows ``values``, with the column named phi clamped to [0, PHI_CLAMP] in place."""
-    if "phi" in names:
-        j = names.index("phi")
-        values[:, j] = values[:, j].clip(0.0, PHI_CLAMP)
+def clamp(values, bounds):
+    """The (R, p) rows ``values``, with each column that has bounds (lo, hi) clamped to them in place."""
+    for j, bound in enumerate(bounds):
+        if bound:
+            values[:, j] = values[:, j].clip(*bound)
     return values
 
 
@@ -47,32 +45,22 @@ def adam_step(cfg, t, m, v, values, grad):
     return m, v, values - cfg.lr_at(t) * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
-def gradient_steps(grad_cfg):
-    """(ups, downs, scales): values + ups[i] and values - downs[i] shift parameter i of every row."""
-    shifts, scales = [], []
-    for i, h in enumerate(grad_cfg.h):
-        if grad_cfg.method == GRAD_PARAM_SHIFT and grad_cfg.frequencies is None:
-            raise DomainError("parameter_shift needs per-parameter loss frequencies")
-        if grad_cfg.method == GRAD_PARAM_SHIFT and grad_cfg.frequencies[i] > 0:
-            w = grad_cfg.frequencies[i]
-            shifts.append(np.pi / (2 * w))
-            scales.append(w / 2)
-        else:
-            shifts.append(h)
-            scales.append(1.0 / (2 * h))
+def gradient_steps(steps):
+    """(ups, downs, scales) of the steps (shifts, scales): values + ups[i] and values - downs[i] shift column i."""
+    shifts, scales = steps
     own = np.eye(len(shifts), dtype=bool)[:, None, :]
     return np.where(own, shifts, -0.0), np.where(own, shifts, 0.0), np.array(scales)
 
 
-def estimate_gradient(values, lossfn, grad_cfg, epoch, nu, rows, names):
+def estimate_gradient(values, lossfn, steps, bounds, epoch, nu, rows):
     """(losses, gradient) of the (L, p) rows ``values``, from one call of ``lossfn`` on their stacked block."""
-    ups, downs, scales = gradient_steps(grad_cfg)
+    ups, downs, scales = gradient_steps(steps)
     nrows, nparams = values.shape
     block = np.empty((1 + 2 * nparams, nrows, nparams))
     block[0] = values
     np.add(values, ups, out=block[1::2])
     np.subtract(values, downs, out=block[2::2])
-    stacked = clamp_phi(block.reshape(-1, nparams), names)  # phi's shifts stay in [0, PHI_CLAMP], as its rows do
+    stacked = clamp(block.reshape(-1, nparams), bounds)  # a bounded column's shifts stay in its bounds, as its rows do
     out = np.array(lossfn(stacked.T.tolist(), nu, epoch, rows.tolist()))
     losses = out[:nrows]
     if not np.isfinite(losses).all():
@@ -84,9 +72,9 @@ def estimate_gradient(values, lossfn, grad_cfg, epoch, nu, rows, names):
     return losses, grad
 
 
-def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
+def run_optimization(params0, lossfn, *, optimizer, schedule, steps, bounds):
     """``vista.optimize.run_optimization`` on arrays; returns one ``OptRun`` per row."""
-    values = clamp_phi(np.array(params0, dtype=float), names)
+    values = clamp(np.array(params0, dtype=float), bounds)
     nrows, nparams = values.shape
     max_epochs, tol_conv, window = optimizer.max_epochs, optimizer.tol_conv, optimizer.window
     m, v = np.zeros(values.shape), np.zeros(values.shape)
@@ -112,9 +100,9 @@ def run_optimization(params0, lossfn, *, names, optimizer, schedule, gradient):
 
     for epoch in range(max_epochs):
         nu = schedule.shots_at(epoch, max_epochs)
-        loss_here, grad = estimate_gradient(values, lossfn, gradient, epoch, nu, rows, names)
+        loss_here, grad = estimate_gradient(values, lossfn, steps, bounds, epoch, nu, rows)
         m, v, new_values = adam_step(optimizer, epoch, m, v, values, grad)
-        new_values = clamp_phi(new_values, names)
+        new_values = clamp(new_values, bounds)
         losses[epoch], params[epoch], grads[epoch] = loss_here, new_values, grad
         deltas[epoch] = np.add.reduce(np.abs(new_values - values), axis=1) / float(nparams)
         shots.append(0 if nu is None else nu)

@@ -21,7 +21,7 @@ import numpy as np
 from conftest import qfi_ratio_ampdamp_expansion, random_density, random_hermitian, random_state
 from dense import matched_angle, q_hs, qfi_uhlmann, tensor_pauli
 from vista.analysis import curvature, qfi_ratio_ampdamp
-from vista.config import GradientConfig, from_dict
+from vista.config import OptimizerConfig, from_dict
 from vista.dynamics import (
     ChannelSpec,
     HamiltonianSpec,
@@ -38,7 +38,7 @@ from vista.experiments import (
     scaling_experiment,
 )
 from vista.measurement import binomial_fraction, loss
-from vista.optimize import estimate_gradient
+from vista.optimize import Adam, estimate_gradient
 from vista.protocols import run_from_config
 from vista.qcore import PAULI_X, PAULI_Z, ghz_density
 from vista.rng import STREAM_LOSS, stream
@@ -271,12 +271,14 @@ def test_criterion_11_estimator_statistics():
             return [loss(float(closed_form_overlap(3, pure, pure, 0.15 - v)), gen, shots) for v in columns[0]]
         return fn
 
-    grad_cfg = GradientConfig(h=np.array([0.05]))
+    def grad(loss_fn):  # central differences with a step of 0.05, under the default ADAM settings
+        adam = Adam(OptimizerConfig(), ([0.05], [1.0 / (2 * 0.05)]), [None], 1)
+        return estimate_gradient([[0.10]], loss_fn, adam, 0, None, [0])[1][0][0]
+
     nus = (1_000, 10_000, 100_000)
     variances = []
     for shots in nus:
-        grads = [estimate_gradient([[0.10]], sampled_loss(s, shots), grad_cfg)[1][0][0]
-                 for s in range(300)]
+        grads = [grad(sampled_loss(s, shots)) for s in range(300)]
         variances.append(float(np.var(grads)))
     slope = float(np.polyfit(np.log(nus), np.log(variances), 1)[0])
     ok = worst_sigma <= 4.0 and abs(slope + 1) <= 0.15

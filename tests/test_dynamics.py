@@ -30,7 +30,7 @@ from vista.dynamics import (
     single_qubit_lindbladian,
     trotter_unitary,
 )
-from vista.optimize import PHI_CLAMP
+from vista.config import PHI_CLAMP
 from vista.qcore import ghz_density, ghz_vector
 
 from dense import (

@@ -1841,6 +1841,14 @@ class TestCli:
         assert ret == 2
         assert capsys.readouterr().err.startswith("error: trace drifted by nan")
 
+    def test_oracle_check_unstable_step_exits_2(self, capsys):
+        # RK4 keeps the trace while an unstable step blows the state up, so the entries' modulus is checked too
+        ret = cli.main(["oracle-check", "--n", "2", "--gamma", "300", "--channel", "dephasing", "--steps", "100"])
+        captured = capsys.readouterr()
+        assert ret == 2
+        assert captured.err.startswith("error: an entry reached modulus ") and "halve the step size" in captured.err
+        assert "max_abs_deviation" not in captured.out
+
     def test_bounds_stdout_values(self, capsys):
         ret = cli.main(["bounds", "--gamma", "0", "--nu", "100", "--n", "2:4"])
         assert ret == 0
@@ -2078,6 +2086,19 @@ class TestPackaging:
         """)
         loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
         assert "vista.config" in loaded and "vista.optimize" not in loaded
+
+    def test_optimize_does_not_import_config(self):
+        # the optimizer steps columns: each run hands it its steps and bounds, so it needs no config module
+        code = textwrap.dedent(f"""
+            import sys, types
+            package = types.ModuleType("vista")
+            package.__path__ = [{str(Path(vista.__file__).parent)!r}]
+            sys.modules["vista"] = package
+            import vista.optimize
+            print(" ".join(sorted(name for name in sys.modules if name.startswith("vista."))))
+        """)
+        loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+        assert "vista.optimize" in loaded and "vista.config" not in loaded
 
     def test_no_module_imports_scipy(self):
         # scipy is a test-only dependency: the package itself needs numpy alone

@@ -13,18 +13,20 @@ from vista.config import (
     GRAD_CENTRAL,
     GRAD_METHODS,
     GRAD_PARAM_SHIFT,
+    MODE_PURE,
     NORM_PLAIN,
-    GradientConfig,
+    PHI_CLAMP,
+    GradientBlock,
     OptimizerConfig,
     ShotSchedule,
+    from_dict,
 )
 from vista.dynamics import CHANNEL_NONE, closed_form_overlap, qubit_channel
 from vista.errors import DomainError, NumericsError
 from vista.measurement import binomial_fraction, loss
-from vista import optimize
+from vista import optimize, protocols
 from vista.rng import STREAM_GRAD, STREAM_LOSS, stream
 from vista.optimize import (
-    PHI_CLAMP,
     STATUS_BUDGET_EXHAUSTED,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
@@ -39,6 +41,7 @@ from vista.optimize import (
 N_PROBE = 3
 THETA_TRUE = 0.15
 _PURE = qubit_channel(CHANNEL_NONE, 0.0)
+PHI_BOUNDS = [None, (0.0, PHI_CLAMP)]  # the bounds of a (theta, phi) run
 
 
 def _raw(theta_hat):
@@ -74,9 +77,24 @@ def _rowwise(f):
     return lossfn
 
 
-def _grad(at, f, cfg):
-    """The gradient at one point, through the epoch evaluator: f(values, label) scores one row."""
-    columns = estimate_gradient([[x] for x in at], _rowwise(lambda row, nu, label: f(row, label)), cfg)[1]
+def _central(*hs):
+    """The steps (shifts, scales) of central differences with the steps ``hs``."""
+    return [float(h) for h in hs], [1.0 / (2 * h) for h in hs]
+
+
+def _steps(method, h_theta, h_phi, names, freqs):
+    """``protocols._gradient_steps`` of the parameters ``names`` under ``gradient.method`` and the two steps."""
+    cfg = from_dict({"mode": MODE_PURE, "n": N_PROBE, "theta_true": THETA_TRUE, "seed": 0,
+                     "gradient": {"method": method, "h_theta": h_theta, "h_phi": h_phi}})
+    return protocols._gradient_steps(cfg, names, freqs)
+
+
+def _grad(at, f, steps):
+    """The gradient at one point, through the epoch evaluator under the default ADAM settings, with no bounds:
+    f(values, label) scores one row."""
+    adam = Adam(OptimizerConfig(), steps, [None] * len(at), 1)
+    lossfn = _rowwise(lambda row, nu, label: f(row, label))
+    columns = estimate_gradient([[x] for x in at], lossfn, adam, 0, None, [0])[1]
     return np.array([g for [g] in columns])
 
 
@@ -86,7 +104,7 @@ def _adam_step(cfg, epoch, values, grad, m, v):
     The block's up shifts lose g and its down shifts 0.0 under a unit scale (h = 0.5), so its gradient is ``grad``.
     """
     nparams, nrows = len(values), len(values[0])
-    adam = Adam(cfg, GradientConfig(h=(0.5,) * nparams), nparams, nrows)
+    adam = Adam(cfg, _central(*[0.5] * nparams), [None] * nparams, nrows)
     adam.m, adam.v = m, v
     out = [0.0] * nrows
     for column in grad:
@@ -95,9 +113,10 @@ def _adam_step(cfg, epoch, values, grad, m, v):
     return adam.values, adam.m, adam.v
 
 
-def _run(names, start, f, **kw):
-    """One run through the batched optimizer: f(values, nu, label) scores one row."""
-    runs = run_optimization(np.atleast_2d(start), _rowwise(f), names=names, **kw)
+def _run(start, f, bounds=None, **kw):
+    """One run through the batched optimizer, with no bounds unless given: f(values, nu, label) scores one row."""
+    start = np.atleast_2d(start)
+    runs = run_optimization(start, _rowwise(f), bounds=bounds or [None] * start.shape[1], **kw)
     assert len(runs) == 1
     return runs[0]
 
@@ -105,26 +124,49 @@ def _run(names, start, f, **kw):
 class TestParams:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
-            _run(("a", "b"), np.array([1.0]), _exact_loss, optimizer=OptimizerConfig(max_epochs=1),
-                 schedule=ShotSchedule(exact=True), gradient=GradientConfig(h=np.array([0.1, 0.1])))
-        # the shape is checked before phi is clamped, so a start without a phi column is a DomainError too
+            _run(np.array([1.0]), _exact_loss, [None, None], optimizer=OptimizerConfig(max_epochs=1),
+                 schedule=ShotSchedule(exact=True), steps=_central(0.1, 0.1))
+        # the shape is checked before a column is clamped, so a start without a bounded column is a DomainError too
         for start in (np.array([0.1, 0.2]), np.array([[0.1]])):
             with pytest.raises(DomainError):
-                run_optimization(start, None, names=("theta", "phi"), optimizer=OptimizerConfig(max_epochs=1),
-                                 schedule=ShotSchedule(exact=True), gradient=GradientConfig(h=np.array([0.1, 0.1])))
+                run_optimization(start, None, optimizer=OptimizerConfig(max_epochs=1),
+                                 schedule=ShotSchedule(exact=True), steps=_central(0.1, 0.1), bounds=PHI_BOUNDS)
 
-    def test_clamp_only_touches_phi(self):
-        # the start rows as the loss closure receives them: phi clipped to [0, PHI_CLAMP], theta as it was
-        starts = []
+    @pytest.mark.parametrize("bounds", [PHI_BOUNDS, [(-1.0, 0.5), None], [None, None]],
+                             ids=["column-1", "column-0", "none"])
+    def test_clamp_only_touches_bounded_columns(self, bounds):
+        # row 0 is pushed up and row 1 down in both columns, from starts outside every bound, so a bounded
+        # column's starts, block shifts and steps would all leave its bounds if nothing clipped them
+        starts, h = [[1.0, 2.0], [-1.2, -0.3]], [0.1, 0.05]
+        calls = []
 
         def lossfn(columns, nu, epoch, rows):
-            starts.append([column[: len(rows)] for column in columns])
-            return [0.0] * len(columns[0])
+            calls.append([list(column) for column in columns])
+            return [(x + y) * (-1.0 if j % len(rows) == 0 else 1.0) for j, (x, y) in enumerate(zip(*columns))]
 
-        run_optimization([[5.0, 2.0], [-6.0, -0.3]], lossfn, names=("theta", "phi"),
-                         optimizer=OptimizerConfig(max_epochs=1), schedule=ShotSchedule(exact=True),
-                         gradient=GradientConfig(h=(0.1, 0.05)))
-        assert starts == [[[5.0, -6.0], [PHI_CLAMP, 0.0]]]
+        def held(x, j):
+            return clip(x, *bounds[j]) if bounds[j] else x
+
+        optimizer = OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=4, tol_conv=0.0)
+        runs = run_optimization(starts, lossfn, optimizer=optimizer, schedule=ShotSchedule(exact=True),
+                                steps=_central(*h), bounds=bounds)
+        assert [len(run.trace["epoch"]) for run in runs] == [4, 4] == [len(calls)] * 2
+        for epoch, columns in enumerate(calls):
+            points = [[held(x, j) for j, x in enumerate(start)] if epoch == 0
+                      else run.trace["params"][epoch - 1].tolist() for start, run in zip(starts, runs)]
+            # the block: the rows, then each column's up and down shift, clipped where the column has bounds
+            expected = [[], []]
+            for shifted, sign in [(None, 0), (0, 1), (0, -1), (1, 1), (1, -1)]:
+                for point in points:
+                    for j, x in enumerate(point):
+                        expected[j].append(held(x + h[j] if sign > 0 else x - h[j], j) if j == shifted else x)
+            assert columns == expected
+        for j, bound in enumerate(bounds):
+            walked = np.concatenate([run.trace["params"][:, j] for run in runs])
+            if bound:  # held at both ends
+                assert (walked.min(), walked.max()) == bound
+            else:  # walked past both of its starts
+                assert walked.min() < -1.2 and walked.max() > 2.0
 
     def test_clamp_agrees_with_np_clip(self):
         column = [-0.0, 0.0, -0.3, 0.7, 2.0, float("nan"), float("-inf"), float("inf")]
@@ -152,6 +194,12 @@ class TestAdamStep:
         assert all(type(cols) is list and id(cols) not in ids for cols in out)
         assert all(type(c) is list and id(c) not in ids for cols in out for c in cols)
         assert len({id(c) for cols in out for c in cols}) == 6
+
+    def test_moments_start_as_separate_zero_columns(self):
+        # m and v are two lists of fresh columns, so an update of one in place leaves the other
+        adam = Adam(OptimizerConfig(), _central(0.1, 0.1), [None, None], 3)
+        assert adam.m == adam.v == [[0.0] * 3] * 2
+        assert len({id(x) for x in (adam.m, adam.v, *adam.m, *adam.v)}) == 6
 
     def test_first_step_moves_by_learning_rate(self):
         # bias-corrected first step is lr * sign(g) up to eps
@@ -219,28 +267,31 @@ class TestShotSchedule:
 
 
 class TestGradientEstimation:
+    """The epoch evaluator's gradient; the step rule's tests take their steps from ``protocols._gradient_steps``."""
+
     def test_central_difference_exact_for_quadratic(self):
         def f(values, label):
             return (values[0] - 1.0) ** 2
 
-        cfg = GradientConfig(h=np.array([0.2]))
-        g = _grad(np.array([0.4]), f, cfg)
+        steps = _steps(GRAD_CENTRAL, 0.2, 0.05, ("theta",), [2.0 * N_PROBE])
+        assert steps == ([0.2], [2.5])
+        g = _grad(np.array([0.4]), f, steps)
         assert g[0] == pytest.approx(2 * (0.4 - 1.0), abs=1e-12)
 
     def test_zero_at_minimum(self):
         def f(values, label):
             return 1 - np.cos(2 * N_PROBE * (values[0] - THETA_TRUE))
 
-        cfg = GradientConfig(h=np.array([np.pi / 24]))
-        g = _grad(np.array([THETA_TRUE]), f, cfg)
+        steps = _central(np.pi / 24)
+        g = _grad(np.array([THETA_TRUE]), f, steps)
         assert g[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_small_angle_slope_matches_information_rate(self):
         # exact loss curvature near the optimum: dL/dtheta = 2 n^2 * delta,
         # i.e. the Hilbert-Schmidt information rate times the offset
         delta = 0.01
-        cfg = GradientConfig(h=np.array([1e-4]))
-        g = _grad(np.array([THETA_TRUE + delta]), lambda v, label: _exact_loss(v, None, label), cfg)
+        steps = _central(1e-4)
+        g = _grad(np.array([THETA_TRUE + delta]), lambda v, label: _exact_loss(v, None, label), steps)
         assert g[0] == pytest.approx(2 * N_PROBE**2 * delta, rel=2e-3)
 
     def test_parameter_shift_exact_for_single_harmonic(self):
@@ -250,9 +301,10 @@ class TestGradientEstimation:
         def f(values, label):
             return 0.5 * (1 - np.cos(w * (values[0] - THETA_TRUE)))
 
-        cfg = GradientConfig(method=GRAD_PARAM_SHIFT, h=np.array([0.05]), frequencies=np.array([w]))
+        steps = _steps(GRAD_PARAM_SHIFT, 0.05, 0.05, ("theta",), [float(w)])
+        assert steps == ([np.pi / (2 * w)], [w / 2])
         at = THETA_TRUE + 0.23
-        g = _grad(np.array([at]), f, cfg)
+        g = _grad(np.array([at]), f, steps)
         assert g[0] == pytest.approx(0.5 * w * np.sin(w * 0.23), abs=1e-12)
 
     def test_parameter_shift_zero_frequency_falls_back(self):
@@ -261,43 +313,37 @@ class TestGradientEstimation:
         def f(values, label):
             return 0.5 * (1 - np.cos(4 * values[0])) + 3.0 * values[1]
 
-        cfg = GradientConfig(
-            method=GRAD_PARAM_SHIFT, h=np.array([0.1, 0.05]), frequencies=np.array([4, 0])
-        )
-        g = _grad(np.array([0.3, 0.7]), f, cfg)
+        steps = _steps(GRAD_PARAM_SHIFT, 0.1, 0.05, ("theta", "phi"), [4.0, 0.0])
+        assert steps == ([np.pi / 8, 0.05], [2.0, 10.0])
+        g = _grad(np.array([0.3, 0.7]), f, steps)
         assert g[0] == pytest.approx(2 * np.sin(1.2), abs=1e-12)
         assert g[1] == pytest.approx(3.0, abs=1e-12)
 
-    def test_parameter_shift_needs_frequencies(self):
-        cfg = GradientConfig(method=GRAD_PARAM_SHIFT, h=np.array([0.1]))
-        with pytest.raises(DomainError):
-            _grad(np.array([0.1]), lambda v, label: 0.0, cfg)
-
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
-            GradientConfig(method="forward")
+            GradientBlock(method="forward")
 
     def test_non_finite_loss_rejected(self):
-        cfg = GradientConfig(h=np.array([0.1]))
+        steps = _central(0.1)
         with pytest.raises(NumericsError):
-            _grad(np.array([0.0]), lambda v, label: float("nan"), cfg)
+            _grad(np.array([0.0]), lambda v, label: float("nan"), steps)
 
     def test_sampled_sign_reliability(self):
         # a tenth of a radian off at 1e5 shots: the descent direction is
         # essentially always correct
-        cfg = GradientConfig(h=np.array([np.pi / (8 * N_PROBE)]))
+        steps = _central(np.pi / (8 * N_PROBE))
         at = np.array([THETA_TRUE - 0.1])
         correct = sum(
-            _grad(at, _sampled_loss(seed, 100000), cfg)[0] < 0 for seed in range(50)
+            _grad(at, _sampled_loss(seed, 100000), steps)[0] < 0 for seed in range(50)
         )
         assert correct >= 48
 
     def test_gradient_variance_scales_inversely_with_shots(self):
-        cfg = GradientConfig(h=np.array([np.pi / (8 * N_PROBE)]))
+        steps = _central(np.pi / (8 * N_PROBE))
         at = np.array([THETA_TRUE - 0.1])
         variances = []
         for nu in (1000, 10000, 100000):
-            gs = [_grad(at, _sampled_loss(seed, nu), cfg)[0] for seed in range(300)]
+            gs = [_grad(at, _sampled_loss(seed, nu), steps)[0] for seed in range(300)]
             variances.append(np.var(gs))
         slope = np.polyfit(np.log([1e3, 1e4, 1e5]), np.log(variances), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
@@ -306,12 +352,11 @@ class TestGradientEstimation:
 class TestRunOptimization:
     def test_exact_mode_converges_tightly(self):
         run = _run(
-            ("theta",),
             np.array([0.10]),
             _exact_loss,
             optimizer=OptimizerConfig(decay=0.98, max_epochs=800, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
-            gradient=GradientConfig(h=np.array([np.pi / (8 * N_PROBE)])),
+            steps=_central(np.pi / (8 * N_PROBE)),
         )
         assert run.status == STATUS_MAX_EPOCHS
         assert abs(run.trace["params"][-1, 0] - THETA_TRUE) < 1e-6
@@ -321,12 +366,11 @@ class TestRunOptimization:
         # single-epoch losses oscillate near the floor; the per-window maximum
         # is the meaningful monotone quantity
         run = _run(
-            ("theta",),
             np.array([0.10]),
             _exact_loss,
             optimizer=OptimizerConfig(decay=0.98, max_epochs=800, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
-            gradient=GradientConfig(h=np.array([np.pi / (8 * N_PROBE)])),
+            steps=_central(np.pi / (8 * N_PROBE)),
         )
         envelopes = [run.trace["loss"][a:b].max() for a, b in ((10, 100), (100, 200), (200, 400), (400, 800))]
         assert all(hi > lo for hi, lo in zip(envelopes, envelopes[1:]))
@@ -334,12 +378,11 @@ class TestRunOptimization:
 
     def test_convergence_status(self):
         run = _run(
-            ("theta",),
             np.array([0.14]),
             _exact_loss,
             optimizer=OptimizerConfig(max_epochs=400, tol_conv=1e-4, window=10),
             schedule=ShotSchedule(exact=True),
-            gradient=GradientConfig(h=np.array([np.pi / 24])),
+            steps=_central(np.pi / 24),
         )
         assert run.status == STATUS_CONVERGED
         assert len(run.trace["epoch"]) < 400
@@ -348,12 +391,11 @@ class TestRunOptimization:
         # constant pull with an undecayed, oversized rate walks the angle out
         # of every basin; the run must flag itself rather than raise
         run = _run(
-            ("theta",),
             np.array([0.0]),
             lambda values, nu, label: -values[0],
             optimizer=OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=100, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
-            gradient=GradientConfig(h=np.array([0.1])),
+            steps=_central(0.1),
         )
         assert run.status == STATUS_DIVERGED
         assert len(run.trace["epoch"]) == 13
@@ -361,24 +403,22 @@ class TestRunOptimization:
 
     def test_zero_budget_still_records_one_epoch(self):
         run = _run(
-            ("theta",),
             np.array([0.1]),
             _exact_loss,
             optimizer=OptimizerConfig(max_epochs=400, tol_conv=0.0, budget_s=0.0),
             schedule=ShotSchedule(exact=True),
-            gradient=GradientConfig(h=np.array([0.1])),
+            steps=_central(0.1),
         )
         assert len(run.trace["epoch"]) == 1
         assert run.status == STATUS_BUDGET_EXHAUSTED
 
     def test_trace_shape_and_contiguity(self):
         run = _run(
-            ("theta",),
             np.array([0.1]),
             _exact_loss,
             optimizer=OptimizerConfig(max_epochs=25, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
-            gradient=GradientConfig(h=np.array([0.1])),
+            steps=_central(0.1),
         )
         assert run.trace["epoch"].tolist() == list(range(25))
         assert run.trace["params"].shape == (25, 1)
@@ -395,10 +435,10 @@ class TestRunOptimization:
         kw = dict(
             optimizer=OptimizerConfig(max_epochs=30, tol_conv=0.0),
             schedule=ShotSchedule(2000, 4000, "geometric"),
-            gradient=GradientConfig(h=np.array([np.pi / 24])),
+            steps=_central(np.pi / 24),
         )
-        a = _run(("theta",), np.array([0.1]), make(5), **kw)
-        b = _run(("theta",), np.array([0.1]), make(5), **kw)
+        a = _run(np.array([0.1]), make(5), **kw)
+        b = _run(np.array([0.1]), make(5), **kw)
         np.testing.assert_array_equal(a.trace["params"], b.trace["params"])
         np.testing.assert_array_equal(a.trace["loss"], b.trace["loss"])
         assert a.trace["shots"][0] == 2000 and a.trace["shots"][-1] == 4000
@@ -406,24 +446,23 @@ class TestRunOptimization:
     def test_non_finite_loss_raises(self):
         with pytest.raises(NumericsError):
             _run(
-                ("theta",),
                 np.array([0.1]),
                 lambda values, nu, label: float("inf"),
                 optimizer=OptimizerConfig(max_epochs=10),
                 schedule=ShotSchedule(exact=True),
-                gradient=GradientConfig(h=np.array([0.1])),
+                steps=_central(0.1),
             )
 
     def test_phi_stays_clamped(self):
         # push phi hard toward the boundary; the trajectory must never leave
         # the invertible range
         run = _run(
-            ("theta", "phi"),
             np.array([0.0, 0.1]),
             lambda values, nu, label: -values[1],
+            PHI_BOUNDS,
             optimizer=OptimizerConfig(lr0=0.3, decay=1.0, max_epochs=40, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
-            gradient=GradientConfig(h=np.array([0.1, 0.05])),
+            steps=_central(0.1, 0.05),
         )
         assert np.all(run.trace["params"][:, 1] <= PHI_CLAMP + 1e-15)
         assert np.all(run.trace["params"][:, 1] >= 0.0)
@@ -446,10 +485,10 @@ class TestRunOptimization:
             ]
 
         runs = run_optimization(
-            [[0.0, phi0], [0.2, phi0]], lossfn, names=("theta", "phi"),
+            [[0.0, phi0], [0.2, phi0]], lossfn, bounds=PHI_BOUNDS,
             optimizer=OptimizerConfig(lr0=0.1, max_epochs=6, tol_conv=0.0),
             schedule=ShotSchedule(100, 400, "linear") if sampled else ShotSchedule(exact=True),
-            gradient=GradientConfig(h=(0.05, h_phi)),
+            steps=_central(0.05, h_phi),
         )
         assert len(seen) == 2 * 5 * 6
         assert all(0.0 <= phi <= PHI_CLAMP for phi in seen)
@@ -476,10 +515,10 @@ class TestNonFiniteLosses:
         return run_optimization(
             np.array([[0.1, 0.2], [0.25, 0.4], [0.5, 0.6]])[:, :nparams],
             lossfn,
-            names=("theta", "phi")[:nparams],
             optimizer=OptimizerConfig(max_epochs=10, tol_conv=0.0),
             schedule=ShotSchedule(100, 400, "linear") if sampled else ShotSchedule(exact=True),
-            gradient=GradientConfig(h=(0.1, 0.05)[:nparams]),
+            steps=_central(*(0.1, 0.05)[:nparams]),
+            bounds=PHI_BOUNDS[:nparams],
         )
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -528,8 +567,8 @@ class TestEpochEvaluator:
         optimizer = OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=100, tol_conv=1e-4, window=5)
         # row 0 starts at theta = -0.0, which its unshifted copies must keep
         starts = np.array([[-0.0, 0.2], [0.25, -0.1], [0.5, 0.3]])
-        runs = run_optimization(starts, lossfn, names=("theta", "theta2"), optimizer=optimizer, schedule=schedule,
-                                gradient=GradientConfig(h=np.array(steps)))
+        runs = run_optimization(starts, lossfn, optimizer=optimizer, schedule=schedule, steps=_central(*steps),
+                                bounds=[None, None])
         assert len(calls) == max(len(run.trace["epoch"]) for run in runs)
         assert len({len(rows) for *_, rows in calls}) == 3  # every row leaves at its own epoch
         for epoch, (columns, nu, called_at, rows) in enumerate(calls):
@@ -557,7 +596,8 @@ class TestLockstep:
     _KW = dict(
         optimizer=OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=100, tol_conv=1e-4, window=5),
         schedule=ShotSchedule(exact=True),
-        gradient=GradientConfig(h=np.array([0.1])),
+        steps=_central(0.1),
+        bounds=[None],
     )
 
     @staticmethod
@@ -568,13 +608,13 @@ class TestLockstep:
 
     def test_rows_stop_one_by_one_as_if_alone(self):
         starts = np.array([[0.0], [0.25], [0.5]])
-        batch = run_optimization(starts, self._loss, names=("theta",), **self._KW)
+        batch = run_optimization(starts, self._loss, **self._KW)
         assert [r.status for r in batch] == [STATUS_DIVERGED, STATUS_CONVERGED, STATUS_MAX_EPOCHS]
         assert len({len(r.trace["epoch"]) for r in batch}) == 3
         for r, run in enumerate(batch):
             alone = run_optimization(
                 starts[r : r + 1], lambda v, nu, epoch, rows, _r=r: self._loss(v, nu, epoch, [q + _r for q in rows]),
-                names=("theta",), **self._KW,
+                **self._KW,
             )[0]
             assert run.status == alone.status
             assert list(run.trace) == list(alone.trace)
@@ -586,7 +626,7 @@ class TestLockstep:
         kw = dict(self._KW, optimizer=OptimizerConfig(lr0=0.5, decay=1.0, max_epochs=10**5, tol_conv=1e-3, window=5))
         tracemalloc.start()
         try:
-            batch = run_optimization(np.array([[0.0], [0.25]]), self._loss, names=("theta",), **kw)
+            batch = run_optimization(np.array([[0.0], [0.25]]), self._loss, **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -600,19 +640,19 @@ class TestLockstep:
         def f(values, nu, label):
             return np.sin(3 * values[0]) * np.cos(2 * values[1]) + 0.1 * values[0] * values[1]
 
-        cfg = GradientConfig(h=np.array([0.07, 0.05]))
+        steps = _central(0.07, 0.05)
         starts = np.random.default_rng(3).uniform(-1, 1, size=(7, 2))
         runs = run_optimization(
             starts,
             _rowwise(f),
-            names=("theta", "theta2"),
+            bounds=[None, None],
             optimizer=OptimizerConfig(max_epochs=20, tol_conv=0.0),
             schedule=ShotSchedule(exact=True),
-            gradient=cfg,
+            steps=steps,
         )
         for start, run in zip(starts, runs):
             before = np.vstack([start, run.trace["params"][:-1]])
-            grads = [_grad(b, lambda v, label: f(v, None, label), cfg).tolist() for b in before]
+            grads = [_grad(b, lambda v, label: f(v, None, label), steps).tolist() for b in before]
             norms = [math.sqrt(g0 * g0 + g1 * g1) for g0, g1 in grads]
             assert run.trace["grad_norm"].tolist() == norms
 
@@ -649,10 +689,10 @@ class TestNumpyOracle:
         if nparams == 2:
             starts[:, 1] = rng.uniform(0.0, 1.5, size=nrows)
         kw = dict(
-            names=("theta", "phi")[:nparams],
             optimizer=OptimizerConfig(lr0=1.0, decay=0.95, max_epochs=85, tol_conv=1e-4, window=8, budget_s=budget_s),
             schedule=ShotSchedule(100, 400, "linear") if sampled else ShotSchedule(exact=True),
-            gradient=GradientConfig(method, np.array([0.1, 0.05][:nparams]), np.array([6.0, 0.0][:nparams])),
+            steps=_steps(method, 0.1, 0.05, ("theta", "phi")[:nparams], [6.0, 0.0][:nparams]),
+            bounds=PHI_BOUNDS[:nparams],
         )
         runs = run_optimization(starts, self._loss(seed, crn, first), **kw)
         for run, ref in zip(runs, numpy_epoch.run_optimization(starts, self._loss(seed, crn, first), **kw), strict=True):

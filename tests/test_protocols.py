@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vista.config import from_dict
+from vista.config import PHI_CLAMP, from_dict
 from vista.dynamics import (
     CHANNEL_AMPDAMP,
     CHANNEL_DEPHASING,
@@ -29,7 +29,7 @@ from vista import dynamics, measurement, protocols
 from vista.errors import ConfigError, NoPeakError
 from vista.experiments import replica_seeds, run_grid
 from vista.measurement import binomial_fraction, parity_probability
-from vista.optimize import PHI_CLAMP, STATUS_BUDGET_EXHAUSTED, STATUS_CONVERGED, STATUS_MAX_EPOCHS
+from vista.optimize import STATUS_BUDGET_EXHAUSTED, STATUS_CONVERGED, STATUS_MAX_EPOCHS
 from vista.protocols import (
     STATUS_CASCADE_FAILED,
     STATUS_EARLY_STOPPED,
@@ -466,6 +466,26 @@ class TestDispatchAndStreams:
         for cfg in runs:
             res = run_from_config(cfg)
             assert res.seed == 0
+
+    @pytest.mark.parametrize("method", ["central_difference", "parameter_shift"])
+    def test_each_run_hands_the_optimizer_its_steps_and_bounds(self, method, monkeypatch):
+        # the optimizer names no parameter: each mode's run gives it every column's step and bounds, phi's alone
+        # bounded; theta's loss harmonic is 2n, which the parameter-shift rule steps by pi/(4n), and phi's and the
+        # two-angle mode's have no single harmonic, so they keep their central-difference steps
+        handed, real = [], protocols.run_optimization
+        monkeypatch.setattr(protocols, "run_optimization", lambda *a, **kw: handed.append(kw) or real(*a, **kw))
+        quick = {"optimizer": {"max_epochs": 2, "tol_conv": 0.0}, "shots": {"exact": True},
+                 "gradient": {"method": method, "h_phi": 0.04}}
+        for doc in (dict(mode="vista_pure"), dict(mode="vista_noisy_dephasing", gamma_true=0.1),
+                    dict(mode="vista_multiparam", theta2_true=0.05, multiparam={"trotter_steps": 4})):
+            run_from_config(_cfg(n=3, theta_true=0.1, seed=0, **doc, **quick))
+        h = math.pi / 24  # the default theta step, pi/(8n)
+        theta = (math.pi / 12, 3.0) if method == "parameter_shift" else (h, 1.0 / (2 * h))
+        assert [(kw["steps"], kw["bounds"]) for kw in handed] == [
+            (([theta[0]], [theta[1]]), [None]),
+            (([theta[0], 0.04], [theta[1], 1.0 / (2 * 0.04)]), [None, (0.0, PHI_CLAMP)]),
+            (([h, h], [1.0 / (2 * h)] * 2), [None, None]),
+        ]
 
     def test_unknown_mode_rejected(self):
         # the config checks its mode when it is built, replace included
